@@ -63,8 +63,9 @@ COMMANDS
                         shards 1 and --shards and the digests must be
                         bit-identical → results/BENCH_scalability.json
                         (deterministic fields only; wall-clock goes to
-                        stdout); exits nonzero on a digest mismatch or any
-                        valley-free violation
+                        BENCH_scalability.timing.json beside it); exits
+                        nonzero on a digest mismatch or any valley-free
+                        violation
   trace                 B4: causal flight-recorder export — the blackhole
                         scenario with span recording armed →
                         results/TRACE_vultr-blackhole_seed<S>.json

@@ -10,8 +10,11 @@
 //! `results/BENCH_scalability.json` holds **only deterministic
 //! content** (per-tier digests, RIB/FIB occupancy, convergence and
 //! discovery totals, path counts, stretch percentiles), so CI can
-//! byte-diff it across runs, machines, and `--shards` settings;
-//! wall-clock times go to stdout only.
+//! byte-diff it across runs, machines, and `--shards` settings. What
+//! depends on the machine — per-tier wall-clock and updates per second,
+//! with the RIB bytes per route beside them — goes to the sidecar
+//! `BENCH_scalability.timing.json` next to it, which is never
+//! byte-compared.
 //!
 //! Exits nonzero when any tier's shard counts disagree, or when any
 //! discovered path violates the valley-free property — both are
@@ -98,8 +101,8 @@ pub struct TierRun {
     pub digest: u64,
     /// `true` when the `--shards` rerun's digest matched the reference.
     pub identical: bool,
-    /// Wall-clock ns of the reference run (stdout only, never in the
-    /// artifact).
+    /// Wall-clock ns of the reference run (timing sidecar only, never
+    /// in the artifact).
     pub wall_ns: u64,
 }
 
@@ -214,6 +217,36 @@ pub fn to_json(options: &ScalabilityOptions, runs: &[TierRun]) -> String {
     )
 }
 
+/// Render the machine-dependent companion of [`to_json`]: one row per
+/// tier with the reference run's wall-clock, its BGP updates per second
+/// of that wall-clock, and the estimated RIB bytes per route and in
+/// total. Never byte-compared.
+pub fn timing_json(runs: &[TierRun]) -> String {
+    let rows: Vec<String> = runs
+        .iter()
+        .map(|r| {
+            let o = &r.outcome;
+            format!(
+                "    {{\"ases\": {}, \"pops\": {}, \"wall_ms\": {}, \"updates_per_s\": {}, \
+                 \"rib_bytes_per_route\": {}, \"rib_mib\": {}}}",
+                r.tier.ases,
+                r.tier.pops,
+                r.wall_ns / 1_000_000,
+                fmt(
+                    o.updates_processed as f64 * 1e9 / r.wall_ns.max(1) as f64,
+                    0
+                ),
+                o.rib_bytes_est / o.peak_routes.max(1),
+                fmt(o.rib_bytes_est as f64 / (1u64 << 20) as f64, 2),
+            )
+        })
+        .collect();
+    format!(
+        "{{\n  \"schema\": \"tango-bench/scalability-timing/v1\",\n  \"tiers\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n")
+    )
+}
+
 /// Run the tiers an options struct selects (the testable core of
 /// [`report`]).
 pub fn build(options: &ScalabilityOptions) -> Vec<TierRun> {
@@ -309,9 +342,12 @@ pub fn report(options: &ScalabilityOptions) -> i32 {
          artifact; the committed JSON holds only the deterministic fields)"
     );
 
-    let path = out_dir(&options.out).join("BENCH_scalability.json");
+    let dir = out_dir(&options.out);
+    let path = dir.join("BENCH_scalability.json");
     std::fs::write(&path, to_json(options, &runs)).expect("write BENCH_scalability json");
-    println!("written to {}", path.display());
+    let timing = dir.join("BENCH_scalability.timing.json");
+    std::fs::write(&timing, timing_json(&runs)).expect("write BENCH_scalability timing json");
+    println!("written to {} (+ {})", path.display(), timing.display());
 
     let identical = runs.iter().all(|r| r.identical);
     let valley: u64 = runs.iter().map(|r| r.outcome.valley_violations()).sum();
@@ -376,6 +412,16 @@ mod tests {
             to_json(&options, &runs),
             "rendering is a pure function"
         );
+    }
+
+    #[test]
+    fn timing_sidecar_has_a_row_per_tier() {
+        let options = tiny();
+        let runs = vec![run_tier(&options, SMALL_TIERS[0])];
+        let json = timing_json(&runs);
+        assert!(json.contains("\"schema\": \"tango-bench/scalability-timing/v1\""));
+        assert_eq!(json.matches("\"wall_ms\"").count(), runs.len());
+        assert!(json.contains("\"ases\": 100, \"pops\": 8"));
     }
 
     #[test]

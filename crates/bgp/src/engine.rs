@@ -12,7 +12,7 @@
 
 use crate::community::Community;
 use crate::rib::{Route, RouteSource};
-use crate::speaker::{BgpSpeaker, SpeakerConfig};
+use crate::speaker::{BgpSpeaker, Neighbor, SpeakerConfig};
 use std::collections::{BTreeMap, BTreeSet};
 use tango_net::{IpCidr, PrefixTrie};
 use tango_obs::{Counter, Gauge, Histogram, Registry};
@@ -99,7 +99,11 @@ impl RibStats {
 #[derive(Debug, Clone)]
 pub struct BgpEngine {
     topology: Topology,
-    speakers: BTreeMap<AsId, BgpSpeaker>,
+    /// One speaker per topology node, ordered by AS id, so a position in
+    /// this table sorts exactly like the id it stands for (and, ids being
+    /// 32-bit, fits a `u32`). Each speaker holds its neighbors' positions
+    /// and relationships, resolved once in [`BgpEngine::new`].
+    speakers: Vec<BgpSpeaker>,
     round_cap: usize,
     obs: Option<BgpObs>,
     rib_obs: Option<RibObs>,
@@ -112,12 +116,32 @@ pub struct BgpEngine {
     dirty_config: BTreeSet<AsId>,
 }
 
+/// A worklist of `(speaker position, prefix)` entries. Sorted and
+/// deduplicated before it is drained, so rounds visit entries in
+/// `(AS id, prefix)` order.
+type Worklist = Vec<(u32, IpCidr)>;
+
+fn sort_dedup(list: &mut Worklist) {
+    list.sort_unstable();
+    list.dedup();
+}
+
 impl BgpEngine {
     /// Build an engine with a default speaker for every topology node.
     pub fn new(topology: Topology) -> Self {
-        let speakers = topology
-            .nodes()
-            .map(|n| (n.id, BgpSpeaker::new(SpeakerConfig::new(n.id))))
+        let ids: Vec<AsId> = topology.nodes().map(|n| n.id).collect();
+        let speakers = ids
+            .iter()
+            .map(|&id| {
+                let sessions = topology.neighbors(id).iter().map(|&n| Neighbor {
+                    id: n,
+                    rel: topology
+                        .relationship(id, n)
+                        .expect("adjacency lists mirror the edge map"),
+                    index: ids.binary_search(&n).expect("links join known nodes") as u32,
+                });
+                BgpSpeaker::new(SpeakerConfig::new(id), sessions.collect())
+            })
             .collect();
         BgpEngine {
             topology,
@@ -128,6 +152,13 @@ impl BgpEngine {
             dirty_origins: BTreeSet::new(),
             dirty_config: BTreeSet::new(),
         }
+    }
+
+    /// A node's position in the speaker table.
+    fn index_of(&self, id: AsId) -> Result<usize, EngineError> {
+        self.speakers
+            .binary_search_by_key(&id, BgpSpeaker::asid)
+            .map_err(|_| EngineError::UnknownSpeaker(id))
     }
 
     /// Publish control-plane telemetry (`bgp.*`) into `registry`.
@@ -155,12 +186,24 @@ impl BgpEngine {
     /// Current RIB occupancy summed over every speaker.
     pub fn rib_stats(&self) -> RibStats {
         let mut stats = RibStats::default();
-        for s in self.speakers.values() {
+        for s in &self.speakers {
             stats.adj_rib_in += s.rib_in_len();
             stats.loc_rib += s.loc_rib_len();
             stats.adj_rib_out += s.rib_out_len();
         }
         stats
+    }
+
+    /// Heap bytes held by every speaker's RIB table right now. An
+    /// advertisement shared between a sender's Adj-RIB-Out and its
+    /// receivers' Adj-RIB-In and Loc-RIB is one allocation and is counted
+    /// once.
+    pub fn rib_heap_bytes(&self) -> u64 {
+        let mut seen = BTreeSet::new();
+        self.speakers
+            .iter()
+            .map(|s| s.rib_heap_bytes(&mut seen) as u64)
+            .sum()
     }
 
     /// The underlying topology.
@@ -170,30 +213,24 @@ impl BgpEngine {
 
     /// Access a speaker.
     pub fn speaker(&self, id: AsId) -> Result<&BgpSpeaker, EngineError> {
-        self.speakers
-            .get(&id)
-            .ok_or(EngineError::UnknownSpeaker(id))
+        Ok(&self.speakers[self.index_of(id)?])
     }
 
     /// Mutable access to a speaker (for configuration). Conservatively
     /// marks the speaker dirty: the next [`BgpEngine::converge`] fully
     /// recomputes and re-exports it, whatever the caller changed.
     pub fn speaker_mut(&mut self, id: AsId) -> Result<&mut BgpSpeaker, EngineError> {
-        if self.speakers.contains_key(&id) {
-            self.dirty_config.insert(id);
-        }
-        self.speakers
-            .get_mut(&id)
-            .ok_or(EngineError::UnknownSpeaker(id))
+        let i = self.index_of(id)?;
+        self.dirty_config.insert(id);
+        Ok(&mut self.speakers[i])
     }
 
     /// Internal mutable access that does *not* mark the speaker
     /// config-dirty — used by the origination methods, which track the
     /// finer-grained `(origin, prefix)` dirty set instead.
     fn speaker_entry(&mut self, id: AsId) -> Result<&mut BgpSpeaker, EngineError> {
-        self.speakers
-            .get_mut(&id)
-            .ok_or(EngineError::UnknownSpeaker(id))
+        let i = self.index_of(id)?;
+        Ok(&mut self.speakers[i])
     }
 
     /// Set a node's per-neighbor preference map (e.g. the Vultr borders'
@@ -224,19 +261,7 @@ impl BgpEngine {
     /// `neighbor_pref` change takes effect without a withdraw/re-announce
     /// cycle. Follow with [`BgpEngine::converge`].
     pub fn refresh_import(&mut self, id: AsId) -> Result<bool, EngineError> {
-        // Split borrow: the speaker map and the topology are disjoint
-        // fields, so the import refresh needs no topology clone.
-        let BgpEngine {
-            topology,
-            speakers,
-            dirty_config,
-            ..
-        } = self;
-        let s = speakers
-            .get_mut(&id)
-            .ok_or(EngineError::UnknownSpeaker(id))?;
-        dirty_config.insert(id);
-        Ok(s.refresh_import(topology))
+        Ok(self.speaker_mut(id)?.refresh_import())
     }
 
     /// Originate a prefix at a node.
@@ -312,67 +337,50 @@ impl BgpEngine {
         // full re-export (export policy itself may have changed);
         // origin-dirty entries get a single-prefix recompute and enter
         // the export set only if their Loc-RIB entry actually moved.
-        let mut export_set: BTreeSet<(AsId, IpCidr)> = BTreeSet::new();
+        let mut export_set = Worklist::new();
         for id in core::mem::take(&mut self.dirty_config) {
-            let s = self.speakers.get_mut(&id).expect("marked while present");
-            let prefixes = s.known_prefixes();
+            let i = self.index_of(id).expect("marked while present");
+            let s = &mut self.speakers[i];
+            export_set.extend(s.known_prefixes().into_iter().map(|p| (i as u32, p)));
             s.recompute();
-            export_set.extend(prefixes.into_iter().map(|p| (id, p)));
         }
+        let fully_recomputed = export_set.len();
         for (id, p) in core::mem::take(&mut self.dirty_origins) {
-            if export_set.contains(&(id, p)) {
-                continue; // already fully recomputed above
-            }
-            if self
-                .speakers
-                .get_mut(&id)
-                .expect("marked while present")
-                .recompute_prefix(&p)
+            let i = self.index_of(id).expect("marked while present");
+            if export_set[..fully_recomputed]
+                .binary_search(&(i as u32, p))
+                .is_err()
+                && self.speakers[i].recompute_prefix(&p)
             {
-                export_set.insert((id, p));
+                export_set.push((i as u32, p));
             }
         }
+        sort_dedup(&mut export_set);
+        let mut received = Worklist::new();
         for round in 1..=self.round_cap {
-            let mut any_change = false;
-            let mut received: BTreeSet<(AsId, IpCidr)> = BTreeSet::new();
-            // Phase 1: deliver export diffs from the worklist.
-            for (id, p) in core::mem::take(&mut export_set) {
-                let neighbors: Vec<AsId> = self.topology.neighbors(id).to_vec();
-                for n in neighbors {
-                    let new =
-                        self.speakers
-                            .get(&id)
-                            .expect("listed")
-                            .export_for(&self.topology, n, &p);
-                    let prev = self.speakers.get(&id).expect("listed").rib_out_entry(n, &p);
-                    if new.as_ref() == prev {
-                        continue;
-                    }
-                    let recv = self.speakers.get_mut(&n).expect("adjacent");
-                    if recv.receive(&self.topology, id, p, new.clone()) {
-                        any_change = true;
+            // Phase 1: deliver export diffs from the worklist. The sender
+            // and its table entry are borrowed once per worklist item;
+            // every receiver is a different speaker, reached through the
+            // position cached in the sender's session list.
+            for &(i, p) in &export_set {
+                let i = i as usize;
+                let (before, rest) = self.speakers.split_at_mut(i);
+                let (sender, after) = rest.split_first_mut().expect("worklist names speakers");
+                let from = sender.asid();
+                sender.export_prefix(&p, |to, update| {
+                    let j = to.index as usize;
+                    let receiver = if j < i {
+                        &mut before[j]
+                    } else {
+                        &mut after[j - i - 1]
+                    };
+                    if receiver.receive(from, p, update) {
                         updates_applied += 1;
-                        received.insert((n, p));
+                        received.push((to.index, p));
                     }
-                    self.speakers
-                        .get_mut(&id)
-                        .expect("listed")
-                        .set_rib_out_entry(n, p, new);
-                }
+                });
             }
-            // Phase 2: re-decide only where an update landed.
-            for (id, p) in received {
-                if self
-                    .speakers
-                    .get_mut(&id)
-                    .expect("adjacent")
-                    .recompute_prefix(&p)
-                {
-                    any_change = true;
-                    export_set.insert((id, p));
-                }
-            }
-            if !any_change {
+            if received.is_empty() {
                 if let Some(obs) = &self.obs {
                     obs.updates_processed.add(updates_applied);
                     obs.converges.inc();
@@ -387,6 +395,14 @@ impl BgpEngine {
                 }
                 return Ok(round - 1);
             }
+            // Phase 2: re-decide only where an update landed.
+            sort_dedup(&mut received);
+            export_set.clear();
+            for (i, p) in received.drain(..) {
+                if self.speakers[i as usize].recompute_prefix(&p) {
+                    export_set.push((i, p));
+                }
+            }
         }
         Err(EngineError::NoConvergence {
             round_cap: self.round_cap,
@@ -395,13 +411,13 @@ impl BgpEngine {
 
     /// The best route for `prefix` at node `at`, after convergence.
     pub fn best_route(&self, at: AsId, prefix: IpCidr) -> Option<&Route> {
-        self.speakers.get(&at)?.best(&prefix)
+        self.speaker(at).ok()?.best(&prefix)
     }
 
     /// The AS path for `prefix` as seen at `at` (§4.1: "observing the
     /// AS-path heard at the other server").
     pub fn as_path(&self, at: AsId, prefix: IpCidr) -> Option<&[AsId]> {
-        self.best_route(at, prefix).map(|r| r.as_path.as_slice())
+        self.best_route(at, prefix).map(Route::as_path)
     }
 
     /// Build a longest-prefix-match forwarding table for a node: prefix →

@@ -8,7 +8,8 @@
 //! * typed [`Community`] values including Vultr-style *action communities*
 //!   ("do not announce to AS X", "prepend N× to AS X") that the paper's
 //!   prototype uses to shape outbound announcements (§4.1, step 2);
-//! * per-domain [`BgpSpeaker`]s with Adj-RIB-In / Loc-RIB / Adj-RIB-Out,
+//! * per-domain [`BgpSpeaker`]s with Adj-RIB-In / Loc-RIB / Adj-RIB-Out
+//!   kept in one per-prefix table over shared, immutable [`PathAttrs`],
 //!   the standard decision process (local-pref by Gao-Rexford relationship
 //!   plus a per-neighbor preference modeling Vultr's router config, then
 //!   AS-path length, then a deterministic tie-break);
@@ -44,6 +45,6 @@ pub mod wire;
 pub use community::Community;
 pub use engine::{BgpEngine, EngineError};
 pub use policy::{local_pref_base, may_export, LP_CUSTOMER, LP_PEER, LP_PROVIDER};
-pub use rib::{Route, RouteSource};
-pub use speaker::{BgpSpeaker, SpeakerConfig};
+pub use rib::{PathAttrs, Route, RouteSource};
+pub use speaker::{BgpSpeaker, Neighbor, SpeakerConfig};
 pub use wire::{BgpMessage, NotificationMessage, OpenMessage, UpdateMessage};

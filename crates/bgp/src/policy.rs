@@ -6,7 +6,8 @@
 //! than performance"* — which is exactly why the default BGP path between
 //! the Vultr DCs is 30 % slower than the best one (§5).
 
-use crate::rib::{Route, RouteSource};
+use crate::community::Community;
+use std::collections::BTreeSet;
 use tango_topology::{Relationship, Topology};
 
 /// Local-pref base for customer-learned routes (revenue: most preferred).
@@ -19,48 +20,27 @@ pub const LP_PROVIDER: u32 = 100;
 /// relationship class boundary.
 pub const LP_CLASS_WIDTH: u32 = 100;
 
-/// The local-pref base for a route learned from `neighbor`, given the
-/// receiving AS `local`'s relationship to it.
-pub fn local_pref_base(
-    topology: &Topology,
-    local: tango_topology::AsId,
-    neighbor: tango_topology::AsId,
-) -> Option<u32> {
-    Some(match topology.relationship(local, neighbor)? {
-        // `local` is the neighbor's customer → the route came from our provider.
+/// The local-pref base for a route learned from a neighbor, given the
+/// receiving AS's relationship `to_sender` to it.
+pub fn local_pref_base(to_sender: Relationship) -> u32 {
+    match to_sender {
+        // We are the neighbor's customer → the route came from our provider.
         Relationship::CustomerOf => LP_PROVIDER,
         Relationship::ProviderOf => LP_CUSTOMER,
         Relationship::PeerOf => LP_PEER,
-    })
+    }
 }
 
-/// Valley-free export rule: may `local` export a route with the given
-/// source to `neighbor`?
+/// Valley-free export rule: may a route be exported to a neighbor we
+/// stand in relationship `to_neighbor` with? `learned_from` is our
+/// relationship to the neighbor the route came from, `None` for a
+/// locally originated route.
 ///
 /// * Locally originated and customer-learned routes go to everyone.
 /// * Peer- and provider-learned routes go only to customers.
-pub fn may_export(
-    topology: &Topology,
-    local: tango_topology::AsId,
-    route_source: &RouteSource,
-    neighbor: tango_topology::AsId,
-) -> bool {
-    let to_customer = topology.relationship(local, neighbor) == Some(Relationship::ProviderOf);
-    match route_source {
-        RouteSource::Local => true,
-        RouteSource::Neighbor(from) => {
-            if to_customer {
-                return true;
-            }
-            match topology.relationship(local, *from) {
-                // Learned from our customer → export anywhere.
-                Some(Relationship::ProviderOf) => true,
-                // Learned from peer or provider → customers only.
-                Some(Relationship::PeerOf) | Some(Relationship::CustomerOf) => false,
-                None => false,
-            }
-        }
-    }
+pub fn may_export(learned_from: Option<Relationship>, to_neighbor: Relationship) -> bool {
+    to_neighbor == Relationship::ProviderOf
+        || matches!(learned_from, None | Some(Relationship::ProviderOf))
 }
 
 /// Community post-processing at export: does the route's communities
@@ -74,13 +54,12 @@ pub fn may_export(
 /// which only exists because Cogent treats Vultr's "do not announce to
 /// NTT" community as opaque.
 pub fn communities_forbid(
-    route: &Route,
+    communities: &BTreeSet<Community>,
     neighbor: tango_topology::AsId,
     learned_from_ebgp: bool,
     honor_actions: bool,
 ) -> bool {
-    use crate::community::Community;
-    route.communities.iter().any(|c| match c {
+    communities.iter().any(|c| match c {
         Community::NoAdvertise => true,
         // NO_EXPORT keeps the route inside the receiving AS: a locally
         // originated route may still be sent to the first eBGP hop.
@@ -142,8 +121,6 @@ pub fn path_is_valley_free(topology: &Topology, nodes: &[tango_topology::AsId]) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::community::Community;
-    use std::collections::BTreeSet;
     use tango_topology::{AsId, AsKind, AsNode, DirectionProfile, LinkProfile};
 
     /// customer(1) -> provider(2) -- peer(3); 2 also provides 4.
@@ -160,87 +137,58 @@ mod tests {
         t
     }
 
-    fn route_from(n: u32) -> Route {
-        Route {
-            prefix: "10.0.0.0/8".parse().unwrap(),
-            as_path: vec![AsId(n)],
-            communities: BTreeSet::new(),
-            source: RouteSource::Neighbor(AsId(n)),
-            local_pref: 0,
-            med: 0,
-            tie_pref: 0,
-        }
-    }
-
     #[test]
     fn local_pref_by_relationship() {
-        let t = topo();
-        // AS2 learns from customer 1 → customer pref.
-        assert_eq!(local_pref_base(&t, AsId(2), AsId(1)), Some(LP_CUSTOMER));
-        // AS1 learns from provider 2.
-        assert_eq!(local_pref_base(&t, AsId(1), AsId(2)), Some(LP_PROVIDER));
-        // AS2 learns from peer 3.
-        assert_eq!(local_pref_base(&t, AsId(2), AsId(3)), Some(LP_PEER));
-        // Not adjacent.
-        assert_eq!(local_pref_base(&t, AsId(1), AsId(3)), None);
+        // Learned from a customer (we are its provider) → customer pref.
+        assert_eq!(local_pref_base(Relationship::ProviderOf), LP_CUSTOMER);
+        assert_eq!(local_pref_base(Relationship::CustomerOf), LP_PROVIDER);
+        assert_eq!(local_pref_base(Relationship::PeerOf), LP_PEER);
     }
 
     #[test]
     fn customer_routes_exported_everywhere() {
-        let t = topo();
-        let src = RouteSource::Neighbor(AsId(1)); // AS2's customer
-        assert!(may_export(&t, AsId(2), &src, AsId(3))); // to peer
-        assert!(may_export(&t, AsId(2), &src, AsId(4))); // to customer
+        let from_customer = Some(Relationship::ProviderOf);
+        assert!(may_export(from_customer, Relationship::PeerOf));
+        assert!(may_export(from_customer, Relationship::ProviderOf));
+        assert!(may_export(from_customer, Relationship::CustomerOf));
     }
 
     #[test]
-    fn peer_routes_only_to_customers() {
-        let t = topo();
-        let src = RouteSource::Neighbor(AsId(3)); // AS2's peer
-        assert!(may_export(&t, AsId(2), &src, AsId(1))); // to customer: yes
-        assert!(may_export(&t, AsId(2), &src, AsId(4))); // to customer: yes
-        assert!(!may_export(&t, AsId(2), &src, AsId(3))); // back to peer: no
-    }
-
-    #[test]
-    fn provider_routes_only_to_customers() {
-        let t = topo();
-        let src = RouteSource::Neighbor(AsId(2)); // AS1's provider
-                                                  // AS1 has no customers or peers in this topo, so nothing to check
-                                                  // except that export back to the provider is denied.
-        assert!(!may_export(&t, AsId(1), &src, AsId(2)));
+    fn peer_and_provider_routes_only_to_customers() {
+        for learned_from in [Relationship::PeerOf, Relationship::CustomerOf] {
+            assert!(may_export(Some(learned_from), Relationship::ProviderOf));
+            assert!(!may_export(Some(learned_from), Relationship::PeerOf));
+            assert!(!may_export(Some(learned_from), Relationship::CustomerOf));
+        }
     }
 
     #[test]
     fn local_routes_exported_everywhere() {
-        let t = topo();
-        assert!(may_export(&t, AsId(1), &RouteSource::Local, AsId(2)));
-        assert!(may_export(&t, AsId(2), &RouteSource::Local, AsId(3)));
+        assert!(may_export(None, Relationship::CustomerOf));
+        assert!(may_export(None, Relationship::PeerOf));
+        assert!(may_export(None, Relationship::ProviderOf));
     }
 
     #[test]
     fn no_export_to_community_blocks_target_only() {
-        let mut r = route_from(1);
-        r.communities.insert(Community::NoExportTo(AsId(3)));
-        assert!(communities_forbid(&r, AsId(3), true, true));
-        assert!(!communities_forbid(&r, AsId(2), true, true));
+        let c = BTreeSet::from([Community::NoExportTo(AsId(3))]);
+        assert!(communities_forbid(&c, AsId(3), true, true));
+        assert!(!communities_forbid(&c, AsId(2), true, true));
     }
 
     #[test]
     fn action_community_is_opaque_unless_honored() {
         // A transit that does not act on Vultr's namespace must carry the
         // route through — this is what keeps the [NTT, Cogent] path alive.
-        let mut r = route_from(1);
-        r.communities.insert(Community::NoExportTo(AsId(3)));
-        assert!(!communities_forbid(&r, AsId(3), true, false));
+        let c = BTreeSet::from([Community::NoExportTo(AsId(3))]);
+        assert!(!communities_forbid(&c, AsId(3), true, false));
     }
 
     #[test]
     fn well_known_no_advertise_blocks_all() {
-        let mut r = route_from(1);
-        r.communities.insert(Community::NoAdvertise);
-        assert!(communities_forbid(&r, AsId(2), false, false));
-        assert!(communities_forbid(&r, AsId(3), true, true));
+        let c = BTreeSet::from([Community::NoAdvertise]);
+        assert!(communities_forbid(&c, AsId(2), false, false));
+        assert!(communities_forbid(&c, AsId(3), true, true));
     }
 
     #[test]
@@ -316,11 +264,10 @@ mod tests {
 
     #[test]
     fn no_export_allows_first_ebgp_hop_only() {
-        let mut r = route_from(1);
-        r.communities.insert(Community::NoExport);
+        let c = BTreeSet::from([Community::NoExport]);
         // Originator may send even without honoring action communities.
-        assert!(!communities_forbid(&r, AsId(2), false, false));
+        assert!(!communities_forbid(&c, AsId(2), false, false));
         // Receiver may not re-export.
-        assert!(communities_forbid(&r, AsId(2), true, false));
+        assert!(communities_forbid(&c, AsId(2), true, false));
     }
 }

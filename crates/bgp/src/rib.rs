@@ -1,9 +1,15 @@
 //! Routes and the BGP decision process.
+//!
+//! What travels in an UPDATE — AS path, communities, MED — is immutable
+//! once built and lives in one shared [`PathAttrs`] allocation: the
+//! sender's Adj-RIB-Out, every receiver's Adj-RIB-In and their Loc-RIBs
+//! all hold the same `Arc`. A [`Route`] is that handle plus the three
+//! fields the *receiver* computes on import.
 
 use crate::community::Community;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
-use tango_net::IpCidr;
+use std::sync::Arc;
 use tango_topology::AsId;
 
 /// Where a route entered the local speaker.
@@ -25,22 +31,29 @@ impl RouteSource {
     }
 }
 
-/// A candidate route for one prefix, as held in a RIB.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Route {
-    /// Destination prefix.
-    pub prefix: IpCidr,
+/// The attributes one advertisement carries, shared by every RIB entry
+/// that holds it.
+#[derive(Debug, PartialEq, Eq)]
+pub struct PathAttrs {
     /// AS path; element 0 is the *nearest* AS (the neighbor that sent it),
     /// the last element is the origin. Empty for locally originated routes.
-    pub as_path: Vec<AsId>,
-    /// Attached communities.
-    pub communities: BTreeSet<Community>,
+    pub as_path: Box<[AsId]>,
+    /// Attached communities. Speakers carry the set through unchanged,
+    /// so it is shared along the whole propagation tree.
+    pub communities: Arc<BTreeSet<Community>>,
+    /// Multi-exit discriminator (carried; low = preferred).
+    pub med: u32,
+}
+
+/// A candidate route for one prefix, as held in a RIB.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Route {
+    /// The advertisement as received (or originated).
+    pub attrs: Arc<PathAttrs>,
     /// How the route entered this speaker.
     pub source: RouteSource,
     /// Computed local preference (relationship-based).
     pub local_pref: u32,
-    /// Multi-exit discriminator (carried; low = preferred).
-    pub med: u32,
     /// Per-neighbor administrative preference (higher = preferred),
     /// compared *after* AS-path length — this models Vultr's router
     /// preference among otherwise-equal provider routes ("in order of
@@ -51,31 +64,33 @@ pub struct Route {
 
 impl Route {
     /// A locally originated route.
-    pub fn originate(prefix: IpCidr, communities: BTreeSet<Community>) -> Self {
+    pub fn local(attrs: Arc<PathAttrs>) -> Self {
         Route {
-            prefix,
-            as_path: Vec::new(),
-            communities,
+            attrs,
             source: RouteSource::Local,
             local_pref: u32::MAX, // local routes always win
-            med: 0,
             tie_pref: 0,
         }
     }
 
+    /// The AS path, nearest AS first.
+    pub fn as_path(&self) -> &[AsId] {
+        &self.attrs.as_path
+    }
+
     /// Does the AS path contain `asid` (loop detection / poisoning)?
     pub fn path_contains(&self, asid: AsId) -> bool {
-        self.as_path.contains(&asid)
+        self.attrs.as_path.contains(&asid)
     }
 
     /// The origin AS of the path (None for local routes).
     pub fn origin(&self) -> Option<AsId> {
-        self.as_path.last().copied()
+        self.attrs.as_path.last().copied()
     }
 
     /// AS-path length counting *unique* prepends as-is (standard length).
     pub fn path_len(&self) -> usize {
-        self.as_path.len()
+        self.attrs.as_path.len()
     }
 }
 
@@ -89,18 +104,13 @@ impl Route {
 /// 5. lowest neighbor AS id (deterministic tie-break, standing in for
 ///    lowest-router-id).
 ///
-/// Returns the index of the winner, or `None` if `candidates` is empty.
-pub fn decide(candidates: &[Route]) -> Option<usize> {
-    if candidates.is_empty() {
-        return None;
-    }
-    let mut best = 0usize;
-    for i in 1..candidates.len() {
-        if better(&candidates[i], &candidates[best]) {
-            best = i;
-        }
-    }
-    Some(best)
+/// Decides over references — nothing is cloned. Among candidates no
+/// other beats, the earliest in iteration order wins; `None` if there
+/// are no candidates.
+pub fn best_of<'a>(candidates: impl IntoIterator<Item = &'a Route>) -> Option<&'a Route> {
+    candidates
+        .into_iter()
+        .reduce(|best, r| if better(r, best) { r } else { best })
 }
 
 /// Is `a` strictly better than `b` under the decision process?
@@ -111,8 +121,8 @@ pub fn better(a: &Route, b: &Route) -> bool {
     if a.path_len() != b.path_len() {
         return a.path_len() < b.path_len();
     }
-    if a.med != b.med {
-        return a.med < b.med;
+    if a.attrs.med != b.attrs.med {
+        return a.attrs.med < b.attrs.med;
     }
     if a.tie_pref != b.tie_pref {
         return a.tie_pref > b.tie_pref;
@@ -126,18 +136,19 @@ pub fn better(a: &Route, b: &Route) -> bool {
 mod tests {
     use super::*;
 
-    fn prefix() -> IpCidr {
-        "2001:db8:100::/48".parse().unwrap()
+    fn attrs(path: &[u32], med: u32) -> Arc<PathAttrs> {
+        Arc::new(PathAttrs {
+            as_path: path.iter().map(|&a| AsId(a)).collect(),
+            communities: Arc::default(),
+            med,
+        })
     }
 
     fn route(lp: u32, path: &[u32], neighbor: u32) -> Route {
         Route {
-            prefix: prefix(),
-            as_path: path.iter().map(|&a| AsId(a)).collect(),
-            communities: BTreeSet::new(),
+            attrs: attrs(path, 0),
             source: RouteSource::Neighbor(AsId(neighbor)),
             local_pref: lp,
-            med: 0,
             tie_pref: 0,
         }
     }
@@ -146,7 +157,7 @@ mod tests {
     fn local_pref_dominates_path_length() {
         let short_low = route(100, &[1], 1);
         let long_high = route(300, &[2, 3, 4], 2);
-        assert_eq!(decide(&[short_low.clone(), long_high.clone()]), Some(1));
+        assert_eq!(best_of([&short_low, &long_high]), Some(&long_high));
         assert!(better(&long_high, &short_low));
     }
 
@@ -154,44 +165,44 @@ mod tests {
     fn path_length_breaks_equal_pref() {
         let long = route(100, &[1, 2, 3], 1);
         let short = route(100, &[4, 5], 4);
-        assert_eq!(decide(&[long, short]), Some(1));
+        assert_eq!(best_of([&long, &short]), Some(&short));
     }
 
     #[test]
     fn med_breaks_equal_length() {
         let mut a = route(100, &[1], 1);
-        a.med = 20;
+        a.attrs = attrs(&[1], 20);
         let mut b = route(100, &[2], 2);
-        b.med = 10;
-        assert_eq!(decide(&[a, b]), Some(1));
+        b.attrs = attrs(&[2], 10);
+        assert_eq!(best_of([&a, &b]), Some(&b));
     }
 
     #[test]
     fn neighbor_id_is_final_tiebreak() {
         let a = route(100, &[9], 9);
         let b = route(100, &[3], 3);
-        assert_eq!(decide(&[a, b]), Some(1));
+        assert_eq!(best_of([&a, &b]), Some(&b));
     }
 
     #[test]
     fn local_route_always_wins() {
-        let local = Route::originate(prefix(), BTreeSet::new());
+        let local = Route::local(attrs(&[], 0));
         let learned = route(300, &[1], 1);
-        assert_eq!(decide(&[learned, local.clone()]), Some(1));
+        assert_eq!(best_of([&learned, &local]), Some(&local));
         assert_eq!(local.path_len(), 0);
         assert_eq!(local.origin(), None);
     }
 
     #[test]
     fn empty_candidates() {
-        assert_eq!(decide(&[]), None);
+        assert_eq!(best_of([]), None);
     }
 
     #[test]
     fn prepending_lengthens_and_demotes() {
         let plain = route(100, &[7, 8], 7);
         let prepended = route(100, &[5, 5, 5, 8], 5);
-        assert_eq!(decide(&[prepended, plain]), Some(1));
+        assert_eq!(best_of([&prepended, &plain]), Some(&plain));
     }
 
     #[test]
@@ -207,10 +218,15 @@ mod tests {
         let a = route(100, &[1, 2], 1);
         let b = route(100, &[3, 4], 3);
         let c = route(200, &[5, 6, 7], 5);
-        let i1 = decide(&[a.clone(), b.clone(), c.clone()]).unwrap();
-        let i2 = decide(&[c.clone(), a.clone(), b.clone()]).unwrap();
-        let w1 = &[a.clone(), b.clone(), c.clone()][i1];
-        let w2 = &[c, a, b][i2];
-        assert_eq!(w1, w2);
+        assert_eq!(best_of([&a, &b, &c]), best_of([&c, &a, &b]));
+    }
+
+    #[test]
+    fn shared_attrs_compare_by_value() {
+        let a = route(100, &[1, 2], 1);
+        let mut b = a.clone();
+        assert_eq!(a, b, "same allocation");
+        b.attrs = attrs(&[1, 2], 0);
+        assert_eq!(a, b, "equal content in a second allocation");
     }
 }

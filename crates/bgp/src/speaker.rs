@@ -1,4 +1,5 @@
-//! A per-domain BGP border speaker: three RIBs plus import/export policy.
+//! A per-domain BGP border speaker: one per-prefix RIB table plus
+//! import/export policy.
 //!
 //! This is the in-memory equivalent of the BIRD instance + Vultr border
 //! router pair of the prototype (§4.1): it computes local-pref from
@@ -7,13 +8,21 @@
 //! process, applies valley-free export filters, honors action communities,
 //! strips private ASNs on export, and supports AS-path poisoning at
 //! origination.
+//!
+//! Storage: everything the speaker knows about a prefix — origination,
+//! Adj-RIB-In, Loc-RIB entry, Adj-RIB-Out — sits in one `PrefixRib`
+//! record, so an update costs one table probe. The Adj-RIB slots are
+//! small vectors ordered by neighbor id: the decision process scans them
+//! in that order, which is what makes its first-wins tie-break
+//! deterministic.
 
 use crate::community::Community;
 use crate::policy::{communities_forbid, local_pref_base, may_export};
-use crate::rib::{decide, Route, RouteSource};
+use crate::rib::{best_of, PathAttrs, Route, RouteSource};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use tango_net::IpCidr;
-use tango_topology::{AsId, Topology};
+use tango_topology::{AsId, Relationship};
 
 /// Static configuration of one speaker.
 #[derive(Debug, Clone)]
@@ -50,32 +59,169 @@ impl SpeakerConfig {
     }
 }
 
-/// A BGP speaker: originated routes, Adj-RIB-In, Loc-RIB, Adj-RIB-Out.
+/// One eBGP session as the owning speaker sees it, resolved once when the
+/// speaker is built so the update path never consults the topology.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Neighbor {
+    /// The neighbor's AS id.
+    pub id: AsId,
+    /// The owning speaker's relationship to the neighbor
+    /// (`ProviderOf`: the neighbor is our customer).
+    pub rel: Relationship,
+    /// The neighbor's slot in the engine's dense speaker table.
+    pub index: u32,
+}
+
+/// The session with `id`, if there is one (`neighbors` is id-ordered).
+fn session(neighbors: &[Neighbor], id: AsId) -> Option<&Neighbor> {
+    let k = neighbors.binary_search_by_key(&id, |n| n.id).ok()?;
+    neighbors.get(k)
+}
+
+/// Insert into one of the RIB's ordered vectors, growing a full one by
+/// an eighth (at least one slot) instead of doubling it. Most hold one to
+/// three entries and millions of them are live at once, so slack is what
+/// the RIB's footprint is made of; an eighth still keeps filling a long
+/// vector (a hub's Adj-RIB-Out) linear.
+fn insert_snug<T>(v: &mut Vec<T>, at: usize, item: T) {
+    if v.len() == v.capacity() {
+        v.reserve_exact(1 + v.len() / 8);
+    }
+    v.insert(at, item);
+}
+
+/// Everything a speaker holds for one prefix.
+#[derive(Debug, Clone, Default)]
+struct PrefixRib {
+    /// Attributes of the local origination, if any.
+    originated: Option<Arc<PathAttrs>>,
+    /// Routes as received, ordered by sending neighbor id.
+    adj_in: Vec<Route>,
+    /// The decision process's current winner.
+    loc: Option<Route>,
+    /// What each neighbor was last sent, ordered by neighbor id; the
+    /// export diff against it yields the implicit withdrawals.
+    adj_out: Vec<(AsId, Arc<PathAttrs>)>,
+}
+
+impl PrefixRib {
+    fn is_empty(&self) -> bool {
+        self.originated.is_none()
+            && self.adj_in.is_empty()
+            && self.loc.is_none()
+            && self.adj_out.is_empty()
+    }
+
+    fn adj_in_slot(&self, neighbor: AsId) -> Result<usize, usize> {
+        self.adj_in
+            .binary_search_by_key(&Some(neighbor), |r| r.source.neighbor())
+    }
+}
+
+/// Entry counts of the three RIBs, kept current on every edit so the
+/// engine's per-convergence occupancy gauges cost O(speakers).
+#[derive(Debug, Clone, Copy, Default)]
+struct RibCounts {
+    adj_in: usize,
+    loc: usize,
+    adj_out: usize,
+}
+
+/// How the current best route of one prefix leaves a speaker: the
+/// per-neighbor policy verdict, and the advertisement built at most once
+/// per extra-prepend count rather than once per neighbor.
+struct Export<'a> {
+    config: &'a SpeakerConfig,
+    best: &'a Route,
+    /// Our relationship to the neighbor `best` was learned from.
+    learned_from: Option<Relationship>,
+    /// Advertisements built so far, indexed by extra-prepend count.
+    built: [Option<Arc<PathAttrs>>; 4],
+}
+
+impl<'a> Export<'a> {
+    fn new(config: &'a SpeakerConfig, best: &'a Route, neighbors: &[Neighbor]) -> Self {
+        let learned_from = best.source.neighbor().map(|from| {
+            session(neighbors, from)
+                .expect("receive only admits routes from sessions")
+                .rel
+        });
+        Export {
+            config,
+            best,
+            learned_from,
+            built: Default::default(),
+        }
+    }
+
+    /// The advertisement for `to` (path prepended, private ASNs stripped,
+    /// prepend communities applied), or `None` if policy withholds it.
+    fn to(&mut self, to: &Neighbor) -> Option<&Arc<PathAttrs>> {
+        let (config, best) = (self.config, self.best);
+        let attrs = &best.attrs;
+        if !may_export(self.learned_from, to.rel)
+            || communities_forbid(
+                &attrs.communities,
+                to.id,
+                self.learned_from.is_some(),
+                config.honor_action_communities,
+            )
+        {
+            return None;
+        }
+        // Prepend self once, plus any community-driven extra prepends
+        // (action communities only fire on the honoring provider).
+        let extra = if config.honor_action_communities {
+            attrs
+                .communities
+                .iter()
+                .map(|c| c.prepend_count_for(to.id))
+                .max()
+                .unwrap_or(0)
+        } else {
+            0
+        };
+        Some(self.built[usize::from(extra)].get_or_insert_with(|| {
+            let own = usize::from(extra) + 1;
+            let mut path = Vec::with_capacity(own + attrs.as_path.len());
+            path.resize(own, config.asid);
+            if config.strip_private_asns {
+                path.extend(attrs.as_path.iter().filter(|a| !a.is_private()));
+            } else {
+                path.extend_from_slice(&attrs.as_path);
+            }
+            Arc::new(PathAttrs {
+                as_path: path.into(),
+                communities: Arc::clone(&attrs.communities),
+                med: attrs.med,
+            })
+        }))
+    }
+}
+
+/// A BGP speaker: its sessions and, per prefix, the origination,
+/// Adj-RIB-In, Loc-RIB entry and Adj-RIB-Out.
 #[derive(Debug, Clone)]
 pub struct BgpSpeaker {
     config: SpeakerConfig,
-    /// Locally originated routes.
-    originated: BTreeMap<IpCidr, Route>,
-    /// Routes as received, keyed by (prefix, neighbor) — prefix-first so
-    /// the per-prefix decision process is a range scan, not a full-RIB
-    /// filter (the incremental engine recomputes single prefixes).
-    adj_rib_in: BTreeMap<(IpCidr, AsId), Route>,
-    /// Best route per prefix after the decision process.
-    loc_rib: BTreeMap<IpCidr, Route>,
-    /// What we last sent each neighbor, keyed by (neighbor, prefix);
-    /// used by the engine to generate implicit withdrawals.
-    adj_rib_out: BTreeMap<(AsId, IpCidr), Route>,
+    /// eBGP sessions, ordered by neighbor id.
+    neighbors: Vec<Neighbor>,
+    /// Per-prefix state, ordered by prefix; a record is removed as soon
+    /// as it [`PrefixRib::is_empty`]. Capacity is kept, so a discovery
+    /// probe coming and going reallocates nothing.
+    table: Vec<(IpCidr, PrefixRib)>,
+    counts: RibCounts,
 }
 
 impl BgpSpeaker {
-    /// A speaker with the given configuration.
-    pub fn new(config: SpeakerConfig) -> Self {
+    /// A speaker with the given configuration and sessions.
+    pub fn new(config: SpeakerConfig, mut neighbors: Vec<Neighbor>) -> Self {
+        neighbors.sort_unstable_by_key(|n| n.id);
         BgpSpeaker {
             config,
-            originated: BTreeMap::new(),
-            adj_rib_in: BTreeMap::new(),
-            loc_rib: BTreeMap::new(),
-            adj_rib_out: BTreeMap::new(),
+            neighbors,
+            table: Vec::new(),
+            counts: RibCounts::default(),
         }
     }
 
@@ -89,10 +235,29 @@ impl BgpSpeaker {
         &mut self.config
     }
 
+    /// Where `prefix`'s record is (`Ok`) or would be inserted (`Err`).
+    fn find(&self, prefix: &IpCidr) -> Result<usize, usize> {
+        self.table.binary_search_by_key(prefix, |(p, _)| *p)
+    }
+
+    /// Position of `prefix`'s record, created empty if absent.
+    fn find_or_insert(&mut self, prefix: IpCidr) -> usize {
+        self.find(&prefix).unwrap_or_else(|k| {
+            insert_snug(&mut self.table, k, (prefix, PrefixRib::default()));
+            k
+        })
+    }
+
+    /// Drop the record at `k` if nothing is left in it.
+    fn prune(&mut self, k: usize) {
+        if self.table[k].1.is_empty() {
+            self.table.remove(k);
+        }
+    }
+
     /// Originate a prefix with communities attached.
     pub fn originate(&mut self, prefix: IpCidr, communities: BTreeSet<Community>) {
-        self.originated
-            .insert(prefix, Route::originate(prefix, communities));
+        self.originate_poisoned(prefix, communities, &[]);
     }
 
     /// Originate with AS-path poisoning: `poison` ASNs are planted in the
@@ -105,14 +270,22 @@ impl BgpSpeaker {
         communities: BTreeSet<Community>,
         poison: &[AsId],
     ) {
-        let mut route = Route::originate(prefix, communities);
-        route.as_path = poison.to_vec();
-        self.originated.insert(prefix, route);
+        let k = self.find_or_insert(prefix);
+        self.table[k].1.originated = Some(Arc::new(PathAttrs {
+            as_path: poison.into(),
+            communities: Arc::new(communities),
+            med: 0,
+        }));
     }
 
     /// Stop originating a prefix.
     pub fn withdraw_origin(&mut self, prefix: &IpCidr) -> bool {
-        self.originated.remove(prefix).is_some()
+        let Ok(k) = self.find(prefix) else {
+            return false;
+        };
+        let removed = self.table[k].1.originated.take().is_some();
+        self.prune(k);
+        removed
     }
 
     /// Replace the communities on an existing origination (the §4.1
@@ -122,54 +295,72 @@ impl BgpSpeaker {
         prefix: &IpCidr,
         communities: BTreeSet<Community>,
     ) -> bool {
-        match self.originated.get_mut(prefix) {
-            Some(r) => {
-                r.communities = communities;
-                true
-            }
-            None => false,
-        }
+        let Some(origin) = self
+            .find(prefix)
+            .ok()
+            .and_then(|k| self.table[k].1.originated.as_mut())
+        else {
+            return false;
+        };
+        *origin = Arc::new(PathAttrs {
+            as_path: origin.as_path.clone(),
+            communities: Arc::new(communities),
+            med: origin.med,
+        });
+        true
     }
 
-    /// All locally originated prefixes.
-    pub fn originated_prefixes(&self) -> impl Iterator<Item = &IpCidr> {
-        self.originated.keys()
-    }
-
-    /// Process an incoming update (`Some(route)`) or withdrawal (`None`)
-    /// from `neighbor` for `prefix`. Returns true if Adj-RIB-In changed.
+    /// Process an incoming update (`Some(attrs)`) or withdrawal (`None`)
+    /// from neighbor `from` for `prefix`. Returns true if Adj-RIB-In
+    /// changed.
     ///
     /// Import policy: loop detection (reject paths containing our own id)
-    /// and local-pref computation happen here.
-    pub fn receive(
-        &mut self,
-        topology: &Topology,
-        neighbor: AsId,
-        prefix: IpCidr,
-        update: Option<Route>,
-    ) -> bool {
-        let key = (prefix, neighbor);
-        match update {
-            None => self.adj_rib_in.remove(&key).is_some(),
-            Some(mut route) => {
-                if route.path_contains(self.config.asid) {
-                    // Loop detected (or we were poisoned): treat as withdraw.
-                    return self.adj_rib_in.remove(&key).is_some();
-                }
-                let Some(base) = local_pref_base(topology, self.config.asid, neighbor) else {
-                    // Not actually adjacent: drop.
-                    return self.adj_rib_in.remove(&key).is_some();
-                };
-                route.local_pref = base;
-                route.tie_pref = self.config.bonus(neighbor);
-                route.source = RouteSource::Neighbor(neighbor);
-                let changed = self.adj_rib_in.get(&key) != Some(&route);
-                if changed {
-                    self.adj_rib_in.insert(key, route);
-                }
-                changed
+    /// and local-pref computation happen here. The shared attributes are
+    /// cloned (a reference-count bump) only when they are stored.
+    pub fn receive(&mut self, from: AsId, prefix: IpCidr, update: Option<&Arc<PathAttrs>>) -> bool {
+        // A looped (or poisoned) path, or a sender we have no session
+        // with, is treated as a withdrawal.
+        let accepted = update
+            .filter(|attrs| !attrs.as_path.contains(&self.config.asid))
+            .zip(session(&self.neighbors, from));
+        let Some((attrs, session)) = accepted else {
+            let Ok(k) = self.find(&prefix) else {
+                return false;
+            };
+            let rib = &mut self.table[k].1;
+            let Ok(slot) = rib.adj_in_slot(from) else {
+                return false;
+            };
+            rib.adj_in.remove(slot);
+            self.counts.adj_in -= 1;
+            self.prune(k);
+            return true;
+        };
+        let local_pref = local_pref_base(session.rel);
+        let tie_pref = self.config.bonus(from);
+        let k = self.find_or_insert(prefix);
+        let rib = &mut self.table[k].1;
+        let slot = rib.adj_in_slot(from);
+        if let Ok(k) = slot {
+            let held = &rib.adj_in[k];
+            if held.attrs == *attrs && held.local_pref == local_pref && held.tie_pref == tie_pref {
+                return false;
             }
         }
+        let route = Route {
+            attrs: Arc::clone(attrs),
+            source: RouteSource::Neighbor(from),
+            local_pref,
+            tie_pref,
+        };
+        match slot {
+            Ok(k) => rib.adj_in[k] = route,
+            Err(k) => {
+                insert_snug(&mut rib.adj_in, k, route);
+                self.counts.adj_in += 1;
+            }
+        }
+        true
     }
 
     /// Re-run the decision process over originated + learned routes.
@@ -182,231 +373,215 @@ impl BgpSpeaker {
         changed
     }
 
-    /// Every prefix this speaker currently knows about: originated,
-    /// learned, or still sitting in the Loc-RIB (a just-withdrawn
-    /// origination lives only there until the next decision run).
-    pub fn known_prefixes(&self) -> BTreeSet<IpCidr> {
-        let mut prefixes: BTreeSet<IpCidr> = self.originated.keys().copied().collect();
-        prefixes.extend(self.adj_rib_in.keys().map(|(p, _)| *p));
-        prefixes.extend(self.loc_rib.keys().copied());
-        prefixes
+    /// Every prefix this speaker currently holds state for: originated,
+    /// learned, still sitting in the Loc-RIB (a just-withdrawn
+    /// origination lives only there until the next decision run), or
+    /// advertised and not yet withdrawn.
+    pub fn known_prefixes(&self) -> Vec<IpCidr> {
+        self.table.iter().map(|(p, _)| *p).collect()
     }
 
     /// Re-run the decision process for one prefix only — the incremental
     /// engine's unit of work. Returns true if the Loc-RIB entry changed.
+    ///
+    /// Candidates are compared by reference, the origination first and
+    /// then Adj-RIB-In in neighbor-id order; only a winner that differs
+    /// from the installed route is cloned.
     pub fn recompute_prefix(&mut self, prefix: &IpCidr) -> bool {
-        let mut candidates: Vec<Route> = Vec::new();
-        if let Some(local) = self.originated.get(prefix) {
-            candidates.push(local.clone());
+        let Ok(k) = self.find(prefix) else {
+            return false;
+        };
+        let rib = &mut self.table[k].1;
+        let local = rib.originated.clone().map(Route::local);
+        let best = best_of(local.iter().chain(&rib.adj_in));
+        if best == rib.loc.as_ref() {
+            return false;
         }
-        candidates.extend(
-            self.adj_rib_in
-                .range((*prefix, AsId(0))..=(*prefix, AsId(u32::MAX)))
-                .map(|(_, r)| r.clone()),
-        );
-        match decide(&candidates) {
-            Some(i) => {
-                let best = candidates.swap_remove(i);
-                if self.loc_rib.get(prefix) != Some(&best) {
-                    self.loc_rib.insert(*prefix, best);
-                    true
-                } else {
-                    false
-                }
-            }
-            None => self.loc_rib.remove(prefix).is_some(),
-        }
+        self.counts.loc -= usize::from(rib.loc.is_some());
+        self.counts.loc += usize::from(best.is_some());
+        rib.loc = best.cloned();
+        self.prune(k);
+        true
     }
 
     /// The current best route for a prefix.
     pub fn best(&self, prefix: &IpCidr) -> Option<&Route> {
-        self.loc_rib.get(prefix)
+        self.table[self.find(prefix).ok()?].1.loc.as_ref()
     }
 
-    /// The whole Loc-RIB.
-    pub fn loc_rib(&self) -> &BTreeMap<IpCidr, Route> {
-        &self.loc_rib
-    }
-
-    /// Compute the export set toward `neighbor`: prefix → route as it
-    /// would appear *at the neighbor* (path prepended, private ASNs
-    /// stripped, prepend communities applied).
-    pub fn exports_to(&self, topology: &Topology, neighbor: AsId) -> BTreeMap<IpCidr, Route> {
-        self.loc_rib
-            .keys()
-            .filter_map(|p| self.export_for(topology, neighbor, p).map(|r| (*p, r)))
-            .collect()
-    }
-
-    /// The route this speaker would advertise to `neighbor` for one
-    /// prefix, or `None` if policy withholds it — the incremental
-    /// engine's per-prefix unit of export work.
-    pub fn export_for(
-        &self,
-        topology: &Topology,
-        neighbor: AsId,
-        prefix: &IpCidr,
-    ) -> Option<Route> {
-        let route = self.loc_rib.get(prefix)?;
-        if !may_export(topology, self.config.asid, &route.source, neighbor) {
-            return None;
-        }
-        let learned_from_ebgp = route.source.neighbor().is_some();
-        if communities_forbid(
-            route,
-            neighbor,
-            learned_from_ebgp,
-            self.config.honor_action_communities,
-        ) {
-            return None;
-        }
-        let mut exported = route.clone();
-        let mut path: Vec<AsId> = Vec::with_capacity(route.as_path.len() + 4);
-        // Prepend self once, plus any community-driven extra prepends
-        // (action communities only fire on the honoring provider).
-        let extra: u8 = if self.config.honor_action_communities {
-            route
-                .communities
-                .iter()
-                .map(|c| c.prepend_count_for(neighbor))
-                .max()
-                .unwrap_or(0)
-        } else {
-            0
-        };
-        for _ in 0..=(extra) {
-            path.push(self.config.asid);
-        }
-        if self.config.strip_private_asns {
-            path.extend(route.as_path.iter().copied().filter(|a| !a.is_private()));
-        } else {
-            path.extend(route.as_path.iter().copied());
-        }
-        exported.as_path = path;
-        // local_pref/tie_pref/source are receiver-local; neutralize.
-        exported.local_pref = 0;
-        exported.tie_pref = 0;
-        exported.source = RouteSource::Neighbor(self.config.asid);
-        Some(exported)
-    }
-
-    /// The last advertisement state toward one neighbor (engine bookkeeping).
-    pub fn rib_out_for(&self, neighbor: AsId) -> BTreeMap<IpCidr, Route> {
-        self.adj_rib_out
+    /// The whole Loc-RIB, in prefix order.
+    pub fn loc_rib(&self) -> impl Iterator<Item = (&IpCidr, &Route)> {
+        self.table
             .iter()
-            .filter(|((n, _), _)| *n == neighbor)
-            .map(|((_, p), r)| (*p, r.clone()))
-            .collect()
+            .filter_map(|(p, rib)| Some((p, rib.loc.as_ref()?)))
     }
 
-    /// Record what was just sent to one neighbor.
-    pub fn set_rib_out(&mut self, neighbor: AsId, exports: &BTreeMap<IpCidr, Route>) {
-        self.adj_rib_out.retain(|(n, _), _| *n != neighbor);
-        for (p, r) in exports {
-            self.adj_rib_out.insert((neighbor, *p), r.clone());
-        }
+    /// The advertisement this speaker would send `neighbor` for one
+    /// prefix (path prepended, private ASNs stripped, prepend communities
+    /// applied), or `None` if policy withholds it or there is no such
+    /// session.
+    pub fn export_for(&self, neighbor: AsId, prefix: &IpCidr) -> Option<Arc<PathAttrs>> {
+        let best = self.best(prefix)?;
+        let to = session(&self.neighbors, neighbor)?;
+        Export::new(&self.config, best, &self.neighbors)
+            .to(to)
+            .cloned()
     }
 
-    /// The last advertisement sent to `neighbor` for one prefix.
-    pub fn rib_out_entry(&self, neighbor: AsId, prefix: &IpCidr) -> Option<&Route> {
-        self.adj_rib_out.get(&(neighbor, *prefix))
-    }
-
-    /// Record what was just sent to `neighbor` for one prefix (`None`
-    /// records a withdrawal).
-    pub fn set_rib_out_entry(&mut self, neighbor: AsId, prefix: IpCidr, route: Option<Route>) {
-        match route {
-            Some(r) => {
-                self.adj_rib_out.insert((neighbor, prefix), r);
+    /// Bring Adj-RIB-Out for `prefix` up to date with the Loc-RIB and
+    /// call `deliver(neighbor, update)` for every session whose
+    /// advertisement changed (`None` = withdrawal) — the incremental
+    /// engine's per-prefix unit of export work. Sessions are visited in
+    /// neighbor-id order, in step with the Adj-RIB-Out slots.
+    pub fn export_prefix(
+        &mut self,
+        prefix: &IpCidr,
+        mut deliver: impl FnMut(&Neighbor, Option<&Arc<PathAttrs>>),
+    ) {
+        let Ok(k) = self.find(prefix) else {
+            return; // nothing held, nothing ever sent
+        };
+        let PrefixRib { loc, adj_out, .. } = &mut self.table[k].1;
+        let mut export = loc
+            .as_ref()
+            .map(|best| Export::new(&self.config, best, &self.neighbors));
+        let mut at = 0; // Adj-RIB-Out cursor: slots before it are < `to.id`
+        for to in &self.neighbors {
+            let new = export.as_mut().and_then(|e| e.to(to));
+            let sent = adj_out.get(at).filter(|(id, _)| *id == to.id);
+            match (new, sent) {
+                (None, None) => {}
+                (Some(attrs), Some((_, prev))) if attrs == prev => at += 1,
+                (Some(attrs), Some(_)) => {
+                    deliver(to, Some(attrs));
+                    adj_out[at].1 = Arc::clone(attrs);
+                    at += 1;
+                }
+                (Some(attrs), None) => {
+                    deliver(to, Some(attrs));
+                    insert_snug(adj_out, at, (to.id, Arc::clone(attrs)));
+                    self.counts.adj_out += 1;
+                    at += 1;
+                }
+                (None, Some(_)) => {
+                    deliver(to, None);
+                    adj_out.remove(at);
+                    self.counts.adj_out -= 1;
+                }
             }
-            None => {
-                self.adj_rib_out.remove(&(neighbor, prefix));
-            }
         }
+        drop(export); // releases the borrow of the record's Loc-RIB entry
+        self.prune(k);
     }
 
     /// Number of Adj-RIB-In entries (diagnostics).
     pub fn rib_in_len(&self) -> usize {
-        self.adj_rib_in.len()
+        self.counts.adj_in
     }
 
     /// Number of Loc-RIB entries (diagnostics).
     pub fn loc_rib_len(&self) -> usize {
-        self.loc_rib.len()
+        self.counts.loc
     }
 
     /// Number of Adj-RIB-Out entries (diagnostics).
     pub fn rib_out_len(&self) -> usize {
-        self.adj_rib_out.len()
+        self.counts.adj_out
     }
 
     /// Re-run import policy (local-pref computation) over everything in
     /// Adj-RIB-In — needed after `neighbor_pref` changes, like a BGP
     /// soft-reconfiguration inbound refresh. Returns true on any change.
-    pub fn refresh_import(&mut self, topology: &Topology) -> bool {
+    pub fn refresh_import(&mut self) -> bool {
         let mut changed = false;
-        let asid = self.config.asid;
-        let keys: Vec<(IpCidr, AsId)> = self.adj_rib_in.keys().copied().collect();
-        for (prefix, neighbor) in keys {
-            let Some(base) = local_pref_base(topology, asid, neighbor) else {
-                self.adj_rib_in.remove(&(prefix, neighbor));
-                changed = true;
-                continue;
-            };
-            let bonus = self.config.bonus(neighbor);
-            let entry = self
-                .adj_rib_in
-                .get_mut(&(prefix, neighbor))
-                .expect("listed");
-            if entry.local_pref != base || entry.tie_pref != bonus {
-                entry.local_pref = base;
-                entry.tie_pref = bonus;
-                changed = true;
+        for (_, rib) in &mut self.table {
+            for route in &mut rib.adj_in {
+                let from = route.source.neighbor().expect("Adj-RIB-In is learned");
+                let session = session(&self.neighbors, from)
+                    .expect("receive only admits routes from sessions");
+                let base = local_pref_base(session.rel);
+                let bonus = self.config.bonus(from);
+                if route.local_pref != base || route.tie_pref != bonus {
+                    route.local_pref = base;
+                    route.tie_pref = bonus;
+                    changed = true;
+                }
             }
         }
         changed
+    }
+
+    /// Heap bytes this speaker's RIB table holds, with each shared
+    /// allocation added to `seen` and priced on first sight only (so a
+    /// caller summing over speakers counts it once graph-wide).
+    pub(crate) fn rib_heap_bytes(&self, seen: &mut BTreeSet<usize>) -> usize {
+        use core::mem::size_of;
+        // `Arc` keeps two reference counts in front of the value.
+        const ARC_HEADER: usize = 2 * size_of::<usize>();
+        let mut total = self.table.capacity() * size_of::<(IpCidr, PrefixRib)>();
+        for (_, rib) in &self.table {
+            total += rib.adj_in.capacity() * size_of::<Route>()
+                + rib.adj_out.capacity() * size_of::<(AsId, Arc<PathAttrs>)>();
+            let routes = rib.adj_in.iter().chain(&rib.loc).map(|r| &r.attrs);
+            let sent = rib.adj_out.iter().map(|(_, attrs)| attrs);
+            for attrs in rib.originated.iter().chain(routes).chain(sent) {
+                if seen.insert(Arc::as_ptr(attrs) as usize) {
+                    total += ARC_HEADER
+                        + size_of::<PathAttrs>()
+                        + attrs.as_path.len() * size_of::<AsId>();
+                }
+                if seen.insert(Arc::as_ptr(&attrs.communities) as usize) {
+                    total += ARC_HEADER
+                        + size_of::<BTreeSet<Community>>()
+                        + attrs.communities.len() * size_of::<Community>();
+                }
+            }
+        }
+        total
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tango_topology::{AsKind, AsNode, DirectionProfile, LinkProfile};
 
-    fn topo() -> Topology {
-        // 1 (customer) -> 2 (provider), 2 peers 3.
-        let mut t = Topology::new();
-        for id in 1..=3u32 {
-            t.add_node(AsNode::new(id, AsKind::Transit, format!("{id}")))
-                .unwrap();
-        }
-        let lp = || LinkProfile::symmetric(DirectionProfile::constant(1));
-        t.add_provider(AsId(1), AsId(2), lp()).unwrap();
-        t.add_peering(AsId(2), AsId(3), lp()).unwrap();
-        t
+    /// AS 2's sessions in: 1 (customer) -> 2 (provider), 2 peers 3.
+    fn speaker2(config: SpeakerConfig) -> BgpSpeaker {
+        let session = |id: u32, rel| Neighbor {
+            id: AsId(id),
+            rel,
+            index: id,
+        };
+        BgpSpeaker::new(
+            config,
+            vec![
+                session(3, Relationship::PeerOf),
+                session(1, Relationship::ProviderOf),
+            ],
+        )
     }
 
     fn prefix() -> IpCidr {
         "2001:db8:100::/48".parse().unwrap()
     }
 
-    fn learned(path: &[u32]) -> Route {
-        Route {
-            prefix: prefix(),
+    fn learned(path: &[u32]) -> Arc<PathAttrs> {
+        Arc::new(PathAttrs {
             as_path: path.iter().map(|&a| AsId(a)).collect(),
-            communities: BTreeSet::new(),
-            source: RouteSource::Neighbor(AsId(path[0])),
-            local_pref: 0,
+            communities: Arc::default(),
             med: 0,
-            tie_pref: 0,
-        }
+        })
+    }
+
+    fn exported_path(s: &BgpSpeaker, to: u32) -> Option<Vec<AsId>> {
+        s.export_for(AsId(to), &prefix())
+            .map(|attrs| attrs.as_path.to_vec())
     }
 
     #[test]
     fn receive_computes_local_pref_and_source() {
-        let t = topo();
-        let mut s = BgpSpeaker::new(SpeakerConfig::new(AsId(2)));
-        assert!(s.receive(&t, AsId(1), prefix(), Some(learned(&[1]))));
+        let mut s = speaker2(SpeakerConfig::new(AsId(2)));
+        assert!(s.receive(AsId(1), prefix(), Some(&learned(&[1]))));
         s.recompute();
         let best = s.best(&prefix()).unwrap();
         assert_eq!(best.local_pref, crate::policy::LP_CUSTOMER);
@@ -415,12 +590,11 @@ mod tests {
 
     #[test]
     fn neighbor_pref_never_overrides_relationship_or_length() {
-        let t = topo();
         let mut cfg = SpeakerConfig::new(AsId(2));
         cfg.neighbor_pref.insert(AsId(3), 99999); // arbitrarily large
-        let mut s = BgpSpeaker::new(cfg);
-        s.receive(&t, AsId(1), prefix(), Some(learned(&[1]))); // customer route
-        s.receive(&t, AsId(3), prefix(), Some(learned(&[3]))); // boosted peer route
+        let mut s = speaker2(cfg);
+        s.receive(AsId(1), prefix(), Some(&learned(&[1]))); // customer route
+        s.receive(AsId(3), prefix(), Some(&learned(&[3]))); // boosted peer route
         s.recompute();
         // Customer local-pref still beats any tie_pref on the peer route.
         assert_eq!(
@@ -431,35 +605,40 @@ mod tests {
 
     #[test]
     fn loop_detection_rejects_own_asn() {
-        let t = topo();
-        let mut s = BgpSpeaker::new(SpeakerConfig::new(AsId(2)));
-        assert!(!s.receive(&t, AsId(1), prefix(), Some(learned(&[1, 2, 7]))));
+        let mut s = speaker2(SpeakerConfig::new(AsId(2)));
+        assert!(!s.receive(AsId(1), prefix(), Some(&learned(&[1, 2, 7]))));
         s.recompute();
         assert!(s.best(&prefix()).is_none());
     }
 
     #[test]
+    fn update_from_a_stranger_is_dropped() {
+        let mut s = speaker2(SpeakerConfig::new(AsId(2)));
+        assert!(!s.receive(AsId(9), prefix(), Some(&learned(&[9]))));
+        assert_eq!(s.rib_in_len(), 0);
+    }
+
+    #[test]
     fn receive_same_route_reports_unchanged() {
-        let t = topo();
-        let mut s = BgpSpeaker::new(SpeakerConfig::new(AsId(2)));
-        assert!(s.receive(&t, AsId(1), prefix(), Some(learned(&[1]))));
-        assert!(!s.receive(&t, AsId(1), prefix(), Some(learned(&[1]))));
-        assert!(s.receive(&t, AsId(1), prefix(), None));
-        assert!(!s.receive(&t, AsId(1), prefix(), None));
+        let mut s = speaker2(SpeakerConfig::new(AsId(2)));
+        assert!(s.receive(AsId(1), prefix(), Some(&learned(&[1]))));
+        // Equal content in a different allocation is still "unchanged".
+        assert!(!s.receive(AsId(1), prefix(), Some(&learned(&[1]))));
+        assert!(s.receive(AsId(1), prefix(), None));
+        assert!(!s.receive(AsId(1), prefix(), None));
     }
 
     #[test]
     fn withdraw_falls_back_to_next_best() {
-        let t = topo();
-        let mut s = BgpSpeaker::new(SpeakerConfig::new(AsId(2)));
-        s.receive(&t, AsId(1), prefix(), Some(learned(&[1]))); // customer
-        s.receive(&t, AsId(3), prefix(), Some(learned(&[3]))); // peer
+        let mut s = speaker2(SpeakerConfig::new(AsId(2)));
+        s.receive(AsId(1), prefix(), Some(&learned(&[1]))); // customer
+        s.receive(AsId(3), prefix(), Some(&learned(&[3]))); // peer
         s.recompute();
         assert_eq!(
             s.best(&prefix()).unwrap().source,
             RouteSource::Neighbor(AsId(1))
         );
-        s.receive(&t, AsId(1), prefix(), None);
+        s.receive(AsId(1), prefix(), None);
         assert!(s.recompute());
         assert_eq!(
             s.best(&prefix()).unwrap().source,
@@ -468,111 +647,157 @@ mod tests {
     }
 
     #[test]
-    fn export_prepends_self() {
-        let t = topo();
-        let mut s = BgpSpeaker::new(SpeakerConfig::new(AsId(2)));
-        s.receive(&t, AsId(1), prefix(), Some(learned(&[1])));
+    fn counts_track_edits_and_empty_prefixes_are_dropped() {
+        let mut s = speaker2(SpeakerConfig::new(AsId(2)));
+        s.receive(AsId(1), prefix(), Some(&learned(&[1])));
         s.recompute();
-        let exports = s.exports_to(&t, AsId(3));
-        let r = exports.get(&prefix()).unwrap();
-        assert_eq!(r.as_path, vec![AsId(2), AsId(1)]);
-        assert_eq!(r.source, RouteSource::Neighbor(AsId(2)));
+        let mut sent = Vec::new();
+        s.export_prefix(&prefix(), |to, update| sent.push((to.id, update.is_some())));
+        // No split horizon: the customer's own route goes back to it too
+        // (its loop detection drops it).
+        assert_eq!(sent, vec![(AsId(1), true), (AsId(3), true)]);
+        assert_eq!(
+            (s.rib_in_len(), s.loc_rib_len(), s.rib_out_len()),
+            (1, 1, 2)
+        );
+        // Nothing changed: a second export pass sends nothing.
+        s.export_prefix(&prefix(), |_, _| panic!("no diff expected"));
+
+        s.receive(AsId(1), prefix(), None);
+        s.recompute();
+        sent.clear();
+        s.export_prefix(&prefix(), |to, update| sent.push((to.id, update.is_some())));
+        assert_eq!(
+            sent,
+            vec![(AsId(1), false), (AsId(3), false)],
+            "implicit withdrawals"
+        );
+        assert_eq!(
+            (s.rib_in_len(), s.loc_rib_len(), s.rib_out_len()),
+            (0, 0, 0)
+        );
+        assert!(s.known_prefixes().is_empty());
+    }
+
+    #[test]
+    fn export_prepends_self() {
+        let mut s = speaker2(SpeakerConfig::new(AsId(2)));
+        s.receive(AsId(1), prefix(), Some(&learned(&[1])));
+        s.recompute();
+        assert_eq!(exported_path(&s, 3), Some(vec![AsId(2), AsId(1)]));
     }
 
     #[test]
     fn export_honors_valley_free() {
-        let t = topo();
-        let mut s = BgpSpeaker::new(SpeakerConfig::new(AsId(2)));
+        let mut s = speaker2(SpeakerConfig::new(AsId(2)));
         // Peer-learned route must not be exported back to a peer.
-        s.receive(&t, AsId(3), prefix(), Some(learned(&[3])));
+        s.receive(AsId(3), prefix(), Some(&learned(&[3])));
         s.recompute();
-        assert!(s.exports_to(&t, AsId(3)).is_empty());
+        assert!(exported_path(&s, 3).is_none());
         // ...but is exported to the customer.
-        assert_eq!(s.exports_to(&t, AsId(1)).len(), 1);
+        assert!(exported_path(&s, 1).is_some());
     }
 
     #[test]
     fn export_honors_no_export_to_community() {
-        let t = topo();
         let mut cfg = SpeakerConfig::new(AsId(2));
         cfg.honor_action_communities = true;
-        let mut s = BgpSpeaker::new(cfg);
+        let mut s = speaker2(cfg);
         let mut comms = BTreeSet::new();
         comms.insert(Community::NoExportTo(AsId(3)));
         s.originate(prefix(), comms);
         s.recompute();
-        assert!(s.exports_to(&t, AsId(3)).is_empty());
-        assert_eq!(s.exports_to(&t, AsId(1)).len(), 1);
+        assert!(exported_path(&s, 3).is_none());
+        assert!(exported_path(&s, 1).is_some());
     }
 
     #[test]
     fn non_honoring_speaker_carries_action_community_through() {
-        let t = topo();
-        let mut s = BgpSpeaker::new(SpeakerConfig::new(AsId(2))); // honor = false
+        let mut s = speaker2(SpeakerConfig::new(AsId(2))); // honor = false
         let mut comms = BTreeSet::new();
         comms.insert(Community::NoExportTo(AsId(3)));
         s.originate(prefix(), comms.clone());
         s.recompute();
-        let exports = s.exports_to(&t, AsId(3));
-        assert_eq!(exports.len(), 1, "opaque community must not suppress");
+        let export = s
+            .export_for(AsId(3), &prefix())
+            .expect("opaque community must not suppress");
         // The community rides along for a downstream honoring AS.
-        assert_eq!(exports.get(&prefix()).unwrap().communities, comms);
+        assert_eq!(*export.communities, comms);
     }
 
     #[test]
     fn export_applies_prepend_community() {
-        let t = topo();
         let mut cfg = SpeakerConfig::new(AsId(2));
         cfg.honor_action_communities = true;
-        let mut s = BgpSpeaker::new(cfg);
+        let mut s = speaker2(cfg);
         let mut comms = BTreeSet::new();
         comms.insert(Community::PrependTo(AsId(3), 2));
         s.originate(prefix(), comms);
         s.recompute();
-        let to3 = s.exports_to(&t, AsId(3));
-        assert_eq!(to3.get(&prefix()).unwrap().as_path, vec![AsId(2); 3]);
-        let to1 = s.exports_to(&t, AsId(1));
-        assert_eq!(to1.get(&prefix()).unwrap().as_path, vec![AsId(2)]);
+        assert_eq!(exported_path(&s, 3), Some(vec![AsId(2); 3]));
+        assert_eq!(exported_path(&s, 1), Some(vec![AsId(2)]));
+    }
+
+    #[test]
+    fn neighbors_with_one_prepend_count_share_one_advertisement() {
+        let mut cfg = SpeakerConfig::new(AsId(2));
+        cfg.honor_action_communities = true;
+        let mut s = speaker2(cfg);
+        s.originate(prefix(), BTreeSet::new());
+        s.recompute();
+        let mut sent = Vec::new();
+        s.export_prefix(&prefix(), |_, update| {
+            sent.push(Arc::clone(update.unwrap()))
+        });
+        assert_eq!(sent.len(), 2);
+        assert!(Arc::ptr_eq(&sent[0], &sent[1]));
     }
 
     #[test]
     fn export_strips_private_asns_when_configured() {
-        let t = topo();
         let mut cfg = SpeakerConfig::new(AsId(2));
         cfg.strip_private_asns = true;
-        let mut s = BgpSpeaker::new(cfg);
-        s.receive(&t, AsId(1), prefix(), Some(learned(&[1])));
-        // Manually fake a private ASN on the stored path.
-        let k = (prefix(), AsId(1));
-        s.adj_rib_in.get_mut(&k).unwrap().as_path = vec![AsId(64701)];
+        let mut s = speaker2(cfg);
+        s.receive(AsId(1), prefix(), Some(&learned(&[64701])));
         s.recompute();
-        let exports = s.exports_to(&t, AsId(3));
-        assert_eq!(exports.get(&prefix()).unwrap().as_path, vec![AsId(2)]);
+        assert_eq!(exported_path(&s, 3), Some(vec![AsId(2)]));
     }
 
     #[test]
     fn poisoned_origination_carries_poison() {
-        let t = topo();
-        let mut s = BgpSpeaker::new(SpeakerConfig::new(AsId(2)));
+        let mut s = speaker2(SpeakerConfig::new(AsId(2)));
         s.originate_poisoned(prefix(), BTreeSet::new(), &[AsId(3)]);
         s.recompute();
-        let exports = s.exports_to(&t, AsId(1));
-        assert_eq!(
-            exports.get(&prefix()).unwrap().as_path,
-            vec![AsId(2), AsId(3)]
-        );
+        assert_eq!(exported_path(&s, 1), Some(vec![AsId(2), AsId(3)]));
     }
 
     #[test]
     fn set_origin_communities_updates() {
-        let mut s = BgpSpeaker::new(SpeakerConfig::new(AsId(2)));
+        let mut s = speaker2(SpeakerConfig::new(AsId(2)));
         s.originate(prefix(), BTreeSet::new());
         let mut c = BTreeSet::new();
         c.insert(Community::NoExportTo(AsId(9)));
         assert!(s.set_origin_communities(&prefix(), c.clone()));
         s.recompute();
-        assert_eq!(s.best(&prefix()).unwrap().communities, c);
+        assert_eq!(*s.best(&prefix()).unwrap().attrs.communities, c);
         let other: IpCidr = "10.0.0.0/8".parse().unwrap();
         assert!(!s.set_origin_communities(&other, BTreeSet::new()));
+    }
+
+    #[test]
+    fn heap_bytes_count_a_shared_advertisement_once() {
+        let mut a = speaker2(SpeakerConfig::new(AsId(2)));
+        let mut b = speaker2(SpeakerConfig::new(AsId(2)));
+        let shared = learned(&[1, 7, 8]);
+        a.receive(AsId(1), prefix(), Some(&shared));
+        b.receive(AsId(1), prefix(), Some(&shared));
+        let alone = a.rib_heap_bytes(&mut BTreeSet::new());
+        let mut seen = BTreeSet::new();
+        let both = a.rib_heap_bytes(&mut seen) + b.rib_heap_bytes(&mut seen);
+        assert_eq!(alone, b.rib_heap_bytes(&mut BTreeSet::new()));
+        assert!(both < 2 * alone, "second holder pays only for its slots");
+        // Installing it in the Loc-RIB adds no bytes at all.
+        a.recompute();
+        assert_eq!(a.rib_heap_bytes(&mut BTreeSet::new()), alone);
     }
 }

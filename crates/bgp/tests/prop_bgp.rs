@@ -2,12 +2,12 @@
 //! decision-process consistency on arbitrary inputs.
 
 use proptest::prelude::*;
-use std::collections::BTreeSet;
 use std::net::{Ipv4Addr, Ipv6Addr};
+use std::sync::Arc;
 use tango_bgp::community::WireCommunity;
-use tango_bgp::rib::{better, decide};
+use tango_bgp::rib::{best_of, better};
 use tango_bgp::wire::UpdateMessage;
-use tango_bgp::{Community, Route, RouteSource};
+use tango_bgp::{Community, PathAttrs, Route, RouteSource};
 use tango_net::{IpCidr, Ipv4Cidr, Ipv6Cidr};
 use tango_topology::AsId;
 
@@ -41,12 +41,13 @@ fn arb_route() -> impl Strategy<Value = Route> {
     )
         .prop_map(
             |(path, communities, local_pref, med, tie_pref, neighbor)| Route {
-                prefix: "10.0.0.0/8".parse().unwrap(),
-                as_path: path.into_iter().map(AsId).collect(),
-                communities,
+                attrs: Arc::new(PathAttrs {
+                    as_path: path.into_iter().map(AsId).collect(),
+                    communities: Arc::new(communities),
+                    med,
+                }),
                 source: RouteSource::Neighbor(AsId(neighbor)),
                 local_pref,
-                med,
                 tie_pref,
             },
         )
@@ -132,29 +133,24 @@ proptest! {
 
     #[test]
     fn decision_winner_is_undominated(routes in proptest::collection::vec(arb_route(), 1..10)) {
-        let w = decide(&routes).unwrap();
+        let w = best_of(&routes).unwrap();
         for (i, r) in routes.iter().enumerate() {
-            if i != w {
-                prop_assert!(
-                    !better(r, &routes[w]),
-                    "candidate {i} beats declared winner {w}"
-                );
-            }
+            prop_assert!(!better(r, w), "candidate {i} beats declared winner {w:?}");
         }
     }
 
     #[test]
     fn decision_permutation_invariant(routes in proptest::collection::vec(arb_route(), 1..8), rot in 0usize..8) {
-        let w1 = &routes[decide(&routes).unwrap()];
+        let w1 = best_of(&routes).unwrap();
         let mut rotated = routes.clone();
         rotated.rotate_left(rot % routes.len());
-        let w2 = &rotated[decide(&rotated).unwrap()];
+        let w2 = best_of(&rotated).unwrap();
         // Winners must agree on every decision-relevant attribute (full
         // equality can differ only when two candidates are decision-equal
         // duplicates, in which case either is acceptable).
         prop_assert_eq!(w1.local_pref, w2.local_pref);
         prop_assert_eq!(w1.path_len(), w2.path_len());
-        prop_assert_eq!(w1.med, w2.med);
+        prop_assert_eq!(w1.attrs.med, w2.attrs.med);
         prop_assert_eq!(w1.tie_pref, w2.tie_pref);
         prop_assert_eq!(w1.source.neighbor(), w2.source.neighbor());
     }
@@ -172,12 +168,13 @@ proptest! {
 #[test]
 fn better_transitive_on_sample() {
     let mk = |lp: u32, len: usize, med: u32, tie: u32, n: u32| Route {
-        prefix: "10.0.0.0/8".parse().unwrap(),
-        as_path: (0..len).map(|i| AsId(i as u32 + 1)).collect(),
-        communities: BTreeSet::new(),
+        attrs: Arc::new(PathAttrs {
+            as_path: (0..len).map(|i| AsId(i as u32 + 1)).collect(),
+            communities: Arc::default(),
+            med,
+        }),
         source: RouteSource::Neighbor(AsId(n)),
         local_pref: lp,
-        med,
         tie_pref: tie,
     };
     let mut routes = Vec::new();

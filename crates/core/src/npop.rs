@@ -28,7 +28,7 @@ use std::collections::BTreeSet;
 
 use tango_bgp::engine::RibStats;
 use tango_bgp::policy::path_is_valley_free;
-use tango_bgp::{BgpEngine, EngineError, Route};
+use tango_bgp::{BgpEngine, EngineError};
 use tango_control::{discover_paths, DiscoveryError};
 use tango_net::{IpCidr, Ipv6Packet, Ipv6Repr};
 use tango_obs::Registry;
@@ -173,8 +173,8 @@ pub struct NPopOutcome {
     /// High-water mark of total RIB routes across the run (the
     /// `bgp.rib.peak_routes` gauge).
     pub peak_routes: u64,
-    /// Estimated peak RIB heap bytes: exact per-route cost measured
-    /// over every Loc-RIB, scaled to the peak total entry count.
+    /// Estimated peak RIB heap bytes: [`BgpEngine::rib_heap_bytes`] per
+    /// route at the end of the run, scaled to the peak total entry count.
     pub rib_bytes_est: u64,
     /// Total FIB (longest-prefix-match trie) entries installed across
     /// all nodes for the traffic phase.
@@ -201,15 +201,6 @@ pub fn probe_prefix(i: usize) -> IpCidr {
     format!("2001:db8:{:x}::/48", PROBE_HEXTET_BASE + i)
         .parse()
         .expect("static prefix template")
-}
-
-/// Exact heap bytes of one route entry (the `Route` struct plus its
-/// owned AS path and community set).
-fn route_bytes(r: &Route) -> u64 {
-    let own = core::mem::size_of::<Route>()
-        + r.as_path.len() * core::mem::size_of::<AsId>()
-        + r.communities.len() * core::mem::size_of::<tango_bgp::Community>();
-    own as u64
 }
 
 /// Nearest-rank percentile of an ascending-sorted slice (0 for empty).
@@ -337,7 +328,6 @@ pub fn run_npop(options: &NPopOptions) -> Result<NPopOutcome, NPopError> {
     // probe prefix), not the graph size.
     let mut pairs = Vec::new();
     let mut unreachable_pairs = 0usize;
-    let mut rib_peak_bytes_sampled = 0u64;
     for i in 0..pops.len() {
         for j in (i + 1)..pops.len() {
             let (observer, announcer) = (pops[i], pops[j]);
@@ -397,12 +387,6 @@ pub fn run_npop(options: &NPopOptions) -> Result<NPopOutcome, NPopError> {
                 stretch_x1000,
             });
         }
-        // Sample RIB bytes once per announcer sweep; the probe routes
-        // of the row's pairs are live mid-sweep, so this tracks peak,
-        // not post-withdrawal, occupancy.
-        if i == 0 {
-            rib_peak_bytes_sampled = loc_rib_bytes(&engine, &topology);
-        }
     }
 
     // Control-plane totals from the private registry.
@@ -420,20 +404,10 @@ pub fn run_npop(options: &NPopOptions) -> Result<NPopOutcome, NPopError> {
         .unwrap_or(0);
     let peak_routes = snap.gauges.get("bgp.rib.peak_routes").copied().unwrap_or(0);
     let rib = engine.rib_stats();
-    // Scale the exact measured Loc-RIB byte cost to the peak entry
-    // count: an estimate (Adj-RIB entries are the same `Route` type).
-    let loc_now = loc_rib_bytes(&engine, &topology).max(rib_peak_bytes_sampled);
-    let loc_entries = topology
-        .nodes()
-        .map(|n| {
-            engine
-                .speaker(n.id)
-                .map(|s| s.loc_rib_len() as u64)
-                .unwrap_or(0)
-        })
-        .sum::<u64>()
-        .max(1);
-    let rib_bytes_est = peak_routes.saturating_mul(loc_now / loc_entries);
+    // Scale the measured bytes per route of the final tables (shared
+    // advertisements counted once) to the peak entry count.
+    let rib_bytes_est =
+        peak_routes.saturating_mul(engine.rib_heap_bytes() / (rib.total() as u64).max(1));
 
     // Phase 3: traffic over the converged mesh.
     let mut fib_entries = 0u64;
@@ -513,16 +487,6 @@ pub fn run_npop(options: &NPopOptions) -> Result<NPopOutcome, NPopError> {
         deliveries,
         ttl_expired,
     })
-}
-
-/// Exact heap bytes of every Loc-RIB entry across the graph.
-fn loc_rib_bytes(engine: &BgpEngine, topology: &tango_topology::Topology) -> u64 {
-    topology
-        .nodes()
-        .filter_map(|n| engine.speaker(n.id).ok())
-        .flat_map(|s| s.loc_rib().values())
-        .map(route_bytes)
-        .sum()
 }
 
 /// Inject one host packet from PoP `src` to PoP `dst`'s host prefix.
