@@ -5,6 +5,9 @@
 //! cargo run --release -p tango-bench --bin experiments -- fig4-left --hours 24
 //! ```
 
+use std::fmt::Display;
+use std::path::PathBuf;
+use std::str::FromStr;
 use tango::prelude::SimTime;
 use tango_bench::chaos::ChaosOptions;
 use tango_bench::scalability::ScalabilityOptions;
@@ -147,27 +150,88 @@ struct Args {
     seed: u64,
 }
 
+/// The flag/value cursor every subcommand parser walks.
+struct Flags<'a> {
+    rest: std::slice::Iter<'a, String>,
+    flag: &'a str,
+}
+
+impl<'a> Flags<'a> {
+    fn new(rest: &'a [String]) -> Self {
+        Flags {
+            rest: rest.iter(),
+            flag: "",
+        }
+    }
+
+    /// Advance to the next flag.
+    fn next_flag(&mut self) -> Option<&'a str> {
+        self.flag = self.rest.next()?;
+        Some(self.flag)
+    }
+
+    /// The current flag's value.
+    fn value(&mut self) -> Result<&'a str, String> {
+        let flag = self.flag;
+        let value = self.rest.next().map(String::as_str);
+        value.ok_or_else(|| format!("{flag} needs a value"))
+    }
+
+    /// The current flag's value, parsed.
+    fn parsed<T: FromStr>(&mut self) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        let flag = self.flag;
+        self.value()?.parse().map_err(|e| format!("{flag}: {e}"))
+    }
+
+    /// The current flag's value, parsed and required to exceed zero.
+    fn positive<T: FromStr + Default + PartialOrd>(&mut self) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        let v: T = self.parsed()?;
+        if v <= T::default() {
+            return Err(format!("{} must be positive", self.flag));
+        }
+        Ok(v)
+    }
+
+    /// The current flag's value as a comma-separated list (never empty:
+    /// an empty value is one unparsable item).
+    fn list<T: FromStr>(&mut self) -> Result<Vec<T>, String>
+    where
+        T::Err: Display,
+    {
+        let flag = self.flag;
+        let items = self.value()?.split(',');
+        items
+            .map(|s| s.trim().parse().map_err(|e| format!("{flag}: {e}")))
+            .collect()
+    }
+
+    /// The current flag's value as a directory or file path.
+    fn path(&mut self) -> Result<PathBuf, String> {
+        self.value().map(PathBuf::from)
+    }
+}
+
+fn unknown_option(flag: &str) -> String {
+    format!("unknown option {flag}")
+}
+
 fn parse_args(rest: &[String]) -> Result<Args, String> {
     let mut args = Args {
         hours: 1.0,
         seed: 1,
     };
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut take = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--hours" => {
-                args.hours = take()?.parse().map_err(|e| format!("--hours: {e}"))?;
-                if args.hours <= 0.0 {
-                    return Err("--hours must be positive".into());
-                }
-            }
-            "--seed" => args.seed = take()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            other => return Err(format!("unknown option {other}")),
+    let mut flags = Flags::new(rest);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--hours" => args.hours = flags.positive()?,
+            "--seed" => args.seed = flags.parsed()?,
+            other => return Err(unknown_option(other)),
         }
     }
     Ok(args)
@@ -179,93 +243,31 @@ fn duration(args: &Args) -> SimTime {
 
 fn parse_throughput_args(rest: &[String]) -> Result<ThroughputOptions, String> {
     let mut options = ThroughputOptions::default();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut take = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--packets" => {
-                options.packets = take()?.parse().map_err(|e| format!("--packets: {e}"))?;
-                if options.packets == 0 {
-                    return Err("--packets must be positive".into());
-                }
-            }
-            "--seeds" => {
-                options.seeds = take()?
-                    .split(',')
-                    .map(|s| s.trim().parse::<u64>().map_err(|e| format!("--seeds: {e}")))
-                    .collect::<Result<Vec<_>, _>>()?;
-                if options.seeds.is_empty() {
-                    return Err("--seeds must name at least one seed".into());
-                }
-            }
-            "--workers" => {
-                let w: usize = take()?.parse().map_err(|e| format!("--workers: {e}"))?;
-                if w == 0 {
-                    return Err("--workers must be positive".into());
-                }
-                options.workers = Some(w);
-            }
-            "--floor" => {
-                options.floor_pkts_per_sec =
-                    Some(take()?.parse().map_err(|e| format!("--floor: {e}"))?);
-            }
-            "--baseline" => {
-                options.baseline = Some(std::path::PathBuf::from(take()?));
-            }
-            "--shards" => {
-                options.shards = parse_shards(&take()?)?;
-            }
-            other => return Err(format!("unknown option {other}")),
+    let mut flags = Flags::new(rest);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--packets" => options.packets = flags.positive()?,
+            "--seeds" => options.seeds = flags.list()?,
+            "--workers" => options.workers = Some(flags.positive()?),
+            "--floor" => options.floor_pkts_per_sec = Some(flags.parsed()?),
+            "--baseline" => options.baseline = Some(flags.path()?),
+            "--shards" => options.shards = flags.positive()?,
+            other => return Err(unknown_option(other)),
         }
     }
     Ok(options)
 }
 
-fn parse_shards(value: &str) -> Result<usize, String> {
-    let shards: usize = value.parse().map_err(|e| format!("--shards: {e}"))?;
-    if shards == 0 {
-        return Err("--shards must be positive".into());
-    }
-    Ok(shards)
-}
-
 fn parse_telemetry_args(rest: &[String]) -> Result<TelemetryOptions, String> {
     let mut options = TelemetryOptions::default();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut take = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--seeds" => {
-                options.seeds = take()?
-                    .split(',')
-                    .map(|s| s.trim().parse::<u64>().map_err(|e| format!("--seeds: {e}")))
-                    .collect::<Result<Vec<_>, _>>()?;
-                if options.seeds.is_empty() {
-                    return Err("--seeds must name at least one seed".into());
-                }
-            }
-            "--workers" => {
-                let w: usize = take()?.parse().map_err(|e| format!("--workers: {e}"))?;
-                if w == 0 {
-                    return Err("--workers must be positive".into());
-                }
-                options.workers = Some(w);
-            }
-            "--shards" => {
-                options.shards = parse_shards(&take()?)?;
-            }
-            "--out" => {
-                options.out = Some(std::path::PathBuf::from(take()?));
-            }
-            other => return Err(format!("unknown option {other}")),
+    let mut flags = Flags::new(rest);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--seeds" => options.seeds = flags.list()?,
+            "--workers" => options.workers = Some(flags.positive()?),
+            "--shards" => options.shards = flags.positive()?,
+            "--out" => options.out = Some(flags.path()?),
+            other => return Err(unknown_option(other)),
         }
     }
     Ok(options)
@@ -273,37 +275,14 @@ fn parse_telemetry_args(rest: &[String]) -> Result<TelemetryOptions, String> {
 
 fn parse_chaos_args(rest: &[String]) -> Result<ChaosOptions, String> {
     let mut options = ChaosOptions::default();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut take = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--seeds" => {
-                options.seeds = take()?
-                    .split(',')
-                    .map(|s| s.trim().parse::<u64>().map_err(|e| format!("--seeds: {e}")))
-                    .collect::<Result<Vec<_>, _>>()?;
-                if options.seeds.is_empty() {
-                    return Err("--seeds must name at least one seed".into());
-                }
-            }
-            "--workers" => {
-                let w: usize = take()?.parse().map_err(|e| format!("--workers: {e}"))?;
-                if w == 0 {
-                    return Err("--workers must be positive".into());
-                }
-                options.workers = Some(w);
-            }
-            "--shards" => {
-                options.shards = parse_shards(&take()?)?;
-            }
-            "--out" => {
-                options.out = Some(std::path::PathBuf::from(take()?));
-            }
-            other => return Err(format!("unknown option {other}")),
+    let mut flags = Flags::new(rest);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--seeds" => options.seeds = flags.list()?,
+            "--workers" => options.workers = Some(flags.positive()?),
+            "--shards" => options.shards = flags.positive()?,
+            "--out" => options.out = Some(flags.path()?),
+            other => return Err(unknown_option(other)),
         }
     }
     Ok(options)
@@ -311,54 +290,28 @@ fn parse_chaos_args(rest: &[String]) -> Result<ChaosOptions, String> {
 
 fn parse_sharded_args(rest: &[String]) -> Result<ShardedOptions, String> {
     let mut options = ShardedOptions::default();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut take = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--replicas" => {
-                options.replicas = take()?.parse().map_err(|e| format!("--replicas: {e}"))?;
-                if options.replicas == 0 {
-                    return Err("--replicas must be positive".into());
-                }
-            }
-            "--packets" => {
-                options.packets = take()?.parse().map_err(|e| format!("--packets: {e}"))?;
-                if options.packets == 0 {
-                    return Err("--packets must be positive".into());
-                }
-            }
+    let mut flags = Flags::new(rest);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--replicas" => options.replicas = flags.positive()?,
+            "--packets" => options.packets = flags.positive()?,
             "--shards" => {
-                options.shard_counts = take()?
-                    .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<usize>()
-                            .map_err(|e| format!("--shards: {e}"))
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                if options.shard_counts.is_empty() || options.shard_counts.contains(&0) {
+                options.shard_counts = flags.list()?;
+                if options.shard_counts.contains(&0) {
                     return Err("--shards must name positive shard counts".into());
                 }
             }
-            "--seed" => {
-                options.seed = take()?.parse().map_err(|e| format!("--seed: {e}"))?;
-            }
+            "--seed" => options.seed = flags.parsed()?,
             "--mode" => {
-                options.mode = match take()?.as_str() {
+                options.mode = match flags.value()? {
                     "auto" => ShardMode::Auto,
                     "serial" => ShardMode::Serial,
                     "threaded" => ShardMode::Threaded,
                     other => return Err(format!("--mode: unknown mode {other}")),
                 };
             }
-            "--out" => {
-                options.out = Some(std::path::PathBuf::from(take()?));
-            }
-            other => return Err(format!("unknown option {other}")),
+            "--out" => options.out = Some(flags.path()?),
+            other => return Err(unknown_option(other)),
         }
     }
     Ok(options)
@@ -366,31 +319,20 @@ fn parse_sharded_args(rest: &[String]) -> Result<ShardedOptions, String> {
 
 fn parse_scalability_args(rest: &[String]) -> Result<ScalabilityOptions, String> {
     let mut options = ScalabilityOptions::default();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut take = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
+    let mut flags = Flags::new(rest);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
             "--tiers" => {
-                options.full = match take()?.as_str() {
+                options.full = match flags.value()? {
                     "small" => false,
                     "full" => true,
                     other => return Err(format!("--tiers: unknown tier set {other}")),
                 };
             }
-            "--seed" => {
-                options.seed = take()?.parse().map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--shards" => {
-                options.shards = parse_shards(&take()?)?;
-            }
-            "--out" => {
-                options.out = Some(std::path::PathBuf::from(take()?));
-            }
-            other => return Err(format!("unknown option {other}")),
+            "--seed" => options.seed = flags.parsed()?,
+            "--shards" => options.shards = flags.positive()?,
+            "--out" => options.out = Some(flags.path()?),
+            other => return Err(unknown_option(other)),
         }
     }
     Ok(options)
@@ -398,43 +340,33 @@ fn parse_scalability_args(rest: &[String]) -> Result<ScalabilityOptions, String>
 
 fn parse_trace_args(rest: &[String]) -> Result<TraceOptions, String> {
     let mut options = TraceOptions::default();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        let mut take = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--seeds" => {
-                options.seeds = take()?
-                    .split(',')
-                    .map(|s| s.trim().parse::<u64>().map_err(|e| format!("--seeds: {e}")))
-                    .collect::<Result<Vec<_>, _>>()?;
-                if options.seeds.is_empty() {
-                    return Err("--seeds must name at least one seed".into());
-                }
-            }
-            "--workers" => {
-                let w: usize = take()?.parse().map_err(|e| format!("--workers: {e}"))?;
-                if w == 0 {
-                    return Err("--workers must be positive".into());
-                }
-                options.workers = Some(w);
-            }
-            "--shards" => {
-                options.shards = parse_shards(&take()?)?;
-            }
-            "--query" => {
-                options.query = Some(take()?);
-            }
-            "--out" => {
-                options.out = Some(std::path::PathBuf::from(take()?));
-            }
-            other => return Err(format!("unknown option {other}")),
+    let mut flags = Flags::new(rest);
+    while let Some(flag) = flags.next_flag() {
+        match flag {
+            "--seeds" => options.seeds = flags.list()?,
+            "--workers" => options.workers = Some(flags.positive()?),
+            "--shards" => options.shards = flags.positive()?,
+            "--query" => options.query = Some(flags.value()?.to_string()),
+            "--out" => options.out = Some(flags.path()?),
+            other => return Err(unknown_option(other)),
         }
     }
     Ok(options)
+}
+
+/// Report a bad command line and exit 2.
+fn usage_error(e: &str) -> ! {
+    eprintln!("error: {e}\n");
+    eprint!("{USAGE}");
+    std::process::exit(2);
+}
+
+/// Run a subcommand on its parsed options and exit with its code.
+fn run<O>(parsed: Result<O, String>, report: impl FnOnce(&O) -> i32) -> ! {
+    match parsed {
+        Ok(options) => std::process::exit(report(&options)),
+        Err(e) => usage_error(&e),
+    }
 }
 
 fn main() {
@@ -443,74 +375,17 @@ fn main() {
         eprint!("{USAGE}");
         std::process::exit(2);
     };
-    if command == "throughput" {
-        match parse_throughput_args(&argv[1..]) {
-            Ok(options) => std::process::exit(throughput::report(&options)),
-            Err(e) => {
-                eprintln!("error: {e}\n");
-                eprint!("{USAGE}");
-                std::process::exit(2);
-            }
-        }
+    let rest = &argv[1..];
+    match command.as_str() {
+        "throughput" => run(parse_throughput_args(rest), throughput::report),
+        "telemetry" => run(parse_telemetry_args(rest), telemetry::report),
+        "chaos" => run(parse_chaos_args(rest), chaos::report),
+        "sharded" => run(parse_sharded_args(rest), sharded::report),
+        "scalability" => run(parse_scalability_args(rest), scalability::report),
+        "trace" => run(parse_trace_args(rest), trace::report),
+        _ => {}
     }
-    if command == "telemetry" {
-        match parse_telemetry_args(&argv[1..]) {
-            Ok(options) => std::process::exit(telemetry::report(&options)),
-            Err(e) => {
-                eprintln!("error: {e}\n");
-                eprint!("{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if command == "chaos" {
-        match parse_chaos_args(&argv[1..]) {
-            Ok(options) => std::process::exit(chaos::report(&options)),
-            Err(e) => {
-                eprintln!("error: {e}\n");
-                eprint!("{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if command == "sharded" {
-        match parse_sharded_args(&argv[1..]) {
-            Ok(options) => std::process::exit(sharded::report(&options)),
-            Err(e) => {
-                eprintln!("error: {e}\n");
-                eprint!("{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if command == "scalability" {
-        match parse_scalability_args(&argv[1..]) {
-            Ok(options) => std::process::exit(scalability::report(&options)),
-            Err(e) => {
-                eprintln!("error: {e}\n");
-                eprint!("{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if command == "trace" {
-        match parse_trace_args(&argv[1..]) {
-            Ok(options) => std::process::exit(trace::report(&options)),
-            Err(e) => {
-                eprintln!("error: {e}\n");
-                eprint!("{USAGE}");
-                std::process::exit(2);
-            }
-        }
-    }
-    let args = match parse_args(&argv[1..]) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n");
-            eprint!("{USAGE}");
-            std::process::exit(2);
-        }
-    };
+    let args = parse_args(rest).unwrap_or_else(|e| usage_error(&e));
     let hr = |title: &str| {
         println!("\n{}", "=".repeat(78));
         println!("{title}");
@@ -564,10 +439,76 @@ fn main() {
             chaos::report(&ChaosOptions::default());
         }
         "--help" | "-h" | "help" => print!("{USAGE}"),
-        other => {
-            eprintln!("error: unknown command {other}\n");
-            eprint!("{USAGE}");
-            std::process::exit(2);
+        other => usage_error(&format!("unknown command {other}")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `parser | arguments | error`: every parser on a missing value, a
+    /// zero, an unparsable value and an option it does not own. The error
+    /// strings are part of the CLI contract.
+    const REJECTED: &str = "\
+        common      | --seed            | --seed needs a value
+        common      | --hours 0         | --hours must be positive
+        common      | --hours x         | --hours: invalid float literal
+        common      | --seed x          | --seed: invalid digit found in string
+        common      | --packets 5       | unknown option --packets
+        throughput  | --packets         | --packets needs a value
+        throughput  | --packets 0       | --packets must be positive
+        throughput  | --workers 0       | --workers must be positive
+        throughput  | --shards 0        | --shards must be positive
+        throughput  | --seeds 1,x       | --seeds: invalid digit found in string
+        throughput  | --floor x         | --floor: invalid float literal
+        throughput  | --baseline        | --baseline needs a value
+        throughput  | --out d           | unknown option --out
+        telemetry   | --seeds           | --seeds needs a value
+        telemetry   | --workers 0       | --workers must be positive
+        telemetry   | --shards -1       | --shards: invalid digit found in string
+        telemetry   | --query kinds     | unknown option --query
+        chaos       | --out             | --out needs a value
+        chaos       | --shards 0        | --shards must be positive
+        chaos       | --workers w       | --workers: invalid digit found in string
+        chaos       | --seed 1          | unknown option --seed
+        sharded     | --mode            | --mode needs a value
+        sharded     | --replicas 0      | --replicas must be positive
+        sharded     | --packets 0       | --packets must be positive
+        sharded     | --shards 1,0      | --shards must name positive shard counts
+        sharded     | --shards 1,,2     | --shards: cannot parse integer from empty string
+        sharded     | --mode fast       | --mode: unknown mode fast
+        sharded     | --seeds 1         | unknown option --seeds
+        scalability | --tiers           | --tiers needs a value
+        scalability | --shards 0        | --shards must be positive
+        scalability | --tiers huge      | --tiers: unknown tier set huge
+        scalability | --seed s          | --seed: invalid digit found in string
+        scalability | --workers 2       | unknown option --workers
+        trace       | --query           | --query needs a value
+        trace       | --workers 0       | --workers must be positive
+        trace       | --seeds 1,        | --seeds: cannot parse integer from empty string
+        trace       | --packets 9       | unknown option --packets";
+
+    fn rejection<O>(parse: fn(&[String]) -> Result<O, String>, argv: &[String]) -> String {
+        parse(argv).err().expect("the arguments must be rejected")
+    }
+
+    #[test]
+    fn bad_arguments_yield_the_pinned_errors() {
+        for case in REJECTED.lines() {
+            let cols: Vec<&str> = case.split('|').map(str::trim).collect();
+            let argv: Vec<String> = cols[1].split(' ').map(String::from).collect();
+            let got = match cols[0] {
+                "common" => rejection(parse_args, &argv),
+                "throughput" => rejection(parse_throughput_args, &argv),
+                "telemetry" => rejection(parse_telemetry_args, &argv),
+                "chaos" => rejection(parse_chaos_args, &argv),
+                "sharded" => rejection(parse_sharded_args, &argv),
+                "scalability" => rejection(parse_scalability_args, &argv),
+                "trace" => rejection(parse_trace_args, &argv),
+                other => panic!("no parser for {other}"),
+            };
+            assert_eq!(got, cols[2], "{case}");
         }
     }
 }

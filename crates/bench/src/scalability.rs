@@ -116,7 +116,6 @@ pub fn run_tier(options: &ScalabilityOptions, tier: Tier) -> TierRun {
         shards: 1,
         shard_mode: ShardMode::Auto,
         traffic_packets: TRAFFIC_PACKETS,
-        trace_capacity: 0,
     };
     #[allow(clippy::disallowed_methods)] // bench wall-clock: timing is the product here
     let started = Instant::now();

@@ -4,8 +4,9 @@
 //! Runs **one** scenario — `tango::mesh::vultr_replica_mesh`, K offset
 //! copies of the Vultr deployment inside a single simulator — under a
 //! list of shard counts and verifies the runs are bit-identical:
-//! identical [`MeshSim::digest`](tango::mesh::MeshSim::digest) (merged
-//! stats + canonical trace hash)
+//! identical [`NetworkSim::digest`](tango_sim::NetworkSim::digest) (merged
+//! stats + canonical span-stream hash; without the `trace` feature the
+//! stream is empty and the digest covers the stats only)
 //! and identical event totals for every shard count. The committed
 //! artifact `results/BENCH_sharded.json` contains **only deterministic
 //! content** (digests, event counts, the identical verdict), so CI can
@@ -27,9 +28,9 @@ use tango_sim::{ShardLoad, ShardMode};
 /// App-packet spacing of the injected mesh load, simulated time.
 const PACKET_GAP_NS: u64 = 50_000;
 
-/// Trace ring capacity per run (the digest hashes the canonical trace,
-/// so the ring must be big enough to never wrap during the horizon).
-const TRACE_CAPACITY: usize = 1 << 20;
+/// Span ring capacity per shard (the digest hashes the canonical span
+/// stream and rejects a wrapped ring, so it must cover the horizon).
+const SPAN_CAPACITY: usize = 1 << 20;
 
 /// Options for the shard-scaling sweep.
 pub struct ShardedOptions {
@@ -72,7 +73,7 @@ pub struct ShardRun {
     pub wall_ns: u64,
     /// Simulator events processed.
     pub events: u64,
-    /// Deterministic fingerprint (stats + trace hash).
+    /// Deterministic fingerprint (stats + span-stream hash).
     pub digest: String,
     /// The engine self-profiler: per-shard window/event/queue/outbox
     /// accounting (deterministic — identical for serial and threaded
@@ -87,7 +88,7 @@ pub fn run_one(options: &ShardedOptions, shards: usize) -> ShardRun {
         seed: options.seed,
         shards,
         shard_mode: options.mode,
-        trace_capacity: TRACE_CAPACITY,
+        span_capacity: SPAN_CAPACITY,
     })
     .expect("mesh provisions");
     let mut t = SimTime::from_ms(1);
@@ -106,7 +107,7 @@ pub fn run_one(options: &ShardedOptions, shards: usize) -> ShardRun {
         effective_shards: mesh.sim.shard_count(),
         wall_ns,
         events,
-        digest: mesh.digest(),
+        digest: mesh.sim.digest(),
         load: mesh.sim.shard_load(),
     }
 }

@@ -19,7 +19,7 @@
 //! bidirectional host-to-host streams inside each replica, paying the
 //! real continental-crossing delays and jitter.
 
-use crate::pairing::{PairingError, PairingOptions};
+use crate::pairing::PairingError;
 use std::collections::BTreeSet;
 use tango_bgp::BgpEngine;
 use tango_net::{IpCidr, Ipv6Packet, Ipv6Repr};
@@ -45,9 +45,10 @@ pub struct MeshOptions {
     pub shards: usize,
     /// Execution mode for multi-shard runs.
     pub shard_mode: ShardMode,
-    /// Trace ring capacity (0 disables; the digest then covers stats
-    /// only).
-    pub trace_capacity: usize,
+    /// Span ring capacity per shard (0 disables; the digest then covers
+    /// stats only). Must cover the run: [`NetworkSim::digest`] rejects a
+    /// wrapped ring.
+    pub span_capacity: usize,
 }
 
 impl Default for MeshOptions {
@@ -57,7 +58,7 @@ impl Default for MeshOptions {
             seed: 1,
             shards: 1,
             shard_mode: ShardMode::Auto,
-            trace_capacity: 0,
+            span_capacity: 0,
         }
     }
 }
@@ -159,7 +160,7 @@ pub fn vultr_replica_mesh(options: &MeshOptions) -> Result<MeshSim, PairingError
         topology.clone(),
         SimConfig {
             seed: options.seed,
-            trace_capacity: options.trace_capacity,
+            span_capacity: options.span_capacity,
             shards: options.shards,
             shard_mode: options.shard_mode,
             ..SimConfig::default()
@@ -207,60 +208,6 @@ impl MeshSim {
         self.sim
             .schedule_host_packet(time, offset_id(tenant, r), Packet::new(buf));
     }
-
-    /// Deterministic fingerprint of everything observable: the merged
-    /// simulator counters plus an order-sensitive hash of the canonical
-    /// trace. Bit-identical runs ⇒ identical digests, regardless of
-    /// shard count or execution mode.
-    pub fn digest(&self) -> String {
-        let s = self.sim.stats();
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        for e in self.sim.tracer().events() {
-            mix(e.time.as_ns());
-            mix(u64::from(e.node.0));
-            mix(fnv_str(&format!("{:?}", e.kind)));
-        }
-        format!(
-            "tx={} rx={} loss={} outage={} queue={} noroute={} ttl={} timers={} trace={:016x}",
-            s.transmissions,
-            s.deliveries,
-            s.lost_link,
-            s.lost_outage,
-            s.lost_queue,
-            s.no_route,
-            s.ttl_expired,
-            s.timers,
-            h
-        )
-    }
-}
-
-fn fnv_str(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Convenience: the mesh analogue of [`crate::vultr_pairing`] defaults,
-/// threading through the sharding knobs of a [`PairingOptions`].
-pub fn mesh_from_pairing_options(
-    replicas: usize,
-    options: &PairingOptions,
-) -> Result<MeshSim, PairingError> {
-    vultr_replica_mesh(&MeshOptions {
-        replicas,
-        seed: options.seed,
-        shards: options.shards,
-        shard_mode: options.shard_mode,
-        trace_capacity: options.trace_capacity,
-    })
 }
 
 #[cfg(test)]
@@ -273,7 +220,7 @@ mod tests {
             seed,
             shards,
             shard_mode: mode,
-            trace_capacity: 4096,
+            span_capacity: 4096,
         })
         .expect("mesh builds");
         let mut t = SimTime::from_ms(1);
@@ -283,7 +230,7 @@ mod tests {
             t += SimTime::from_us(250);
         }
         mesh.sim.run_until(SimTime::from_secs(1));
-        mesh.digest()
+        mesh.sim.digest()
     }
 
     #[test]
@@ -309,6 +256,8 @@ mod tests {
         let baseline = run(2, 1, ShardMode::Serial, 9);
         assert_eq!(run(2, 2, ShardMode::Serial, 9), baseline);
         assert_eq!(run(2, 2, ShardMode::Threaded, 9), baseline);
+        // The counters alone rarely move with the seed; the span stream does.
+        #[cfg(feature = "trace")]
         assert_ne!(run(2, 1, ShardMode::Serial, 10), baseline, "seed matters");
     }
 

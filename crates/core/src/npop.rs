@@ -39,6 +39,10 @@ use tango_topology::AsId;
 /// App payload bytes per injected packet in the traffic phase.
 const PAYLOAD_BYTES: usize = 64;
 
+/// Hop limit of every injected packet: bounds a packet's hops, and with
+/// them the spans it can leave in the traffic phase's ring.
+const HOP_LIMIT: u8 = 64;
+
 /// Host prefixes live at `2001:db8:1000+i::/48`, probe prefixes at
 /// `2001:db8:2000+i::/48` — disjoint spaces, one slot per PoP index.
 const HOST_HEXTET_BASE: usize = 0x1000;
@@ -62,9 +66,6 @@ pub struct NPopOptions {
     /// Host packets injected in the traffic phase, spread round-robin
     /// over the PoP pairs in alternating directions (0 skips the phase).
     pub traffic_packets: u32,
-    /// Trace ring capacity for the traffic phase (0 disables; the
-    /// digest then covers counters only).
-    pub trace_capacity: usize,
 }
 
 impl Default for NPopOptions {
@@ -77,7 +78,6 @@ impl Default for NPopOptions {
             shards: 1,
             shard_mode: ShardMode::Auto,
             traffic_packets: 128,
-            trace_capacity: 0,
         }
     }
 }
@@ -419,7 +419,10 @@ pub fn run_npop(options: &NPopOptions) -> Result<NPopOutcome, NPopError> {
             topology.clone(),
             SimConfig {
                 seed: options.seed,
-                trace_capacity: options.trace_capacity,
+                // Every packet leaves at most one inject, a tx + deliver
+                // per hop, and one drop — so the digest's ring never wraps
+                // (it allocates lazily: the bound costs nothing).
+                span_capacity: options.traffic_packets as usize * (2 * HOP_LIMIT as usize + 2),
                 shards: options.shards,
                 shard_mode: options.shard_mode,
                 ..SimConfig::default()
@@ -445,28 +448,7 @@ pub fn run_npop(options: &NPopOptions) -> Result<NPopOutcome, NPopError> {
         let stats = sim.stats();
         deliveries = stats.deliveries;
         ttl_expired = stats.ttl_expired;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        for e in sim.tracer().events() {
-            mix(e.time.as_ns());
-            mix(u64::from(e.node.0));
-            mix(fnv_str(&format!("{:?}", e.kind)));
-        }
-        traffic_digest = format!(
-            "tx={} rx={} loss={} outage={} queue={} noroute={} ttl={} timers={} trace={:016x}",
-            stats.transmissions,
-            stats.deliveries,
-            stats.lost_link,
-            stats.lost_outage,
-            stats.lost_queue,
-            stats.no_route,
-            stats.ttl_expired,
-            stats.timers,
-            h
-        );
+        traffic_digest = sim.digest();
     }
 
     Ok(NPopOutcome {
@@ -511,7 +493,7 @@ fn send_host_packet(
             .expect("static address template"),
         next_header: 17,
         payload_len: PAYLOAD_BYTES,
-        hop_limit: 64,
+        hop_limit: HOP_LIMIT,
         traffic_class: 0,
         flow_label: 0,
     };
@@ -519,15 +501,6 @@ fn send_host_packet(
     let mut view = Ipv6Packet::new_unchecked(&mut buf);
     repr.emit(&mut view).expect("buffer sized by total_len");
     sim.schedule_host_packet(time, pops[src], Packet::new(buf));
-}
-
-fn fnv_str(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -540,7 +513,6 @@ mod tests {
             pops: 4,
             seed: 7,
             traffic_packets: 32,
-            trace_capacity: 1024,
             ..NPopOptions::default()
         }
     }
@@ -570,6 +542,15 @@ mod tests {
         assert!(out.rib_bytes_est > 0);
         assert!(out.fib_entries > 0);
         assert!(out.deliveries > 0, "traffic phase delivered packets");
+        #[cfg(feature = "trace")]
+        assert!(
+            !out.traffic_digest.ends_with(&format!(
+                "trace={:016x}",
+                tango_trace::export::spans_digest(&[], 0)
+            )),
+            "the traffic digest must hash a live span stream: {}",
+            out.traffic_digest
+        );
         assert_eq!(out.ttl_expired, 0, "no forwarding loops");
     }
 

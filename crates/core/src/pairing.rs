@@ -128,8 +128,6 @@ pub struct PairingOptions {
     /// The path id both switches start on before any policy decision
     /// (0 = the BGP-default path, by discovery order).
     pub initial_path: u16,
-    /// Trace ring capacity (0 = disabled).
-    pub trace_capacity: usize,
     /// Causal span ring capacity per shard (0 = disabled). Armed runs
     /// record the [`tango_sim::Span`] stream the flight recorder and
     /// `experiments trace` export; see DESIGN.md §12.
@@ -187,7 +185,6 @@ impl Default for PairingOptions {
             clock_offset_b_ns: 0,
             fault: None,
             initial_path: 0,
-            trace_capacity: 0,
             span_capacity: 0,
             feedback: FeedbackMode::Shared,
             auth_key: None,
@@ -400,7 +397,6 @@ impl TangoPairing {
             topology.clone(),
             SimConfig {
                 seed: options.seed,
-                trace_capacity: options.trace_capacity,
                 span_capacity: options.span_capacity,
                 fault: options.fault,
                 obs: options.obs.clone(),

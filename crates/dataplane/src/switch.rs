@@ -310,10 +310,7 @@ impl TangoSwitch {
         });
         match next {
             Some(n) if n != self.id => ctx.transmit(n, pkt),
-            _ => {
-                ctx.count_no_route();
-                ctx.recycle(pkt);
-            }
+            _ => ctx.count_no_route(pkt),
         }
     }
 

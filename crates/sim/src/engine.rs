@@ -22,12 +22,12 @@
 //! The node table is partitioned into contiguous shards (see
 //! `crate::shard`), each owning its nodes, their outgoing links, a private
 //! heap+staged event queue, per-node RNG streams, and per-shard stats and
-//! trace rings. Shards advance in lockstep conservative windows whose
+//! span rings. Shards advance in lockstep conservative windows whose
 //! width is the minimum cross-shard link latency; cross-shard deliveries
 //! travel through per-shard outboxes exchanged at window barriers. Every
 //! event carries a canonical `EventKey` `(time, origin, seq)` that is a
 //! function of stable identities only, so any shard count — and serial
-//! vs. threaded execution — produces bit-identical stats, traces, and
+//! vs. threaded execution — produces bit-identical stats, spans, and
 //! telemetry. The determinism argument is written out in DESIGN.md §11.
 
 use crate::clock::NodeClock;
@@ -35,7 +35,6 @@ use crate::fault::{FaultDecision, FaultInjector};
 use crate::hash::{flow_hash, mix64};
 use crate::shard::{self, Partition, ShardMode};
 use crate::time::SimTime;
-use crate::trace::{TraceEvent, TraceKind, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::Cell;
@@ -421,8 +420,6 @@ impl Ord for QueuedEvent {
 pub struct SimConfig {
     /// RNG seed: same seed + same schedule ⇒ identical run.
     pub seed: u64,
-    /// Trace ring capacity (0 disables tracing).
-    pub trace_capacity: usize,
     /// Causal span ring capacity per shard (0 disables span recording).
     /// Sized generously (never wrapping) the merged stream is exactly
     /// the single-shard stream; wrapped it degrades into a flight
@@ -448,7 +445,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             seed: 1,
-            trace_capacity: 0,
             span_capacity: 0,
             fault: None,
             obs: None,
@@ -654,7 +650,6 @@ pub struct Ctx<'a> {
     rng: &'a mut StdRng,
     fault: Option<FaultInjector>,
     stats: &'a mut SimStats,
-    tracer: &'a mut Tracer,
     spans: &'a mut SpanRing,
     /// The span key of the dispatch currently executing: the parent
     /// carried by every event this dispatch schedules, and of every
@@ -719,14 +714,6 @@ impl<'a> Ctx<'a> {
         self.pool.put(pkt.into_buffer());
     }
 
-    fn trace(&mut self, kind: TraceKind) {
-        self.tracer.record(TraceEvent {
-            time: self.now,
-            node: self.node,
-            kind,
-        });
-    }
-
     /// Record a causal span on this node, parented to the current
     /// dispatch's span. Returns its key ([`SpanKey::NONE`] when span
     /// recording is disarmed). The Tango data plane uses this for
@@ -742,9 +729,22 @@ impl<'a> Ctx<'a> {
         self.dispatch_span
     }
 
-    #[inline]
-    fn span_drop(&mut self, reason: DropReason) {
+    /// Where a packet dies in flight: the one owner of the
+    /// [`DropReason`] → [`SimStats`] counter mapping, the `Drop` span and
+    /// the buffer recycle.
+    fn drop_packet(&mut self, reason: DropReason, pkt: Packet) {
+        let s = &mut *self.stats;
+        *match reason {
+            DropReason::NoLink => &mut s.no_link,
+            DropReason::LossLink => &mut s.lost_link,
+            DropReason::LossOutage => &mut s.lost_outage,
+            DropReason::LossFault => &mut s.lost_fault,
+            DropReason::LossQueue => &mut s.lost_queue,
+            DropReason::NoRoute => &mut s.no_route,
+            DropReason::TtlExpired => &mut s.ttl_expired,
+        } += 1;
         self.spans.record(self.node.0, SpanKind::Drop { reason });
+        self.pool.put(pkt.into_buffer());
     }
 
     /// The canonical key of this node's next emission.
@@ -766,22 +766,13 @@ impl<'a> Ctx<'a> {
             .idx(to)
             .and_then(|to_idx| links.lookup(self.node_idx, to_idx).map(|l| (to_idx, l)));
         let Some((to_idx, link_id)) = link_id else {
-            self.stats.no_link += 1;
-            self.trace(TraceKind::NoLink);
-            self.span_drop(DropReason::NoLink);
-            self.pool.put(pkt.into_buffer());
-            return;
+            return self.drop_packet(DropReason::NoLink, pkt);
         };
         let profile = &links.profiles[link_id as usize]; // tango-lint: allow(hot-path-panic) link_id is a dense id minted by LinkTable::build
         self.stats.transmissions += 1;
-        self.trace(TraceKind::Tx { to });
         self.spans.record(self.node.0, SpanKind::Tx { to: to.0 });
         if profile.sample_loss(self.rng) {
-            self.stats.lost_link += 1;
-            self.trace(TraceKind::LossLink);
-            self.span_drop(DropReason::LossLink);
-            self.pool.put(pkt.into_buffer());
-            return;
+            return self.drop_packet(DropReason::LossLink, pkt);
         }
         // Active wide-area events on this directed hop.
         let now_ns = self.now.as_ns();
@@ -790,28 +781,14 @@ impl<'a> Ctx<'a> {
         for ev in link_events.iter().filter(|e| e.window.contains(now_ns)) {
             match ev.sample_effect(now_ns, self.rng) {
                 Some(d) => shift += d,
-                None => {
-                    self.stats.lost_outage += 1;
-                    self.trace(TraceKind::LossOutage);
-                    self.span_drop(DropReason::LossOutage);
-                    self.pool.put(pkt.into_buffer());
-                    return;
-                }
+                None => return self.drop_packet(DropReason::LossOutage, pkt),
             }
         }
         if let Some(f) = self.fault {
             match f.apply(self.rng, pkt.bytes_mut()) {
-                FaultDecision::Drop => {
-                    self.stats.lost_fault += 1;
-                    self.trace(TraceKind::LossFault);
-                    self.span_drop(DropReason::LossFault);
-                    self.pool.put(pkt.into_buffer());
-                    return;
-                }
-                FaultDecision::Corrupted => {
-                    self.stats.corrupted += 1;
-                    self.trace(TraceKind::Corrupt);
-                }
+                FaultDecision::Drop => return self.drop_packet(DropReason::LossFault, pkt),
+                // Counted only: the packet lives on, so there is no span.
+                FaultDecision::Corrupted => self.stats.corrupted += 1,
                 FaultDecision::Pass => {}
             }
         }
@@ -827,11 +804,7 @@ impl<'a> Ctx<'a> {
             let start = (*busy).max(now_ns);
             let wait = start - now_ns;
             if wait > profile.max_queue_ns {
-                self.stats.lost_queue += 1;
-                self.trace(TraceKind::LossQueue);
-                self.span_drop(DropReason::LossQueue);
-                self.pool.put(pkt.into_buffer());
-                return;
+                return self.drop_packet(DropReason::LossQueue, pkt);
             }
             *busy = start + tx;
             queue_delay = wait + tx;
@@ -851,11 +824,7 @@ impl<'a> Ctx<'a> {
             .iter()
             .any(|ev| matches!(ev.kind, TopoEventKind::Outage) && ev.window.contains(arrival_ns));
         if arrives_in_outage {
-            self.stats.lost_outage += 1;
-            self.trace(TraceKind::LossOutage);
-            self.span_drop(DropReason::LossOutage);
-            self.pool.put(pkt.into_buffer());
-            return;
+            return self.drop_packet(DropReason::LossOutage, pkt);
         }
         let key = self.next_key(time);
         self.out.push(QueuedEvent {
@@ -878,18 +847,16 @@ impl<'a> Ctx<'a> {
         });
     }
 
-    /// Count a routing-table miss (used by router agents).
-    pub fn count_no_route(&mut self) {
-        self.stats.no_route += 1;
-        self.trace(TraceKind::NoRoute);
-        self.span_drop(DropReason::NoRoute);
+    /// Count a routing-table miss and retire the packet (used by router
+    /// agents).
+    pub fn count_no_route(&mut self, pkt: Packet) {
+        self.drop_packet(DropReason::NoRoute, pkt);
     }
 
-    /// Count a hop-limit expiry (used by router agents).
-    pub fn count_ttl_expired(&mut self) {
-        self.stats.ttl_expired += 1;
-        self.trace(TraceKind::TtlExpired);
-        self.span_drop(DropReason::TtlExpired);
+    /// Count a hop-limit expiry and retire the packet (used by router
+    /// agents).
+    pub fn count_ttl_expired(&mut self, pkt: Packet) {
+        self.drop_packet(DropReason::TtlExpired, pkt);
     }
 }
 
@@ -932,7 +899,7 @@ pub struct ShardLoad {
 }
 
 /// One shard: a contiguous slice of the node table with its own event
-/// queues, agents, clocks, RNG streams, stats, trace ring, and outgoing
+/// queues, agents, clocks, RNG streams, stats, span ring, and outgoing
 /// link state. A shard never touches another shard's state — cross-shard
 /// deliveries go through `outbox` and are exchanged at window barriers.
 pub(crate) struct ShardState {
@@ -958,7 +925,6 @@ pub(crate) struct ShardState {
     batch: Vec<QueuedEvent>,
     pub(crate) now: SimTime,
     pub(crate) stats: SimStats,
-    pub(crate) tracer: Tracer,
     pub(crate) spans: SpanRing,
     pub(crate) load: ShardLoad,
     link_busy: Vec<u64>,
@@ -998,7 +964,6 @@ impl ShardState {
             batch: Vec::new(),
             now: SimTime::ZERO,
             stats: SimStats::default(),
-            tracer: Tracer::new(config.trace_capacity),
             spans: SpanRing::new(config.span_capacity),
             load: ShardLoad {
                 shard: index as u64,
@@ -1176,8 +1141,6 @@ impl ShardState {
         };
         let node = shared.nodes.id(node_idx);
         let clock = self.clocks[local]; // tango-lint: allow(hot-path-panic) node_idx was validated by the agents lookup above
-        self.tracer
-            .begin_dispatch(key.time.as_ns(), key.origin, key.seq);
         self.spans
             .begin_dispatch(key.time.as_ns(), key.origin, key.seq);
         // The dispatch's own span key: derived from the canonical event
@@ -1203,7 +1166,6 @@ impl ShardState {
                 rng: &mut self.rngs[local],
                 fault: shared.fault,
                 stats: &mut self.stats,
-                tracer: &mut self.tracer,
                 spans: &mut self.spans,
                 dispatch_span,
                 out: &mut self.out_scratch,
@@ -1216,7 +1178,6 @@ impl ShardState {
             match kind {
                 EventKind::Deliver { pkt, .. } => {
                     ctx.stats.deliveries += 1;
-                    ctx.trace(TraceKind::Rx);
                     ctx.spans.record_dispatch(node.0, parent, SpanKind::Deliver);
                     agent.on_packet(&mut ctx, pkt);
                 }
@@ -1227,7 +1188,6 @@ impl ShardState {
                 }
                 EventKind::Timer { tag, .. } => {
                     ctx.stats.timers += 1;
-                    ctx.trace(TraceKind::Timer { tag });
                     // Lazy: recorded only if the handler emits a child
                     // span, so idle probe/control ticks stay off the ring.
                     ctx.spans
@@ -1413,17 +1373,48 @@ impl NetworkSim {
         &self.stats
     }
 
-    /// The trace ring, merged across shards into canonical key order.
-    pub fn tracer(&self) -> Tracer {
-        Tracer::merged(self.shards.iter().map(|s| &s.tracer))
-    }
-
     /// The causal span ring, merged across shards into canonical key
     /// order (the flight-recorder view; empty unless
     /// [`SimConfig::span_capacity`] armed it and the `trace` feature is
     /// on).
     pub fn spans(&self) -> SpanRing {
         SpanRing::merged(self.shards.iter().map(|s| &s.spans))
+    }
+
+    /// Deterministic fingerprint of everything observable: the merged
+    /// counters plus an order-sensitive hash of the canonical span stream
+    /// (`trace=`). Bit-identical runs ⇒ identical digests, regardless of
+    /// shard count or execution mode. Without the `trace` feature (or
+    /// with `span_capacity` 0) the stream is empty and the digest covers
+    /// the counters only.
+    ///
+    /// # Panics
+    ///
+    /// If a span ring wrapped: the eviction boundary of a wrapped ring
+    /// depends on the shard layout, so a digest over it would not be
+    /// shard-invariant. Size [`SimConfig::span_capacity`] to the run.
+    pub fn digest(&self) -> String {
+        let ring = self.spans();
+        let spans = ring.spans();
+        assert!(
+            ring.total_recorded() == spans.len() as u64,
+            "span ring wrapped ({} recorded, {} retained): a digest over it is shard-variant — raise span_capacity",
+            ring.total_recorded(),
+            spans.len()
+        );
+        let s = &self.stats;
+        format!(
+            "tx={} rx={} loss={} outage={} queue={} noroute={} ttl={} timers={} trace={:016x}",
+            s.transmissions,
+            s.deliveries,
+            s.lost_link,
+            s.lost_outage,
+            s.lost_queue,
+            s.no_route,
+            s.ttl_expired,
+            s.timers,
+            tango_trace::export::spans_digest(&spans, ring.total_recorded())
+        )
     }
 
     /// The engine self-profiler: per-shard window/event/queue/outbox
@@ -1536,25 +1527,17 @@ impl RouterAgent {
 impl Agent for RouterAgent {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, mut pkt: Packet) {
         let Some(dst) = pkt.dst_addr() else {
-            ctx.count_no_route();
-            ctx.recycle(pkt);
-            return;
+            return ctx.count_no_route(pkt);
         };
         let Some((_, &next)) = self.table.longest_match(dst) else {
-            ctx.count_no_route();
-            ctx.recycle(pkt);
-            return;
+            return ctx.count_no_route(pkt);
         };
         if next == self.id {
             // Locally destined at a plain router: nothing behind it.
-            ctx.count_no_route();
-            ctx.recycle(pkt);
-            return;
+            return ctx.count_no_route(pkt);
         }
         if !pkt.decrement_hop_limit() {
-            ctx.count_ttl_expired();
-            ctx.recycle(pkt);
-            return;
+            return ctx.count_ttl_expired(pkt);
         }
         ctx.transmit(next, pkt);
     }
@@ -1609,6 +1592,16 @@ mod tests {
         }
     }
 
+    /// When `node` was handed a packet, ns: its `Deliver` spans.
+    #[cfg(feature = "trace")]
+    fn arrivals_at(sim: &NetworkSim, node: AsId) -> Vec<u64> {
+        let spans = sim.spans().spans();
+        let at_node = spans
+            .iter()
+            .filter(|s| s.kind == SpanKind::Deliver && s.node == node.0);
+        at_node.map(|s| s.key.time_ns).collect()
+    }
+
     fn router_table(entries: &[(&str, u32)]) -> PrefixTrie<AsId> {
         let mut t = PrefixTrie::new();
         for (p, n) in entries {
@@ -1621,7 +1614,7 @@ mod tests {
         let mut sim = NetworkSim::new(
             line(),
             SimConfig {
-                trace_capacity: 64,
+                span_capacity: 64,
                 ..Default::default()
             },
         );
@@ -1658,14 +1651,8 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(received.load(Ordering::SeqCst), 1);
         // Delivered after exactly 2 ms (two constant 1 ms hops).
-        let rx_events: Vec<_> = sim
-            .tracer()
-            .events()
-            .into_iter()
-            .filter(|e| e.kind == TraceKind::Rx && e.node == AsId(3))
-            .collect();
-        assert_eq!(rx_events.len(), 1);
-        assert_eq!(rx_events[0].time, SimTime::from_ms(2));
+        #[cfg(feature = "trace")]
+        assert_eq!(arrivals_at(&sim, AsId(3)), vec![2_000_000]);
         assert_eq!(sim.stats().deliveries, 2); // at node 2 and node 3
         assert_eq!(sim.stats().transmissions, 2);
     }
@@ -1723,64 +1710,10 @@ mod tests {
         assert!(sim.stats().transmissions <= 16);
     }
 
+    #[cfg(feature = "trace")]
     #[test]
     fn determinism_same_seed_same_trace() {
-        let run = |seed| {
-            let mut t = line();
-            // Add jitter so randomness actually matters.
-            t = {
-                let mut t2 = Topology::new();
-                for id in 1..=3u32 {
-                    t2.add_node(AsNode::new(id, AsKind::Transit, format!("{id}")))
-                        .unwrap();
-                }
-                let lp =
-                    || {
-                        LinkProfile::symmetric(DirectionProfile::constant(1_000_000).with_jitter(
-                            tango_topology::JitterModel::Gaussian { sigma_ns: 100_000 },
-                        ))
-                    };
-                t2.add_peering(AsId(1), AsId(2), lp()).unwrap();
-                t2.add_peering(AsId(2), AsId(3), lp()).unwrap();
-                let _ = t;
-                t2
-            };
-            let mut sim = NetworkSim::new(
-                t,
-                SimConfig {
-                    seed,
-                    trace_capacity: 256,
-                    ..Default::default()
-                },
-            );
-            sim.set_agent(
-                AsId(1),
-                Box::new(RouterAgent::new(
-                    AsId(1),
-                    router_table(&[("2001:db8:3::/48", 2)]),
-                )),
-            );
-            sim.set_agent(
-                AsId(2),
-                Box::new(RouterAgent::new(
-                    AsId(2),
-                    router_table(&[("2001:db8:3::/48", 3)]),
-                )),
-            );
-            sim.set_agent(
-                AsId(3),
-                Box::new(RouterAgent::new(AsId(3), PrefixTrie::new())),
-            );
-            for i in 0..50 {
-                sim.schedule_host_packet(
-                    SimTime::from_ms(i),
-                    AsId(1),
-                    ipv6_packet("2001:db8:3::1", 64),
-                );
-            }
-            sim.run_until(SimTime::from_secs(2));
-            sim.tracer().events()
-        };
+        let run = |seed| run_jittered(seed, 1, ShardMode::Serial).1;
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43));
     }
@@ -1865,6 +1798,7 @@ mod tests {
         assert!(sim.idle());
     }
 
+    #[cfg(feature = "trace")]
     #[test]
     fn capacity_serializes_back_to_back_packets() {
         // 100 Mbit/s link: a 1250 B packet occupies it for 100 µs. Three
@@ -1885,7 +1819,7 @@ mod tests {
         let mut sim = NetworkSim::new(
             t,
             SimConfig {
-                trace_capacity: 64,
+                span_capacity: 64,
                 ..Default::default()
             },
         );
@@ -1914,18 +1848,11 @@ mod tests {
             sim.schedule_host_packet(SimTime::ZERO, AsId(1), Packet::new(pkt.clone()));
         }
         sim.run_until(SimTime::from_secs(1));
-        let arrivals: Vec<u64> = sim
-            .tracer()
-            .events()
-            .into_iter()
-            .filter(|e| e.kind == TraceKind::Rx && e.node == AsId(2))
-            .map(|e| e.time.as_ns())
-            .collect();
-        assert_eq!(arrivals.len(), 3);
         // 1 ms propagation + k × 100 µs serialization.
-        assert_eq!(arrivals[0], 1_100_000);
-        assert_eq!(arrivals[1], 1_200_000);
-        assert_eq!(arrivals[2], 1_300_000);
+        assert_eq!(
+            arrivals_at(&sim, AsId(2)),
+            vec![1_100_000, 1_200_000, 1_300_000]
+        );
     }
 
     #[test]
@@ -2332,60 +2259,75 @@ mod tests {
         assert_eq!(run(3), vec![1, 2, 100, 101]);
     }
 
+    /// 50 packets down the jittered line: stats, span stream, digest and
+    /// the processed-event count.
+    fn run_jittered(
+        seed: u64,
+        shards: usize,
+        shard_mode: ShardMode,
+    ) -> (SimStats, Vec<tango_trace::Span>, String, u64) {
+        let mut sim = NetworkSim::new(
+            jittered_line(),
+            SimConfig {
+                seed,
+                span_capacity: 4096,
+                shards,
+                shard_mode,
+                ..Default::default()
+            },
+        );
+        for (id, next) in [(1, 2), (2, 3)] {
+            let table = router_table(&[("2001:db8:3::/48", next)]);
+            sim.set_agent(AsId(id), Box::new(RouterAgent::new(AsId(id), table)));
+        }
+        sim.set_agent(
+            AsId(3),
+            Box::new(RouterAgent::new(AsId(3), PrefixTrie::new())),
+        );
+        for i in 0..50 {
+            sim.schedule_host_packet(
+                SimTime::from_ms(i),
+                AsId(1),
+                ipv6_packet("2001:db8:3::1", 64),
+            );
+        }
+        let processed = sim.run_until(SimTime::from_secs(2));
+        (*sim.stats(), sim.spans().spans(), sim.digest(), processed)
+    }
+
     #[test]
     fn sharded_run_matches_single_shard() {
-        // The tentpole invariant in miniature: stats and traces must be
+        // The tentpole invariant in miniature: stats and spans must be
         // bit-identical across shard counts and execution modes.
-        let run = |shards: usize, mode: ShardMode| {
-            let mut sim = NetworkSim::new(
-                jittered_line(),
-                SimConfig {
-                    seed: 42,
-                    trace_capacity: 4096,
-                    shards,
-                    shard_mode: mode,
-                    ..Default::default()
-                },
-            );
-            sim.set_agent(
-                AsId(1),
-                Box::new(RouterAgent::new(
-                    AsId(1),
-                    router_table(&[("2001:db8:3::/48", 2)]),
-                )),
-            );
-            sim.set_agent(
-                AsId(2),
-                Box::new(RouterAgent::new(
-                    AsId(2),
-                    router_table(&[("2001:db8:3::/48", 3)]),
-                )),
-            );
-            sim.set_agent(
-                AsId(3),
-                Box::new(RouterAgent::new(AsId(3), PrefixTrie::new())),
-            );
-            for i in 0..50 {
-                sim.schedule_host_packet(
-                    SimTime::from_ms(i),
-                    AsId(1),
-                    ipv6_packet("2001:db8:3::1", 64),
-                );
-            }
-            let processed = sim.run_until(SimTime::from_secs(2));
-            (*sim.stats(), sim.tracer().events(), processed)
-        };
-        let baseline = run(1, ShardMode::Serial);
-        assert!(baseline.2 > 0, "baseline must process events");
+        let baseline = run_jittered(42, 1, ShardMode::Serial);
+        assert!(baseline.3 > 0, "baseline must process events");
         for shards in [2usize, 3] {
             for mode in [ShardMode::Serial, ShardMode::Threaded] {
-                let got = run(shards, mode);
+                let got = run_jittered(42, shards, mode);
                 assert_eq!(
                     got, baseline,
                     "shards={shards} mode={mode:?} diverged from single-shard"
                 );
             }
         }
+    }
+
+    #[cfg(feature = "trace")]
+    #[test]
+    #[should_panic(expected = "span ring wrapped (120 recorded, 64 retained)")]
+    fn digest_rejects_a_wrapped_ring() {
+        // 24 packets × (inject + 2 × (tx + deliver)) overflow the 64-span
+        // ring of `build_line_sim`.
+        let (mut sim, _, _) = build_line_sim();
+        for i in 0..24 {
+            sim.schedule_host_packet(
+                SimTime::from_ms(i),
+                AsId(1),
+                ipv6_packet("2001:db8:3::1", 64),
+            );
+        }
+        sim.run_until(SimTime::from_secs(1));
+        sim.digest();
     }
 
     #[test]

@@ -39,7 +39,6 @@ pub mod fault;
 pub mod hash;
 pub mod shard;
 pub mod time;
-pub mod trace;
 pub mod traffic;
 
 pub use adversary::{
@@ -55,5 +54,4 @@ pub use fault::{FaultDecision, FaultInjector, OutageSchedule};
 pub use shard::ShardMode;
 pub use tango_trace::{DropReason, Span, SpanKey, SpanKind, SpanRing};
 pub use time::SimTime;
-pub use trace::{TraceEvent, TraceKind, Tracer};
 pub use traffic::{CbrSchedule, PoissonSchedule, Schedule};

@@ -1,21 +1,28 @@
 //! Property-based equivalence of the sharded engine (DESIGN.md §11):
 //! for random small topologies, workloads, and seeds, running the same
 //! simulation under 1 shard, N shards serial, and N shards threaded
-//! produces identical `SimStats`, identical canonical traces, and an
-//! identical observability export.
+//! produces identical `SimStats`, identical canonical span streams, and
+//! an identical observability export — and the span stream alone
+//! reproduces every packet counter of `SimStats`.
 //!
 //! The agents here are deliberately rng-hungry relays — every delivery
 //! draws from the node's stream to pick the next hop — so any slip in
 //! the per-node RNG derivation, the conservative window math, or the
-//! barrier merge order shows up as a diverging trace within a few hops.
+//! barrier merge order shows up as a diverging stream within a few hops.
+//! The world is hostile on purpose (lossy and capacity-limited links, an
+//! outage, a fault injector, relays that misroute), so every
+//! `DropReason` occurs.
 
 use proptest::prelude::*;
 use rand::Rng;
 use tango_obs::Registry;
 use tango_sim::{
-    Agent, Ctx, NetworkSim, Packet, ShardMode, SimConfig, SimStats, SimTime, TraceEvent,
+    Agent, Ctx, FaultInjector, NetworkSim, Packet, ShardMode, SimConfig, SimStats, SimTime, Span,
 };
-use tango_topology::{AsId, AsKind, AsNode, DirectionProfile, JitterModel, LinkProfile, Topology};
+use tango_topology::{
+    AsId, AsKind, AsNode, DirectionProfile, EventKind, JitterModel, LinkEvent, LinkProfile,
+    TimeWindow, Topology,
+};
 
 /// First AS id; nodes are `BASE_ID..BASE_ID + n`.
 const BASE_ID: u32 = 100;
@@ -72,6 +79,14 @@ fn build_topology(w: &World) -> Topology {
         if w.jitter[edge % w.jitter.len()] {
             p = p.with_jitter(JitterModel::Uniform { range_ns: 100_000 });
         }
+        if w.jitter[(edge + 5) % w.jitter.len()] {
+            p = p.with_loss(0.2);
+        }
+        if edge == 1 {
+            // A 2-byte packet holds this wire for 2 ms and nothing may
+            // queue: near-simultaneous packets tail-drop.
+            p = p.with_capacity(8_000, 0);
+        }
         LinkProfile::symmetric(p)
     };
     for i in 0..w.n {
@@ -103,26 +118,40 @@ fn build_topology(w: &World) -> Topology {
             edge += 1;
         }
     }
+    t.add_event(LinkEvent {
+        from: AsId(BASE_ID),
+        to: AsId(BASE_ID + 1),
+        window: TimeWindow::new(10_000_000, 25_000_000),
+        kind: EventKind::Outage,
+    })
+    .expect("the ring's first edge exists");
     t
 }
 
 /// Forwards every arriving packet to a random neighbor until its hop
 /// budget (payload byte 0) runs out; timers also launch fresh packets.
 /// Every decision consumes node-local rng, which is exactly what the
-/// equivalence property needs to stress.
+/// equivalence property needs to stress. Payload byte 1 picks the
+/// occasional misroute: a table miss, or a next hop that is no neighbor.
 struct RelayAgent {
     neighbors: Vec<AsId>,
 }
 
 impl RelayAgent {
     fn hop(&self, ctx: &mut Ctx<'_>, mut pkt: Packet) {
-        let Some(&budget) = pkt.bytes().first() else {
+        let (Some(&budget), Some(&route)) = (pkt.bytes().first(), pkt.bytes().get(1)) else {
             return;
         };
-        if budget == 0 || self.neighbors.is_empty() {
-            return;
+        if budget == 0 {
+            return ctx.count_ttl_expired(pkt);
         }
-        let next = self.neighbors[ctx.rng().gen_range(0..self.neighbors.len())];
+        if route % 11 == 0 {
+            return ctx.count_no_route(pkt);
+        }
+        let mut next = self.neighbors[ctx.rng().gen_range(0..self.neighbors.len())];
+        if route % 7 == 0 {
+            next = AsId(BASE_ID - 1);
+        }
         pkt.bytes_mut()[0] = budget - 1;
         ctx.transmit(next, pkt);
     }
@@ -139,23 +168,18 @@ impl Agent for RelayAgent {
     }
 }
 
-fn run(
-    w: &World,
-    seed: u64,
-    shards: usize,
-    mode: ShardMode,
-) -> (SimStats, Vec<TraceEvent>, String) {
+fn run(w: &World, seed: u64, shards: usize, mode: ShardMode) -> (SimStats, Vec<Span>, String) {
     let topology = build_topology(w);
     let registry = Registry::default();
     let mut sim = NetworkSim::new(
         topology.clone(),
         SimConfig {
             seed,
-            trace_capacity: 1 << 14,
+            span_capacity: 1 << 14,
+            fault: Some(FaultInjector::new(0.05, 0.05)),
             shards,
             shard_mode: mode,
             obs: Some(registry.clone()),
-            ..SimConfig::default()
         },
     );
     for node in topology.nodes() {
@@ -177,16 +201,19 @@ fn run(
         );
     }
     sim.run_until(SimTime::from_ms(200));
-    (
-        *sim.stats(),
-        sim.tracer().events(),
-        registry.snapshot().to_json(),
-    )
+    let ring = sim.spans();
+    let spans = ring.spans();
+    assert_eq!(
+        ring.total_recorded(),
+        spans.len() as u64,
+        "the ring is sized to never wrap"
+    );
+    (*sim.stats(), spans, registry.snapshot().to_json())
 }
 
 proptest! {
     /// The tentpole property: shard count and execution mode are
-    /// unobservable. Stats, trace, and telemetry are bit-identical.
+    /// unobservable. Stats, spans, and telemetry are bit-identical.
     #[test]
     fn sharding_is_unobservable(
         w in world_strategy(),
@@ -218,5 +245,38 @@ proptest! {
         prop_assert_eq!(a.0, b.0);
         prop_assert_eq!(a.1, b.1);
         prop_assert_eq!(a.2, b.2);
+    }
+
+    /// The span stream is the one record: every packet counter of
+    /// `SimStats` is a count of spans, under any shard count and mode.
+    #[cfg(feature = "trace")]
+    #[test]
+    fn counters_are_derivable_from_spans(
+        w in world_strategy(),
+        seed in any::<u64>(),
+        shards in 1usize..=4,
+        threaded in any::<bool>(),
+    ) {
+        use tango_sim::{DropReason, SpanKind};
+        let mode = if threaded { ShardMode::Threaded } else { ShardMode::Serial };
+        let (stats, spans, _) = run(&w, seed, shards, mode);
+        let count = |f: &dyn Fn(SpanKind) -> bool| spans.iter().filter(|s| f(s.kind)).count() as u64;
+        prop_assert_eq!(count(&|k| matches!(k, SpanKind::Tx { .. })), stats.transmissions);
+        prop_assert_eq!(count(&|k| k == SpanKind::Deliver), stats.deliveries);
+        for (reason, counter) in [
+            (DropReason::NoLink, stats.no_link),
+            (DropReason::LossLink, stats.lost_link),
+            (DropReason::LossOutage, stats.lost_outage),
+            (DropReason::LossFault, stats.lost_fault),
+            (DropReason::LossQueue, stats.lost_queue),
+            (DropReason::NoRoute, stats.no_route),
+            (DropReason::TtlExpired, stats.ttl_expired),
+        ] {
+            prop_assert_eq!(
+                count(&|k| k == SpanKind::Drop { reason }),
+                counter,
+                "drop spans vs counter for {:?}", reason
+            );
+        }
     }
 }

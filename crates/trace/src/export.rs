@@ -112,13 +112,34 @@ fn key_arg(k: &SpanKey) -> String {
     format!("{}/{}/{}/{}", k.time_ns, k.origin, k.seq, k.intra)
 }
 
-/// FNV-1a over bytes — the flow-event id hash and the flight-recorder
-/// dump digest.
-pub fn digest64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+/// One FNV-1a step: fold `bytes` into the running hash `h`.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x1_0000_01b3);
+    }
+    h
+}
+
+/// FNV-1a over bytes — the flow-event id hash and the flight-recorder
+/// dump digest.
+pub fn digest64(bytes: &[u8]) -> u64 {
+    fnv1a(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Order-sensitive fingerprint of a key-sorted span stream: the `trace=`
+/// hash of the run digests (`NetworkSim::digest`). Folds the count the
+/// ring ever recorded, then every span's kind name, node, key, parent
+/// and payload (the last three as the Chrome `args` object renders
+/// them). The caller owns the wrap check — `total_recorded >
+/// spans.len()` means evicted spans, and the eviction boundary is not
+/// shard-invariant.
+pub fn spans_digest(spans: &[Span], total_recorded: u64) -> u64 {
+    let mut h = digest64(&total_recorded.to_le_bytes());
+    for s in spans {
+        h = fnv1a(h, s.kind.name().as_bytes());
+        h = fnv1a(h, &s.node.to_le_bytes());
+        h = fnv1a(h, chrome_args(s).as_bytes());
     }
     h
 }
@@ -132,6 +153,9 @@ fn key_id(k: &SpanKey) -> u64 {
     digest64(&bytes)
 }
 
+/// A span's key, parent and kind payload as the Chrome `args` object.
+/// Also hashed by [`spans_digest`]: a format change here is a deliberate
+/// refresh of every committed `trace=` digest.
 fn chrome_args(s: &Span) -> String {
     let mut args = format!("{{\"key\":\"{}\"", key_arg(&s.key));
     if !s.parent.is_none() {
@@ -291,5 +315,36 @@ mod tests {
     fn digest_is_stable() {
         assert_eq!(digest64(b""), 0xcbf2_9ce4_8422_2325);
         assert_ne!(digest64(b"a"), digest64(b"b"));
+    }
+
+    #[test]
+    fn spans_digest_covers_every_field_and_the_recorded_total() {
+        let base = spans();
+        let d = spans_digest(&base, 3);
+        assert_eq!(d, spans_digest(&base, 3));
+        assert_ne!(d, spans_digest(&base, 4), "total_recorded is folded");
+        assert_ne!(d, spans_digest(&base[..2], 3), "every span is folded");
+        let mutate = |f: fn(&mut Span)| {
+            let mut v = spans();
+            f(&mut v[2]);
+            spans_digest(&v, 3)
+        };
+        assert_ne!(d, mutate(|s| s.node = 9));
+        assert_ne!(d, mutate(|s| s.key.intra = 2));
+        assert_ne!(d, mutate(|s| s.parent = SpanKey::NONE));
+        assert_ne!(d, mutate(|s| s.kind = SpanKind::Deliver));
+        assert_ne!(
+            d,
+            mutate(|s| {
+                s.kind = SpanKind::Drop {
+                    reason: DropReason::NoRoute,
+                }
+            })
+        );
+        assert_ne!(
+            spans_digest(&[], 0),
+            0xcbf2_9ce4_8422_2325,
+            "never the bare offset basis"
+        );
     }
 }

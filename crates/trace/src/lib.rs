@@ -16,10 +16,11 @@
 //! shard layout, worker count, or realized execution interleaving. Every
 //! shard records into its own [`SpanRing`]; [`SpanRing::merged`] unions
 //! the rings and sorts by key, reproducing the exact stream a
-//! single-shard run records (rings that never wrap merge exactly, like
-//! `tango-sim`'s trace ring). The exporters ([`export`]) render that
-//! stream as canonical JSON and as Chrome `trace_event` JSON, so trace
-//! artifacts byte-diff across runs, `--workers`, and `--shards`.
+//! single-shard run records (rings that never wrap merge exactly). The
+//! exporters ([`export`]) render that stream as canonical JSON and as
+//! Chrome `trace_event` JSON, and fold it into the `trace=` hash of the
+//! run digests ([`export::spans_digest`]), so trace artifacts byte-diff
+//! across runs, `--workers`, and `--shards`.
 //!
 //! ## Flight recording
 //!

@@ -1,8 +1,9 @@
 //! The span flight-recorder ring (live implementation, `enabled` on).
 //!
-//! Mirrors `tango-sim`'s trace ring: fixed capacity, overwrite-oldest,
-//! key-ordered merge across shards. Capacity 0 records nothing (the
-//! default), so the instrumentation costs one branch when disarmed.
+//! The one record of packet-level incidents: fixed capacity,
+//! overwrite-oldest, key-ordered merge across shards. Capacity 0 records
+//! nothing (the default), so the instrumentation costs one branch when
+//! disarmed.
 //!
 //! This module is on the span-emission path: the `span-alloc` tango-lint
 //! rule bans `String`/`format!` allocation here.
@@ -152,9 +153,11 @@ impl SpanRing {
         }
     }
 
-    /// Retained spans in canonical (key) order. Like the trace ring,
-    /// canonical key order — not realized recording order — defines the
-    /// output, which is what makes it shard-invariant.
+    /// Retained spans in canonical (key) order. Within one run this
+    /// coincides with recording order except inside a same-timestamp
+    /// cluster, where the canonical key order — not the realized dispatch
+    /// interleaving — defines the output. That is exactly what makes the
+    /// result shard-invariant.
     pub fn spans(&self) -> Vec<Span> {
         let mut sorted = self.entries.clone();
         sorted.sort_unstable_by_key(|s| s.key);
@@ -163,9 +166,11 @@ impl SpanRing {
 
     /// Merge per-shard rings into one canonical ring: union the retained
     /// spans, sort by key, keep the most-recent `capacity`. Exact (equal
-    /// to a single-shard run) whenever no ring wrapped; a wrapping
-    /// same-timestamp cluster can shift the eviction boundary, exactly
-    /// like `tango-sim`'s trace merge.
+    /// to a single-shard run) whenever no ring wrapped; once one wraps,
+    /// the eviction boundary can differ from a single-shard run's within
+    /// a same-timestamp cluster (each ring evicts by its own realized
+    /// order), so consumers that promise shard-invariance must reject
+    /// `total_recorded() > spans().len()`.
     pub fn merged<'a>(parts: impl IntoIterator<Item = &'a SpanRing>) -> SpanRing {
         let mut capacity = 0usize;
         let mut total = 0u64;
@@ -258,6 +263,25 @@ mod tests {
         assert_eq!(spans[0].key.time_ns, 3);
         assert_eq!(spans[1].key.time_ns, 4);
         assert_eq!(r.total_recorded(), 5);
+    }
+
+    #[test]
+    fn spans_sort_by_key_not_arrival_order() {
+        // Two dispatches recorded out of canonical order (as happens when
+        // a same-timestamp cluster realizes in non-key order): spans()
+        // must present them in key order.
+        let mut r = SpanRing::new(16);
+        r.begin_dispatch(5, 3, 1);
+        r.record_dispatch(7, SpanKey::NONE, SpanKind::Deliver);
+        r.begin_dispatch(5, 1, 9);
+        r.record_dispatch(7, SpanKey::NONE, SpanKind::Deliver);
+        r.record(7, SpanKind::Tx { to: 8 });
+        let keys: Vec<(u32, u64, u32)> = r
+            .spans()
+            .iter()
+            .map(|s| (s.key.origin, s.key.seq, s.key.intra))
+            .collect();
+        assert_eq!(keys, vec![(1, 9, 0), (1, 9, 1), (3, 1, 0)]);
     }
 
     #[test]
