@@ -35,7 +35,7 @@ pub struct ChaosOptions {
     /// section). The default runs the six storms CI gates on.
     pub seeds: Vec<u64>,
     /// Force the worker count (`None` = machine parallelism, capped by
-    /// the seed count; `TANGO_BENCH_THREADS` also overrides).
+    /// the seed count).
     pub workers: Option<usize>,
     /// Simulator shards per storm. The artifacts are bit-identical for
     /// every value — CI runs `--shards 1` vs `--shards 8` and diffs.

@@ -36,6 +36,5 @@ pub mod parallel;
 pub mod scalability;
 pub mod sharded;
 pub mod telemetry;
-pub mod throughput;
 pub mod trace;
 pub mod util;

@@ -13,11 +13,10 @@ use tango_bench::chaos::ChaosOptions;
 use tango_bench::scalability::ScalabilityOptions;
 use tango_bench::sharded::ShardedOptions;
 use tango_bench::telemetry::TelemetryOptions;
-use tango_bench::throughput::ThroughputOptions;
 use tango_bench::trace::TraceOptions;
 use tango_bench::{
     ablations, chaos, failover, fig3, fig4, headline, jitter, scalability, sharded, telemetry,
-    throughput, trace,
+    trace,
 };
 use tango_sim::ShardMode;
 
@@ -41,8 +40,6 @@ COMMANDS
   load-balance          A6: §6 weighted-split load balancing under saturation
   loss-table            A7: loss/reordering measured from sequence numbers
   ablation-failover     A8: blackhole detection, failover, and re-admission
-  throughput            fast-path microbench: pkts/sec + ns/packet over a
-                        parallel multi-seed sweep → results/BENCH_throughput.json
   telemetry             deterministic observability export: full tango-obs
                         metric tree through a scripted blackhole →
                         results/TELEMETRY_vultr-blackhole.json (byte-identical
@@ -83,18 +80,6 @@ OPTIONS
                   headline; default 1; the paper ran 8 days — shapes
                   converge within minutes of simulated time)
   --seed <S>      simulation seed (default 1)
-
-THROUGHPUT OPTIONS
-  --packets <N>   app packets per seed (default 100000)
-  --seeds <list>  comma-separated seeds to sweep (default 1,2,3,4)
-  --workers <W>   worker threads (default: machine parallelism; the
-                  TANGO_BENCH_THREADS env var also overrides)
-  --floor <P>     exit nonzero if aggregate pkts/sec < P (CI smoke gate)
-  --baseline <F>  exit nonzero if aggregate pkts/sec drops below 50% of
-                  the aggregate_pkts_per_sec recorded in the committed
-                  artifact F (usually results/BENCH_throughput.json)
-  --shards <N>    simulator shards per seed (default 1; results are
-                  bit-identical for every value)
 
 TELEMETRY OPTIONS
   --seeds <list>  comma-separated seeds (default 1,7 — the golden seeds)
@@ -241,23 +226,6 @@ fn duration(args: &Args) -> SimTime {
     SimTime::from_secs((args.hours * 3600.0) as u64)
 }
 
-fn parse_throughput_args(rest: &[String]) -> Result<ThroughputOptions, String> {
-    let mut options = ThroughputOptions::default();
-    let mut flags = Flags::new(rest);
-    while let Some(flag) = flags.next_flag() {
-        match flag {
-            "--packets" => options.packets = flags.positive()?,
-            "--seeds" => options.seeds = flags.list()?,
-            "--workers" => options.workers = Some(flags.positive()?),
-            "--floor" => options.floor_pkts_per_sec = Some(flags.parsed()?),
-            "--baseline" => options.baseline = Some(flags.path()?),
-            "--shards" => options.shards = flags.positive()?,
-            other => return Err(unknown_option(other)),
-        }
-    }
-    Ok(options)
-}
-
 fn parse_telemetry_args(rest: &[String]) -> Result<TelemetryOptions, String> {
     let mut options = TelemetryOptions::default();
     let mut flags = Flags::new(rest);
@@ -377,7 +345,6 @@ fn main() {
     };
     let rest = &argv[1..];
     match command.as_str() {
-        "throughput" => run(parse_throughput_args(rest), throughput::report),
         "telemetry" => run(parse_telemetry_args(rest), telemetry::report),
         "chaos" => run(parse_chaos_args(rest), chaos::report),
         "sharded" => run(parse_sharded_args(rest), sharded::report),
@@ -456,19 +423,14 @@ mod tests {
         common      | --hours x         | --hours: invalid float literal
         common      | --seed x          | --seed: invalid digit found in string
         common      | --packets 5       | unknown option --packets
-        throughput  | --packets         | --packets needs a value
-        throughput  | --packets 0       | --packets must be positive
-        throughput  | --workers 0       | --workers must be positive
-        throughput  | --shards 0        | --shards must be positive
-        throughput  | --seeds 1,x       | --seeds: invalid digit found in string
-        throughput  | --floor x         | --floor: invalid float literal
-        throughput  | --baseline        | --baseline needs a value
-        throughput  | --out d           | unknown option --out
         telemetry   | --seeds           | --seeds needs a value
+        telemetry   | --out             | --out needs a value
         telemetry   | --workers 0       | --workers must be positive
         telemetry   | --shards -1       | --shards: invalid digit found in string
         telemetry   | --query kinds     | unknown option --query
         chaos       | --out             | --out needs a value
+        chaos       | --workers 0       | --workers must be positive
+        chaos       | --seeds 1,x       | --seeds: invalid digit found in string
         chaos       | --shards 0        | --shards must be positive
         chaos       | --workers w       | --workers: invalid digit found in string
         chaos       | --seed 1          | unknown option --seed
@@ -500,7 +462,6 @@ mod tests {
             let argv: Vec<String> = cols[1].split(' ').map(String::from).collect();
             let got = match cols[0] {
                 "common" => rejection(parse_args, &argv),
-                "throughput" => rejection(parse_throughput_args, &argv),
                 "telemetry" => rejection(parse_telemetry_args, &argv),
                 "chaos" => rejection(parse_chaos_args, &argv),
                 "sharded" => rejection(parse_sharded_args, &argv),

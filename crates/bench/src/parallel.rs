@@ -12,19 +12,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Worker count for a sweep of `jobs` independent jobs: the smaller of
-/// the machine's available parallelism and the job count, overridable
-/// with `TANGO_BENCH_THREADS` (useful to force `1` for serial baselines
-/// and CI determinism checks).
+/// the machine's available parallelism and the job count.
 pub fn worker_count(jobs: usize) -> usize {
-    let hw = std::env::var("TANGO_BENCH_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        });
+    let hw = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
     hw.min(jobs).max(1)
 }
 

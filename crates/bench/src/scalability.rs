@@ -20,7 +20,7 @@
 //! discovered path violates the valley-free property — both are
 //! correctness gates, not performance ones.
 
-use crate::util::{fmt, out_dir, print_table};
+use crate::util::{fmt, json_escape_free, out_dir, print_table};
 use std::path::PathBuf;
 use std::time::Instant;
 use tango::npop::{run_npop, NPopOptions, NPopOutcome};
@@ -143,11 +143,6 @@ pub fn tiers(options: &ScalabilityOptions) -> Vec<Tier> {
         v.extend_from_slice(&FULL_TIERS);
     }
     v
-}
-
-fn json_escape_free(s: &str) -> &str {
-    debug_assert!(!s.contains(['"', '\\']));
-    s
 }
 
 /// Render the sweep as the `BENCH_scalability.json` document. Every

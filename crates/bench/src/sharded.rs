@@ -17,7 +17,7 @@
 //! Exits nonzero if any shard count disagrees with the single-shard
 //! reference — that is the determinism gate the suite exists for.
 
-use crate::util::{fmt, out_dir, print_table};
+use crate::util::{fmt, json_escape_free, out_dir, print_table};
 use std::path::PathBuf;
 use std::time::Instant;
 use tango::mesh::{vultr_replica_mesh, MeshOptions};
@@ -136,11 +136,6 @@ pub fn publish_load(registry: &Registry, runs: &[ShardRun]) {
                 .set(l.queue_peak);
         }
     }
-}
-
-fn json_escape_free(s: &str) -> &str {
-    debug_assert!(!s.contains(['"', '\\']));
-    s
 }
 
 /// Render the sweep as the `BENCH_sharded.json` document. Deliberately

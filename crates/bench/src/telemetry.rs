@@ -38,7 +38,7 @@ pub struct TelemetryOptions {
     /// Seeds to sweep (each an independent simulation → one JSON section).
     pub seeds: Vec<u64>,
     /// Force the worker count (`None` = machine parallelism, capped by
-    /// the seed count; `TANGO_BENCH_THREADS` also overrides).
+    /// the seed count).
     pub workers: Option<usize>,
     /// Simulator shards per seed. The artifact is bit-identical for
     /// every value — CI runs `--shards 1` vs `--shards 8` and diffs.

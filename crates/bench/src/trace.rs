@@ -64,7 +64,7 @@ pub struct TraceOptions {
     /// pair). The golden suite pins seed 1.
     pub seeds: Vec<u64>,
     /// Force the worker count (`None` = machine parallelism, capped by
-    /// the seed count; `TANGO_BENCH_THREADS` also overrides).
+    /// the seed count).
     pub workers: Option<usize>,
     /// Simulator shards per seed. The artifacts are bit-identical for
     /// every value — CI runs `--shards 1` vs `--shards 8` and diffs.

@@ -1,4 +1,5 @@
-//! Shared experiment plumbing: result directory, table printing.
+//! Shared experiment plumbing: result directory, table printing, the
+//! artifact writers' string check.
 
 use std::path::PathBuf;
 
@@ -47,6 +48,14 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     for row in rows {
         line(row.clone());
     }
+}
+
+/// A string about to be written between JSON quotes without escaping:
+/// the hand-rolled artifact writers only emit names and digests that
+/// need none, and a debug build checks that.
+pub fn json_escape_free(s: &str) -> &str {
+    debug_assert!(!s.contains(['"', '\\']));
+    s
 }
 
 /// Format a float with the given decimals.

@@ -1,55 +1,77 @@
-//! The parallel multi-seed runner must be an exact wall-clock-only
-//! optimization: per-seed results (digests, event and packet counts)
-//! are identical whether seeds run serially or across workers, and
-//! arrive in seed order either way.
+//! The parallel multi-seed runner and the shard partition must both be
+//! exact wall-clock-only optimizations: the static fast-path pairing
+//! yields the same digest, counters and per-path one-way-delay series
+//! whether seeds run serially at 1 shard or across workers at 4 shards,
+//! and results arrive in seed order either way.
 
-use tango_bench::{parallel, throughput};
+use tango::prelude::*;
+use tango_bench::parallel;
+use tango_sim::SimStats;
 
 const PACKETS: u64 = 400;
 const SEEDS: [u64; 4] = [11, 7, 42, 7];
 
-#[test]
-fn parallel_runner_matches_serial_run() {
-    let serial: Vec<throughput::SeedRun> = SEEDS
-        .iter()
-        .map(|&s| throughput::run_one(s, PACKETS, 1))
-        .collect();
-    // The parallel arm also shards each simulation: neither the worker
-    // fan-out nor the shard partition may leak into the results.
-    let parallel: Vec<throughput::SeedRun> =
-        parallel::run_seeds(&SEEDS, 4, |seed| throughput::run_one(seed, PACKETS, 4));
+/// Everything observable about one finished run.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    seed: u64,
+    events: u64,
+    digest: String,
+    stats: SimStats,
+    /// Per side and path: sample count, sum of OWD values, sum of
+    /// sample times.
+    owd: Vec<(Side, u16, usize, f64, u64)>,
+}
 
-    assert_eq!(serial.len(), parallel.len());
-    for (s, p) in serial.iter().zip(&parallel) {
-        assert_eq!(s.seed, p.seed, "results must come back in seed order");
-        assert_eq!(
-            s.digest, p.digest,
-            "seed {} digest differs across runners",
-            s.seed
-        );
-        assert_eq!(s.events, p.events, "seed {} event count differs", s.seed);
-        assert_eq!(s.packets, p.packets, "seed {} packet count differs", s.seed);
+/// 64 B app packets A→B and B→A alternately, 100 µs apart, through the
+/// 2-edge Vultr pairing with no policy installed.
+fn run_one(seed: u64, shards: usize) -> Outcome {
+    let mut pairing = tango::vultr_pairing(PairingOptions {
+        seed,
+        probe_period: Some(SimTime::from_ms(10)),
+        shards,
+        span_capacity: 1 << 16,
+        ..PairingOptions::default()
+    })
+    .expect("vultr scenario provisions");
+    let mut t = SimTime::from_ms(5);
+    for i in 0..PACKETS {
+        let from = if i % 2 == 0 { Side::A } else { Side::B };
+        pairing.send_app_packet(t, from, 64);
+        t += SimTime(100_000);
     }
-    // Repeated seeds are independent simulations of the same world:
-    // their digests agree too.
-    assert_eq!(parallel[1].digest, parallel[3].digest);
+    let events = pairing.sim.run_until(t + SimTime::from_ms(50));
+    let mut owd = Vec::new();
+    for side in [Side::A, Side::B] {
+        let sink = pairing.stats(side).lock();
+        for (id, p) in sink.paths() {
+            let sum: f64 = p.owd.values().iter().sum();
+            let tsum: u64 = p.owd.times_ns().iter().sum();
+            owd.push((side, id, p.owd.len(), sum, tsum));
+        }
+    }
+    Outcome {
+        seed,
+        events,
+        digest: pairing.sim.digest(),
+        stats: *pairing.sim.stats(),
+        owd,
+    }
 }
 
 #[test]
-fn sweep_is_worker_count_invariant() {
-    let opts = |workers| throughput::ThroughputOptions {
-        packets: PACKETS,
-        seeds: vec![1, 2, 3],
-        workers: Some(workers),
-        ..throughput::ThroughputOptions::default()
-    };
-    let one = throughput::sweep(&opts(1));
-    let many = throughput::sweep(&opts(3));
-    let fingerprint = |s: &throughput::Sweep| {
-        s.runs
-            .iter()
-            .map(|r| (r.seed, r.digest.clone(), r.events, r.packets))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(fingerprint(&one), fingerprint(&many));
+fn parallel_runner_matches_serial_run() {
+    let serial: Vec<Outcome> = SEEDS.iter().map(|&s| run_one(s, 1)).collect();
+    // The parallel arm also shards each simulation: neither the worker
+    // fan-out nor the shard partition may leak into the results.
+    let parallel: Vec<Outcome> = parallel::run_seeds(&SEEDS, 4, |seed| run_one(seed, 4));
+
+    // Element-wise equality includes `seed`: results come back in seed
+    // order.
+    assert_eq!(serial, parallel);
+    assert!(serial.iter().all(|o| o.stats.deliveries >= PACKETS));
+    assert!(serial.iter().all(|o| !o.owd.is_empty()));
+    // Repeated seeds are independent simulations of the same world:
+    // their outcomes agree too.
+    assert_eq!(parallel[1], parallel[3]);
 }

@@ -13,25 +13,14 @@
 //! simplification — in the prototype only Vultr's border needs to).
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 use tango_topology::AsId;
 
 /// The community namespace for "do not announce to AS" actions.
 pub const NS_NO_EXPORT_TO: u16 = 64600;
-/// The community namespace for "prepend once when announcing to AS".
-pub const NS_PREPEND_1X: u16 = 64601;
-/// The community namespace for "prepend twice when announcing to AS".
-pub const NS_PREPEND_2X: u16 = 64602;
-/// The community namespace for "prepend three times when announcing to AS".
-pub const NS_PREPEND_3X: u16 = 64603;
 
-/// A BGP community attribute value.
-///
-/// Action communities targeting 32-bit ASNs do not fit the classic
-/// 16:16 encoding; on the wire they become RFC 8092 large communities
-/// (see [`Community::to_wire`]). The Vultr scenario only targets 16-bit
-/// transit ASNs, which round-trip through classic communities.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+/// A BGP community attribute value. Speakers exchange these typed; no
+/// RFC 1997 / RFC 8092 encoding is modeled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Community {
     /// An opaque `asn:value` tag with no modeled semantics.
     Plain(u16, u16),
@@ -45,83 +34,11 @@ pub enum Community {
     /// given AS. This is the suppression knob of the §4.1 discovery loop.
     NoExportTo(AsId),
     /// Action: prepend the processing speaker's ASN `n` extra times when
-    /// announcing to the given AS (1 ≤ n ≤ 3 on the wire).
+    /// announcing to the given AS (clamped to 1 ≤ n ≤ 3 when applied).
     PrependTo(AsId, u8),
 }
 
-/// Classic (RFC 1997) or large (RFC 8092) wire form of one community.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireCommunity {
-    /// A 32-bit classic community, `(global admin << 16) | local`.
-    Classic(u32),
-    /// A 96-bit large community `(global admin, data1, data2)`.
-    Large(u32, u32, u32),
-}
-
 impl Community {
-    /// Encode to the wire form.
-    pub fn to_wire(self) -> WireCommunity {
-        match self {
-            Community::Plain(a, v) => WireCommunity::Classic((u32::from(a) << 16) | u32::from(v)),
-            Community::NoExport => WireCommunity::Classic(0xFFFF_FF01),
-            Community::NoAdvertise => WireCommunity::Classic(0xFFFF_FF02),
-            Community::NoExportTo(asid) => {
-                if asid.0 <= u32::from(u16::MAX) {
-                    WireCommunity::Classic((u32::from(NS_NO_EXPORT_TO) << 16) | asid.0)
-                } else {
-                    WireCommunity::Large(u32::from(NS_NO_EXPORT_TO), 0, asid.0)
-                }
-            }
-            Community::PrependTo(asid, n) => {
-                let ns = match n {
-                    0 | 1 => NS_PREPEND_1X,
-                    2 => NS_PREPEND_2X,
-                    _ => NS_PREPEND_3X,
-                };
-                if asid.0 <= u32::from(u16::MAX) {
-                    WireCommunity::Classic((u32::from(ns) << 16) | asid.0)
-                } else {
-                    WireCommunity::Large(u32::from(ns), 0, asid.0)
-                }
-            }
-        }
-    }
-
-    /// Decode from a wire form. Unknown namespaces come back as
-    /// [`Community::Plain`] (opaque, carried but not acted on).
-    pub fn from_wire(wire: WireCommunity) -> Self {
-        match wire {
-            WireCommunity::Classic(0xFFFF_FF01) => Community::NoExport,
-            WireCommunity::Classic(0xFFFF_FF02) => Community::NoAdvertise,
-            WireCommunity::Classic(raw) => {
-                let admin = (raw >> 16) as u16;
-                let local = (raw & 0xffff) as u16;
-                match admin {
-                    NS_NO_EXPORT_TO => Community::NoExportTo(AsId(u32::from(local))),
-                    NS_PREPEND_1X => Community::PrependTo(AsId(u32::from(local)), 1),
-                    NS_PREPEND_2X => Community::PrependTo(AsId(u32::from(local)), 2),
-                    NS_PREPEND_3X => Community::PrependTo(AsId(u32::from(local)), 3),
-                    _ => Community::Plain(admin, local),
-                }
-            }
-            WireCommunity::Large(admin, _, data2) => match admin as u16 {
-                NS_NO_EXPORT_TO if admin <= u32::from(u16::MAX) => {
-                    Community::NoExportTo(AsId(data2))
-                }
-                NS_PREPEND_1X if admin <= u32::from(u16::MAX) => {
-                    Community::PrependTo(AsId(data2), 1)
-                }
-                NS_PREPEND_2X if admin <= u32::from(u16::MAX) => {
-                    Community::PrependTo(AsId(data2), 2)
-                }
-                NS_PREPEND_3X if admin <= u32::from(u16::MAX) => {
-                    Community::PrependTo(AsId(data2), 3)
-                }
-                _ => Community::Plain((admin >> 16) as u16, admin as u16),
-            },
-        }
-    }
-
     /// Effective extra-prepend count for exporting to `neighbor`
     /// (0 if this community does not apply).
     pub fn prepend_count_for(self, neighbor: AsId) -> u8 {
@@ -154,45 +71,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wire_roundtrip_all_variants() {
-        let cases = [
-            Community::Plain(20473, 6000),
-            Community::NoExport,
-            Community::NoAdvertise,
-            Community::NoExportTo(AsId(2914)),
-            Community::NoExportTo(AsId(4_200_000_000)), // 32-bit target
-            Community::PrependTo(AsId(1299), 1),
-            Community::PrependTo(AsId(1299), 2),
-            Community::PrependTo(AsId(1299), 3),
-        ];
-        for c in cases {
-            assert_eq!(Community::from_wire(c.to_wire()), c, "{c}");
-        }
-    }
-
-    #[test]
     fn classic_encoding_matches_vultr_numbering() {
-        match Community::NoExportTo(AsId(2914)).to_wire() {
-            WireCommunity::Classic(raw) => assert_eq!(raw, (64600 << 16) | 2914),
-            w => panic!("expected classic, got {w:?}"),
-        }
-    }
-
-    #[test]
-    fn wide_asn_uses_large_community() {
-        match Community::NoExportTo(AsId(400_000)).to_wire() {
-            WireCommunity::Large(admin, _, data2) => {
-                assert_eq!(admin, 64600);
-                assert_eq!(data2, 400_000);
-            }
-            w => panic!("expected large, got {w:?}"),
-        }
-    }
-
-    #[test]
-    fn unknown_namespace_is_opaque() {
-        let c = Community::from_wire(WireCommunity::Classic((1000 << 16) | 42));
-        assert_eq!(c, Community::Plain(1000, 42));
+        assert_eq!(Community::NoExportTo(AsId(2914)).to_string(), "64600:2914");
     }
 
     #[test]
@@ -212,10 +92,5 @@ mod tests {
     fn prepend_zero_clamps_to_one() {
         let p = Community::PrependTo(AsId(7), 0);
         assert_eq!(p.prepend_count_for(AsId(7)), 1);
-        // And the wire form of n=0 decodes as 1×.
-        assert_eq!(
-            Community::from_wire(p.to_wire()),
-            Community::PrependTo(AsId(7), 1)
-        );
     }
 }

@@ -19,13 +19,13 @@
 //!   announcements and withdrawals over a `tango-topology` graph until
 //!   convergence — the in-memory stand-in for the BIRD sessions of the
 //!   prototype;
-//! * AS-path poisoning at origination;
-//! * RFC 4271/4760 UPDATE wire encoding ([`wire`]) so announcements can be
-//!   serialized byte-exactly (speakers exchange typed messages in-memory;
-//!   the wire format exists for completeness and tests).
+//! * AS-path poisoning at origination.
 //!
 //! ## Omitted (documented) features
 //!
+//! * No RFC 4271 wire encoding: speakers exchange typed routes in
+//!   memory, and every question asked of the engine (which paths exist,
+//!   how many updates convergence costs) is answered by those.
 //! * No TCP session FSM, keepalives, or MRAI timers: convergence is
 //!   synchronous rounds; `tango-sim` layers a configurable convergence
 //!   delay on top when experiments need BGP re-convergence *time*.
@@ -40,11 +40,9 @@ pub mod engine;
 pub mod policy;
 pub mod rib;
 pub mod speaker;
-pub mod wire;
 
 pub use community::Community;
 pub use engine::{BgpEngine, EngineError};
 pub use policy::{local_pref_base, may_export, LP_CUSTOMER, LP_PEER, LP_PROVIDER};
 pub use rib::{PathAttrs, Route, RouteSource};
 pub use speaker::{BgpSpeaker, Neighbor, SpeakerConfig};
-pub use wire::{BgpMessage, NotificationMessage, OpenMessage, UpdateMessage};

@@ -7,13 +7,12 @@
 //! fields the *receiver* computes on import.
 
 use crate::community::Community;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use tango_topology::AsId;
 
 /// Where a route entered the local speaker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouteSource {
     /// Originated locally (our own prefix).
     Local,

@@ -1,14 +1,10 @@
-//! Property-based tests for the BGP layer: wire-format roundtrips and
-//! decision-process consistency on arbitrary inputs.
+//! Property-based tests for the BGP layer: decision-process consistency
+//! on arbitrary inputs.
 
 use proptest::prelude::*;
-use std::net::{Ipv4Addr, Ipv6Addr};
 use std::sync::Arc;
-use tango_bgp::community::WireCommunity;
 use tango_bgp::rib::{best_of, better};
-use tango_bgp::wire::UpdateMessage;
 use tango_bgp::{Community, PathAttrs, Route, RouteSource};
-use tango_net::{IpCidr, Ipv4Cidr, Ipv6Cidr};
 use tango_topology::AsId;
 
 fn arb_community() -> impl Strategy<Value = Community> {
@@ -18,15 +14,6 @@ fn arb_community() -> impl Strategy<Value = Community> {
         Just(Community::NoAdvertise),
         (1u32..100_000).prop_map(|a| Community::NoExportTo(AsId(a))),
         ((1u32..100_000), 1u8..=3).prop_map(|(a, n)| Community::PrependTo(AsId(a), n)),
-    ]
-}
-
-fn arb_prefix() -> impl Strategy<Value = IpCidr> {
-    prop_oneof![
-        (any::<u32>(), 0u8..=32)
-            .prop_map(|(a, l)| IpCidr::V4(Ipv4Cidr::new(Ipv4Addr::from(a), l).unwrap())),
-        (any::<u128>(), 0u8..=128)
-            .prop_map(|(a, l)| IpCidr::V6(Ipv6Cidr::new(Ipv6Addr::from(a), l).unwrap())),
     ]
 }
 
@@ -54,83 +41,6 @@ fn arb_route() -> impl Strategy<Value = Route> {
 }
 
 proptest! {
-    #[test]
-    fn community_wire_roundtrip(c in arb_community()) {
-        prop_assert_eq!(Community::from_wire(c.to_wire()), c);
-    }
-
-    #[test]
-    fn classic_community_decode_never_panics(raw in any::<u32>()) {
-        let _ = Community::from_wire(WireCommunity::Classic(raw));
-    }
-
-    #[test]
-    fn update_message_roundtrip(
-        announced in proptest::collection::vec(arb_prefix(), 0..10),
-        withdrawn in proptest::collection::vec(arb_prefix(), 0..10),
-        as_path in proptest::collection::vec(any::<u32>(), 0..10),
-        communities in proptest::collection::vec(arb_community(), 0..8),
-        med in proptest::option::of(any::<u32>()),
-        nh4 in proptest::option::of(any::<u32>()),
-        nh6 in any::<u128>(),
-    ) {
-        let has_v6_announce = announced.iter().any(|p| p.is_ipv6());
-        let msg = UpdateMessage {
-            withdrawn,
-            announced,
-            as_path: as_path.into_iter().map(AsId).collect(),
-            next_hop_v4: nh4.map(Ipv4Addr::from),
-            next_hop_v6: has_v6_announce.then(|| Ipv6Addr::from(nh6)),
-            med,
-            communities,
-        };
-        let bytes = msg.encode();
-        let decoded = UpdateMessage::decode(&bytes).unwrap();
-        // Announced/withdrawn order: v4 and v6 travel in different fields,
-        // so compare as sets per family.
-        let split = |v: &Vec<IpCidr>| {
-            let mut v4: Vec<IpCidr> = v.iter().copied().filter(|p| !p.is_ipv6()).collect();
-            let mut v6: Vec<IpCidr> = v.iter().copied().filter(|p| p.is_ipv6()).collect();
-            v4.sort();
-            v6.sort();
-            (v4, v6)
-        };
-        prop_assert_eq!(split(&decoded.announced), split(&msg.announced));
-        prop_assert_eq!(split(&decoded.withdrawn), split(&msg.withdrawn));
-        if !msg.announced.is_empty() {
-            prop_assert_eq!(&decoded.as_path, &msg.as_path);
-        }
-        prop_assert_eq!(decoded.med, msg.med);
-        prop_assert_eq!(decoded.next_hop_v4, msg.next_hop_v4);
-        // Classic and large communities travel in separate attributes,
-        // so cross-kind order is not preserved: compare as sorted sets.
-        let sorted = |v: &Vec<Community>| {
-            let mut v = v.clone();
-            v.sort();
-            v
-        };
-        prop_assert_eq!(sorted(&decoded.communities), sorted(&msg.communities));
-    }
-
-    #[test]
-    fn update_decode_never_panics_on_mutation(
-        announced in proptest::collection::vec(arb_prefix(), 0..4),
-        at in any::<proptest::sample::Index>(),
-        xor in 1u8..=255,
-    ) {
-        let msg = UpdateMessage {
-            announced,
-            as_path: vec![AsId(1), AsId(2)],
-            next_hop_v4: Some(Ipv4Addr::new(1, 2, 3, 4)),
-            next_hop_v6: Some(Ipv6Addr::LOCALHOST),
-            ..Default::default()
-        };
-        let mut bytes = msg.encode();
-        let i = at.index(bytes.len());
-        bytes[i] ^= xor;
-        let _ = UpdateMessage::decode(&bytes); // must not panic
-    }
-
     #[test]
     fn decision_winner_is_undominated(routes in proptest::collection::vec(arb_route(), 1..10)) {
         let w = best_of(&routes).unwrap();

@@ -7,7 +7,6 @@
 //! four different /48 prefixes."*
 
 use crate::discovery::{discover_paths, DiscoveredPath, DiscoveryError};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use tango_bgp::{BgpEngine, EngineError};
 use tango_dataplane::Tunnel;
@@ -15,7 +14,7 @@ use tango_net::{IpCidr, Ipv6Cidr};
 use tango_topology::AsId;
 
 /// One side of a Tango pairing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SideConfig {
     /// The Tango switch's node id (the tenant server in the prototype).
     pub tenant: AsId,

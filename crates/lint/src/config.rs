@@ -27,8 +27,7 @@ pub const WALL_CLOCK_EXEMPT_CRATES: &[&str] = &["bench"];
 
 /// Wire-format modules where a silent `as` truncation corrupts bytes on
 /// the wire instead of producing a type error.
-pub const WIRE_FORMAT_MODULES: &[&str] =
-    &["crates/dataplane/src/codec.rs", "crates/bgp/src/wire.rs"];
+pub const WIRE_FORMAT_MODULES: &[&str] = &["crates/dataplane/src/codec.rs"];
 
 /// The approved home of thread creation inside the deterministic
 /// crates: the conservative shard runner, whose cross-thread protocol

@@ -1,7 +1,7 @@
 //! `lossy-cast`: no bare `as` integer casts in the wire-format modules.
 //! An `as` cast silently truncates when the source value outgrows the
-//! target — in `dataplane::codec`/`bgp::wire` that corrupts bytes on the
-//! wire instead of surfacing a type error. Wire emitters must use
+//! target — in `dataplane::codec` that corrupts bytes on the wire
+//! instead of surfacing a type error. Wire emitters must use
 //! `try_from` (or carry a reasoned allow naming the invariant that makes
 //! the cast safe).
 //!

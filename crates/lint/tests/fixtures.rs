@@ -109,7 +109,7 @@ fn wall_clock_pass_is_clean() {
 fn wall_clock_exempt_in_bench_crate() {
     assert_eq!(
         rules_fired(
-            "crates/bench/src/throughput.rs",
+            "crates/bench/src/sharded.rs",
             &fixture("wall_clock/fail.rs")
         ),
         Vec::<&str>::new()
@@ -147,7 +147,11 @@ fn unseeded_rng_pass_is_clean() {
 
 #[test]
 fn lossy_cast_fail_fires_in_wire_module() {
-    let diags = lint_source("crates/bgp/src/wire.rs", &fixture("lossy_cast/fail.rs")).unwrap();
+    let diags = lint_source(
+        "crates/dataplane/src/codec.rs",
+        &fixture("lossy_cast/fail.rs"),
+    )
+    .unwrap();
     let hits: Vec<_> = diags.iter().filter(|d| d.rule == "lossy-cast").collect();
     assert_eq!(hits.len(), 3, "{diags:?}");
     assert!(hits
@@ -158,7 +162,10 @@ fn lossy_cast_fail_fires_in_wire_module() {
 #[test]
 fn lossy_cast_pass_is_clean() {
     assert_eq!(
-        rules_fired("crates/bgp/src/wire.rs", &fixture("lossy_cast/pass.rs")),
+        rules_fired(
+            "crates/dataplane/src/codec.rs",
+            &fixture("lossy_cast/pass.rs")
+        ),
         Vec::<&str>::new()
     );
 }

@@ -1,10 +1,8 @@
 //! Exponentially weighted moving average — the smoother behind the
 //! adaptive path-selection policies in `tango-control`.
 
-use serde::{Deserialize, Serialize};
-
 /// An EWMA with smoothing factor `alpha` (weight of the newest sample).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ewma {
     alpha: f64,
     value: Option<f64>,

@@ -11,8 +11,6 @@
 //!   can allow Tango to additionally compute loss and reordering" (§3);
 //! * [`Ewma`], [`Summary`] and percentiles for the routing policies in
 //!   `tango-control`;
-//! * [`CusumDetector`] — online change-point detection for the Fig. 4
-//!   route-change/instability incidents;
 //! * [`TimeSeries`] plus CSV/ASCII export for the experiment harness.
 //!
 //! All delay values are nanoseconds as `f64` at the statistics layer
@@ -22,7 +20,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod changepoint;
 pub mod ewma;
 pub mod export;
 pub mod interval;
@@ -33,7 +30,6 @@ pub mod replay;
 pub mod rolling;
 pub mod series;
 
-pub use changepoint::{ChangeDirection, CusumDetector};
 pub use ewma::Ewma;
 pub use interval::IntervalAverager;
 pub use loss::{SeqEvent, SeqTracker};

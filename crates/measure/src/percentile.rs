@@ -1,7 +1,5 @@
 //! Percentiles and summary statistics.
 
-use serde::{Deserialize, Serialize};
-
 /// Nearest-rank percentile of an unsorted slice (`p` in [0, 100]).
 /// Returns `None` on an empty slice. O(n log n); the experiment harness
 /// calls this on aggregated, not per-packet, data.
@@ -18,7 +16,7 @@ pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
 }
 
 /// A one-shot summary of a sample set, as printed in experiment tables.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Sample count.
     pub count: usize,

@@ -1,10 +1,8 @@
 //! Timestamped sample series.
 
-use serde::{Deserialize, Serialize};
-
 /// A time series of (timestamp ns, value) samples in non-decreasing
 /// time order (enforced on push).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimeSeries {
     times_ns: Vec<u64>,
     values: Vec<f64>,

@@ -292,35 +292,6 @@ impl FromStr for IpCidr {
     }
 }
 
-/// Serde support: prefixes serialize as their canonical CIDR string
-/// (`"2001:db8:100::/48"`), which keeps the canonical-network invariant
-/// through deserialization.
-mod serde_impls {
-    use super::{IpCidr, Ipv4Cidr, Ipv6Cidr};
-    use serde::{de, Deserialize, Deserializer, Serialize, Serializer};
-
-    macro_rules! string_serde {
-        ($ty:ty) => {
-            impl Serialize for $ty {
-                fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-                    s.collect_str(self)
-                }
-            }
-            impl<'de> Deserialize<'de> for $ty {
-                fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-                    let s = String::deserialize(d)?;
-                    s.parse()
-                        .map_err(|e| de::Error::custom(format!("{e}: {s}")))
-                }
-            }
-        };
-    }
-
-    string_serde!(Ipv4Cidr);
-    string_serde!(Ipv6Cidr);
-    string_serde!(IpCidr);
-}
-
 fn mask_v4(prefix_len: u8) -> u32 {
     if prefix_len == 0 {
         0

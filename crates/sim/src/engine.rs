@@ -1119,30 +1119,46 @@ impl ShardState {
     fn dispatch(&mut self, shared: &SimShared, key: EventKey, parent: SpanKey, kind: EventKind) {
         let node_idx = kind.dest();
         let local = node_idx.wrapping_sub(self.node_base) as usize;
-        let slot = if self.owns(node_idx) {
+        // Out-of-range sentinel (NO_NODE routes to shard 0): treated
+        // exactly like a node without an agent.
+        let owned = self.owns(node_idx);
+        let slot = if owned {
             self.agents.get_mut(local)
         } else {
-            // Out-of-range sentinel (NO_NODE routes to shard 0): treated
-            // exactly like a node without an agent.
             None
         };
+        self.spans
+            .begin_dispatch(key.time.as_ns(), key.origin, key.seq);
         let Some(mut agent) = slot.and_then(|slot| slot.take()) else {
             // No agent: the packet/timer evaporates (counted as no_route —
             // a node without behaviour cannot forward). The dead packet's
-            // buffer still feeds the pool.
+            // buffer still feeds the pool. The `Drop` span stands in for
+            // the dispatch that never ran: it takes the event's own key
+            // and hangs off whatever carried the packet here. A node
+            // outside the topology has no id to report.
             match kind {
                 EventKind::Deliver { pkt, .. } | EventKind::HostInject { pkt, .. } => {
                     self.stats.no_route += 1;
+                    let node = if owned {
+                        shared.nodes.id(node_idx).0
+                    } else {
+                        NO_NODE
+                    };
+                    self.spans.record_dispatch(
+                        node,
+                        parent,
+                        SpanKind::Drop {
+                            reason: DropReason::NoRoute,
+                        },
+                    );
                     self.pool.put(pkt.into_buffer());
                 }
                 EventKind::Timer { .. } => {}
             }
             return;
         };
-        let node = shared.nodes.id(node_idx);
         let clock = self.clocks[local]; // tango-lint: allow(hot-path-panic) node_idx was validated by the agents lookup above
-        self.spans
-            .begin_dispatch(key.time.as_ns(), key.origin, key.seq);
+        let node = shared.nodes.id(node_idx);
         // The dispatch's own span key: derived from the canonical event
         // key alone, so it exists (and is identical) whether or not span
         // recording is armed — scheduled events always carry it.

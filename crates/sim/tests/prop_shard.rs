@@ -10,8 +10,8 @@
 //! the per-node RNG derivation, the conservative window math, or the
 //! barrier merge order shows up as a diverging stream within a few hops.
 //! The world is hostile on purpose (lossy and capacity-limited links, an
-//! outage, a fault injector, relays that misroute), so every
-//! `DropReason` occurs.
+//! outage, a fault injector, relays that misroute, one node with no
+//! agent at all), so every `DropReason` occurs.
 
 use proptest::prelude::*;
 use rand::Rng;
@@ -182,7 +182,13 @@ fn run(w: &World, seed: u64, shards: usize, mode: ShardMode) -> (SimStats, Vec<S
             obs: Some(registry.clone()),
         },
     );
+    // The last node gets no agent: whatever is delivered to or injected
+    // at it evaporates as a `NoRoute` drop, and its timers fire silently.
+    let agentless = AsId(BASE_ID + w.n as u32 - 1);
     for node in topology.nodes() {
+        if node.id == agentless {
+            continue;
+        }
         let neighbors = topology.neighbors(node.id).to_vec();
         sim.set_agent(node.id, Box::new(RelayAgent { neighbors }));
     }

@@ -7,12 +7,9 @@
 //! sites are meaningful. This is documented as a substitution in DESIGN.md.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// An AS number (or synthetic routing-domain id — see module docs).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct AsId(pub u32);
 
 impl AsId {
@@ -38,7 +35,7 @@ impl From<u32> for AsId {
 }
 
 /// What role a node plays in the topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AsKind {
     /// An edge network with no customers of its own (access or enterprise).
     Stub,
@@ -49,7 +46,7 @@ pub enum AsKind {
 }
 
 /// A node in the AS-level topology.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AsNode {
     /// The node's id.
     pub id: AsId,

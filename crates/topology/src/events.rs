@@ -17,10 +17,9 @@
 use crate::asys::AsId;
 use crate::link::JitterModel;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A half-open simulated-time window `[start_ns, end_ns)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimeWindow {
     /// Window start, inclusive, in simulated nanoseconds.
     pub start_ns: u64,
@@ -47,7 +46,7 @@ impl TimeWindow {
 }
 
 /// What happens to the link while an event is active.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventKind {
     /// An internal route change: the path's delay floor shifts by
     /// `delta_ns` (usually positive). The first `onset_ns` of the window
@@ -83,7 +82,7 @@ pub enum EventKind {
 }
 
 /// An event bound to one direction of one inter-domain link.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkEvent {
     /// Transmitting side of the affected direction.
     pub from: AsId,
@@ -157,7 +156,7 @@ impl LinkEvent {
 /// `SessionReset` is a *control-plane* event (withdraw + delayed
 /// re-announce of a tunnel prefix) and is executed by the pairing harness
 /// instead — `lower` returns nothing for it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WideAreaEvent {
     /// A peering link goes down in *both* directions at `down_at_ns` and
     /// comes back `duration_ns` later (maintenance, port flap).

@@ -8,11 +8,10 @@
 use crate::asys::{AsId, AsNode};
 use crate::events::LinkEvent;
 use crate::link::{DirectionProfile, LinkProfile};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Business relationship of an edge, read from the first endpoint's side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Relationship {
     /// First endpoint is a customer of the second (pays for transit).
     CustomerOf,
@@ -63,7 +62,7 @@ impl core::fmt::Display for TopologyError {
 impl std::error::Error for TopologyError {}
 
 /// One stored (undirected) edge with relationship and per-direction profiles.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Edge {
     /// Canonical endpoint order: the edge was added as (a, b).
     a: AsId,
@@ -77,7 +76,7 @@ struct Edge {
 
 /// The AS-level topology: nodes, relationship-annotated links, and
 /// scheduled wide-area events.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     nodes: BTreeMap<AsId, AsNode>,
     /// Keyed by canonical (min, max) id pair for O(log n) lookup.

@@ -7,13 +7,12 @@
 //! encapsulation pins down.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Stochastic jitter model added on top of a link's base delay.
 ///
 /// All quantities are nanoseconds. Samples are truncated so the total
 /// delay never goes below `base/2` (queues can't advance a packet in time).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum JitterModel {
     /// No jitter: every packet sees exactly the base delay.
     None,
@@ -81,7 +80,7 @@ fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 }
 
 /// Delay/loss model for one direction of an inter-domain link.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DirectionProfile {
     /// Base propagation + fixed processing delay, ns.
     pub base_delay_ns: u64,
@@ -203,7 +202,7 @@ impl DirectionProfile {
 ///
 /// Directions are named relative to the canonical endpoint order the
 /// topology stores for the edge (`a` → `b` is `forward`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkProfile {
     /// Profile for the canonical a→b direction.
     pub forward: DirectionProfile,
