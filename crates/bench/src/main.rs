@@ -50,17 +50,19 @@ COMMANDS
                         results/CHAOS_storms.json + CHAOS_byzantine.json
                         (byte-identical across runs and --workers); exits
                         nonzero on any invariant violation or missing A9 gap
-  sharded               B3: shard-scaling sweep — one K-replica Vultr mesh
+  sharded               B3: shard-scaling sweep — the traffic phase of the
+                        connected 300-AS / 16-PoP mesh (B5's second tier)
                         run under several --shards values; digests and event
                         totals must be bit-identical for every value →
                         results/BENCH_sharded.json (deterministic fields
                         plus the engine self-profiler's per-shard load;
-                        wall-clock goes to stdout); exits nonzero if
-                        any shard count diverges
+                        wall-clock goes to stdout and to
+                        BENCH_sharded.timing.json beside it); exits nonzero
+                        if any shard count diverges
   scalability           B5: internet-scale Tango-of-N sweep — generated
                         scale-free graphs (100→5000 ASes, 8→64 PoPs), every
-                        PoP pair running §4.1 discovery; each tier runs at
-                        shards 1 and --shards and the digests must be
+                        PoP pair running §4.1 discovery; each tier's traffic
+                        phase runs at shards 1 and --shards and must be
                         bit-identical → results/BENCH_scalability.json
                         (deterministic fields only; wall-clock goes to
                         BENCH_scalability.timing.json beside it); exits
@@ -99,11 +101,10 @@ CHAOS OPTIONS
   --out <DIR>     write artifacts into DIR instead of results/
 
 SHARDED OPTIONS
-  --replicas <K>  Vultr-deployment replicas in the mesh (default 8)
-  --packets <N>   app packets injected across the mesh (default 20000)
+  --packets <N>   host packets injected across the mesh (default 20000)
   --shards <list> comma-separated shard counts to sweep (default 1,2,4,8;
                   the first is the reference)
-  --seed <S>      simulation seed (default 1)
+  --seed <S>      generator + simulator seed (default 1)
   --mode <M>      execution mode for multi-shard runs: auto | serial |
                   threaded (default auto — threads when cores allow)
   --out <DIR>     write artifacts into DIR instead of results/
@@ -112,7 +113,7 @@ SCALABILITY OPTIONS
   --tiers <T>     small = 100/300-AS tiers only (the CI + golden set);
                   full = small plus 1000/2000/5000 ASes (default full)
   --seed <S>      generator + simulator seed (default 1)
-  --shards <N>    shard count of each tier's verification rerun
+  --shards <N>    shard count of each tier's second traffic run
                   (default 8; the run is gated on shards 1 vs N being
                   bit-identical)
   --out <DIR>     write the artifact into DIR instead of results/
@@ -261,7 +262,6 @@ fn parse_sharded_args(rest: &[String]) -> Result<ShardedOptions, String> {
     let mut flags = Flags::new(rest);
     while let Some(flag) = flags.next_flag() {
         match flag {
-            "--replicas" => options.replicas = flags.positive()?,
             "--packets" => options.packets = flags.positive()?,
             "--shards" => {
                 options.shard_counts = flags.list()?;
@@ -435,7 +435,7 @@ mod tests {
         chaos       | --workers w       | --workers: invalid digit found in string
         chaos       | --seed 1          | unknown option --seed
         sharded     | --mode            | --mode needs a value
-        sharded     | --replicas 0      | --replicas must be positive
+        sharded     | --replicas 2      | unknown option --replicas
         sharded     | --packets 0       | --packets must be positive
         sharded     | --shards 1,0      | --shards must name positive shard counts
         sharded     | --shards 1,,2     | --shards: cannot parse integer from empty string

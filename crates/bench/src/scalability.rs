@@ -1,12 +1,16 @@
 //! `experiments scalability` — the internet-scale Tango-of-N sweep
 //! (EXPERIMENTS.md B5).
 //!
-//! Runs [`tango::npop::run_npop`] over a ladder of generated scale-free
-//! graphs (100 → 5000 ASes, 8 → 64 PoPs), each tier twice — once at one
-//! shard and once at the requested shard count — and gates on the two
-//! digests being identical: the control plane (generator, incremental
-//! BGP convergence, all-pairs discovery) and the traffic phase must be
-//! bit-identical regardless of parallelism. The committed artifact
+//! Runs the three phases of [`tango::npop::NPopMesh`] over a ladder of
+//! generated scale-free graphs (100 → 5000 ASes, 8 → 64 PoPs): each tier
+//! converges and discovers all pairs once, then runs the traffic phase
+//! twice from that one converged engine — at one shard and at the
+//! requested shard count — and gates on the two results being identical:
+//! the shard count is only ever seen by the traffic phase, which must be
+//! bit-identical regardless of parallelism. (That the control plane —
+//! generator, incremental BGP convergence, all-pairs discovery — repeats
+//! bit for bit is the golden test's and CI's run-vs-run `cmp`'s to
+//! check.) The committed artifact
 //! `results/BENCH_scalability.json` holds **only deterministic
 //! content** (per-tier digests, RIB/FIB occupancy, convergence and
 //! discovery totals, path counts, stretch percentiles), so CI can
@@ -23,8 +27,7 @@
 use crate::util::{fmt, json_escape_free, out_dir, print_table};
 use std::path::PathBuf;
 use std::time::Instant;
-use tango::npop::{run_npop, NPopOptions, NPopOutcome};
-use tango_sim::ShardMode;
+use tango::npop::{NPopMesh, NPopOutcome};
 
 /// Host packets injected per tier's traffic phase.
 const TRAFFIC_PACKETS: u32 = 256;
@@ -73,8 +76,8 @@ pub struct ScalabilityOptions {
     pub full: bool,
     /// Generator + simulator seed.
     pub seed: u64,
-    /// Shard count of each tier's second run (the first always runs at
-    /// one shard; the two digests must match).
+    /// Shard count of each tier's second traffic run (the first always
+    /// runs at one shard; the two results must match).
     pub shards: usize,
     /// Artifact directory override (`--out`); `None` = `results/`.
     pub out: Option<PathBuf>,
@@ -91,47 +94,40 @@ impl Default for ScalabilityOptions {
     }
 }
 
-/// One tier's completed pair of runs.
+/// One tier's completed run.
 pub struct TierRun {
     /// The rung.
     pub tier: Tier,
-    /// The single-shard reference outcome (the artifact's content).
+    /// The outcome with the single-shard traffic phase (the artifact's
+    /// content).
     pub outcome: NPopOutcome,
-    /// Reference digest, and whether the sharded rerun reproduced it.
-    pub digest: u64,
-    /// `true` when the `--shards` rerun's digest matched the reference.
+    /// `true` when the traffic phase at `--shards` reproduced the
+    /// single-shard one (digest, deliveries, hop-limit expiries).
     pub identical: bool,
-    /// Wall-clock ns of the reference run (timing sidecar only, never
-    /// in the artifact).
+    /// Wall-clock ns of the three phases at one shard (timing sidecar
+    /// only, never in the artifact).
     pub wall_ns: u64,
 }
 
-/// Run one tier at one shard and at `options.shards`, compare digests.
+/// Run one tier: converge and discover once, then the traffic phase at
+/// one shard and at `options.shards` from the same converged engine.
 pub fn run_tier(options: &ScalabilityOptions, tier: Tier) -> TierRun {
-    let base = NPopOptions {
-        ases: tier.ases,
-        pops: tier.pops,
-        seed: options.seed,
-        max_paths: MAX_PATHS,
-        shards: 1,
-        shard_mode: ShardMode::Auto,
-        traffic_packets: TRAFFIC_PACKETS,
-    };
     #[allow(clippy::disallowed_methods)] // bench wall-clock: timing is the product here
     let started = Instant::now();
-    let outcome = run_npop(&base).expect("npop tier runs");
+    let mut mesh =
+        NPopMesh::converge(tier.ases, tier.pops, options.seed).expect("npop tier converges");
+    let pairs = mesh.discover(MAX_PATHS).expect("npop discovery runs");
+    let reference = mesh
+        .run_traffic(TRAFFIC_PACKETS, 1)
+        .expect("npop traffic runs");
     let wall_ns = started.elapsed().as_nanos() as u64;
-    let digest = outcome.digest();
-    let sharded = run_npop(&NPopOptions {
-        shards: options.shards,
-        ..base
-    })
-    .expect("npop sharded rerun");
+    let sharded = mesh
+        .run_traffic(TRAFFIC_PACKETS, options.shards)
+        .expect("npop sharded traffic rerun");
     TierRun {
         tier,
-        digest,
-        identical: sharded.digest() == digest,
-        outcome,
+        identical: sharded == reference,
+        outcome: mesh.outcome(pairs, reference),
         wall_ns,
     }
 }
@@ -195,7 +191,7 @@ pub fn to_json(options: &ScalabilityOptions, runs: &[TierRun]) -> String {
             o.deliveries,
             o.ttl_expired,
             r.identical,
-            r.digest,
+            o.digest(),
             json_escape_free(&o.traffic_digest),
         ));
     }
@@ -212,9 +208,9 @@ pub fn to_json(options: &ScalabilityOptions, runs: &[TierRun]) -> String {
 }
 
 /// Render the machine-dependent companion of [`to_json`]: one row per
-/// tier with the reference run's wall-clock, its BGP updates per second
-/// of that wall-clock, and the estimated RIB bytes per route and in
-/// total. Never byte-compared.
+/// tier with the single-shard run's wall-clock, its BGP updates per
+/// second of that wall-clock, and the estimated RIB bytes per route and
+/// in total. Never byte-compared.
 pub fn timing_json(runs: &[TierRun]) -> String {
     let rows: Vec<String> = runs
         .iter()
@@ -347,7 +343,7 @@ pub fn report(options: &ScalabilityOptions) -> i32 {
     let valley: u64 = runs.iter().map(|r| r.outcome.valley_violations()).sum();
     if !identical {
         eprintln!(
-            "FAIL: shard counts disagree — npop digests must be bit-identical \
+            "FAIL: shard counts disagree — the traffic phase must be bit-identical \
              for shards 1 vs {}",
             options.shards
         );
@@ -387,7 +383,11 @@ mod tests {
         assert_eq!(r.outcome.valley_violations(), 0);
         assert_eq!(r.outcome.unreachable_pairs, 0);
         let again = run_tier(&options, SMALL_TIERS[0]);
-        assert_eq!(r.digest, again.digest, "rerun must be bit-identical");
+        assert_eq!(
+            r.outcome.digest(),
+            again.outcome.digest(),
+            "rerun must be bit-identical"
+        );
     }
 
     #[test]

@@ -1,47 +1,45 @@
-//! `experiments sharded` — the shard-scaling sweep over the replica
-//! mesh (EXPERIMENTS.md B3).
+//! `experiments sharded` — the shard-scaling sweep over the connected
+//! N-PoP mesh (EXPERIMENTS.md B3).
 //!
-//! Runs **one** scenario — `tango::mesh::vultr_replica_mesh`, K offset
-//! copies of the Vultr deployment inside a single simulator — under a
+//! Runs **one** scenario — the traffic phase of `tango::npop` on B5's
+//! 300-AS / 16-PoP tier: one connected generated Gao-Rexford graph,
+//! converged once, every node a longest-prefix-match router — under a
 //! list of shard counts and verifies the runs are bit-identical:
 //! identical [`NetworkSim::digest`](tango_sim::NetworkSim::digest) (merged
-//! stats + canonical span-stream hash; without the `trace` feature the
-//! stream is empty and the digest covers the stats only)
-//! and identical event totals for every shard count. The committed
-//! artifact `results/BENCH_sharded.json` contains **only deterministic
-//! content** (digests, event counts, the identical verdict), so CI can
-//! byte-diff it across machines and `--shards` settings; wall-clock
-//! times and speedups go to stdout only, because they are a property of
-//! the machine, not of the simulation.
+//! stats + canonical span-stream hash) and identical event totals for
+//! every shard count. The graph is connected, so every multi-shard run
+//! synchronizes: windows as wide as the shortest cross-shard link, events
+//! handed over through the outboxes. The committed artifact
+//! `results/BENCH_sharded.json` contains **only deterministic content**
+//! (digests, event counts, per-shard load, the identical verdict), so CI
+//! can byte-diff it across machines and `--shards` settings; wall-clock
+//! times go to stdout and to the sidecar `BENCH_sharded.timing.json`
+//! next to it, which is never byte-compared, because they are a property
+//! of the machine, not of the simulation.
 //!
 //! Exits nonzero if any shard count disagrees with the single-shard
 //! reference — that is the determinism gate the suite exists for.
 
+use crate::scalability::{Tier, SMALL_TIERS};
 use crate::util::{fmt, json_escape_free, out_dir, print_table};
 use std::path::PathBuf;
 use std::time::Instant;
-use tango::mesh::{vultr_replica_mesh, MeshOptions};
-use tango::prelude::SimTime;
+use tango::npop::NPopMesh;
 use tango_obs::Registry;
 use tango_sim::{ShardLoad, ShardMode};
 
-/// App-packet spacing of the injected mesh load, simulated time.
-const PACKET_GAP_NS: u64 = 50_000;
-
-/// Span ring capacity per shard (the digest hashes the canonical span
-/// stream and rejects a wrapped ring, so it must cover the horizon).
-const SPAN_CAPACITY: usize = 1 << 20;
+/// The mesh under the sweep: B5's second tier, so `--packets 256` is
+/// that tier's traffic phase to the byte.
+pub const TIER: Tier = SMALL_TIERS[1];
 
 /// Options for the shard-scaling sweep.
 pub struct ShardedOptions {
-    /// Replicas in the mesh (AS count = 9 × replicas).
-    pub replicas: usize,
-    /// App packets injected across the mesh (round-robin over replicas,
-    /// alternating direction).
-    pub packets: u64,
+    /// Host packets injected across the mesh (round-robin over the PoP
+    /// pairs, alternating direction).
+    pub packets: u32,
     /// Shard counts to sweep; the first is the reference.
     pub shard_counts: Vec<usize>,
-    /// Simulation seed.
+    /// Generator + simulator seed.
     pub seed: u64,
     /// Execution mode for multi-shard runs (`Auto` threads when the
     /// machine has cores to spare; `Serial`/`Threaded` force it).
@@ -53,7 +51,6 @@ pub struct ShardedOptions {
 impl Default for ShardedOptions {
     fn default() -> Self {
         ShardedOptions {
-            replicas: 8,
             packets: 20_000,
             shard_counts: vec![1, 2, 4, 8],
             seed: 1,
@@ -69,6 +66,9 @@ pub struct ShardRun {
     pub shards: usize,
     /// Shards the partition actually produced (clamped to node count).
     pub effective_shards: usize,
+    /// Whether the shards ran on worker threads (`mode` resolved against
+    /// the partition and this machine; timing sidecar only).
+    pub threaded: bool,
     /// Wall-clock nanoseconds for the simulation (excludes build).
     pub wall_ns: u64,
     /// Simulator events processed.
@@ -81,35 +81,44 @@ pub struct ShardRun {
     pub load: Vec<ShardLoad>,
 }
 
-/// Build the mesh, inject the load, run to the horizon, fingerprint.
-pub fn run_one(options: &ShardedOptions, shards: usize) -> ShardRun {
-    let mut mesh = vultr_replica_mesh(&MeshOptions {
-        replicas: options.replicas,
-        seed: options.seed,
-        shards,
-        shard_mode: options.mode,
-        span_capacity: SPAN_CAPACITY,
-    })
-    .expect("mesh provisions");
-    let mut t = SimTime::from_ms(1);
-    for i in 0..options.packets {
-        let replica = (i as usize) % options.replicas;
-        mesh.send_app_packet(t, replica, i % 2 == 0, (i % 4096) as u16);
-        t += SimTime(PACKET_GAP_NS);
+impl ShardRun {
+    /// Injected packets per wall-clock second of the run.
+    fn pkts_per_s(&self, packets: u32) -> f64 {
+        f64::from(packets) * 1e9 / self.wall_ns.max(1) as f64
     }
-    let horizon = t + SimTime::from_ms(100);
+}
+
+/// Build the routed simulator at `shards`, inject the load, run to the
+/// horizon (the only timed part), fingerprint.
+pub fn run_one(mesh: &NPopMesh, options: &ShardedOptions, shards: usize) -> ShardRun {
+    let (mut sim, _) = mesh
+        .routed_sim(options.packets, shards, options.mode)
+        .expect("forwarding tables build");
+    let horizon = mesh.inject(&mut sim, options.packets);
     #[allow(clippy::disallowed_methods)] // bench wall-clock: timing is the product here
     let started = Instant::now();
-    let events = mesh.sim.run_until(horizon);
+    let events = sim.run_until(horizon);
     let wall_ns = started.elapsed().as_nanos() as u64;
     ShardRun {
         shards,
-        effective_shards: mesh.sim.shard_count(),
+        effective_shards: sim.shard_count(),
+        threaded: sim.is_threaded(),
         wall_ns,
         events,
-        digest: mesh.sim.digest(),
-        load: mesh.sim.shard_load(),
+        digest: sim.digest(),
+        load: sim.shard_load(),
     }
+}
+
+/// Converge the mesh once and run it under every shard count of the
+/// sweep (the testable core of [`report`]).
+pub fn sweep(options: &ShardedOptions) -> Vec<ShardRun> {
+    let mesh = NPopMesh::converge(TIER.ases, TIER.pops, options.seed).expect("mesh converges");
+    options
+        .shard_counts
+        .iter()
+        .map(|&s| run_one(&mesh, options, s))
+        .collect()
 }
 
 /// Export every run's [`ShardLoad`] into a `tango-obs` registry
@@ -170,11 +179,12 @@ pub fn to_json(options: &ShardedOptions, runs: &[ShardRun], identical: bool) -> 
         ));
     }
     format!(
-        "{{\n  \"schema\": \"tango-bench/sharded/v1\",\n  \"scenario\": \"{}\",\n  \
-         \"replicas\": {},\n  \"packets\": {},\n  \"seed\": {},\n  \
+        "{{\n  \"schema\": \"tango-bench/sharded/v2\",\n  \"scenario\": \"{}\",\n  \
+         \"ases\": {},\n  \"pops\": {},\n  \"packets\": {},\n  \"seed\": {},\n  \
          \"identical\": {},\n  \"runs\": [\n{}\n  ]\n}}\n",
-        json_escape_free("vultr-replica-mesh"),
-        options.replicas,
+        json_escape_free("internet-npop-mesh"),
+        TIER.ases,
+        TIER.pops,
         options.packets,
         options.seed,
         identical,
@@ -182,23 +192,44 @@ pub fn to_json(options: &ShardedOptions, runs: &[ShardRun], identical: bool) -> 
     )
 }
 
+/// Render the machine-dependent companion of [`to_json`]: the cores the
+/// host offered, then one row per run with its resolved execution mode,
+/// wall-clock, packets per second and wall-clock as a multiple of the
+/// reference (first) run's. Never byte-compared.
+pub fn timing_json(options: &ShardedOptions, runs: &[ShardRun]) -> String {
+    let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let reference_ns = runs.first().map_or(1, |r| r.wall_ns.max(1));
+    let rows: Vec<String> = runs
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{\"shards\": {}, \"effective_shards\": {}, \"mode\": \"{}\", \
+                 \"wall_ms\": {}, \"pkts_per_s\": {}, \"wall_ratio\": {}}}",
+                r.shards,
+                r.effective_shards,
+                if r.threaded { "threaded" } else { "serial" },
+                fmt(r.wall_ns as f64 / 1e6, 1),
+                fmt(r.pkts_per_s(options.packets), 0),
+                fmt(r.wall_ns as f64 / reference_ns as f64, 2),
+            )
+        })
+        .collect();
+    format!(
+        "{{\n  \"schema\": \"tango-bench/sharded-timing/v1\",\n  \"cores\": {cores},\n  \
+         \"runs\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n")
+    )
+}
+
 /// The `experiments sharded` entry point. Returns the process exit code
 /// (nonzero when any shard count's results diverge from the reference).
 pub fn report(options: &ShardedOptions) -> i32 {
     println!(
-        "sharded — one {}-replica Vultr mesh ({} ASes), {} app packets, seed {}, \
+        "sharded — one connected {}-AS / {}-PoP mesh, {} host packets, seed {}, \
          shard counts {:?}\n",
-        options.replicas,
-        options.replicas * 9,
-        options.packets,
-        options.seed,
-        options.shard_counts
+        TIER.ases, TIER.pops, options.packets, options.seed, options.shard_counts
     );
-    let runs: Vec<ShardRun> = options
-        .shard_counts
-        .iter()
-        .map(|&s| run_one(options, s))
-        .collect();
+    let runs = sweep(options);
     let reference = &runs[0];
     let identical = runs
         .iter()
@@ -210,7 +241,7 @@ pub fn report(options: &ShardedOptions) -> i32 {
             r.effective_shards.to_string(),
             r.events.to_string(),
             fmt(r.wall_ns as f64 / 1e6, 1),
-            fmt(options.packets as f64 / (r.wall_ns as f64 / 1e9), 0),
+            fmt(r.pkts_per_s(options.packets), 0),
             fmt(reference.wall_ns as f64 / r.wall_ns as f64, 2),
             if r.digest == reference.digest {
                 "yes"
@@ -234,7 +265,8 @@ pub fn report(options: &ShardedOptions) -> i32 {
     );
     println!(
         "\n(wall-clock columns depend on this machine's free cores and are NOT part \
-         of the artifact; the committed JSON holds only the deterministic fields)"
+         of the artifact; the committed JSON holds only the deterministic fields, \
+         the timing sidecar the rest)"
     );
 
     // The engine self-profiler: per-shard load for the widest partition
@@ -297,9 +329,12 @@ pub fn report(options: &ShardedOptions) -> i32 {
         snap.counters.len() + snap.gauges.len()
     );
 
-    let path = out_dir(&options.out).join("BENCH_sharded.json");
+    let dir = out_dir(&options.out);
+    let path = dir.join("BENCH_sharded.json");
     std::fs::write(&path, to_json(options, &runs, identical)).expect("write BENCH_sharded json");
-    println!("written to {}", path.display());
+    let timing = dir.join("BENCH_sharded.timing.json");
+    std::fs::write(&timing, timing_json(options, &runs)).expect("write BENCH_sharded timing json");
+    println!("written to {} (+ {})", path.display(), timing.display());
     if !identical {
         eprintln!(
             "FAIL: shard counts disagree — digests/events must be bit-identical \
@@ -321,7 +356,6 @@ mod tests {
 
     fn tiny() -> ShardedOptions {
         ShardedOptions {
-            replicas: 2,
             packets: 64,
             shard_counts: vec![1, 2],
             seed: 5,
@@ -332,12 +366,7 @@ mod tests {
 
     #[test]
     fn sweep_is_identical_across_shard_counts() {
-        let options = tiny();
-        let runs: Vec<ShardRun> = options
-            .shard_counts
-            .iter()
-            .map(|&s| run_one(&options, s))
-            .collect();
+        let runs = sweep(&tiny());
         assert_eq!(runs[0].digest, runs[1].digest);
         assert_eq!(runs[0].events, runs[1].events);
         // The self-profiler accounts for every dispatched event, and its
@@ -347,31 +376,50 @@ mod tests {
             assert_eq!(r.load.len(), r.effective_shards);
             assert_eq!(r.load.iter().map(|l| l.events).sum::<u64>(), r.events);
         }
-        let serial = run_one(
-            &ShardedOptions {
-                mode: ShardMode::Serial,
-                ..tiny()
-            },
-            2,
-        );
-        let threaded = run_one(
-            &ShardedOptions {
-                mode: ShardMode::Threaded,
-                ..tiny()
-            },
-            2,
-        );
+        // The mesh is connected: two shards must synchronize — more than
+        // one window each, and events crossing between them.
+        let two = &runs[1];
+        assert!(two.load.iter().map(|l| l.windows).sum::<u64>() > 2);
+        assert!(two.load.iter().map(|l| l.outbox_events).sum::<u64>() > 0);
+        let mesh = NPopMesh::converge(TIER.ases, TIER.pops, tiny().seed).expect("mesh converges");
+        let forced = |mode| run_one(&mesh, &ShardedOptions { mode, ..tiny() }, 2);
+        let (serial, threaded) = (forced(ShardMode::Serial), forced(ShardMode::Threaded));
+        assert!(!serial.threaded && threaded.threaded);
         assert_eq!(
             serial.load, threaded.load,
             "profiler must be mode-invariant"
         );
+        assert_eq!(serial.digest, threaded.digest);
     }
 
-    #[cfg(feature = "obs")]
+    /// `sharded --packets 256 --seed 1` is the traffic phase of B5's
+    /// 300-AS tier: same mesh, same injection, so the same digest as the
+    /// golden row (which ran behind a full discovery phase).
+    #[test]
+    fn default_seed_at_256_packets_matches_the_golden_scalability_row() {
+        let golden = include_str!("../../../tests/golden/BENCH_scalability_small.json");
+        let row = golden
+            .split("{\"ases\": ")
+            .find(|row| row.starts_with(&format!("{}, \"pops\": {},", TIER.ases, TIER.pops)))
+            .expect("the golden has the tier's row");
+        let runs = sweep(&ShardedOptions {
+            packets: 256,
+            shard_counts: vec![1, 4],
+            ..ShardedOptions::default()
+        });
+        for r in &runs {
+            let field = format!("\"traffic_digest\": \"{}\"", r.digest);
+            assert!(row.contains(&field), "{field} not in {row}");
+        }
+    }
+
     #[test]
     fn profiler_flows_through_a_tango_obs_registry() {
-        let options = tiny();
-        let runs = vec![run_one(&options, 2)];
+        let options = ShardedOptions {
+            shard_counts: vec![2],
+            ..tiny()
+        };
+        let runs = sweep(&options);
         let registry = Registry::new();
         publish_load(&registry, &runs);
         let snap = registry.snapshot();
@@ -388,12 +436,19 @@ mod tests {
     #[test]
     fn artifact_has_no_wall_clock_fields() {
         let options = tiny();
-        let runs = vec![run_one(&options, 1)];
+        let runs = sweep(&options);
         let json = to_json(&options, &runs, true);
         assert!(
             !json.contains("wall"),
             "artifact must stay machine-independent"
         );
+        assert!(json.contains("\"schema\": \"tango-bench/sharded/v2\""));
+        assert!(json.contains("\"ases\": 300,\n  \"pops\": 16,"));
         assert!(json.contains("\"identical\": true"));
+        // The sidecar is where the wall-clock goes: a row per run.
+        let timing = timing_json(&options, &runs);
+        assert!(timing.contains("\"schema\": \"tango-bench/sharded-timing/v1\""));
+        assert_eq!(timing.matches("\"wall_ms\"").count(), runs.len());
+        assert!(timing.contains("{\"shards\": 1, \"effective_shards\": 1, \"mode\": \"serial\","));
     }
 }

@@ -140,10 +140,6 @@ fn counter(snap: &Snapshot, name: &str) -> u64 {
 /// The `experiments telemetry` entry point. Returns the process exit
 /// code.
 pub fn report(options: &TelemetryOptions) -> i32 {
-    if cfg!(not(feature = "obs")) {
-        eprintln!("error: `experiments telemetry` needs the `obs` feature (on by default)");
-        return 2;
-    }
     println!(
         "telemetry — {SCENARIO}: path 2 dies at {} s for {} s; health-gated \
          lowest-OWD both sides, app packet each way every {} ms; seeds {:?}\n",
@@ -196,7 +192,7 @@ pub fn report(options: &TelemetryOptions) -> i32 {
     0
 }
 
-#[cfg(all(test, feature = "obs"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -265,10 +265,6 @@ pub fn run_query(spans: &[Span], q: &str) -> Result<(), String> {
 
 /// The `experiments trace` entry point. Returns the process exit code.
 pub fn report(options: &TraceOptions) -> i32 {
-    if cfg!(not(feature = "trace")) {
-        eprintln!("error: `experiments trace` needs the `trace` feature (on by default)");
-        return 2;
-    }
     println!(
         "trace — {SCENARIO}: path 2 dies at {} ms for {} ms; health-gated \
          lowest-OWD both sides, {} ms probes, spans armed; seeds {:?}\n",
@@ -347,7 +343,7 @@ pub fn report(options: &TraceOptions) -> i32 {
     0
 }
 
-#[cfg(all(test, feature = "trace"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -401,7 +401,7 @@ impl HealthGated {
 
     /// Export health telemetry into `registry` under `health.<scope>.…`
     /// (scope is typically the local AS number). Transition counters and
-    /// time-in-state histograms; free when the `obs` feature is off.
+    /// time-in-state histograms.
     pub fn with_obs(mut self, registry: &Registry, scope: &str) -> Self {
         self.obs = Some(HealthObs::new(registry, scope));
         self
@@ -878,7 +878,6 @@ mod tests {
         assert_eq!(g.state(1), HealthState::Probing);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn obs_counts_transitions_and_time_in_state() {
         use crate::policy::LowestOwdPolicy;

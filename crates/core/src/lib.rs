@@ -30,10 +30,13 @@
 //! |---|---|
 //! | [`tango_net`] | wire formats (IPv4/IPv6/UDP/Tango header), CIDRs, LPM trie |
 //! | [`tango_topology`] | AS graph, link delay/jitter/loss models, wide-area events, the calibrated Vultr scenario |
-//! | [`tango_bgp`] | BGP speakers/RIBs/policy, propagation engine, communities, poisoning, RFC 4271 wire format |
+//! | [`tango_bgp`] | BGP speakers/RIBs/policy, propagation engine, communities, poisoning (typed routes in memory, no wire format) |
 //! | [`tango_sim`] | deterministic discrete-event simulator, unsynchronized clocks, ECMP, fault injection |
 //! | [`tango_dataplane`] | the border-switch programs: encap/decap, timestamps, sequence numbers, per-path stats |
+//! | [`tango_measure`] | one-way-delay statistics: interval averages, rolling jitter, loss/reordering from sequence numbers, EWMA, percentiles |
 //! | [`tango_control`] | §4.1 path discovery, prefix/tunnel provisioning, selection policies |
+//! | [`tango_obs`] | deterministic metrics: counters, gauges, fixed-bucket histograms, byte-stable snapshots |
+//! | [`tango_trace`] | causal span tracing: the one packet-incident record, its ring, exporters and queries |
 //!
 //! See `DESIGN.md` for the substitution table (what the paper's physical
 //! testbed provided vs. what is simulated here) and `EXPERIMENTS.md` for
@@ -44,7 +47,6 @@
 
 pub mod chaos;
 pub mod invariant;
-pub mod mesh;
 pub mod npop;
 pub mod pairing;
 pub mod vultr;
@@ -56,8 +58,9 @@ pub use chaos::{
 pub use invariant::{
     check, check_pairing, check_pairing_flight, InvariantReport, SideEvidence, Violation,
 };
-pub use mesh::{vultr_replica_mesh, MeshOptions, MeshSim};
-pub use npop::{run_npop, NPopError, NPopOptions, NPopOutcome, PairOutcome};
+pub use npop::{
+    run_npop, NPopError, NPopMesh, NPopOptions, NPopOutcome, PairOutcome, TrafficOutcome,
+};
 pub use pairing::{health_code, FlightDump, PairingError, PairingOptions, Side, TangoPairing};
 pub use vultr::{vultr_pairing, vultr_pairing_with_events};
 

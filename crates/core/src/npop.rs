@@ -1,47 +1,57 @@
 //! The internet-scale Tango-of-N mesh: N edge PoPs on a generated
 //! scale-free AS graph, every pair running §4.1 path discovery.
 //!
-//! [`crate::mesh`] scales the *simulator* by replicating the small Vultr
-//! scenario; this module scales the *control plane*: one connected
-//! Gao-Rexford topology of hundreds to thousands of ASes
+//! One connected Gao-Rexford topology of hundreds to thousands of ASes
 //! ([`GenParams::internet`]), N Tango-capable edge sites, and the full
 //! all-pairs discovery workload the paper's §6 sketches for "Tango
-//! networks of N participants". The run has three phases:
+//! networks of N participants". The run has three phases, each a method
+//! of [`NPopMesh`] so a caller can stop after, repeat, or time any one:
 //!
-//! 1. **Mesh convergence** — every PoP announces one /48 host prefix;
-//!    one BGP convergence installs all-pairs reachability.
-//! 2. **All-pairs discovery** — for each unordered PoP pair, the
-//!    suppress-and-observe loop of [`tango_control::discover_paths`]
-//!    enumerates the wide-area paths BGP can be coaxed into exposing.
-//!    Every observed path is checked against the Gao-Rexford valley-free
-//!    property ([`tango_bgp::policy::path_is_valley_free`]), and its
+//! 1. **Mesh convergence** ([`NPopMesh::converge`]) — every PoP
+//!    announces one /48 host prefix; one BGP convergence installs
+//!    all-pairs reachability.
+//! 2. **All-pairs discovery** ([`NPopMesh::discover`]) — for each
+//!    unordered PoP pair, the suppress-and-observe loop of
+//!    [`tango_control::discover_paths`] enumerates the wide-area paths
+//!    BGP can be coaxed into exposing. Every observed path is checked
+//!    against the Gao-Rexford valley-free property
+//!    ([`tango_bgp::policy::path_is_valley_free`]), and its
 //!    propagation-delay stretch vs the BGP default is recorded.
-//! 3. **Traffic** — a [`NetworkSim`] over the same graph (sharded, any
-//!    shard count bit-identical) forwards host packets between the PoPs
-//!    through per-node longest-prefix-match [`RouterAgent`]s.
+//! 3. **Traffic** ([`NPopMesh::routed_sim`] + [`NPopMesh::inject`], or
+//!    [`NPopMesh::run_traffic`] for both and the run) — a [`NetworkSim`]
+//!    over the same graph (sharded, any shard count bit-identical)
+//!    forwards host packets between the PoPs through per-node
+//!    longest-prefix-match [`RouterAgent`]s. Discovery withdraws every
+//!    probe it announces, so the phase sees the same forwarding tables
+//!    with or without phase 2.
 //!
-//! Everything observable is folded into a deterministic digest so the
-//! scalability sweep (`experiments scalability`) can assert bit-identity
-//! across runs and shard counts.
+//! [`run_npop`] is the three in order. Everything observable is folded
+//! into a deterministic digest so the scalability sweep (`experiments
+//! scalability`) can assert bit-identity across runs and shard counts.
 
 use std::collections::BTreeSet;
+use std::net::Ipv6Addr;
 
 use tango_bgp::engine::RibStats;
 use tango_bgp::policy::path_is_valley_free;
 use tango_bgp::{BgpEngine, EngineError};
 use tango_control::{discover_paths, DiscoveryError};
-use tango_net::{IpCidr, Ipv6Packet, Ipv6Repr};
+use tango_net::IpCidr;
 use tango_obs::Registry;
 use tango_sim::{NetworkSim, Packet, RouterAgent, ShardMode, SimConfig, SimTime};
 use tango_topology::gen::{try_generate, GenError, GenParams};
-use tango_topology::AsId;
+use tango_topology::{AsId, Topology};
 
 /// App payload bytes per injected packet in the traffic phase.
 const PAYLOAD_BYTES: usize = 64;
 
-/// Hop limit of every injected packet: bounds a packet's hops, and with
-/// them the spans it can leave in the traffic phase's ring.
-const HOP_LIMIT: u8 = 64;
+/// First injection instant and the gap between injections.
+const INJECT_START: SimTime = SimTime::from_ms(1);
+const INJECT_GAP: SimTime = SimTime::from_us(250);
+
+/// How long after the last injection the traffic phase runs: far above
+/// any valley-free path's latency, so every packet reaches its verdict.
+const DRAIN: SimTime = SimTime::from_secs(3);
 
 /// Host prefixes live at `2001:db8:1000+i::/48`, probe prefixes at
 /// `2001:db8:2000+i::/48` — disjoint spaces, one slot per PoP index.
@@ -59,10 +69,9 @@ pub struct NPopOptions {
     pub seed: u64,
     /// Per-pair discovery bound (paths probed before giving up).
     pub max_paths: usize,
-    /// Traffic-phase simulator shards (any value is bit-identical).
+    /// Traffic-phase simulator shards (any value is bit-identical;
+    /// multi-shard runs execute [`ShardMode::Serial`]).
     pub shards: usize,
-    /// Execution mode for multi-shard runs.
-    pub shard_mode: ShardMode,
     /// Host packets injected in the traffic phase, spread round-robin
     /// over the PoP pairs in alternating directions (0 skips the phase).
     pub traffic_packets: u32,
@@ -76,7 +85,6 @@ impl Default for NPopOptions {
             seed: 1,
             max_paths: 8,
             shards: 1,
-            shard_mode: ShardMode::Auto,
             traffic_packets: 128,
         }
     }
@@ -196,6 +204,14 @@ pub fn host_prefix(i: usize) -> IpCidr {
         .expect("static prefix template")
 }
 
+/// Host number `host` inside PoP `i`'s host prefix.
+fn host_addr(i: usize, host: u128) -> Ipv6Addr {
+    match host_prefix(i) {
+        IpCidr::V6(c) => c.host(host).expect("a /48 holds every host number used"),
+        IpCidr::V4(_) => unreachable!("host prefixes are IPv6"),
+    }
+}
+
 /// PoP `i`'s discovery probe prefix.
 pub fn probe_prefix(i: usize) -> IpCidr {
     format!("2001:db8:{:x}::/48", PROBE_HEXTET_BASE + i)
@@ -284,223 +300,266 @@ impl NPopOutcome {
     }
 }
 
-/// Run the full N-PoP workload: generate, converge, discover all
-/// pairs, then (optionally) forward traffic. See the module docs.
-pub fn run_npop(options: &NPopOptions) -> Result<NPopOutcome, NPopError> {
-    if options.pops < 2 || options.pops > 256 {
-        return Err(NPopError::BadPopCount(options.pops));
-    }
-    let generated = try_generate(&GenParams::internet(
-        options.ases,
-        options.pops,
-        options.seed,
-    ))?;
-    let graph_digest = generated.digest();
-    let topology = generated.topology;
-    let pops = generated.edge_sites;
+/// The traffic phase's result (all-default when the phase was skipped).
+/// Bit-identical across shard counts and execution modes.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TrafficOutcome {
+    /// Total FIB entries installed across all nodes.
+    pub fib_entries: u64,
+    /// [`NetworkSim::digest`] at the horizon.
+    pub digest: String,
+    /// Packets handed to receiving agents.
+    pub deliveries: u64,
+    /// Hop-limit expiries.
+    pub ttl_expired: u64,
+}
 
-    let registry = Registry::new();
-    let mut engine = BgpEngine::new(topology.clone());
-    engine.set_obs(&registry);
-    engine.set_rib_obs(&registry);
-    // PoPs are their own borders: they must honor the action
-    // communities their announcements carry for suppression to bite.
-    for &pop in &pops {
-        engine.set_honor_actions(pop, true)?;
-    }
+/// A converged N-PoP mesh: phase 1's product, the value phases 2 and 3
+/// run on (see the module docs).
+pub struct NPopMesh {
+    topology: Topology,
+    pops: Vec<AsId>,
+    graph_digest: u64,
+    seed: u64,
+    engine: BgpEngine,
+    /// Private registry the engine reports its control-plane totals to.
+    registry: Registry,
+    mesh_rounds: usize,
+    reachable_routes: usize,
+}
 
-    // Phase 1: mesh convergence over every PoP's host prefix.
-    for (i, &pop) in pops.iter().enumerate() {
-        engine.announce(pop, host_prefix(i), BTreeSet::new())?;
-    }
-    let mesh_rounds = engine.converge()?;
-    let mut reachable_routes = 0usize;
-    for (i, &a) in pops.iter().enumerate() {
-        for (j, _) in pops.iter().enumerate() {
-            if i != j && engine.as_path(a, host_prefix(j)).is_some() {
-                reachable_routes += 1;
+impl NPopMesh {
+    /// Phase 1: generate the `ases`-AS graph with `pops` edge PoPs,
+    /// announce every PoP's host prefix and converge.
+    pub fn converge(ases: usize, pops: usize, seed: u64) -> Result<Self, NPopError> {
+        if !(2..=256).contains(&pops) {
+            return Err(NPopError::BadPopCount(pops));
+        }
+        let generated = try_generate(&GenParams::internet(ases, pops, seed))?;
+        let graph_digest = generated.digest();
+        let topology = generated.topology;
+        let pops = generated.edge_sites;
+
+        let registry = Registry::new();
+        let mut engine = BgpEngine::new(topology.clone());
+        engine.set_obs(&registry);
+        engine.set_rib_obs(&registry);
+        // PoPs are their own borders: they must honor the action
+        // communities their announcements carry for suppression to bite.
+        for &pop in &pops {
+            engine.set_honor_actions(pop, true)?;
+        }
+        for (i, &pop) in pops.iter().enumerate() {
+            engine.announce(pop, host_prefix(i), BTreeSet::new())?;
+        }
+        let mesh_rounds = engine.converge()?;
+        let mut reachable_routes = 0usize;
+        for (i, &a) in pops.iter().enumerate() {
+            for j in 0..pops.len() {
+                if i != j && engine.as_path(a, host_prefix(j)).is_some() {
+                    reachable_routes += 1;
+                }
             }
         }
+        Ok(NPopMesh {
+            topology,
+            pops,
+            graph_digest,
+            seed,
+            engine,
+            registry,
+            mesh_rounds,
+            reachable_routes,
+        })
     }
 
-    // Phase 2: all-pairs discovery. The engine's convergence is
-    // incremental, so each step's cost tracks the announced delta (one
-    // probe prefix), not the graph size.
-    let mut pairs = Vec::new();
-    let mut unreachable_pairs = 0usize;
-    for i in 0..pops.len() {
-        for j in (i + 1)..pops.len() {
-            let (observer, announcer) = (pops[i], pops[j]);
-            let discovered = match discover_paths(
-                &mut engine,
-                announcer,
-                observer,
-                probe_prefix(j),
-                &[announcer, observer],
-                options.max_paths,
-            ) {
-                Ok(d) => d,
-                Err(DiscoveryError::NoPathAtAll | DiscoveryError::DegeneratePath) => {
-                    unreachable_pairs += 1;
-                    pairs.push(PairOutcome {
-                        a: observer,
-                        b: announcer,
-                        paths: 0,
-                        valley_violations: 0,
-                        default_delay_ns: 0,
-                        best_delay_ns: 0,
-                        stretch_x1000: 0,
-                    });
-                    continue;
-                }
-                Err(DiscoveryError::Engine(e)) => return Err(NPopError::Engine(e)),
-            };
-            let mut valley_violations = 0usize;
-            let mut delays = Vec::with_capacity(discovered.len());
-            for path in &discovered {
-                // Traffic direction: observer, then the AS path it
-                // observed (nearest AS first, announcer last).
-                let mut nodes = Vec::with_capacity(path.as_path.len() + 1);
-                nodes.push(observer);
-                nodes.extend_from_slice(&path.as_path);
-                if !path_is_valley_free(&topology, &nodes) {
-                    valley_violations += 1;
-                }
-                match topology.path_base_delay_ns(&nodes) {
-                    Some(d) => delays.push(d),
-                    None => valley_violations += 1, // non-adjacent hop: impossible path
-                }
+    /// Phase 2: all-pairs discovery, in `(i, j)` iteration order. The
+    /// engine's convergence is incremental, so each step's cost tracks
+    /// the announced delta (one probe prefix), not the graph size.
+    pub fn discover(&mut self, max_paths: usize) -> Result<Vec<PairOutcome>, NPopError> {
+        let mut pairs = Vec::new();
+        for i in 0..self.pops.len() {
+            for j in (i + 1)..self.pops.len() {
+                pairs.push(self.discover_pair(i, j, max_paths)?);
             }
-            let default_delay_ns = delays.first().copied().unwrap_or(0);
-            let best_delay_ns = delays.iter().copied().min().unwrap_or(0);
-            let stretch_x1000 = default_delay_ns
-                .saturating_mul(1000)
-                .checked_div(best_delay_ns)
-                .unwrap_or(0);
-            pairs.push(PairOutcome {
-                a: observer,
-                b: announcer,
-                paths: discovered.len(),
-                valley_violations,
-                default_delay_ns,
-                best_delay_ns,
-                stretch_x1000,
-            });
         }
+        Ok(pairs)
     }
 
-    // Control-plane totals from the private registry.
-    let snap = registry.snapshot();
-    let converges = snap.counters.get("bgp.converges").copied().unwrap_or(0);
-    let updates_processed = snap
-        .counters
-        .get("bgp.updates_processed")
-        .copied()
-        .unwrap_or(0);
-    let convergence_rounds = snap
-        .histograms
-        .get("bgp.convergence.rounds")
-        .map(|h| h.sum)
-        .unwrap_or(0);
-    let peak_routes = snap.gauges.get("bgp.rib.peak_routes").copied().unwrap_or(0);
-    let rib = engine.rib_stats();
-    // Scale the measured bytes per route of the final tables (shared
-    // advertisements counted once) to the peak entry count.
-    let rib_bytes_est =
-        peak_routes.saturating_mul(engine.rib_heap_bytes() / (rib.total() as u64).max(1));
+    /// Probe the paths PoP `i` observes toward PoP `j`'s announcement.
+    fn discover_pair(
+        &mut self,
+        i: usize,
+        j: usize,
+        max_paths: usize,
+    ) -> Result<PairOutcome, NPopError> {
+        let (observer, announcer) = (self.pops[i], self.pops[j]);
+        let discovered = match discover_paths(
+            &mut self.engine,
+            announcer,
+            observer,
+            probe_prefix(j),
+            &[announcer, observer],
+            max_paths,
+        ) {
+            Ok(d) => d,
+            // An unreachable pair is a result, not a failure: 0 paths.
+            Err(DiscoveryError::NoPathAtAll | DiscoveryError::DegeneratePath) => Vec::new(),
+            Err(DiscoveryError::Engine(e)) => return Err(NPopError::Engine(e)),
+        };
+        let mut valley_violations = 0usize;
+        let mut delays = Vec::with_capacity(discovered.len());
+        for path in &discovered {
+            // Traffic direction: observer, then the AS path it
+            // observed (nearest AS first, announcer last).
+            let mut nodes = Vec::with_capacity(path.as_path.len() + 1);
+            nodes.push(observer);
+            nodes.extend_from_slice(&path.as_path);
+            if !path_is_valley_free(&self.topology, &nodes) {
+                valley_violations += 1;
+            }
+            match self.topology.path_base_delay_ns(&nodes) {
+                Some(d) => delays.push(d),
+                None => valley_violations += 1, // non-adjacent hop: impossible path
+            }
+        }
+        let default_delay_ns = delays.first().copied().unwrap_or(0);
+        let best_delay_ns = delays.iter().copied().min().unwrap_or(0);
+        let stretch_x1000 = default_delay_ns
+            .saturating_mul(1000)
+            .checked_div(best_delay_ns)
+            .unwrap_or(0);
+        Ok(PairOutcome {
+            a: observer,
+            b: announcer,
+            paths: discovered.len(),
+            valley_violations,
+            default_delay_ns,
+            best_delay_ns,
+            stretch_x1000,
+        })
+    }
 
-    // Phase 3: traffic over the converged mesh.
-    let mut fib_entries = 0u64;
-    let mut traffic_digest = String::new();
-    let mut deliveries = 0u64;
-    let mut ttl_expired = 0u64;
-    if options.traffic_packets > 0 {
+    /// Phase 3, built: a simulator over the mesh's graph, every node a
+    /// [`RouterAgent`] over its converged FIB, plus the total FIB entry
+    /// count. The span ring is sized so a run of `packets` injected
+    /// packets never wraps it.
+    pub fn routed_sim(
+        &self,
+        packets: u32,
+        shards: usize,
+        shard_mode: ShardMode,
+    ) -> Result<(NetworkSim, u64), NPopError> {
         let mut sim = NetworkSim::new(
-            topology.clone(),
+            self.topology.clone(),
             SimConfig {
-                seed: options.seed,
+                seed: self.seed,
                 // Every packet leaves at most one inject, a tx + deliver
                 // per hop, and one drop — so the digest's ring never wraps
                 // (it allocates lazily: the bound costs nothing).
-                span_capacity: options.traffic_packets as usize * (2 * HOP_LIMIT as usize + 2),
-                shards: options.shards,
-                shard_mode: options.shard_mode,
+                span_capacity: packets as usize * (2 * usize::from(Packet::HOST_HOP_LIMIT) + 2),
+                shards,
+                shard_mode,
                 ..SimConfig::default()
             },
         );
-        for node in topology.nodes() {
-            let table = engine.forwarding_table(node.id)?;
+        let mut fib_entries = 0u64;
+        for node in self.topology.nodes() {
+            let table = self.engine.forwarding_table(node.id)?;
             fib_entries += table.len() as u64;
             sim.set_agent(node.id, Box::new(RouterAgent::new(node.id, table)));
         }
-        registry.gauge("npop.fib.entries").set(fib_entries);
-        let pair_list: Vec<(usize, usize)> = (0..pops.len())
-            .flat_map(|i| ((i + 1)..pops.len()).map(move |j| (i, j)))
-            .collect();
-        let mut t = SimTime::from_ms(1);
-        for k in 0..options.traffic_packets {
-            let (i, j) = pair_list[(k as usize) % pair_list.len()];
-            let (src, dst) = if k % 2 == 0 { (i, j) } else { (j, i) };
-            send_host_packet(&mut sim, &pops, src, dst, t, k as u16);
-            t += SimTime::from_us(250);
-        }
-        sim.run_until(SimTime::from_secs(3));
-        let stats = sim.stats();
-        deliveries = stats.deliveries;
-        ttl_expired = stats.ttl_expired;
-        traffic_digest = sim.digest();
+        Ok((sim, fib_entries))
     }
 
-    Ok(NPopOutcome {
-        pops,
-        graph_digest,
-        pairs,
-        unreachable_pairs,
-        reachable_routes,
-        mesh_rounds,
-        converges,
-        convergence_rounds,
-        updates_processed,
-        rib,
-        peak_routes,
-        rib_bytes_est,
-        fib_entries,
-        traffic_digest,
-        deliveries,
-        ttl_expired,
-    })
+    /// Phase 3, loaded: schedule `packets` host packets round-robin over
+    /// the PoP pairs in alternating directions, one every 250 µs, and
+    /// return the horizon to [`NetworkSim::run_until`] — the last
+    /// injection plus a drain bound, so no packet count is cut short.
+    pub fn inject(&self, sim: &mut NetworkSim, packets: u32) -> SimTime {
+        let n = self.pops.len();
+        let pair_list: Vec<(usize, usize)> = (0..n)
+            .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+            .collect();
+        let mut t = INJECT_START;
+        for k in 0..packets {
+            let (i, j) = pair_list[(k as usize) % pair_list.len()];
+            let (src, dst) = if k % 2 == 0 { (i, j) } else { (j, i) };
+            // The source host number varies so flows spread over ECMP
+            // lanes deterministically.
+            let pkt = Packet::host(
+                host_addr(src, u128::from(k as u16) + 1),
+                host_addr(dst, 1),
+                PAYLOAD_BYTES,
+                0,
+                0,
+            );
+            sim.schedule_host_packet(t, self.pops[src], pkt);
+            t += INJECT_GAP;
+        }
+        t + DRAIN
+    }
+
+    /// Phase 3 end to end at `shards` serial shards: build, inject, run
+    /// to the horizon, fingerprint.
+    pub fn run_traffic(&self, packets: u32, shards: usize) -> Result<TrafficOutcome, NPopError> {
+        let (mut sim, fib_entries) = self.routed_sim(packets, shards, ShardMode::Serial)?;
+        let horizon = self.inject(&mut sim, packets);
+        sim.run_until(horizon);
+        Ok(TrafficOutcome {
+            fib_entries,
+            digest: sim.digest(),
+            deliveries: sim.stats().deliveries,
+            ttl_expired: sim.stats().ttl_expired,
+        })
+    }
+
+    /// Fold the phases' results and the engine's control-plane totals
+    /// into the run's [`NPopOutcome`].
+    pub fn outcome(&self, pairs: Vec<PairOutcome>, traffic: TrafficOutcome) -> NPopOutcome {
+        let snap = self.registry.snapshot();
+        let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
+        let peak_routes = snap.gauges.get("bgp.rib.peak_routes").copied().unwrap_or(0);
+        let rib = self.engine.rib_stats();
+        // Scale the measured bytes per route of the final tables (shared
+        // advertisements counted once) to the peak entry count.
+        let rib_bytes_est =
+            peak_routes.saturating_mul(self.engine.rib_heap_bytes() / (rib.total() as u64).max(1));
+        NPopOutcome {
+            pops: self.pops.clone(),
+            graph_digest: self.graph_digest,
+            unreachable_pairs: pairs.iter().filter(|p| p.paths == 0).count(),
+            pairs,
+            reachable_routes: self.reachable_routes,
+            mesh_rounds: self.mesh_rounds,
+            converges: counter("bgp.converges"),
+            convergence_rounds: snap
+                .histograms
+                .get("bgp.convergence.rounds")
+                .map(|h| h.sum)
+                .unwrap_or(0),
+            updates_processed: counter("bgp.updates_processed"),
+            rib,
+            peak_routes,
+            rib_bytes_est,
+            fib_entries: traffic.fib_entries,
+            traffic_digest: traffic.digest,
+            deliveries: traffic.deliveries,
+            ttl_expired: traffic.ttl_expired,
+        }
+    }
 }
 
-/// Inject one host packet from PoP `src` to PoP `dst`'s host prefix.
-fn send_host_packet(
-    sim: &mut NetworkSim,
-    pops: &[AsId],
-    src: usize,
-    dst: usize,
-    time: SimTime,
-    stream: u16,
-) {
-    let repr = Ipv6Repr {
-        src_addr: format!(
-            "2001:db8:{:x}::{:x}",
-            HOST_HEXTET_BASE + src,
-            u32::from(stream) + 1
-        )
-        .parse()
-        .expect("static address template"),
-        dst_addr: format!("2001:db8:{:x}::1", HOST_HEXTET_BASE + dst)
-            .parse()
-            .expect("static address template"),
-        next_header: 17,
-        payload_len: PAYLOAD_BYTES,
-        hop_limit: HOP_LIMIT,
-        traffic_class: 0,
-        flow_label: 0,
+/// Run the full N-PoP workload: converge, discover all pairs, then
+/// (optionally) forward traffic. See the module docs.
+pub fn run_npop(options: &NPopOptions) -> Result<NPopOutcome, NPopError> {
+    let mut mesh = NPopMesh::converge(options.ases, options.pops, options.seed)?;
+    let pairs = mesh.discover(options.max_paths)?;
+    let traffic = match options.traffic_packets {
+        0 => TrafficOutcome::default(),
+        packets => mesh.run_traffic(packets, options.shards)?,
     };
-    let mut buf = vec![0u8; repr.total_len()];
-    let mut view = Ipv6Packet::new_unchecked(&mut buf);
-    repr.emit(&mut view).expect("buffer sized by total_len");
-    sim.schedule_host_packet(time, pops[src], Packet::new(buf));
+    Ok(mesh.outcome(pairs, traffic))
 }
 
 #[cfg(test)]
@@ -542,7 +601,6 @@ mod tests {
         assert!(out.rib_bytes_est > 0);
         assert!(out.fib_entries > 0);
         assert!(out.deliveries > 0, "traffic phase delivered packets");
-        #[cfg(feature = "trace")]
         assert!(
             !out.traffic_digest.ends_with(&format!(
                 "trace={:016x}",
@@ -552,6 +610,12 @@ mod tests {
             out.traffic_digest
         );
         assert_eq!(out.ttl_expired, 0, "no forwarding loops");
+        // Discovery withdrew every probe: the traffic phase alone, on a
+        // mesh that never discovered, sees the same forwarding tables.
+        let mesh = NPopMesh::converge(60, 4, 7).expect("mesh converges");
+        let alone = mesh.run_traffic(32, 1).expect("traffic runs");
+        assert_eq!(alone.digest, out.traffic_digest);
+        assert_eq!(alone.fib_entries, out.fib_entries);
     }
 
     #[test]
@@ -559,7 +623,6 @@ mod tests {
         let base = run_npop(&small()).expect("mesh runs").digest();
         let sharded = run_npop(&NPopOptions {
             shards: 4,
-            shard_mode: ShardMode::Threaded,
             ..small()
         })
         .expect("mesh runs")
@@ -569,5 +632,43 @@ mod tests {
             .expect("mesh runs")
             .digest();
         assert_ne!(base, reseeded, "seed matters");
+    }
+
+    /// The traffic phase alone (no discovery) on the `small()` graph.
+    fn traffic(seed: u64, packets: u32, shards: usize, mode: ShardMode) -> (NetworkSim, u64) {
+        let mesh = NPopMesh::converge(60, 4, seed).expect("mesh converges");
+        let (mut sim, _) = mesh.routed_sim(packets, shards, mode).expect("fibs build");
+        let horizon = mesh.inject(&mut sim, packets);
+        let events = sim.run_until(horizon);
+        (sim, events)
+    }
+
+    #[test]
+    fn traffic_digest_is_shard_invariant() {
+        let (reference, events) = traffic(7, 200, 1, ShardMode::Serial);
+        for shards in [2, 4] {
+            for mode in [ShardMode::Serial, ShardMode::Threaded] {
+                let (sim, n) = traffic(7, 200, shards, mode);
+                assert_eq!(sim.shard_count(), shards);
+                assert_eq!(sim.digest(), reference.digest(), "{shards} {mode:?}");
+                assert_eq!(n, events, "{shards} {mode:?}");
+            }
+        }
+        let (reseeded, _) = traffic(8, 200, 1, ShardMode::Serial);
+        assert_ne!(reseeded.digest(), reference.digest(), "seed matters");
+    }
+
+    #[test]
+    fn long_runs_are_not_cut_short() {
+        // 12 500 packets inject for 3.126 s: past the fixed 3 s horizon
+        // the phase used to stop at, with packets still in flight.
+        let packets = 12_500;
+        let (sim, _) = traffic(7, packets, 1, ShardMode::Serial);
+        let stats = sim.stats();
+        // A packet's verdict is the NoRoute drop at the destination PoP,
+        // which routes its own prefix nowhere: one per packet, none lost.
+        assert_eq!(stats.no_route, u64::from(packets));
+        assert_eq!(stats.transmissions, stats.deliveries);
+        assert_eq!(stats.ttl_expired, 0);
     }
 }

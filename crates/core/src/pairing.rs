@@ -12,7 +12,6 @@ use tango_dataplane::{
 };
 use tango_measure::TimeSeries;
 use tango_net::SipKey;
-use tango_net::{Ipv6Packet, Ipv6Repr};
 use tango_obs::Registry;
 use tango_sim::{
     shared_adversary_stats, AdversaryAgent, AdversaryBehavior, Agent, FaultInjector, NetworkSim,
@@ -631,7 +630,7 @@ impl TangoPairing {
     /// merged with the control-plane recorder, in canonical key order.
     /// Empty unless the run was built with a nonzero
     /// [`PairingOptions::span_capacity`] (engine spans) — control spans
-    /// are always recorded when the `trace` feature is on.
+    /// are always recorded.
     pub fn spans(&mut self) -> SpanRing {
         self.sync_health_spans();
         let engine = self.sim.spans();
@@ -956,20 +955,15 @@ impl TangoPairing {
             tango_net::IpCidr::V6(c) => c.host(host).expect("host prefix wide enough"),
             tango_net::IpCidr::V4(_) => unreachable!("host prefixes are IPv6 in this harness"),
         };
-        let repr = Ipv6Repr {
-            src_addr: addr_in(src_prefix, 0x10),
-            dst_addr: addr_in(dst_prefix, 0x20),
-            next_header: 17,
-            payload_len,
-            hop_limit: 64,
-            traffic_class,
-            flow_label: 0,
-        };
         // Born with headroom: the switch encapsulates in place instead of
-        // rebuilding the wire image (tango_dataplane::codec::ENCAP_OVERHEAD).
-        let mut pkt = Packet::alloc(tango_dataplane::codec::ENCAP_OVERHEAD, repr.total_len());
-        let mut view = Ipv6Packet::new_unchecked(pkt.bytes_mut());
-        repr.emit(&mut view).expect("sized buffer");
+        // rebuilding the wire image.
+        let pkt = Packet::host(
+            addr_in(src_prefix, 0x10),
+            addr_in(dst_prefix, 0x20),
+            payload_len,
+            tango_dataplane::codec::ENCAP_OVERHEAD,
+            traffic_class,
+        );
         self.sim.schedule_host_packet(at, tenant, pkt);
     }
 

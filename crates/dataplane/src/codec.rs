@@ -573,20 +573,12 @@ mod tests {
     }
 
     fn inner_v6() -> Vec<u8> {
-        let ip = Ipv6Repr {
-            src_addr: "2001:db8:a::1".parse().unwrap(),
-            dst_addr: "2001:db8:b::1".parse().unwrap(),
-            next_header: 17,
-            payload_len: 3,
-            hop_limit: 64,
-            traffic_class: 0,
-            flow_label: 0,
-        };
-        let mut buf = vec![0u8; ip.total_len()];
-        let mut p = Ipv6Packet::new_unchecked(&mut buf[..]);
-        ip.emit(&mut p).unwrap();
-        p.payload_mut().copy_from_slice(b"app");
-        buf
+        let src = "2001:db8:a::1".parse().unwrap();
+        let mut pkt = Packet::host(src, "2001:db8:b::1".parse().unwrap(), 3, 0, 0);
+        Ipv6Packet::new_unchecked(pkt.bytes_mut())
+            .payload_mut()
+            .copy_from_slice(b"app");
+        pkt.into_buffer()
     }
 
     #[test]

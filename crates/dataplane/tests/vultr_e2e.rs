@@ -257,30 +257,19 @@ fn clock_offset_shifts_absolute_owd_but_not_relative() {
 
 #[test]
 fn app_traffic_rides_selected_tunnel_and_is_measured() {
-    use tango_net::{Ipv6Packet, Ipv6Repr};
     let Setup {
         mut sim,
         la_stats,
         ny_stats,
     } = build(14, 0);
     // Host packets from NY host → LA host prefix.
+    let src = "2001:db8:2ff::7".parse().unwrap();
+    let dst = "2001:db8:1ff::9".parse().unwrap();
     for i in 0..100u64 {
-        let repr = Ipv6Repr {
-            src_addr: "2001:db8:2ff::7".parse().unwrap(),
-            dst_addr: "2001:db8:1ff::9".parse().unwrap(),
-            next_header: 17,
-            payload_len: 8,
-            hop_limit: 64,
-            traffic_class: 0,
-            flow_label: 0,
-        };
-        let mut buf = vec![0u8; repr.total_len()];
-        let mut p = Ipv6Packet::new_unchecked(&mut buf[..]);
-        repr.emit(&mut p).unwrap();
         sim.schedule_host_packet(
             SimTime::from_ms(i * 5),
             TENANT_NY,
-            tango_sim::Packet::new(buf),
+            tango_sim::Packet::host(src, dst, 8, 0, 0),
         );
     }
     sim.run_until(SimTime::from_secs(5));

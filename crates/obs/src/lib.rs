@@ -1,6 +1,6 @@
 //! # tango-obs — deterministic observability for the Tango stack
 //!
-//! A zero-dependency metrics and span-profiling subsystem built for a
+//! A zero-dependency metrics subsystem built for a
 //! *deterministic* simulator: every number it produces is a pure
 //! function of the simulation inputs, never of the host machine.
 //!
@@ -8,10 +8,6 @@
 //!   [`Gauge`]s, and fixed-bucket [`Histogram`]s. Handles are cheap
 //!   clones (an `Arc` around atomics); the hot path touches no lock and
 //!   allocates nothing.
-//! * [`Span`] — a scope timer driven by the **sim's virtual clock**: the
-//!   caller supplies the start and end instants (node-local or global
-//!   simulated nanoseconds). Wall clocks are banned repo-wide by
-//!   `tango-lint`; this crate never reads one.
 //! * [`Snapshot`] — a point-in-time export of a registry with **sorted
 //!   keys** and integer-only values, rendering to byte-stable JSON
 //!   ([`Snapshot::to_json`]) so artifacts diff bit-for-bit across runs
@@ -26,37 +22,25 @@
 //!    lossily and never loses a sample.
 //! 3. Export iterates `BTreeMap`s, so key order is total and stable.
 //! 4. Time comes from the caller (the sim's virtual clock), never from
-//!    `Instant`/`SystemTime`.
+//!    `Instant`/`SystemTime` (wall clocks are banned repo-wide by
+//!    `tango-lint`; this crate never reads one).
 //!
-//! ## Feature gate
+//! ## Off switch
 //!
-//! With the `enabled` feature (default) metrics are live. Without it
-//! every type is a zero-sized no-op and [`Registry::snapshot`] returns
-//! an empty snapshot — instrumented code compiles unchanged and the hot
-//! path carries no atomics. Downstream crates expose this as their own
-//! `obs` feature (`obs = ["tango-obs/enabled"]`, on by default).
+//! Instrumentation is armed at run time: a component records only into
+//! the [`Registry`] it was handed (`SimConfig::obs`, `set_obs`, ...), and
+//! one that was handed none records nothing. There is no compile-time
+//! switch.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-#[cfg(feature = "enabled")]
 mod metrics;
-#[cfg(feature = "enabled")]
 mod registry;
-
-#[cfg(not(feature = "enabled"))]
-mod noop;
-
 pub mod snapshot;
 
-#[cfg(feature = "enabled")]
-pub use metrics::{Counter, Gauge, Histogram, Span};
-#[cfg(feature = "enabled")]
+pub use metrics::{Counter, Gauge, Histogram};
 pub use registry::Registry;
-
-#[cfg(not(feature = "enabled"))]
-pub use noop::{Counter, Gauge, Histogram, Registry, Span};
-
 pub use snapshot::{HistSnapshot, Snapshot, Value};
 
 /// Number of histogram buckets: bucket 0 holds the value 0, bucket `i`

@@ -118,16 +118,6 @@ impl Histogram {
         self.0.count.load(Relaxed)
     }
 
-    /// Start a scope timer at virtual instant `start_ns`; finish it with
-    /// [`Span::end`]. The histogram records the elapsed virtual time.
-    #[inline]
-    pub fn span(&self, start_ns: u64) -> Span {
-        Span {
-            hist: self.clone(),
-            start_ns,
-        }
-    }
-
     /// Snapshot the current contents.
     pub(crate) fn snap(&self) -> HistSnapshot {
         let core = &*self.0;
@@ -151,26 +141,6 @@ impl Histogram {
             },
             max: core.max.load(Relaxed),
         }
-    }
-}
-
-/// A scope timer over the sim's **virtual** clock. The caller supplies
-/// both endpoints; dropping a span without calling [`Span::end`]
-/// records nothing (the scope never completed).
-#[derive(Debug)]
-#[must_use = "a span records nothing until `end(now_ns)` is called"]
-pub struct Span {
-    hist: Histogram,
-    start_ns: u64,
-}
-
-impl Span {
-    /// Close the span at virtual instant `end_ns`, recording the
-    /// elapsed time. Saturates at zero if the caller passes an earlier
-    /// instant (e.g. clocks from different nodes) rather than wrapping.
-    #[inline]
-    pub fn end(self, end_ns: u64) {
-        self.hist.record(end_ns.saturating_sub(self.start_ns));
     }
 }
 
@@ -216,18 +186,5 @@ mod tests {
         let s = Histogram::default().snap();
         assert_eq!((s.count, s.sum, s.min, s.max), (0, 0, 0, 0));
         assert!(s.buckets.is_empty());
-    }
-
-    #[test]
-    fn span_measures_virtual_time() {
-        let h = Histogram::default();
-        let span = h.span(1_000);
-        span.end(4_500);
-        let s = h.snap();
-        assert_eq!(s.count, 1);
-        assert_eq!(s.sum, 3_500);
-        // Backwards time saturates to zero instead of wrapping.
-        h.span(10).end(5);
-        assert_eq!(h.snap().min, 0);
     }
 }

@@ -6,9 +6,6 @@
 //! serialise to byte-identical text on every platform, which is what
 //! lets CI diff `results/TELEMETRY_*.json` across runs and worker
 //! counts, and what makes golden-trace tests a plain byte comparison.
-//!
-//! This module is always compiled (it has no atomics), so the `enabled`
-//! feature only gates whether anything *produces* non-empty snapshots.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -65,12 +62,6 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// True when nothing was ever recorded (the no-op registry's
-    /// permanent state).
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
     /// Render to canonical JSON (see the module docs for the format
     /// guarantees). Includes a trailing newline.
     pub fn to_json(&self) -> String {
@@ -523,7 +514,7 @@ mod tests {
     fn empty_snapshot_renders_empty_objects() {
         let text = Snapshot::default().to_json();
         let back = Snapshot::parse(&text).expect("parse");
-        assert!(back.is_empty());
+        assert_eq!(back, Snapshot::default());
         assert!(text.contains("\"counters\": {}"));
     }
 

@@ -84,15 +84,6 @@ impl ChaosKind {
         }
     }
 
-    /// Does this event make the target path unusable while active
-    /// (as opposed to merely lying about it)?
-    pub fn is_outage(&self) -> bool {
-        matches!(
-            self,
-            ChaosKind::Blackhole { .. } | ChaosKind::SessionReset { .. } | ChaosKind::Hijack { .. }
-        )
-    }
-
     /// Is this a Byzantine (lying) behavior rather than an honest fault?
     pub fn is_byzantine(&self) -> bool {
         !matches!(

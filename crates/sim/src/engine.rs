@@ -40,8 +40,8 @@ use rand::SeedableRng;
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::net::IpAddr;
-use tango_net::{Ipv4Packet, Ipv6Packet, PrefixTrie};
+use std::net::{IpAddr, Ipv6Addr};
+use tango_net::{Ipv4Packet, Ipv6Packet, Ipv6Repr, PrefixTrie};
 use tango_obs::{Counter, Gauge, Histogram, Registry};
 use tango_topology::{AsId, DirectionProfile, EventKind as TopoEventKind, LinkEvent, Topology};
 use tango_trace::{DropReason, SpanKey, SpanKind, SpanRing};
@@ -123,6 +123,41 @@ impl Packet {
             start: headroom,
             dst: Cell::new(DstCache::Unparsed),
         }
+    }
+
+    /// Hop limit of every [`Packet::host`] packet: bounds its hops, and
+    /// with them the spans it can leave in a ring.
+    pub const HOST_HOP_LIMIT: u8 = 64;
+
+    /// The host packet every scenario injects: an IPv6 header (next
+    /// header UDP, hop limit [`Packet::HOST_HOP_LIMIT`], flow label 0)
+    /// over `payload_len` zero bytes, behind `headroom` bytes reserved
+    /// for in-place encapsulation.
+    ///
+    /// # Panics
+    ///
+    /// If `payload_len` exceeds the IPv6 payload-length field (65 535).
+    pub fn host(
+        src: Ipv6Addr,
+        dst: Ipv6Addr,
+        payload_len: usize,
+        headroom: usize,
+        traffic_class: u8,
+    ) -> Self {
+        let repr = Ipv6Repr {
+            src_addr: src,
+            dst_addr: dst,
+            next_header: 17,
+            payload_len,
+            hop_limit: Self::HOST_HOP_LIMIT,
+            traffic_class,
+            flow_label: 0,
+        };
+        let mut pkt = Packet::alloc(headroom, repr.total_len());
+        // tango-lint: allow(hot-path-panic) injection-time, not per-hop: the buffer is sized by total_len, so only the documented oversize payload fails
+        repr.emit(&mut Ipv6Packet::new_unchecked(pkt.bytes_mut()))
+            .expect("payload fits the 16-bit length field");
+        pkt
     }
 
     /// Reuse `buf` (typically from the pool) as an empty packet with
@@ -392,7 +427,7 @@ pub(crate) struct QueuedEvent {
     pub(crate) key: EventKey,
     /// The span key of the dispatch that scheduled this event
     /// ([`SpanKey::NONE`] for externally scheduled roots). Plain data —
-    /// it rides along even with the `trace` feature off, so the causal
+    /// it rides along even with the span ring disarmed, so the causal
     /// link survives shard outbox handoffs unconditionally.
     pub(crate) parent: SpanKey,
     pub(crate) kind: EventKind,
@@ -693,12 +728,6 @@ impl<'a> Ctx<'a> {
     /// The topology (read-only; e.g. for neighbor queries).
     pub fn topology(&self) -> &Topology {
         self.topology
-    }
-
-    /// Take a recycled buffer from the packet pool (cleared; capacity is
-    /// whatever its previous life left).
-    pub fn take_buffer(&mut self) -> Vec<u8> {
-        self.pool.take()
     }
 
     /// An empty packet with `headroom` reserved bytes, backed by a pooled
@@ -1273,13 +1302,12 @@ impl NetworkSim {
         let shards: Vec<ShardState> = (0..part.len())
             .map(|s| ShardState::new(s, &part, &nodes, &config))
             .collect();
-        let threaded = match config.shard_mode {
-            ShardMode::Serial => false,
-            ShardMode::Threaded => true,
-            ShardMode::Auto => {
-                part.len() > 1 && std::thread::available_parallelism().is_ok_and(|p| p.get() > 1)
-            }
-        };
+        let threaded = part.len() > 1
+            && match config.shard_mode {
+                ShardMode::Serial => false,
+                ShardMode::Threaded => true,
+                ShardMode::Auto => std::thread::available_parallelism().is_ok_and(|p| p.get() > 1),
+            };
         NetworkSim {
             shared: SimShared {
                 topology,
@@ -1306,6 +1334,13 @@ impl NetworkSim {
     /// when a cross-shard link would have zero lookahead).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
+    }
+
+    /// Whether [`NetworkSim::run_until`] runs the shards on worker threads
+    /// ([`SimConfig::shard_mode`] resolved against the partition and the
+    /// host).
+    pub fn is_threaded(&self) -> bool {
+        self.threaded
     }
 
     /// The conservative-synchronization lookahead, ns: the minimum
@@ -1391,8 +1426,7 @@ impl NetworkSim {
 
     /// The causal span ring, merged across shards into canonical key
     /// order (the flight-recorder view; empty unless
-    /// [`SimConfig::span_capacity`] armed it and the `trace` feature is
-    /// on).
+    /// [`SimConfig::span_capacity`] armed it).
     pub fn spans(&self) -> SpanRing {
         SpanRing::merged(self.shards.iter().map(|s| &s.spans))
     }
@@ -1400,9 +1434,8 @@ impl NetworkSim {
     /// Deterministic fingerprint of everything observable: the merged
     /// counters plus an order-sensitive hash of the canonical span stream
     /// (`trace=`). Bit-identical runs ⇒ identical digests, regardless of
-    /// shard count or execution mode. Without the `trace` feature (or
-    /// with `span_capacity` 0) the stream is empty and the digest covers
-    /// the counters only.
+    /// shard count or execution mode. With `span_capacity` 0 the stream
+    /// is empty and the digest covers the counters only.
     ///
     /// # Panics
     ///
@@ -1533,11 +1566,6 @@ impl RouterAgent {
     pub fn new(id: AsId, table: PrefixTrie<AsId>) -> Self {
         RouterAgent { id, table }
     }
-
-    /// Replace the forwarding table (BGP re-convergence).
-    pub fn set_table(&mut self, table: PrefixTrie<AsId>) {
-        self.table = table;
-    }
 }
 
 impl Agent for RouterAgent {
@@ -1563,24 +1591,21 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
-    use tango_net::{IpCidr, Ipv6Packet, Ipv6Repr};
+    use tango_net::IpCidr;
     use tango_topology::Topology;
     use tango_topology::{AsKind, AsNode, DirectionProfile, LinkProfile};
 
     fn ipv6_packet(dst: &str, hop_limit: u8) -> Packet {
-        let repr = Ipv6Repr {
-            src_addr: "2001:db8:aaaa::1".parse().unwrap(),
-            dst_addr: dst.parse().unwrap(),
-            next_header: 17,
-            payload_len: 0,
-            hop_limit,
-            traffic_class: 0,
-            flow_label: 0,
-        };
-        let mut buf = vec![0u8; repr.total_len()];
-        let mut p = Ipv6Packet::new_unchecked(&mut buf);
-        repr.emit(&mut p).unwrap();
-        Packet::new(buf)
+        let src = "2001:db8:aaaa::1".parse().unwrap();
+        let mut pkt = Packet::host(src, dst.parse().unwrap(), 0, 0, 0);
+        Ipv6Packet::new_unchecked(pkt.bytes_mut()).set_hop_limit(hop_limit);
+        pkt
+    }
+
+    /// A 1250-byte packet (payload pads the 40 B header).
+    fn big_packet() -> Packet {
+        let src = "2001:db8:aaaa::1".parse().unwrap();
+        Packet::host(src, "2001:db8:3::1".parse().unwrap(), 1210, 0, 0)
     }
 
     /// Line topology 1 -- 2 -- 3 with constant 1 ms hops.
@@ -1609,7 +1634,6 @@ mod tests {
     }
 
     /// When `node` was handed a packet, ns: its `Deliver` spans.
-    #[cfg(feature = "trace")]
     fn arrivals_at(sim: &NetworkSim, node: AsId) -> Vec<u64> {
         let spans = sim.spans().spans();
         let at_node = spans
@@ -1667,7 +1691,6 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(received.load(Ordering::SeqCst), 1);
         // Delivered after exactly 2 ms (two constant 1 ms hops).
-        #[cfg(feature = "trace")]
         assert_eq!(arrivals_at(&sim, AsId(3)), vec![2_000_000]);
         assert_eq!(sim.stats().deliveries, 2); // at node 2 and node 3
         assert_eq!(sim.stats().transmissions, 2);
@@ -1726,7 +1749,6 @@ mod tests {
         assert!(sim.stats().transmissions <= 16);
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn determinism_same_seed_same_trace() {
         let run = |seed| run_jittered(seed, 1, ShardMode::Serial).1;
@@ -1814,7 +1836,6 @@ mod tests {
         assert!(sim.idle());
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn capacity_serializes_back_to_back_packets() {
         // 100 Mbit/s link: a 1250 B packet occupies it for 100 µs. Three
@@ -1847,21 +1868,8 @@ mod tests {
             AsId(2),
             Box::new(RouterAgent::new(AsId(2), PrefixTrie::new())),
         );
-        // Build a 1250-byte packet (payload pads the 40 B header).
-        let repr = Ipv6Repr {
-            src_addr: "2001:db8:aaaa::1".parse().unwrap(),
-            dst_addr: "2001:db8:3::1".parse().unwrap(),
-            next_header: 17,
-            payload_len: 1210,
-            hop_limit: 64,
-            traffic_class: 0,
-            flow_label: 0,
-        };
-        let mut pkt = vec![0u8; repr.total_len()];
-        let mut view = Ipv6Packet::new_unchecked(&mut pkt[..]);
-        repr.emit(&mut view).unwrap();
         for _ in 0..3 {
-            sim.schedule_host_packet(SimTime::ZERO, AsId(1), Packet::new(pkt.clone()));
+            sim.schedule_host_packet(SimTime::ZERO, AsId(1), big_packet());
         }
         sim.run_until(SimTime::from_secs(1));
         // 1 ms propagation + k × 100 µs serialization.
@@ -1897,20 +1905,8 @@ mod tests {
             AsId(2),
             Box::new(RouterAgent::new(AsId(2), PrefixTrie::new())),
         );
-        let repr = Ipv6Repr {
-            src_addr: "2001:db8:aaaa::1".parse().unwrap(),
-            dst_addr: "2001:db8:3::1".parse().unwrap(),
-            next_header: 17,
-            payload_len: 1210,
-            hop_limit: 64,
-            traffic_class: 0,
-            flow_label: 0,
-        };
-        let mut pkt = vec![0u8; repr.total_len()];
-        let mut view = Ipv6Packet::new_unchecked(&mut pkt[..]);
-        repr.emit(&mut view).unwrap();
         for _ in 0..4 {
-            sim.schedule_host_packet(SimTime::ZERO, AsId(1), Packet::new(pkt.clone()));
+            sim.schedule_host_packet(SimTime::ZERO, AsId(1), big_packet());
         }
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(sim.stats().lost_queue, 2, "3rd and 4th exceed the cap");
@@ -2082,7 +2078,6 @@ mod tests {
         assert!(sim.pooled_buffers() > 0);
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn obs_registry_mirrors_sim_counters() {
         let reg = Registry::new();
@@ -2138,7 +2133,6 @@ mod tests {
         assert!(snap.gauges.contains_key("sim.link.busy_ns.1-2"));
     }
 
-    #[cfg(feature = "obs")]
     #[test]
     fn obs_link_busy_accumulates_on_capacity_links() {
         // 100 Mbit/s: a 1250 B packet occupies the wire for 100 µs.
@@ -2171,20 +2165,8 @@ mod tests {
             AsId(2),
             Box::new(RouterAgent::new(AsId(2), PrefixTrie::new())),
         );
-        let repr = Ipv6Repr {
-            src_addr: "2001:db8:aaaa::1".parse().unwrap(),
-            dst_addr: "2001:db8:3::1".parse().unwrap(),
-            next_header: 17,
-            payload_len: 1210,
-            hop_limit: 64,
-            traffic_class: 0,
-            flow_label: 0,
-        };
-        let mut pkt = vec![0u8; repr.total_len()];
-        let mut view = Ipv6Packet::new_unchecked(&mut pkt[..]);
-        repr.emit(&mut view).unwrap();
         for _ in 0..3 {
-            sim.schedule_host_packet(SimTime::ZERO, AsId(1), Packet::new(pkt.clone()));
+            sim.schedule_host_packet(SimTime::ZERO, AsId(1), big_packet());
         }
         sim.run_until(SimTime::from_secs(1));
         let snap = reg.snapshot();
@@ -2328,7 +2310,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     #[should_panic(expected = "span ring wrapped (120 recorded, 64 retained)")]
     fn digest_rejects_a_wrapped_ring() {

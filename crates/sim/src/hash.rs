@@ -81,7 +81,8 @@ fn push_ports(key: &mut Vec<u8>, l4: &[u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tango_net::{Ipv6Repr, UdpRepr};
+    use crate::Packet;
+    use tango_net::UdpRepr;
 
     fn udp6(src_port: u16, dst_port: u16, dst_last: u16) -> Vec<u8> {
         let udp = UdpRepr {
@@ -89,21 +90,13 @@ mod tests {
             dst_port,
             payload_len: 4,
         };
-        let ip = Ipv6Repr {
-            src_addr: "2001:db8:100::1".parse().unwrap(),
-            dst_addr: format!("2001:db8:200::{dst_last:x}").parse().unwrap(),
-            next_header: 17,
-            payload_len: udp.total_len(),
-            hop_limit: 64,
-            traffic_class: 0,
-            flow_label: 0,
-        };
-        let mut buf = vec![0u8; ip.total_len()];
-        let mut p = Ipv6Packet::new_unchecked(&mut buf);
-        ip.emit(&mut p).unwrap();
+        let src = "2001:db8:100::1".parse().unwrap();
+        let dst = format!("2001:db8:200::{dst_last:x}").parse().unwrap();
+        let mut pkt = Packet::host(src, dst, udp.total_len(), 0, 0);
+        let mut p = Ipv6Packet::new_unchecked(pkt.bytes_mut());
         let mut u = UdpPacket::new_unchecked(p.payload_mut());
         udp.emit(&mut u).unwrap();
-        buf
+        pkt.into_buffer()
     }
 
     #[test]

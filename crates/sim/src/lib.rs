@@ -39,7 +39,6 @@ pub mod fault;
 pub mod hash;
 pub mod shard;
 pub mod time;
-pub mod traffic;
 
 pub use adversary::{
     shared_adversary_stats, ActiveWindow, AdversaryAgent, AdversaryBehavior, AdversaryStats,
@@ -54,4 +53,3 @@ pub use fault::{FaultDecision, FaultInjector, OutageSchedule};
 pub use shard::ShardMode;
 pub use tango_trace::{DropReason, Span, SpanKey, SpanKind, SpanRing};
 pub use time::SimTime;
-pub use traffic::{CbrSchedule, PoissonSchedule, Schedule};

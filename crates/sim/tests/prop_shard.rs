@@ -255,7 +255,6 @@ proptest! {
 
     /// The span stream is the one record: every packet counter of
     /// `SimStats` is a count of spans, under any shard count and mode.
-    #[cfg(feature = "trace")]
     #[test]
     fn counters_are_derivable_from_spans(
         w in world_strategy(),

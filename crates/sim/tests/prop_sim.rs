@@ -2,9 +2,9 @@
 //! hashing.
 
 use proptest::prelude::*;
-use tango_net::{Ipv6Packet, Ipv6Repr, UdpPacket, UdpRepr};
+use tango_net::{Ipv6Packet, UdpPacket, UdpRepr};
 use tango_sim::hash::flow_hash;
-use tango_sim::{NodeClock, SimTime};
+use tango_sim::{NodeClock, Packet, SimTime};
 
 fn udp6(src: u128, dst: u128, sport: u16, dport: u16, payload: &[u8]) -> Vec<u8> {
     let udp = UdpRepr {
@@ -12,22 +12,12 @@ fn udp6(src: u128, dst: u128, sport: u16, dport: u16, payload: &[u8]) -> Vec<u8>
         dst_port: dport,
         payload_len: payload.len(),
     };
-    let ip = Ipv6Repr {
-        src_addr: src.into(),
-        dst_addr: dst.into(),
-        next_header: 17,
-        payload_len: udp.total_len(),
-        hop_limit: 64,
-        traffic_class: 0,
-        flow_label: 0,
-    };
-    let mut buf = vec![0u8; ip.total_len()];
-    let mut p = Ipv6Packet::new_unchecked(&mut buf[..]);
-    ip.emit(&mut p).unwrap();
+    let mut pkt = Packet::host(src.into(), dst.into(), udp.total_len(), 0, 0);
+    let mut p = Ipv6Packet::new_unchecked(pkt.bytes_mut());
     let mut u = UdpPacket::new_unchecked(p.payload_mut());
     udp.emit(&mut u).unwrap();
     u.payload_mut().copy_from_slice(payload);
-    buf
+    pkt.into_buffer()
 }
 
 proptest! {

@@ -29,25 +29,19 @@
 //! invariant violations and chaos faults dump for post-mortem causal
 //! analysis (see `tango::pairing`).
 //!
-//! ## Feature gate
+//! ## Off switch
 //!
-//! With the `enabled` feature (default) recording is live. Without it
-//! [`SpanRing`] is a zero-sized no-op — instrumented code compiles
-//! unchanged and the hot path carries nothing. The data types and the
-//! exporters are available either way.
+//! A ring built with capacity 0 is disarmed: it records nothing and
+//! allocates nothing. That run-time capacity (`SimConfig::span_capacity`)
+//! is the only switch; there is no compile-time one.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod export;
 pub mod query;
+mod ring;
 mod span;
-
-#[cfg(feature = "enabled")]
-mod ring;
-#[cfg(not(feature = "enabled"))]
-#[path = "ring_noop.rs"]
-mod ring;
 
 pub use ring::SpanRing;
 pub use span::{DropReason, Span, SpanKey, SpanKind};

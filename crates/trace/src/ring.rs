@@ -132,16 +132,6 @@ impl SpanRing {
         key
     }
 
-    /// Insert a fully formed span (the control-plane recorder builds its
-    /// own keys). The caller is responsible for key uniqueness.
-    #[inline]
-    pub fn push_raw(&mut self, span: Span) {
-        if !self.armed() {
-            return;
-        }
-        self.push(span);
-    }
-
     fn push(&mut self, span: Span) {
         self.total += 1;
         if self.entries.len() < self.capacity {
