@@ -355,7 +355,7 @@ pub struct TangoOfNRow {
 }
 
 /// **A4** — §6 "From Tango of 2 to Tango of N": all-pairs pairings over
-/// generated hierarchies; pairings run in parallel (scoped threads).
+/// generated hierarchies, one independent simulator per pair.
 pub fn tango_of_n(ns: &[usize], seed: u64) -> Vec<TangoOfNRow> {
     ns.iter()
         .map(|&n| {
@@ -376,47 +376,29 @@ pub fn tango_of_n(ns: &[usize], seed: u64) -> Vec<TangoOfNRow> {
                 block: blocks.subnet(44, (idx * 2 + role) as u128).expect("fits"),
                 host_prefix: tango_net::IpCidr::V6(hosts.subnet(48, idx as u128).expect("fits")),
             };
-            let pairs: Vec<(usize, usize)> = (0..n)
+            let ok: Vec<(usize, f64)> = (0..n)
                 .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
+                .filter_map(|(i, j)| {
+                    let mut p = TangoPairing::build(
+                        g.topology.clone(),
+                        std::iter::empty(),
+                        side(i, 0),
+                        side(j, 1),
+                        PairingOptions {
+                            seed: seed ^ ((i as u64) << 16 | j as u64),
+                            ..PairingOptions::default()
+                        },
+                    )
+                    .ok()?;
+                    p.run_until(SimTime::from_secs(5));
+                    let paths = p.provisioned.paths_a_to_b.len() + p.provisioned.paths_b_to_a.len();
+                    let default = p.mean_owd_ms(Side::A, 0)?;
+                    let best = (0..p.provisioned.paths_b_to_a.len() as u16)
+                        .filter_map(|k| p.mean_owd_ms(Side::A, k))
+                        .fold(f64::INFINITY, f64::min);
+                    Some((paths, (default / best - 1.0) * 100.0))
+                })
                 .collect();
-            // Each pairing owns an independent simulator: embarrassingly
-            // parallel, fanned out over scoped threads.
-            let results: Vec<Option<(usize, f64)>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = pairs
-                    .iter()
-                    .map(|&(i, j)| {
-                        let topo = g.topology.clone();
-                        let a = side(i, 0);
-                        let b = side(j, 1);
-                        scope.spawn(move || {
-                            let mut p = TangoPairing::build(
-                                topo,
-                                std::iter::empty(),
-                                a,
-                                b,
-                                PairingOptions {
-                                    seed: seed ^ ((i as u64) << 16 | j as u64),
-                                    ..PairingOptions::default()
-                                },
-                            )
-                            .ok()?;
-                            p.run_until(SimTime::from_secs(5));
-                            let paths =
-                                p.provisioned.paths_a_to_b.len() + p.provisioned.paths_b_to_a.len();
-                            let default = p.mean_owd_ms(Side::A, 0)?;
-                            let best = (0..p.provisioned.paths_b_to_a.len() as u16)
-                                .filter_map(|k| p.mean_owd_ms(Side::A, k))
-                                .fold(f64::INFINITY, f64::min);
-                            Some((paths, (default / best - 1.0) * 100.0))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("pairing thread"))
-                    .collect()
-            });
-            let ok: Vec<(usize, f64)> = results.into_iter().flatten().collect();
             let pair_count = ok.len();
             TangoOfNRow {
                 n,

@@ -1,8 +1,7 @@
 //! `experiments chaos` — the adversarial & chaos scenario suite.
 //!
-//! Two artifacts, both byte-identical across runs and `--workers`
-//! settings (seeds fan out over threads, results aggregate in seed
-//! order; every run is a pure function of its seed):
+//! Two artifacts, both byte-identical across runs and `--shards`
+//! settings (every run is a pure function of its seed):
 //!
 //! * `results/CHAOS_storms.json` (A10) — one seeded storm per seed:
 //!   honest outages *and* Byzantine faults (timestamp poisoning,
@@ -19,8 +18,7 @@
 //! if any storm violates an invariant, fails to recover, or the A9 gap
 //! fails to materialize — so CI can gate on it.
 
-use crate::parallel::{run_seeds, worker_count};
-use crate::util::{out_dir, print_table};
+use crate::util::{out_dir, print_table, SweepOptions};
 use std::collections::BTreeMap;
 use tango::prelude::*;
 use tango_obs::Value;
@@ -29,31 +27,8 @@ use tango_sim::ChaosKind;
 /// Faults generated per storm.
 const STORM_EVENTS: usize = 8;
 
-/// Options for the chaos suite.
-pub struct ChaosOptions {
-    /// Storm seeds (each an independent seeded storm → one JSON
-    /// section). The default runs the six storms CI gates on.
-    pub seeds: Vec<u64>,
-    /// Force the worker count (`None` = machine parallelism, capped by
-    /// the seed count).
-    pub workers: Option<usize>,
-    /// Simulator shards per storm. The artifacts are bit-identical for
-    /// every value — CI runs `--shards 1` vs `--shards 8` and diffs.
-    pub shards: usize,
-    /// Artifact directory override (`--out`); `None` = `results/`.
-    pub out: Option<std::path::PathBuf>,
-}
-
-impl Default for ChaosOptions {
-    fn default() -> Self {
-        ChaosOptions {
-            seeds: vec![1, 2, 3, 4, 5, 6],
-            workers: None,
-            shards: 1,
-            out: None,
-        }
-    }
-}
+/// Seeds of a default run: the six storms CI gates on.
+pub const DEFAULT_SEEDS: [u64; 6] = [1, 2, 3, 4, 5, 6];
 
 /// Run one seeded storm (defenses on, Byzantine faults included).
 pub fn storm_seed(seed: u64, shards: usize) -> ChaosOutcome {
@@ -170,15 +145,10 @@ pub fn storms_to_json(sections: &[(u64, ChaosOutcome)]) -> String {
     Value::Obj(root).to_json()
 }
 
-/// Run the storm sweep: per-seed outcomes in seed order, independent of
-/// worker scheduling.
-pub fn sweep(options: &ChaosOptions) -> Vec<(u64, ChaosOutcome)> {
-    let workers = options
-        .workers
-        .unwrap_or_else(|| worker_count(options.seeds.len()));
-    let shards = options.shards;
-    let outcomes = run_seeds(&options.seeds, workers, |seed| storm_seed(seed, shards));
-    options.seeds.iter().copied().zip(outcomes).collect()
+/// Run the storm sweep: per-seed outcomes in seed order.
+pub fn sweep(options: &SweepOptions) -> Vec<(u64, ChaosOutcome)> {
+    let run = |&seed| (seed, storm_seed(seed, options.shards));
+    options.seeds.iter().map(run).collect()
 }
 
 fn ablation_value(outcome: &AblationOutcome) -> Value {
@@ -238,7 +208,7 @@ pub fn ablation_to_json(seed: u64, arms: &[(String, AblationOutcome)]) -> String
 
 /// The `experiments chaos` entry point. Returns the process exit code:
 /// nonzero when any acceptance condition fails.
-pub fn report(options: &ChaosOptions) -> i32 {
+pub fn report(options: &SweepOptions) -> i32 {
     println!(
         "chaos — {} seeded storms ({} faults each, Byzantine + honest, defenses on) \
          plus the A9 spoofed-telemetry ablation\n",
@@ -358,32 +328,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn artifact_is_bit_identical_and_parallel_invariant() {
-        let serial = sweep(&ChaosOptions {
-            seeds: vec![2, 5],
-            workers: Some(1),
-            ..ChaosOptions::default()
-        });
-        let parallel = sweep(&ChaosOptions {
-            seeds: vec![2, 5],
-            workers: Some(2),
+    fn artifact_is_bit_identical_across_shard_counts() {
+        let one = sweep(&SweepOptions::new(&[2, 5]));
+        let three = sweep(&SweepOptions {
             shards: 3,
-            ..ChaosOptions::default()
+            ..SweepOptions::new(&[2, 5])
         });
         assert_eq!(
-            storms_to_json(&serial),
-            storms_to_json(&parallel),
-            "worker count must not leak into the artifact"
+            storms_to_json(&one),
+            storms_to_json(&three),
+            "shard count must not leak into the artifact"
         );
     }
 
     #[test]
     fn storms_survive_and_detect() {
-        let sections = sweep(&ChaosOptions {
-            seeds: vec![1, 4],
-            workers: Some(2),
-            ..ChaosOptions::default()
-        });
+        let sections = sweep(&SweepOptions::new(&[1, 4]));
         for (seed, o) in &sections {
             assert!(
                 o.invariants.ok(),

@@ -21,6 +21,10 @@
 //! from the calibrated simulator (DESIGN.md §2), so the claim being
 //! regenerated is the *shape* — who wins, by what factor, where events
 //! land — not testbed-exact milliseconds.
+//!
+//! Nothing in this crate creates a thread: a sweep is a loop over its
+//! seeds (A4 over its pairs), and `sharded --mode threaded` reaches the
+//! workspace's one thread site, `tango-sim`'s shard runner.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +36,6 @@ pub mod fig3;
 pub mod fig4;
 pub mod headline;
 pub mod jitter;
-pub mod parallel;
 pub mod scalability;
 pub mod sharded;
 pub mod telemetry;

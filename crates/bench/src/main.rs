@@ -9,11 +9,9 @@ use std::fmt::Display;
 use std::path::PathBuf;
 use std::str::FromStr;
 use tango::prelude::SimTime;
-use tango_bench::chaos::ChaosOptions;
 use tango_bench::scalability::ScalabilityOptions;
 use tango_bench::sharded::ShardedOptions;
-use tango_bench::telemetry::TelemetryOptions;
-use tango_bench::trace::TraceOptions;
+use tango_bench::util::SweepOptions;
 use tango_bench::{
     ablations, chaos, failover, fig3, fig4, headline, jitter, scalability, sharded, telemetry,
     trace,
@@ -43,12 +41,12 @@ COMMANDS
   telemetry             deterministic observability export: full tango-obs
                         metric tree through a scripted blackhole →
                         results/TELEMETRY_vultr-blackhole.json (byte-identical
-                        across runs and --workers settings)
+                        across runs and --shards settings)
   chaos                 A9/A10: seeded chaos storms (Byzantine + honest
                         faults, defenses on, invariant-checked) and the
                         spoofed-telemetry auth ablation →
                         results/CHAOS_storms.json + CHAOS_byzantine.json
-                        (byte-identical across runs and --workers); exits
+                        (byte-identical across runs and --shards); exits
                         nonzero on any invariant violation or missing A9 gap
   sharded               B3: shard-scaling sweep — the traffic phase of the
                         connected 300-AS / 16-PoP mesh (B5's second tier)
@@ -72,9 +70,9 @@ COMMANDS
                         scenario with span recording armed →
                         results/TRACE_vultr-blackhole_seed<S>.json
                         (canonical span dump) + .chrome.json (open in
-                        Perfetto); byte-identical across runs, --workers,
-                        and --shards; --query answers causal questions
-                        instead of writing artifacts
+                        Perfetto); byte-identical across runs and --shards;
+                        --query answers causal questions instead of writing
+                        artifacts
   all                   run everything (with default durations)
 
 OPTIONS
@@ -83,21 +81,17 @@ OPTIONS
                   converge within minutes of simulated time)
   --seed <S>      simulation seed (default 1)
 
-TELEMETRY OPTIONS
-  --seeds <list>  comma-separated seeds (default 1,7 — the golden seeds)
-  --workers <W>   worker threads (default: machine parallelism; the
-                  artifact's bytes are identical either way)
-  --shards <N>    simulator shards per seed (default 1; the artifact's
+SWEEP OPTIONS (telemetry, chaos, trace)
+  --seeds <list>  comma-separated seeds, one independent simulation each
+                  (default: telemetry 1,7 and trace 1 — the golden seeds;
+                  chaos 1,2,3,4,5,6 — the six storms CI gates on)
+  --shards <N>    simulator shards per seed (default 1; the artifacts'
                   bytes are identical for every value)
-  --out <DIR>     write artifacts into DIR instead of results/
-
-CHAOS OPTIONS
-  --seeds <list>  comma-separated storm seeds (default 1,2,3,4,5,6 —
-                  the six storms CI gates on)
-  --workers <W>   worker threads (default: machine parallelism; the
-                  artifacts' bytes are identical either way)
-  --shards <N>    simulator shards per storm (default 1; the artifacts'
-                  bytes are identical for every value)
+  --query <Q>     trace only: answer a causal query instead of writing
+                  artifacts:
+                    ancestry:<time_ns>:<origin>:<seq>[:<intra>]
+                    node:<as>:<t0_ns>:<t1_ns>
+                    kinds
   --out <DIR>     write artifacts into DIR instead of results/
 
 SHARDED OPTIONS
@@ -105,8 +99,8 @@ SHARDED OPTIONS
   --shards <list> comma-separated shard counts to sweep (default 1,2,4,8;
                   the first is the reference)
   --seed <S>      generator + simulator seed (default 1)
-  --mode <M>      execution mode for multi-shard runs: auto | serial |
-                  threaded (default auto — threads when cores allow)
+  --mode <M>      execution mode for multi-shard runs: serial | threaded
+                  (default serial; threaded = one worker thread per shard)
   --out <DIR>     write artifacts into DIR instead of results/
 
 SCALABILITY OPTIONS
@@ -117,18 +111,6 @@ SCALABILITY OPTIONS
                   (default 8; the run is gated on shards 1 vs N being
                   bit-identical)
   --out <DIR>     write the artifact into DIR instead of results/
-
-TRACE OPTIONS
-  --seeds <list>  comma-separated seeds (default 1 — the golden seed)
-  --workers <W>   worker threads (default: machine parallelism; the
-                  artifacts' bytes are identical either way)
-  --shards <N>    simulator shards per seed (default 1; the artifacts'
-                  bytes are identical for every value)
-  --query <Q>     answer a causal query instead of writing artifacts:
-                    ancestry:<time_ns>:<origin>:<seq>[:<intra>]
-                    node:<as>:<t0_ns>:<t1_ns>
-                    kinds
-  --out <DIR>     write artifacts into DIR instead of results/
 ";
 
 struct Args {
@@ -227,29 +209,20 @@ fn duration(args: &Args) -> SimTime {
     SimTime::from_secs((args.hours * 3600.0) as u64)
 }
 
-fn parse_telemetry_args(rest: &[String]) -> Result<TelemetryOptions, String> {
-    let mut options = TelemetryOptions::default();
+/// The seeded sweeps (`telemetry`, `chaos`, `trace`) share one parser:
+/// they differ in `default_seeds`, and only `trace` `takes_query`.
+fn parse_sweep_args(
+    rest: &[String],
+    default_seeds: &[u64],
+    takes_query: bool,
+) -> Result<SweepOptions, String> {
+    let mut options = SweepOptions::new(default_seeds);
     let mut flags = Flags::new(rest);
     while let Some(flag) = flags.next_flag() {
         match flag {
             "--seeds" => options.seeds = flags.list()?,
-            "--workers" => options.workers = Some(flags.positive()?),
             "--shards" => options.shards = flags.positive()?,
-            "--out" => options.out = Some(flags.path()?),
-            other => return Err(unknown_option(other)),
-        }
-    }
-    Ok(options)
-}
-
-fn parse_chaos_args(rest: &[String]) -> Result<ChaosOptions, String> {
-    let mut options = ChaosOptions::default();
-    let mut flags = Flags::new(rest);
-    while let Some(flag) = flags.next_flag() {
-        match flag {
-            "--seeds" => options.seeds = flags.list()?,
-            "--workers" => options.workers = Some(flags.positive()?),
-            "--shards" => options.shards = flags.positive()?,
+            "--query" if takes_query => options.query = Some(flags.value()?.to_string()),
             "--out" => options.out = Some(flags.path()?),
             other => return Err(unknown_option(other)),
         }
@@ -272,7 +245,6 @@ fn parse_sharded_args(rest: &[String]) -> Result<ShardedOptions, String> {
             "--seed" => options.seed = flags.parsed()?,
             "--mode" => {
                 options.mode = match flags.value()? {
-                    "auto" => ShardMode::Auto,
                     "serial" => ShardMode::Serial,
                     "threaded" => ShardMode::Threaded,
                     other => return Err(format!("--mode: unknown mode {other}")),
@@ -306,22 +278,6 @@ fn parse_scalability_args(rest: &[String]) -> Result<ScalabilityOptions, String>
     Ok(options)
 }
 
-fn parse_trace_args(rest: &[String]) -> Result<TraceOptions, String> {
-    let mut options = TraceOptions::default();
-    let mut flags = Flags::new(rest);
-    while let Some(flag) = flags.next_flag() {
-        match flag {
-            "--seeds" => options.seeds = flags.list()?,
-            "--workers" => options.workers = Some(flags.positive()?),
-            "--shards" => options.shards = flags.positive()?,
-            "--query" => options.query = Some(flags.value()?.to_string()),
-            "--out" => options.out = Some(flags.path()?),
-            other => return Err(unknown_option(other)),
-        }
-    }
-    Ok(options)
-}
-
 /// Report a bad command line and exit 2.
 fn usage_error(e: &str) -> ! {
     eprintln!("error: {e}\n");
@@ -345,11 +301,20 @@ fn main() {
     };
     let rest = &argv[1..];
     match command.as_str() {
-        "telemetry" => run(parse_telemetry_args(rest), telemetry::report),
-        "chaos" => run(parse_chaos_args(rest), chaos::report),
+        "telemetry" => run(
+            parse_sweep_args(rest, &telemetry::DEFAULT_SEEDS, false),
+            telemetry::report,
+        ),
+        "chaos" => run(
+            parse_sweep_args(rest, &chaos::DEFAULT_SEEDS, false),
+            chaos::report,
+        ),
         "sharded" => run(parse_sharded_args(rest), sharded::report),
         "scalability" => run(parse_scalability_args(rest), scalability::report),
-        "trace" => run(parse_trace_args(rest), trace::report),
+        "trace" => run(
+            parse_sweep_args(rest, &trace::DEFAULT_SEEDS, true),
+            trace::report,
+        ),
         _ => {}
     }
     let args = parse_args(rest).unwrap_or_else(|e| usage_error(&e));
@@ -403,7 +368,7 @@ fn main() {
             hr("A8 — blackhole failover");
             failover::report(args.seed);
             hr("A9/A10 — chaos storms & Byzantine telemetry");
-            chaos::report(&ChaosOptions::default());
+            chaos::report(&SweepOptions::new(&chaos::DEFAULT_SEEDS));
         }
         "--help" | "-h" | "help" => print!("{USAGE}"),
         other => usage_error(&format!("unknown command {other}")),
@@ -425,14 +390,13 @@ mod tests {
         common      | --packets 5       | unknown option --packets
         telemetry   | --seeds           | --seeds needs a value
         telemetry   | --out             | --out needs a value
-        telemetry   | --workers 0       | --workers must be positive
+        telemetry   | --workers 2       | unknown option --workers
         telemetry   | --shards -1       | --shards: invalid digit found in string
         telemetry   | --query kinds     | unknown option --query
         chaos       | --out             | --out needs a value
-        chaos       | --workers 0       | --workers must be positive
+        chaos       | --workers 2       | unknown option --workers
         chaos       | --seeds 1,x       | --seeds: invalid digit found in string
         chaos       | --shards 0        | --shards must be positive
-        chaos       | --workers w       | --workers: invalid digit found in string
         chaos       | --seed 1          | unknown option --seed
         sharded     | --mode            | --mode needs a value
         sharded     | --replicas 2      | unknown option --replicas
@@ -440,6 +404,7 @@ mod tests {
         sharded     | --shards 1,0      | --shards must name positive shard counts
         sharded     | --shards 1,,2     | --shards: cannot parse integer from empty string
         sharded     | --mode fast       | --mode: unknown mode fast
+        sharded     | --mode auto       | --mode: unknown mode auto
         sharded     | --seeds 1         | unknown option --seeds
         scalability | --tiers           | --tiers needs a value
         scalability | --shards 0        | --shards must be positive
@@ -447,12 +412,12 @@ mod tests {
         scalability | --seed s          | --seed: invalid digit found in string
         scalability | --workers 2       | unknown option --workers
         trace       | --query           | --query needs a value
-        trace       | --workers 0       | --workers must be positive
+        trace       | --workers 2       | unknown option --workers
         trace       | --seeds 1,        | --seeds: cannot parse integer from empty string
         trace       | --packets 9       | unknown option --packets";
 
-    fn rejection<O>(parse: fn(&[String]) -> Result<O, String>, argv: &[String]) -> String {
-        parse(argv).err().expect("the arguments must be rejected")
+    fn rejection<O>(parsed: Result<O, String>) -> String {
+        parsed.err().expect("the arguments must be rejected")
     }
 
     #[test]
@@ -461,12 +426,12 @@ mod tests {
             let cols: Vec<&str> = case.split('|').map(str::trim).collect();
             let argv: Vec<String> = cols[1].split(' ').map(String::from).collect();
             let got = match cols[0] {
-                "common" => rejection(parse_args, &argv),
-                "telemetry" => rejection(parse_telemetry_args, &argv),
-                "chaos" => rejection(parse_chaos_args, &argv),
-                "sharded" => rejection(parse_sharded_args, &argv),
-                "scalability" => rejection(parse_scalability_args, &argv),
-                "trace" => rejection(parse_trace_args, &argv),
+                "common" => rejection(parse_args(&argv)),
+                "telemetry" => rejection(parse_sweep_args(&argv, &telemetry::DEFAULT_SEEDS, false)),
+                "chaos" => rejection(parse_sweep_args(&argv, &chaos::DEFAULT_SEEDS, false)),
+                "sharded" => rejection(parse_sharded_args(&argv)),
+                "scalability" => rejection(parse_scalability_args(&argv)),
+                "trace" => rejection(parse_sweep_args(&argv, &trace::DEFAULT_SEEDS, true)),
                 other => panic!("no parser for {other}"),
             };
             assert_eq!(got, cols[2], "{case}");

@@ -25,7 +25,6 @@ use crate::util::{fmt, json_escape_free, out_dir, print_table};
 use std::path::PathBuf;
 use std::time::Instant;
 use tango::npop::NPopMesh;
-use tango_obs::Registry;
 use tango_sim::{ShardLoad, ShardMode};
 
 /// The mesh under the sweep: B5's second tier, so `--packets 256` is
@@ -41,8 +40,8 @@ pub struct ShardedOptions {
     pub shard_counts: Vec<usize>,
     /// Generator + simulator seed.
     pub seed: u64,
-    /// Execution mode for multi-shard runs (`Auto` threads when the
-    /// machine has cores to spare; `Serial`/`Threaded` force it).
+    /// Execution mode for multi-shard runs: the lockstep serial runner
+    /// or one worker thread per shard.
     pub mode: ShardMode,
     /// Artifact directory override (`--out`); `None` = `results/`.
     pub out: Option<PathBuf>,
@@ -54,7 +53,7 @@ impl Default for ShardedOptions {
             packets: 20_000,
             shard_counts: vec![1, 2, 4, 8],
             seed: 1,
-            mode: ShardMode::Auto,
+            mode: ShardMode::Serial,
             out: None,
         }
     }
@@ -66,8 +65,8 @@ pub struct ShardRun {
     pub shards: usize,
     /// Shards the partition actually produced (clamped to node count).
     pub effective_shards: usize,
-    /// Whether the shards ran on worker threads (`mode` resolved against
-    /// the partition and this machine; timing sidecar only).
+    /// Whether the shards ran on worker threads (`mode` is `Threaded`
+    /// and the partition has more than one shard; timing sidecar only).
     pub threaded: bool,
     /// Wall-clock nanoseconds for the simulation (excludes build).
     pub wall_ns: u64,
@@ -119,32 +118,6 @@ pub fn sweep(options: &ShardedOptions) -> Vec<ShardRun> {
         .iter()
         .map(|&s| run_one(&mesh, options, s))
         .collect()
-}
-
-/// Export every run's [`ShardLoad`] into a `tango-obs` registry
-/// (counters named `sharded.s<requested>.shard.<i>.<field>`), so the
-/// self-profiler flows through the same snapshot/export machinery as the
-/// rest of the metric tree. Callers pass a **private** registry: the
-/// series are keyed by shard count, so they must never enter the shared
-/// scenario registry that the shard-invariant TELEMETRY artifact
-/// snapshots.
-pub fn publish_load(registry: &Registry, runs: &[ShardRun]) {
-    for r in runs {
-        for l in &r.load {
-            let base = format!("sharded.s{}.shard.{}", r.shards, l.shard);
-            registry.counter(&format!("{base}.windows")).add(l.windows);
-            registry
-                .counter(&format!("{base}.idle_windows"))
-                .add(l.idle_windows);
-            registry.counter(&format!("{base}.events")).add(l.events);
-            registry
-                .counter(&format!("{base}.outbox_events"))
-                .add(l.outbox_events);
-            registry
-                .gauge(&format!("{base}.queue_peak"))
-                .set(l.queue_peak);
-        }
-    }
 }
 
 /// Render the sweep as the `BENCH_sharded.json` document. Deliberately
@@ -318,17 +291,6 @@ pub fn report(options: &ShardedOptions) -> i32 {
             );
         }
     }
-    // Export the profiler through tango-obs (a private registry — these
-    // series are keyed by shard count, so they stay out of the shared
-    // scenario registry that shard-invariant artifacts snapshot).
-    let profiler = Registry::new();
-    publish_load(&profiler, &runs);
-    let snap = profiler.snapshot();
-    println!(
-        "self-profiler exported through tango-obs: {} series",
-        snap.counters.len() + snap.gauges.len()
-    );
-
     let dir = out_dir(&options.out);
     let path = dir.join("BENCH_sharded.json");
     std::fs::write(&path, to_json(options, &runs, identical)).expect("write BENCH_sharded json");
@@ -359,7 +321,7 @@ mod tests {
             packets: 64,
             shard_counts: vec![1, 2],
             seed: 5,
-            mode: ShardMode::Auto,
+            mode: ShardMode::Serial,
             out: None,
         }
     }
@@ -411,26 +373,6 @@ mod tests {
             let field = format!("\"traffic_digest\": \"{}\"", r.digest);
             assert!(row.contains(&field), "{field} not in {row}");
         }
-    }
-
-    #[test]
-    fn profiler_flows_through_a_tango_obs_registry() {
-        let options = ShardedOptions {
-            shard_counts: vec![2],
-            ..tiny()
-        };
-        let runs = sweep(&options);
-        let registry = Registry::new();
-        publish_load(&registry, &runs);
-        let snap = registry.snapshot();
-        let total: u64 = snap
-            .counters
-            .iter()
-            .filter(|(k, _)| k.starts_with("sharded.s2.shard.") && k.ends_with(".events"))
-            .map(|(_, v)| v)
-            .sum();
-        assert_eq!(total, runs[0].events);
-        assert!(snap.gauges.contains_key("sharded.s2.shard.0.queue_peak"));
     }
 
     #[test]

@@ -8,13 +8,11 @@
 //! Determinism is the point: each seed is an independent simulation
 //! driven entirely by virtual time, and the exporter sorts keys and
 //! formats integers only — so the artifact is **byte-identical** across
-//! runs *and* across `--workers` settings (seeds fan out over threads,
-//! results aggregate in seed order). CI runs this twice with different
-//! worker counts and diffs the bytes; the golden-trace suite pins two
-//! seeds' documents under `tests/golden/`.
+//! runs and `--shards` settings. CI diffs the bytes across shard counts;
+//! the golden-trace suite pins two seeds' documents under
+//! `tests/golden/`.
 
-use crate::parallel::{run_seeds, worker_count};
-use crate::util::{out_dir, print_table};
+use crate::util::{out_dir, print_table, SweepOptions};
 use std::collections::BTreeMap;
 use tango::prelude::*;
 use tango_obs::{Registry, Snapshot, Value};
@@ -33,30 +31,8 @@ const HORIZON: SimTime = SimTime(20_000_000_000);
 /// Scenario id: names the artifact and the golden files.
 pub const SCENARIO: &str = "vultr-blackhole";
 
-/// Options for a telemetry run.
-pub struct TelemetryOptions {
-    /// Seeds to sweep (each an independent simulation → one JSON section).
-    pub seeds: Vec<u64>,
-    /// Force the worker count (`None` = machine parallelism, capped by
-    /// the seed count).
-    pub workers: Option<usize>,
-    /// Simulator shards per seed. The artifact is bit-identical for
-    /// every value — CI runs `--shards 1` vs `--shards 8` and diffs.
-    pub shards: usize,
-    /// Artifact directory override (`--out`); `None` = `results/`.
-    pub out: Option<std::path::PathBuf>,
-}
-
-impl Default for TelemetryOptions {
-    fn default() -> Self {
-        TelemetryOptions {
-            seeds: vec![1, 7],
-            workers: None,
-            shards: 1,
-            out: None,
-        }
-    }
-}
+/// Seeds of a default run: the two the golden-trace suite pins.
+pub const DEFAULT_SEEDS: [u64; 2] = [1, 7];
 
 /// Run the scenario for one seed and return the full metric snapshot.
 ///
@@ -120,17 +96,10 @@ pub fn to_json(sections: &[(u64, Snapshot)]) -> String {
     Value::Obj(root).to_json()
 }
 
-/// Run the sweep (no printing): per-seed snapshots in seed order,
-/// independent of worker scheduling.
-pub fn sweep(options: &TelemetryOptions) -> Vec<(u64, Snapshot)> {
-    let workers = options
-        .workers
-        .unwrap_or_else(|| worker_count(options.seeds.len()));
-    let shards = options.shards;
-    let snaps = run_seeds(&options.seeds, workers, |seed| {
-        collect_seed_sharded(seed, shards)
-    });
-    options.seeds.iter().copied().zip(snaps).collect()
+/// Run the sweep (no printing): per-seed snapshots in seed order.
+pub fn sweep(options: &SweepOptions) -> Vec<(u64, Snapshot)> {
+    let run = |&seed| (seed, collect_seed_sharded(seed, options.shards));
+    options.seeds.iter().map(run).collect()
 }
 
 fn counter(snap: &Snapshot, name: &str) -> u64 {
@@ -139,7 +108,7 @@ fn counter(snap: &Snapshot, name: &str) -> u64 {
 
 /// The `experiments telemetry` entry point. Returns the process exit
 /// code.
-pub fn report(options: &TelemetryOptions) -> i32 {
+pub fn report(options: &SweepOptions) -> i32 {
     println!(
         "telemetry — {SCENARIO}: path 2 dies at {} s for {} s; health-gated \
          lowest-OWD both sides, app packet each way every {} ms; seeds {:?}\n",
@@ -197,25 +166,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn same_seed_is_bit_identical_and_parallel_invariant() {
+    fn same_seed_is_bit_identical() {
         let a = collect_seed(3);
         let b = collect_seed(3);
         assert_eq!(a.to_json(), b.to_json(), "same seed ⇒ same bytes");
-        let serial = sweep(&TelemetryOptions {
-            seeds: vec![3, 5],
-            workers: Some(1),
-            ..TelemetryOptions::default()
-        });
-        let parallel = sweep(&TelemetryOptions {
-            seeds: vec![3, 5],
-            workers: Some(2),
-            ..TelemetryOptions::default()
-        });
-        assert_eq!(
-            to_json(&serial),
-            to_json(&parallel),
-            "worker count must not leak into the artifact"
-        );
     }
 
     #[test]

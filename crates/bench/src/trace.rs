@@ -12,8 +12,8 @@
 //!   the causal parents render as flow arrows.
 //!
 //! Every span key is a pure function of the event schedule — never of
-//! shard layout, worker threads, or wall clocks — so both artifacts are
-//! **byte-identical** across runs, `--workers`, and `--shards` settings;
+//! shard layout, shard-runner threads, or wall clocks — so both
+//! artifacts are **byte-identical** across runs and `--shards` settings;
 //! CI diffs them and the golden suite pins seed 1's canonical dump.
 //!
 //! `--query` answers causal questions over the same stream instead of
@@ -21,9 +21,7 @@
 //! chain, `node:<as>:<t0>:<t1>` lists everything an AS did in a window,
 //! and `kinds` prints per-kind cause→effect latency histograms.
 
-use crate::parallel::{run_seeds, worker_count};
-use crate::util::{out_dir, print_table};
-use std::path::PathBuf;
+use crate::util::{out_dir, print_table, SweepOptions};
 use tango::prelude::*;
 use tango_trace::{export, query, Span, SpanKey, SpanRing};
 
@@ -58,34 +56,8 @@ const SPAN_CAPACITY: usize = 1 << 16;
 /// Scenario id: names the artifacts and the golden file.
 pub const SCENARIO: &str = "vultr-blackhole";
 
-/// Options for a trace export run.
-pub struct TraceOptions {
-    /// Seeds to sweep (each an independent simulation → one artifact
-    /// pair). The golden suite pins seed 1.
-    pub seeds: Vec<u64>,
-    /// Force the worker count (`None` = machine parallelism, capped by
-    /// the seed count).
-    pub workers: Option<usize>,
-    /// Simulator shards per seed. The artifacts are bit-identical for
-    /// every value — CI runs `--shards 1` vs `--shards 8` and diffs.
-    pub shards: usize,
-    /// A causal query to answer instead of writing artifacts.
-    pub query: Option<String>,
-    /// Artifact directory override (`--out`); `None` = `results/`.
-    pub out: Option<PathBuf>,
-}
-
-impl Default for TraceOptions {
-    fn default() -> Self {
-        TraceOptions {
-            seeds: vec![1],
-            workers: None,
-            shards: 1,
-            query: None,
-            out: None,
-        }
-    }
-}
+/// Seeds of a default run: the one the golden suite pins.
+pub const DEFAULT_SEEDS: [u64; 1] = [1];
 
 /// Health thresholds matched to the slowed-down probe cadence.
 fn health_config() -> HealthConfig {
@@ -143,21 +115,8 @@ pub fn dump_json(ring: &SpanRing) -> String {
 /// Short human-readable payload summary of a span's kind (offline
 /// rendering — the span-alloc lint scope is emission, not reporting).
 fn kind_detail(s: &Span) -> String {
-    use tango_trace::SpanKind as K;
-    match s.kind {
-        K::Deliver | K::HostInject => String::new(),
-        K::Timer { tag } => format!("tag={tag}"),
-        K::Tx { to } => format!("to={to}"),
-        K::Drop { reason } => format!("reason={}", reason.name()),
-        K::Encap { path, payload } => format!("path={path} payload={payload}"),
-        K::Decap { path } => format!("path={path}"),
-        K::RxReject { reason } => format!("reason={reason}"),
-        K::BgpUpdate { path, announce } => format!("path={path} announce={announce}"),
-        K::HealthTransition { path, from, to } => format!("path={path} {from}->{to}"),
-        K::Reroute { path } => format!("path={path}"),
-        K::Control { step, path } => format!("step={step} path={path}"),
-        K::InvariantViolation { path, state } => format!("path={path} state={state}"),
-    }
+    let fields: Vec<String> = s.kind.fields().map(|(k, v)| format!("{k}={v}")).collect();
+    fields.join(" ")
 }
 
 fn fmt_key(k: &SpanKey) -> String {
@@ -264,7 +223,7 @@ pub fn run_query(spans: &[Span], q: &str) -> Result<(), String> {
 }
 
 /// The `experiments trace` entry point. Returns the process exit code.
-pub fn report(options: &TraceOptions) -> i32 {
+pub fn report(options: &SweepOptions) -> i32 {
     println!(
         "trace — {SCENARIO}: path 2 dies at {} ms for {} ms; health-gated \
          lowest-OWD both sides, {} ms probes, spans armed; seeds {:?}\n",
@@ -284,22 +243,16 @@ pub fn report(options: &TraceOptions) -> i32 {
             }
         };
     }
-    let workers = options
-        .workers
-        .unwrap_or_else(|| worker_count(options.seeds.len()));
-    let shards = options.shards;
-    let rings = run_seeds(&options.seeds, workers, |seed| {
-        collect_seed_sharded(seed, shards)
-    });
     let dir = out_dir(&options.out);
     let mut rows = Vec::new();
     let mut wrapped = false;
-    for (seed, ring) in options.seeds.iter().zip(&rings) {
+    for &seed in &options.seeds {
+        let ring = collect_seed_sharded(seed, options.shards);
         let spans = ring.spans();
         if ring.total_recorded() > spans.len() as u64 {
             wrapped = true;
         }
-        let json = dump_json(ring);
+        let json = dump_json(&ring);
         let chrome = export::chrome_trace(&spans);
         let json_path = dir.join(format!("TRACE_{SCENARIO}_seed{seed}.json"));
         let chrome_path = dir.join(format!("TRACE_{SCENARIO}_seed{seed}.chrome.json"));

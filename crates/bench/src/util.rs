@@ -1,7 +1,35 @@
-//! Shared experiment plumbing: result directory, table printing, the
-//! artifact writers' string check.
+//! Shared experiment plumbing: the seeded sweeps' options, result
+//! directory, table printing, the artifact writers' string check.
 
 use std::path::PathBuf;
+
+/// Options of a seeded sweep — `experiments telemetry`, `chaos` and
+/// `trace`, which differ only in scenario, artifact and default seeds.
+pub struct SweepOptions {
+    /// Seeds to sweep, in order: each an independent simulation and one
+    /// section (or artifact pair) of the output.
+    pub seeds: Vec<u64>,
+    /// Simulator shards per seed. The artifacts are bit-identical for
+    /// every value — CI runs `--shards 1`, `8` and `9` and diffs.
+    pub shards: usize,
+    /// `trace` only: a causal query to answer instead of writing
+    /// artifacts.
+    pub query: Option<String>,
+    /// Artifact directory override (`--out`); `None` = `results/`.
+    pub out: Option<PathBuf>,
+}
+
+impl SweepOptions {
+    /// A subcommand's defaults: its own seed list, one shard, `results/`.
+    pub fn new(seeds: &[u64]) -> Self {
+        SweepOptions {
+            seeds: seeds.to_vec(),
+            shards: 1,
+            query: None,
+            out: None,
+        }
+    }
+}
 
 /// Where CSV outputs land (created on demand).
 pub fn results_dir() -> PathBuf {

@@ -1,11 +1,9 @@
-//! The parallel multi-seed runner and the shard partition must both be
-//! exact wall-clock-only optimizations: the static fast-path pairing
-//! yields the same digest, counters and per-path one-way-delay series
-//! whether seeds run serially at 1 shard or across workers at 4 shards,
-//! and results arrive in seed order either way.
+//! The shard partition must be an exact wall-clock-only knob: the static
+//! fast-path pairing yields the same digest, counters and per-path
+//! one-way-delay series whether each seed runs at 1 shard or at 4, and
+//! a repeated seed repeats its outcome.
 
 use tango::prelude::*;
-use tango_bench::parallel;
 use tango_sim::SimStats;
 
 const PACKETS: u64 = 400;
@@ -60,18 +58,15 @@ fn run_one(seed: u64, shards: usize) -> Outcome {
 }
 
 #[test]
-fn parallel_runner_matches_serial_run() {
-    let serial: Vec<Outcome> = SEEDS.iter().map(|&s| run_one(s, 1)).collect();
-    // The parallel arm also shards each simulation: neither the worker
-    // fan-out nor the shard partition may leak into the results.
-    let parallel: Vec<Outcome> = parallel::run_seeds(&SEEDS, 4, |seed| run_one(seed, 4));
+fn four_shards_match_one_shard_seed_by_seed() {
+    let one: Vec<Outcome> = SEEDS.iter().map(|&s| run_one(s, 1)).collect();
+    let four: Vec<Outcome> = SEEDS.iter().map(|&s| run_one(s, 4)).collect();
 
-    // Element-wise equality includes `seed`: results come back in seed
-    // order.
-    assert_eq!(serial, parallel);
-    assert!(serial.iter().all(|o| o.stats.deliveries >= PACKETS));
-    assert!(serial.iter().all(|o| !o.owd.is_empty()));
+    // Element-wise equality includes `seed`.
+    assert_eq!(one, four);
+    assert!(one.iter().all(|o| o.stats.deliveries >= PACKETS));
+    assert!(one.iter().all(|o| !o.owd.is_empty()));
     // Repeated seeds are independent simulations of the same world:
     // their outcomes agree too.
-    assert_eq!(parallel[1], parallel[3]);
+    assert_eq!(four[1], four[3]);
 }

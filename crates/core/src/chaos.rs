@@ -16,7 +16,7 @@
 //! gates) and verdicts the run with the invariant checker
 //! ([`crate::invariant`]). Everything is a pure function of
 //! [`ChaosRunOptions`], so the same options reproduce the same outcome
-//! byte for byte — CI diffs the artifacts across worker counts.
+//! byte for byte — CI diffs the artifacts across shard counts.
 
 use std::collections::BTreeMap;
 
@@ -100,8 +100,8 @@ pub struct ChaosOutcome {
     /// The flight recorder's post-verdict dump: every chaos control
     /// step, BGP update, health transition, reroute, and (if any)
     /// invariant violation, with resolvable ancestry. Its digest is
-    /// embedded in the chaos artifact and byte-diffs across worker and
-    /// shard counts.
+    /// embedded in the chaos artifact and byte-diffs across shard
+    /// counts.
     pub flight: FlightDump,
 }
 

@@ -41,8 +41,8 @@ pub fn health_code(state: HealthState) -> u8 {
 /// One flight-recorder dump: the control-plane recorder's retained
 /// spans rendered in the canonical `tango-trace/spans/v1` form, plus
 /// the digest experiments embed in their artifacts. A pure function of
-/// the run, so the same scenario yields the same digest across worker
-/// and shard counts.
+/// the run, so the same scenario yields the same digest across shard
+/// counts and runner modes.
 #[derive(Debug, Clone)]
 pub struct FlightDump {
     /// Canonical span-dump JSON (sorted keys, fixed indentation).
@@ -141,9 +141,9 @@ pub struct PairingOptions {
     /// Application-specific routing overrides (§3), applied at both
     /// switches: inner DSCP/traffic-class byte → pinned path id.
     pub class_map: std::collections::BTreeMap<u8, u16>,
-    /// Scheduled *structured* faults (link flaps, path blackholes, BGP
-    /// session resets). Link-level members are lowered onto the topology
-    /// before the simulator starts; `SessionReset`s are executed against
+    /// Scheduled *structured* faults (path blackholes, BGP session
+    /// resets). `Blackhole`s are lowered onto the topology before the
+    /// simulator starts; `SessionReset`s are executed against
     /// the BGP engine mid-run by [`TangoPairing::run_until`].
     pub wide_area_events: Vec<WideAreaEvent>,
     /// Wrap side A's policy in a [`HealthGated`] liveness gate with these
@@ -164,11 +164,12 @@ pub struct PairingOptions {
     /// handle is exposed after the build via [`TangoPairing::obs`].
     pub obs: Option<Registry>,
     /// Number of simulator shards (see `tango_sim::shard`). Any value
-    /// yields bit-identical results; >1 lets independent regions of the
-    /// topology run on separate cores.
+    /// yields bit-identical results. Under [`FeedbackMode::Shared`] a
+    /// count that would split the two tenants falls back to one shard
+    /// (`sim.shard_count()` reports it).
     pub shards: usize,
-    /// How multi-shard runs execute (serial reference vs. worker
-    /// threads); identical output either way.
+    /// How multi-shard runs execute (serial reference, the default, vs.
+    /// worker threads); identical output either way.
     pub shard_mode: ShardMode,
 }
 
@@ -194,7 +195,7 @@ impl Default for PairingOptions {
             monitor_only_health: false,
             obs: None,
             shards: 1,
-            shard_mode: ShardMode::Auto,
+            shard_mode: ShardMode::Serial,
         }
     }
 }
@@ -392,17 +393,27 @@ impl TangoPairing {
             options.policy_b = Box::new(gated);
         }
 
-        let mut sim = NetworkSim::new(
-            topology.clone(),
-            SimConfig {
-                seed: options.seed,
-                span_capacity: options.span_capacity,
-                fault: options.fault,
-                obs: options.obs.clone(),
-                shards: options.shards,
-                shard_mode: options.shard_mode,
-            },
-        );
+        let mut sim_config = SimConfig {
+            seed: options.seed,
+            span_capacity: options.span_capacity,
+            fault: options.fault,
+            obs: options.obs.clone(),
+            shards: options.shards,
+            shard_mode: options.shard_mode,
+        };
+        let mut sim = NetworkSim::new(topology.clone(), sim_config.clone());
+        // Shared feedback is a zero-delay channel between the two
+        // switches: each reads the other's sink at its own control tick.
+        // Across a shard boundary that read would see whatever the other
+        // shard happened to have processed of the current window, so —
+        // like a zero-latency cross-shard link — it forces one shard.
+        // In-band reports pay link latency and keep the requested count.
+        if options.feedback == FeedbackMode::Shared
+            && sim.shard_of(side_a.tenant) != sim.shard_of(side_b.tenant)
+        {
+            sim_config.shards = 1;
+            sim = NetworkSim::new(topology.clone(), sim_config);
+        }
         // Every non-tenant node routes by its converged BGP table.
         let tenant_ids = [side_a.tenant, side_b.tenant];
         let router_ids: Vec<AsId> = topology

@@ -5,7 +5,7 @@
 //! modules they guard. Keep it in sync with DESIGN.md's "Determinism
 //! invariants" section.
 
-/// Crates whose behaviour must be bit-identical across runs and worker
+/// Crates whose behaviour must be bit-identical across runs and shard
 /// counts: everything that feeds an experiment artifact. `tango-net` is
 /// pure codec/parsing (no iteration-order hazards) and `tango-bench` is
 /// the measurement harness, so both stay out.

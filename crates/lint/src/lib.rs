@@ -1,7 +1,7 @@
 //! `tango-lint` — workspace determinism & hot-path safety lints.
 //!
 //! Tango's evaluation rests on bit-identical experiment artifacts across
-//! runs and worker counts. That guarantee was previously protected only
+//! runs and shard counts. That guarantee was previously protected only
 //! by convention; this crate turns the conventions into machine-checked
 //! invariants. The rules (see [`registry::all_rules`] and DESIGN.md's
 //! "Determinism invariants"):

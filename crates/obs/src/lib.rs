@@ -11,7 +11,7 @@
 //! * [`Snapshot`] — a point-in-time export of a registry with **sorted
 //!   keys** and integer-only values, rendering to byte-stable JSON
 //!   ([`Snapshot::to_json`]) so artifacts diff bit-for-bit across runs
-//!   and worker counts. [`Snapshot::parse`] reads the same format back.
+//!   and shard counts. [`Snapshot::parse`] reads the same format back.
 //!
 //! ## Determinism rules
 //!

@@ -4,7 +4,7 @@
 //! iteration), integer-only values, fixed two-space indentation, `\n`
 //! line endings, trailing newline. Two snapshots with equal contents
 //! serialise to byte-identical text on every platform, which is what
-//! lets CI diff `results/TELEMETRY_*.json` across runs and worker
+//! lets CI diff `results/TELEMETRY_*.json` across runs and shard
 //! counts, and what makes golden-trace tests a plain byte comparison.
 
 use std::collections::BTreeMap;

@@ -484,7 +484,7 @@ impl Default for SimConfig {
             fault: None,
             obs: None,
             shards: 1,
-            shard_mode: ShardMode::Auto,
+            shard_mode: ShardMode::Serial,
         }
     }
 }
@@ -1302,12 +1302,7 @@ impl NetworkSim {
         let shards: Vec<ShardState> = (0..part.len())
             .map(|s| ShardState::new(s, &part, &nodes, &config))
             .collect();
-        let threaded = part.len() > 1
-            && match config.shard_mode {
-                ShardMode::Serial => false,
-                ShardMode::Threaded => true,
-                ShardMode::Auto => std::thread::available_parallelism().is_ok_and(|p| p.get() > 1),
-            };
+        let threaded = part.len() > 1 && config.shard_mode == ShardMode::Threaded;
         NetworkSim {
             shared: SimShared {
                 topology,
@@ -1336,9 +1331,16 @@ impl NetworkSim {
         self.shards.len()
     }
 
-    /// Whether [`NetworkSim::run_until`] runs the shards on worker threads
-    /// ([`SimConfig::shard_mode`] resolved against the partition and the
-    /// host).
+    /// The shard that owns `node` (0 for a node outside the topology).
+    /// Whoever wires a zero-delay channel between two nodes' agents must
+    /// keep both in one shard — see `TangoPairing::build`.
+    pub fn shard_of(&self, node: AsId) -> usize {
+        self.shared.part.shard_of(self.idx_or_sentinel(node))
+    }
+
+    /// Whether [`NetworkSim::run_until`] runs the shards on worker threads:
+    /// [`ShardMode::Threaded`] was asked for and the partition has more
+    /// than one shard.
     pub fn is_threaded(&self) -> bool {
         self.threaded
     }

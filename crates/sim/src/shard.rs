@@ -25,17 +25,14 @@ use crate::time::SimTime;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
-/// How a multi-shard simulation executes. Every mode produces
+/// How a multi-shard simulation executes. Both modes produce
 /// bit-identical results; the choice only trades wall-clock for cores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardMode {
-    /// Threaded when the partition has more than one shard and the host
-    /// has more than one core; serial otherwise.
-    #[default]
-    Auto,
     /// Run every shard's window on the calling thread, in shard order.
-    /// The reference implementation — and the profitable choice on a
-    /// single-core host, where thread hand-offs only add overhead.
+    /// The reference implementation, and the default: nothing creates a
+    /// thread unless a caller writes [`ShardMode::Threaded`].
+    #[default]
     Serial,
     /// One worker thread per shard, synchronized by barriers.
     Threaded,

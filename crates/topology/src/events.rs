@@ -148,28 +148,16 @@ impl LinkEvent {
 
 /// A *structured* scheduled fault, one abstraction level above
 /// [`LinkEvent`]: where a `LinkEvent` speaks in directed links, a
-/// `WideAreaEvent` speaks in the operator's vocabulary — a flapping
-/// peering, a blackholed tunnel path, a reset BGP session. Deterministic
-/// scenarios, not i.i.d. coin flips: the same schedule replays exactly.
+/// `WideAreaEvent` speaks in the operator's vocabulary — a blackholed
+/// tunnel path, a reset BGP session. Deterministic scenarios, not i.i.d.
+/// coin flips: the same schedule replays exactly.
 ///
-/// Link-level members lower to [`LinkEvent`]s via [`WideAreaEvent::lower`];
+/// `Blackhole` lowers to [`LinkEvent`]s via [`WideAreaEvent::lower`];
 /// `SessionReset` is a *control-plane* event (withdraw + delayed
 /// re-announce of a tunnel prefix) and is executed by the pairing harness
 /// instead — `lower` returns nothing for it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WideAreaEvent {
-    /// A peering link goes down in *both* directions at `down_at_ns` and
-    /// comes back `duration_ns` later (maintenance, port flap).
-    LinkFlap {
-        /// One side of the peering.
-        from: AsId,
-        /// The other side.
-        to: AsId,
-        /// When the link goes dark, ns.
-        down_at_ns: u64,
-        /// How long it stays dark, ns.
-        duration_ns: u64,
-    },
     /// One provisioned tunnel path silently drops everything in both
     /// directions for a window — the classic remotely-triggered
     /// blackhole. The path id is resolved to concrete directed links by
@@ -199,11 +187,6 @@ impl WideAreaEvent {
     /// The window during which the fault is active.
     pub fn window(&self) -> TimeWindow {
         match *self {
-            WideAreaEvent::LinkFlap {
-                down_at_ns,
-                duration_ns,
-                ..
-            } => TimeWindow::new(down_at_ns, down_at_ns.saturating_add(duration_ns)),
             WideAreaEvent::Blackhole {
                 at_ns, duration_ns, ..
             } => TimeWindow::new(at_ns, at_ns.saturating_add(duration_ns)),
@@ -221,20 +204,6 @@ impl WideAreaEvent {
     pub fn lower(&self, path_links: impl Fn(u16) -> Vec<(AsId, AsId)>) -> Vec<LinkEvent> {
         let window = self.window();
         match *self {
-            WideAreaEvent::LinkFlap { from, to, .. } => vec![
-                LinkEvent {
-                    from,
-                    to,
-                    window,
-                    kind: EventKind::Outage,
-                },
-                LinkEvent {
-                    from: to,
-                    to: from,
-                    window,
-                    kind: EventKind::Outage,
-                },
-            ],
             WideAreaEvent::Blackhole { path, .. } => path_links(path)
                 .into_iter()
                 .map(|(from, to)| LinkEvent {
@@ -345,28 +314,6 @@ mod tests {
             .unwrap();
         assert!(max <= 50_000_000 + 1_000_000, "max {max}");
         assert!(max > 40_000_000, "expected large spikes, max {max}");
-    }
-
-    #[test]
-    fn link_flap_lowers_to_outages_both_directions() {
-        let flap = WideAreaEvent::LinkFlap {
-            from: AsId(3257),
-            to: AsId(64602),
-            down_at_ns: 1_000,
-            duration_ns: 500,
-        };
-        let lowered = flap.lower(|_| panic!("flap needs no path resolution"));
-        assert_eq!(lowered.len(), 2);
-        for ev in &lowered {
-            assert_eq!(ev.kind, EventKind::Outage);
-            assert_eq!(ev.window, TimeWindow::new(1_000, 1_500));
-        }
-        assert!(lowered
-            .iter()
-            .any(|e| e.from == AsId(3257) && e.to == AsId(64602)));
-        assert!(lowered
-            .iter()
-            .any(|e| e.from == AsId(64602) && e.to == AsId(3257)));
     }
 
     #[test]

@@ -5,13 +5,13 @@
 //! order, object keys are sorted (the canonical form reuses
 //! `tango-obs`'s [`Value`] writer), and no float ever enters the output
 //! — timestamps are fixed-point microsecond strings. Artifacts therefore
-//! byte-diff across runs, worker counts, and shard counts.
+//! byte-diff across runs and shard counts.
 //!
 //! This module is offline (runs once per export, never per event), so
 //! ordinary string building is fine here — the `span-alloc` lint scope
 //! covers only the emission path (`span.rs`, `ring.rs`).
 
-use crate::span::{Span, SpanKey, SpanKind};
+use crate::span::{FieldValue, Span, SpanKey, SpanKind};
 use std::collections::BTreeMap;
 use tango_obs::Value;
 
@@ -30,40 +30,12 @@ fn key_value(k: &SpanKey) -> Value {
 fn kind_value(kind: &SpanKind) -> Value {
     let mut obj = BTreeMap::new();
     obj.insert("name".to_string(), Value::Str(kind.name().to_string()));
-    let num = |map: &mut BTreeMap<String, Value>, key: &str, v: u64| {
-        map.insert(key.to_string(), Value::Num(v));
-    };
-    match *kind {
-        SpanKind::Deliver | SpanKind::HostInject => {}
-        SpanKind::Timer { tag } => num(&mut obj, "tag", tag),
-        SpanKind::Tx { to } => num(&mut obj, "to", u64::from(to)),
-        SpanKind::Drop { reason } => {
-            obj.insert("reason".to_string(), Value::Str(reason.name().to_string()));
-        }
-        SpanKind::Encap { path, payload } => {
-            num(&mut obj, "path", u64::from(path));
-            num(&mut obj, "payload", u64::from(payload));
-        }
-        SpanKind::Decap { path } => num(&mut obj, "path", u64::from(path)),
-        SpanKind::RxReject { reason } => num(&mut obj, "reason", u64::from(reason)),
-        SpanKind::BgpUpdate { path, announce } => {
-            num(&mut obj, "path", u64::from(path));
-            num(&mut obj, "announce", u64::from(announce));
-        }
-        SpanKind::HealthTransition { path, from, to } => {
-            num(&mut obj, "path", u64::from(path));
-            num(&mut obj, "from", u64::from(from));
-            num(&mut obj, "to", u64::from(to));
-        }
-        SpanKind::Reroute { path } => num(&mut obj, "path", u64::from(path)),
-        SpanKind::Control { step, path } => {
-            num(&mut obj, "step", u64::from(step));
-            num(&mut obj, "path", u64::from(path));
-        }
-        SpanKind::InvariantViolation { path, state } => {
-            num(&mut obj, "path", u64::from(path));
-            num(&mut obj, "state", u64::from(state));
-        }
+    for (field, value) in kind.fields() {
+        let value = match value {
+            FieldValue::Num(v) => Value::Num(v),
+            FieldValue::Name(name) => Value::Str(name.to_string()),
+        };
+        obj.insert(field.to_string(), value);
     }
     Value::Obj(obj)
 }
@@ -161,28 +133,10 @@ fn chrome_args(s: &Span) -> String {
     if !s.parent.is_none() {
         args.push_str(&format!(",\"parent\":\"{}\"", key_arg(&s.parent)));
     }
-    match s.kind {
-        SpanKind::Deliver | SpanKind::HostInject => {}
-        SpanKind::Timer { tag } => args.push_str(&format!(",\"tag\":{tag}")),
-        SpanKind::Tx { to } => args.push_str(&format!(",\"to\":{to}")),
-        SpanKind::Drop { reason } => args.push_str(&format!(",\"reason\":\"{}\"", reason.name())),
-        SpanKind::Encap { path, payload } => {
-            args.push_str(&format!(",\"path\":{path},\"payload\":{payload}"))
-        }
-        SpanKind::Decap { path } => args.push_str(&format!(",\"path\":{path}")),
-        SpanKind::RxReject { reason } => args.push_str(&format!(",\"reason\":{reason}")),
-        SpanKind::BgpUpdate { path, announce } => {
-            args.push_str(&format!(",\"path\":{path},\"announce\":{announce}"))
-        }
-        SpanKind::HealthTransition { path, from, to } => {
-            args.push_str(&format!(",\"path\":{path},\"from\":{from},\"to\":{to}"))
-        }
-        SpanKind::Reroute { path } => args.push_str(&format!(",\"path\":{path}")),
-        SpanKind::Control { step, path } => {
-            args.push_str(&format!(",\"step\":{step},\"path\":{path}"))
-        }
-        SpanKind::InvariantViolation { path, state } => {
-            args.push_str(&format!(",\"path\":{path},\"state\":{state}"))
+    for (field, value) in s.kind.fields() {
+        match value {
+            FieldValue::Num(v) => args.push_str(&format!(",\"{field}\":{v}")),
+            FieldValue::Name(name) => args.push_str(&format!(",\"{field}\":\"{name}\"")),
         }
     }
     args.push('}');

@@ -13,14 +13,14 @@
 //!
 //! A [`SpanKey`] is a pure function of stable identities (virtual time,
 //! emitting origin, per-origin sequence, intra-dispatch index) — never of
-//! shard layout, worker count, or realized execution interleaving. Every
+//! shard layout, runner mode, or realized execution interleaving. Every
 //! shard records into its own [`SpanRing`]; [`SpanRing::merged`] unions
 //! the rings and sorts by key, reproducing the exact stream a
 //! single-shard run records (rings that never wrap merge exactly). The
 //! exporters ([`export`]) render that stream as canonical JSON and as
 //! Chrome `trace_event` JSON, and fold it into the `trace=` hash of the
 //! run digests ([`export::spans_digest`]), so trace artifacts byte-diff
-//! across runs, `--workers`, and `--shards`.
+//! across runs and `--shards`.
 //!
 //! ## Flight recording
 //!
@@ -44,4 +44,4 @@ mod ring;
 mod span;
 
 pub use ring::SpanRing;
-pub use span::{DropReason, Span, SpanKey, SpanKind};
+pub use span::{DropReason, FieldValue, Span, SpanKey, SpanKind};

@@ -173,7 +173,61 @@ pub enum SpanKind {
     },
 }
 
+/// One payload field's value, as exporters render it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FieldValue {
+    /// An integer payload (path ids, AS numbers, tags, state codes).
+    Num(u64),
+    /// A name from a fixed vocabulary (a [`DropReason`]).
+    Name(&'static str),
+}
+
+impl core::fmt::Display for FieldValue {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            FieldValue::Num(v) => write!(f, "{v}"),
+            FieldValue::Name(name) => f.write_str(name),
+        }
+    }
+}
+
+fn num(name: &'static str, v: impl Into<u64>) -> Option<(&'static str, FieldValue)> {
+    Some((name, FieldValue::Num(v.into())))
+}
+
 impl SpanKind {
+    /// The payload as `(field name, value)` pairs in declaration order —
+    /// the one description every renderer (canonical dump, Chrome `args`,
+    /// `trace=` digests, `--query` tables) loops over. The order is part
+    /// of the committed digests.
+    pub fn fields(&self) -> impl Iterator<Item = (&'static str, FieldValue)> {
+        let fields = match *self {
+            SpanKind::Deliver | SpanKind::HostInject => [None, None, None],
+            SpanKind::Timer { tag } => [num("tag", tag), None, None],
+            SpanKind::Tx { to } => [num("to", to), None, None],
+            SpanKind::Drop { reason } => [
+                Some(("reason", FieldValue::Name(reason.name()))),
+                None,
+                None,
+            ],
+            SpanKind::Encap { path, payload } => [num("path", path), num("payload", payload), None],
+            SpanKind::Decap { path } => [num("path", path), None, None],
+            SpanKind::RxReject { reason } => [num("reason", reason), None, None],
+            SpanKind::BgpUpdate { path, announce } => {
+                [num("path", path), num("announce", announce), None]
+            }
+            SpanKind::HealthTransition { path, from, to } => {
+                [num("path", path), num("from", from), num("to", to)]
+            }
+            SpanKind::Reroute { path } => [num("path", path), None, None],
+            SpanKind::Control { step, path } => [num("step", step), num("path", path), None],
+            SpanKind::InvariantViolation { path, state } => {
+                [num("path", path), num("state", state), None]
+            }
+        };
+        fields.into_iter().flatten()
+    }
+
     /// Stable lowercase name (for exporters and queries; no allocation).
     pub fn name(&self) -> &'static str {
         match self {

@@ -27,8 +27,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 use tango::prelude::*;
 use tango_bench::trace;
+use tango_dataplane::PathSnapshot;
 use tango_sim::ShardMode;
 use tango_trace::{export, query};
 
@@ -199,6 +202,80 @@ fn span_streams_are_shard_and_mode_invariant_on_random_chaos() {
                 case.events
             );
         }
+    }
+}
+
+/// One `decide` input: controller-local time, path id, sample count and
+/// the bits of the smoothed one-way delay.
+type DecideInput = (u64, u16, u64, Option<u64>);
+
+/// A policy that logs what the controller *saw* at every tick and never
+/// moves, so the log is a function of the feedback channel alone.
+struct RecordingPolicy(Arc<Mutex<Vec<DecideInput>>>);
+
+impl PathPolicy for RecordingPolicy {
+    fn decide(&mut self, now_local_ns: u64, paths: &BTreeMap<u16, PathSnapshot>) -> Selection {
+        let mut log = self.0.lock().expect("no decide panicked");
+        for (&path, p) in paths {
+            let owd = p.owd_ewma_ns.map(f64::to_bits);
+            log.push((now_local_ns, path, p.samples, owd));
+        }
+        Selection::Single(0)
+    }
+
+    fn name(&self) -> &str {
+        "recording"
+    }
+}
+
+/// Under `FeedbackMode::Shared` each switch reads the other's stats sink
+/// with zero delay, so the two tenants must share a shard: at 9 shards
+/// (= node count, one tenant each) the pairing falls back to one. 1 ms
+/// probes against 1 ms control ticks make every tick race a delivery —
+/// the log differs as soon as a read crosses a window boundary. Threaded
+/// layouts run twice: a cross-shard read makes identical runs disagree.
+#[test]
+fn shared_feedback_inputs_are_shard_and_mode_invariant() {
+    let run = |shards: usize, shard_mode: ShardMode| {
+        let logs = [Arc::default(), Arc::default()];
+        let mut pairing = tango::vultr_pairing(PairingOptions {
+            seed: 3,
+            shards,
+            shard_mode,
+            probe_period: Some(SimTime::from_ms(1)),
+            control_period: Some(SimTime::from_ms(1)),
+            policy_a: Box::new(RecordingPolicy(Arc::clone(&logs[0]))),
+            policy_b: Box::new(RecordingPolicy(Arc::clone(&logs[1]))),
+            ..PairingOptions::default()
+        })
+        .expect("vultr scenario provisions");
+        pairing.run_until(SimTime::from_secs(5));
+        let effective = pairing.sim.shard_count();
+        let [a, b] = logs.map(|l| std::mem::take(&mut *l.lock().expect("run finished")));
+        (effective, a, b)
+    };
+    let (_, ref_a, ref_b) = run(1, ShardMode::Serial);
+    assert!(ref_a.len() > 4 * 4_000 && ref_b.len() > 4 * 4_000);
+    for (shards, mode, effective) in [
+        (8, ShardMode::Serial, 8),
+        (8, ShardMode::Threaded, 8),
+        (8, ShardMode::Threaded, 8),
+        (9, ShardMode::Serial, 1),
+        (9, ShardMode::Threaded, 1),
+        (9, ShardMode::Threaded, 1),
+    ] {
+        let (got, a, b) = run(shards, mode);
+        for (side, log, reference) in [("A", &a, &ref_a), ("B", &b, &ref_b)] {
+            let differing = log.iter().zip(reference).filter(|(x, y)| x != y).count();
+            assert!(
+                log.len() == reference.len() && differing == 0,
+                "side {side} at {shards} shards, {mode:?}: {differing} of {} recorded \
+                 decide inputs differ from the 1-shard run's {}",
+                log.len(),
+                reference.len()
+            );
+        }
+        assert_eq!(got, effective, "--shards {shards} partition");
     }
 }
 
