@@ -1,9 +1,10 @@
 //! `hot-path-panic`: no `.unwrap()`, `.expect(..)`, or slice indexing in
-//! the designated hot-path modules (`sim::engine`, `dataplane::codec`,
-//! `dataplane::switch`). A panic there doesn't fail one packet — it
-//! aborts the whole simulation run mid-experiment. Hot-path code must
-//! either handle the `None`/`Err` case or carry a reasoned allow naming
-//! the invariant that rules it out.
+//! the designated hot-path modules (`sim::engine`, `sim::hash`,
+//! `net::trie`, `dataplane::codec`, `dataplane::switch`). A panic there
+//! doesn't fail one packet — it aborts the whole simulation run
+//! mid-experiment. Hot-path code must either handle the `None`/`Err`
+//! case or carry a reasoned allow naming the invariant that rules it
+//! out.
 //!
 //! Indexing detection is syntactic: a `[` group whose preceding token is
 //! a value (identifier that isn't a keyword, closing `)`/`]`) is an

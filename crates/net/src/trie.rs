@@ -1,4 +1,4 @@
-//! Longest-prefix-match trie.
+//! Longest-prefix-match table.
 //!
 //! The Tango border switch keeps a table mapping destination host prefixes
 //! to tunnel decisions ("when the border router sees traffic destined for
@@ -6,128 +6,115 @@
 //! performance-driven routing decision", §3). This module provides the LPM
 //! structure backing that table (and the simulator's core routing tables).
 //!
-//! Implementation: a binary (bit-at-a-time) trie per address family over
-//! the 32/128-bit address space. Simple and robust over clever — a Tango
-//! deployment holds at most a handful of prefixes per pairing, and the
-//! simulator's core tables hold thousands, both far below the scale where
-//! multibit tries would matter (measured in `tango-bench`).
+//! Implementation: per address family, one sorted `Vec<(masked network,
+//! value)>` per prefix length present, longest length first. A lookup is
+//! one mask and one binary search per length. Every table the committed
+//! scenarios build holds one or two lengths (/48, plus /56 under a
+//! sub-prefix hijack) and at most a few hundred entries, and the lookup
+//! runs once per hop of every packet — a bit-at-a-time boxed trie spent
+//! 48 dependent pointer loads matching one /48 there.
+//! The cost grows with the number of distinct lengths, not of prefixes:
+//! a full-table FIB with dozens of lengths would want a multibit trie.
 
 use crate::cidr::{IpCidr, Ipv4Cidr, Ipv6Cidr};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
+/// The prefixes of one length, ascending by network.
 #[derive(Debug, Clone)]
-struct Node<V> {
-    value: Option<V>,
-    children: [Option<Box<Node<V>>>; 2],
+struct Level<V> {
+    len: u8,
+    entries: Vec<(u128, V)>,
 }
 
-impl<V> Default for Node<V> {
-    fn default() -> Self {
-        Node {
-            value: None,
-            children: [None, None],
-        }
+impl<V> Level<V> {
+    /// Where `network` is (`Ok`) or would be inserted (`Err`).
+    fn find(&self, network: u128) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&network, |e| e.0)
     }
 }
 
+/// One address family's table. Addresses are MSB-first in a `u128`
+/// (IPv4 in the top 32 bits), so one mask formula serves both families.
 #[derive(Debug, Clone)]
-struct BitTrie<V> {
-    root: Node<V>,
-    len: usize,
+struct Table<V> {
+    /// Longest prefix length first; no level is empty.
+    levels: Vec<Level<V>>,
 }
 
-impl<V> Default for BitTrie<V> {
-    fn default() -> Self {
-        BitTrie {
-            root: Node::default(),
-            len: 0,
-        }
-    }
+/// The top `len` bits set.
+fn mask(len: u8) -> u128 {
+    u128::MAX
+        .checked_shl(128 - u32::from(len.min(128)))
+        .unwrap_or(0)
 }
 
-impl<V> BitTrie<V> {
-    /// `bits` are MSB-first in a u128 whose top `width` bits are the address.
-    fn insert(&mut self, bits: u128, prefix_len: u8, value: V) -> Option<V> {
-        let mut node = &mut self.root;
-        for i in 0..prefix_len {
-            let bit = ((bits >> (127 - i)) & 1) as usize;
-            node = node.children[bit].get_or_insert_with(Box::default);
-        }
-        let old = node.value.replace(value);
-        if old.is_none() {
-            self.len += 1;
-        }
-        old
+impl<V> Table<V> {
+    fn level(&self, len: u8) -> Result<usize, usize> {
+        self.levels.binary_search_by(|l| len.cmp(&l.len))
     }
 
-    fn remove(&mut self, bits: u128, prefix_len: u8) -> Option<V> {
-        let mut node = &mut self.root;
-        for i in 0..prefix_len {
-            let bit = ((bits >> (127 - i)) & 1) as usize;
-            node = node.children[bit].as_deref_mut()?;
+    fn insert(&mut self, bits: u128, len: u8, value: V) -> Option<V> {
+        let at = self.level(len).unwrap_or_else(|at| {
+            let entries = Vec::new();
+            self.levels.insert(at, Level { len, entries });
+            at
+        });
+        let level = self.levels.get_mut(at)?;
+        match level.find(bits) {
+            Ok(i) => level
+                .entries
+                .get_mut(i)
+                .map(|e| std::mem::replace(&mut e.1, value)),
+            Err(i) => {
+                level.entries.insert(i, (bits, value));
+                None
+            }
         }
-        let old = node.value.take();
-        if old.is_some() {
-            self.len -= 1;
-        }
-        old
     }
 
-    fn exact(&self, bits: u128, prefix_len: u8) -> Option<&V> {
-        let mut node = &self.root;
-        for i in 0..prefix_len {
-            let bit = ((bits >> (127 - i)) & 1) as usize;
-            node = node.children[bit].as_deref()?;
+    fn remove(&mut self, bits: u128, len: u8) -> Option<V> {
+        let at = self.level(len).ok()?;
+        let level = self.levels.get_mut(at)?;
+        let (_, old) = level.entries.remove(level.find(bits).ok()?);
+        if level.entries.is_empty() {
+            self.levels.remove(at);
         }
-        node.value.as_ref()
+        Some(old)
     }
 
-    /// Longest match walking down the full address width.
-    fn longest(&self, bits: u128, width: u8) -> Option<(u8, &V)> {
-        let mut node = &self.root;
-        let mut best: Option<(u8, &V)> = None;
-        if let Some(v) = node.value.as_ref() {
-            best = Some((0, v));
-        }
-        for i in 0..width {
-            let bit = ((bits >> (127 - i)) & 1) as usize;
-            match node.children[bit].as_deref() {
-                Some(child) => {
-                    node = child;
-                    if let Some(v) = node.value.as_ref() {
-                        best = Some((i + 1, v));
-                    }
-                }
-                None => break,
-            }
-        }
-        best
+    fn exact(&self, bits: u128, len: u8) -> Option<&V> {
+        let level = self.levels.get(self.level(len).ok()?)?;
+        level.entries.get(level.find(bits).ok()?).map(|e| &e.1)
     }
 
-    fn collect<'a>(&'a self, out: &mut Vec<(u128, u8, &'a V)>) {
-        fn walk<'a, V>(node: &'a Node<V>, bits: u128, depth: u8, out: &mut Vec<(u128, u8, &'a V)>) {
-            if let Some(v) = node.value.as_ref() {
-                out.push((bits, depth, v));
-            }
-            if let Some(c) = node.children[0].as_deref() {
-                walk(c, bits, depth + 1, out);
-            }
-            if let Some(c) = node.children[1].as_deref() {
-                walk(c, bits | (1u128 << (127 - depth)), depth + 1, out);
-            }
-        }
-        walk(&self.root, 0, 0, out);
+    fn longest(&self, bits: u128) -> Option<(u8, &V)> {
+        self.levels.iter().find_map(|l| {
+            let i = l.find(bits & mask(l.len)).ok()?;
+            l.entries.get(i).map(|e| (l.len, &e.1))
+        })
+    }
+
+    /// Every entry as (network, length, value), sorted by (network,
+    /// length): the pre-order of the bit trie this table replaced.
+    fn sorted(&self) -> Vec<(u128, u8, &V)> {
+        let mut out: Vec<_> = self
+            .levels
+            .iter()
+            .flat_map(|l| l.entries.iter().map(|e| (e.0, l.len, &e.1)))
+            .collect();
+        out.sort_unstable_by_key(|&(bits, len, _)| (bits, len));
+        out
     }
 }
 
 /// A longest-prefix-match table from [`IpCidr`] keys to values.
 ///
-/// IPv4 and IPv6 prefixes live in separate tries, so a v4 lookup can never
-/// match a v6 prefix or vice versa.
+/// IPv4 and IPv6 prefixes live in separate tables, so a v4 lookup can
+/// never match a v6 prefix or vice versa.
 #[derive(Debug, Clone)]
 pub struct PrefixTrie<V> {
-    v4: BitTrie<V>,
-    v6: BitTrie<V>,
+    v4: Table<V>,
+    v6: Table<V>,
 }
 
 impl<V> Default for PrefixTrie<V> {
@@ -148,19 +135,20 @@ impl<V> PrefixTrie<V> {
     /// An empty table.
     pub fn new() -> Self {
         PrefixTrie {
-            v4: BitTrie::default(),
-            v6: BitTrie::default(),
+            v4: Table { levels: Vec::new() },
+            v6: Table { levels: Vec::new() },
         }
     }
 
     /// Number of prefixes stored.
     pub fn len(&self) -> usize {
-        self.v4.len + self.v6.len
+        let levels = self.v4.levels.iter().chain(&self.v6.levels);
+        levels.map(|l| l.entries.len()).sum()
     }
 
     /// Is the table empty?
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.v4.levels.is_empty() && self.v6.levels.is_empty()
     }
 
     /// Insert a prefix → value mapping; returns the previous value if the
@@ -191,33 +179,34 @@ impl<V> PrefixTrie<V> {
     /// Longest-prefix match for an address: returns the matching prefix
     /// and its value, or `None` if no prefix covers the address.
     pub fn longest_match(&self, addr: IpAddr) -> Option<(IpCidr, &V)> {
+        // A stored length came from a valid CIDR of the same family, so
+        // the `ok()?`s never fire.
         match addr {
-            IpAddr::V4(a) => self.v4.longest(v4_bits(a), 32).map(|(len, v)| {
-                let cidr = Ipv4Cidr::new(a, len).expect("len <= 32");
-                (IpCidr::V4(cidr), v)
-            }),
-            IpAddr::V6(a) => self.v6.longest(v6_bits(a), 128).map(|(len, v)| {
-                let cidr = Ipv6Cidr::new(a, len).expect("len <= 128");
-                (IpCidr::V6(cidr), v)
-            }),
+            IpAddr::V4(a) => {
+                let (len, v) = self.v4.longest(v4_bits(a))?;
+                Some((IpCidr::V4(Ipv4Cidr::new(a, len).ok()?), v))
+            }
+            IpAddr::V6(a) => {
+                let (len, v) = self.v6.longest(v6_bits(a))?;
+                Some((IpCidr::V6(Ipv6Cidr::new(a, len).ok()?), v))
+            }
         }
     }
 
-    /// All stored (prefix, value) pairs, in trie order.
+    /// All stored (prefix, value) pairs: IPv4 then IPv6, each sorted by
+    /// (network, prefix length).
     pub fn iter(&self) -> Vec<(IpCidr, &V)> {
-        let mut out = Vec::new();
-        let mut raw = Vec::new();
-        self.v4.collect(&mut raw);
-        for (bits, len, v) in raw.drain(..) {
+        let v4 = self.v4.sorted().into_iter().filter_map(|(bits, len, v)| {
             let addr = Ipv4Addr::from((bits >> 96) as u32);
-            out.push((IpCidr::V4(Ipv4Cidr::new(addr, len).expect("len <= 32")), v));
-        }
-        self.v6.collect(&mut raw);
-        for (bits, len, v) in raw {
-            let addr = Ipv6Addr::from(bits);
-            out.push((IpCidr::V6(Ipv6Cidr::new(addr, len).expect("len <= 128")), v));
-        }
-        out
+            Some((IpCidr::V4(Ipv4Cidr::new(addr, len).ok()?), v))
+        });
+        let v6 = self.v6.sorted().into_iter().filter_map(|(bits, len, v)| {
+            Some((
+                IpCidr::V6(Ipv6Cidr::new(Ipv6Addr::from(bits), len).ok()?),
+                v,
+            ))
+        });
+        v4.chain(v6).collect()
     }
 }
 

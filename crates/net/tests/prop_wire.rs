@@ -15,6 +15,88 @@ fn arb_ipv6() -> impl Strategy<Value = Ipv6Addr> {
     any::<u128>().prop_map(Ipv6Addr::from)
 }
 
+/// The top `len` bits of a `u128` set.
+fn top_bits(len: u8) -> u128 {
+    u128::MAX.checked_shl(128 - u32::from(len)).unwrap_or(0)
+}
+
+/// The prefix of `len` bits (clamped to the family's width) of the
+/// address in the top bits of `bits`.
+fn cidr_of(v6: bool, bits: u128, len: u8) -> IpCidr {
+    if v6 {
+        IpCidr::V6(Ipv6Cidr::new(Ipv6Addr::from(bits), len).unwrap())
+    } else {
+        IpCidr::V4(Ipv4Cidr::new(Ipv4Addr::from((bits >> 96) as u32), len.min(32)).unwrap())
+    }
+}
+
+fn addr_of(v6: bool, bits: u128) -> IpAddr {
+    if v6 {
+        IpAddr::V6(Ipv6Addr::from(bits))
+    } else {
+        IpAddr::V4(Ipv4Addr::from((bits >> 96) as u32))
+    }
+}
+
+/// The slow reference for [`PrefixTrie`]: a list, scanned.
+#[derive(Default)]
+struct LinearLpm(Vec<(IpCidr, usize)>);
+
+impl LinearLpm {
+    fn insert(&mut self, c: IpCidr, v: usize) -> Option<usize> {
+        match self.0.iter_mut().find(|(p, _)| *p == c) {
+            Some(slot) => Some(std::mem::replace(&mut slot.1, v)),
+            None => {
+                self.0.push((c, v));
+                None
+            }
+        }
+    }
+
+    fn remove(&mut self, c: &IpCidr) -> Option<usize> {
+        let at = self.0.iter().position(|(p, _)| p == c)?;
+        Some(self.0.remove(at).1)
+    }
+
+    fn longest(&self, a: IpAddr) -> Option<(IpCidr, usize)> {
+        let covering = self.0.iter().filter(|(p, _)| p.contains(a));
+        covering.max_by_key(|(p, _)| p.prefix_len()).copied()
+    }
+
+    /// `len`, `is_empty`, `get` of every entry, and `iter()` — IPv4 then
+    /// IPv6, each by (network, length) — match this model.
+    fn agrees_with(&self, trie: &PrefixTrie<usize>) -> Result<(), String> {
+        prop_assert_eq!(trie.len(), self.0.len());
+        prop_assert_eq!(trie.is_empty(), self.0.is_empty());
+        for (c, v) in &self.0 {
+            prop_assert_eq!(trie.get(c), Some(v));
+        }
+        let mut sorted = self.0.clone();
+        sorted.sort_by_key(|(c, _)| (c.network(), c.prefix_len()));
+        let got: Vec<_> = trie.iter().into_iter().map(|(c, v)| (c, *v)).collect();
+        prop_assert_eq!(got, sorted);
+        Ok(())
+    }
+}
+
+/// Insert `prefixes` (value = position, last writer wins) and compare
+/// every probe's longest match with the linear scan.
+fn check_longest_match(prefixes: Vec<IpCidr>, probes: Vec<IpAddr>) -> Result<(), String> {
+    let mut trie = PrefixTrie::new();
+    let mut model = LinearLpm::default();
+    for (i, c) in prefixes.into_iter().enumerate() {
+        prop_assert_eq!(trie.insert(c, i), model.insert(c, i));
+    }
+    model.agrees_with(&trie)?;
+    for a in probes {
+        prop_assert_eq!(
+            trie.longest_match(a).map(|(p, v)| (p, *v)),
+            model.longest(a)
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn ipv4_emit_parse_roundtrip(
@@ -171,29 +253,64 @@ proptest! {
         prefixes in proptest::collection::vec((any::<u32>(), 0u8..=32), 1..40),
         probes in proptest::collection::vec(any::<u32>(), 1..40),
     ) {
+        let prefixes = prefixes.iter().map(|&(bits, len)| cidr_of(false, u128::from(bits) << 96, len));
+        let probes = probes.iter().map(|&p| addr_of(false, u128::from(p) << 96));
+        check_longest_match(prefixes.collect(), probes.collect())?;
+    }
+
+    #[test]
+    fn trie_v6_longest_match_agrees_with_linear_scan(
+        bases in proptest::collection::vec(any::<u128>(), 1..4),
+        prefixes in proptest::collection::vec((any::<usize>(), 0u8..=128), 1..40),
+        probes in proptest::collection::vec((any::<usize>(), 0u8..=128, any::<u128>()), 1..40),
+    ) {
+        // Prefixes at random lengths /0–/128 of a few base addresses nest
+        // into chains; a probe keeps the top `keep` bits of a base, so it
+        // sits inside every prefix of that base no longer than `keep`.
+        let base = |i: usize| bases[i % bases.len()];
+        let prefixes = prefixes.iter().map(|&(i, len)| cidr_of(true, base(i), len));
+        let probes = probes.iter().map(|&(i, keep, noise)| {
+            addr_of(true, (base(i) & top_bits(keep)) | (noise & !top_bits(keep)))
+        });
+        check_longest_match(prefixes.collect(), probes.collect())?;
+    }
+
+    #[test]
+    fn trie_tracks_linear_model_through_inserts_and_removes(
+        bases in proptest::collection::vec(any::<u128>(), 1..3),
+        ops in proptest::collection::vec(
+            (any::<bool>(), any::<usize>(), 0u8..=128, any::<bool>()),
+            1..60,
+        ),
+        noise in any::<u128>(),
+    ) {
+        // Both families, few bases, many lengths: chains nest, duplicates
+        // replace, and removes empty whole lengths out again.
         let mut trie = PrefixTrie::new();
-        let mut list: Vec<(IpCidr, usize)> = Vec::new();
-        for (i, (bits, len)) in prefixes.iter().enumerate() {
-            let c = IpCidr::V4(Ipv4Cidr::new(Ipv4Addr::from(*bits), *len).unwrap());
-            trie.insert(c, i);
-            // Linear model keeps last writer for duplicate prefixes,
-            // matching insert-replace semantics.
-            if let Some(slot) = list.iter_mut().find(|(p, _)| *p == c) {
-                slot.1 = i;
+        let mut model = LinearLpm::default();
+        for (step, &(v6, i, len, remove)) in ops.iter().enumerate() {
+            let bits = bases[i % bases.len()];
+            let c = cidr_of(v6, bits, len);
+            if remove {
+                prop_assert_eq!(trie.remove(&c), model.remove(&c));
             } else {
-                list.push((c, i));
+                prop_assert_eq!(trie.insert(c, step), model.insert(c, step));
+            }
+            model.agrees_with(&trie)?;
+            for keep in [0, len / 2, len, 128] {
+                let a = addr_of(v6, (bits & top_bits(keep)) | (noise & !top_bits(keep)));
+                prop_assert_eq!(trie.longest_match(a).map(|(p, v)| (p, *v)), model.longest(a));
             }
         }
-        for probe in probes {
-            let a = IpAddr::V4(Ipv4Addr::from(probe));
-            let expect = list
-                .iter()
-                .filter(|(p, _)| p.contains(a))
-                .max_by_key(|(p, _)| p.prefix_len())
-                .map(|(p, v)| (*p, *v));
-            let got = trie.longest_match(a).map(|(p, v)| (p, *v));
-            prop_assert_eq!(got, expect);
+        // Remove what is left, one at a time, down to the empty table.
+        while let Some(&(c, v)) = model.0.last() {
+            prop_assert_eq!(trie.remove(&c), Some(v));
+            model.remove(&c);
+            model.agrees_with(&trie)?;
         }
+        prop_assert!(trie.is_empty());
+        prop_assert_eq!(trie.longest_match(addr_of(true, noise)), None);
+        prop_assert_eq!(trie.longest_match(addr_of(false, noise)), None);
     }
 
     #[test]

@@ -11,11 +11,16 @@
 //!   `Vec`s indexed by it, replacing the seed's `BTreeMap` lookups.
 //! * Every directed link gets a dense link id at build time; its delay
 //!   profile and scheduled wide-area events are copied into `Vec`-indexed
-//!   tables so a transmission touches no tree and allocates nothing.
+//!   tables so a transmission touches no tree and allocates nothing; the
+//!   sender's own sorted neighbour list resolves the next hop's `AsId`
+//!   to node index and link id in one search.
 //! * [`Packet`] owns a buffer with *headroom* so the data plane can
 //!   prepend/strip encapsulation in place, and dead packets' buffers are
 //!   recycled through a freelist ([`Ctx::recycle`]) instead of hitting
-//!   the allocator per packet.
+//!   the allocator per packet. It caches its parsed destination and its
+//!   ECMP flow hash, so a hop re-parses and re-hashes nothing.
+//! * The pending-event heap orders 32-byte `(key, slot)` entries over a
+//!   slab of events, so a sift never moves a packet.
 //!
 //! ## Sharding
 //!
@@ -41,6 +46,7 @@ use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::net::{IpAddr, Ipv6Addr};
+use std::num::NonZeroU64;
 use tango_net::{Ipv4Packet, Ipv6Packet, Ipv6Repr, PrefixTrie};
 use tango_obs::{Counter, Gauge, Histogram, Registry};
 use tango_topology::{AsId, DirectionProfile, EventKind as TopoEventKind, LinkEvent, Topology};
@@ -75,14 +81,34 @@ enum DstCache {
 /// The bytes sit inside an owned buffer at an offset, so a data plane can
 /// reserve *headroom* and prepend/strip encapsulation headers in place
 /// instead of rebuilding the wire image. The parsed destination address
-/// is cached alongside the bytes (computed once at ingress) and
-/// invalidated by any byte mutation, so multi-hop forwarding re-parses
-/// nothing.
-#[derive(Debug, Clone)]
+/// and the ECMP flow hash are cached alongside the bytes (computed at
+/// the first hop that asks) and invalidated by any byte mutation, so
+/// multi-hop forwarding re-parses and re-hashes nothing.
+#[derive(Debug)]
 pub struct Packet {
     buf: Vec<u8>,
-    start: usize,
+    /// Offset of the visible bytes — a `u32`, so the hash cache fits
+    /// beside it without growing the struct every queued event carries.
+    start: u32,
     dst: Cell<DstCache>,
+    /// [`flow_hash`] of the visible bytes, once computed. A hash of
+    /// exactly 0 is never cached, only recomputed.
+    hash: Cell<Option<NonZeroU64>>,
+}
+
+/// Copies the bytes into a buffer with [`Packet::TAILROOM`] to spare and
+/// keeps both caches (the bytes are equal).
+impl Clone for Packet {
+    fn clone(&self) -> Self {
+        let mut buf = Vec::with_capacity(self.buf.len() + Self::TAILROOM);
+        buf.extend_from_slice(&self.buf);
+        Packet {
+            buf,
+            start: self.start,
+            dst: self.dst.clone(),
+            hash: self.hash.clone(),
+        }
+    }
 }
 
 impl PartialEq for Packet {
@@ -93,36 +119,54 @@ impl PartialEq for Packet {
 impl Eq for Packet {}
 
 impl Packet {
+    /// Spare capacity that [`Packet::alloc`], [`Packet::with_headroom`],
+    /// [`Packet::host`] and `clone` reserve behind the bytes: room for
+    /// the 8-byte authentication trailer the data plane appends in place,
+    /// so an exactly-sized buffer is not reallocated (and doubled) for
+    /// it. Capacity only — never visible bytes.
+    pub const TAILROOM: usize = 8;
+
+    // tango-lint: allow(hot-path-panic) an offset never exceeds buf.len(), and a packet buffer beyond 4 GiB is a caller bug
+    fn offset(at: usize) -> u32 {
+        u32::try_from(at).expect("packet offsets fit u32")
+    }
+
+    /// The packet over `buf` whose visible bytes begin at `start`.
+    fn over(buf: Vec<u8>, start: usize) -> Self {
+        Packet {
+            buf,
+            start: Self::offset(start),
+            dst: Cell::new(DstCache::Unparsed),
+            hash: Cell::new(None),
+        }
+    }
+
+    /// Forget both caches: the bytes changed.
+    fn invalidate(&self) {
+        self.dst.set(DstCache::Unparsed);
+        self.hash.set(None);
+    }
+
     /// Wrap raw bytes (no headroom).
     pub fn new(bytes: Vec<u8>) -> Self {
-        Packet {
-            buf: bytes,
-            start: 0,
-            dst: Cell::new(DstCache::Unparsed),
-        }
+        Self::over(bytes, 0)
     }
 
     /// Copy `bytes` into a fresh buffer with `headroom` writable bytes in
     /// front (room for in-place encapsulation).
     pub fn with_headroom(headroom: usize, bytes: &[u8]) -> Self {
-        let mut buf = Vec::with_capacity(headroom + bytes.len());
+        let mut buf = Vec::with_capacity(headroom + bytes.len() + Self::TAILROOM);
         buf.resize(headroom, 0);
         buf.extend_from_slice(bytes);
-        Packet {
-            buf,
-            start: headroom,
-            dst: Cell::new(DstCache::Unparsed),
-        }
+        Self::over(buf, headroom)
     }
 
     /// A zero-filled packet of `len` visible bytes behind `headroom` —
     /// emit a representation into [`Packet::bytes_mut`] afterwards.
     pub fn alloc(headroom: usize, len: usize) -> Self {
-        Packet {
-            buf: vec![0u8; headroom + len],
-            start: headroom,
-            dst: Cell::new(DstCache::Unparsed),
-        }
+        let mut buf = Vec::with_capacity(headroom + len + Self::TAILROOM);
+        buf.resize(headroom + len, 0);
+        Self::over(buf, headroom)
     }
 
     /// Hop limit of every [`Packet::host`] packet: bounds its hops, and
@@ -165,30 +209,26 @@ impl Packet {
     pub fn from_recycled(mut buf: Vec<u8>, headroom: usize) -> Self {
         buf.clear();
         buf.resize(headroom, 0);
-        Packet {
-            buf,
-            start: headroom,
-            dst: Cell::new(DstCache::Unparsed),
-        }
+        Self::over(buf, headroom)
     }
 
     /// The visible packet bytes.
     // tango-lint: allow(hot-path-panic) start <= buf.len() is a Packet invariant upheld by every constructor
     pub fn bytes(&self) -> &[u8] {
-        &self.buf[self.start..]
+        &self.buf[self.headroom()..]
     }
 
     /// Mutable access to the packet bytes. Invalidates the cached
-    /// destination (the caller may rewrite anything).
+    /// destination and flow hash (the caller may rewrite anything).
     // tango-lint: allow(hot-path-panic) start <= buf.len() is a Packet invariant upheld by every constructor
     pub fn bytes_mut(&mut self) -> &mut [u8] {
-        self.dst.set(DstCache::Unparsed);
-        &mut self.buf[self.start..]
+        self.invalidate();
+        &mut self.buf[self.start as usize..]
     }
 
     /// Visible length.
     pub fn len(&self) -> usize {
-        self.buf.len() - self.start
+        self.buf.len() - self.headroom()
     }
 
     /// Is the packet empty?
@@ -198,7 +238,7 @@ impl Packet {
 
     /// Writable bytes available in front of the packet.
     pub fn headroom(&self) -> usize {
-        self.start
+        self.start as usize
     }
 
     /// Grow the packet `n` bytes at the front (into headroom), returning
@@ -206,31 +246,31 @@ impl Packet {
     /// must check [`Packet::headroom`] and fall back to a copying path.
     // tango-lint: allow(hot-path-panic) the assert above this slice enforces the documented headroom contract
     pub fn prepend(&mut self, n: usize) -> &mut [u8] {
-        assert!(self.start >= n, "prepend past headroom");
-        self.start -= n;
-        self.dst.set(DstCache::Unparsed);
-        &mut self.buf[self.start..]
+        assert!(self.headroom() >= n, "prepend past headroom");
+        self.start = Self::offset(self.headroom() - n);
+        self.invalidate();
+        &mut self.buf[self.start as usize..]
     }
 
     /// Drop `n` bytes from the front (they become headroom for a later
     /// re-encapsulation).
     pub fn strip_front(&mut self, n: usize) {
         assert!(n <= self.len(), "strip past end");
-        self.start += n;
-        self.dst.set(DstCache::Unparsed);
+        self.start = Self::offset(self.headroom() + n);
+        self.invalidate();
     }
 
     /// Append bytes at the tail.
     pub fn append(&mut self, data: &[u8]) {
         self.buf.extend_from_slice(data);
-        self.dst.set(DstCache::Unparsed);
+        self.invalidate();
     }
 
     /// Shorten the packet to `len` visible bytes.
     pub fn truncate(&mut self, len: usize) {
         assert!(len <= self.len(), "truncate cannot grow");
-        self.buf.truncate(self.start + len);
-        self.dst.set(DstCache::Unparsed);
+        self.buf.truncate(self.headroom() + len);
+        self.invalidate();
     }
 
     /// Take the backing buffer (for recycling).
@@ -262,13 +302,30 @@ impl Packet {
         parsed
     }
 
+    /// The ECMP flow hash of the packet ([`flow_hash`] of its bytes).
+    /// Cached: the 5-tuple is hashed once, not at each router it crosses.
+    pub fn flow_hash(&self) -> u64 {
+        if let Some(h) = self.hash.get() {
+            return h.get();
+        }
+        let h = flow_hash(self.bytes());
+        self.hash.set(NonZeroU64::new(h));
+        h
+    }
+
     /// Decrement the TTL/hop-limit in place (IPv4: also fixes the header
     /// checksum). Returns false if the hop limit is exhausted or the
     /// packet is not IP. Leaves the cached destination intact — this
-    /// mutation cannot change the addresses.
+    /// mutation cannot change the addresses — and the cached flow hash
+    /// too when the header is known to parse: the 5-tuple excludes the
+    /// hop limit, but the first-bytes hash of an unparseable packet
+    /// covers it.
     // tango-lint: allow(hot-path-panic) every header offset is guarded by the explicit bytes.len() check on its match arm
     pub fn decrement_hop_limit(&mut self) -> bool {
-        let bytes = &mut self.buf[self.start..];
+        if !matches!(self.dst.get(), DstCache::Addr(_)) {
+            self.hash.set(None);
+        }
+        let bytes = &mut self.buf[self.start as usize..];
         match bytes.first().map(|b| b >> 4) {
             Some(4) if bytes.len() >= 20 => {
                 if bytes[8] <= 1 {
@@ -433,20 +490,39 @@ pub(crate) struct QueuedEvent {
     pub(crate) kind: EventKind,
 }
 
-impl PartialEq for QueuedEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
+/// A shard's pending-event heap. Ordering sifts 32-byte `(key, slot)`
+/// entries; the events themselves — each carrying a packet — sit still
+/// in a slab until popped, and popped slots are reused.
+#[derive(Default)]
+struct EventHeap {
+    order: BinaryHeap<Reverse<(EventKey, u32)>>,
+    slab: Vec<Option<QueuedEvent>>,
+    free: Vec<u32>,
 }
-impl Eq for QueuedEvent {}
-impl PartialOrd for QueuedEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+impl EventHeap {
+    fn push(&mut self, ev: QueuedEvent) {
+        let key = ev.key;
+        let slot = self.free.pop().unwrap_or(self.slab.len() as u32);
+        match self.slab.get_mut(slot as usize) {
+            Some(cell) => *cell = Some(ev),
+            None => self.slab.push(Some(ev)),
+        }
+        self.order.push(Reverse((key, slot)));
     }
-}
-impl Ord for QueuedEvent {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
+
+    fn peek_key(&self) -> Option<EventKey> {
+        self.order.peek().map(|Reverse((key, _))| *key)
+    }
+
+    fn pop(&mut self) -> Option<QueuedEvent> {
+        let Reverse((_, slot)) = self.order.pop()?;
+        self.free.push(slot);
+        self.slab.get_mut(slot as usize)?.take()
+    }
+
+    fn len(&self) -> usize {
+        self.order.len()
     }
 }
 
@@ -512,8 +588,7 @@ impl SimObs {
         let mut named: Vec<(u32, String)> = Vec::with_capacity(links.profiles.len());
         for (from_idx, list) in links.adj.iter().enumerate() {
             let from = nodes.id(from_idx as u32);
-            for &(to_idx, link_id) in list {
-                let to = nodes.id(to_idx);
+            for &(to, _, link_id) in list {
                 named.push((link_id, format!("sim.link.busy_ns.{}-{}", from.0, to.0)));
             }
         }
@@ -598,14 +673,16 @@ impl NodeTable {
 }
 
 /// Dense directed-link tables: per-link delay profile and scheduled
-/// events, plus a per-node adjacency index for O(log degree) resolution
-/// of `(from, to)` to a link id. Link ids are minted in from-node index
+/// events, plus a per-node adjacency index that resolves a neighbour's
+/// [`AsId`] to its node index and link id in one O(log degree) search of
+/// the sender's own neighbours. Link ids are minted in from-node index
 /// order, so a contiguous node range owns a contiguous link-id range —
 /// which is what lets each shard carry dense local busy/accum tables.
 #[derive(Debug)]
 pub(crate) struct LinkTable {
-    /// from_idx → sorted [(to_idx, link_id)].
-    pub(crate) adj: Vec<Vec<(u32, u32)>>,
+    /// from_idx → [(to, to_idx, link_id)], ascending by `to` (id order
+    /// is index order).
+    pub(crate) adj: Vec<Vec<(AsId, u32, u32)>>,
     /// link_id → the directed hop's profile (copied out of the topology).
     pub(crate) profiles: Vec<DirectionProfile>,
     /// link_id → events scheduled on the directed hop, topology order.
@@ -635,11 +712,11 @@ impl LinkTable {
                         .cloned()
                         .collect(),
                 );
-                adj[from_idx].push((to_idx, link_id)); // tango-lint: allow(hot-path-panic) from_idx enumerates adj's own indices
+                adj[from_idx].push((to, to_idx, link_id)); // tango-lint: allow(hot-path-panic) from_idx enumerates adj's own indices
             }
         }
         for list in &mut adj {
-            list.sort_unstable_by_key(|&(to, _)| to);
+            list.sort_unstable_by_key(|&(to, _, _)| to);
         }
         LinkTable {
             adj,
@@ -648,12 +725,13 @@ impl LinkTable {
         }
     }
 
+    /// The node index of `from_idx`'s neighbour `to` and the id of the
+    /// directed link to it.
     #[inline]
-    fn lookup(&self, from_idx: u32, to_idx: u32) -> Option<u32> {
-        let list = &self.adj[from_idx as usize]; // tango-lint: allow(hot-path-panic) from_idx is a dense interned node index
-        list.binary_search_by_key(&to_idx, |&(to, _)| to)
-            .ok()
-            .map(|i| list[i].1) // tango-lint: allow(hot-path-panic) i returned by binary_search on list itself
+    fn lookup(&self, from_idx: u32, to: AsId) -> Option<(u32, u32)> {
+        let list = self.adj.get(from_idx as usize)?;
+        let i = list.binary_search_by_key(&to, |&(id, _, _)| id).ok()?;
+        list.get(i).map(|&(_, to_idx, link_id)| (to_idx, link_id))
     }
 }
 
@@ -680,7 +758,6 @@ pub struct Ctx<'a> {
     now: SimTime,
     clock: NodeClock,
     topology: &'a Topology,
-    nodes: &'a NodeTable,
     links: &'a LinkTable,
     rng: &'a mut StdRng,
     fault: Option<FaultInjector>,
@@ -790,11 +867,7 @@ impl<'a> Ctx<'a> {
     /// effects, fault injection, ECMP lane, and delay; schedules delivery.
     pub fn transmit(&mut self, to: AsId, mut pkt: Packet) {
         let links = self.links;
-        let link_id = self
-            .nodes
-            .idx(to)
-            .and_then(|to_idx| links.lookup(self.node_idx, to_idx).map(|l| (to_idx, l)));
-        let Some((to_idx, link_id)) = link_id else {
+        let Some((to_idx, link_id)) = links.lookup(self.node_idx, to) else {
             return self.drop_packet(DropReason::NoLink, pkt);
         };
         let profile = &links.profiles[link_id as usize]; // tango-lint: allow(hot-path-panic) link_id is a dense id minted by LinkTable::build
@@ -841,8 +914,7 @@ impl<'a> Ctx<'a> {
                 *acc = acc.saturating_add(tx);
             }
         }
-        let hash = flow_hash(pkt.bytes());
-        let delay = profile.sample_delay(self.rng, hash, shift) + queue_delay;
+        let delay = profile.sample_delay(self.rng, pkt.flow_hash(), shift) + queue_delay;
         let time = self.now + SimTime(delay);
         // A link that goes dark mid-flight also kills the packets already
         // committed to it: if the *arrival* instant falls inside an
@@ -944,7 +1016,7 @@ pub(crate) struct ShardState {
     rngs: Vec<StdRng>,
     /// Per-node emission sequence counters (the `seq` of [`EventKey`]).
     node_seq: Vec<u64>,
-    queue: BinaryHeap<Reverse<QueuedEvent>>,
+    queue: EventHeap,
     /// Externally scheduled events whose keys arrived in non-decreasing
     /// order — the common case for pre-scheduled traffic. Kept out of
     /// the heap and merged lazily at pop time, so pre-loading 100k
@@ -961,8 +1033,8 @@ pub(crate) struct ShardState {
     pool: BufferPool,
     out_scratch: Vec<QueuedEvent>,
     /// Cross-shard deliveries staged for each destination shard, drained
-    /// at the next window barrier.
-    outbox: Vec<Vec<QueuedEvent>>,
+    /// in place at the next window barrier (the capacity stays here).
+    pub(crate) outbox: Vec<Vec<QueuedEvent>>,
     pub(crate) ev_counts: EvCounts,
 }
 
@@ -988,7 +1060,7 @@ impl ShardState {
             clocks: vec![NodeClock::default(); n],
             rngs,
             node_seq: vec![0; n],
-            queue: BinaryHeap::new(),
+            queue: EventHeap::default(),
             staged: VecDeque::new(),
             batch: Vec::new(),
             now: SimTime::ZERO,
@@ -1022,13 +1094,13 @@ impl ShardState {
         if in_order {
             self.staged.push_back(ev);
         } else {
-            self.queue.push(Reverse(ev));
+            self.queue.push(ev);
         }
     }
 
     /// The key of the earliest pending event, if any.
     fn peek_key(&self) -> Option<EventKey> {
-        let heap = self.queue.peek().map(|Reverse(e)| e.key);
+        let heap = self.queue.peek_key();
         let staged = self.staged.front().map(|e| e.key);
         match (heap, staged) {
             (None, s) => s,
@@ -1045,7 +1117,7 @@ impl ShardState {
 
     /// True if this shard has nothing pending.
     pub(crate) fn is_idle(&self) -> bool {
-        self.queue.is_empty() && self.staged.is_empty() && self.batch.is_empty()
+        self.queue.len() == 0 && self.staged.is_empty() && self.batch.is_empty()
     }
 
     /// Pop every pending event whose time equals `t` — from the merged
@@ -1054,11 +1126,7 @@ impl ShardState {
     /// the batch land at later keys or form the next batch).
     fn drain_batch_at(&mut self, t: SimTime, out: &mut Vec<QueuedEvent>) {
         loop {
-            let heap_key = self
-                .queue
-                .peek()
-                .map(|Reverse(e)| e.key)
-                .filter(|k| k.time == t);
+            let heap_key = self.queue.peek_key().filter(|k| k.time == t);
             let staged_key = self.staged.front().map(|e| e.key).filter(|k| k.time == t);
             let take_staged = match (heap_key, staged_key) {
                 (None, None) => break,
@@ -1071,7 +1139,7 @@ impl ShardState {
             let ev = if take_staged {
                 self.staged.pop_front()
             } else {
-                self.queue.pop().map(|Reverse(e)| e)
+                self.queue.pop()
             };
             match ev {
                 Some(e) => out.push(e),
@@ -1115,33 +1183,12 @@ impl ShardState {
         processed
     }
 
-    /// Move this shard's staged deliveries for shard `dst` out (window
-    /// barrier exchange).
-    pub(crate) fn take_outbox(&mut self, dst: usize) -> Vec<QueuedEvent> {
-        match self.outbox.get_mut(dst) {
-            Some(v) => std::mem::take(v),
-            None => Vec::new(),
-        }
-    }
-
-    /// Is the outbox for shard `dst` empty?
-    pub(crate) fn outbox_is_empty(&self, dst: usize) -> bool {
-        self.outbox.get(dst).map_or(true, Vec::is_empty)
-    }
-
-    /// Accept cross-shard deliveries (heap-pushed: they arrive beyond the
-    /// closed window, in no particular order, but keys restore the total
-    /// order at pop time).
-    pub(crate) fn receive(&mut self, events: Vec<QueuedEvent>) {
-        for ev in events {
-            self.queue.push(Reverse(ev));
-        }
-    }
-
-    /// Drain-variant of [`ShardState::receive`] for reusable inboxes.
+    /// Accept cross-shard deliveries, leaving `events` empty with its
+    /// capacity (heap-pushed: they arrive beyond the closed window, in no
+    /// particular order, but keys restore the total order at pop time).
     pub(crate) fn receive_drain(&mut self, events: &mut Vec<QueuedEvent>) {
         for ev in events.drain(..) {
-            self.queue.push(Reverse(ev));
+            self.queue.push(ev);
         }
     }
 
@@ -1206,7 +1253,6 @@ impl ShardState {
                 now: self.now,
                 clock,
                 topology: &shared.topology,
-                nodes: &shared.nodes,
                 links: &shared.links,
                 rng: &mut self.rngs[local],
                 fault: shared.fault,
@@ -1249,11 +1295,11 @@ impl ShardState {
         for ev in self.out_scratch.drain(..) {
             let dest = ev.kind.dest();
             if dest >= self.node_base && dest < self.node_end {
-                self.queue.push(Reverse(ev));
+                self.queue.push(ev);
             } else {
                 let dst = shared.part.shard_of(dest);
                 if dst == self.index {
-                    self.queue.push(Reverse(ev));
+                    self.queue.push(ev);
                 } else {
                     self.outbox[dst].push(ev);
                     self.load.outbox_events += 1;
@@ -2327,6 +2373,64 @@ mod tests {
         }
         sim.run_until(SimTime::from_secs(1));
         sim.digest();
+    }
+
+    // The slow reference for `EventHeap`: the heap of whole events it
+    // replaced, ordered by key alone.
+    impl PartialEq for QueuedEvent {
+        fn eq(&self, other: &Self) -> bool {
+            self.key == other.key
+        }
+    }
+    impl Eq for QueuedEvent {}
+    impl PartialOrd for QueuedEvent {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for QueuedEvent {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.key.cmp(&other.key)
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn event_heap_pops_in_binary_heap_order_and_reuses_slots(
+            ops in proptest::collection::vec((0u8..3, 0u64..4, 0u32..3), 1..200),
+        ) {
+            // Times and origins collide constantly; `seq` (the payload
+            // tag too) keeps keys unique, as emission counters do.
+            let event = |time, origin, seq| QueuedEvent {
+                key: EventKey { time: SimTime(time), origin, seq },
+                parent: SpanKey::NONE,
+                kind: EventKind::Timer { node: origin, tag: seq },
+            };
+            let tag = |ev: QueuedEvent| match ev.kind {
+                EventKind::Timer { tag, .. } => (ev.key, tag),
+                _ => unreachable!("only timers are pushed"),
+            };
+            let mut heap = EventHeap::default();
+            let mut reference = BinaryHeap::new();
+            let mut peak = 0;
+            for (seq, &(op, time, origin)) in ops.iter().enumerate() {
+                if op == 0 {
+                    let want = reference.pop().map(|Reverse(ev)| tag(ev));
+                    proptest::prop_assert_eq!(heap.pop().map(tag), want);
+                } else {
+                    heap.push(event(time, origin, seq as u64));
+                    reference.push(Reverse(event(time, origin, seq as u64)));
+                }
+                peak = peak.max(reference.len());
+                proptest::prop_assert_eq!(heap.len(), reference.len());
+                proptest::prop_assert_eq!(heap.peek_key(), reference.peek().map(|Reverse(ev)| ev.key));
+                proptest::prop_assert!(heap.slab.len() <= peak, "popped slots are reused");
+            }
+            while let Some(Reverse(ev)) = reference.pop() {
+                proptest::prop_assert_eq!(heap.pop().map(tag), Some(tag(ev)));
+            }
+            proptest::prop_assert!(heap.pop().is_none());
+        }
     }
 
     #[test]

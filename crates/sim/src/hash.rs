@@ -6,11 +6,15 @@
 //! hashes exactly the fields a real router would, so un-tunneled flows
 //! smear across ECMP lanes while Tango's fixed outer header pins one lane.
 
-use tango_net::{Ipv4Packet, Ipv6Packet, UdpPacket};
+use tango_net::{Ipv4Packet, Ipv6Packet};
 
-/// FNV-1a over a byte slice (deterministic, platform-independent).
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `data` into the FNV-1a state `h` (deterministic,
+/// platform-independent). Folding the key's fields one after another
+/// hashes their concatenation, so no key buffer is ever assembled.
+fn fnv1a(mut h: u64, data: &[u8]) -> u64 {
     for &b in data {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -36,45 +40,33 @@ pub fn mix64(x: u64) -> u64 {
 /// Hashes (src addr, dst addr, protocol) plus (src port, dst port) when
 /// the payload is UDP or TCP and long enough to carry ports. Unparseable
 /// packets hash their first bytes — a router would do something equally
-/// arbitrary.
+/// arbitrary. Allocation-free: it runs on every transmission whose
+/// [`crate::Packet`] has no cached hash.
 pub fn flow_hash(packet: &[u8]) -> u64 {
-    let mut key = Vec::with_capacity(40);
     match packet.first().map(|b| b >> 4) {
         Some(4) => {
             if let Ok(ip) = Ipv4Packet::new_checked(packet) {
-                key.extend_from_slice(&ip.src_addr().octets());
-                key.extend_from_slice(&ip.dst_addr().octets());
-                key.push(ip.protocol());
-                if matches!(ip.protocol(), 6 | 17) {
-                    push_ports(&mut key, ip.payload());
-                }
-                return fnv1a(&key);
+                let (src, dst) = (ip.src_addr().octets(), ip.dst_addr().octets());
+                return tuple_hash(&src, &dst, ip.protocol(), ip.payload());
             }
         }
         Some(6) => {
             if let Ok(ip) = Ipv6Packet::new_checked(packet) {
-                key.extend_from_slice(&ip.src_addr().octets());
-                key.extend_from_slice(&ip.dst_addr().octets());
-                key.push(ip.next_header());
-                if matches!(ip.next_header(), 6 | 17) {
-                    push_ports(&mut key, ip.payload());
-                }
-                return fnv1a(&key);
+                let (src, dst) = (ip.src_addr().octets(), ip.dst_addr().octets());
+                return tuple_hash(&src, &dst, ip.next_header(), ip.payload());
             }
         }
         _ => {}
     }
-    // tango-lint: allow(hot-path-panic) the range end is clamped to packet.len() by the min
-    fnv1a(&packet[..packet.len().min(40)])
+    fnv1a(FNV_OFFSET, packet.get(..40).unwrap_or(packet))
 }
 
-fn push_ports(key: &mut Vec<u8>, l4: &[u8]) {
-    if let Ok(udp) = UdpPacket::new_checked(l4) {
-        key.extend_from_slice(&udp.src_port().to_be_bytes());
-        key.extend_from_slice(&udp.dst_port().to_be_bytes());
-    } else if l4.len() >= 4 {
-        // tango-lint: allow(hot-path-panic) the l4.len() >= 4 guard bounds the slice
-        key.extend_from_slice(&l4[..4]);
+fn tuple_hash(src: &[u8], dst: &[u8], protocol: u8, l4: &[u8]) -> u64 {
+    let h = fnv1a(fnv1a(fnv1a(FNV_OFFSET, src), dst), &[protocol]);
+    // UDP and TCP alike open with the source and destination ports.
+    match l4.get(..4) {
+        Some(ports) if matches!(protocol, 6 | 17) => fnv1a(h, ports),
+        _ => h,
     }
 }
 
@@ -82,7 +74,7 @@ fn push_ports(key: &mut Vec<u8>, l4: &[u8]) {
 mod tests {
     use super::*;
     use crate::Packet;
-    use tango_net::UdpRepr;
+    use tango_net::{UdpPacket, UdpRepr};
 
     fn udp6(src_port: u16, dst_port: u16, dst_last: u16) -> Vec<u8> {
         let udp = UdpRepr {

@@ -81,7 +81,7 @@ impl Partition {
             }
             let mut lookahead_ns = u64::MAX;
             for (from_idx, list) in links.adj.iter().enumerate() {
-                for &(to_idx, link_id) in list {
+                for &(_, to_idx, link_id) in list {
                     if shard_of[from_idx] == shard_of[to_idx as usize] {
                         continue;
                     }
@@ -173,11 +173,14 @@ pub(crate) fn run_serial(shards: &mut [ShardState], shared: &SimShared, until: S
         }
         for src in 0..n {
             for dst in 0..n {
-                if src == dst || shards[src].outbox_is_empty(dst) {
+                if src == dst || shards[src].outbox[dst].is_empty() {
                     continue;
                 }
-                let moved = shards[src].take_outbox(dst);
-                shards[dst].receive(moved);
+                // Lend the outbox to the receiver and take it back
+                // emptied, so its capacity outlives the window.
+                let mut moved = std::mem::take(&mut shards[src].outbox[dst]);
+                shards[dst].receive_drain(&mut moved);
+                shards[src].outbox[dst] = moved;
             }
         }
     }
@@ -231,11 +234,10 @@ pub(crate) fn run_threaded(shards: &mut [ShardState], shared: &SimShared, until:
                     }
                     let h = SimTime(g).conservative_window_end(la, until);
                     processed += shard.run_window(shared, h);
-                    for (dst, row) in cells[i].iter().enumerate() {
-                        if dst != i && !shard.outbox_is_empty(dst) {
-                            let moved = shard.take_outbox(dst);
+                    for (row, outbox) in cells[i].iter().zip(&mut shard.outbox) {
+                        if !outbox.is_empty() {
                             if let Ok(mut cell) = row.lock() {
-                                cell.extend(moved);
+                                cell.append(outbox);
                             }
                         }
                     }

@@ -1,8 +1,8 @@
-//! Property-based tests for simulator primitives: clocks and flow
-//! hashing.
+//! Property-based tests for simulator primitives: clocks, flow hashing
+//! and the packet's parse caches.
 
 use proptest::prelude::*;
-use tango_net::{Ipv6Packet, UdpPacket, UdpRepr};
+use tango_net::{Ipv4Packet, Ipv4Repr, Ipv6Packet, Ipv6Repr, UdpPacket, UdpRepr};
 use tango_sim::hash::flow_hash;
 use tango_sim::{NodeClock, Packet, SimTime};
 
@@ -18,6 +18,55 @@ fn udp6(src: u128, dst: u128, sport: u16, dport: u16, payload: &[u8]) -> Vec<u8>
     udp.emit(&mut u).unwrap();
     u.payload_mut().copy_from_slice(payload);
     pkt.into_buffer()
+}
+
+/// A 24-byte-headroom IPv4 or IPv6 packet carrying `protocol` over
+/// `l4`: UDP/TCP numbers with ≥ 4 bytes hash ports, anything else does
+/// not.
+fn ip_packet(v6: bool, src: u128, dst: u128, protocol: u8, l4: &[u8]) -> Packet {
+    let mut pkt;
+    if v6 {
+        let repr = Ipv6Repr {
+            src_addr: src.into(),
+            dst_addr: dst.into(),
+            next_header: protocol,
+            payload_len: l4.len(),
+            hop_limit: 64,
+            traffic_class: 0,
+            flow_label: 0,
+        };
+        pkt = Packet::alloc(24, repr.total_len());
+        let mut ip = Ipv6Packet::new_unchecked(pkt.bytes_mut());
+        repr.emit(&mut ip).unwrap();
+        ip.payload_mut().copy_from_slice(l4);
+    } else {
+        let repr = Ipv4Repr {
+            src_addr: ((src >> 96) as u32).into(),
+            dst_addr: ((dst >> 96) as u32).into(),
+            protocol,
+            payload_len: l4.len(),
+            ttl: 64,
+            dscp_ecn: 0,
+        };
+        pkt = Packet::alloc(24, repr.total_len());
+        let mut ip = Ipv4Packet::new_unchecked(pkt.bytes_mut());
+        repr.emit(&mut ip).unwrap();
+        ip.payload_mut().copy_from_slice(l4);
+    }
+    pkt
+}
+
+/// Both caches of `pkt` answer what a fresh parse of its bytes answers.
+fn caches_are_coherent(pkt: &Packet, after: &str) -> Result<(), String> {
+    let fresh = Packet::new(pkt.bytes().to_vec());
+    prop_assert_eq!(
+        pkt.flow_hash(),
+        flow_hash(pkt.bytes()),
+        "flow hash after {}",
+        after
+    );
+    prop_assert_eq!(pkt.dst_addr(), fresh.dst_addr(), "dst_addr after {}", after);
+    Ok(())
 }
 
 proptest! {
@@ -88,6 +137,66 @@ proptest! {
         // collision budget by checking inequality (FNV-1a collisions on
         // 64-bit outputs for 14-byte keys are ~2^-64 per pair).
         prop_assert_ne!(base, other);
+    }
+
+    #[test]
+    fn packet_caches_track_every_mutation(
+        v6 in any::<bool>(),
+        src in any::<u128>(),
+        dst in any::<u128>(),
+        protocol in prop_oneof![Just(17u8), Just(6u8), Just(59u8)],
+        l4 in proptest::collection::vec(any::<u8>(), 0..24),
+        ops in proptest::collection::vec(
+            (0u8..8, any::<usize>(), proptest::collection::vec(any::<u8>(), 1..12)),
+            1..32,
+        ),
+    ) {
+        // Every check below also warms both caches, so each mutation
+        // starts from cached state it must either keep or invalidate.
+        let mut pkt = ip_packet(v6, src, dst, protocol, &l4);
+        caches_are_coherent(&pkt, "build")?;
+        for (op, n, data) in ops {
+            let after = match op {
+                0 if !pkt.is_empty() => {
+                    let at = n % pkt.len();
+                    pkt.bytes_mut()[at] ^= data[0] | 1;
+                    "bytes_mut"
+                }
+                1 => {
+                    let k = data.len().min(pkt.headroom());
+                    pkt.prepend(k)[..k].copy_from_slice(&data[..k]);
+                    "prepend"
+                }
+                2 => {
+                    pkt.strip_front(n % (pkt.len() + 1));
+                    "strip_front"
+                }
+                3 => {
+                    pkt.append(&data);
+                    "append"
+                }
+                4 => {
+                    pkt.truncate(n % (pkt.len() + 1));
+                    "truncate"
+                }
+                5 => {
+                    pkt.decrement_hop_limit();
+                    "decrement_hop_limit"
+                }
+                6 => {
+                    pkt = pkt.clone();
+                    "clone"
+                }
+                7 => {
+                    // Pool recycle: the buffer comes back as a new packet.
+                    pkt = Packet::from_recycled(pkt.into_buffer(), n % 32);
+                    pkt.append(&data);
+                    "recycle"
+                }
+                _ => "nothing",
+            };
+            caches_are_coherent(&pkt, after)?;
+        }
     }
 
     #[test]

@@ -1,0 +1,124 @@
+//! Allocation guard: the steady-state event loop does not call the
+//! allocator per packet.
+//!
+//! A test file is its own crate, so it can install a counting
+//! `#[global_allocator]` without touching the libraries'
+//! `#![forbid(unsafe_code)]`. One `#[test]` only: a second one would run
+//! on a parallel thread and count into the same totals.
+//!
+//! Each scenario pre-schedules all its packets, runs the first half as a
+//! warm-up (queues, buffer pool, slab and `TimeSeries` reach their
+//! working size) and counts allocator calls inside `run_until` over the
+//! second half. What remains is amortised growth (a `TimeSeries` or span
+//! `Vec` doubling): well under [`MAX_CALLS_PER_PACKET`]. A per-packet
+//! allocation anywhere on the path — the flow-hash key `Vec` this guard
+//! was written against cost 4.3 per packet — fails it by two orders of
+//! magnitude.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use tango::npop::NPopMesh;
+use tango::prelude::*;
+use tango_sim::ShardMode;
+
+/// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`) since start.
+// Relaxed: a statistic that publishes no other data.
+static CALLS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter never influences the
+// pointers returned.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Relaxed);
+        // SAFETY: the caller's layout is passed through unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Relaxed);
+        // SAFETY: the caller's layout is passed through unchanged.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` was returned by `System` for this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Relaxed);
+        // SAFETY: `ptr`, `layout` and `new_size` are the caller's, unchanged.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocator calls per packet tolerated inside `run_until`.
+const MAX_CALLS_PER_PACKET: f64 = 0.02;
+/// Packets per scenario; the second half is measured.
+const PACKETS: u32 = 8_000;
+
+/// Allocator calls made while `run` executes.
+fn calls_during(run: impl FnOnce()) -> u64 {
+    let before = CALLS.load(Relaxed);
+    run();
+    CALLS.load(Relaxed) - before
+}
+
+fn assert_steady(what: &str, calls: u64) {
+    let per_packet = calls as f64 / f64::from(PACKETS / 2);
+    assert!(
+        per_packet < MAX_CALLS_PER_PACKET,
+        "{what}: {calls} allocator calls inside run_until for {} packets = {per_packet:.3} per packet (limit {MAX_CALLS_PER_PACKET})",
+        PACKETS / 2
+    );
+}
+
+/// The static Vultr pairing: 64 B app packets alternating A→B / B→A
+/// every 100 µs, probes every 10 ms.
+fn pairing_calls() -> u64 {
+    let mut pairing =
+        tango::vultr_pairing(PairingOptions::default()).expect("the Vultr scenario provisions");
+    let gap = SimTime::from_us(100);
+    let mut t = SimTime::from_ms(5);
+    for i in 0..PACKETS {
+        let from = if i % 2 == 0 { Side::A } else { Side::B };
+        pairing.send_app_packet(t, from, 64);
+        t += gap;
+    }
+    let half = SimTime::from_ms(5) + SimTime(gap.as_ns() * u64::from(PACKETS / 2));
+    pairing.run_until(half);
+    calls_during(|| pairing.run_until(t + SimTime::from_ms(200)))
+}
+
+/// Router-only traffic over a converged 200-AS / 8-PoP mesh
+/// ([`NPopMesh::inject`] schedules one packet every 250 µs from 1 ms).
+fn mesh_calls(mesh: &NPopMesh, shards: usize) -> u64 {
+    let (mut sim, _) = mesh
+        .routed_sim(PACKETS, shards, ShardMode::Serial)
+        .expect("every node speaks");
+    let horizon = mesh.inject(&mut sim, PACKETS);
+    let half =
+        SimTime::from_ms(1) + SimTime(SimTime::from_us(250).as_ns() * u64::from(PACKETS / 2));
+    sim.run_until(half);
+    calls_during(|| {
+        sim.run_until(horizon);
+    })
+}
+
+#[test]
+fn steady_state_event_loop_does_not_allocate_per_packet() {
+    assert_steady("vultr pairing", pairing_calls());
+    let mesh = NPopMesh::converge(200, 8, 1).expect("the preset graph converges");
+    for shards in [1, 4] {
+        assert_steady(
+            &format!("mesh at {shards} shards"),
+            mesh_calls(&mesh, shards),
+        );
+    }
+}
