@@ -149,13 +149,13 @@ pub fn policy_comparison(seed: u64) -> Vec<PolicyRow> {
             t += SimTime::from_ms(20);
         }
         pairing.run_until(SimTime::from_mins(29));
-        let sink = pairing.a_stats.lock();
+        let sink = pairing.stats(Side::A).lock();
         let mut owds: Vec<f64> = Vec::new();
         for (_, p) in sink.paths() {
             owds.extend(p.app_owd.values().iter().map(|v| v / 1e6));
         }
         drop(sink);
-        let history = pairing.b_stats.lock().selection_history.clone();
+        let history = pairing.stats(Side::B).lock().selection_history.clone();
         let mut switches = 0;
         for w in history.windows(2) {
             if w[0].1 != w[1].1 {
@@ -263,13 +263,15 @@ pub fn multihoming() -> Vec<MultihomingRow> {
     // The per-direction floors of the four discovered paths.
     let fwd: Vec<f64> = pairing
         .provisioned
-        .paths_a_to_b
+        .from(Side::A)
+        .paths
         .iter()
         .map(|p| la_ny(&p.transit_path))
         .collect();
     let rev: Vec<f64> = pairing
         .provisioned
-        .paths_b_to_a
+        .from(Side::B)
+        .paths
         .iter()
         .map(|p| {
             // transit_path is source-side-first for NY→LA already.
@@ -391,9 +393,10 @@ pub fn tango_of_n(ns: &[usize], seed: u64) -> Vec<TangoOfNRow> {
                     )
                     .ok()?;
                     p.run_until(SimTime::from_secs(5));
-                    let paths = p.provisioned.paths_a_to_b.len() + p.provisioned.paths_b_to_a.len();
+                    let paths = p.provisioned.from(Side::A).paths.len()
+                        + p.provisioned.from(Side::B).paths.len();
                     let default = p.mean_owd_ms(Side::A, 0)?;
-                    let best = (0..p.provisioned.paths_b_to_a.len() as u16)
+                    let best = (0..p.provisioned.from(Side::B).paths.len() as u16)
                         .filter_map(|k| p.mean_owd_ms(Side::A, k))
                         .fold(f64::INFINITY, f64::min);
                     Some((paths, (default / best - 1.0) * 100.0))
@@ -496,7 +499,7 @@ pub fn load_balance(seed: u64) -> Vec<LoadBalanceRow> {
             pairing.send_app_packet(start + SimTime(i * 100_000), Side::B, 1210);
         }
         pairing.run_until(start + SimTime::from_secs(11));
-        let sink = pairing.a_stats.lock();
+        let sink = pairing.stats(Side::A).lock();
         let mut owds: Vec<f64> = Vec::new();
         let mut delivered = 0u64;
         for (_, p) in sink.paths() {
@@ -616,7 +619,7 @@ pub fn loss_table(seed: u64) -> Vec<LossRow> {
     .expect("provisions");
     pairing.run_until(SimTime::from_secs(120)); // 12k probes per path
 
-    let sink = pairing.a_stats.lock();
+    let sink = pairing.stats(Side::A).lock();
     induced
         .iter()
         .map(|&(id, loss)| {
@@ -718,19 +721,16 @@ pub fn ecmp_census(flows: usize, seed: u64) -> EcmpCensusResult {
         .collect();
     let la_stats = shared_sink();
     let ny_stats = shared_sink();
-    let make = |id,
-                border,
-                tunnels,
-                mine: &tango_dataplane::SharedStats,
-                theirs: &tango_dataplane::SharedStats,
-                probe| {
-        TangoSwitch::with_static_path(
+    // LA probes every flow; NY only receives (no tunnels, no timers).
+    let mut install = |id, border, tunnels, mine, theirs, probe_period| {
+        TangoSwitch::install(
+            &mut sim,
             SwitchConfig {
                 id,
                 border,
                 tunnels,
                 remote_host_prefixes: vec![],
-                probe_period: probe,
+                probe_period,
                 control_period: None,
                 initial_path: 0,
                 wan_table: None,
@@ -740,41 +740,15 @@ pub fn ecmp_census(flows: usize, seed: u64) -> EcmpCensusResult {
                 rx_labels: Vec::new(),
                 obs: None,
             },
+            Box::new(StaticPolicy::single(0, "static")),
             Arc::clone(mine),
             Arc::clone(theirs),
+            SimTime::from_ms(1),
         )
     };
-    sim.set_agent(
-        TENANT_LA,
-        Box::new(make(
-            TENANT_LA,
-            VULTR_LA,
-            tunnels,
-            &la_stats,
-            &ny_stats,
-            Some(SimTime::from_ms(10)),
-        )),
-    );
-    sim.set_agent(
-        TENANT_NY,
-        Box::new(make(
-            TENANT_NY,
-            VULTR_NY,
-            vec![],
-            &ny_stats,
-            &la_stats,
-            None,
-        )),
-    );
-    TangoSwitch::arm_timers(
-        &mut sim,
-        TENANT_LA,
-        true,
-        false,
-        false,
-        flows,
-        SimTime::from_ms(1),
-    );
+    let probe = Some(SimTime::from_ms(10));
+    install(TENANT_LA, VULTR_LA, tunnels, &la_stats, &ny_stats, probe);
+    install(TENANT_NY, VULTR_NY, vec![], &ny_stats, &la_stats, None);
     sim.run_until(SimTime::from_secs(20));
 
     // Cluster the per-flow *means*: with ~2000 samples per flow the

@@ -75,7 +75,7 @@ fn run(
     pairing.run_until(SimTime::from_secs(40));
 
     // Delivered-during-outage, from the receiver's per-path app series.
-    let sink = pairing.a_stats.lock();
+    let sink = pairing.stats(Side::A).lock();
     let delivered_in_outage: u64 = sink
         .paths()
         .map(|(_, p)| {
@@ -87,7 +87,7 @@ fn run(
     drop(sink);
 
     // First selection after the outage starts that excludes path 2.
-    let history = pairing.b_stats.lock().selection_history.clone();
+    let history = pairing.stats(Side::B).lock().selection_history.clone();
     let was_on_dead_path = history
         .iter()
         .any(|(at, paths)| *at < OUTAGE_START.as_ns() && paths.contains(&2));

@@ -21,8 +21,10 @@ pub struct Fig4Run {
     pub paths: Vec<(String, TimeSeries)>,
 }
 
-/// Run the Vultr pairing with events, return the NY→LA series.
-pub fn run(events: Vec<LinkEvent>, duration: SimTime, seed: u64) -> Fig4Run {
+/// The Vultr pairing with `events` scheduled, run to `duration`. With no
+/// events this is the §5 trace `fig4-left`, `jitter` and `headline` all
+/// read — `experiments all` simulates it once and hands it to the three.
+pub fn vultr_run(events: Vec<LinkEvent>, duration: SimTime, seed: u64) -> TangoPairing {
     let mut pairing = tango::vultr_pairing_with_events(
         events,
         PairingOptions {
@@ -32,6 +34,11 @@ pub fn run(events: Vec<LinkEvent>, duration: SimTime, seed: u64) -> Fig4Run {
     )
     .expect("vultr scenario provisions");
     pairing.run_until(duration);
+    pairing
+}
+
+/// The NY→LA series of a finished run.
+fn series_into_la(pairing: &TangoPairing) -> Fig4Run {
     let labels = pairing.labels_into(Side::A);
     let paths = labels
         .into_iter()
@@ -44,6 +51,11 @@ pub fn run(events: Vec<LinkEvent>, duration: SimTime, seed: u64) -> Fig4Run {
         })
         .collect();
     Fig4Run { paths }
+}
+
+/// Run the Vultr pairing with events, return the NY→LA series.
+pub fn run(events: Vec<LinkEvent>, duration: SimTime, seed: u64) -> Fig4Run {
+    series_into_la(&vultr_run(events, duration, seed))
 }
 
 fn to_ms_binned(series: &TimeSeries, bin_ns: u64) -> TimeSeries {
@@ -67,15 +79,16 @@ fn chart_and_csv(run: &Fig4Run, bin_ns: u64, csv_name: &str, width: usize) {
     println!("series written to {}\n", path.display());
 }
 
-/// **Fig. 4 (left)** — the long trace. Paper shape: GTT lowest (~28 ms),
+/// **Fig. 4 (left)** — the long trace (a finished fault-free
+/// [`vultr_run`]). Paper shape: GTT lowest (~28 ms),
 /// NTT the default ~30 % higher, Telia in between, the 4th path highest;
 /// per-path jitter visibly different.
-pub fn left(duration: SimTime, seed: u64) {
+pub fn left(trace: &TangoPairing) {
     println!(
         "Fig. 4 (left) — {} of NY→LA one-way delay, 10 ms probes, no incidents\n",
-        duration
+        trace.sim.now()
     );
-    let run = run(Vec::new(), duration, seed);
+    let run = series_into_la(trace);
     chart_and_csv(&run, 10_000_000_000, "fig4_left.csv", 100);
 
     let mut rows = Vec::new();

@@ -17,14 +17,9 @@ pub struct Headline {
     pub pct_worse: f64,
 }
 
-/// Measure both directions.
-pub fn run(duration: SimTime, seed: u64) -> Vec<Headline> {
-    let mut pairing = tango::vultr_pairing(PairingOptions {
-        seed,
-        ..PairingOptions::default()
-    })
-    .expect("vultr scenario provisions");
-    pairing.run_until(duration);
+/// Measure both directions of a finished fault-free
+/// [`crate::fig4::vultr_run`].
+pub fn run(pairing: &TangoPairing) -> Vec<Headline> {
     let mut out = Vec::new();
     for (direction, side) in [("NY→LA", Side::A), ("LA→NY", Side::B)] {
         let labels = pairing.labels_into(side);
@@ -45,9 +40,10 @@ pub fn run(duration: SimTime, seed: u64) -> Vec<Headline> {
 }
 
 /// Print the paper-comparable summary.
-pub fn report(duration: SimTime, seed: u64) {
+pub fn report(trace: &TangoPairing) {
+    let duration = trace.sim.now();
     println!("§5 headline — default vs best path, {duration} of 10 ms probing\n");
-    let rows = run(duration, seed);
+    let rows = run(trace);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|h| {
@@ -77,10 +73,11 @@ pub fn report(duration: SimTime, seed: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fig4::vultr_run;
 
     #[test]
     fn thirty_percent_both_directions() {
-        for h in run(SimTime::from_secs(30), 10) {
+        for h in run(&vultr_run(Vec::new(), SimTime::from_secs(30), 10)) {
             assert_eq!(h.default_path.0, "NTT");
             assert_eq!(h.best_path.0, "GTT");
             assert!(

@@ -20,14 +20,9 @@ pub struct JitterRow {
     pub mean_ms: f64,
 }
 
-/// Measure both directions for `duration`.
-pub fn run(duration: SimTime, seed: u64) -> Vec<JitterRow> {
-    let mut pairing = tango::vultr_pairing(PairingOptions {
-        seed,
-        ..PairingOptions::default()
-    })
-    .expect("vultr scenario provisions");
-    pairing.run_until(duration);
+/// Measure both directions of a finished fault-free
+/// [`crate::fig4::vultr_run`].
+pub fn run(pairing: &TangoPairing) -> Vec<JitterRow> {
     let mut rows = Vec::new();
     for (direction, side) in [("LA→NY", Side::B), ("NY→LA", Side::A)] {
         for (i, label) in pairing.labels_into(side).into_iter().enumerate() {
@@ -44,9 +39,10 @@ pub fn run(duration: SimTime, seed: u64) -> Vec<JitterRow> {
 }
 
 /// Print the paper-comparable table.
-pub fn report(duration: SimTime, seed: u64) {
+pub fn report(trace: &TangoPairing) {
+    let duration = trace.sim.now();
     println!("§5 jitter — mean std-dev of a 1-second rolling window ({duration} trace)\n");
-    let rows = run(duration, seed);
+    let rows = run(trace);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
@@ -80,10 +76,11 @@ pub fn report(duration: SimTime, seed: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fig4::vultr_run;
 
     #[test]
     fn la_to_ny_matches_paper_jitter() {
-        let rows = run(SimTime::from_secs(30), 9);
+        let rows = run(&vultr_run(Vec::new(), SimTime::from_secs(30), 9));
         let get = |path: &str| {
             rows.iter()
                 .find(|r| r.direction == "LA→NY" && r.path == path)

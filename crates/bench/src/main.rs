@@ -323,13 +323,16 @@ fn main() {
         println!("{title}");
         println!("{}\n", "=".repeat(78));
     };
+    // The fault-free §5 trace fig4-left, jitter and headline all read:
+    // each stand-alone subcommand simulates its own, `all` one for the three.
+    let section5_trace = || fig4::vultr_run(Vec::new(), duration(&args), args.seed);
     match command.as_str() {
         "fig3" => fig3::report(),
-        "fig4-left" => fig4::left(duration(&args), args.seed),
+        "fig4-left" => fig4::left(&section5_trace()),
         "fig4-middle" => fig4::middle(args.seed),
         "fig4-right" => fig4::right(args.seed),
-        "jitter" => jitter::report(duration(&args), args.seed),
-        "headline" => headline::report(duration(&args), args.seed),
+        "jitter" => jitter::report(&section5_trace()),
+        "headline" => headline::report(&section5_trace()),
         "ablation-owd" => ablations::report_owd_accuracy(args.seed),
         "ablation-policy" => ablations::report_policy(args.seed),
         "ablation-multihoming" => ablations::report_multihoming(),
@@ -342,15 +345,17 @@ fn main() {
             hr("Fig. 3 — path discovery");
             fig3::report();
             hr("Fig. 4 (left) — long trace");
-            fig4::left(duration(&args), args.seed);
+            let trace = section5_trace();
+            fig4::left(&trace);
             hr("Fig. 4 (middle) — route change");
             fig4::middle(args.seed);
             hr("Fig. 4 (right) — instability");
             fig4::right(args.seed);
             hr("§5 — jitter table");
-            jitter::report(duration(&args), args.seed);
+            jitter::report(&trace);
             hr("§5 — headline (default vs best)");
-            headline::report(duration(&args), args.seed);
+            headline::report(&trace);
+            drop(trace); // an hour of samples; nothing below reads it
             hr("A1 — measurement accuracy");
             ablations::report_owd_accuracy(args.seed);
             hr("A2 — policy comparison");

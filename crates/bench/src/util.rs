@@ -31,11 +31,10 @@ impl SweepOptions {
     }
 }
 
-/// Where CSV outputs land (created on demand).
+/// Where artifacts land without `--out`: `results/` under the working
+/// directory (created on demand).
 pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("TANGO_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("results"));
+    let dir = PathBuf::from("results");
     std::fs::create_dir_all(&dir).expect("create results dir");
     dir
 }
@@ -103,12 +102,8 @@ mod tests {
 
     #[test]
     fn results_dir_exists_after_call() {
-        std::env::set_var(
-            "TANGO_RESULTS_DIR",
-            std::env::temp_dir().join("tango_results_test"),
-        );
         let d = results_dir();
+        assert_eq!(d, PathBuf::from("results"));
         assert!(d.exists());
-        std::env::remove_var("TANGO_RESULTS_DIR");
     }
 }

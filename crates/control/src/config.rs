@@ -83,18 +83,54 @@ impl core::fmt::Display for ProvisionError {
 
 impl std::error::Error for ProvisionError {}
 
+/// Which edge of the pairing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    /// The first configured side.
+    A,
+    /// The second configured side.
+    B,
+}
+
+impl Side {
+    /// Both sides, in the order every per-side step runs.
+    pub const BOTH: [Side; 2] = [Side::A, Side::B];
+
+    /// The other side.
+    pub fn peer(self) -> Side {
+        match self {
+            Side::A => Side::B,
+            Side::B => Side::A,
+        }
+    }
+
+    /// This side's slot in a per-side `[T; 2]`.
+    pub fn idx(self) -> usize {
+        self as usize
+    }
+}
+
+/// One direction of a provisioned pairing: what a side sends on.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Direction {
+    /// Paths usable by traffic from this side to its peer (announced by
+    /// the peer, observed here), parallel to `tunnels`.
+    pub paths: Vec<DiscoveredPath>,
+    /// Tunnel table for this side's switch (sending toward the peer).
+    pub tunnels: Vec<Tunnel>,
+}
+
 /// Everything both switches need after provisioning.
 #[derive(Debug, Clone)]
 pub struct ProvisionedPairing {
-    /// Paths usable by traffic A→B (announced by B, observed at A),
-    /// parallel to `a_tunnels`.
-    pub paths_a_to_b: Vec<DiscoveredPath>,
-    /// Paths usable by traffic B→A, parallel to `b_tunnels`.
-    pub paths_b_to_a: Vec<DiscoveredPath>,
-    /// Tunnel table for side A's switch (sending toward B).
-    pub a_tunnels: Vec<Tunnel>,
-    /// Tunnel table for side B's switch (sending toward A).
-    pub b_tunnels: Vec<Tunnel>,
+    directions: [Direction; 2],
+}
+
+impl ProvisionedPairing {
+    /// The direction of traffic sent *from* `side` (A→B for `Side::A`).
+    pub fn from(&self, side: Side) -> &Direction {
+        &self.directions[side.idx()]
+    }
 }
 
 fn label_for(engine: &BgpEngine, path: &DiscoveredPath) -> String {
@@ -127,6 +163,7 @@ pub fn provision(
     b: &SideConfig,
     max_paths: usize,
 ) -> Result<ProvisionedPairing, ProvisionError> {
+    let sides = [a, b];
     let infra = [a.border, b.border];
     // Borders must strip private ASNs and honor the action communities.
     for border in infra {
@@ -134,106 +171,75 @@ pub fn provision(
         engine.set_honor_actions(border, true)?;
     }
 
-    // Discovery uses a scratch prefix carved from the announcing block's
-    // top end so it can't collide with path prefixes (index 15 of a /44).
-    let probe_a = path_prefix(&a.block, 15)?;
-    let probe_b = path_prefix(&b.block, 15)?;
-    // Paths for traffic A→B are exposed by announcements from B.
-    let paths_a_to_b = discover_paths(
-        engine,
-        b.tenant,
-        a.tenant,
-        IpCidr::V6(probe_b),
-        &infra,
-        max_paths,
-    )?;
-    let paths_b_to_a = discover_paths(
-        engine,
-        a.tenant,
-        b.tenant,
-        IpCidr::V6(probe_a),
-        &infra,
-        max_paths,
-    )?;
+    // Paths for traffic side→peer are exposed by announcements from the
+    // peer. Discovery uses a scratch prefix carved from the announcing
+    // block's top end so it can't collide with path prefixes (index 15
+    // of a /44).
+    let mut directions: [Direction; 2] = Default::default();
+    for side in Side::BOTH {
+        let (me, peer) = (sides[side.idx()], sides[side.peer().idx()]);
+        directions[side.idx()].paths = discover_paths(
+            engine,
+            peer.tenant,
+            me.tenant,
+            IpCidr::V6(path_prefix(&peer.block, 15)?),
+            &infra,
+            max_paths,
+        )?;
+    }
 
-    // Announce pinned per-path prefixes from each side.
-    let announce_pinned = |engine: &mut BgpEngine,
-                           tenant: AsId,
-                           block: &Ipv6Cidr,
-                           paths: &[DiscoveredPath]|
-     -> Result<Vec<Ipv6Cidr>, ProvisionError> {
-        let mut prefixes = Vec::new();
-        for (i, path) in paths.iter().enumerate() {
-            let prefix = path_prefix(block, i)?;
-            engine.announce(tenant, IpCidr::V6(prefix), path.pin_communities.clone())?;
-            prefixes.push(prefix);
+    // Each side's tunnels target the pinned per-path prefixes its peer
+    // announces: B's prefixes carry A→B traffic, A's carry B→A.
+    let mut targets: [Vec<Ipv6Cidr>; 2] = Default::default();
+    for side in Side::BOTH {
+        let peer = sides[side.peer().idx()];
+        for (i, path) in directions[side.idx()].paths.iter().enumerate() {
+            let prefix = path_prefix(&peer.block, i)?;
+            engine.announce(
+                peer.tenant,
+                IpCidr::V6(prefix),
+                path.pin_communities.clone(),
+            )?;
+            targets[side.idx()].push(prefix);
         }
-        Ok(prefixes)
-    };
-    // B's prefixes carry A→B traffic; A's prefixes carry B→A traffic.
-    let b_prefixes = announce_pinned(engine, b.tenant, &b.block, &paths_a_to_b)?;
-    let a_prefixes = announce_pinned(engine, a.tenant, &a.block, &paths_b_to_a)?;
-    engine.announce(a.tenant, a.host_prefix, BTreeSet::new())?;
-    engine.announce(b.tenant, b.host_prefix, BTreeSet::new())?;
+    }
+    for config in sides {
+        engine.announce(config.tenant, config.host_prefix, BTreeSet::new())?;
+    }
     engine.converge()?;
 
-    // Verify every pin: the converged AS path for prefix i must match
-    // discovery's path i.
-    let verify = |engine: &BgpEngine,
-                  observer: AsId,
-                  prefixes: &[Ipv6Cidr],
-                  paths: &[DiscoveredPath]|
-     -> Result<(), ProvisionError> {
-        for (prefix, want) in prefixes.iter().zip(paths) {
-            let got = engine
-                .as_path(observer, IpCidr::V6(*prefix))
-                .map(<[AsId]>::to_vec);
-            let got_transits: Option<Vec<AsId>> = got.as_ref().map(|p| {
+    // Verify every pin — the converged AS path for prefix i, seen from
+    // the sending side, must match discovery's path i — then build the
+    // side's tunnel table. A tunnel only needs a routable local address;
+    // we use the side's own path-i prefix (or the last one if counts
+    // differ).
+    for side in Side::BOTH {
+        let observer = sides[side.idx()].tenant;
+        let (remote, local) = (&targets[side.idx()], &targets[side.peer().idx()]);
+        let direction = &mut directions[side.idx()];
+        for (i, (prefix, want)) in remote.iter().zip(&direction.paths).enumerate() {
+            let got: Option<Vec<AsId>> = engine.as_path(observer, IpCidr::V6(*prefix)).map(|p| {
                 p.iter()
                     .copied()
                     .filter(|x| !x.is_private() && !infra.contains(x))
                     .collect()
             });
-            if got_transits.as_deref() != Some(&want.transit_path[..]) {
+            if got.as_deref() != Some(&want.transit_path[..]) {
                 return Err(ProvisionError::PinMismatch {
                     prefix: IpCidr::V6(*prefix),
                     wanted: want.transit_path.clone(),
-                    got: got_transits,
+                    got,
                 });
             }
+            direction.tunnels.push(Tunnel::from_prefixes(
+                i as u16,
+                label_for(engine, want),
+                local[i.min(local.len() - 1)],
+                *prefix,
+            ));
         }
-        Ok(())
-    };
-    verify(engine, a.tenant, &b_prefixes, &paths_a_to_b)?;
-    verify(engine, b.tenant, &a_prefixes, &paths_b_to_a)?;
-
-    // Build tunnel tables. A's tunnel i: local endpoint from A's prefix
-    // for its *return* direction... tunnels only need a routable local
-    // address; we use the side's own path-i prefix (or the last one if
-    // counts differ).
-    let a_tunnels: Vec<Tunnel> = paths_a_to_b
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let local = a_prefixes[i.min(a_prefixes.len() - 1)];
-            Tunnel::from_prefixes(i as u16, label_for(engine, p), local, b_prefixes[i])
-        })
-        .collect();
-    let b_tunnels: Vec<Tunnel> = paths_b_to_a
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let local = b_prefixes[i.min(b_prefixes.len() - 1)];
-            Tunnel::from_prefixes(i as u16, label_for(engine, p), local, a_prefixes[i])
-        })
-        .collect();
-
-    Ok(ProvisionedPairing {
-        paths_a_to_b,
-        paths_b_to_a,
-        a_tunnels,
-        b_tunnels,
-    })
+    }
+    Ok(ProvisionedPairing { directions })
 }
 
 #[cfg(test)]
@@ -275,25 +281,35 @@ mod tests {
     fn provisions_four_verified_tunnels_each_way() {
         let mut e = engine();
         let p = provision(&mut e, &la(), &ny(), 8).unwrap();
-        assert_eq!(p.a_tunnels.len(), 4);
-        assert_eq!(p.b_tunnels.len(), 4);
-        let labels: Vec<&str> = p.a_tunnels.iter().map(|t| t.label.as_str()).collect();
+        assert_eq!(p.from(Side::A).tunnels.len(), 4);
+        assert_eq!(p.from(Side::B).tunnels.len(), 4);
+        let labels: Vec<&str> = p
+            .from(Side::A)
+            .tunnels
+            .iter()
+            .map(|t| t.label.as_str())
+            .collect();
         assert_eq!(
             labels,
             vec!["NTT", "Telia", "GTT", "Cogent"],
             "LA→NY labels"
         );
-        let labels: Vec<&str> = p.b_tunnels.iter().map(|t| t.label.as_str()).collect();
+        let labels: Vec<&str> = p
+            .from(Side::B)
+            .tunnels
+            .iter()
+            .map(|t| t.label.as_str())
+            .collect();
         assert_eq!(
             labels,
             vec!["NTT", "Telia", "GTT", "Level3"],
             "NY→LA labels"
         );
         // Discovery order matches Fig. 3.
-        assert_eq!(p.paths_a_to_b[3].transit_path, vec![NTT, COGENT]);
-        assert_eq!(p.paths_b_to_a[3].transit_path, vec![NTT, LEVEL3]);
-        assert_eq!(p.paths_a_to_b[2].transit_path, vec![GTT]);
-        assert_eq!(p.paths_b_to_a[1].transit_path, vec![TELIA]);
+        assert_eq!(p.from(Side::A).paths[3].transit_path, vec![NTT, COGENT]);
+        assert_eq!(p.from(Side::B).paths[3].transit_path, vec![NTT, LEVEL3]);
+        assert_eq!(p.from(Side::A).paths[2].transit_path, vec![GTT]);
+        assert_eq!(p.from(Side::B).paths[1].transit_path, vec![TELIA]);
     }
 
     #[test]
@@ -302,10 +318,10 @@ mod tests {
         let p = provision(&mut e, &la(), &ny(), 8).unwrap();
         // LA tunnel 2 (GTT) must target NY's third /48.
         let want: Ipv6Cidr = "2001:db8:202::/48".parse().unwrap();
-        assert!(want.contains(p.a_tunnels[2].remote_endpoint));
+        assert!(want.contains(p.from(Side::A).tunnels[2].remote_endpoint));
         // And NY tunnel 2's remote lives in LA's third /48.
         let want: Ipv6Cidr = "2001:db8:102::/48".parse().unwrap();
-        assert!(want.contains(p.b_tunnels[2].remote_endpoint));
+        assert!(want.contains(p.from(Side::B).tunnels[2].remote_endpoint));
     }
 
     #[test]
@@ -315,7 +331,7 @@ mod tests {
         // Forwarding traces from NY toward each LA prefix hit the right
         // transit.
         let transits = [NTT, TELIA, GTT, NTT /* Level3 path starts at NTT */];
-        for (i, t) in p.b_tunnels.iter().enumerate() {
+        for (i, t) in p.from(Side::B).tunnels.iter().enumerate() {
             let dst = IpCidr::V6(Ipv6Cidr::new(t.remote_endpoint, 48).unwrap());
             let trace = e.trace_path(TENANT_NY, dst).unwrap();
             assert_eq!(trace[2], transits[i], "tunnel {i} first transit");
@@ -338,8 +354,8 @@ mod tests {
     fn max_paths_limits_tunnels() {
         let mut e = engine();
         let p = provision(&mut e, &la(), &ny(), 2).unwrap();
-        assert_eq!(p.a_tunnels.len(), 2);
-        assert_eq!(p.b_tunnels.len(), 2);
+        assert_eq!(p.from(Side::A).tunnels.len(), 2);
+        assert_eq!(p.from(Side::B).tunnels.len(), 2);
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub mod discovery;
 pub mod health;
 pub mod policy;
 
-pub use config::{provision, ProvisionError, ProvisionedPairing, SideConfig};
+pub use config::{provision, Direction, ProvisionError, ProvisionedPairing, Side, SideConfig};
 pub use discovery::{discover_paths, DiscoveredPath, DiscoveryError};
 pub use health::{
     HealthConfig, HealthGated, HealthState, HealthTimeline, HealthTransition, PathHealth,

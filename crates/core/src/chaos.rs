@@ -115,7 +115,11 @@ impl ChaosOutcome {
 /// The transit carrier hosting packet-level attacks against `path`
 /// (the paper labels paths by this AS).
 fn carrier_of(pairing: &TangoPairing, path: u16) -> Option<AsId> {
-    let disc = pairing.provisioned.paths_a_to_b.get(usize::from(path))?;
+    let disc = pairing
+        .provisioned
+        .from(Side::A)
+        .paths
+        .get(usize::from(path))?;
     disc.distinguishing_carrier()
         .or_else(|| disc.transit_path.first().copied())
 }
@@ -124,7 +128,7 @@ fn carrier_of(pairing: &TangoPairing, path: u16) -> Option<AsId> {
 /// path looks terrible except `path`, which looks perfect — enough to
 /// flip any latency/loss-driven ranking if the switch believes it.
 fn forged_report(pairing: &TangoPairing, path: u16) -> Vec<u8> {
-    let n = pairing.provisioned.b_tunnels.len() as u16;
+    let n = pairing.provisioned.from(Side::B).tunnels.len() as u16;
     let records = (0..n)
         .map(|id| {
             if id == path {
@@ -151,7 +155,7 @@ fn forged_report(pairing: &TangoPairing, path: u16) -> Vec<u8> {
     let report = MeasurementReport { records }.encode();
     // Ride B's tunnel for `path` toward A — a byte-faithful REPORT
     // packet, except the attacker has no key so there is no auth tag.
-    let tunnel = &pairing.provisioned.b_tunnels[usize::from(path)];
+    let tunnel = &pairing.provisioned.from(Side::B).tunnels[usize::from(path)];
     codec::report_packet(tunnel, 0x5bf0_0000 + u32::from(path), 0, &report, None)
 }
 
@@ -240,7 +244,7 @@ pub fn run_chaos_with_obs(
         let attacker = carrier_of(&pairing, (path + 1) % 4)
             .or_else(|| carrier_of(&pairing, path))
             .expect("vultr paths have transit carriers");
-        pairing.schedule_hijack(attacker, path, at, duration);
+        pairing.schedule_hijack(attacker, path, at, duration)?;
     }
 
     // Group packet-level attacks by their on-path node, one adversary
@@ -432,7 +436,7 @@ pub fn run_byzantine_ablation(
     pairing.run_until(horizon);
 
     let sink = pairing.stats(Side::A).lock();
-    let n_paths = pairing.provisioned.a_tunnels.len() as u16;
+    let n_paths = pairing.provisioned.from(Side::A).tunnels.len() as u16;
     let mut selected_ticks: Vec<(u16, u64)> = (0..n_paths).map(|p| (p, 0)).collect();
     for (_, selection) in &sink.selection_history {
         for &p in selection {

@@ -17,7 +17,7 @@
 //! // Run 10 simulated seconds of probing (10 ms per path, like §5).
 //! pairing.run_until(SimTime::from_secs(10));
 //! // Fig. 3: four wide-area paths per direction...
-//! assert_eq!(pairing.provisioned.b_tunnels.len(), 4);
+//! assert_eq!(pairing.provisioned.from(Side::B).tunnels.len(), 4);
 //! // ...and the BGP default (NTT) is ~30 % slower than the best (GTT).
 //! let ntt = pairing.mean_owd_ms(Side::A, 0).unwrap();
 //! let gtt = pairing.mean_owd_ms(Side::A, 2).unwrap();
@@ -34,9 +34,14 @@
 //! | [`tango_sim`] | deterministic discrete-event simulator, unsynchronized clocks, ECMP, fault injection |
 //! | [`tango_dataplane`] | the border-switch programs: encap/decap, timestamps, sequence numbers, per-path stats |
 //! | [`tango_measure`] | one-way-delay statistics: interval averages, rolling jitter, loss/reordering from sequence numbers, EWMA, percentiles |
-//! | [`tango_control`] | §4.1 path discovery, prefix/tunnel provisioning, selection policies |
+//! | [`tango_control`] | §4.1 path discovery, prefix/tunnel provisioning per [`Side`], selection policies, path health |
 //! | [`tango_obs`] | deterministic metrics: counters, gauges, fixed-bucket histograms, byte-stable snapshots |
 //! | [`tango_trace`] | causal span tracing: the one packet-incident record, its ring, exporters and queries |
+//!
+//! This crate adds the scenario runners on top: [`TangoPairing`] (two
+//! sides, each stated once — `stats(side)`, `side_config(side)`,
+//! `provisioned.from(side)`), [`NPopMesh`] (N PoPs), [`chaos`] and the
+//! run-level [`invariant`] checker.
 //!
 //! See `DESIGN.md` for the substitution table (what the paper's physical
 //! testbed provided vs. what is simulated here) and `EXPERIMENTS.md` for

@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 use tango_bgp::{BgpEngine, EngineError};
+pub use tango_control::Side;
 use tango_control::{
     provision, HealthConfig, HealthGated, HealthState, HealthTimeline, HealthTransition,
     ProvisionError, ProvisionedPairing, SideConfig,
@@ -18,7 +19,7 @@ use tango_sim::{
     NodeClock, Packet, RouterAgent, ShardMode, SharedAdversaryStats, SimConfig, SimTime, SpanKey,
     SpanKind, SpanRing, TAG_ADV_SPOOF,
 };
-use tango_topology::{AsId, Topology, WideAreaEvent};
+use tango_topology::{AsId, TimeWindow, Topology, WideAreaEvent};
 
 /// Capacity of the pairing-level control-plane span recorder. Control
 /// spans are rare (one per control step, health transition, or
@@ -53,25 +54,6 @@ pub struct FlightDump {
     pub span_count: u64,
 }
 
-/// Which edge of the pairing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Side {
-    /// The first configured side.
-    A,
-    /// The second configured side.
-    B,
-}
-
-impl Side {
-    /// The other side.
-    pub fn peer(self) -> Side {
-        match self {
-            Side::A => Side::B,
-            Side::B => Side::A,
-        }
-    }
-}
-
 /// Harness construction errors.
 #[derive(Debug)]
 pub enum PairingError {
@@ -79,6 +61,14 @@ pub enum PairingError {
     Provision(ProvisionError),
     /// The BGP engine failed.
     Engine(EngineError),
+    /// A wide-area event or hijack names a path neither direction
+    /// provisioned.
+    NoSuchPath {
+        /// The path id asked for.
+        path: u16,
+        /// How many paths the longer direction has.
+        paths: usize,
+    },
 }
 
 impl From<ProvisionError> for PairingError {
@@ -98,6 +88,9 @@ impl core::fmt::Display for PairingError {
         match self {
             PairingError::Provision(e) => write!(f, "provisioning: {e}"),
             PairingError::Engine(e) => write!(f, "BGP: {e}"),
+            PairingError::NoSuchPath { path, paths } => {
+                write!(f, "no path {path}: {paths} paths were provisioned")
+            }
         }
     }
 }
@@ -200,23 +193,16 @@ impl Default for PairingOptions {
     }
 }
 
-/// What a pending control-plane step does when its simulated time
-/// arrives.
+/// What a pending control-plane step announces or withdraws when its
+/// simulated time arrives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ControlStep {
-    /// SessionReset: withdraw both sides' tunnel prefixes for the path.
-    Withdraw,
-    /// SessionReset: re-announce them with their original pin
-    /// communities.
-    Reannounce,
-    /// Sub-prefix hijack: `attacker` announces a /56 more-specific of
+    /// SessionReset: both sides' tunnel prefixes for the path, with
+    /// their original pin communities.
+    Reset,
+    /// Sub-prefix hijack: `attacker` originates a /56 more-specific of
     /// each tunnel endpoint on the path, attracting its traffic.
-    HijackStart {
-        /// The announcing (Byzantine) AS.
-        attacker: AsId,
-    },
-    /// The hijacker withdraws its more-specifics.
-    HijackEnd {
+    Hijack {
         /// The announcing (Byzantine) AS.
         attacker: AsId,
     },
@@ -228,6 +214,21 @@ struct PendingControl {
     at: SimTime,
     path: u16,
     step: ControlStep,
+    /// Announce the step's prefixes (a reset's re-announce, a hijack's
+    /// start) or withdraw them (a reset's start, a hijack's end).
+    announce: bool,
+}
+
+/// Everything the harness keeps per edge.
+struct SideState {
+    config: SideConfig,
+    /// What this side *receives* (peer→side measurements) plus its send
+    /// counters.
+    stats: SharedStats,
+    /// Health-transition timeline of the side's gated policy (if enabled).
+    timeline: Option<HealthTimeline>,
+    /// How many timeline entries are already mirrored as spans.
+    synced_health: usize,
 }
 
 /// A fully wired Tango deployment between two edges, ready to run.
@@ -239,17 +240,8 @@ pub struct TangoPairing {
     pub bgp: BgpEngine,
     /// The provisioning outcome: discovered paths and tunnel tables.
     pub provisioned: ProvisionedPairing,
-    /// Side A's stats sink: what A *receives* (B→A measurements) plus
-    /// A's send counters.
-    pub a_stats: SharedStats,
-    /// Side B's stats sink.
-    pub b_stats: SharedStats,
-    side_a: SideConfig,
-    side_b: SideConfig,
-    /// Health-transition timeline of side A's gated policy (if enabled).
-    health_timeline_a: Option<HealthTimeline>,
-    /// Same for side B.
-    health_timeline_b: Option<HealthTimeline>,
+    /// Per-side state, indexed by [`Side::idx`].
+    sides: [SideState; 2],
     /// Scheduled control-plane steps (session resets, hijacks), soonest
     /// first.
     pending_controls: Vec<PendingControl>,
@@ -272,11 +264,20 @@ pub struct TangoPairing {
     /// touched BGP, else the `Control` root), so ancestry walks
     /// chaos event → BGP update → health transition → reroute.
     control_roots: Vec<(u64, SpanKey)>,
-    /// How many timeline entries per side are already mirrored as spans.
-    synced_health: [usize; 2],
     /// `(time_ns, path, span key)` of every emitted health-transition
     /// span — the parent pool for invariant-violation spans.
     health_spans: Vec<(u64, u16, SpanKey)>,
+}
+
+/// `Err(NoSuchPath)` unless at least one direction provisioned `path`.
+fn check_path(provisioned: &ProvisionedPairing, path: u16) -> Result<(), PairingError> {
+    let paths = Side::BOTH.map(|s| provisioned.from(s).tunnels.len());
+    let paths = paths.into_iter().max().unwrap_or(0);
+    if usize::from(path) < paths {
+        Ok(())
+    } else {
+        Err(PairingError::NoSuchPath { path, paths })
+    }
 }
 
 impl TangoPairing {
@@ -289,7 +290,7 @@ impl TangoPairing {
         neighbor_pref: impl IntoIterator<Item = (AsId, std::collections::BTreeMap<AsId, u32>)>,
         side_a: SideConfig,
         side_b: SideConfig,
-        mut options: PairingOptions,
+        options: PairingOptions,
     ) -> Result<Self, PairingError> {
         let mut bgp = BgpEngine::new(topology.clone());
         if let Some(registry) = &options.obs {
@@ -301,97 +302,55 @@ impl TangoPairing {
             bgp.set_neighbor_pref(node, prefs)?;
         }
         let provisioned = provision(&mut bgp, &side_a, &side_b, options.max_paths)?;
+        let mut sides = [side_a, side_b].map(|config| SideState {
+            config,
+            stats: shared_sink(),
+            timeline: None,
+            synced_health: 0,
+        });
 
         // Lower the structured wide-area events now that provisioning
         // fixed the path order. A `Blackhole { path }` resolves to the
         // path's *distinguishing* hop in each direction — the transit
         // adjacent to the receiving border, unique per path by discovery
-        // construction — so exactly that path dies, in both directions.
+        // construction — so exactly that path dies, in both directions
+        // (delivery into A first).
         let mut topology = topology;
         let path_links = |p: u16| -> Vec<(AsId, AsId)> {
-            let mut hops = Vec::new();
-            if let Some(d) = provisioned.paths_b_to_a.get(usize::from(p)) {
-                if let Some(&t) = d.transit_path.last() {
-                    hops.push((t, side_a.border)); // B→A delivery dies
-                }
-            }
-            if let Some(d) = provisioned.paths_a_to_b.get(usize::from(p)) {
-                if let Some(&t) = d.transit_path.last() {
-                    hops.push((t, side_b.border)); // A→B delivery dies
-                }
-            }
-            hops
+            let into = |rx: Side| {
+                let inbound = provisioned.from(rx.peer()).paths.get(usize::from(p))?;
+                Some((*inbound.transit_path.last()?, sides[rx.idx()].config.border))
+            };
+            Side::BOTH.into_iter().filter_map(into).collect()
         };
         let mut pending_controls = Vec::new();
-        let mut blackholes: Vec<(u16, u64, u64)> = Vec::new();
+        let mut blackholes: Vec<(u16, TimeWindow)> = Vec::new();
         for ev in &options.wide_area_events {
-            if let WideAreaEvent::Blackhole {
-                path,
-                at_ns,
-                duration_ns,
-            } = *ev
-            {
-                blackholes.push((path, at_ns, at_ns.saturating_add(duration_ns)));
+            let (WideAreaEvent::Blackhole { path, .. } | WideAreaEvent::SessionReset { path, .. }) =
+                *ev;
+            check_path(&provisioned, path)?;
+            let window = ev.window();
+            match ev {
+                WideAreaEvent::Blackhole { .. } => blackholes.push((path, window)),
+                WideAreaEvent::SessionReset { .. } => {
+                    // Withdrawn at the window's start, re-announced at its end.
+                    for (at_ns, announce) in [(window.start_ns, false), (window.end_ns, true)] {
+                        pending_controls.push(PendingControl {
+                            at: SimTime(at_ns),
+                            path,
+                            step: ControlStep::Reset,
+                            announce,
+                        });
+                    }
+                }
             }
             for link_ev in ev.lower(path_links) {
                 topology
                     .add_event(link_ev)
                     .expect("wide-area event targets existing links");
             }
-            if let WideAreaEvent::SessionReset {
-                path,
-                at_ns,
-                hold_ns,
-            } = *ev
-            {
-                pending_controls.push(PendingControl {
-                    at: SimTime(at_ns),
-                    path,
-                    step: ControlStep::Withdraw,
-                });
-                pending_controls.push(PendingControl {
-                    at: SimTime(at_ns.saturating_add(hold_ns)),
-                    path,
-                    step: ControlStep::Reannounce,
-                });
-            }
         }
         pending_controls.sort_by_key(|r| r.at);
-
-        // Liveness gating: wrap the configured policies before they move
-        // into the switches, keeping a handle on each timeline.
-        let mut health_timeline_a = None;
-        if let Some(cfg) = options.health_a {
-            let inner = std::mem::replace(
-                &mut options.policy_a,
-                Box::new(StaticPolicy::single(0, "x")),
-            );
-            let mut gated = HealthGated::new(inner, cfg);
-            if options.monitor_only_health {
-                gated = gated.monitor_only();
-            }
-            if let Some(registry) = &options.obs {
-                gated = gated.with_obs(registry, &side_a.tenant.0.to_string());
-            }
-            health_timeline_a = Some(gated.timeline());
-            options.policy_a = Box::new(gated);
-        }
-        let mut health_timeline_b = None;
-        if let Some(cfg) = options.health_b {
-            let inner = std::mem::replace(
-                &mut options.policy_b,
-                Box::new(StaticPolicy::single(0, "x")),
-            );
-            let mut gated = HealthGated::new(inner, cfg);
-            if options.monitor_only_health {
-                gated = gated.monitor_only();
-            }
-            if let Some(registry) = &options.obs {
-                gated = gated.with_obs(registry, &side_b.tenant.0.to_string());
-            }
-            health_timeline_b = Some(gated.timeline());
-            options.policy_b = Box::new(gated);
-        }
 
         let mut sim_config = SimConfig {
             seed: options.seed,
@@ -408,157 +367,120 @@ impl TangoPairing {
         // shard happened to have processed of the current window, so —
         // like a zero-latency cross-shard link — it forces one shard.
         // In-band reports pay link latency and keep the requested count.
+        let [tenant_a, tenant_b] = Side::BOTH.map(|s| sides[s.idx()].config.tenant);
         if options.feedback == FeedbackMode::Shared
-            && sim.shard_of(side_a.tenant) != sim.shard_of(side_b.tenant)
+            && sim.shard_of(tenant_a) != sim.shard_of(tenant_b)
         {
             sim_config.shards = 1;
-            sim = NetworkSim::new(topology.clone(), sim_config);
-        }
-        // Every non-tenant node routes by its converged BGP table.
-        let tenant_ids = [side_a.tenant, side_b.tenant];
-        let router_ids: Vec<AsId> = topology
-            .nodes()
-            .map(|n| n.id)
-            .filter(|id| !tenant_ids.contains(id))
-            .collect();
-        for id in router_ids {
-            let table = bgp.forwarding_table(id)?;
-            sim.set_agent(id, Box::new(RouterAgent::new(id, table)));
+            sim = NetworkSim::new(topology, sim_config);
         }
         sim.set_clock(
-            side_b.tenant,
+            tenant_b,
             NodeClock::with_offset_ns(options.clock_offset_b_ns),
         );
 
-        let a_stats = shared_sink();
-        let b_stats = shared_sink();
-        // A switch that is its own border (multi-homed enterprise) routes
-        // outgoing packets itself, from its converged BGP table.
-        let wan_table_for = |bgp: &BgpEngine, side: &SideConfig| -> Result<_, PairingError> {
-            Ok(if side.border == side.tenant {
-                Some(bgp.forwarding_table(side.tenant)?)
-            } else {
-                None
-            })
-        };
-        let a_switch = TangoSwitch::new(
-            SwitchConfig {
-                id: side_a.tenant,
-                border: side_a.border,
-                tunnels: provisioned.a_tunnels.clone(),
-                remote_host_prefixes: vec![side_b.host_prefix],
+        // Gate, configure and install each side's switch.
+        let policies = [
+            (options.policy_a, options.health_a),
+            (options.policy_b, options.health_b),
+        ];
+        for (side, (mut policy, health)) in Side::BOTH.into_iter().zip(policies) {
+            let me = sides[side.idx()].config.clone();
+            // Liveness gating: wrap the configured policy before it moves
+            // into the switch, keeping a handle on its timeline.
+            if let Some(cfg) = health {
+                let mut gated = HealthGated::new(policy, cfg);
+                if options.monitor_only_health {
+                    gated = gated.monitor_only();
+                }
+                if let Some(registry) = &options.obs {
+                    gated = gated.with_obs(registry, &me.tenant.0.to_string());
+                }
+                sides[side.idx()].timeline = Some(gated.timeline());
+                policy = Box::new(gated);
+            }
+            let config = SwitchConfig {
+                id: me.tenant,
+                border: me.border,
+                tunnels: provisioned.from(side).tunnels.clone(),
+                remote_host_prefixes: vec![sides[side.peer().idx()].config.host_prefix],
                 probe_period: options.probe_period,
                 control_period: options.control_period,
                 initial_path: options.initial_path,
-                wan_table: wan_table_for(&bgp, &side_a)?,
+                // A switch that is its own border (multi-homed enterprise)
+                // routes outgoing packets itself, from its converged BGP
+                // table.
+                wan_table: if me.border == me.tenant {
+                    Some(bgp.forwarding_table(me.tenant)?)
+                } else {
+                    None
+                },
                 feedback: options.feedback,
                 auth_key: options.auth_key,
                 class_map: options.class_map.clone(),
                 rx_labels: provisioned
-                    .b_tunnels
+                    .from(side.peer())
+                    .tunnels
                     .iter()
                     .map(|t| (t.id, t.label.clone()))
                     .collect(),
                 obs: options.obs.clone(),
-            },
-            std::mem::replace(
-                &mut options.policy_a,
-                Box::new(StaticPolicy::single(0, "x")),
-            ),
-            Arc::clone(&a_stats),
-            Arc::clone(&b_stats),
-        );
-        let b_switch = TangoSwitch::new(
-            SwitchConfig {
-                id: side_b.tenant,
-                border: side_b.border,
-                tunnels: provisioned.b_tunnels.clone(),
-                remote_host_prefixes: vec![side_a.host_prefix],
-                probe_period: options.probe_period,
-                control_period: options.control_period,
-                initial_path: options.initial_path,
-                wan_table: wan_table_for(&bgp, &side_b)?,
-                feedback: options.feedback,
-                auth_key: options.auth_key,
-                class_map: options.class_map.clone(),
-                rx_labels: provisioned
-                    .a_tunnels
-                    .iter()
-                    .map(|t| (t.id, t.label.clone()))
-                    .collect(),
-                obs: options.obs.clone(),
-            },
-            std::mem::replace(
-                &mut options.policy_b,
-                Box::new(StaticPolicy::single(0, "x")),
-            ),
-            Arc::clone(&b_stats),
-            Arc::clone(&a_stats),
-        );
-        sim.set_agent(side_a.tenant, Box::new(a_switch));
-        sim.set_agent(side_b.tenant, Box::new(b_switch));
-        let n_a = provisioned.a_tunnels.len();
-        let n_b = provisioned.b_tunnels.len();
-        let reports = matches!(options.feedback, FeedbackMode::InBand { .. });
-        TangoSwitch::arm_timers(
-            &mut sim,
-            side_a.tenant,
-            options.probe_period.is_some(),
-            options.control_period.is_some(),
-            reports,
-            n_a,
-            SimTime::from_ms(1),
-        );
-        TangoSwitch::arm_timers(
-            &mut sim,
-            side_b.tenant,
-            options.probe_period.is_some(),
-            options.control_period.is_some(),
-            reports,
-            n_b,
-            SimTime::from_ms(2),
-        );
+            };
+            TangoSwitch::install(
+                &mut sim,
+                config,
+                policy,
+                Arc::clone(&sides[side.idx()].stats),
+                Arc::clone(&sides[side.peer().idx()].stats),
+                SimTime::from_ms(1 + side.idx() as u64),
+            );
+        }
 
         let mut pairing = TangoPairing {
             sim,
             bgp,
             provisioned,
-            a_stats,
-            b_stats,
-            side_a,
-            side_b,
-            health_timeline_a,
-            health_timeline_b,
+            sides,
             pending_controls,
             adversaries: std::collections::BTreeMap::new(),
             obs: options.obs,
             control_spans: SpanRing::new(CONTROL_SPAN_CAPACITY),
             control_seq: 0,
             control_roots: Vec::new(),
-            synced_health: [0, 0],
             health_spans: Vec::new(),
         };
+        pairing.install_routers()?;
         // Blackholes were lowered onto the topology above and never pass
         // `apply_control`, so their flight-recorder spans (step 4 start,
         // step 5 end) are emitted here, at build time.
-        for (path, at, end) in blackholes {
-            pairing.record_control(at, 0, 4, path);
-            pairing.record_control(end, 0, 5, path);
+        for (path, window) in blackholes {
+            pairing.record_control(window.start_ns, 4, path);
+            pairing.record_control(window.end_ns, 5, path);
         }
         Ok(pairing)
+    }
+
+    fn side(&self, side: Side) -> &SideState {
+        &self.sides[side.idx()]
+    }
+
+    /// Open one dispatch on the control recorder at `at_ns` and record
+    /// `kind` at `node` under `parent`. Returns the span's key.
+    fn control_span(&mut self, at_ns: u64, node: u32, parent: SpanKey, kind: SpanKind) -> SpanKey {
+        let seq = self.control_seq;
+        self.control_seq += 1;
+        self.control_spans
+            .begin_dispatch(at_ns, SpanKey::CONTROL_ORIGIN, seq);
+        self.control_spans.record_dispatch(node, parent, kind);
+        self.control_spans.dispatch_key()
     }
 
     /// Record a control-plane root span (`SpanKind::Control`) keyed at
     /// `time_ns` on the control recorder, registering it as the latest
     /// cause at that time. Returns its key.
-    fn record_control(&mut self, time_ns: u64, node: u32, step: u8, path: u16) -> SpanKey {
-        let seq = self.control_seq;
-        self.control_seq += 1;
-        self.control_spans
-            .begin_dispatch(time_ns, SpanKey::CONTROL_ORIGIN, seq);
-        self.control_spans
-            .record_dispatch(node, SpanKey::NONE, SpanKind::Control { step, path });
-        let key = self.control_spans.dispatch_key();
+    fn record_control(&mut self, time_ns: u64, step: u8, path: u16) -> SpanKey {
+        let kind = SpanKind::Control { step, path };
+        let key = self.control_span(time_ns, 0, SpanKey::NONE, kind);
         self.control_roots.push((time_ns, key));
         key
     }
@@ -581,34 +503,26 @@ impl TangoPairing {
     /// leaves `Down` (selection moves off / back onto the path). Spans
     /// are keyed by controller-local time — the timeline's clock domain.
     fn sync_health_spans(&mut self) {
-        for (i, side) in [Side::A, Side::B].into_iter().enumerate() {
+        for side in Side::BOTH {
             let Some(timeline) = self.health_timeline(side) else {
                 continue;
             };
             let node = self.side_config(side).tenant.0;
-            for tr in timeline.iter().skip(self.synced_health[i]) {
+            for tr in timeline.iter().skip(self.side(side).synced_health) {
                 let parent = self.control_cause_at(tr.at_ns);
-                let seq = self.control_seq;
-                self.control_seq += 1;
-                self.control_spans
-                    .begin_dispatch(tr.at_ns, SpanKey::CONTROL_ORIGIN, seq);
-                self.control_spans.record_dispatch(
-                    node,
-                    parent,
-                    SpanKind::HealthTransition {
-                        path: tr.path,
-                        from: health_code(tr.from),
-                        to: health_code(tr.to),
-                    },
-                );
-                self.health_spans
-                    .push((tr.at_ns, tr.path, self.control_spans.dispatch_key()));
+                let kind = SpanKind::HealthTransition {
+                    path: tr.path,
+                    from: health_code(tr.from),
+                    to: health_code(tr.to),
+                };
+                let key = self.control_span(tr.at_ns, node, parent, kind);
+                self.health_spans.push((tr.at_ns, tr.path, key));
                 if tr.to == HealthState::Down || tr.from == HealthState::Down {
                     self.control_spans
                         .record(node, SpanKind::Reroute { path: tr.path });
                 }
             }
-            self.synced_health[i] = timeline.len();
+            self.sides[side.idx()].synced_health = timeline.len();
         }
     }
 
@@ -626,15 +540,8 @@ impl TangoPairing {
             .max_by_key(|(t, _, _)| *t)
             .map(|&(_, _, k)| k)
             .unwrap_or_else(|| self.control_cause_at(at_ns));
-        let seq = self.control_seq;
-        self.control_seq += 1;
-        self.control_spans
-            .begin_dispatch(at_ns, SpanKey::CONTROL_ORIGIN, seq);
-        self.control_spans.record_dispatch(
-            node,
-            parent,
-            SpanKind::InvariantViolation { path, state },
-        );
+        let kind = SpanKind::InvariantViolation { path, state };
+        self.control_span(at_ns, node, parent, kind);
     }
 
     /// The run's full causal span stream: the engine's per-shard rings
@@ -687,7 +594,7 @@ impl TangoPairing {
             }
             self.sim.run_until(next.at);
             self.pending_controls.remove(0);
-            self.apply_control(next.at, next.path, next.step);
+            self.apply_control(next);
         }
         self.sim.run_until(t);
     }
@@ -706,7 +613,7 @@ impl TangoPairing {
         behaviors: Vec<AdversaryBehavior>,
     ) -> Result<SharedAdversaryStats, PairingError> {
         assert!(
-            node != self.side_a.tenant && node != self.side_b.tenant,
+            self.sides.iter().all(|s| s.config.tenant != node),
             "adversaries are on-path transit nodes, not the tenants themselves"
         );
         let stats = shared_adversary_stats();
@@ -737,122 +644,85 @@ impl TangoPairing {
     /// /56 more-specific of each tunnel endpoint on `path` (both
     /// directions), stealing its traffic by longest-prefix match; the
     /// announcements are withdrawn `duration_ns` later. Call before
-    /// `run_until` passes `at_ns`.
-    pub fn schedule_hijack(&mut self, attacker: AsId, path: u16, at_ns: u64, duration_ns: u64) {
-        self.pending_controls.push(PendingControl {
-            at: SimTime(at_ns),
-            path,
-            step: ControlStep::HijackStart { attacker },
-        });
-        self.pending_controls.push(PendingControl {
-            at: SimTime(at_ns.saturating_add(duration_ns)),
-            path,
-            step: ControlStep::HijackEnd { attacker },
-        });
+    /// `run_until` passes `at_ns`. `Err(NoSuchPath)` when neither
+    /// direction provisioned `path`.
+    pub fn schedule_hijack(
+        &mut self,
+        attacker: AsId,
+        path: u16,
+        at_ns: u64,
+        duration_ns: u64,
+    ) -> Result<(), PairingError> {
+        check_path(&self.provisioned, path)?;
+        for (at_ns, announce) in [(at_ns, true), (at_ns.saturating_add(duration_ns), false)] {
+            self.pending_controls.push(PendingControl {
+                at: SimTime(at_ns),
+                path,
+                step: ControlStep::Hijack { attacker },
+                announce,
+            });
+        }
         self.pending_controls.sort_by_key(|r| r.at);
-    }
-
-    /// The /56 more-specifics a hijacker announces for `path` (one per
-    /// direction's tunnel endpoint).
-    fn hijack_prefixes(&self, path: u16) -> Vec<tango_net::IpCidr> {
-        let p = usize::from(path);
-        [
-            self.provisioned.a_tunnels.get(p),
-            self.provisioned.b_tunnels.get(p),
-        ]
-        .iter()
-        .flatten()
-        .map(|tun| {
-            tango_net::IpCidr::V6(
-                tango_net::Ipv6Cidr::new(tun.remote_endpoint, 56)
-                    .expect("/56 of a tunnel endpoint"),
-            )
-        })
-        .collect()
+        Ok(())
     }
 
     /// Execute one control-plane step (session-reset withdraw or
     /// re-announce, hijack start or end), re-converge, and reinstall
     /// every non-tenant router. Records the step and each BGP update it
     /// drove on the flight recorder.
-    fn apply_control(&mut self, at: SimTime, path: u16, step: ControlStep) {
+    fn apply_control(&mut self, control: PendingControl) {
+        let PendingControl {
+            at,
+            path,
+            step,
+            announce,
+        } = control;
+        // Flight-recorder step codes: 0 reset withdraw, 1 re-announce,
+        // 2 hijack start, 3 hijack end.
         let step_code = match step {
-            ControlStep::Withdraw => 0,
-            ControlStep::Reannounce => 1,
-            ControlStep::HijackStart { .. } => 2,
-            ControlStep::HijackEnd { .. } => 3,
+            ControlStep::Reset => u8::from(announce),
+            ControlStep::Hijack { .. } => 3 - u8::from(announce),
         };
-        let root = self.record_control(at.as_ns(), 0, step_code, path);
-        let mut cause = root;
-        match step {
-            ControlStep::Withdraw | ControlStep::Reannounce => {
-                let p = usize::from(path);
-                // (origin, prefix endpoint, pin communities). Side A's
-                // tunnel p targets the prefix *B* announced (pinned for
-                // A→B traffic), and vice versa.
-                let mut targets = Vec::new();
-                if let (Some(tun), Some(disc)) = (
-                    self.provisioned.a_tunnels.get(p),
-                    self.provisioned.paths_a_to_b.get(p),
-                ) {
-                    targets.push((
-                        self.side_b.tenant,
-                        tun.remote_endpoint,
-                        disc.pin_communities.clone(),
-                    ));
-                }
-                if let (Some(tun), Some(disc)) = (
-                    self.provisioned.b_tunnels.get(p),
-                    self.provisioned.paths_b_to_a.get(p),
-                ) {
-                    targets.push((
-                        self.side_a.tenant,
-                        tun.remote_endpoint,
-                        disc.pin_communities.clone(),
-                    ));
-                }
-                for (origin, endpoint, comms) in targets {
-                    let prefix = tango_net::IpCidr::V6(
-                        tango_net::Ipv6Cidr::new(endpoint, 48)
-                            .expect("tunnel endpoints are /48-aligned"),
-                    );
-                    let announce = match step {
-                        ControlStep::Withdraw => {
-                            self.bgp.withdraw(origin, prefix).expect("origin exists");
-                            0
-                        }
-                        _ => {
-                            self.bgp
-                                .announce(origin, prefix, comms)
-                                .expect("origin exists");
-                            1
-                        }
-                    };
-                    cause = self
-                        .control_spans
-                        .record(origin.0, SpanKind::BgpUpdate { path, announce });
-                }
-            }
-            ControlStep::HijackStart { attacker } => {
-                for prefix in self.hijack_prefixes(path) {
-                    self.bgp
-                        .announce(attacker, prefix, std::collections::BTreeSet::new())
-                        .expect("hijacker exists in the topology");
-                    cause = self
-                        .control_spans
-                        .record(attacker.0, SpanKind::BgpUpdate { path, announce: 1 });
-                }
-            }
-            ControlStep::HijackEnd { attacker } => {
-                for prefix in self.hijack_prefixes(path) {
-                    self.bgp
-                        .withdraw(attacker, prefix)
-                        .expect("hijacker exists in the topology");
-                    cause = self
-                        .control_spans
-                        .record(attacker.0, SpanKind::BgpUpdate { path, announce: 0 });
-                }
-            }
+        let mut cause = self.record_control(at.as_ns(), step_code, path);
+        // (origin, prefix, communities) per direction. Side A's tunnel
+        // `path` targets the prefix *B* announced (pinned for A→B
+        // traffic), and vice versa; a hijacker originates a /56
+        // more-specific of the same endpoint.
+        let cidr = |endpoint, len| {
+            tango_net::IpCidr::V6(
+                tango_net::Ipv6Cidr::new(endpoint, len).expect("a /48 or /56 of a tunnel endpoint"),
+            )
+        };
+        let target = |side: Side| {
+            let direction = self.provisioned.from(side);
+            let tunnel = direction.tunnels.get(usize::from(path))?;
+            let pinned = direction.paths.get(usize::from(path))?;
+            Some(match step {
+                ControlStep::Reset => (
+                    self.side_config(side.peer()).tenant,
+                    cidr(tunnel.remote_endpoint, 48),
+                    pinned.pin_communities.clone(),
+                ),
+                ControlStep::Hijack { attacker } => (
+                    attacker,
+                    cidr(tunnel.remote_endpoint, 56),
+                    std::collections::BTreeSet::new(),
+                ),
+            })
+        };
+        let targets: Vec<_> = Side::BOTH.into_iter().filter_map(target).collect();
+        for (origin, prefix, communities) in targets {
+            let updated = if announce {
+                self.bgp.announce(origin, prefix, communities)
+            } else {
+                self.bgp.withdraw(origin, prefix).map(drop)
+            };
+            updated.expect("origin exists in the topology");
+            let kind = SpanKind::BgpUpdate {
+                path,
+                announce: u8::from(announce),
+            };
+            cause = self.control_spans.record(origin.0, kind);
         }
         // Later effects (health transitions) are parented to the step's
         // last BGP update — the edge routing actually changed on.
@@ -862,7 +732,12 @@ impl TangoPairing {
         self.bgp
             .converge()
             .expect("re-convergence after control-plane step");
-        let tenants = [self.side_a.tenant, self.side_b.tenant];
+        self.install_routers().expect("converged table");
+    }
+
+    /// (Re)install every non-tenant node from its converged BGP table.
+    fn install_routers(&mut self) -> Result<(), PairingError> {
+        let tenants = Side::BOTH.map(|s| self.side_config(s).tenant);
         let routers: Vec<AsId> = self
             .bgp
             .topology()
@@ -870,9 +745,9 @@ impl TangoPairing {
             .map(|n| n.id)
             .filter(|id| !tenants.contains(id))
             .collect();
-        for id in routers {
-            self.reinstall_router(id).expect("converged table");
-        }
+        routers
+            .into_iter()
+            .try_for_each(|id| self.reinstall_router(id))
     }
 
     /// (Re)install one non-tenant node from its converged BGP table,
@@ -896,28 +771,18 @@ impl TangoPairing {
     /// [`HealthGated`] policy, oldest first. `None` unless the side was
     /// built with `health_a`/`health_b`.
     pub fn health_timeline(&self, side: Side) -> Option<Vec<HealthTransition>> {
-        let timeline = match side {
-            Side::A => self.health_timeline_a.as_ref(),
-            Side::B => self.health_timeline_b.as_ref(),
-        }?;
-        Some(timeline.lock().clone())
+        Some(self.side(side).timeline.as_ref()?.lock().clone())
     }
 
     /// The stats sink of a side (what that side *receives*).
     pub fn stats(&self, side: Side) -> &SharedStats {
-        match side {
-            Side::A => &self.a_stats,
-            Side::B => &self.b_stats,
-        }
+        &self.side(side).stats
     }
 
     /// The tunnel labels for traffic *into* a side (discovery order).
     pub fn labels_into(&self, side: Side) -> Vec<String> {
-        let tunnels = match side {
-            Side::A => &self.provisioned.b_tunnels, // B sends into A
-            Side::B => &self.provisioned.a_tunnels,
-        };
-        tunnels.iter().map(|t| t.label.clone()).collect()
+        let inbound = self.provisioned.from(side.peer());
+        inbound.tunnels.iter().map(|t| t.label.clone()).collect()
     }
 
     /// Clone a path's one-way-delay series as measured at `side`
@@ -950,18 +815,7 @@ impl TangoPairing {
         payload_len: usize,
         traffic_class: u8,
     ) {
-        let (tenant, src_prefix, dst_prefix) = match from {
-            Side::A => (
-                self.side_a.tenant,
-                self.side_a.host_prefix,
-                self.side_b.host_prefix,
-            ),
-            Side::B => (
-                self.side_b.tenant,
-                self.side_b.host_prefix,
-                self.side_a.host_prefix,
-            ),
-        };
+        let (me, peer) = (self.side_config(from), self.side_config(from.peer()));
         let addr_in = |p: tango_net::IpCidr, host: u128| match p {
             tango_net::IpCidr::V6(c) => c.host(host).expect("host prefix wide enough"),
             tango_net::IpCidr::V4(_) => unreachable!("host prefixes are IPv6 in this harness"),
@@ -969,21 +823,19 @@ impl TangoPairing {
         // Born with headroom: the switch encapsulates in place instead of
         // rebuilding the wire image.
         let pkt = Packet::host(
-            addr_in(src_prefix, 0x10),
-            addr_in(dst_prefix, 0x20),
+            addr_in(me.host_prefix, 0x10),
+            addr_in(peer.host_prefix, 0x20),
             payload_len,
             tango_dataplane::codec::ENCAP_OVERHEAD,
             traffic_class,
         );
+        let tenant = me.tenant;
         self.sim.schedule_host_packet(at, tenant, pkt);
     }
 
     /// The side configs (for reporting).
     pub fn side_config(&self, side: Side) -> &SideConfig {
-        match side {
-            Side::A => &self.side_a,
-            Side::B => &self.side_b,
-        }
+        &self.side(side).config
     }
 }
 

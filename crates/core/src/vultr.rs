@@ -68,7 +68,7 @@ mod tests {
     #[test]
     fn vultr_pairing_builds_and_probes() {
         let mut p = vultr_pairing(PairingOptions::default()).unwrap();
-        assert_eq!(p.provisioned.a_tunnels.len(), 4);
+        assert_eq!(p.provisioned.from(Side::A).tunnels.len(), 4);
         assert_eq!(
             p.labels_into(Side::A),
             vec!["NTT", "Telia", "GTT", "Level3"],

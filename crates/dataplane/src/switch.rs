@@ -20,7 +20,7 @@
 
 use crate::codec::{self, CodecError};
 use crate::obs::SwitchObs;
-use crate::policy::{PathPolicy, PathSnapshot, SelectionState, StaticPolicy};
+use crate::policy::{PathPolicy, PathSnapshot, SelectionState};
 use crate::report::{report_from_sink, MeasurementReport};
 use crate::stats::SharedStats;
 use crate::tunnel::Tunnel;
@@ -194,47 +194,40 @@ impl TangoSwitch {
         }
     }
 
-    /// Convenience: a switch with a fixed single-path policy.
-    pub fn with_static_path(
-        config: SwitchConfig,
-        my_stats: SharedStats,
-        peer_stats: SharedStats,
-    ) -> Self {
-        let path = config.initial_path;
-        Self::new(
-            config,
-            Box::new(StaticPolicy::single(path, "static")),
-            my_stats,
-            peer_stats,
-        )
-    }
-
     /// This switch's node id.
     pub fn id(&self) -> AsId {
         self.id
     }
 
-    /// Arm a switch's timers (probes + control loop). Call once after
-    /// installing the agent; `start` staggers different switches.
-    pub fn arm_timers(
+    /// Build a switch from `config`, install it as the agent of node
+    /// `config.id` and arm exactly the timers the config implies, all
+    /// first firing at `first_tick` (stagger different switches): one
+    /// probe timer per tunnel iff `probe_period` is set, the control loop
+    /// iff `control_period` is, the report timer iff feedback is in-band.
+    pub fn install(
         sim: &mut tango_sim::NetworkSim,
-        node: AsId,
-        probes: bool,
-        control: bool,
-        reports: bool,
-        tunnel_count: usize,
-        start: SimTime,
+        config: SwitchConfig,
+        policy: Box<dyn PathPolicy>,
+        my_stats: SharedStats,
+        peer_stats: SharedStats,
+        first_tick: SimTime,
     ) {
-        if probes {
-            for i in 0..tunnel_count {
-                sim.schedule_timer_at(start, node, TAG_PROBE_BASE + i as u64);
-            }
+        let node = config.id;
+        let probes = config
+            .probe_period
+            .map_or(0, |_| config.tunnels.len() as u64);
+        let control = config.control_period.is_some();
+        let reports = matches!(config.feedback, FeedbackMode::InBand { .. });
+        let switch = TangoSwitch::new(config, policy, my_stats, peer_stats);
+        sim.set_agent(node, Box::new(switch));
+        for i in 0..probes {
+            sim.schedule_timer_at(first_tick, node, TAG_PROBE_BASE + i);
         }
         if control {
-            sim.schedule_timer_at(start, node, TAG_CONTROL);
+            sim.schedule_timer_at(first_tick, node, TAG_CONTROL);
         }
         if reports {
-            sim.schedule_timer_at(start, node, TAG_REPORT);
+            sim.schedule_timer_at(first_tick, node, TAG_REPORT);
         }
     }
 

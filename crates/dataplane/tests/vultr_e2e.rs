@@ -5,13 +5,20 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 use tango_bgp::{BgpEngine, Community};
-use tango_dataplane::{stats::shared_sink, SharedStats, SwitchConfig, TangoSwitch, Tunnel};
+use tango_dataplane::{
+    stats::shared_sink, SharedStats, StaticPolicy, SwitchConfig, TangoSwitch, Tunnel,
+};
 use tango_net::{IpCidr, Ipv6Cidr};
 use tango_sim::{NetworkSim, NodeClock, RouterAgent, SimConfig, SimTime};
 use tango_topology::vultr::{
     vultr_scenario, COGENT, GTT, LEVEL3, NTT, TELIA, TENANT_LA, TENANT_NY, VULTR_LA, VULTR_NY,
 };
 use tango_topology::AsId;
+
+/// The fixed single-path policy every switch here runs.
+fn static_path() -> Box<StaticPolicy> {
+    Box::new(StaticPolicy::single(0, "static"))
+}
 
 fn v6(s: &str) -> Ipv6Cidr {
     s.parse().unwrap()
@@ -105,7 +112,8 @@ fn build(seed: u64, ny_clock_offset_ns: i64) -> Setup {
         .map(|(i, ((np, _, _), (lp, _, label)))| Tunnel::from_prefixes(i as u16, *label, *np, *lp))
         .collect();
 
-    let la_switch = TangoSwitch::with_static_path(
+    TangoSwitch::install(
+        &mut sim,
         SwitchConfig {
             id: TENANT_LA,
             border: VULTR_LA,
@@ -121,10 +129,13 @@ fn build(seed: u64, ny_clock_offset_ns: i64) -> Setup {
             rx_labels: Vec::new(),
             obs: None,
         },
+        static_path(),
         Arc::clone(&la_stats),
         Arc::clone(&ny_stats),
+        SimTime::from_ms(1),
     );
-    let ny_switch = TangoSwitch::with_static_path(
+    TangoSwitch::install(
+        &mut sim,
         SwitchConfig {
             id: TENANT_NY,
             border: VULTR_NY,
@@ -140,27 +151,9 @@ fn build(seed: u64, ny_clock_offset_ns: i64) -> Setup {
             rx_labels: Vec::new(),
             obs: None,
         },
+        static_path(),
         Arc::clone(&ny_stats),
         Arc::clone(&la_stats),
-    );
-    sim.set_agent(TENANT_LA, Box::new(la_switch));
-    sim.set_agent(TENANT_NY, Box::new(ny_switch));
-    TangoSwitch::arm_timers(
-        &mut sim,
-        TENANT_LA,
-        true,
-        false,
-        false,
-        4,
-        SimTime::from_ms(1),
-    );
-    TangoSwitch::arm_timers(
-        &mut sim,
-        TENANT_NY,
-        true,
-        false,
-        false,
-        4,
         SimTime::from_ms(1),
     );
     Setup {
@@ -324,7 +317,8 @@ fn corrupted_tunnel_packets_are_rejected_not_measured() {
     let la_stats = shared_sink();
     let ny_stats = shared_sink();
     let tun = |id, local, remote| Tunnel::from_prefixes(id, "NTT", v6(local), v6(remote));
-    let la_switch = TangoSwitch::with_static_path(
+    TangoSwitch::install(
+        &mut sim,
         SwitchConfig {
             id: TENANT_LA,
             border: VULTR_LA,
@@ -340,11 +334,13 @@ fn corrupted_tunnel_packets_are_rejected_not_measured() {
             rx_labels: Vec::new(),
             obs: None,
         },
+        static_path(),
         Arc::clone(&la_stats),
         Arc::clone(&ny_stats),
+        SimTime::from_ms(1),
     );
-    sim.set_agent(TENANT_LA, Box::new(la_switch));
-    let ny_switch = TangoSwitch::with_static_path(
+    TangoSwitch::install(
+        &mut sim,
         SwitchConfig {
             id: TENANT_NY,
             border: VULTR_NY,
@@ -360,17 +356,9 @@ fn corrupted_tunnel_packets_are_rejected_not_measured() {
             rx_labels: Vec::new(),
             obs: None,
         },
+        static_path(),
         Arc::clone(&ny_stats),
         Arc::clone(&la_stats),
-    );
-    sim.set_agent(TENANT_NY, Box::new(ny_switch));
-    TangoSwitch::arm_timers(
-        &mut sim,
-        TENANT_LA,
-        true,
-        false,
-        false,
-        1,
         SimTime::from_ms(1),
     );
     sim.run_until(SimTime::from_secs(20));

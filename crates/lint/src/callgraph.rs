@@ -16,9 +16,10 @@
 //! giving up soundness. A cross-crate call can only target a `pub` item
 //! (an unrestricted `pub` — `pub(crate)` and friends are crate-internal),
 //! and it can only land in a crate the caller's sources actually name
-//! (`use tango_trace::…` / `tango_trace::…` paths): a crate that never
-//! mentions `tango_dataplane` cannot call into it, however many method
-//! names they share. Both facts are exact in Rust's module system, so
+//! (`use tango_trace::…` / `tango_trace::…` paths / `extern crate`): a
+//! crate that never names `tango_dataplane` cannot call into it, however
+//! many method names they share — and a local or field spelled `tango`
+//! names no crate. Both facts are exact in Rust's module system, so
 //! edges removed by them are impossible, not merely unlikely.
 //!
 //! Scope: only files under `crates/*/src/` join the graph. Integration
@@ -220,23 +221,41 @@ pub fn build(files: &[(String, &FileScan)]) -> CallGraph {
         let end = scan.tokens.len();
         let module = module_of(path);
         ex.walk(0..end, &module, None);
-        // Which sibling crates does this crate name? `tango_sim` idents
-        // come from `use tango_sim::…` and qualified paths; the bare
-        // `tango` ident is the core crate's extern name.
         if let Some(this_crate) = module.first() {
             let refs = crate_refs.entry(this_crate.clone()).or_default();
-            for t in &scan.tokens {
-                if let TokKind::Ident = t.kind {
-                    if t.text == "tango" {
-                        refs.insert("core".to_string());
-                    } else if let Some(rest) = t.text.strip_prefix("tango_") {
-                        refs.insert(rest.to_string());
-                    }
-                }
-            }
+            refs.extend(named_crates(&scan.tokens));
         }
     }
     resolve(fns, &crate_refs)
+}
+
+/// The sibling crates a file can name, by callgraph module root (`sim`
+/// for `tango_sim`, `core` for the bare `tango`). Only three token shapes
+/// name an extern crate: a path head (`tango_sim::…`), anything inside a
+/// `use` item (`use tango_sim;`, `use {tango_sim as s, …};`) and
+/// `extern crate tango_sim;`. A local, field or struct-literal key that
+/// happens to be spelled `tango` names nothing — counting those linked
+/// `tango-dataplane` to the core crate, which depends on it.
+fn named_crates(toks: &[FlatToken]) -> Vec<String> {
+    let colon = |i: usize| matches!(toks.get(i).map(|t| &t.kind), Some(TokKind::Punct(':')));
+    let mut out = Vec::new();
+    let mut in_use = false;
+    for (i, t) in toks.iter().enumerate() {
+        match t.kind {
+            TokKind::Punct(';') => in_use = false,
+            TokKind::Ident if t.text == "use" => in_use = true,
+            TokKind::Ident if t.text == "tango" || t.text.starts_with("tango_") => {
+                let path_head = colon(i + 1) && colon(i + 2);
+                let extern_crate = i >= 1 && toks[i - 1].text == "crate";
+                if path_head || in_use || extern_crate {
+                    let root = t.text.strip_prefix("tango_").unwrap_or("core");
+                    out.push(root.to_string());
+                }
+            }
+            _ => {}
+        }
+    }
+    out
 }
 
 /// For each `Open` token index, the index of its matching `Close`.

@@ -558,6 +558,44 @@ fn helper_alone_is_clean_without_a_hot_path_caller() {
 }
 
 // ---------------------------------------------------------------------
+// Interprocedural: which crates a crate names
+// ---------------------------------------------------------------------
+
+/// The hot-path-panic findings in the pretend core file when linted
+/// together with `dataplane_fixture` as the hot-path switch module.
+fn core_hits_reached_from(dataplane_fixture: &str) -> Vec<Diagnostic> {
+    let mut diags = lint_fixture_files(&[
+        ("crates/dataplane/src/switch.rs", dataplane_fixture),
+        ("crates/core/src/pairing.rs", "crate_refs/core.rs"),
+    ]);
+    diags.retain(|d| d.rule == "hot-path-panic" && d.file == "crates/core/src/pairing.rs");
+    diags
+}
+
+#[test]
+fn a_local_named_tango_names_no_crate() {
+    // `let tango = …`, a `tango` field and `tango_pkt` are not the core
+    // crate: no cross-crate edge, so nothing in core is on the hot path.
+    let hits = core_hits_reached_from("crate_refs/local.rs");
+    assert!(hits.is_empty(), "{hits:?}");
+}
+
+#[test]
+fn a_tango_path_still_links_into_core() {
+    let hits = core_hits_reached_from("crate_refs/path.rs");
+    assert_eq!(hits.len(), 1, "{hits:?}");
+    let chain: Vec<&str> = hits[0].chain.iter().map(|h| h.function.as_str()).collect();
+    assert_eq!(
+        chain,
+        [
+            "dataplane::switch::on_packet",
+            "core::pairing::Table::lookup"
+        ],
+        "{hits:?}"
+    );
+}
+
+// ---------------------------------------------------------------------
 // span-alloc: extended ban list
 // ---------------------------------------------------------------------
 

@@ -48,7 +48,7 @@ fn fly(policy: Box<dyn PathPolicy>, label: &str) -> Summary {
 
     // The OWDs the drones' packets actually experienced, across every
     // path the policy ran them on.
-    let sink = pairing.a_stats.lock();
+    let sink = pairing.stats(Side::A).lock();
     let mut app_owds: Vec<f64> = Vec::new();
     for (_, p) in sink.paths() {
         app_owds.extend(p.app_owd.values().iter().map(|v| v / 1e6));

@@ -22,8 +22,8 @@ fn main() {
 
     println!("== discovered wide-area paths (Fig. 3) ==");
     for (dir, paths) in [
-        ("LA -> NY", &pairing.provisioned.paths_a_to_b),
-        ("NY -> LA", &pairing.provisioned.paths_b_to_a),
+        ("LA -> NY", &pairing.provisioned.from(Side::A).paths),
+        ("NY -> LA", &pairing.provisioned.from(Side::B).paths),
     ] {
         for (i, p) in paths.iter().enumerate() {
             let transits: Vec<String> = p.transit_path.iter().map(|a| a.to_string()).collect();

@@ -84,8 +84,8 @@ fn main() {
                 }
             };
             pairing.run_until(SimTime::from_secs(10));
-            let fwd = pairing.provisioned.paths_a_to_b.len();
-            let rev = pairing.provisioned.paths_b_to_a.len();
+            let fwd = pairing.provisioned.from(Side::A).paths.len();
+            let rev = pairing.provisioned.from(Side::B).paths.len();
             let default = pairing.mean_owd_ms(Side::A, 0).unwrap_or(f64::NAN);
             let best = (0..rev)
                 .filter_map(|p| pairing.mean_owd_ms(Side::A, p as u16))

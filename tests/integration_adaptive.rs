@@ -25,7 +25,7 @@ fn pairing_with(
 }
 
 fn selected_paths_over_time(p: &TangoPairing) -> Vec<(u64, Vec<u16>)> {
-    p.b_stats.lock().selection_history.clone()
+    p.stats(Side::B).lock().selection_history.clone()
 }
 
 #[test]
@@ -89,7 +89,7 @@ fn jitter_aware_evacuates_instability_and_cuts_tail() {
             t += SimTime::from_ms(20);
         }
         p.run_until(SimTime::from_mins(8));
-        let sink = p.a_stats.lock();
+        let sink = p.stats(Side::A).lock();
         let mut owds: Vec<f64> = Vec::new();
         for (_, path) in sink.paths() {
             owds.extend(path.app_owd.values().iter().map(|v| v / 1e6));
@@ -122,7 +122,7 @@ fn weighted_split_spreads_load_inverse_to_delay() {
         t += SimTime::from_ms(10);
     }
     p.run_until(SimTime::from_secs(45));
-    let sink = p.a_stats.lock();
+    let sink = p.stats(Side::A).lock();
     let delivered: Vec<(u16, u64)> = sink.paths().map(|(id, s)| (id, s.app_delivered)).collect();
     drop(sink);
     let total: u64 = delivered.iter().map(|(_, d)| d).sum();
@@ -177,6 +177,6 @@ fn loss_aware_evacuates_outage() {
         "must avoid GTT during its outage: {during:?}"
     );
     // Losses were observed on GTT.
-    let sink = p.a_stats.lock();
+    let sink = p.stats(Side::A).lock();
     assert!(sink.path(2).unwrap().seq.lost() > 100);
 }

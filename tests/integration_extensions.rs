@@ -25,8 +25,8 @@ fn in_band_feedback_drives_policy_to_best_path() {
     .unwrap();
     p.run_until(SimTime::from_secs(20));
     // Reports flowed in both directions.
-    let a = p.a_stats.lock();
-    let b = p.b_stats.lock();
+    let a = p.stats(Side::A).lock();
+    let b = p.stats(Side::B).lock();
     assert!(a.reports_sent > 50, "A sent {} reports", a.reports_sent);
     assert!(
         b.reports_received > 50,
@@ -36,7 +36,7 @@ fn in_band_feedback_drives_policy_to_best_path() {
     assert_eq!(a.reports_rejected, 0);
     drop((a, b));
     // And the policy at B settled on GTT using only in-band knowledge.
-    let history = p.b_stats.lock().selection_history.clone();
+    let history = p.stats(Side::B).lock().selection_history.clone();
     assert_eq!(
         history.last().expect("control ran").1,
         vec![2u16],
@@ -56,7 +56,7 @@ fn in_band_feedback_pays_real_latency() {
     ))
     .unwrap();
     p.run_until(SimTime::from_secs(10));
-    let history = p.b_stats.lock().selection_history.clone();
+    let history = p.stats(Side::B).lock().selection_history.clone();
     // B's clock is (near) sim time here; its first control tick runs at
     // ~2 ms, well before any report (sent at ~2 ms, arriving ≥ 30 ms
     // later) could have landed.
@@ -81,7 +81,7 @@ fn in_band_reports_are_sequenced_and_measured_like_probes() {
     // Report packets ride tunnels with sequence numbers: no loss or
     // duplication should be attributed, and path 0 (carrying reports
     // besides probes) has more samples than a probe-only path would.
-    let sink = p.a_stats.lock();
+    let sink = p.stats(Side::A).lock();
     for (id, path) in sink.paths() {
         assert_eq!(path.seq.lost(), 0, "path {id}");
         assert_eq!(path.seq.duplicates(), 0, "path {id}");
@@ -105,8 +105,8 @@ fn authenticated_pairing_runs_clean() {
     })
     .unwrap();
     p.run_until(SimTime::from_secs(20));
-    for stats in [&p.a_stats, &p.b_stats] {
-        let sink = stats.lock();
+    for side in Side::BOTH {
+        let sink = p.stats(side).lock();
         assert_eq!(sink.auth_rejects, 0, "honest peers never fail verification");
         for (id, path) in sink.paths() {
             assert!(
@@ -136,7 +136,7 @@ fn authenticated_pairing_discards_corrupted_packets_via_auth() {
     })
     .unwrap();
     p.run_until(SimTime::from_secs(20));
-    let sink = p.a_stats.lock();
+    let sink = p.stats(Side::A).lock();
     let auth_rejects = sink.auth_rejects;
     let checksum_rejects =
         sink.unattributed_rejects + sink.paths().map(|(_, s)| s.rejected).sum::<u64>();
@@ -179,7 +179,7 @@ fn application_class_overrides_steer_per_class() {
         }
     }
     p.run_until(SimTime::from_secs(10));
-    let sink = p.a_stats.lock();
+    let sink = p.stats(Side::A).lock();
     let delivered = |path: u16| sink.path(path).unwrap().app_delivered;
     assert_eq!(delivered(2), 100, "EF class on GTT");
     assert_eq!(delivered(3), 100, "bulk class on Level3");
@@ -205,7 +205,7 @@ fn class_override_to_missing_tunnel_falls_back() {
         p.send_app_packet_class(SimTime::from_ms(10 + i * 10), Side::B, 64, 46 << 2);
     }
     p.run_until(SimTime::from_secs(5));
-    let sink = p.a_stats.lock();
+    let sink = p.stats(Side::A).lock();
     // Fallback to the installed selection (path 0) — never dropped.
     assert_eq!(sink.path(0).unwrap().app_delivered, 50);
 }
@@ -225,10 +225,10 @@ fn auth_and_in_band_feedback_compose() {
     })
     .unwrap();
     p.run_until(SimTime::from_secs(15));
-    let b = p.b_stats.lock();
+    let b = p.stats(Side::B).lock();
     assert!(b.reports_received > 30);
     assert_eq!(b.auth_rejects, 0);
     drop(b);
-    let history = p.b_stats.lock().selection_history.clone();
+    let history = p.stats(Side::B).lock().selection_history.clone();
     assert_eq!(history.last().unwrap().1, vec![2u16]);
 }

@@ -17,7 +17,8 @@ fn discovery_matches_fig3_both_directions() {
     let pairing = default_pairing(1);
     let to_ny: Vec<Vec<u32>> = pairing
         .provisioned
-        .paths_a_to_b
+        .from(Side::A)
+        .paths
         .iter()
         .map(|p| p.transit_path.iter().map(|a| a.0).collect())
         .collect();
@@ -28,7 +29,8 @@ fn discovery_matches_fig3_both_directions() {
     );
     let to_la: Vec<Vec<u32>> = pairing
         .provisioned
-        .paths_b_to_a
+        .from(Side::B)
+        .paths
         .iter()
         .map(|p| p.transit_path.iter().map(|a| a.0).collect())
         .collect();
@@ -142,6 +144,46 @@ fn unsynchronized_clocks_preserve_relative_comparison() {
 }
 
 #[test]
+fn swapping_the_sides_mirrors_the_pairing() {
+    // Tango is symmetric: which edge is called A must not matter. Build
+    // LA/NY and NY/LA; every per-side fact of one is the peer side's fact
+    // of the other.
+    use tango::vultr::{la_side, ny_side};
+    let build = |a, b| {
+        let scenario = tango_topology::vultr::vultr_scenario();
+        let options = PairingOptions::default();
+        TangoPairing::build(scenario.topology, scenario.neighbor_pref, a, b, options)
+            .expect("vultr scenario provisions")
+    };
+    let mut la_ny = build(la_side(), ny_side());
+    let mut ny_la = build(ny_side(), la_side());
+    for side in Side::BOTH {
+        let mirror = side.peer();
+        assert_eq!(la_ny.side_config(side), ny_la.side_config(mirror));
+        // Transit paths, AS paths, pin communities; tunnel ids, labels
+        // and endpoints.
+        assert_eq!(
+            la_ny.provisioned.from(side),
+            ny_la.provisioned.from(mirror),
+            "direction from {side:?}"
+        );
+        assert_eq!(la_ny.labels_into(side), ny_la.labels_into(mirror));
+    }
+    la_ny.run_until(SimTime::from_secs(5));
+    ny_la.run_until(SimTime::from_secs(5));
+    for side in Side::BOTH {
+        for path in 0..4 {
+            let here = la_ny.mean_owd_ms(side, path).unwrap();
+            let there = ny_la.mean_owd_ms(side.peer(), path).unwrap();
+            assert!(
+                (here - there).abs() < 0.05,
+                "{side:?}/{path}: {here} ms vs mirrored {there} ms"
+            );
+        }
+    }
+}
+
+#[test]
 fn app_traffic_and_probes_coexist() {
     let mut pairing = default_pairing(6);
     for i in 0..500u64 {
@@ -149,14 +191,14 @@ fn app_traffic_and_probes_coexist() {
         pairing.send_app_packet(SimTime::from_ms(12 + i * 11), Side::B, 240);
     }
     pairing.run_until(SimTime::from_secs(30));
-    let b = pairing.b_stats.lock();
+    let b = pairing.stats(Side::B).lock();
     assert_eq!(
         b.paths().map(|(_, p)| p.app_delivered).sum::<u64>(),
         500,
         "A→B apps"
     );
     drop(b);
-    let a = pairing.a_stats.lock();
+    let a = pairing.stats(Side::A).lock();
     assert_eq!(
         a.paths().map(|(_, p)| p.app_delivered).sum::<u64>(),
         500,
@@ -174,7 +216,7 @@ fn bgp_view_agrees_with_dataplane_trace() {
     // must agree for every tunnel prefix.
     let pairing = default_pairing(9);
     let bgp = &pairing.bgp;
-    for (i, t) in pairing.provisioned.b_tunnels.iter().enumerate() {
+    for (i, t) in pairing.provisioned.from(Side::B).tunnels.iter().enumerate() {
         let prefix =
             tango_net::IpCidr::V6(tango_net::Ipv6Cidr::new(t.remote_endpoint, 48).unwrap());
         let trace = bgp
@@ -195,7 +237,8 @@ fn bgp_view_agrees_with_dataplane_trace() {
             })
             .collect();
         assert_eq!(
-            transits, pairing.provisioned.paths_b_to_a[i].transit_path,
+            transits,
+            pairing.provisioned.from(Side::B).paths[i].transit_path,
             "tunnel {i} forwarding disagrees with discovery"
         );
     }

@@ -23,7 +23,7 @@ fn corruption_storm_rejects_nearly_everything_bad() {
     })
     .unwrap();
     p.run_until(SimTime::from_secs(20));
-    let sink = p.a_stats.lock();
+    let sink = p.stats(Side::A).lock();
     let rejects = sink.unattributed_rejects + sink.paths().map(|(_, s)| s.rejected).sum::<u64>();
     assert!(
         rejects > 1000,
@@ -56,7 +56,7 @@ fn random_drops_show_up_as_loss_not_crashes() {
     })
     .unwrap();
     p.run_until(SimTime::from_secs(30));
-    let sink = p.a_stats.lock();
+    let sink = p.stats(Side::A).lock();
     for (id, path) in sink.paths() {
         let rate = path.seq.loss_rate();
         // Each probe crosses 4 links at 5%: expected end-to-end ≈ 18.5%.
@@ -78,7 +78,8 @@ fn withdrawal_and_reconvergence_reroutes_tunnel_prefix() {
     .unwrap();
     p.run_until(SimTime::from_secs(5));
     let gtt_prefix = tango_net::IpCidr::V6(
-        tango_net::Ipv6Cidr::new(p.provisioned.a_tunnels[2].remote_endpoint, 48).unwrap(),
+        tango_net::Ipv6Cidr::new(p.provisioned.from(Side::A).tunnels[2].remote_endpoint, 48)
+            .unwrap(),
     );
     // Sanity: routed via GTT now.
     let trace = p.bgp.trace_path(TENANT_LA, gtt_prefix).unwrap();
@@ -130,7 +131,7 @@ fn total_outage_on_every_path_starves_but_recovers() {
     )
     .unwrap();
     p.run_until(SimTime::from_secs(30));
-    let sink = p.a_stats.lock();
+    let sink = p.stats(Side::A).lock();
     // Nothing arrived during the blackout...
     for (id, path) in sink.paths() {
         let during = path.owd.slice(
@@ -182,7 +183,8 @@ fn mid_run_reconvergence_rewires_the_data_plane() {
 
     // Withdraw the prefix the LA→NY GTT tunnel targets.
     let gtt_prefix = tango_net::IpCidr::V6(
-        tango_net::Ipv6Cidr::new(p.provisioned.a_tunnels[2].remote_endpoint, 48).unwrap(),
+        tango_net::Ipv6Cidr::new(p.provisioned.from(Side::A).tunnels[2].remote_endpoint, 48)
+            .unwrap(),
     );
     p.bgp.withdraw(TENANT_NY, gtt_prefix).unwrap();
     p.bgp.converge().unwrap();
@@ -321,7 +323,7 @@ fn scripted_blackhole_triggers_failover_and_readmission() {
     );
 
     // While Down, no installed selection may include the dead path.
-    let history = p.b_stats.lock().selection_history.clone();
+    let history = p.stats(Side::B).lock().selection_history.clone();
     assert!(
         history
             .iter()
@@ -350,7 +352,7 @@ fn scripted_blackhole_triggers_failover_and_readmission() {
     );
 
     // The other paths kept carrying probes throughout.
-    let sink = p.a_stats.lock();
+    let sink = p.stats(Side::A).lock();
     for id in [0u16, 1, 3] {
         let n = sink.path(id).unwrap().owd.len();
         assert!(n > 1_800, "path {id} must keep flowing, got {n} samples");
@@ -394,7 +396,7 @@ fn all_paths_blackholed_degrades_to_bgp_default_without_panic() {
         );
     }
     // With everything Down the installed selection is the BGP default.
-    let history = p.b_stats.lock().selection_history.clone();
+    let history = p.stats(Side::B).lock().selection_history.clone();
     let mid_outage: Vec<&(u64, Vec<u16>)> = history
         .iter()
         .filter(|(at, _)| (7_000_000_000..10_000_000_000).contains(at))
@@ -455,11 +457,11 @@ fn session_reset_withdraws_and_reannounces_mid_run() {
     })
     .unwrap();
     p.run_until(SimTime::from_secs(5));
-    let at_reset = p.a_stats.lock().path(2).unwrap().owd.len();
+    let at_reset = p.stats(Side::A).lock().path(2).unwrap().owd.len();
     assert!(at_reset > 400, "healthy before the reset: {at_reset}");
 
     p.run_until(SimTime::from_secs(10));
-    let at_hold_end = p.a_stats.lock().path(2).unwrap().owd.len();
+    let at_hold_end = p.stats(Side::A).lock().path(2).unwrap().owd.len();
     assert!(
         at_hold_end - at_reset < 20,
         "tunnel must starve while withdrawn, grew {}",
@@ -471,7 +473,7 @@ fn session_reset_withdraws_and_reannounces_mid_run() {
     );
 
     p.run_until(SimTime::from_secs(16));
-    let after = p.a_stats.lock().path(2).unwrap().owd.len();
+    let after = p.stats(Side::A).lock().path(2).unwrap().owd.len();
     assert!(
         after - at_hold_end > 400,
         "tunnel must resume after re-announce, grew {}",
@@ -479,7 +481,45 @@ fn session_reset_withdraws_and_reannounces_mid_run() {
     );
     // Other paths never blinked.
     for id in [0u16, 1, 3] {
-        let n = p.a_stats.lock().path(id).unwrap().owd.len();
+        let n = p.stats(Side::A).lock().path(id).unwrap().owd.len();
         assert!(n > 1_400, "path {id} unaffected, got {n}");
+    }
+}
+
+#[test]
+fn events_on_an_unprovisioned_path_are_a_typed_error() {
+    // The Vultr pairing provisions paths 0–3. A fault scripted on path 9
+    // used to build, drop nothing, and re-converge BGP twice for nothing.
+    let build = |event| {
+        tango::vultr_pairing(PairingOptions {
+            wide_area_events: vec![event],
+            ..PairingOptions::default()
+        })
+    };
+    let blackhole = |path| WideAreaEvent::Blackhole {
+        path,
+        at_ns: SimTime::from_secs(1).as_ns(),
+        duration_ns: SimTime::from_secs(1).as_ns(),
+    };
+    let reset = |path| WideAreaEvent::SessionReset {
+        path,
+        at_ns: SimTime::from_secs(1).as_ns(),
+        hold_ns: SimTime::from_secs(1).as_ns(),
+    };
+    for event in [blackhole(9), reset(9)] {
+        match build(event.clone()) {
+            Err(PairingError::NoSuchPath { path: 9, paths: 4 }) => {}
+            Err(e) => panic!("{event:?}: expected NoSuchPath, got {e}"),
+            Ok(_) => panic!("{event:?}: built despite naming path 9 of 4"),
+        }
+    }
+    for event in [blackhole(3), reset(3)] {
+        let mut p = build(event).expect("path 3 is provisioned");
+        let hijack = p.schedule_hijack(NTT, 9, 0, 1);
+        assert!(
+            matches!(hijack, Err(PairingError::NoSuchPath { path: 9, paths: 4 })),
+            "{hijack:?}"
+        );
+        p.schedule_hijack(NTT, 3, 0, 1).expect("path 3 exists");
     }
 }

@@ -44,13 +44,13 @@ fn every_pair_in_a_generated_topology_is_pairable() {
             // Multihomed sites expose at least as many paths as providers.
             let providers = g.topology.providers(g.edge_sites[j]).len();
             assert!(
-                p.provisioned.paths_a_to_b.len() >= providers.min(2),
+                p.provisioned.from(Side::A).paths.len() >= providers.min(2),
                 "pair {i}-{j}: {} paths for {} providers",
-                p.provisioned.paths_a_to_b.len(),
+                p.provisioned.from(Side::A).paths.len(),
                 providers
             );
             p.run_until(SimTime::from_secs(5));
-            for path in 0..p.provisioned.paths_b_to_a.len() {
+            for path in 0..p.provisioned.from(Side::B).paths.len() {
                 let mean = p.mean_owd_ms(Side::A, path as u16);
                 assert!(mean.is_some(), "pair {i}-{j} path {path} unmeasured");
                 assert!(mean.unwrap() > 0.0);
@@ -85,7 +85,7 @@ fn diversity_grows_with_multihoming_degree() {
     // With one provider each and a meshed core there can still be only
     // one exit — the suppression loop ends after 1 path.
     assert_eq!(
-        p.provisioned.paths_a_to_b.len(),
+        p.provisioned.from(Side::A).paths.len(),
         1,
         "single-homed: one path"
     );
@@ -109,9 +109,9 @@ fn diversity_grows_with_multihoming_degree() {
     )
     .unwrap();
     assert!(
-        p.provisioned.paths_a_to_b.len() >= 3,
+        p.provisioned.from(Side::A).paths.len() >= 3,
         "4-homed: got {}",
-        p.provisioned.paths_a_to_b.len()
+        p.provisioned.from(Side::A).paths.len()
     );
 }
 
@@ -183,9 +183,9 @@ fn adaptive_policy_works_on_generated_topologies_too() {
     .unwrap();
     p.run_until(SimTime::from_secs(15));
     // The policy must settle on the measured-best path.
-    let history = p.b_stats.lock().selection_history.clone();
+    let history = p.stats(Side::B).lock().selection_history.clone();
     let final_choice = history.last().expect("control ran").1[0];
-    let best = (0..p.provisioned.paths_b_to_a.len() as u16)
+    let best = (0..p.provisioned.from(Side::B).paths.len() as u16)
         .min_by(|a, b| {
             p.mean_owd_ms(Side::A, *a)
                 .unwrap()
