@@ -9,10 +9,16 @@
 //! This replaces the prototype's mesh of BIRD eBGP sessions (§4.1 step 1:
 //! "propagate advertisements"). The §4.1 step-2 discovery loop drives it
 //! via `tango-control`.
+//!
+//! Callers name prefixes; inside, the engine interns each into a dense
+//! [`PrefixId`] that indexes every speaker's table and keys the
+//! worklists, and recycles the id once the prefix is gone from every
+//! speaker — so no prefix is compared on the update path and a stream of
+//! discovery probes costs each speaker one record, not one per probe.
 
 use crate::community::Community;
 use crate::rib::{Route, RouteSource};
-use crate::speaker::{BgpSpeaker, Neighbor, SpeakerConfig};
+use crate::speaker::{BgpSpeaker, Neighbor, PrefixId, SpeakerConfig};
 use std::collections::{BTreeMap, BTreeSet};
 use tango_net::{IpCidr, PrefixTrie};
 use tango_obs::{Counter, Gauge, Histogram, Registry};
@@ -95,6 +101,53 @@ impl RibStats {
     }
 }
 
+/// The prefix intern table: prefix ↔ dense [`PrefixId`].
+#[derive(Debug, Clone, Default)]
+struct PrefixTable {
+    /// id → prefix; a free id keeps its last prefix until it is reissued.
+    prefixes: Vec<IpCidr>,
+    /// prefix → id, for the ids in use.
+    ids: BTreeMap<IpCidr, PrefixId>,
+    /// Ids no speaker holds state for, reissued before the table grows.
+    free: Vec<PrefixId>,
+}
+
+impl PrefixTable {
+    fn get(&self, prefix: &IpCidr) -> Option<PrefixId> {
+        self.ids.get(prefix).copied()
+    }
+
+    fn prefix(&self, id: PrefixId) -> IpCidr {
+        self.prefixes[id.slot()]
+    }
+
+    /// `prefix`'s id, minted (a recycled one first) if it has none.
+    fn intern(&mut self, prefix: IpCidr) -> PrefixId {
+        if let Some(id) = self.get(&prefix) {
+            return id;
+        }
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.prefixes[id.slot()] = prefix;
+                id
+            }
+            None => {
+                self.prefixes.push(prefix);
+                PrefixId((self.prefixes.len() - 1) as u32)
+            }
+        };
+        self.ids.insert(prefix, id);
+        id
+    }
+
+    /// Put an in-use id on the free list; a no-op on one already there.
+    fn release(&mut self, id: PrefixId) {
+        if self.ids.remove(&self.prefixes[id.slot()]).is_some() {
+            self.free.push(id);
+        }
+    }
+}
+
 /// The BGP propagation engine over an AS-level topology.
 #[derive(Debug, Clone)]
 pub struct BgpEngine {
@@ -104,22 +157,23 @@ pub struct BgpEngine {
     /// 32-bit, fits a `u32`). Each speaker holds its neighbors' positions
     /// and relationships, resolved once in [`BgpEngine::new`].
     speakers: Vec<BgpSpeaker>,
+    prefixes: PrefixTable,
     round_cap: usize,
     obs: Option<BgpObs>,
     rib_obs: Option<RibObs>,
     /// (origin, prefix) originations edited since the last convergence —
-    /// the incremental worklist's phase-0 seed.
-    dirty_origins: BTreeSet<(AsId, IpCidr)>,
+    /// the incremental worklist's phase-0 seed, and the only prefixes
+    /// that can have left every speaker by the end of it.
+    dirty_origins: Worklist,
     /// Speakers whose configuration (prefs, export knobs, arbitrary
     /// `speaker_mut` edits) changed since the last convergence; these
     /// get a conservative full recompute + re-export.
     dirty_config: BTreeSet<AsId>,
 }
 
-/// A worklist of `(speaker position, prefix)` entries. Sorted and
-/// deduplicated before it is drained, so rounds visit entries in
-/// `(AS id, prefix)` order.
-type Worklist = Vec<(u32, IpCidr)>;
+/// A worklist of `(speaker position, prefix id)` entries: two integers,
+/// sorted and deduplicated before it is drained.
+type Worklist = Vec<(u32, PrefixId)>;
 
 fn sort_dedup(list: &mut Worklist) {
     list.sort_unstable();
@@ -130,15 +184,26 @@ impl BgpEngine {
     /// Build an engine with a default speaker for every topology node.
     pub fn new(topology: Topology) -> Self {
         let ids: Vec<AsId> = topology.nodes().map(|n| n.id).collect();
+        // Every node's session list in the order its speaker keeps it.
+        let mut session_ids: Vec<Vec<AsId>> =
+            (ids.iter().map(|&id| topology.neighbors(id).to_vec())).collect();
+        session_ids.iter_mut().for_each(|list| list.sort_unstable());
         let speakers = ids
             .iter()
-            .map(|&id| {
-                let sessions = topology.neighbors(id).iter().map(|&n| Neighbor {
-                    id: n,
-                    rel: topology
-                        .relationship(id, n)
-                        .expect("adjacency lists mirror the edge map"),
-                    index: ids.binary_search(&n).expect("links join known nodes") as u32,
+            .zip(&session_ids)
+            .map(|(&id, neighbors)| {
+                let sessions = neighbors.iter().map(|&n| {
+                    let index = ids.binary_search(&n).expect("links join known nodes");
+                    Neighbor {
+                        id: n,
+                        rel: topology
+                            .relationship(id, n)
+                            .expect("adjacency lists mirror the edge map"),
+                        index: index as u32,
+                        back: session_ids[index]
+                            .binary_search(&id)
+                            .expect("adjacency is mutual") as u32,
+                    }
                 });
                 BgpSpeaker::new(SpeakerConfig::new(id), sessions.collect())
             })
@@ -146,10 +211,11 @@ impl BgpEngine {
         BgpEngine {
             topology,
             speakers,
+            prefixes: PrefixTable::default(),
             round_cap: 200,
             obs: None,
             rib_obs: None,
-            dirty_origins: BTreeSet::new(),
+            dirty_origins: Worklist::new(),
             dirty_config: BTreeSet::new(),
         }
     }
@@ -225,12 +291,25 @@ impl BgpEngine {
         Ok(&mut self.speakers[i])
     }
 
-    /// Internal mutable access that does *not* mark the speaker
-    /// config-dirty — used by the origination methods, which track the
-    /// finer-grained `(origin, prefix)` dirty set instead.
-    fn speaker_entry(&mut self, id: AsId) -> Result<&mut BgpSpeaker, EngineError> {
-        let i = self.index_of(id)?;
-        Ok(&mut self.speakers[i])
+    /// Apply `edit` to an existing origination of `prefix` at `origin`
+    /// and, if it reports a change, seed the next convergence with the
+    /// pair — the finer-grained counterpart of
+    /// [`BgpEngine::speaker_mut`]'s whole-speaker dirty mark.
+    fn edit_origin(
+        &mut self,
+        origin: AsId,
+        prefix: IpCidr,
+        edit: impl FnOnce(&mut BgpSpeaker, PrefixId) -> bool,
+    ) -> Result<bool, EngineError> {
+        let i = self.index_of(origin)?;
+        let Some(p) = self.prefixes.get(&prefix) else {
+            return Ok(false); // never announced anywhere
+        };
+        let changed = edit(&mut self.speakers[i], p);
+        if changed {
+            self.dirty_origins.push((i as u32, p));
+        }
+        Ok(changed)
     }
 
     /// Set a node's per-neighbor preference map (e.g. the Vultr borders'
@@ -271,9 +350,7 @@ impl BgpEngine {
         prefix: IpCidr,
         communities: BTreeSet<Community>,
     ) -> Result<(), EngineError> {
-        self.speaker_entry(origin)?.originate(prefix, communities);
-        self.dirty_origins.insert((origin, prefix));
-        Ok(())
+        self.announce_poisoned(origin, prefix, communities, &[])
     }
 
     /// Originate with AS-path poisoning.
@@ -284,9 +361,10 @@ impl BgpEngine {
         communities: BTreeSet<Community>,
         poison: &[AsId],
     ) -> Result<(), EngineError> {
-        self.speaker_entry(origin)?
-            .originate_poisoned(prefix, communities, poison);
-        self.dirty_origins.insert((origin, prefix));
+        let i = self.index_of(origin)?; // before an id is minted
+        let p = self.prefixes.intern(prefix);
+        self.speakers[i].originate_poisoned(p, communities, poison);
+        self.dirty_origins.push((i as u32, p));
         Ok(())
     }
 
@@ -297,22 +375,14 @@ impl BgpEngine {
         prefix: IpCidr,
         communities: BTreeSet<Community>,
     ) -> Result<bool, EngineError> {
-        let changed = self
-            .speaker_entry(origin)?
-            .set_origin_communities(&prefix, communities);
-        if changed {
-            self.dirty_origins.insert((origin, prefix));
-        }
-        Ok(changed)
+        self.edit_origin(origin, prefix, |s, p| {
+            s.set_origin_communities(p, communities)
+        })
     }
 
     /// Withdraw an origination.
     pub fn withdraw(&mut self, origin: AsId, prefix: IpCidr) -> Result<bool, EngineError> {
-        let removed = self.speaker_entry(origin)?.withdraw_origin(&prefix);
-        if removed {
-            self.dirty_origins.insert((origin, prefix));
-        }
-        Ok(removed)
+        self.edit_origin(origin, prefix, BgpSpeaker::withdraw_origin)
     }
 
     /// Run synchronous rounds to the fixpoint. Returns the number of
@@ -341,18 +411,19 @@ impl BgpEngine {
         for id in core::mem::take(&mut self.dirty_config) {
             let i = self.index_of(id).expect("marked while present");
             let s = &mut self.speakers[i];
-            export_set.extend(s.known_prefixes().into_iter().map(|p| (i as u32, p)));
+            export_set.extend(s.known_prefixes().map(|p| (i as u32, p)));
             s.recompute();
         }
         let fully_recomputed = export_set.len();
-        for (id, p) in core::mem::take(&mut self.dirty_origins) {
-            let i = self.index_of(id).expect("marked while present");
+        let mut dirty_origins = core::mem::take(&mut self.dirty_origins);
+        sort_dedup(&mut dirty_origins);
+        for &(i, p) in &dirty_origins {
             if export_set[..fully_recomputed]
-                .binary_search(&(i as u32, p))
+                .binary_search(&(i, p))
                 .is_err()
-                && self.speakers[i].recompute_prefix(&p)
+                && self.speakers[i as usize].recompute_prefix(p)
             {
-                export_set.push((i as u32, p));
+                export_set.push((i, p));
             }
         }
         sort_dedup(&mut export_set);
@@ -366,21 +437,27 @@ impl BgpEngine {
                 let i = i as usize;
                 let (before, rest) = self.speakers.split_at_mut(i);
                 let (sender, after) = rest.split_first_mut().expect("worklist names speakers");
-                let from = sender.asid();
-                sender.export_prefix(&p, |to, update| {
+                sender.export_prefix(p, |to, update| {
                     let j = to.index as usize;
                     let receiver = if j < i {
                         &mut before[j]
                     } else {
                         &mut after[j - i - 1]
                     };
-                    if receiver.receive(from, p, update) {
+                    if receiver.receive(to.back, p, update) {
                         updates_applied += 1;
                         received.push((to.index, p));
                     }
                 });
             }
             if received.is_empty() {
+                // A withdrawn prefix has now left every speaker it is
+                // ever going to leave: recycle the ids nobody holds.
+                for &(_, p) in &dirty_origins {
+                    if !self.speakers.iter().any(|s| s.holds(p)) {
+                        self.prefixes.release(p);
+                    }
+                }
                 if let Some(obs) = &self.obs {
                     obs.updates_processed.add(updates_applied);
                     obs.converges.inc();
@@ -399,7 +476,7 @@ impl BgpEngine {
             sort_dedup(&mut received);
             export_set.clear();
             for (i, p) in received.drain(..) {
-                if self.speakers[i as usize].recompute_prefix(&p) {
+                if self.speakers[i as usize].recompute_prefix(p) {
                     export_set.push((i, p));
                 }
             }
@@ -411,7 +488,7 @@ impl BgpEngine {
 
     /// The best route for `prefix` at node `at`, after convergence.
     pub fn best_route(&self, at: AsId, prefix: IpCidr) -> Option<&Route> {
-        self.speaker(at).ok()?.best(&prefix)
+        self.speaker(at).ok()?.best(self.prefixes.get(&prefix)?)
     }
 
     /// The AS path for `prefix` as seen at `at` (§4.1: "observing the
@@ -430,7 +507,7 @@ impl BgpEngine {
                 RouteSource::Local => at,
                 RouteSource::Neighbor(n) => n,
             };
-            trie.insert(*prefix, next);
+            trie.insert(self.prefixes.prefix(prefix), next);
         }
         Ok(trie)
     }
@@ -692,6 +769,52 @@ mod tests {
         assert_eq!(e.as_path(AsId(2914), p).unwrap(), &[AsId(20473)]);
     }
 
+    /// The workspace-side twin of the benchmark's "discovery left probe
+    /// routes in the RIB" violation, and the guard on its heap bound: a
+    /// thousand probes under a thousand prefixes leave nothing behind,
+    /// because each reuses the id — and so the table record — the one
+    /// before it gave back.
+    #[test]
+    fn probe_churn_leaves_no_prefix_state_behind() {
+        use tango_topology::gen::{try_generate, GenParams};
+        let g = try_generate(&GenParams::internet(100, 8, 1)).expect("preset is valid");
+        let pops = g.edge_sites;
+        let mut e = BgpEngine::new(g.topology);
+        for (i, &pop) in pops.iter().enumerate() {
+            e.set_honor_actions(pop, true).unwrap();
+            let host = pfx(&format!("2001:db8:{:x}::/48", 0x1000 + i));
+            e.announce(pop, host, BTreeSet::new()).unwrap();
+        }
+        e.converge().unwrap();
+        let base = e.rib_stats();
+        for cycle in 0..1000 {
+            let announcer = pops[cycle % pops.len()];
+            let observer = pops[(cycle + 1) % pops.len()];
+            let probe = pfx(&format!("2001:db8:{:x}::/48", 0x2000 + cycle));
+            e.announce(announcer, probe, BTreeSet::new()).unwrap();
+            e.converge().unwrap();
+            // One §4.1 step: suppress the transit the probe exits through.
+            let path = e.as_path(observer, probe).expect("the graph is connected");
+            let exit = Community::NoExportTo(path[path.len() - 2]);
+            assert!(e
+                .set_announcement_communities(announcer, probe, [exit].into())
+                .unwrap());
+            e.converge().unwrap();
+            assert!(e.withdraw(announcer, probe).unwrap());
+            e.converge().unwrap();
+        }
+        assert_eq!(e.rib_stats(), base);
+        assert_eq!(e.prefixes.ids.len(), pops.len(), "host prefixes only");
+        assert_eq!(
+            (e.prefixes.prefixes.len(), e.prefixes.free.len()),
+            (pops.len() + 1, 1),
+            "one id served every probe"
+        );
+        for s in &e.speakers {
+            assert!(s.table_len() <= pops.len() + 1, "{:?}", s.asid());
+        }
+    }
+
     #[test]
     fn unknown_speaker_errors() {
         let mut e = BgpEngine::new(topo());
@@ -701,5 +824,6 @@ mod tests {
             EngineError::UnknownSpeaker(AsId(999))
         );
         assert!(e.speaker(AsId(999)).is_err());
+        assert!(e.prefixes.ids.is_empty(), "a failed announce mints no id");
     }
 }

@@ -9,7 +9,9 @@
 //!   ("do not announce to AS X", "prepend N× to AS X") that the paper's
 //!   prototype uses to shape outbound announcements (§4.1, step 2);
 //! * per-domain [`BgpSpeaker`]s with Adj-RIB-In / Loc-RIB / Adj-RIB-Out
-//!   kept in one per-prefix table over shared, immutable [`PathAttrs`],
+//!   kept in one per-prefix table — indexed by a dense prefix id the
+//!   engine interns, so callers name prefixes and speakers never compare
+//!   one — over shared, immutable [`PathAttrs`],
 //!   the standard decision process (local-pref by Gao-Rexford relationship
 //!   plus a per-neighbor preference modeling Vultr's router config, then
 //!   AS-path length, then a deterministic tie-break);

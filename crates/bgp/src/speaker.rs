@@ -11,18 +11,29 @@
 //!
 //! Storage: everything the speaker knows about a prefix — origination,
 //! Adj-RIB-In, Loc-RIB entry, Adj-RIB-Out — sits in one `PrefixRib`
-//! record, so an update costs one table probe. The Adj-RIB slots are
-//! small vectors ordered by neighbor id: the decision process scans them
-//! in that order, which is what makes its first-wins tie-break
-//! deterministic.
+//! record, and the records sit in a vector indexed by the engine's dense
+//! [`PrefixId`], so an update costs one indexed load: no prefix is
+//! compared on the update path. The Adj-RIB slots are small vectors
+//! ordered by neighbor id: the decision process scans them in that
+//! order, which is what makes its first-wins tie-break deterministic.
 
 use crate::community::Community;
 use crate::policy::{communities_forbid, local_pref_base, may_export};
 use crate::rib::{best_of, PathAttrs, Route, RouteSource};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use tango_net::IpCidr;
 use tango_topology::{AsId, Relationship};
+
+/// A prefix's dense id in the engine's intern table, and its record's
+/// index in every speaker's table. Only [`crate::BgpEngine`] mints one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct PrefixId(pub(crate) u32);
+
+impl PrefixId {
+    pub(crate) fn slot(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// Static configuration of one speaker.
 #[derive(Debug, Clone)]
@@ -70,6 +81,9 @@ pub struct Neighbor {
     pub rel: Relationship,
     /// The neighbor's slot in the engine's dense speaker table.
     pub index: u32,
+    /// The owning speaker's slot in the *neighbor's* session list — what
+    /// the neighbor's [`BgpSpeaker::receive`] is handed as the sender.
+    pub back: u32,
 }
 
 /// The session with `id`, if there is one (`neighbors` is id-ordered).
@@ -110,6 +124,15 @@ impl PrefixRib {
             && self.adj_in.is_empty()
             && self.loc.is_none()
             && self.adj_out.is_empty()
+    }
+
+    /// Give the Adj-RIB vectors' capacity back once nothing is left, so a
+    /// discovery probe that came and went costs the table one blank
+    /// record.
+    fn prune(&mut self) {
+        if self.is_empty() {
+            *self = PrefixRib::default();
+        }
     }
 
     fn adj_in_slot(&self, neighbor: AsId) -> Result<usize, usize> {
@@ -206,10 +229,11 @@ pub struct BgpSpeaker {
     config: SpeakerConfig,
     /// eBGP sessions, ordered by neighbor id.
     neighbors: Vec<Neighbor>,
-    /// Per-prefix state, ordered by prefix; a record is removed as soon
-    /// as it [`PrefixRib::is_empty`]. Capacity is kept, so a discovery
-    /// probe coming and going reallocates nothing.
-    table: Vec<(IpCidr, PrefixRib)>,
+    /// Per-prefix state, indexed by [`PrefixId`]; ids at or past the end
+    /// and blank records alike mean "nothing held". The engine recycles
+    /// ids, so the table is as long as the most prefixes ever live at
+    /// once, and it grows by exactly what it needs.
+    table: Vec<PrefixRib>,
     counts: RibCounts,
 }
 
@@ -235,28 +259,30 @@ impl BgpSpeaker {
         &mut self.config
     }
 
-    /// Where `prefix`'s record is (`Ok`) or would be inserted (`Err`).
-    fn find(&self, prefix: &IpCidr) -> Result<usize, usize> {
-        self.table.binary_search_by_key(prefix, |(p, _)| *p)
-    }
-
-    /// Position of `prefix`'s record, created empty if absent.
-    fn find_or_insert(&mut self, prefix: IpCidr) -> usize {
-        self.find(&prefix).unwrap_or_else(|k| {
-            insert_snug(&mut self.table, k, (prefix, PrefixRib::default()));
-            k
-        })
-    }
-
-    /// Drop the record at `k` if nothing is left in it.
-    fn prune(&mut self, k: usize) {
-        if self.table[k].1.is_empty() {
-            self.table.remove(k);
+    /// `prefix`'s record, the table extended with blank ones up to it.
+    fn record(&mut self, prefix: PrefixId) -> &mut PrefixRib {
+        let k = prefix.slot();
+        if k >= self.table.len() {
+            self.table.reserve_exact(k + 1 - self.table.len());
+            self.table.resize_with(k + 1, PrefixRib::default);
         }
+        &mut self.table[k]
+    }
+
+    /// Does this speaker hold any state for `prefix`? The engine recycles
+    /// an id once no speaker does.
+    pub fn holds(&self, prefix: PrefixId) -> bool {
+        self.table.get(prefix.slot()).is_some_and(|r| !r.is_empty())
+    }
+
+    /// Records in the table, blank ones included.
+    #[cfg(test)]
+    pub(crate) fn table_len(&self) -> usize {
+        self.table.len()
     }
 
     /// Originate a prefix with communities attached.
-    pub fn originate(&mut self, prefix: IpCidr, communities: BTreeSet<Community>) {
+    pub fn originate(&mut self, prefix: PrefixId, communities: BTreeSet<Community>) {
         self.originate_poisoned(prefix, communities, &[]);
     }
 
@@ -266,12 +292,11 @@ impl BgpSpeaker {
     /// poisoning as an additional path-exposure knob).
     pub fn originate_poisoned(
         &mut self,
-        prefix: IpCidr,
+        prefix: PrefixId,
         communities: BTreeSet<Community>,
         poison: &[AsId],
     ) {
-        let k = self.find_or_insert(prefix);
-        self.table[k].1.originated = Some(Arc::new(PathAttrs {
+        self.record(prefix).originated = Some(Arc::new(PathAttrs {
             as_path: poison.into(),
             communities: Arc::new(communities),
             med: 0,
@@ -279,12 +304,12 @@ impl BgpSpeaker {
     }
 
     /// Stop originating a prefix.
-    pub fn withdraw_origin(&mut self, prefix: &IpCidr) -> bool {
-        let Ok(k) = self.find(prefix) else {
+    pub fn withdraw_origin(&mut self, prefix: PrefixId) -> bool {
+        let Some(rib) = self.table.get_mut(prefix.slot()) else {
             return false;
         };
-        let removed = self.table[k].1.originated.take().is_some();
-        self.prune(k);
+        let removed = rib.originated.take().is_some();
+        rib.prune();
         removed
     }
 
@@ -292,13 +317,13 @@ impl BgpSpeaker {
     /// discovery loop repeatedly edits the community set).
     pub fn set_origin_communities(
         &mut self,
-        prefix: &IpCidr,
+        prefix: PrefixId,
         communities: BTreeSet<Community>,
     ) -> bool {
         let Some(origin) = self
-            .find(prefix)
-            .ok()
-            .and_then(|k| self.table[k].1.originated.as_mut())
+            .table
+            .get_mut(prefix.slot())
+            .and_then(|rib| rib.originated.as_mut())
         else {
             return false;
         };
@@ -311,35 +336,35 @@ impl BgpSpeaker {
     }
 
     /// Process an incoming update (`Some(attrs)`) or withdrawal (`None`)
-    /// from neighbor `from` for `prefix`. Returns true if Adj-RIB-In
+    /// for `prefix` from the neighbor in slot `via` of the session list
+    /// (the sender's [`Neighbor::back`]). Returns true if Adj-RIB-In
     /// changed.
     ///
     /// Import policy: loop detection (reject paths containing our own id)
     /// and local-pref computation happen here. The shared attributes are
     /// cloned (a reference-count bump) only when they are stored.
-    pub fn receive(&mut self, from: AsId, prefix: IpCidr, update: Option<&Arc<PathAttrs>>) -> bool {
-        // A looped (or poisoned) path, or a sender we have no session
-        // with, is treated as a withdrawal.
-        let accepted = update
-            .filter(|attrs| !attrs.as_path.contains(&self.config.asid))
-            .zip(session(&self.neighbors, from));
-        let Some((attrs, session)) = accepted else {
-            let Ok(k) = self.find(&prefix) else {
+    pub fn receive(&mut self, via: u32, prefix: PrefixId, update: Option<&Arc<PathAttrs>>) -> bool {
+        // A slot with no session behind it never sent us anything.
+        let Some(&session) = self.neighbors.get(via as usize) else {
+            return false;
+        };
+        let from = session.id;
+        // A looped (or poisoned) path is treated as a withdrawal.
+        let Some(attrs) = update.filter(|attrs| !attrs.as_path.contains(&self.config.asid)) else {
+            let Some(rib) = self.table.get_mut(prefix.slot()) else {
                 return false;
             };
-            let rib = &mut self.table[k].1;
             let Ok(slot) = rib.adj_in_slot(from) else {
                 return false;
             };
             rib.adj_in.remove(slot);
             self.counts.adj_in -= 1;
-            self.prune(k);
+            rib.prune();
             return true;
         };
         let local_pref = local_pref_base(session.rel);
         let tie_pref = self.config.bonus(from);
-        let k = self.find_or_insert(prefix);
-        let rib = &mut self.table[k].1;
+        let rib = self.record(prefix);
         let slot = rib.adj_in_slot(from);
         if let Ok(k) = slot {
             let held = &rib.adj_in[k];
@@ -367,8 +392,8 @@ impl BgpSpeaker {
     /// Returns true if the Loc-RIB changed.
     pub fn recompute(&mut self) -> bool {
         let mut changed = false;
-        for prefix in self.known_prefixes() {
-            changed |= self.recompute_prefix(&prefix);
+        for k in 0..self.table.len() {
+            changed |= self.recompute_prefix(PrefixId(k as u32));
         }
         changed
     }
@@ -377,8 +402,10 @@ impl BgpSpeaker {
     /// learned, still sitting in the Loc-RIB (a just-withdrawn
     /// origination lives only there until the next decision run), or
     /// advertised and not yet withdrawn.
-    pub fn known_prefixes(&self) -> Vec<IpCidr> {
-        self.table.iter().map(|(p, _)| *p).collect()
+    pub fn known_prefixes(&self) -> impl Iterator<Item = PrefixId> + '_ {
+        (0..self.table.len() as u32)
+            .map(PrefixId)
+            .filter(|&p| self.holds(p))
     }
 
     /// Re-run the decision process for one prefix only — the incremental
@@ -387,11 +414,10 @@ impl BgpSpeaker {
     /// Candidates are compared by reference, the origination first and
     /// then Adj-RIB-In in neighbor-id order; only a winner that differs
     /// from the installed route is cloned.
-    pub fn recompute_prefix(&mut self, prefix: &IpCidr) -> bool {
-        let Ok(k) = self.find(prefix) else {
+    pub fn recompute_prefix(&mut self, prefix: PrefixId) -> bool {
+        let Some(rib) = self.table.get_mut(prefix.slot()) else {
             return false;
         };
-        let rib = &mut self.table[k].1;
         let local = rib.originated.clone().map(Route::local);
         let best = best_of(local.iter().chain(&rib.adj_in));
         if best == rib.loc.as_ref() {
@@ -400,19 +426,20 @@ impl BgpSpeaker {
         self.counts.loc -= usize::from(rib.loc.is_some());
         self.counts.loc += usize::from(best.is_some());
         rib.loc = best.cloned();
-        self.prune(k);
+        rib.prune();
         true
     }
 
     /// The current best route for a prefix.
-    pub fn best(&self, prefix: &IpCidr) -> Option<&Route> {
-        self.table[self.find(prefix).ok()?].1.loc.as_ref()
+    pub fn best(&self, prefix: PrefixId) -> Option<&Route> {
+        self.table.get(prefix.slot())?.loc.as_ref()
     }
 
-    /// The whole Loc-RIB, in prefix order.
-    pub fn loc_rib(&self) -> impl Iterator<Item = (&IpCidr, &Route)> {
-        self.table
-            .iter()
+    /// The whole Loc-RIB, in id order.
+    pub fn loc_rib(&self) -> impl Iterator<Item = (PrefixId, &Route)> {
+        (0u32..)
+            .map(PrefixId)
+            .zip(&self.table)
             .filter_map(|(p, rib)| Some((p, rib.loc.as_ref()?)))
     }
 
@@ -420,7 +447,7 @@ impl BgpSpeaker {
     /// prefix (path prepended, private ASNs stripped, prepend communities
     /// applied), or `None` if policy withholds it or there is no such
     /// session.
-    pub fn export_for(&self, neighbor: AsId, prefix: &IpCidr) -> Option<Arc<PathAttrs>> {
+    pub fn export_for(&self, neighbor: AsId, prefix: PrefixId) -> Option<Arc<PathAttrs>> {
         let best = self.best(prefix)?;
         let to = session(&self.neighbors, neighbor)?;
         Export::new(&self.config, best, &self.neighbors)
@@ -435,13 +462,13 @@ impl BgpSpeaker {
     /// neighbor-id order, in step with the Adj-RIB-Out slots.
     pub fn export_prefix(
         &mut self,
-        prefix: &IpCidr,
+        prefix: PrefixId,
         mut deliver: impl FnMut(&Neighbor, Option<&Arc<PathAttrs>>),
     ) {
-        let Ok(k) = self.find(prefix) else {
+        let Some(rib) = self.table.get_mut(prefix.slot()) else {
             return; // nothing held, nothing ever sent
         };
-        let PrefixRib { loc, adj_out, .. } = &mut self.table[k].1;
+        let PrefixRib { loc, adj_out, .. } = &mut *rib;
         let mut export = loc
             .as_ref()
             .map(|best| Export::new(&self.config, best, &self.neighbors));
@@ -471,7 +498,7 @@ impl BgpSpeaker {
             }
         }
         drop(export); // releases the borrow of the record's Loc-RIB entry
-        self.prune(k);
+        rib.prune();
     }
 
     /// Number of Adj-RIB-In entries (diagnostics).
@@ -494,7 +521,7 @@ impl BgpSpeaker {
     /// soft-reconfiguration inbound refresh. Returns true on any change.
     pub fn refresh_import(&mut self) -> bool {
         let mut changed = false;
-        for (_, rib) in &mut self.table {
+        for rib in &mut self.table {
             for route in &mut rib.adj_in {
                 let from = route.source.neighbor().expect("Adj-RIB-In is learned");
                 let session = session(&self.neighbors, from)
@@ -518,8 +545,8 @@ impl BgpSpeaker {
         use core::mem::size_of;
         // `Arc` keeps two reference counts in front of the value.
         const ARC_HEADER: usize = 2 * size_of::<usize>();
-        let mut total = self.table.capacity() * size_of::<(IpCidr, PrefixRib)>();
-        for (_, rib) in &self.table {
+        let mut total = self.table.capacity() * size_of::<PrefixRib>();
+        for rib in &self.table {
             total += rib.adj_in.capacity() * size_of::<Route>()
                 + rib.adj_out.capacity() * size_of::<(AsId, Arc<PathAttrs>)>();
             let routes = rib.adj_in.iter().chain(&rib.loc).map(|r| &r.attrs);
@@ -546,11 +573,13 @@ mod tests {
     use super::*;
 
     /// AS 2's sessions in: 1 (customer) -> 2 (provider), 2 peers 3.
+    /// Sorted by id they sit in slots [`FROM_1`] and [`FROM_3`].
     fn speaker2(config: SpeakerConfig) -> BgpSpeaker {
         let session = |id: u32, rel| Neighbor {
             id: AsId(id),
             rel,
             index: id,
+            back: 0,
         };
         BgpSpeaker::new(
             config,
@@ -561,8 +590,13 @@ mod tests {
         )
     }
 
-    fn prefix() -> IpCidr {
-        "2001:db8:100::/48".parse().unwrap()
+    const FROM_1: u32 = 0;
+    const FROM_3: u32 = 1;
+
+    /// The id the engine would have minted for the one prefix under test;
+    /// not 0, so the table has to grow past blank records to reach it.
+    fn prefix() -> PrefixId {
+        PrefixId(2)
     }
 
     fn learned(path: &[u32]) -> Arc<PathAttrs> {
@@ -574,16 +608,16 @@ mod tests {
     }
 
     fn exported_path(s: &BgpSpeaker, to: u32) -> Option<Vec<AsId>> {
-        s.export_for(AsId(to), &prefix())
+        s.export_for(AsId(to), prefix())
             .map(|attrs| attrs.as_path.to_vec())
     }
 
     #[test]
     fn receive_computes_local_pref_and_source() {
         let mut s = speaker2(SpeakerConfig::new(AsId(2)));
-        assert!(s.receive(AsId(1), prefix(), Some(&learned(&[1]))));
+        assert!(s.receive(FROM_1, prefix(), Some(&learned(&[1]))));
         s.recompute();
-        let best = s.best(&prefix()).unwrap();
+        let best = s.best(prefix()).unwrap();
         assert_eq!(best.local_pref, crate::policy::LP_CUSTOMER);
         assert_eq!(best.source, RouteSource::Neighbor(AsId(1)));
     }
@@ -593,12 +627,12 @@ mod tests {
         let mut cfg = SpeakerConfig::new(AsId(2));
         cfg.neighbor_pref.insert(AsId(3), 99999); // arbitrarily large
         let mut s = speaker2(cfg);
-        s.receive(AsId(1), prefix(), Some(&learned(&[1]))); // customer route
-        s.receive(AsId(3), prefix(), Some(&learned(&[3]))); // boosted peer route
+        s.receive(FROM_1, prefix(), Some(&learned(&[1]))); // customer route
+        s.receive(FROM_3, prefix(), Some(&learned(&[3]))); // boosted peer route
         s.recompute();
         // Customer local-pref still beats any tie_pref on the peer route.
         assert_eq!(
-            s.best(&prefix()).unwrap().source,
+            s.best(prefix()).unwrap().source,
             RouteSource::Neighbor(AsId(1))
         );
     }
@@ -606,42 +640,43 @@ mod tests {
     #[test]
     fn loop_detection_rejects_own_asn() {
         let mut s = speaker2(SpeakerConfig::new(AsId(2)));
-        assert!(!s.receive(AsId(1), prefix(), Some(&learned(&[1, 2, 7]))));
+        assert!(!s.receive(FROM_1, prefix(), Some(&learned(&[1, 2, 7]))));
         s.recompute();
-        assert!(s.best(&prefix()).is_none());
+        assert!(s.best(prefix()).is_none());
     }
 
     #[test]
     fn update_from_a_stranger_is_dropped() {
         let mut s = speaker2(SpeakerConfig::new(AsId(2)));
-        assert!(!s.receive(AsId(9), prefix(), Some(&learned(&[9]))));
+        assert!(!s.receive(2, prefix(), Some(&learned(&[9]))));
         assert_eq!(s.rib_in_len(), 0);
+        assert!(!s.holds(prefix()));
     }
 
     #[test]
     fn receive_same_route_reports_unchanged() {
         let mut s = speaker2(SpeakerConfig::new(AsId(2)));
-        assert!(s.receive(AsId(1), prefix(), Some(&learned(&[1]))));
+        assert!(s.receive(FROM_1, prefix(), Some(&learned(&[1]))));
         // Equal content in a different allocation is still "unchanged".
-        assert!(!s.receive(AsId(1), prefix(), Some(&learned(&[1]))));
-        assert!(s.receive(AsId(1), prefix(), None));
-        assert!(!s.receive(AsId(1), prefix(), None));
+        assert!(!s.receive(FROM_1, prefix(), Some(&learned(&[1]))));
+        assert!(s.receive(FROM_1, prefix(), None));
+        assert!(!s.receive(FROM_1, prefix(), None));
     }
 
     #[test]
     fn withdraw_falls_back_to_next_best() {
         let mut s = speaker2(SpeakerConfig::new(AsId(2)));
-        s.receive(AsId(1), prefix(), Some(&learned(&[1]))); // customer
-        s.receive(AsId(3), prefix(), Some(&learned(&[3]))); // peer
+        s.receive(FROM_1, prefix(), Some(&learned(&[1]))); // customer
+        s.receive(FROM_3, prefix(), Some(&learned(&[3]))); // peer
         s.recompute();
         assert_eq!(
-            s.best(&prefix()).unwrap().source,
+            s.best(prefix()).unwrap().source,
             RouteSource::Neighbor(AsId(1))
         );
-        s.receive(AsId(1), prefix(), None);
+        s.receive(FROM_1, prefix(), None);
         assert!(s.recompute());
         assert_eq!(
-            s.best(&prefix()).unwrap().source,
+            s.best(prefix()).unwrap().source,
             RouteSource::Neighbor(AsId(3))
         );
     }
@@ -649,10 +684,10 @@ mod tests {
     #[test]
     fn counts_track_edits_and_empty_prefixes_are_dropped() {
         let mut s = speaker2(SpeakerConfig::new(AsId(2)));
-        s.receive(AsId(1), prefix(), Some(&learned(&[1])));
+        s.receive(FROM_1, prefix(), Some(&learned(&[1])));
         s.recompute();
         let mut sent = Vec::new();
-        s.export_prefix(&prefix(), |to, update| sent.push((to.id, update.is_some())));
+        s.export_prefix(prefix(), |to, update| sent.push((to.id, update.is_some())));
         // No split horizon: the customer's own route goes back to it too
         // (its loop detection drops it).
         assert_eq!(sent, vec![(AsId(1), true), (AsId(3), true)]);
@@ -661,12 +696,12 @@ mod tests {
             (1, 1, 2)
         );
         // Nothing changed: a second export pass sends nothing.
-        s.export_prefix(&prefix(), |_, _| panic!("no diff expected"));
+        s.export_prefix(prefix(), |_, _| panic!("no diff expected"));
 
-        s.receive(AsId(1), prefix(), None);
+        s.receive(FROM_1, prefix(), None);
         s.recompute();
         sent.clear();
-        s.export_prefix(&prefix(), |to, update| sent.push((to.id, update.is_some())));
+        s.export_prefix(prefix(), |to, update| sent.push((to.id, update.is_some())));
         assert_eq!(
             sent,
             vec![(AsId(1), false), (AsId(3), false)],
@@ -676,13 +711,14 @@ mod tests {
             (s.rib_in_len(), s.loc_rib_len(), s.rib_out_len()),
             (0, 0, 0)
         );
-        assert!(s.known_prefixes().is_empty());
+        assert_eq!(s.known_prefixes().count(), 0);
+        assert!(!s.holds(prefix()));
     }
 
     #[test]
     fn export_prepends_self() {
         let mut s = speaker2(SpeakerConfig::new(AsId(2)));
-        s.receive(AsId(1), prefix(), Some(&learned(&[1])));
+        s.receive(FROM_1, prefix(), Some(&learned(&[1])));
         s.recompute();
         assert_eq!(exported_path(&s, 3), Some(vec![AsId(2), AsId(1)]));
     }
@@ -691,7 +727,7 @@ mod tests {
     fn export_honors_valley_free() {
         let mut s = speaker2(SpeakerConfig::new(AsId(2)));
         // Peer-learned route must not be exported back to a peer.
-        s.receive(AsId(3), prefix(), Some(&learned(&[3])));
+        s.receive(FROM_3, prefix(), Some(&learned(&[3])));
         s.recompute();
         assert!(exported_path(&s, 3).is_none());
         // ...but is exported to the customer.
@@ -719,7 +755,7 @@ mod tests {
         s.originate(prefix(), comms.clone());
         s.recompute();
         let export = s
-            .export_for(AsId(3), &prefix())
+            .export_for(AsId(3), prefix())
             .expect("opaque community must not suppress");
         // The community rides along for a downstream honoring AS.
         assert_eq!(*export.communities, comms);
@@ -746,9 +782,7 @@ mod tests {
         s.originate(prefix(), BTreeSet::new());
         s.recompute();
         let mut sent = Vec::new();
-        s.export_prefix(&prefix(), |_, update| {
-            sent.push(Arc::clone(update.unwrap()))
-        });
+        s.export_prefix(prefix(), |_, update| sent.push(Arc::clone(update.unwrap())));
         assert_eq!(sent.len(), 2);
         assert!(Arc::ptr_eq(&sent[0], &sent[1]));
     }
@@ -758,7 +792,7 @@ mod tests {
         let mut cfg = SpeakerConfig::new(AsId(2));
         cfg.strip_private_asns = true;
         let mut s = speaker2(cfg);
-        s.receive(AsId(1), prefix(), Some(&learned(&[64701])));
+        s.receive(FROM_1, prefix(), Some(&learned(&[64701])));
         s.recompute();
         assert_eq!(exported_path(&s, 3), Some(vec![AsId(2)]));
     }
@@ -777,11 +811,12 @@ mod tests {
         s.originate(prefix(), BTreeSet::new());
         let mut c = BTreeSet::new();
         c.insert(Community::NoExportTo(AsId(9)));
-        assert!(s.set_origin_communities(&prefix(), c.clone()));
+        assert!(s.set_origin_communities(prefix(), c.clone()));
         s.recompute();
-        assert_eq!(*s.best(&prefix()).unwrap().attrs.communities, c);
-        let other: IpCidr = "10.0.0.0/8".parse().unwrap();
-        assert!(!s.set_origin_communities(&other, BTreeSet::new()));
+        assert_eq!(*s.best(prefix()).unwrap().attrs.communities, c);
+        for other in [PrefixId(0), PrefixId(9)] {
+            assert!(!s.set_origin_communities(other, BTreeSet::new()));
+        }
     }
 
     #[test]
@@ -789,8 +824,8 @@ mod tests {
         let mut a = speaker2(SpeakerConfig::new(AsId(2)));
         let mut b = speaker2(SpeakerConfig::new(AsId(2)));
         let shared = learned(&[1, 7, 8]);
-        a.receive(AsId(1), prefix(), Some(&shared));
-        b.receive(AsId(1), prefix(), Some(&shared));
+        a.receive(FROM_1, prefix(), Some(&shared));
+        b.receive(FROM_1, prefix(), Some(&shared));
         let alone = a.rib_heap_bytes(&mut BTreeSet::new());
         let mut seen = BTreeSet::new();
         let both = a.rib_heap_bytes(&mut seen) + b.rib_heap_bytes(&mut seen);

@@ -8,6 +8,13 @@
 //! attributes, including the receiver-local preference fields) and on
 //! the RIB occupancy totals — a stale Adj-RIB entry, a missed implicit
 //! withdrawal or an export leaked across neighbors all show up here.
+//!
+//! The comparison is always *by prefix*: inside, each engine keys its
+//! state by a dense prefix id it mints and recycles on its own schedule,
+//! and the replay mints them in another order than the history did. The
+//! churn property draws from more prefixes than are ever originated at
+//! once, so the live engine keeps handing one id to different prefixes
+//! while speakers' tables, worklists and rounds are visited in id order.
 
 use proptest::prelude::*;
 use proptest::sample::Index;
@@ -24,6 +31,11 @@ fn prefix(i: usize) -> IpCidr {
 }
 
 const PREFIXES: usize = 4;
+
+/// Distinct prefixes the churn draws from, and the most it keeps
+/// originated at once.
+const POOL: usize = 24;
+const LIVE: usize = 3;
 
 /// Everything a from-scratch replay needs: the live originations and the
 /// per-speaker configuration the history left behind.
@@ -54,16 +66,18 @@ impl Inputs {
     }
 }
 
-/// Assert the incremental engine equals the from-scratch replay.
+/// Assert the incremental engine equals the from-scratch replay on the
+/// first `prefixes` prefixes.
 fn check_against_replay(
     live: &BgpEngine,
     inputs: &Inputs,
     topology: &Topology,
+    prefixes: usize,
     step: &str,
 ) -> Result<(), String> {
     let fresh = inputs.replay(topology);
     for node in topology.nodes() {
-        for p in (0..PREFIXES).map(prefix) {
+        for p in (0..prefixes).map(prefix) {
             prop_assert_eq!(
                 live.best_route(node.id, p),
                 fresh.best_route(node.id, p),
@@ -232,11 +246,109 @@ proptest! {
             inputs.originated.insert((site, p), (BTreeSet::new(), Vec::new()));
         }
         live.converge().expect("Gao-Rexford policies converge");
-        check_against_replay(&live, &inputs, &g.topology, "mesh set-up")?;
+        check_against_replay(&live, &inputs, &g.topology, PREFIXES, "mesh set-up")?;
         for op in &ops {
             let step = apply(op, &mut live, &mut inputs, &g.topology, &nodes);
             live.converge().expect("Gao-Rexford policies converge");
-            check_against_replay(&live, &inputs, &g.topology, &step)?;
+            check_against_replay(&live, &inputs, &g.topology, PREFIXES, &step)?;
+        }
+    }
+
+    /// Announce / withdraw churn over [`POOL`] prefixes with at most
+    /// [`LIVE`] originated at once: after every step, live state ==
+    /// from-scratch replay, prefix by prefix.
+    #[test]
+    fn recycled_prefix_ids_equal_fresh_replay(
+        ases in 30usize..60,
+        edges in 3usize..6,
+        seed in any::<u64>(),
+        ops in proptest::collection::vec(arb_churn(), 24..40),
+    ) {
+        let g = try_generate(&GenParams::internet(ases, edges, seed)).expect("preset is valid");
+        let nodes: Vec<AsId> = g.topology.nodes().map(|n| n.id).collect();
+        let mut live = BgpEngine::new(g.topology.clone());
+        let mut inputs = Inputs::default();
+        for op in &ops {
+            let step = churn(op, &mut live, &mut inputs, &nodes);
+            let held: BTreeSet<IpCidr> = inputs.originated.keys().map(|&(_, p)| p).collect();
+            prop_assert!(held.len() <= LIVE, "after {step}: {held:?} originated at once");
+            live.converge().expect("Gao-Rexford policies converge");
+            check_against_replay(&live, &inputs, &g.topology, POOL, &step)?;
+        }
+    }
+}
+
+/// One churn step, drawn independently of the graph it will run on.
+#[derive(Debug, Clone)]
+struct Churn {
+    kind: u8,
+    node: Index,
+    pick: Index,
+    prefix: usize,
+}
+
+fn arb_churn() -> impl Strategy<Value = Churn> {
+    (0u8..4, any::<Index>(), any::<Index>(), 0usize..POOL).prop_map(|(kind, node, pick, prefix)| {
+        Churn {
+            kind,
+            node,
+            pick,
+            prefix,
+        }
+    })
+}
+
+/// Apply `op` to the live engine and mirror it in the model. Returns a
+/// label for failure messages.
+fn churn(op: &Churn, live: &mut BgpEngine, inputs: &mut Inputs, nodes: &[AsId]) -> String {
+    let node = nodes[op.node.index(nodes.len())];
+    let held: BTreeSet<IpCidr> = inputs.originated.keys().map(|&(_, p)| p).collect();
+    let picked = held.iter().nth(op.pick.index(held.len().max(1))).copied();
+    let announce = |live: &mut BgpEngine, inputs: &mut Inputs, p: IpCidr| {
+        live.announce(node, p, BTreeSet::new())
+            .expect("node exists");
+        inputs
+            .originated
+            .insert((node, p), (BTreeSet::new(), Vec::new()));
+    };
+    match (op.kind, picked) {
+        // One origination goes; other origins of its prefix stay, so the
+        // prefix's id must stay too.
+        (0, Some(_)) => {
+            let live_originations = inputs.originated.len();
+            let (origin, p) = *inputs
+                .originated
+                .keys()
+                .nth(op.pick.index(live_originations))
+                .expect("index is in range");
+            assert!(live.withdraw(origin, p).expect("node exists"));
+            inputs.originated.remove(&(origin, p));
+            format!("withdraw {p} at {origin:?}")
+        }
+        // A second (third, ...) origin for a prefix already out there.
+        (1, Some(p)) => {
+            announce(live, inputs, p);
+            format!("announce {p} at {node:?} too")
+        }
+        // A prefix from the pool. At the cap an old prefix makes room in
+        // the same step: its state is still in every RIB, unconverged,
+        // when the new prefix asks for an id.
+        _ => {
+            let p = prefix(op.prefix);
+            let mut evicted = None;
+            if !held.contains(&p) && held.len() == LIVE {
+                evicted = picked;
+                inputs.originated.retain(|&(origin, held), _| {
+                    let goes = Some(held) == evicted;
+                    if goes {
+                        let removed = live.withdraw(origin, held).expect("node exists");
+                        assert!(removed, "{held} at {origin:?} was originated");
+                    }
+                    !goes
+                });
+            }
+            announce(live, inputs, p);
+            format!("announce {p} at {node:?}, evicting {evicted:?}")
         }
     }
 }
@@ -259,7 +371,7 @@ fn topology(nodes: &[u32], providers: &[(u32, u32)]) -> Topology {
 }
 
 fn replay_ok(live: &BgpEngine, inputs: &Inputs, t: &Topology, step: &str) {
-    check_against_replay(live, inputs, t, step).unwrap_or_else(|e| panic!("{e}"));
+    check_against_replay(live, inputs, t, PREFIXES, step).unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// Two providers offer AS 1 routes equal in local-pref, path length, MED
