@@ -15,6 +15,9 @@
 //! worklists, and recycles the id once the prefix is gone from every
 //! speaker — so no prefix is compared on the update path and a stream of
 //! discovery probes costs each speaker one record, not one per probe.
+//! The worklists are plain vectors the engine keeps between calls; the
+//! one that says where updates landed is drained as delivered, unsorted
+//! and with duplicates, because re-deciding a pair twice is a no-op.
 
 use crate::community::Community;
 use crate::rib::{Route, RouteSource};
@@ -149,6 +152,15 @@ impl PrefixTable {
 }
 
 /// The BGP propagation engine over an AS-level topology.
+///
+/// Not `Send`: routes share attributes through `Rc`, and an engine stays
+/// on the thread that built it (the workspace's one thread site,
+/// `tango_sim::shard`, moves simulator shards, never an engine).
+///
+/// ```compile_fail,E0277
+/// fn is_send<T: Send>() {}
+/// is_send::<tango_bgp::BgpEngine>();
+/// ```
 #[derive(Debug, Clone)]
 pub struct BgpEngine {
     topology: Topology,
@@ -169,16 +181,15 @@ pub struct BgpEngine {
     /// `speaker_mut` edits) changed since the last convergence; these
     /// get a conservative full recompute + re-export.
     dirty_config: BTreeSet<AsId>,
+    /// [`BgpEngine::converge`]'s worklists, kept for their capacity: who
+    /// exports this round (cleared on entry), and where an update landed.
+    export_set: Worklist,
+    received: Worklist,
 }
 
-/// A worklist of `(speaker position, prefix id)` entries: two integers,
-/// sorted and deduplicated before it is drained.
+/// A worklist of `(speaker position, prefix id)` entries, in no order
+/// and free to repeat one: every step it drives is idempotent.
 type Worklist = Vec<(u32, PrefixId)>;
-
-fn sort_dedup(list: &mut Worklist) {
-    list.sort_unstable();
-    list.dedup();
-}
 
 impl BgpEngine {
     /// Build an engine with a default speaker for every topology node.
@@ -217,6 +228,8 @@ impl BgpEngine {
             rib_obs: None,
             dirty_origins: Worklist::new(),
             dirty_config: BTreeSet::new(),
+            export_set: Worklist::new(),
+            received: Worklist::new(),
         }
     }
 
@@ -406,34 +419,28 @@ impl BgpEngine {
         // Config-dirty speakers get a conservative full recompute and
         // full re-export (export policy itself may have changed);
         // origin-dirty entries get a single-prefix recompute and enter
-        // the export set only if their Loc-RIB entry actually moved.
-        let mut export_set = Worklist::new();
+        // the export set only if their Loc-RIB entry actually moved —
+        // which it cannot at a speaker the first loop already recomputed.
+        self.export_set.clear();
         for id in core::mem::take(&mut self.dirty_config) {
             let i = self.index_of(id).expect("marked while present");
             let s = &mut self.speakers[i];
-            export_set.extend(s.known_prefixes().map(|p| (i as u32, p)));
+            self.export_set
+                .extend(s.known_prefixes().map(|p| (i as u32, p)));
             s.recompute();
         }
-        let fully_recomputed = export_set.len();
-        let mut dirty_origins = core::mem::take(&mut self.dirty_origins);
-        sort_dedup(&mut dirty_origins);
+        let dirty_origins = core::mem::take(&mut self.dirty_origins);
         for &(i, p) in &dirty_origins {
-            if export_set[..fully_recomputed]
-                .binary_search(&(i, p))
-                .is_err()
-                && self.speakers[i as usize].recompute_prefix(p)
-            {
-                export_set.push((i, p));
+            if self.speakers[i as usize].recompute_prefix(p) {
+                self.export_set.push((i, p));
             }
         }
-        sort_dedup(&mut export_set);
-        let mut received = Worklist::new();
         for round in 1..=self.round_cap {
             // Phase 1: deliver export diffs from the worklist. The sender
             // and its table entry are borrowed once per worklist item;
             // every receiver is a different speaker, reached through the
             // position cached in the sender's session list.
-            for &(i, p) in &export_set {
+            for &(i, p) in &self.export_set {
                 let i = i as usize;
                 let (before, rest) = self.speakers.split_at_mut(i);
                 let (sender, after) = rest.split_first_mut().expect("worklist names speakers");
@@ -446,11 +453,11 @@ impl BgpEngine {
                     };
                     if receiver.receive(to.back, p, update) {
                         updates_applied += 1;
-                        received.push((to.index, p));
+                        self.received.push((to.index, p));
                     }
                 });
             }
-            if received.is_empty() {
+            if self.received.is_empty() {
                 // A withdrawn prefix has now left every speaker it is
                 // ever going to leave: recycle the ids nobody holds.
                 for &(_, p) in &dirty_origins {
@@ -470,14 +477,20 @@ impl BgpEngine {
                     rib.adj_rib_out.set(stats.adj_rib_out as u64);
                     rib.peak_routes.record_max(stats.total() as u64);
                 }
+                // Keep room for a one-prefix round, an entry per speaker; a
+                // burst (the mesh convergence) would sit under every later peak.
+                self.export_set.shrink_to(self.speakers.len());
+                self.received.shrink_to(self.speakers.len());
                 return Ok(round - 1);
             }
-            // Phase 2: re-decide only where an update landed.
-            sort_dedup(&mut received);
-            export_set.clear();
-            for (i, p) in received.drain(..) {
+            // Phase 2: re-decide where an update landed, as delivered. A
+            // pair k neighbors delivered to is listed k times: the first
+            // visit installs the winner, the rest find it installed and
+            // return false, so the pair is exported once.
+            self.export_set.clear();
+            for (i, p) in self.received.drain(..) {
                 if self.speakers[i as usize].recompute_prefix(p) {
-                    export_set.push((i, p));
+                    self.export_set.push((i, p));
                 }
             }
         }
@@ -769,13 +782,39 @@ mod tests {
         assert_eq!(e.as_path(AsId(2914), p).unwrap(), &[AsId(20473)]);
     }
 
-    /// The workspace-side twin of the benchmark's "discovery left probe
-    /// routes in the RIB" violation, and the guard on its heap bound: a
-    /// thousand probes under a thousand prefixes leave nothing behind,
-    /// because each reuses the id — and so the table record — the one
-    /// before it gave back.
+    /// Phase 0 takes its seeds as they were pushed: an origination edited
+    /// twice before one convergence, at a speaker whose configuration is
+    /// dirty as well, costs what announcing its final form once costs.
     #[test]
-    fn probe_churn_leaves_no_prefix_state_behind() {
+    fn an_origination_edited_twice_before_converging_is_exported_once() {
+        let p = pfx("2001:db8:1::/48");
+        let suppress: BTreeSet<_> = [Community::NoExportTo(AsId(20))].into();
+        let run = |edit_twice: bool| {
+            let mut t = topo();
+            t.add_provider(AsId(1), AsId(20), lp()).unwrap();
+            let registry = Registry::new();
+            let mut e = BgpEngine::new(t);
+            e.set_obs(&registry);
+            e.set_honor_actions(AsId(1), true).unwrap();
+            if edit_twice {
+                e.announce(AsId(1), p, BTreeSet::new()).unwrap();
+                assert!(e
+                    .set_announcement_communities(AsId(1), p, suppress.clone())
+                    .unwrap());
+            } else {
+                e.announce(AsId(1), p, suppress.clone()).unwrap();
+            }
+            let rounds = e.converge().unwrap();
+            let updates = registry.snapshot().counters["bgp.updates_processed"];
+            (rounds, updates, e.as_path(AsId(3), p).map(<[AsId]>::to_vec))
+        };
+        assert_eq!(run(true), run(false));
+        assert_eq!(run(true).2.unwrap(), [AsId(20), AsId(10), AsId(1)]);
+    }
+
+    /// A 100-AS internet with one host prefix converged at each of its 8
+    /// PoPs (which honor the action communities discovery attaches).
+    fn churn_mesh() -> (BgpEngine, Vec<AsId>) {
         use tango_topology::gen::{try_generate, GenParams};
         let g = try_generate(&GenParams::internet(100, 8, 1)).expect("preset is valid");
         let pops = g.edge_sites;
@@ -786,23 +825,48 @@ mod tests {
             e.announce(pop, host, BTreeSet::new()).unwrap();
         }
         e.converge().unwrap();
+        (e, pops)
+    }
+
+    /// One discovery probe, start to finish, under a prefix of its own.
+    fn probe_cycle(e: &mut BgpEngine, announcer: AsId, observer: AsId, cycle: usize) {
+        let probe = pfx(&format!("2001:db8:{:x}::/48", 0x2000 + cycle));
+        e.announce(announcer, probe, BTreeSet::new()).unwrap();
+        e.converge().unwrap();
+        // One §4.1 step: suppress the transit the probe exits through.
+        let path = e.as_path(observer, probe).expect("the graph is connected");
+        let exit = Community::NoExportTo(path[path.len() - 2]);
+        assert!(e
+            .set_announcement_communities(announcer, probe, [exit].into())
+            .unwrap());
+        e.converge().unwrap();
+        assert!(e.withdraw(announcer, probe).unwrap());
+        e.converge().unwrap();
+    }
+
+    /// The workspace-side twin of the benchmark's "discovery left probe
+    /// routes in the RIB" violation, and the guard on its heap bound: a
+    /// thousand probes under a thousand prefixes leave nothing behind,
+    /// because each reuses the id — and so the table record — the one
+    /// before it gave back. The blank record keeps its vectors, so what
+    /// is retained must be the largest probe's, never their sum: the heap
+    /// stands still from the second rotation over the 8 announcers on.
+    #[test]
+    fn probe_churn_leaves_no_prefix_state_behind() {
+        let (mut e, pops) = churn_mesh();
         let base = e.rib_stats();
+        let mut heap_after_rotation = Vec::new();
         for cycle in 0..1000 {
             let announcer = pops[cycle % pops.len()];
             let observer = pops[(cycle + 1) % pops.len()];
-            let probe = pfx(&format!("2001:db8:{:x}::/48", 0x2000 + cycle));
-            e.announce(announcer, probe, BTreeSet::new()).unwrap();
-            e.converge().unwrap();
-            // One §4.1 step: suppress the transit the probe exits through.
-            let path = e.as_path(observer, probe).expect("the graph is connected");
-            let exit = Community::NoExportTo(path[path.len() - 2]);
-            assert!(e
-                .set_announcement_communities(announcer, probe, [exit].into())
-                .unwrap());
-            e.converge().unwrap();
-            assert!(e.withdraw(announcer, probe).unwrap());
-            e.converge().unwrap();
+            probe_cycle(&mut e, announcer, observer, cycle);
+            if (cycle + 1) % pops.len() == 0 {
+                heap_after_rotation.push(e.rib_heap_bytes());
+            }
         }
+        assert_eq!(heap_after_rotation.len(), 125);
+        assert_eq!(heap_after_rotation[49], heap_after_rotation[1]);
+        assert_eq!(heap_after_rotation[124], heap_after_rotation[1]);
         assert_eq!(e.rib_stats(), base);
         assert_eq!(e.prefixes.ids.len(), pops.len(), "host prefixes only");
         assert_eq!(
@@ -813,6 +877,55 @@ mod tests {
         for s in &e.speakers {
             assert!(s.table_len() <= pops.len() + 1, "{:?}", s.asid());
         }
+    }
+
+    /// The same bound with one announcer: its thousandth probe finds the
+    /// record its second one left, at the size it left it.
+    #[test]
+    fn probe_churn_from_one_announcer_stops_growing_the_heap() {
+        let (mut e, pops) = churn_mesh();
+        let mut heap_after_second = 0;
+        for cycle in 0..1000 {
+            probe_cycle(&mut e, pops[0], pops[1], cycle);
+            if cycle == 1 {
+                heap_after_second = e.rib_heap_bytes();
+            }
+        }
+        assert_eq!(e.rib_heap_bytes(), heap_after_second);
+    }
+
+    /// Phase 2 visits a pair once per update that landed on it. Here hub
+    /// 100 hears the origin's prefix from its three customers 10, 20 and
+    /// 30 in the same round: the first visit installs the winner, the
+    /// other two change nothing, and the hub exports once. The literal
+    /// counts are what the sorted, deduplicated worklist produced.
+    #[test]
+    fn a_pair_delivered_to_three_times_in_a_round_is_exported_once() {
+        let mut t = Topology::new();
+        for id in [1u32, 5, 10, 20, 30, 100] {
+            t.add_node(AsNode::new(id, AsKind::Transit, format!("{id}")))
+                .unwrap();
+        }
+        for mid in [10, 20, 30] {
+            t.add_provider(AsId(1), AsId(mid), lp()).unwrap();
+            t.add_provider(AsId(mid), AsId(100), lp()).unwrap();
+        }
+        t.add_provider(AsId(5), AsId(100), lp()).unwrap();
+        let registry = Registry::new();
+        let mut e = BgpEngine::new(t);
+        e.set_obs(&registry);
+        let p = pfx("2001:db8:f::/48");
+        e.announce(AsId(1), p, BTreeSet::new()).unwrap();
+        assert_eq!(e.converge().unwrap(), 3);
+        assert_eq!(registry.snapshot().counters["bgp.updates_processed"], 9);
+        let hub = e.speaker(AsId(100)).unwrap();
+        assert_eq!(hub.rib_in_len(), 3, "one route from each customer");
+        assert_eq!(hub.rib_out_len(), 4, "one advertisement per neighbor");
+        assert_eq!(
+            e.as_path(AsId(5), p).unwrap(),
+            &[AsId(100), AsId(10), AsId(1)]
+        );
+        assert_eq!(e.converge().unwrap(), 0, "nothing left to re-decide");
     }
 
     #[test]

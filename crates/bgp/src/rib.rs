@@ -3,12 +3,14 @@
 //! What travels in an UPDATE — AS path, communities, MED — is immutable
 //! once built and lives in one shared [`PathAttrs`] allocation: the
 //! sender's Adj-RIB-Out, every receiver's Adj-RIB-In and their Loc-RIBs
-//! all hold the same `Arc`. A [`Route`] is that handle plus the three
-//! fields the *receiver* computes on import.
+//! all hold the same `Rc` — not `Arc`: an engine and all it shares stay
+//! on one thread, so a clone or drop on the update path is a plain
+//! increment. A [`Route`] is that handle plus the three fields the
+//! *receiver* computes on import.
 
 use crate::community::Community;
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::rc::Rc;
 use tango_topology::AsId;
 
 /// Where a route entered the local speaker.
@@ -39,7 +41,7 @@ pub struct PathAttrs {
     pub as_path: Box<[AsId]>,
     /// Attached communities. Speakers carry the set through unchanged,
     /// so it is shared along the whole propagation tree.
-    pub communities: Arc<BTreeSet<Community>>,
+    pub communities: Rc<BTreeSet<Community>>,
     /// Multi-exit discriminator (carried; low = preferred).
     pub med: u32,
 }
@@ -48,7 +50,7 @@ pub struct PathAttrs {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route {
     /// The advertisement as received (or originated).
-    pub attrs: Arc<PathAttrs>,
+    pub attrs: Rc<PathAttrs>,
     /// How the route entered this speaker.
     pub source: RouteSource,
     /// Computed local preference (relationship-based).
@@ -63,7 +65,7 @@ pub struct Route {
 
 impl Route {
     /// A locally originated route.
-    pub fn local(attrs: Arc<PathAttrs>) -> Self {
+    pub fn local(attrs: Rc<PathAttrs>) -> Self {
         Route {
             attrs,
             source: RouteSource::Local,
@@ -135,10 +137,10 @@ pub fn better(a: &Route, b: &Route) -> bool {
 mod tests {
     use super::*;
 
-    fn attrs(path: &[u32], med: u32) -> Arc<PathAttrs> {
-        Arc::new(PathAttrs {
+    fn attrs(path: &[u32], med: u32) -> Rc<PathAttrs> {
+        Rc::new(PathAttrs {
             as_path: path.iter().map(|&a| AsId(a)).collect(),
-            communities: Arc::default(),
+            communities: Rc::default(),
             med,
         })
     }

@@ -16,12 +16,15 @@
 //! compared on the update path. The Adj-RIB slots are small vectors
 //! ordered by neighbor id: the decision process scans them in that
 //! order, which is what makes its first-wins tie-break deterministic.
+//! A record a prefix has left keeps those vectors' capacity: the engine
+//! reissues its id, so the next discovery probe fills a record already
+//! the right size, and what is retained is the largest probe's, once.
 
 use crate::community::Community;
 use crate::policy::{communities_forbid, local_pref_base, may_export};
 use crate::rib::{best_of, PathAttrs, Route, RouteSource};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::rc::Rc;
 use tango_topology::{AsId, Relationship};
 
 /// A prefix's dense id in the engine's intern table, and its record's
@@ -108,14 +111,14 @@ fn insert_snug<T>(v: &mut Vec<T>, at: usize, item: T) {
 #[derive(Debug, Clone, Default)]
 struct PrefixRib {
     /// Attributes of the local origination, if any.
-    originated: Option<Arc<PathAttrs>>,
+    originated: Option<Rc<PathAttrs>>,
     /// Routes as received, ordered by sending neighbor id.
     adj_in: Vec<Route>,
     /// The decision process's current winner.
     loc: Option<Route>,
     /// What each neighbor was last sent, ordered by neighbor id; the
     /// export diff against it yields the implicit withdrawals.
-    adj_out: Vec<(AsId, Arc<PathAttrs>)>,
+    adj_out: Vec<(AsId, Rc<PathAttrs>)>,
 }
 
 impl PrefixRib {
@@ -124,15 +127,6 @@ impl PrefixRib {
             && self.adj_in.is_empty()
             && self.loc.is_none()
             && self.adj_out.is_empty()
-    }
-
-    /// Give the Adj-RIB vectors' capacity back once nothing is left, so a
-    /// discovery probe that came and went costs the table one blank
-    /// record.
-    fn prune(&mut self) {
-        if self.is_empty() {
-            *self = PrefixRib::default();
-        }
     }
 
     fn adj_in_slot(&self, neighbor: AsId) -> Result<usize, usize> {
@@ -159,7 +153,7 @@ struct Export<'a> {
     /// Our relationship to the neighbor `best` was learned from.
     learned_from: Option<Relationship>,
     /// Advertisements built so far, indexed by extra-prepend count.
-    built: [Option<Arc<PathAttrs>>; 4],
+    built: [Option<Rc<PathAttrs>>; 4],
 }
 
 impl<'a> Export<'a> {
@@ -179,7 +173,7 @@ impl<'a> Export<'a> {
 
     /// The advertisement for `to` (path prepended, private ASNs stripped,
     /// prepend communities applied), or `None` if policy withholds it.
-    fn to(&mut self, to: &Neighbor) -> Option<&Arc<PathAttrs>> {
+    fn to(&mut self, to: &Neighbor) -> Option<&Rc<PathAttrs>> {
         let (config, best) = (self.config, self.best);
         let attrs = &best.attrs;
         if !may_export(self.learned_from, to.rel)
@@ -213,9 +207,9 @@ impl<'a> Export<'a> {
             } else {
                 path.extend_from_slice(&attrs.as_path);
             }
-            Arc::new(PathAttrs {
+            Rc::new(PathAttrs {
                 as_path: path.into(),
-                communities: Arc::clone(&attrs.communities),
+                communities: Rc::clone(&attrs.communities),
                 med: attrs.med,
             })
         }))
@@ -230,9 +224,9 @@ pub struct BgpSpeaker {
     /// eBGP sessions, ordered by neighbor id.
     neighbors: Vec<Neighbor>,
     /// Per-prefix state, indexed by [`PrefixId`]; ids at or past the end
-    /// and blank records alike mean "nothing held". The engine recycles
-    /// ids, so the table is as long as the most prefixes ever live at
-    /// once, and it grows by exactly what it needs.
+    /// and blank records (capacity or not) alike mean "nothing held". The
+    /// engine recycles ids, so the table is as long as the most prefixes
+    /// ever live at once, and it grows by exactly what it needs.
     table: Vec<PrefixRib>,
     counts: RibCounts,
 }
@@ -296,21 +290,17 @@ impl BgpSpeaker {
         communities: BTreeSet<Community>,
         poison: &[AsId],
     ) {
-        self.record(prefix).originated = Some(Arc::new(PathAttrs {
+        self.record(prefix).originated = Some(Rc::new(PathAttrs {
             as_path: poison.into(),
-            communities: Arc::new(communities),
+            communities: Rc::new(communities),
             med: 0,
         }));
     }
 
     /// Stop originating a prefix.
     pub fn withdraw_origin(&mut self, prefix: PrefixId) -> bool {
-        let Some(rib) = self.table.get_mut(prefix.slot()) else {
-            return false;
-        };
-        let removed = rib.originated.take().is_some();
-        rib.prune();
-        removed
+        let rib = self.table.get_mut(prefix.slot());
+        rib.is_some_and(|rib| rib.originated.take().is_some())
     }
 
     /// Replace the communities on an existing origination (the §4.1
@@ -327,9 +317,9 @@ impl BgpSpeaker {
         else {
             return false;
         };
-        *origin = Arc::new(PathAttrs {
+        *origin = Rc::new(PathAttrs {
             as_path: origin.as_path.clone(),
-            communities: Arc::new(communities),
+            communities: Rc::new(communities),
             med: origin.med,
         });
         true
@@ -343,7 +333,7 @@ impl BgpSpeaker {
     /// Import policy: loop detection (reject paths containing our own id)
     /// and local-pref computation happen here. The shared attributes are
     /// cloned (a reference-count bump) only when they are stored.
-    pub fn receive(&mut self, via: u32, prefix: PrefixId, update: Option<&Arc<PathAttrs>>) -> bool {
+    pub fn receive(&mut self, via: u32, prefix: PrefixId, update: Option<&Rc<PathAttrs>>) -> bool {
         // A slot with no session behind it never sent us anything.
         let Some(&session) = self.neighbors.get(via as usize) else {
             return false;
@@ -359,7 +349,6 @@ impl BgpSpeaker {
             };
             rib.adj_in.remove(slot);
             self.counts.adj_in -= 1;
-            rib.prune();
             return true;
         };
         let local_pref = local_pref_base(session.rel);
@@ -373,7 +362,7 @@ impl BgpSpeaker {
             }
         }
         let route = Route {
-            attrs: Arc::clone(attrs),
+            attrs: Rc::clone(attrs),
             source: RouteSource::Neighbor(from),
             local_pref,
             tie_pref,
@@ -426,7 +415,6 @@ impl BgpSpeaker {
         self.counts.loc -= usize::from(rib.loc.is_some());
         self.counts.loc += usize::from(best.is_some());
         rib.loc = best.cloned();
-        rib.prune();
         true
     }
 
@@ -447,7 +435,7 @@ impl BgpSpeaker {
     /// prefix (path prepended, private ASNs stripped, prepend communities
     /// applied), or `None` if policy withholds it or there is no such
     /// session.
-    pub fn export_for(&self, neighbor: AsId, prefix: PrefixId) -> Option<Arc<PathAttrs>> {
+    pub fn export_for(&self, neighbor: AsId, prefix: PrefixId) -> Option<Rc<PathAttrs>> {
         let best = self.best(prefix)?;
         let to = session(&self.neighbors, neighbor)?;
         Export::new(&self.config, best, &self.neighbors)
@@ -463,12 +451,11 @@ impl BgpSpeaker {
     pub fn export_prefix(
         &mut self,
         prefix: PrefixId,
-        mut deliver: impl FnMut(&Neighbor, Option<&Arc<PathAttrs>>),
+        mut deliver: impl FnMut(&Neighbor, Option<&Rc<PathAttrs>>),
     ) {
-        let Some(rib) = self.table.get_mut(prefix.slot()) else {
+        let Some(PrefixRib { loc, adj_out, .. }) = self.table.get_mut(prefix.slot()) else {
             return; // nothing held, nothing ever sent
         };
-        let PrefixRib { loc, adj_out, .. } = &mut *rib;
         let mut export = loc
             .as_ref()
             .map(|best| Export::new(&self.config, best, &self.neighbors));
@@ -481,12 +468,12 @@ impl BgpSpeaker {
                 (Some(attrs), Some((_, prev))) if attrs == prev => at += 1,
                 (Some(attrs), Some(_)) => {
                     deliver(to, Some(attrs));
-                    adj_out[at].1 = Arc::clone(attrs);
+                    adj_out[at].1 = Rc::clone(attrs);
                     at += 1;
                 }
                 (Some(attrs), None) => {
                     deliver(to, Some(attrs));
-                    insert_snug(adj_out, at, (to.id, Arc::clone(attrs)));
+                    insert_snug(adj_out, at, (to.id, Rc::clone(attrs)));
                     self.counts.adj_out += 1;
                     at += 1;
                 }
@@ -497,8 +484,6 @@ impl BgpSpeaker {
                 }
             }
         }
-        drop(export); // releases the borrow of the record's Loc-RIB entry
-        rib.prune();
     }
 
     /// Number of Adj-RIB-In entries (diagnostics).
@@ -543,22 +528,22 @@ impl BgpSpeaker {
     /// caller summing over speakers counts it once graph-wide).
     pub(crate) fn rib_heap_bytes(&self, seen: &mut BTreeSet<usize>) -> usize {
         use core::mem::size_of;
-        // `Arc` keeps two reference counts in front of the value.
-        const ARC_HEADER: usize = 2 * size_of::<usize>();
+        // `Rc` keeps two reference counts in front of the value.
+        const RC_HEADER: usize = 2 * size_of::<usize>();
         let mut total = self.table.capacity() * size_of::<PrefixRib>();
         for rib in &self.table {
             total += rib.adj_in.capacity() * size_of::<Route>()
-                + rib.adj_out.capacity() * size_of::<(AsId, Arc<PathAttrs>)>();
+                + rib.adj_out.capacity() * size_of::<(AsId, Rc<PathAttrs>)>();
             let routes = rib.adj_in.iter().chain(&rib.loc).map(|r| &r.attrs);
             let sent = rib.adj_out.iter().map(|(_, attrs)| attrs);
             for attrs in rib.originated.iter().chain(routes).chain(sent) {
-                if seen.insert(Arc::as_ptr(attrs) as usize) {
-                    total += ARC_HEADER
+                if seen.insert(Rc::as_ptr(attrs) as usize) {
+                    total += RC_HEADER
                         + size_of::<PathAttrs>()
                         + attrs.as_path.len() * size_of::<AsId>();
                 }
-                if seen.insert(Arc::as_ptr(&attrs.communities) as usize) {
-                    total += ARC_HEADER
+                if seen.insert(Rc::as_ptr(&attrs.communities) as usize) {
+                    total += RC_HEADER
                         + size_of::<BTreeSet<Community>>()
                         + attrs.communities.len() * size_of::<Community>();
                 }
@@ -599,10 +584,10 @@ mod tests {
         PrefixId(2)
     }
 
-    fn learned(path: &[u32]) -> Arc<PathAttrs> {
-        Arc::new(PathAttrs {
+    fn learned(path: &[u32]) -> Rc<PathAttrs> {
+        Rc::new(PathAttrs {
             as_path: path.iter().map(|&a| AsId(a)).collect(),
-            communities: Arc::default(),
+            communities: Rc::default(),
             med: 0,
         })
     }
@@ -782,9 +767,9 @@ mod tests {
         s.originate(prefix(), BTreeSet::new());
         s.recompute();
         let mut sent = Vec::new();
-        s.export_prefix(prefix(), |_, update| sent.push(Arc::clone(update.unwrap())));
+        s.export_prefix(prefix(), |_, update| sent.push(Rc::clone(update.unwrap())));
         assert_eq!(sent.len(), 2);
-        assert!(Arc::ptr_eq(&sent[0], &sent[1]));
+        assert!(Rc::ptr_eq(&sent[0], &sent[1]));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! and the replay mints them in another order than the history did. The
 //! churn property draws from more prefixes than are ever originated at
 //! once, so the live engine keeps handing one id to different prefixes
-//! while speakers' tables, worklists and rounds are visited in id order.
+//! while speakers' tables are indexed, and worklists keyed, by it.
 
 use proptest::prelude::*;
 use proptest::sample::Index;

@@ -2,7 +2,7 @@
 //! on arbitrary inputs.
 
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::rc::Rc;
 use tango_bgp::rib::{best_of, better};
 use tango_bgp::{Community, PathAttrs, Route, RouteSource};
 use tango_topology::AsId;
@@ -28,9 +28,9 @@ fn arb_route() -> impl Strategy<Value = Route> {
     )
         .prop_map(
             |(path, communities, local_pref, med, tie_pref, neighbor)| Route {
-                attrs: Arc::new(PathAttrs {
+                attrs: Rc::new(PathAttrs {
                     as_path: path.into_iter().map(AsId).collect(),
-                    communities: Arc::new(communities),
+                    communities: Rc::new(communities),
                     med,
                 }),
                 source: RouteSource::Neighbor(AsId(neighbor)),
@@ -78,9 +78,9 @@ proptest! {
 #[test]
 fn better_transitive_on_sample() {
     let mk = |lp: u32, len: usize, med: u32, tie: u32, n: u32| Route {
-        attrs: Arc::new(PathAttrs {
+        attrs: Rc::new(PathAttrs {
             as_path: (0..len).map(|i| AsId(i as u32 + 1)).collect(),
-            communities: Arc::default(),
+            communities: Rc::default(),
             med,
         }),
         source: RouteSource::Neighbor(AsId(n)),

@@ -187,6 +187,18 @@ pub(crate) fn run_serial(shards: &mut [ShardState], shared: &SimShared, until: S
     processed
 }
 
+/// What [`run_threaded`] hands its workers: each shard's state moves to
+/// a worker, the shared tables are read by all of them. Asserted by name
+/// so that a field picking up an `Rc` (as `tango-bgp`'s routes did, on
+/// purpose, for an engine that never leaves its thread) fails here and
+/// says which type, not inside the spawn.
+const _: () = {
+    const fn moved_to_a_worker<T: Send>() {}
+    const fn read_by_every_worker<T: Sync>() {}
+    moved_to_a_worker::<ShardState>();
+    read_by_every_worker::<SimShared>();
+};
+
 /// Run the lockstep window loop with one worker thread per shard.
 ///
 /// Synchronization per round: a barrier opens the round, each worker
