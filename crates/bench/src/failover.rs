@@ -79,9 +79,9 @@ fn run(
     let delivered_in_outage: u64 = sink
         .paths()
         .map(|(_, p)| {
-            p.app_owd
-                .slice(OUTAGE_START.as_ns(), outage_end.as_ns())
-                .len() as u64
+            p.app_owd()
+                .filter(|&(t, _)| (OUTAGE_START.as_ns()..outage_end.as_ns()).contains(&t))
+                .count() as u64
         })
         .sum();
     drop(sink);

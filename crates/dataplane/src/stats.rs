@@ -7,6 +7,11 @@
 //! the architecture. We model that channel as a shared handle with zero
 //! feedback delay (see DESIGN.md §5); the control loop only samples it at
 //! its own cadence, so the idealization is mild.
+//!
+//! Every admitted sample is stored once, in [`PathStats::owd`]: 16 B
+//! (timestamp + value) plus one bit saying whether an application packet
+//! carried it. The application-only series is a view over those bits
+//! ([`PathStats::app_owd`]), not a second copy.
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -32,9 +37,9 @@ pub struct PathStats {
     pub rejected: u64,
     /// App (non-probe) packets delivered on this path.
     pub app_delivered: u64,
-    /// One-way delays of *application* packets only (what end users
-    /// actually experienced on this path), keyed by receiver local time.
-    pub app_owd: TimeSeries,
+    /// Bit `i` is set when `owd` sample `i` came from an app packet
+    /// (word `i / 64`, bit `i % 64`): the backing of [`Self::app_owd`].
+    app: Vec<u64>,
     /// Receiver-local time of the most recent accepted packet (probe or
     /// app), ns. `None` until the first arrival. The raw ingredient of
     /// the per-tunnel "silence" signal the health machinery consumes.
@@ -61,7 +66,7 @@ impl PathStats {
             seq: SeqTracker::new(),
             rejected: 0,
             app_delivered: 0,
-            app_owd: TimeSeries::new(),
+            app: Vec::new(),
             last_rx_local_ns: None,
             replay: ReplayWindow::new(),
             gate: PlausibilityGate::default(),
@@ -71,15 +76,32 @@ impl PathStats {
 
     /// Record a valid measurement.
     pub fn record_owd(&mut self, rx_local_ns: u64, owd_ns: f64, sequence: u32, probe: bool) {
+        let bit = self.owd.len() % 64;
         self.owd.push(rx_local_ns, owd_ns);
+        if bit == 0 {
+            self.app.push(0);
+        }
         self.owd_ewma.update(owd_ns);
         self.rolling.push(rx_local_ns, owd_ns);
         self.seq.record(sequence);
         self.last_rx_local_ns = Some(rx_local_ns);
         if !probe {
             self.app_delivered += 1;
-            self.app_owd.push(rx_local_ns, owd_ns);
+            if let Some(word) = self.app.last_mut() {
+                *word |= 1 << bit;
+            }
         }
+    }
+
+    /// One-way delays of *application* packets only (what end users
+    /// actually experienced on this path), keyed by receiver local time:
+    /// the `owd` samples whose app bit is set, in order.
+    pub fn app_owd(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
+        self.owd
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| self.app.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1))
+            .map(|(_, sample)| sample)
     }
 
     /// Record a measurement through the plausibility gate. Returns
@@ -88,8 +110,8 @@ impl PathStats {
     /// A quarantined sample still proves the packet *arrived*: sequence
     /// tracking, the silence signal, and app delivery counts advance
     /// regardless, so a poisoned timestamp cannot masquerade as path
-    /// death. Only the delay views (`owd`, EWMA, rolling window,
-    /// `app_owd`) are withheld.
+    /// death. Only the delay views (`owd` and with it `app_owd()`, EWMA,
+    /// rolling window) are withheld.
     pub fn record_owd_gated(
         &mut self,
         rx_local_ns: u64,
@@ -243,6 +265,39 @@ mod tests {
         s.path_mut(1).record_owd(0, 1.0, 0, false);
         s.path_mut(1).record_owd(10, 1.0, 1, true);
         assert_eq!(s.path(1).unwrap().app_delivered, 1);
+    }
+
+    #[test]
+    fn app_view_equals_the_series_it_replaces() {
+        let mut p = PathStats::new("NTT".into());
+        // What the old `record_owd` pushed into its own `app_owd` series:
+        // every admitted non-probe sample.
+        let mut reference = TimeSeries::new();
+        let mut quarantined_apps = 0;
+        for i in 0..240u32 {
+            let t = u64::from(i) * 1_000_000;
+            let probe = i % 3 == 0;
+            // Every 7th sample is an isolated poison the gate quarantines.
+            let owd = if i % 7 == 6 {
+                10e9
+            } else {
+                30e6 + f64::from(i % 13) * 1e3
+            };
+            if p.record_owd_gated(t, owd, i, probe) {
+                if !probe {
+                    reference.push(t, owd);
+                }
+            } else if !probe {
+                quarantined_apps += 1;
+            }
+        }
+        assert!(p.owd.len() > 128, "samples span three bitmap words");
+        assert!(quarantined_apps > 0 && p.implausible_owd > quarantined_apps);
+        let view: Vec<_> = p.app_owd().collect();
+        assert_eq!(view, reference.iter().collect::<Vec<_>>());
+        assert_eq!(view.len() as u64, p.app_delivered - quarantined_apps);
+        let mean = p.app_owd().collect::<TimeSeries>().mean();
+        assert_eq!(mean.map(f64::to_bits), reference.mean().map(f64::to_bits));
     }
 
     #[test]

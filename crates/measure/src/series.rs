@@ -14,15 +14,6 @@ impl TimeSeries {
         Self::default()
     }
 
-    /// With pre-allocated capacity (an 8-day / 10 ms series is ~69 M
-    /// samples; experiments pre-size).
-    pub fn with_capacity(n: usize) -> Self {
-        TimeSeries {
-            times_ns: Vec::with_capacity(n),
-            values: Vec::with_capacity(n),
-        }
-    }
-
     /// Append a sample. Panics if time goes backwards (a harness bug).
     pub fn push(&mut self, t_ns: u64, value: f64) {
         if let Some(&last) = self.times_ns.last() {
@@ -101,16 +92,24 @@ impl TimeSeries {
     }
 }
 
+/// Collect `(t_ns, value)` pairs, e.g. a filtered view of another series,
+/// through [`TimeSeries::push`].
+impl FromIterator<(u64, f64)> for TimeSeries {
+    fn from_iter<I: IntoIterator<Item = (u64, f64)>>(iter: I) -> Self {
+        let mut s = TimeSeries::new();
+        for (t, v) in iter {
+            s.push(t, v);
+        }
+        s
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn series(pairs: &[(u64, f64)]) -> TimeSeries {
-        let mut s = TimeSeries::new();
-        for &(t, v) in pairs {
-            s.push(t, v);
-        }
-        s
+        pairs.iter().copied().collect()
     }
 
     #[test]

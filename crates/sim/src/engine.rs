@@ -353,23 +353,35 @@ impl Packet {
 
 /// Freelist of packet buffers: dead packets hand their allocation back,
 /// new packets take one instead of hitting the allocator.
+///
+/// Retention is bounded by demand: the pool keeps a dead buffer only
+/// while it holds fewer than the number of times [`BufferPool::take`]
+/// has found it empty. Host packets arrive with their own buffers and
+/// never draw from it, so a run that only delivers them keeps nothing.
 #[derive(Debug, Default)]
 pub struct BufferPool {
     free: Vec<Vec<u8>>,
+    /// Pool misses so far, capped at [`POOL_MAX`].
+    demand: usize,
 }
 
 /// Buffers retained at most (beyond this, dead buffers really free).
 const POOL_MAX: usize = 4096;
 
 impl BufferPool {
-    /// Take a cleared buffer (pool hit) or a fresh one.
+    /// Take a cleared buffer (pool hit) or a fresh one (a miss, which
+    /// raises how many dead buffers the pool will keep).
     pub fn take(&mut self) -> Vec<u8> {
-        self.free.pop().unwrap_or_default()
+        self.free.pop().unwrap_or_else(|| {
+            self.demand = (self.demand + 1).min(POOL_MAX);
+            Vec::new()
+        })
     }
 
-    /// Return a buffer to the freelist.
+    /// Return a buffer to the freelist, or free it if the pool already
+    /// holds as many as it has had to hand out.
     pub fn put(&mut self, mut buf: Vec<u8>) {
-        if self.free.len() < POOL_MAX && buf.capacity() > 0 {
+        if self.free.len() < self.demand && buf.capacity() > 0 {
             buf.clear();
             self.free.push(buf);
         }
@@ -2117,13 +2129,56 @@ mod tests {
 
     #[test]
     fn dead_packets_feed_the_buffer_pool() {
-        // Packets that die at the sink (no route) must hand their
-        // buffers back to the pool.
+        // Host packets bring their own buffers and never draw from the
+        // pool: 1 000 of them dying (no route) leave nothing parked.
         let (mut sim, _, _) = build_line_sim();
-        assert_eq!(sim.pooled_buffers(), 0);
-        sim.schedule_host_packet(SimTime::ZERO, AsId(1), ipv6_packet("2001:db8:99::1", 64));
+        for i in 0..1_000 {
+            sim.schedule_host_packet(
+                SimTime::from_us(i),
+                AsId(1),
+                ipv6_packet("2001:db8:99::1", 64),
+            );
+        }
         sim.run_until(SimTime::from_secs(1));
-        assert!(sim.pooled_buffers() > 0);
+        assert_eq!(sim.stats().no_route, 1_000);
+        assert_eq!(sim.pooled_buffers(), 0);
+
+        // Probes do draw: each timer firing allocates K from the pool and
+        // sends them to a sink that recycles them. Node 1 recycles 1 000
+        // host packets spread over the same 30 ms as well, and the pool
+        // still keeps only what the probes have needed at once.
+        const K: usize = 5;
+        struct Prober;
+        impl Agent for Prober {
+            fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
+                ctx.recycle(pkt);
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
+                for _ in 0..K {
+                    let mut probe = ctx.alloc_packet(40);
+                    probe.append(&[0; 24]);
+                    ctx.transmit(AsId(2), probe);
+                }
+            }
+        }
+        struct RecyclingSink;
+        impl Agent for RecyclingSink {
+            fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
+                ctx.recycle(pkt);
+            }
+        }
+        let mut sim = NetworkSim::new(line(), SimConfig::default());
+        sim.set_agent(AsId(1), Box::new(Prober));
+        sim.set_agent(AsId(2), Box::new(RecyclingSink));
+        for ms in [1, 10, 20] {
+            sim.schedule_timer_at(SimTime::from_ms(ms), AsId(1), 0);
+        }
+        for i in 0..1_000 {
+            sim.schedule_host_packet(SimTime::from_us(30 * i), AsId(1), big_packet());
+        }
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(sim.stats().deliveries, 3 * K as u64);
+        assert_eq!(sim.pooled_buffers(), K);
     }
 
     #[test]
@@ -2224,16 +2279,40 @@ mod tests {
 
     #[test]
     fn buffer_pool_recycles_capacity() {
+        let buf = |cap: usize| {
+            let mut b = Vec::with_capacity(cap);
+            b.extend_from_slice(&[1, 2, 3]);
+            b
+        };
+        // No miss yet: nothing to keep a buffer for.
         let mut pool = BufferPool::default();
-        let mut buf = Vec::with_capacity(256);
-        buf.extend_from_slice(&[1, 2, 3]);
-        let ptr_cap = buf.capacity();
-        pool.put(buf);
-        assert_eq!(pool.len(), 1);
+        pool.put(buf(256));
+        assert!(pool.is_empty());
+        // Three misses: the pool keeps three dead buffers and frees the rest.
+        for _ in 0..3 {
+            assert_eq!(pool.take().capacity(), 0);
+        }
+        for _ in 0..5 {
+            pool.put(buf(256));
+        }
+        assert_eq!(pool.len(), 3);
+        // A hit hands back a kept buffer's capacity, cleared, and does not
+        // raise demand: the slot it frees is the only one to refill.
         let reused = pool.take();
         assert!(reused.is_empty());
-        assert_eq!(reused.capacity(), ptr_cap);
-        assert!(pool.is_empty());
+        assert_eq!(reused.capacity(), 256);
+        pool.put(buf(512));
+        pool.put(buf(512));
+        assert_eq!(pool.len(), 3);
+        // However often it misses, the pool never keeps more than POOL_MAX.
+        let mut pool = BufferPool::default();
+        for _ in 0..POOL_MAX + 10 {
+            pool.take();
+        }
+        for _ in 0..POOL_MAX + 10 {
+            pool.put(buf(8));
+        }
+        assert_eq!(pool.len(), POOL_MAX);
     }
 
     /// Jittered line topology (randomness matters) used by the sharding

@@ -1,6 +1,7 @@
 //! Allocation guard: the steady-state event loop does not call the
-//! allocator per packet, and the BGP update path does not pay it for
-//! memory a discovery probe could have reused.
+//! allocator per packet, the BGP update path does not pay it for
+//! memory a discovery probe could have reused, and the measurement store
+//! and buffer pool do not hold more heap than what was measured needs.
 //!
 //! A test file is its own crate, so it can install a counting
 //! `#[global_allocator]` without touching the libraries'
@@ -15,7 +16,9 @@
 //! allocation anywhere on the path — the flow-hash key `Vec` this guard
 //! was written against cost 4.3 per packet — fails it by two orders of
 //! magnitude. The control-plane scenario ([`probe_calls`]) counts against
-//! `bgp.updates_processed` instead.
+//! `bgp.updates_processed` instead. The pairing scenario also reports the
+//! live heap its whole run leaves behind per delivered app packet
+//! ([`MAX_HEAP_BYTES_PER_APP_PACKET`]).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeSet;
@@ -30,32 +33,42 @@ use tango_topology::gen::{try_generate, GenParams};
 /// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`) since start.
 // Relaxed: a statistic that publishes no other data.
 static CALLS: AtomicU64 = AtomicU64::new(0);
+/// Bytes currently allocated (requested sizes; wrapping add/sub, so the
+/// difference of two readings is exact).
+static LIVE: AtomicU64 = AtomicU64::new(0);
 
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter never influences the
+// upholds the `GlobalAlloc` contract; the counters never influence the
 // pointers returned.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         CALLS.fetch_add(1, Relaxed);
+        LIVE.fetch_add(layout.size() as u64, Relaxed);
         // SAFETY: the caller's layout is passed through unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         CALLS.fetch_add(1, Relaxed);
+        LIVE.fetch_add(layout.size() as u64, Relaxed);
         // SAFETY: the caller's layout is passed through unchanged.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Relaxed);
         // SAFETY: `ptr` was returned by `System` for this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         CALLS.fetch_add(1, Relaxed);
+        LIVE.fetch_add(
+            (new_size as u64).wrapping_sub(layout.size() as u64),
+            Relaxed,
+        );
         // SAFETY: `ptr`, `layout` and `new_size` are the caller's, unchanged.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -75,6 +88,15 @@ const PACKETS: u32 = 8_000;
 /// probe leaves and regrow them slot by slot when the next arrives. What
 /// is left is the advertisement a changed best route builds.
 const MAX_CALLS_PER_BGP_UPDATE: f64 = 0.73;
+/// Live heap bytes per delivered app packet that [`pairing_run`] may
+/// leave behind (the event queue's grown capacity, the `owd` series, the
+/// rolling windows, the pooled buffers). Exact, on 8 000 delivered: 194.39
+/// with every sample stored once and a demand-bounded buffer pool; 210.78
+/// with the second `app_owd` series restored; 297.69 with the pool back to
+/// keeping up to 4 096 dead app buffers; 313.80 with both (the parent).
+/// Midway between this tree and the nearer single regression, so either
+/// one alone fails.
+const MAX_HEAP_BYTES_PER_APP_PACKET: f64 = 202.6;
 
 /// Allocator calls made while `run` executes.
 fn calls_during(run: impl FnOnce()) -> u64 {
@@ -93,10 +115,13 @@ fn assert_steady(what: &str, calls: u64) {
 }
 
 /// The static Vultr pairing: 64 B app packets alternating A→B / B→A
-/// every 100 µs, probes every 10 ms.
-fn pairing_calls() -> u64 {
+/// every 100 µs, probes every 10 ms. Returns the allocator calls over the
+/// second half and the live heap the whole run (scheduling included)
+/// leaves behind per delivered app packet.
+fn pairing_run() -> (u64, f64) {
     let mut pairing =
         tango::vultr_pairing(PairingOptions::default()).expect("the Vultr scenario provisions");
+    let live_before = LIVE.load(Relaxed);
     let gap = SimTime::from_us(100);
     let mut t = SimTime::from_ms(5);
     for i in 0..PACKETS {
@@ -106,7 +131,16 @@ fn pairing_calls() -> u64 {
     }
     let half = SimTime::from_ms(5) + SimTime(gap.as_ns() * u64::from(PACKETS / 2));
     pairing.run_until(half);
-    calls_during(|| pairing.run_until(t + SimTime::from_ms(200)))
+    let calls = calls_during(|| pairing.run_until(t + SimTime::from_ms(200)));
+    let left_behind = LIVE.load(Relaxed).wrapping_sub(live_before);
+    let delivered: u64 = Side::BOTH
+        .iter()
+        .map(|&side| {
+            let sink = pairing.stats(side).lock();
+            sink.paths().map(|(_, p)| p.app_delivered).sum::<u64>()
+        })
+        .sum();
+    (calls, left_behind as f64 / delivered as f64)
 }
 
 /// Router-only traffic over a converged 200-AS / 8-PoP mesh
@@ -178,7 +212,12 @@ fn steady_state_event_loop_does_not_allocate_per_packet() {
         per_update < MAX_CALLS_PER_BGP_UPDATE,
         "discovery probes: {calls} allocator calls for {updates} BGP updates = {per_update:.3} per update (limit {MAX_CALLS_PER_BGP_UPDATE})"
     );
-    assert_steady("vultr pairing", pairing_calls());
+    let (calls, heap_per_app_packet) = pairing_run();
+    assert_steady("vultr pairing", calls);
+    assert!(
+        heap_per_app_packet < MAX_HEAP_BYTES_PER_APP_PACKET,
+        "vultr pairing: {heap_per_app_packet:.2} B of live heap left behind per delivered app packet (limit {MAX_HEAP_BYTES_PER_APP_PACKET})"
+    );
     let mesh = NPopMesh::converge(200, 8, 1).expect("the preset graph converges");
     for shards in [1, 4] {
         assert_steady(

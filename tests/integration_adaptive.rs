@@ -92,7 +92,7 @@ fn jitter_aware_evacuates_instability_and_cuts_tail() {
         let sink = p.stats(Side::A).lock();
         let mut owds: Vec<f64> = Vec::new();
         for (_, path) in sink.paths() {
-            owds.extend(path.app_owd.values().iter().map(|v| v / 1e6));
+            owds.extend(path.app_owd().map(|(_, v)| v / 1e6));
         }
         Summary::of(&owds).expect("app traffic measured")
     };

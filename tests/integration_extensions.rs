@@ -186,8 +186,12 @@ fn application_class_overrides_steer_per_class() {
     assert_eq!(delivered(0), 100, "unmarked on the default selection");
     assert_eq!(delivered(1), 0);
     // The EF class actually got the lower latency it was promised.
-    let ef = sink.path(2).unwrap().app_owd.mean().unwrap();
-    let bulk = sink.path(3).unwrap().app_owd.mean().unwrap();
+    let app_mean = |path: u16| {
+        let app: TimeSeries = sink.path(path).unwrap().app_owd().collect();
+        app.mean().unwrap()
+    };
+    let ef = app_mean(2);
+    let bulk = app_mean(3);
     assert!(ef < bulk - 10_000_000.0, "EF {ef} vs bulk {bulk}");
 }
 

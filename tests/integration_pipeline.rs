@@ -206,7 +206,7 @@ fn app_traffic_and_probes_coexist() {
     );
     // App OWDs match the default path's floor.
     let app = a.path(0).unwrap();
-    let mean = app.app_owd.mean().unwrap() / 1e6;
+    let mean = app.app_owd().collect::<TimeSeries>().mean().unwrap() / 1e6;
     assert!((36.0..37.5).contains(&mean), "app mean on NTT: {mean}");
 }
 
