@@ -440,6 +440,11 @@ impl NPopMesh {
         })
     }
 
+    /// The edge PoPs: PoP `i` announces [`host_prefix`]`(i)`.
+    pub fn pops(&self) -> &[AsId] {
+        &self.pops
+    }
+
     /// Phase 3, built: a simulator over the mesh's graph, every node a
     /// [`RouterAgent`] over its converged FIB, plus the total FIB entry
     /// count. The span ring is sized so a run of `packets` injected

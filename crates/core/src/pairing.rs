@@ -69,6 +69,9 @@ pub enum PairingError {
         /// How many paths the longer direction has.
         paths: usize,
     },
+    /// An adversary was asked for at a tenant: adversaries are on-path
+    /// transit nodes, not the tenants themselves.
+    TenantAdversary(AsId),
 }
 
 impl From<ProvisionError> for PairingError {
@@ -90,6 +93,9 @@ impl core::fmt::Display for PairingError {
             PairingError::Engine(e) => write!(f, "BGP: {e}"),
             PairingError::NoSuchPath { path, paths } => {
                 write!(f, "no path {path}: {paths} paths were provisioned")
+            }
+            PairingError::TenantAdversary(node) => {
+                write!(f, "{node} is a tenant, not an on-path transit node")
             }
         }
     }
@@ -229,6 +235,9 @@ struct SideState {
     timeline: Option<HealthTimeline>,
     /// How many timeline entries are already mirrored as spans.
     synced_health: usize,
+    /// The app packet this side sends, per `(payload_len, traffic_class)`:
+    /// built once, then scheduled as clones that share its bytes.
+    templates: std::collections::BTreeMap<(usize, u8), Packet>,
 }
 
 /// A fully wired Tango deployment between two edges, ready to run.
@@ -245,10 +254,10 @@ pub struct TangoPairing {
     /// Scheduled control-plane steps (session resets, hijacks), soonest
     /// first.
     pending_controls: Vec<PendingControl>,
-    /// Byzantine nodes: behaviors + counter handles, so control-plane
-    /// re-convergence reinstalls the adversary wrapper instead of
-    /// silently reverting the node to an honest router.
-    adversaries: std::collections::BTreeMap<AsId, (Vec<AdversaryBehavior>, SharedAdversaryStats)>,
+    /// Byzantine nodes, so control-plane re-convergence reinstalls the
+    /// adversary wrapper instead of silently reverting the node to an
+    /// honest router.
+    adversaries: std::collections::BTreeMap<AsId, Adversary>,
     /// The telemetry registry every layer exports into (if enabled).
     obs: Option<Registry>,
     /// The pairing-level causal recorder: control-plane steps, BGP
@@ -267,6 +276,27 @@ pub struct TangoPairing {
     /// `(time_ns, path, span key)` of every emitted health-transition
     /// span — the parent pool for invariant-violation spans.
     health_spans: Vec<(u64, u16, SpanKey)>,
+}
+
+/// An installed adversary: its behaviors and its counter handle.
+type Adversary = (Vec<AdversaryBehavior>, SharedAdversaryStats);
+
+/// A router over `id`'s converged BGP table, wrapped in `adversary` when
+/// one is given.
+fn router_agent(
+    bgp: &BgpEngine,
+    id: AsId,
+    adversary: Option<&Adversary>,
+) -> Result<Box<dyn Agent>, PairingError> {
+    let base: Box<dyn Agent> = Box::new(RouterAgent::new(id, bgp.forwarding_table(id)?));
+    Ok(match adversary {
+        Some((behaviors, stats)) => Box::new(AdversaryAgent::new(
+            base,
+            behaviors.clone(),
+            Arc::clone(stats),
+        )),
+        None => base,
+    })
 }
 
 /// `Err(NoSuchPath)` unless at least one direction provisioned `path`.
@@ -307,6 +337,7 @@ impl TangoPairing {
             stats: shared_sink(),
             timeline: None,
             synced_health: 0,
+            templates: std::collections::BTreeMap::new(),
         });
 
         // Lower the structured wide-area events now that provisioning
@@ -607,15 +638,17 @@ impl TangoPairing {
     /// re-convergence (session resets, hijacks) re-wraps the node, which
     /// resets any in-flight replay stash — windows spanning a reset lose
     /// the captures made before it.
+    ///
+    /// `Err(TenantAdversary)` at a tenant, `Err(Engine(UnknownSpeaker))`
+    /// at a node outside the topology; either leaves nothing installed.
     pub fn install_adversary(
         &mut self,
         node: AsId,
         behaviors: Vec<AdversaryBehavior>,
     ) -> Result<SharedAdversaryStats, PairingError> {
-        assert!(
-            self.sides.iter().all(|s| s.config.tenant != node),
-            "adversaries are on-path transit nodes, not the tenants themselves"
-        );
+        if self.sides.iter().any(|s| s.config.tenant == node) {
+            return Err(PairingError::TenantAdversary(node));
+        }
         let stats = shared_adversary_stats();
         // Arm the spoof timer at the earliest spoof window (it keeps
         // ticking until the window opens, then injects on its period).
@@ -626,9 +659,10 @@ impl TangoPairing {
                 _ => None,
             })
             .min();
-        self.adversaries
-            .insert(node, (behaviors, Arc::clone(&stats)));
-        self.reinstall_router(node)?;
+        let adversary = (behaviors, Arc::clone(&stats));
+        let agent = router_agent(&self.bgp, node, Some(&adversary))?;
+        self.sim.set_agent(node, agent);
+        self.adversaries.insert(node, adversary);
         if let Some(at) = spoof_start {
             self.sim.schedule_timer_at(at, node, TAG_ADV_SPOOF);
         }
@@ -645,7 +679,8 @@ impl TangoPairing {
     /// directions), stealing its traffic by longest-prefix match; the
     /// announcements are withdrawn `duration_ns` later. Call before
     /// `run_until` passes `at_ns`. `Err(NoSuchPath)` when neither
-    /// direction provisioned `path`.
+    /// direction provisioned `path`, `Err(Engine(UnknownSpeaker))` when
+    /// `attacker` is not in the topology.
     pub fn schedule_hijack(
         &mut self,
         attacker: AsId,
@@ -654,6 +689,7 @@ impl TangoPairing {
         duration_ns: u64,
     ) -> Result<(), PairingError> {
         check_path(&self.provisioned, path)?;
+        self.bgp.speaker(attacker)?;
         for (at_ns, announce) in [(at_ns, true), (at_ns.saturating_add(duration_ns), false)] {
             self.pending_controls.push(PendingControl {
                 at: SimTime(at_ns),
@@ -753,16 +789,7 @@ impl TangoPairing {
     /// (Re)install one non-tenant node from its converged BGP table,
     /// preserving any adversary wrapper registered for it.
     fn reinstall_router(&mut self, id: AsId) -> Result<(), PairingError> {
-        let table = self.bgp.forwarding_table(id)?;
-        let base: Box<dyn Agent> = Box::new(RouterAgent::new(id, table));
-        let agent: Box<dyn Agent> = match self.adversaries.get(&id) {
-            Some((behaviors, stats)) => Box::new(AdversaryAgent::new(
-                base,
-                behaviors.clone(),
-                Arc::clone(stats),
-            )),
-            None => base,
-        };
+        let agent = router_agent(&self.bgp, id, self.adversaries.get(&id))?;
         self.sim.set_agent(id, agent);
         Ok(())
     }
@@ -815,22 +842,31 @@ impl TangoPairing {
         payload_len: usize,
         traffic_class: u8,
     ) {
-        let (me, peer) = (self.side_config(from), self.side_config(from.peer()));
+        let (src, dst) = (
+            self.side_config(from).host_prefix,
+            self.side_config(from.peer()).host_prefix,
+        );
         let addr_in = |p: tango_net::IpCidr, host: u128| match p {
             tango_net::IpCidr::V6(c) => c.host(host).expect("host prefix wide enough"),
             tango_net::IpCidr::V4(_) => unreachable!("host prefixes are IPv6 in this harness"),
         };
-        // Born with headroom: the switch encapsulates in place instead of
-        // rebuilding the wire image.
-        let pkt = Packet::host(
-            addr_in(me.host_prefix, 0x10),
-            addr_in(peer.host_prefix, 0x20),
-            payload_len,
-            tango_dataplane::codec::ENCAP_OVERHEAD,
-            traffic_class,
-        );
-        let tenant = me.tenant;
-        self.sim.schedule_host_packet(at, tenant, pkt);
+        let me = &mut self.sides[from.idx()];
+        let template = me
+            .templates
+            .entry((payload_len, traffic_class))
+            .or_insert_with(|| {
+                // Born with headroom: the switch encapsulates in place
+                // instead of rebuilding the wire image.
+                Packet::host(
+                    addr_in(src, 0x10),
+                    addr_in(dst, 0x20),
+                    payload_len,
+                    tango_dataplane::codec::ENCAP_OVERHEAD,
+                    traffic_class,
+                )
+            });
+        self.sim
+            .schedule_host_packet(at, me.config.tenant, template.clone());
     }
 
     /// The side configs (for reporting).

@@ -296,11 +296,9 @@ impl TangoSwitch {
             ctx.transmit(self.border, pkt);
             return;
         }
-        let next = pkt.dst_addr().and_then(|d| {
-            self.wan_table
-                .as_ref()
-                .and_then(|t| t.longest_match(d).map(|(_, n)| *n))
-        });
+        let next = pkt
+            .dst_addr()
+            .and_then(|d| self.wan_table.as_ref()?.lookup(d).copied());
         match next {
             Some(n) if n != self.id => ctx.transmit(n, pkt),
             _ => ctx.count_no_route(pkt),
@@ -375,7 +373,7 @@ impl Agent for TangoSwitch {
     fn on_host_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
         let tango_destined = pkt
             .dst_addr()
-            .map(|d| self.remote_hosts.longest_match(d).is_some())
+            .map(|d| self.remote_hosts.lookup(d).is_some())
             .unwrap_or(false);
         if tango_destined {
             // §3 application-specific override first, then the installed

@@ -193,6 +193,16 @@ impl<V> PrefixTrie<V> {
         }
     }
 
+    /// The value of the longest prefix covering `addr`: the forwarding
+    /// path's [`PrefixTrie::longest_match`], which builds no prefix.
+    pub fn lookup(&self, addr: IpAddr) -> Option<&V> {
+        let (_, v) = match addr {
+            IpAddr::V4(a) => self.v4.longest(v4_bits(a))?,
+            IpAddr::V6(a) => self.v6.longest(v6_bits(a))?,
+        };
+        Some(v)
+    }
+
     /// All stored (prefix, value) pairs: IPv4 then IPv6, each sorted by
     /// (network, prefix length).
     pub fn iter(&self) -> Vec<(IpCidr, &V)> {

@@ -80,7 +80,8 @@ impl LinearLpm {
 }
 
 /// Insert `prefixes` (value = position, last writer wins) and compare
-/// every probe's longest match with the linear scan.
+/// every probe's longest match with the linear scan, and the value-only
+/// `lookup` with the longest match.
 fn check_longest_match(prefixes: Vec<IpCidr>, probes: Vec<IpAddr>) -> Result<(), String> {
     let mut trie = PrefixTrie::new();
     let mut model = LinearLpm::default();
@@ -93,6 +94,7 @@ fn check_longest_match(prefixes: Vec<IpCidr>, probes: Vec<IpAddr>) -> Result<(),
             trie.longest_match(a).map(|(p, v)| (p, *v)),
             model.longest(a)
         );
+        prop_assert_eq!(trie.lookup(a), trie.longest_match(a).map(|(_, v)| v));
     }
     Ok(())
 }
@@ -300,6 +302,7 @@ proptest! {
             for keep in [0, len / 2, len, 128] {
                 let a = addr_of(v6, (bits & top_bits(keep)) | (noise & !top_bits(keep)));
                 prop_assert_eq!(trie.longest_match(a).map(|(p, v)| (p, *v)), model.longest(a));
+                prop_assert_eq!(trie.lookup(a), trie.longest_match(a).map(|(_, v)| v));
             }
         }
         // Remove what is left, one at a time, down to the empty table.

@@ -14,11 +14,14 @@
 //!   tables so a transmission touches no tree and allocates nothing; the
 //!   sender's own sorted neighbour list resolves the next hop's `AsId`
 //!   to node index and link id in one search.
-//! * [`Packet`] owns a buffer with *headroom* so the data plane can
-//!   prepend/strip encapsulation in place, and dead packets' buffers are
-//!   recycled through a freelist ([`Ctx::recycle`]) instead of hitting
-//!   the allocator per packet. It caches its parsed destination and its
-//!   ECMP flow hash, so a hop re-parses and re-hashes nothing.
+//! * [`Packet`] keeps its bytes in a buffer with *headroom* so the data
+//!   plane can prepend/strip encapsulation in place, and dead packets'
+//!   buffers are recycled through a freelist ([`Ctx::recycle`]) instead
+//!   of hitting the allocator per packet. Its bytes are copy-on-write: a
+//!   clone shares them, so a scheduled packet holds no buffer until
+//!   dispatch hands it one from that freelist. It caches its parsed
+//!   destination and its ECMP flow hash, so a hop re-parses and
+//!   re-hashes nothing.
 //! * The pending-event heap orders 32-byte `(key, slot)` entries over a
 //!   slab of events, so a sift never moves a packet.
 //!
@@ -42,11 +45,12 @@ use crate::shard::{self, Partition, ShardMode};
 use crate::time::SimTime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cell::Cell;
+use std::cell::{Cell, OnceCell};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::net::{IpAddr, Ipv6Addr};
 use std::num::NonZeroU64;
+use std::sync::Arc;
 use tango_net::{Ipv4Packet, Ipv6Packet, Ipv6Repr, PrefixTrie};
 use tango_obs::{Counter, Gauge, Histogram, Registry};
 use tango_topology::{AsId, DirectionProfile, EventKind as TopoEventKind, LinkEvent, Topology};
@@ -63,48 +67,71 @@ const NO_NODE: u32 = u32::MAX;
 /// sequence numbers than anything emitted during the run.
 const EXT_ORIGIN: u32 = 0;
 
-/// Cached destination-address parse state of a [`Packet`].
+/// Cached destination-address parse state of a [`Packet`]: the family of
+/// a header that parsed, not its address, which a hop reads back out of
+/// the already-validated header (one byte of cache instead of a 17-byte
+/// `IpAddr` enum).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DstCache {
     /// Not parsed yet (or invalidated by a mutation).
     Unparsed,
     /// Parsed and the header was invalid.
     Invalid,
-    /// Parsed successfully.
-    Addr(IpAddr),
+    /// A valid IPv4 header.
+    V4,
+    /// A valid IPv6 header.
+    V6,
 }
 
 /// A packet in flight: raw bytes, nothing else. All semantics live in the
 /// bytes themselves (smoltcp idiom) — the simulator never peeks beyond
 /// what a real router could see.
 ///
-/// The bytes sit inside an owned buffer at an offset, so a data plane can
+/// The bytes sit inside a buffer at an offset, so a data plane can
 /// reserve *headroom* and prepend/strip encapsulation headers in place
-/// instead of rebuilding the wire image. The parsed destination address
-/// and the ECMP flow hash are cached alongside the bytes (computed at
-/// the first hop that asks) and invalidated by any byte mutation, so
-/// multi-hop forwarding re-parses and re-hashes nothing.
+/// instead of rebuilding the wire image. The parsed destination and the
+/// ECMP flow hash are cached alongside the bytes (computed at the first
+/// hop that asks) and invalidated by any byte mutation, so multi-hop
+/// forwarding re-parses and re-hashes nothing.
+///
+/// Copy-on-write: `clone` copies no bytes. An owned packet freezes one
+/// shared copy of its buffer at its first clone, every later clone
+/// reuses that copy until the next mutation drops it, and a clone is a
+/// *view* of it. Every mutator but `strip_front` (which only moves the
+/// offset) gives a view a buffer of its own first, and the engine gives
+/// one from the shard's [`BufferPool`] to every view it dispatches, so a
+/// scheduled packet costs a reference count, not a buffer.
 #[derive(Debug)]
 pub struct Packet {
+    /// The packet's own buffer: headroom, then the visible bytes. Empty
+    /// and unallocated while the packet is a view.
     buf: Vec<u8>,
-    /// Offset of the visible bytes — a `u32`, so the hash cache fits
-    /// beside it without growing the struct every queued event carries.
+    /// A view's bytes; for an owned packet, the frozen copy of `buf` its
+    /// clones share (equal to `buf` whenever it is set).
+    shared: OnceCell<Arc<[u8]>>,
+    /// Offset of the visible bytes — a `u32`, so the caches fit beside
+    /// it without growing the struct every queued event carries.
     start: u32,
+    /// The bytes are `shared`'s and `buf` holds none yet.
+    view: bool,
     dst: Cell<DstCache>,
     /// [`flow_hash`] of the visible bytes, once computed. A hash of
     /// exactly 0 is never cached, only recomputed.
     hash: Cell<Option<NonZeroU64>>,
 }
 
-/// Copies the bytes into a buffer with [`Packet::TAILROOM`] to spare and
-/// keeps both caches (the bytes are equal).
+// Every queued event carries a packet: a larger one grows every queue.
+const _: () = assert!(std::mem::size_of::<Packet>() <= 56);
+
+/// A view of the bytes (see [`Packet`]) that keeps both caches.
 impl Clone for Packet {
     fn clone(&self) -> Self {
-        let mut buf = Vec::with_capacity(self.buf.len() + Self::TAILROOM);
-        buf.extend_from_slice(&self.buf);
+        let shared = self.shared.get_or_init(|| Arc::from(self.buf.as_slice()));
         Packet {
-            buf,
+            buf: Vec::new(),
+            shared: OnceCell::from(Arc::clone(shared)),
             start: self.start,
+            view: true,
             dst: self.dst.clone(),
             hash: self.hash.clone(),
         }
@@ -120,10 +147,10 @@ impl Eq for Packet {}
 
 impl Packet {
     /// Spare capacity that [`Packet::alloc`], [`Packet::with_headroom`],
-    /// [`Packet::host`] and `clone` reserve behind the bytes: room for
-    /// the 8-byte authentication trailer the data plane appends in place,
-    /// so an exactly-sized buffer is not reallocated (and doubled) for
-    /// it. Capacity only — never visible bytes.
+    /// [`Packet::host`] and a view's first buffer reserve behind the
+    /// bytes: room for the 8-byte authentication trailer the data plane
+    /// appends in place, so an exactly-sized buffer is not reallocated
+    /// (and doubled) for it. Capacity only — never visible bytes.
     pub const TAILROOM: usize = 8;
 
     // tango-lint: allow(hot-path-panic) an offset never exceeds buf.len(), and a packet buffer beyond 4 GiB is a caller bug
@@ -135,9 +162,43 @@ impl Packet {
     fn over(buf: Vec<u8>, start: usize) -> Self {
         Packet {
             buf,
+            shared: OnceCell::new(),
             start: Self::offset(start),
+            view: false,
             dst: Cell::new(DstCache::Unparsed),
             hash: Cell::new(None),
+        }
+    }
+
+    /// The whole buffer: headroom, then the visible bytes.
+    fn whole(&self) -> &[u8] {
+        match self.shared.get() {
+            Some(shared) if self.view => shared,
+            _ => &self.buf,
+        }
+    }
+
+    /// The packet's own buffer, about to be written: a view first copies
+    /// its bytes into `spare()` (with [`Packet::TAILROOM`] to spare), and
+    /// an owned packet drops its frozen copy (its clones keep theirs).
+    fn own(&mut self, spare: impl FnOnce() -> Vec<u8>) -> &mut Vec<u8> {
+        if let Some(shared) = self.shared.take() {
+            if std::mem::take(&mut self.view) {
+                let mut buf = spare();
+                buf.clear();
+                buf.reserve(shared.len() + Self::TAILROOM);
+                buf.extend_from_slice(&shared);
+                self.buf = buf;
+            }
+        }
+        &mut self.buf
+    }
+
+    /// Give a view a buffer from `pool` before an agent writes to it. An
+    /// owned packet keeps its own and draws nothing.
+    fn materialize(&mut self, pool: &mut BufferPool) {
+        if self.view {
+            self.own(|| pool.take());
         }
     }
 
@@ -215,7 +276,7 @@ impl Packet {
     /// The visible packet bytes.
     // tango-lint: allow(hot-path-panic) start <= buf.len() is a Packet invariant upheld by every constructor
     pub fn bytes(&self) -> &[u8] {
-        &self.buf[self.headroom()..]
+        &self.whole()[self.headroom()..]
     }
 
     /// Mutable access to the packet bytes. Invalidates the cached
@@ -223,12 +284,13 @@ impl Packet {
     // tango-lint: allow(hot-path-panic) start <= buf.len() is a Packet invariant upheld by every constructor
     pub fn bytes_mut(&mut self) -> &mut [u8] {
         self.invalidate();
-        &mut self.buf[self.start as usize..]
+        let start = self.headroom();
+        &mut self.own(Vec::new)[start..]
     }
 
     /// Visible length.
     pub fn len(&self) -> usize {
-        self.buf.len() - self.headroom()
+        self.whole().len() - self.headroom()
     }
 
     /// Is the packet empty?
@@ -249,11 +311,12 @@ impl Packet {
         assert!(self.headroom() >= n, "prepend past headroom");
         self.start = Self::offset(self.headroom() - n);
         self.invalidate();
-        &mut self.buf[self.start as usize..]
+        let start = self.headroom();
+        &mut self.own(Vec::new)[start..]
     }
 
     /// Drop `n` bytes from the front (they become headroom for a later
-    /// re-encapsulation).
+    /// re-encapsulation). Moves the offset only: a view stays a view.
     pub fn strip_front(&mut self, n: usize) {
         assert!(n <= self.len(), "strip past end");
         self.start = Self::offset(self.headroom() + n);
@@ -262,18 +325,20 @@ impl Packet {
 
     /// Append bytes at the tail.
     pub fn append(&mut self, data: &[u8]) {
-        self.buf.extend_from_slice(data);
+        self.own(Vec::new).extend_from_slice(data);
         self.invalidate();
     }
 
     /// Shorten the packet to `len` visible bytes.
     pub fn truncate(&mut self, len: usize) {
         assert!(len <= self.len(), "truncate cannot grow");
-        self.buf.truncate(self.headroom() + len);
+        let end = self.headroom() + len;
+        self.own(Vec::new).truncate(end);
         self.invalidate();
     }
 
-    /// Take the backing buffer (for recycling).
+    /// Take the packet's own buffer (for recycling): a view has none and
+    /// yields an empty, unallocated one.
     pub fn into_buffer(self) -> Vec<u8> {
         self.buf
     }
@@ -281,22 +346,25 @@ impl Packet {
     /// The destination IP address, if the version nibble and header
     /// parse. Cached: repeated calls between mutations parse once.
     pub fn dst_addr(&self) -> Option<IpAddr> {
+        let bytes = self.bytes();
         match self.dst.get() {
-            DstCache::Addr(a) => return Some(a),
+            DstCache::V4 => return Some(IpAddr::V4(Ipv4Packet::new_unchecked(bytes).dst_addr())),
+            DstCache::V6 => return Some(IpAddr::V6(Ipv6Packet::new_unchecked(bytes).dst_addr())),
             DstCache::Invalid => return None,
             DstCache::Unparsed => {}
         }
-        let parsed = match self.bytes().first().map(|b| b >> 4) {
-            Some(4) => Ipv4Packet::new_checked(self.bytes())
+        let parsed = match bytes.first().map(|b| b >> 4) {
+            Some(4) => Ipv4Packet::new_checked(bytes)
                 .ok()
                 .map(|p| IpAddr::V4(p.dst_addr())),
-            Some(6) => Ipv6Packet::new_checked(self.bytes())
+            Some(6) => Ipv6Packet::new_checked(bytes)
                 .ok()
                 .map(|p| IpAddr::V6(p.dst_addr())),
             _ => None,
         };
         self.dst.set(match parsed {
-            Some(a) => DstCache::Addr(a),
+            Some(IpAddr::V4(_)) => DstCache::V4,
+            Some(IpAddr::V6(_)) => DstCache::V6,
             None => DstCache::Invalid,
         });
         parsed
@@ -322,10 +390,11 @@ impl Packet {
     /// covers it.
     // tango-lint: allow(hot-path-panic) every header offset is guarded by the explicit bytes.len() check on its match arm
     pub fn decrement_hop_limit(&mut self) -> bool {
-        if !matches!(self.dst.get(), DstCache::Addr(_)) {
+        if !matches!(self.dst.get(), DstCache::V4 | DstCache::V6) {
             self.hash.set(None);
         }
-        let bytes = &mut self.buf[self.start as usize..];
+        let start = self.headroom();
+        let bytes = &mut self.own(Vec::new)[start..];
         match bytes.first().map(|b| b >> 4) {
             Some(4) if bytes.len() >= 20 => {
                 if bytes[8] <= 1 {
@@ -356,8 +425,9 @@ impl Packet {
 ///
 /// Retention is bounded by demand: the pool keeps a dead buffer only
 /// while it holds fewer than the number of times [`BufferPool::take`]
-/// has found it empty. Host packets arrive with their own buffers and
-/// never draw from it, so a run that only delivers them keeps nothing.
+/// has found it empty. Scheduled clones draw from it as they are
+/// dispatched, so it keeps about as many buffers as packets were ever
+/// in flight at once; packets that arrive owning a buffer draw nothing.
 #[derive(Debug, Default)]
 pub struct BufferPool {
     free: Vec<Vec<u8>>,
@@ -1219,8 +1289,9 @@ impl ShardState {
             .begin_dispatch(key.time.as_ns(), key.origin, key.seq);
         let Some(mut agent) = slot.and_then(|slot| slot.take()) else {
             // No agent: the packet/timer evaporates (counted as no_route —
-            // a node without behaviour cannot forward). The dead packet's
-            // buffer still feeds the pool. The `Drop` span stands in for
+            // a node without behaviour cannot forward). An owned dead
+            // packet's buffer still feeds the pool; a view never drew
+            // one and returns none. The `Drop` span stands in for
             // the dispatch that never ran: it takes the event's own key
             // and hangs off whatever carried the packet here. A node
             // outside the topology has no id to report.
@@ -1278,13 +1349,17 @@ impl ShardState {
                 link_base: self.link_base,
                 pool: &mut self.pool,
             };
+            // A view gets its own buffer from the pool here, so the
+            // agent writes in place and never calls the allocator for it.
             match kind {
-                EventKind::Deliver { pkt, .. } => {
+                EventKind::Deliver { mut pkt, .. } => {
+                    pkt.materialize(ctx.pool);
                     ctx.stats.deliveries += 1;
                     ctx.spans.record_dispatch(node.0, parent, SpanKind::Deliver);
                     agent.on_packet(&mut ctx, pkt);
                 }
-                EventKind::HostInject { pkt, .. } => {
+                EventKind::HostInject { mut pkt, .. } => {
+                    pkt.materialize(ctx.pool);
                     ctx.spans
                         .record_dispatch(node.0, parent, SpanKind::HostInject);
                     agent.on_host_packet(&mut ctx, pkt);
@@ -1633,7 +1708,7 @@ impl Agent for RouterAgent {
         let Some(dst) = pkt.dst_addr() else {
             return ctx.count_no_route(pkt);
         };
-        let Some((_, &next)) = self.table.longest_match(dst) else {
+        let Some(&next) = self.table.lookup(dst) else {
             return ctx.count_no_route(pkt);
         };
         if next == self.id {
@@ -2129,8 +2204,8 @@ mod tests {
 
     #[test]
     fn dead_packets_feed_the_buffer_pool() {
-        // Host packets bring their own buffers and never draw from the
-        // pool: 1 000 of them dying (no route) leave nothing parked.
+        // Owned host packets bring their own buffers and never draw from
+        // the pool: 1 000 of them dying (no route) leave nothing parked.
         let (mut sim, _, _) = build_line_sim();
         for i in 0..1_000 {
             sim.schedule_host_packet(
@@ -2179,6 +2254,48 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         assert_eq!(sim.stats().deliveries, 3 * K as u64);
         assert_eq!(sim.pooled_buffers(), K);
+    }
+
+    #[test]
+    fn a_dispatched_view_draws_one_pooled_buffer() {
+        // `(misses so far, buffers parked)` of the only shard's pool.
+        let pool = |sim: &NetworkSim| (sim.shards[0].pool.demand, sim.pooled_buffers());
+        struct RecyclingSink;
+        impl Agent for RecyclingSink {
+            fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
+                assert_eq!(pkt.bytes(), big_packet().bytes());
+                ctx.recycle(pkt);
+            }
+        }
+        // Node 1 recycles what it is handed; node 3 has no agent.
+        let mut sim = NetworkSim::new(line(), SimConfig::default());
+        sim.set_agent(AsId(1), Box::new(RecyclingSink));
+        let template = big_packet();
+        sim.schedule_host_packet(SimTime::from_ms(1), AsId(3), template.clone());
+        sim.run_until(SimTime::from_ms(1));
+        assert_eq!(sim.stats().no_route, 1);
+        assert_eq!(
+            pool(&sim),
+            (0, 0),
+            "dies undispatched: draws and returns nothing"
+        );
+        sim.schedule_host_packet(SimTime::from_ms(2), AsId(1), template.clone());
+        sim.run_until(SimTime::from_ms(2));
+        assert_eq!(pool(&sim), (1, 1), "one miss, handed back by the sink");
+        for ms in 3..6 {
+            sim.schedule_host_packet(SimTime::from_ms(ms), AsId(1), template.clone());
+        }
+        sim.run_until(SimTime::from_ms(6));
+        assert_eq!(
+            pool(&sim),
+            (1, 1),
+            "each later view draws the parked buffer"
+        );
+        // An owned packet brings its own buffer: no draw, and the pool,
+        // already holding as many as it has handed out, frees it.
+        sim.schedule_host_packet(SimTime::from_ms(7), AsId(1), big_packet());
+        sim.run_until(SimTime::from_ms(7));
+        assert_eq!(pool(&sim), (1, 1));
     }
 
     #[test]

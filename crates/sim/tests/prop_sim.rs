@@ -56,6 +56,33 @@ fn ip_packet(v6: bool, src: u128, dst: u128, protocol: u8, l4: &[u8]) -> Packet 
     pkt
 }
 
+/// The always-copy reference for a copy-on-write [`Packet`]: a plain
+/// buffer (headroom, then the visible bytes) and the visible offset.
+#[derive(Clone)]
+struct Model {
+    buf: Vec<u8>,
+    start: usize,
+}
+
+impl Model {
+    fn of(pkt: &Packet) -> Self {
+        let mut buf = vec![0; pkt.headroom()];
+        buf.extend_from_slice(pkt.bytes());
+        Model {
+            buf,
+            start: pkt.headroom(),
+        }
+    }
+
+    fn visible(&self) -> &[u8] {
+        &self.buf[self.start..]
+    }
+
+    fn visible_mut(&mut self) -> &mut [u8] {
+        &mut self.buf[self.start..]
+    }
+}
+
 /// Both caches of `pkt` answer what a fresh parse of its bytes answers.
 fn caches_are_coherent(pkt: &Packet, after: &str) -> Result<(), String> {
     let fresh = Packet::new(pkt.bytes().to_vec());
@@ -147,55 +174,97 @@ proptest! {
         protocol in prop_oneof![Just(17u8), Just(6u8), Just(59u8)],
         l4 in proptest::collection::vec(any::<u8>(), 0..24),
         ops in proptest::collection::vec(
-            (0u8..8, any::<usize>(), proptest::collection::vec(any::<u8>(), 1..12)),
-            1..32,
+            (
+                0u8..9,
+                any::<usize>(),
+                any::<usize>(),
+                proptest::collection::vec(any::<u8>(), 1..12),
+            ),
+            1..48,
         ),
     ) {
-        // Every check below also warms both caches, so each mutation
-        // starts from cached state it must either keep or invalidate.
-        let mut pkt = ip_packet(v6, src, dst, protocol, &l4);
-        caches_are_coherent(&pkt, "build")?;
-        for (op, n, data) in ops {
+        // A set of live clones, each beside an always-copy model of its
+        // bytes. An op lands on clone `which`; afterwards *every* clone
+        // must still equal its own model, so a write that leaks into a
+        // copy another clone shares fails here. Every check also warms
+        // both caches, so each mutation starts from cached state it must
+        // either keep or invalidate.
+        let first = ip_packet(v6, src, dst, protocol, &l4);
+        let mut live = vec![(Model::of(&first), first)];
+        for (op, which, n, data) in ops {
+            let i = which % live.len();
+            let (model, pkt) = &mut live[i];
             let after = match op {
                 0 if !pkt.is_empty() => {
                     let at = n % pkt.len();
                     pkt.bytes_mut()[at] ^= data[0] | 1;
+                    model.visible_mut()[at] ^= data[0] | 1;
                     "bytes_mut"
                 }
                 1 => {
                     let k = data.len().min(pkt.headroom());
                     pkt.prepend(k)[..k].copy_from_slice(&data[..k]);
+                    model.start -= k;
+                    model.visible_mut()[..k].copy_from_slice(&data[..k]);
                     "prepend"
                 }
                 2 => {
-                    pkt.strip_front(n % (pkt.len() + 1));
+                    let k = n % (pkt.len() + 1);
+                    pkt.strip_front(k);
+                    model.start += k;
                     "strip_front"
                 }
                 3 => {
                     pkt.append(&data);
+                    model.buf.extend_from_slice(&data);
                     "append"
                 }
                 4 => {
-                    pkt.truncate(n % (pkt.len() + 1));
+                    let len = n % (pkt.len() + 1);
+                    pkt.truncate(len);
+                    model.buf.truncate(model.start + len);
                     "truncate"
                 }
                 5 => {
-                    pkt.decrement_hop_limit();
+                    // The reference decrements an unshared copy.
+                    let mut copy = Packet::new(model.visible().to_vec());
+                    prop_assert_eq!(pkt.decrement_hop_limit(), copy.decrement_hop_limit());
+                    model.visible_mut().copy_from_slice(copy.bytes());
                     "decrement_hop_limit"
                 }
                 6 => {
-                    pkt = pkt.clone();
+                    let twin = (model.clone(), pkt.clone());
+                    live.push(twin);
                     "clone"
                 }
                 7 => {
                     // Pool recycle: the buffer comes back as a new packet.
-                    pkt = Packet::from_recycled(pkt.into_buffer(), n % 32);
+                    let headroom = n % 32;
+                    let old = std::mem::replace(pkt, Packet::new(Vec::new()));
+                    *pkt = Packet::from_recycled(old.into_buffer(), headroom);
                     pkt.append(&data);
+                    *model = Model {
+                        buf: vec![0; headroom],
+                        start: headroom,
+                    };
+                    model.buf.extend_from_slice(&data);
                     "recycle"
+                }
+                8 if live.len() > 1 => {
+                    live.swap_remove(i);
+                    "drop"
                 }
                 _ => "nothing",
             };
-            caches_are_coherent(&pkt, after)?;
+            for (model, pkt) in &live {
+                prop_assert_eq!(pkt.bytes(), model.visible(), "{} on clone {}", after, i);
+                // The headroom's bytes too, through a throwaway clone: a
+                // prepend into a shared copy lands there first.
+                let mut whole = pkt.clone();
+                whole.prepend(whole.headroom());
+                prop_assert_eq!(whole.bytes(), &model.buf[..], "{} on clone {}", after, i);
+                caches_are_coherent(pkt, after)?;
+            }
         }
     }
 

@@ -8,14 +8,21 @@
 //! `#![forbid(unsafe_code)]`. One `#[test]` only: a second one would run
 //! on a parallel thread and count into the same totals.
 //!
-//! Each packet scenario pre-schedules all its packets, runs the first half as a
-//! warm-up (queues, buffer pool, slab and `TimeSeries` reach their
-//! working size) and counts allocator calls inside `run_until` over the
-//! second half. What remains is amortised growth (a `TimeSeries` or span
-//! `Vec` doubling): well under [`MAX_CALLS_PER_PACKET`]. A per-packet
-//! allocation anywhere on the path — the flow-hash key `Vec` this guard
-//! was written against cost 4.3 per packet — fails it by two orders of
-//! magnitude. The control-plane scenario ([`probe_calls`]) counts against
+//! The pairing and mesh scenarios pre-schedule all their packets, run the
+//! first half as a warm-up (queues, buffer pool, slab and `TimeSeries`
+//! reach their working size) and count allocator calls inside
+//! `run_until` over the second half. What remains is amortised growth (a
+//! `TimeSeries` or span `Vec` doubling): well under
+//! [`MAX_CALLS_PER_PACKET`]. A per-packet allocation anywhere on the path
+//! — the flow-hash key `Vec` this guard was written against cost 4.3 per
+//! packet — fails it by two orders of magnitude. The templated scenario
+//! ([`templated_run`]) is the benchmark's injection pattern and counts
+//! from the first scheduled packet on, warm-up included: a clone of one
+//! template per packet, where a `clone` that copies the bytes reads 1.006
+//! calls per packet (0.012 when clones share them). It also bounds the
+//! live heap a scheduled packet costs before dispatch
+//! ([`MAX_HEAP_BYTES_PER_SCHEDULED_PACKET`]: 112.01 B shared, 224
+//! copied). The control-plane scenario ([`probe_calls`]) counts against
 //! `bgp.updates_processed` instead. The pairing scenario also reports the
 //! live heap its whole run leaves behind per delivered app packet
 //! ([`MAX_HEAP_BYTES_PER_APP_PACKET`]).
@@ -26,8 +33,9 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use tango::npop::{host_prefix, probe_prefix, NPopMesh};
 use tango::prelude::*;
 use tango_bgp::{BgpEngine, Community};
+use tango_net::IpCidr;
 use tango_obs::Registry;
-use tango_sim::ShardMode;
+use tango_sim::{Packet, ShardMode};
 use tango_topology::gen::{try_generate, GenParams};
 
 /// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`) since start.
@@ -90,13 +98,23 @@ const PACKETS: u32 = 8_000;
 const MAX_CALLS_PER_BGP_UPDATE: f64 = 0.73;
 /// Live heap bytes per delivered app packet that [`pairing_run`] may
 /// leave behind (the event queue's grown capacity, the `owd` series, the
-/// rolling windows, the pooled buffers). Exact, on 8 000 delivered: 194.39
-/// with every sample stored once and a demand-bounded buffer pool; 210.78
-/// with the second `app_owd` series restored; 297.69 with the pool back to
-/// keeping up to 4 096 dead app buffers; 313.80 with both (the parent).
-/// Midway between this tree and the nearer single regression, so either
-/// one alone fails.
-const MAX_HEAP_BYTES_PER_APP_PACKET: f64 = 202.6;
+/// rolling windows, the pooled buffers). Exact, on 8 000 delivered:
+/// 203.98 with app packets scheduled as clones of one template, which
+/// draw their buffers from the pool at dispatch, so the pool keeps about
+/// as many as were ever in flight (194.39 when each packet brought its
+/// own); 220.36 with the second `app_owd` series restored. A pool without
+/// its demand bound reads 203.98 too: it only ever receives buffers it
+/// handed out. Midway between this tree and the regression.
+const MAX_HEAP_BYTES_PER_APP_PACKET: f64 = 212.2;
+
+/// Packets [`templated_run`] schedules: a power of two, so the staged
+/// event queue it fills from empty ends at exactly their capacity.
+const TEMPLATED_PACKETS: u32 = 8_192;
+/// Live heap a scheduled, not yet dispatched packet may cost: its queued
+/// event (112 B, the packet inline) plus 16 B. A clone that shares its
+/// template's bytes costs the event alone; one that copies them costs
+/// the event plus its own 112-byte buffer.
+const MAX_HEAP_BYTES_PER_SCHEDULED_PACKET: f64 = 112.0 + 16.0;
 
 /// Allocator calls made while `run` executes.
 fn calls_during(run: impl FnOnce()) -> u64 {
@@ -141,6 +159,40 @@ fn pairing_run() -> (u64, f64) {
         })
         .sum();
     (calls, left_behind as f64 / delivered as f64)
+}
+
+/// The benchmark's injection pattern over the converged 200-AS / 8-PoP
+/// mesh: one template from PoP 0's host to PoP 1's, a clone of it
+/// scheduled every millisecond for [`TEMPLATED_PACKETS`] packets, all
+/// before the run. Returns the allocator calls over scheduling plus the
+/// whole run, and the live heap scheduling left per packet.
+fn templated_run(mesh: &NPopMesh) -> (u64, f64) {
+    let (mut sim, _) = mesh
+        .routed_sim(TEMPLATED_PACKETS, 1, ShardMode::Serial)
+        .expect("every node speaks");
+    let host = |pop: usize, host: u128| match host_prefix(pop) {
+        IpCidr::V6(c) => c.host(host).expect("host prefixes are /48s"),
+        IpCidr::V4(_) => unreachable!("host prefixes are IPv6"),
+    };
+    let template = Packet::host(host(0, 0x10), host(1, 1), 64, 0, 0);
+    let src = mesh.pops()[0];
+    let live_before = LIVE.load(Relaxed);
+    let mut t = SimTime::from_ms(1);
+    let mut scheduled = 0;
+    let calls = calls_during(|| {
+        for _ in 0..TEMPLATED_PACKETS {
+            sim.schedule_host_packet(t, src, template.clone());
+            t += SimTime::from_ms(1);
+        }
+        scheduled = LIVE.load(Relaxed).wrapping_sub(live_before);
+        sim.run_until(t + SimTime::from_secs(1));
+    });
+    assert_eq!(
+        sim.stats().no_route,
+        u64::from(TEMPLATED_PACKETS),
+        "every packet reaches PoP 1, where a plain router retires it"
+    );
+    (calls, scheduled as f64 / f64::from(TEMPLATED_PACKETS))
 }
 
 /// Router-only traffic over a converged 200-AS / 8-PoP mesh
@@ -219,6 +271,16 @@ fn steady_state_event_loop_does_not_allocate_per_packet() {
         "vultr pairing: {heap_per_app_packet:.2} B of live heap left behind per delivered app packet (limit {MAX_HEAP_BYTES_PER_APP_PACKET})"
     );
     let mesh = NPopMesh::converge(200, 8, 1).expect("the preset graph converges");
+    let (calls, heap_per_scheduled) = templated_run(&mesh);
+    let per_packet = calls as f64 / f64::from(TEMPLATED_PACKETS);
+    assert!(
+        per_packet < MAX_CALLS_PER_PACKET,
+        "templated mesh: {calls} allocator calls over scheduling and running {TEMPLATED_PACKETS} packets = {per_packet:.4} per packet (limit {MAX_CALLS_PER_PACKET})"
+    );
+    assert!(
+        heap_per_scheduled <= MAX_HEAP_BYTES_PER_SCHEDULED_PACKET,
+        "templated mesh: {heap_per_scheduled:.2} B of live heap per scheduled packet (limit {MAX_HEAP_BYTES_PER_SCHEDULED_PACKET})"
+    );
     for shards in [1, 4] {
         assert_steady(
             &format!("mesh at {shards} shards"),

@@ -4,7 +4,7 @@
 
 use std::collections::BTreeSet;
 use tango::prelude::*;
-use tango_bgp::Community;
+use tango_bgp::{Community, EngineError};
 use tango_topology::vultr::{GTT, NTT, TENANT_LA, TENANT_NY, VULTR_LA, VULTR_NY};
 
 #[test]
@@ -522,4 +522,55 @@ fn events_on_an_unprovisioned_path_are_a_typed_error() {
         );
         p.schedule_hijack(NTT, 3, 0, 1).expect("path 3 exists");
     }
+}
+
+/// An AS number the Vultr topology does not have.
+const NOT_IN_TOPOLOGY: AsId = AsId(4_000_000_000);
+
+#[test]
+fn a_hijack_by_an_unknown_attacker_is_refused_when_scheduled() {
+    // It used to be accepted, and the next `run_until` past its start
+    // panicked when BGP refused the announcement.
+    let mut p = tango::vultr_pairing(PairingOptions::default()).unwrap();
+    let hijack = p.schedule_hijack(NOT_IN_TOPOLOGY, 0, 0, 1);
+    assert!(
+        matches!(
+            hijack,
+            Err(PairingError::Engine(EngineError::UnknownSpeaker(
+                NOT_IN_TOPOLOGY
+            )))
+        ),
+        "{hijack:?}"
+    );
+    p.run_until(SimTime::from_ms(100));
+}
+
+#[test]
+fn an_adversary_at_a_tenant_is_a_typed_error() {
+    let mut p = tango::vultr_pairing(PairingOptions::default()).unwrap();
+    let installed = p.install_adversary(TENANT_NY, Vec::new());
+    assert!(
+        matches!(installed, Err(PairingError::TenantAdversary(TENANT_NY))),
+        "{installed:?}"
+    );
+    assert!(p.adversary_stats(TENANT_NY).is_none());
+}
+
+#[test]
+fn a_failed_adversary_install_leaves_nothing_behind() {
+    let mut p = tango::vultr_pairing(PairingOptions::default()).unwrap();
+    let installed = p.install_adversary(NOT_IN_TOPOLOGY, Vec::new());
+    assert!(
+        matches!(
+            installed,
+            Err(PairingError::Engine(EngineError::UnknownSpeaker(
+                NOT_IN_TOPOLOGY
+            )))
+        ),
+        "{installed:?}"
+    );
+    assert!(p.adversary_stats(NOT_IN_TOPOLOGY).is_none());
+    p.install_adversary(NTT, Vec::new())
+        .expect("a transit node");
+    assert!(p.adversary_stats(NTT).is_some());
 }
