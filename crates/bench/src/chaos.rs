@@ -19,7 +19,6 @@
 //! fails to materialize — so CI can gate on it.
 
 use crate::util::{out_dir, print_table, SweepOptions};
-use std::collections::BTreeMap;
 use tango::prelude::*;
 use tango_obs::Value;
 use tango_sim::ChaosKind;
@@ -54,95 +53,61 @@ fn kind_name(kind: &ChaosKind) -> &'static str {
 }
 
 fn outcome_value(outcome: &ChaosOutcome) -> Value {
-    let mut events = Vec::new();
-    for ev in &outcome.schedule.events {
-        let mut o = BTreeMap::new();
-        o.insert("at_ns".to_string(), Value::Num(ev.at.as_ns()));
-        o.insert(
-            "kind".to_string(),
-            Value::Str(kind_name(&ev.kind).to_string()),
-        );
-        o.insert("path".to_string(), Value::Num(u64::from(ev.kind.path())));
-        o.insert("duration_ns".to_string(), Value::Num(ev.kind.duration_ns()));
-        events.push(Value::Obj(o));
-    }
+    let events = outcome.schedule.events.iter().map(|ev| {
+        Value::obj([
+            ("at_ns", Value::Num(ev.at.as_ns())),
+            ("kind", Value::Str(kind_name(&ev.kind).into())),
+            ("path", Value::Num(u64::from(ev.kind.path()))),
+            ("duration_ns", Value::Num(ev.kind.duration_ns())),
+        ])
+    });
     let inv = &outcome.invariants;
-    let mut invariants = BTreeMap::new();
-    invariants.insert(
-        "checked_decisions".to_string(),
-        Value::Num(inv.checked_decisions),
-    );
-    invariants.insert(
-        "dead_path_selections".to_string(),
-        Value::Num(inv.violations.len() as u64),
-    );
-    invariants.insert("ttl_expired".to_string(), Value::Num(inv.ttl_expired));
-    invariants.insert(
-        "unrecovered_paths".to_string(),
-        Value::Num(inv.unrecovered.len() as u64),
-    );
-    invariants.insert(
-        "ok".to_string(),
-        Value::Str(if inv.ok() { "true" } else { "false" }.to_string()),
-    );
-    let mut root = BTreeMap::new();
-    root.insert("events".to_string(), Value::Arr(events));
-    root.insert("horizon_ns".to_string(), Value::Num(outcome.horizon_ns));
-    root.insert("invariants".to_string(), Value::Obj(invariants));
-    root.insert(
-        "app_delivered".to_string(),
-        Value::Num(outcome.app_delivered),
-    );
-    root.insert("auth_rejects".to_string(), Value::Num(outcome.auth_rejects));
-    root.insert(
-        "replay_rejects".to_string(),
-        Value::Num(outcome.replay_rejects),
-    );
-    root.insert(
-        "implausible_owd".to_string(),
-        Value::Num(outcome.implausible_owd),
-    );
-    root.insert("downs".to_string(), Value::Num(outcome.downs));
-    root.insert(
-        "adversary_poisoned".to_string(),
-        Value::Num(outcome.adversary.poisoned),
-    );
-    root.insert(
-        "adversary_replayed".to_string(),
-        Value::Num(outcome.adversary.replayed),
-    );
-    root.insert(
-        "adversary_spoofed".to_string(),
-        Value::Num(outcome.adversary.spoofed),
-    );
-    // The flight recorder: digest + span count of the control-plane ring
-    // dumped by the invariant check (the full dump is reproducible from
-    // the seed; the digest pins it byte-for-byte in CI diffs).
-    let mut flight = BTreeMap::new();
-    flight.insert("digest".to_string(), Value::Num(outcome.flight.digest));
-    flight.insert("spans".to_string(), Value::Num(outcome.flight.span_count));
-    root.insert("flight".to_string(), Value::Obj(flight));
-    Value::Obj(root)
+    let (dead, unrecovered) = (inv.violations.len(), inv.unrecovered.len());
+    let invariants = Value::obj([
+        ("checked_decisions", Value::Num(inv.checked_decisions)),
+        ("dead_path_selections", Value::Num(dead as u64)),
+        ("ttl_expired", Value::Num(inv.ttl_expired)),
+        ("unrecovered_paths", Value::Num(unrecovered as u64)),
+        ("ok", Value::Bool(inv.ok())),
+    ]);
+    Value::obj([
+        ("events", Value::Arr(events.collect())),
+        ("horizon_ns", Value::Num(outcome.horizon_ns)),
+        ("invariants", invariants),
+        ("app_delivered", Value::Num(outcome.app_delivered)),
+        ("auth_rejects", Value::Num(outcome.auth_rejects)),
+        ("replay_rejects", Value::Num(outcome.replay_rejects)),
+        ("implausible_owd", Value::Num(outcome.implausible_owd)),
+        ("downs", Value::Num(outcome.downs)),
+        ("adversary_poisoned", Value::Num(outcome.adversary.poisoned)),
+        ("adversary_replayed", Value::Num(outcome.adversary.replayed)),
+        ("adversary_spoofed", Value::Num(outcome.adversary.spoofed)),
+        // The flight recorder: digest + span count of the control-plane
+        // ring dumped by the invariant check (the full dump is
+        // reproducible from the seed; the digest pins it byte-for-byte in
+        // CI diffs).
+        (
+            "flight",
+            Value::obj([
+                ("digest", Value::Num(outcome.flight.digest)),
+                ("spans", Value::Num(outcome.flight.span_count)),
+            ]),
+        ),
+    ])
 }
 
 /// Assemble the A10 artifact (canonical JSON: equal outcomes ⇒ equal
 /// bytes).
 pub fn storms_to_json(sections: &[(u64, ChaosOutcome)]) -> String {
-    let mut seeds = BTreeMap::new();
-    for (seed, outcome) in sections {
-        seeds.insert(seed.to_string(), outcome_value(outcome));
-    }
-    let mut root = BTreeMap::new();
-    root.insert(
-        "schema".to_string(),
-        Value::Str("tango-bench/chaos-storms/v1".to_string()),
-    );
-    root.insert(
-        "events_per_storm".to_string(),
-        Value::Num(STORM_EVENTS as u64),
-    );
-    root.insert("seeds".to_string(), Value::Obj(seeds));
-    Value::Obj(root).to_json()
+    let seeds = sections
+        .iter()
+        .map(|(seed, outcome)| (seed.to_string(), outcome_value(outcome)));
+    Value::obj([
+        ("schema", Value::Str("tango-bench/chaos-storms/v1".into())),
+        ("events_per_storm", Value::Num(STORM_EVENTS as u64)),
+        ("seeds", Value::Obj(seeds.collect())),
+    ])
+    .to_json()
 }
 
 /// Run the storm sweep: per-seed outcomes in seed order.
@@ -152,29 +117,17 @@ pub fn sweep(options: &SweepOptions) -> Vec<(u64, ChaosOutcome)> {
 }
 
 fn ablation_value(outcome: &AblationOutcome) -> Value {
-    let mut ticks = BTreeMap::new();
-    for (path, n) in &outcome.selected_ticks {
-        ticks.insert(path.to_string(), Value::Num(*n));
-    }
-    let mut root = BTreeMap::new();
-    root.insert("selected_ticks".to_string(), Value::Obj(ticks));
-    root.insert(
-        "final_selection".to_string(),
-        Value::Arr(
-            outcome
-                .final_selection
-                .iter()
-                .map(|p| Value::Num(u64::from(*p)))
-                .collect(),
-        ),
-    );
-    root.insert("auth_rejects".to_string(), Value::Num(outcome.auth_rejects));
-    root.insert(
-        "replay_rejects".to_string(),
-        Value::Num(outcome.replay_rejects),
-    );
-    root.insert("spoofed".to_string(), Value::Num(outcome.spoofed));
-    Value::Obj(root)
+    let ticks = outcome.selected_ticks.iter();
+    let ticks = ticks.map(|(path, n)| (path.to_string(), Value::Num(*n)));
+    let selection = outcome.final_selection.iter();
+    let selection = selection.map(|p| Value::Num(u64::from(*p)));
+    Value::obj([
+        ("selected_ticks", Value::Obj(ticks.collect())),
+        ("final_selection", Value::Arr(selection.collect())),
+        ("auth_rejects", Value::Num(outcome.auth_rejects)),
+        ("replay_rejects", Value::Num(outcome.replay_rejects)),
+        ("spoofed", Value::Num(outcome.spoofed)),
+    ])
 }
 
 /// The three A9 arms for one seed: honest baseline, attacked with auth
@@ -192,18 +145,16 @@ pub fn ablation_arms(seed: u64) -> [(String, AblationOutcome); 3] {
 
 /// Assemble the A9 artifact.
 pub fn ablation_to_json(seed: u64, arms: &[(String, AblationOutcome)]) -> String {
-    let mut arms_obj = BTreeMap::new();
-    for (name, outcome) in arms {
-        arms_obj.insert(name.clone(), ablation_value(outcome));
-    }
-    let mut root = BTreeMap::new();
-    root.insert(
-        "schema".to_string(),
-        Value::Str("tango-bench/chaos-byzantine/v1".to_string()),
-    );
-    root.insert("seed".to_string(), Value::Num(seed));
-    root.insert("arms".to_string(), Value::Obj(arms_obj));
-    Value::Obj(root).to_json()
+    let arms = arms
+        .iter()
+        .map(|(name, outcome)| (name.clone(), ablation_value(outcome)));
+    let schema = "tango-bench/chaos-byzantine/v1";
+    Value::obj([
+        ("schema", Value::Str(schema.into())),
+        ("seed", Value::Num(seed)),
+        ("arms", Value::Obj(arms.collect())),
+    ])
+    .to_json()
 }
 
 /// The `experiments chaos` entry point. Returns the process exit code:

@@ -24,10 +24,14 @@
 //! discovered path violates the valley-free property — both are
 //! correctness gates, not performance ones.
 
-use crate::util::{fmt, json_escape_free, out_dir, print_table};
+use crate::util::{fmt, out_dir, per_s, print_table};
 use std::path::PathBuf;
 use std::time::Instant;
 use tango::npop::{NPopMesh, NPopOutcome};
+use tango_obs::Value;
+
+/// Scenario id of this sweep's and `experiments sharded`'s artifacts.
+pub const SCENARIO: &str = "internet-npop-mesh";
 
 /// Host packets injected per tier's traffic phase.
 const TRAFFIC_PACKETS: u32 = 256;
@@ -146,95 +150,77 @@ pub fn tiers(options: &ScalabilityOptions) -> Vec<Tier> {
 /// so the artifact is byte-identical across machines, runs, and shard
 /// counts.
 pub fn to_json(options: &ScalabilityOptions, runs: &[TierRun]) -> String {
-    let mut entries = String::new();
-    for (i, r) in runs.iter().enumerate() {
-        if i > 0 {
-            entries.push_str(",\n");
-        }
+    let n = |v: usize| Value::Num(v as u64);
+    let tier = |r: &TierRun| {
         let o = &r.outcome;
         let (paths_min, paths_p50, paths_max, paths_total) = o.path_counts();
         let (p50, p90, p99) = o.stretch_percentiles();
-        entries.push_str(&format!(
-            "    {{\"ases\": {}, \"pops\": {}, \"pairs\": {}, \"unreachable_pairs\": {}, \
-             \"reachable_routes\": {},\n     \"mesh_rounds\": {}, \"converges\": {}, \
-             \"discovery_rounds\": {}, \"updates_processed\": {},\n     \
-             \"rib_adj_in\": {}, \"rib_loc\": {}, \"rib_adj_out\": {}, \
-             \"rib_routes_peak\": {}, \"rib_bytes_est\": {}, \"fib_entries\": {},\n     \
-             \"paths_min\": {}, \"paths_p50\": {}, \"paths_max\": {}, \"paths_total\": {}, \
-             \"valley_violations\": {},\n     \"stretch_p50_x1000\": {}, \
-             \"stretch_p90_x1000\": {}, \"stretch_p99_x1000\": {},\n     \
-             \"deliveries\": {}, \"ttl_expired\": {}, \"identical\": {}, \
-             \"digest\": \"{:016x}\",\n     \"traffic_digest\": \"{}\"}}",
-            r.tier.ases,
-            r.tier.pops,
-            o.pairs.len(),
-            o.unreachable_pairs,
-            o.reachable_routes,
-            o.mesh_rounds,
-            o.converges,
-            o.convergence_rounds,
-            o.updates_processed,
-            o.rib.adj_rib_in,
-            o.rib.loc_rib,
-            o.rib.adj_rib_out,
-            o.peak_routes,
-            o.rib_bytes_est,
-            o.fib_entries,
-            paths_min,
-            paths_p50,
-            paths_max,
-            paths_total,
-            o.valley_violations(),
-            p50,
-            p90,
-            p99,
-            o.deliveries,
-            o.ttl_expired,
-            r.identical,
-            o.digest(),
-            json_escape_free(&o.traffic_digest),
-        ));
-    }
-    format!(
-        "{{\n  \"schema\": \"tango-bench/scalability/v1\",\n  \"scenario\": \"{}\",\n  \
-         \"seed\": {},\n  \"traffic_packets\": {},\n  \"max_paths\": {},\n  \
-         \"tiers\": [\n{}\n  ]\n}}\n",
-        json_escape_free("internet-npop-mesh"),
-        options.seed,
-        TRAFFIC_PACKETS,
-        MAX_PATHS,
-        entries
-    )
+        Value::obj([
+            ("ases", n(r.tier.ases)),
+            ("pops", n(r.tier.pops)),
+            ("pairs", n(o.pairs.len())),
+            ("unreachable_pairs", n(o.unreachable_pairs)),
+            ("reachable_routes", n(o.reachable_routes)),
+            ("mesh_rounds", n(o.mesh_rounds)),
+            ("converges", Value::Num(o.converges)),
+            ("discovery_rounds", Value::Num(o.convergence_rounds)),
+            ("updates_processed", Value::Num(o.updates_processed)),
+            ("rib_adj_in", n(o.rib.adj_rib_in)),
+            ("rib_loc", n(o.rib.loc_rib)),
+            ("rib_adj_out", n(o.rib.adj_rib_out)),
+            ("rib_routes_peak", Value::Num(o.peak_routes)),
+            ("rib_bytes_est", Value::Num(o.rib_bytes_est)),
+            ("fib_entries", Value::Num(o.fib_entries)),
+            ("paths_min", Value::Num(paths_min)),
+            ("paths_p50", Value::Num(paths_p50)),
+            ("paths_max", Value::Num(paths_max)),
+            ("paths_total", Value::Num(paths_total)),
+            ("valley_violations", Value::Num(o.valley_violations())),
+            ("stretch_p50_x1000", Value::Num(p50)),
+            ("stretch_p90_x1000", Value::Num(p90)),
+            ("stretch_p99_x1000", Value::Num(p99)),
+            ("deliveries", Value::Num(o.deliveries)),
+            ("ttl_expired", Value::Num(o.ttl_expired)),
+            ("identical", Value::Bool(r.identical)),
+            ("digest", Value::Str(format!("{:016x}", o.digest()))),
+            ("traffic_digest", Value::Str(o.traffic_digest.clone())),
+        ])
+    };
+    Value::obj([
+        ("schema", Value::Str("tango-bench/scalability/v1".into())),
+        ("scenario", Value::Str(SCENARIO.into())),
+        ("seed", Value::Num(options.seed)),
+        ("traffic_packets", Value::Num(u64::from(TRAFFIC_PACKETS))),
+        ("max_paths", n(MAX_PATHS)),
+        ("tiers", Value::Arr(runs.iter().map(tier).collect())),
+    ])
+    .to_json()
 }
 
 /// Render the machine-dependent companion of [`to_json`]: one row per
 /// tier with the single-shard run's wall-clock, its BGP updates per
 /// second of that wall-clock, and the estimated RIB bytes per route and
-/// in total. Never byte-compared.
+/// in total (KiB). Never byte-compared.
 pub fn timing_json(runs: &[TierRun]) -> String {
-    let rows: Vec<String> = runs
-        .iter()
-        .map(|r| {
-            let o = &r.outcome;
-            format!(
-                "    {{\"ases\": {}, \"pops\": {}, \"wall_ms\": {}, \"updates_per_s\": {}, \
-                 \"rib_bytes_per_route\": {}, \"rib_mib\": {}}}",
-                r.tier.ases,
-                r.tier.pops,
-                r.wall_ns / 1_000_000,
-                fmt(
-                    o.updates_processed as f64 * 1e9 / r.wall_ns.max(1) as f64,
-                    0
-                ),
-                o.rib_bytes_est / o.peak_routes.max(1),
-                fmt(o.rib_bytes_est as f64 / (1u64 << 20) as f64, 2),
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"schema\": \"tango-bench/scalability-timing/v1\",\n  \"tiers\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    )
+    let tier = |r: &TierRun| {
+        let o = &r.outcome;
+        let updates_per_s = per_s(o.updates_processed, r.wall_ns);
+        let per_route = o.rib_bytes_est / o.peak_routes.max(1);
+        Value::obj([
+            ("ases", Value::Num(r.tier.ases as u64)),
+            ("pops", Value::Num(r.tier.pops as u64)),
+            ("wall_ms", Value::Num(r.wall_ns / 1_000_000)),
+            ("updates_per_s", Value::Num(updates_per_s)),
+            ("rib_bytes_per_route", Value::Num(per_route)),
+            ("rib_kib", Value::Num(o.rib_bytes_est >> 10)),
+        ])
+    };
+    let schema = "tango-bench/scalability-timing/v2";
+    Value::obj([
+        ("schema", Value::Str(schema.into())),
+        ("tiers", Value::Arr(runs.iter().map(tier).collect())),
+    ])
+    .to_json()
 }
 
 /// Run the tiers an options struct selects (the testable core of
@@ -365,6 +351,7 @@ pub fn report(options: &ScalabilityOptions) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::tests::{field, items};
 
     fn tiny() -> ScalabilityOptions {
         ScalabilityOptions {
@@ -399,8 +386,12 @@ mod tests {
             !json.contains("wall"),
             "artifact must stay machine-independent"
         );
-        assert!(json.contains("\"schema\": \"tango-bench/scalability/v1\""));
-        assert!(json.contains("\"identical\": true"));
+        let doc = Value::parse(&json).expect("the artifact parses");
+        let schema = Value::Str("tango-bench/scalability/v1".into());
+        assert_eq!(field(&doc, "schema"), &schema);
+        let rows = items(field(&doc, "tiers"));
+        assert_eq!(rows.len(), runs.len());
+        assert_eq!(field(&rows[0], "identical"), &Value::Bool(true));
         assert_eq!(
             json,
             to_json(&options, &runs),
@@ -412,10 +403,15 @@ mod tests {
     fn timing_sidecar_has_a_row_per_tier() {
         let options = tiny();
         let runs = vec![run_tier(&options, SMALL_TIERS[0])];
-        let json = timing_json(&runs);
-        assert!(json.contains("\"schema\": \"tango-bench/scalability-timing/v1\""));
-        assert_eq!(json.matches("\"wall_ms\"").count(), runs.len());
-        assert!(json.contains("\"ases\": 100, \"pops\": 8"));
+        let doc = Value::parse(&timing_json(&runs)).expect("the sidecar parses");
+        let schema = Value::Str("tango-bench/scalability-timing/v2".into());
+        assert_eq!(field(&doc, "schema"), &schema);
+        let rows = items(field(&doc, "tiers"));
+        assert_eq!(rows.len(), runs.len());
+        assert_eq!(field(&rows[0], "ases"), &Value::Num(100));
+        assert_eq!(field(&rows[0], "pops"), &Value::Num(8));
+        let rib_kib = runs[0].outcome.rib_bytes_est / 1024;
+        assert_eq!(field(&rows[0], "rib_kib"), &Value::Num(rib_kib));
     }
 
     #[test]

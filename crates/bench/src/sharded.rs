@@ -20,11 +20,12 @@
 //! Exits nonzero if any shard count disagrees with the single-shard
 //! reference — that is the determinism gate the suite exists for.
 
-use crate::scalability::{Tier, SMALL_TIERS};
-use crate::util::{fmt, json_escape_free, out_dir, print_table};
+use crate::scalability::{Tier, SCENARIO, SMALL_TIERS};
+use crate::util::{fmt, out_dir, per_s, print_table};
 use std::path::PathBuf;
 use std::time::Instant;
 use tango::npop::NPopMesh;
+use tango_obs::Value;
 use tango_sim::{ShardLoad, ShardMode};
 
 /// The mesh under the sweep: B5's second tier, so `--packets 256` is
@@ -80,13 +81,6 @@ pub struct ShardRun {
     pub load: Vec<ShardLoad>,
 }
 
-impl ShardRun {
-    /// Injected packets per wall-clock second of the run.
-    fn pkts_per_s(&self, packets: u32) -> f64 {
-        f64::from(packets) * 1e9 / self.wall_ns.max(1) as f64
-    }
-}
-
 /// Build the routed simulator at `shards`, inject the load, run to the
 /// horizon (the only timed part), fingerprint.
 pub fn run_one(mesh: &NPopMesh, options: &ShardedOptions, shards: usize) -> ShardRun {
@@ -125,73 +119,64 @@ pub fn sweep(options: &ShardedOptions) -> Vec<ShardRun> {
 /// (scenario, seed), so the artifact is byte-identical across machines,
 /// shard counts, and execution modes.
 pub fn to_json(options: &ShardedOptions, runs: &[ShardRun], identical: bool) -> String {
-    let mut entries = String::new();
-    for (i, r) in runs.iter().enumerate() {
-        if i > 0 {
-            entries.push_str(",\n");
-        }
-        let mut load = String::new();
-        for (j, l) in r.load.iter().enumerate() {
-            if j > 0 {
-                load.push_str(",\n");
-            }
-            load.push_str(&format!(
-                "      {{\"shard\": {}, \"windows\": {}, \"idle_windows\": {}, \
-                 \"events\": {}, \"queue_peak\": {}, \"outbox_events\": {}}}",
-                l.shard, l.windows, l.idle_windows, l.events, l.queue_peak, l.outbox_events
-            ));
-        }
-        entries.push_str(&format!(
-            "    {{\"shards\": {}, \"effective_shards\": {}, \"events\": {}, \
-             \"digest\": \"{}\", \"load\": [\n{}\n    ]}}",
-            r.shards,
-            r.effective_shards,
-            r.events,
-            json_escape_free(&r.digest),
-            load
-        ));
-    }
-    format!(
-        "{{\n  \"schema\": \"tango-bench/sharded/v2\",\n  \"scenario\": \"{}\",\n  \
-         \"ases\": {},\n  \"pops\": {},\n  \"packets\": {},\n  \"seed\": {},\n  \
-         \"identical\": {},\n  \"runs\": [\n{}\n  ]\n}}\n",
-        json_escape_free("internet-npop-mesh"),
-        TIER.ases,
-        TIER.pops,
-        options.packets,
-        options.seed,
-        identical,
-        entries
-    )
+    let load = |l: &ShardLoad| {
+        Value::obj([
+            ("shard", Value::Num(l.shard)),
+            ("windows", Value::Num(l.windows)),
+            ("idle_windows", Value::Num(l.idle_windows)),
+            ("events", Value::Num(l.events)),
+            ("queue_peak", Value::Num(l.queue_peak)),
+            ("outbox_events", Value::Num(l.outbox_events)),
+        ])
+    };
+    let run = |r: &ShardRun| {
+        Value::obj([
+            ("shards", Value::Num(r.shards as u64)),
+            ("effective_shards", Value::Num(r.effective_shards as u64)),
+            ("events", Value::Num(r.events)),
+            ("digest", Value::Str(r.digest.clone())),
+            ("load", Value::Arr(r.load.iter().map(load).collect())),
+        ])
+    };
+    Value::obj([
+        ("schema", Value::Str("tango-bench/sharded/v2".into())),
+        ("scenario", Value::Str(SCENARIO.into())),
+        ("ases", Value::Num(TIER.ases as u64)),
+        ("pops", Value::Num(TIER.pops as u64)),
+        ("packets", Value::Num(u64::from(options.packets))),
+        ("seed", Value::Num(options.seed)),
+        ("identical", Value::Bool(identical)),
+        ("runs", Value::Arr(runs.iter().map(run).collect())),
+    ])
+    .to_json()
 }
 
 /// Render the machine-dependent companion of [`to_json`]: the cores the
 /// host offered, then one row per run with its resolved execution mode,
-/// wall-clock, packets per second and wall-clock as a multiple of the
-/// reference (first) run's. Never byte-compared.
+/// wall-clock in µs, packets per second and wall-clock as a multiple of
+/// the reference (first) run's, ×1000. Never byte-compared.
 pub fn timing_json(options: &ShardedOptions, runs: &[ShardRun]) -> String {
     let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
     let reference_ns = runs.first().map_or(1, |r| r.wall_ns.max(1));
-    let rows: Vec<String> = runs
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"shards\": {}, \"effective_shards\": {}, \"mode\": \"{}\", \
-                 \"wall_ms\": {}, \"pkts_per_s\": {}, \"wall_ratio\": {}}}",
-                r.shards,
-                r.effective_shards,
-                if r.threaded { "threaded" } else { "serial" },
-                fmt(r.wall_ns as f64 / 1e6, 1),
-                fmt(r.pkts_per_s(options.packets), 0),
-                fmt(r.wall_ns as f64 / reference_ns as f64, 2),
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"schema\": \"tango-bench/sharded-timing/v1\",\n  \"cores\": {cores},\n  \
-         \"runs\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    )
+    let run = |r: &ShardRun| {
+        let mode = if r.threaded { "threaded" } else { "serial" };
+        let pkts_per_s = per_s(options.packets.into(), r.wall_ns);
+        let ratio_x1000 = r.wall_ns * 1_000 / reference_ns;
+        Value::obj([
+            ("shards", Value::Num(r.shards as u64)),
+            ("effective_shards", Value::Num(r.effective_shards as u64)),
+            ("mode", Value::Str(mode.into())),
+            ("wall_us", Value::Num(r.wall_ns / 1_000)),
+            ("pkts_per_s", Value::Num(pkts_per_s)),
+            ("wall_ratio_x1000", Value::Num(ratio_x1000)),
+        ])
+    };
+    Value::obj([
+        ("schema", Value::Str("tango-bench/sharded-timing/v2".into())),
+        ("cores", Value::Num(cores as u64)),
+        ("runs", Value::Arr(runs.iter().map(run).collect())),
+    ])
+    .to_json()
 }
 
 /// The `experiments sharded` entry point. Returns the process exit code
@@ -214,7 +199,7 @@ pub fn report(options: &ShardedOptions) -> i32 {
             r.effective_shards.to_string(),
             r.events.to_string(),
             fmt(r.wall_ns as f64 / 1e6, 1),
-            fmt(r.pkts_per_s(options.packets), 0),
+            per_s(options.packets.into(), r.wall_ns).to_string(),
             fmt(reference.wall_ns as f64 / r.wall_ns as f64, 2),
             if r.digest == reference.digest {
                 "yes"
@@ -315,6 +300,7 @@ pub fn report(options: &ShardedOptions) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::tests::{field, items};
 
     fn tiny() -> ShardedOptions {
         ShardedOptions {
@@ -360,18 +346,19 @@ mod tests {
     #[test]
     fn default_seed_at_256_packets_matches_the_golden_scalability_row() {
         let golden = include_str!("../../../tests/golden/BENCH_scalability_small.json");
-        let row = golden
-            .split("{\"ases\": ")
-            .find(|row| row.starts_with(&format!("{}, \"pops\": {},", TIER.ases, TIER.pops)))
+        let golden = Value::parse(golden).expect("the golden parses");
+        let row = items(field(&golden, "tiers"))
+            .iter()
+            .find(|row| field(row, "ases") == &Value::Num(TIER.ases as u64))
             .expect("the golden has the tier's row");
+        assert_eq!(field(row, "pops"), &Value::Num(TIER.pops as u64));
         let runs = sweep(&ShardedOptions {
             packets: 256,
             shard_counts: vec![1, 4],
             ..ShardedOptions::default()
         });
         for r in &runs {
-            let field = format!("\"traffic_digest\": \"{}\"", r.digest);
-            assert!(row.contains(&field), "{field} not in {row}");
+            assert_eq!(field(row, "traffic_digest"), &Value::Str(r.digest.clone()));
         }
     }
 
@@ -384,13 +371,24 @@ mod tests {
             !json.contains("wall"),
             "artifact must stay machine-independent"
         );
-        assert!(json.contains("\"schema\": \"tango-bench/sharded/v2\""));
-        assert!(json.contains("\"ases\": 300,\n  \"pops\": 16,"));
-        assert!(json.contains("\"identical\": true"));
+        let doc = Value::parse(&json).expect("the artifact parses");
+        let schema = Value::Str("tango-bench/sharded/v2".into());
+        assert_eq!(field(&doc, "schema"), &schema);
+        assert_eq!(field(&doc, "ases"), &Value::Num(300));
+        assert_eq!(field(&doc, "pops"), &Value::Num(16));
+        assert_eq!(field(&doc, "identical"), &Value::Bool(true));
+        assert_eq!(items(field(&doc, "runs")).len(), runs.len());
         // The sidecar is where the wall-clock goes: a row per run.
-        let timing = timing_json(&options, &runs);
-        assert!(timing.contains("\"schema\": \"tango-bench/sharded-timing/v1\""));
-        assert_eq!(timing.matches("\"wall_ms\"").count(), runs.len());
-        assert!(timing.contains("{\"shards\": 1, \"effective_shards\": 1, \"mode\": \"serial\","));
+        let timing = Value::parse(&timing_json(&options, &runs)).expect("the sidecar parses");
+        let schema = Value::Str("tango-bench/sharded-timing/v2".into());
+        assert_eq!(field(&timing, "schema"), &schema);
+        let rows = items(field(&timing, "runs"));
+        assert_eq!(rows.len(), runs.len());
+        for (row, r) in rows.iter().zip(&runs) {
+            assert_eq!(field(row, "shards"), &Value::Num(r.shards as u64));
+            assert_eq!(field(row, "mode"), &Value::Str("serial".into()));
+            assert_eq!(field(row, "wall_us"), &Value::Num(r.wall_ns / 1_000));
+        }
+        assert_eq!(field(&rows[0], "wall_ratio_x1000"), &Value::Num(1_000));
     }
 }

@@ -13,7 +13,6 @@
 //! `tests/golden/`.
 
 use crate::util::{out_dir, print_table, SweepOptions};
-use std::collections::BTreeMap;
 use tango::prelude::*;
 use tango_obs::{Registry, Snapshot, Value};
 
@@ -82,18 +81,15 @@ pub fn collect_seed_sharded(seed: u64, shards: usize) -> Snapshot {
 /// indentation) comes from [`tango_obs::Value`], so equal metric trees
 /// produce equal bytes.
 pub fn to_json(sections: &[(u64, Snapshot)]) -> String {
-    let mut seeds = BTreeMap::new();
-    for (seed, snap) in sections {
-        seeds.insert(seed.to_string(), snap.to_value());
-    }
-    let mut root = BTreeMap::new();
-    root.insert(
-        "schema".to_string(),
-        Value::Str("tango-bench/telemetry/v1".to_string()),
-    );
-    root.insert("scenario".to_string(), Value::Str(SCENARIO.to_string()));
-    root.insert("seeds".to_string(), Value::Obj(seeds));
-    Value::Obj(root).to_json()
+    let seeds = sections
+        .iter()
+        .map(|(seed, snap)| (seed.to_string(), snap.to_value()));
+    Value::obj([
+        ("schema", Value::Str("tango-bench/telemetry/v1".into())),
+        ("scenario", Value::Str(SCENARIO.into())),
+        ("seeds", Value::Obj(seeds.collect())),
+    ])
+    .to_json()
 }
 
 /// Run the sweep (no printing): per-seed snapshots in seed order.

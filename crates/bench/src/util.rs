@@ -1,5 +1,5 @@
 //! Shared experiment plumbing: the seeded sweeps' options, result
-//! directory, table printing, the artifact writers' string check.
+//! directory, table printing, number formatting.
 
 use std::path::PathBuf;
 
@@ -77,12 +77,11 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// A string about to be written between JSON quotes without escaping:
-/// the hand-rolled artifact writers only emit names and digests that
-/// need none, and a debug build checks that.
-pub fn json_escape_free(s: &str) -> &str {
-    debug_assert!(!s.contains(['"', '\\']));
-    s
+/// `count` per second of `wall_ns` wall-clock, truncated to an integer
+/// (the timing sidecars' rate unit).
+pub fn per_s(count: u64, wall_ns: u64) -> u64 {
+    let rate = u128::from(count) * 1_000_000_000 / u128::from(wall_ns.max(1));
+    u64::try_from(rate).unwrap_or(u64::MAX)
 }
 
 /// Format a float with the given decimals.
@@ -91,13 +90,37 @@ pub fn fmt(v: f64, decimals: usize) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use tango_obs::Value;
+
+    /// `key` of a parsed artifact object; panics when it is missing.
+    pub(crate) fn field<'a>(v: &'a Value, key: &str) -> &'a Value {
+        match v {
+            Value::Obj(m) => m.get(key).unwrap_or_else(|| panic!("no `{key}` in {v:?}")),
+            other => panic!("looked up `{key}` in a non-object {other:?}"),
+        }
+    }
+
+    /// The elements of a parsed artifact array.
+    pub(crate) fn items(v: &Value) -> &[Value] {
+        match v {
+            Value::Arr(a) => a,
+            other => panic!("expected an array, found {other:?}"),
+        }
+    }
 
     #[test]
     fn fmt_decimals() {
         assert_eq!(fmt(1.23456, 2), "1.23");
         assert_eq!(fmt(28.0, 1), "28.0");
+    }
+
+    #[test]
+    fn per_s_truncates_and_saturates() {
+        assert_eq!(per_s(3, 2_000_000_000), 1);
+        assert_eq!(per_s(20_000, 0), 20_000_000_000_000);
+        assert_eq!(per_s(u64::MAX, 1), u64::MAX);
     }
 
     #[test]

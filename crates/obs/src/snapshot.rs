@@ -1,11 +1,15 @@
 //! Point-in-time metric exports and their canonical JSON encoding.
 //!
 //! The encoding is the determinism contract: sorted keys (`BTreeMap`
-//! iteration), integer-only values, fixed two-space indentation, `\n`
+//! iteration), no floats, fixed two-space indentation, `\n`
 //! line endings, trailing newline. Two snapshots with equal contents
 //! serialise to byte-identical text on every platform, which is what
 //! lets CI diff `results/TELEMETRY_*.json` across runs and shard
 //! counts, and what makes golden-trace tests a plain byte comparison.
+//!
+//! [`Value`] is the workspace's one JSON writer: the telemetry, chaos,
+//! trace, bench and lint artifacts are all built as `Value` trees and
+//! rendered by [`Value::to_json`].
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -65,15 +69,12 @@ impl Snapshot {
     /// Render to canonical JSON (see the module docs for the format
     /// guarantees). Includes a trailing newline.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        write_value(&mut out, &self.to_value(), 0);
-        out.push('\n');
-        out
+        self.to_value().to_json()
     }
 
     /// Parse text produced by [`Snapshot::to_json`] (or any JSON within
-    /// the subset this crate emits: objects, arrays, strings, `u64`
-    /// numbers). Returns a description of the first problem on failure.
+    /// the subset [`Value`] reads). Returns a description of the first
+    /// problem on failure.
     pub fn parse(text: &str) -> Result<Snapshot, String> {
         Snapshot::from_value(&Value::parse(text)?)
     }
@@ -89,56 +90,41 @@ impl Snapshot {
     /// field is a constant of the format, so [`Snapshot::from_value`]
     /// ignores it and round-tripping stays byte-identical.
     pub fn to_value(&self) -> Value {
-        let mut root = BTreeMap::new();
-        root.insert(
-            "buckets".to_string(),
-            Value::Arr(
-                (0..crate::HIST_BUCKETS)
-                    .map(|i| Value::Num(crate::bucket_bounds(i).0))
-                    .collect(),
-            ),
-        );
-        root.insert(
-            "counters".to_string(),
-            Value::Obj(
-                self.counters
-                    .iter()
-                    .map(|(k, &v)| (k.clone(), Value::Num(v)))
-                    .collect(),
-            ),
-        );
-        root.insert(
-            "gauges".to_string(),
-            Value::Obj(
-                self.gauges
-                    .iter()
-                    .map(|(k, &v)| (k.clone(), Value::Num(v)))
-                    .collect(),
-            ),
-        );
-        let hists = self
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                let mut o = BTreeMap::new();
-                o.insert(
-                    "buckets".to_string(),
+        let nums = |m: &BTreeMap<String, u64>| {
+            Value::Obj(m.iter().map(|(k, &v)| (k.clone(), Value::Num(v))).collect())
+        };
+        let hist = |h: &HistSnapshot| {
+            let buckets = h.buckets.iter();
+            Value::obj([
+                (
+                    "buckets",
                     Value::Arr(
-                        h.buckets
-                            .iter()
+                        buckets
                             .map(|&(i, n)| Value::Arr(vec![Value::Num(i), Value::Num(n)]))
                             .collect(),
                     ),
-                );
-                o.insert("count".to_string(), Value::Num(h.count));
-                o.insert("max".to_string(), Value::Num(h.max));
-                o.insert("min".to_string(), Value::Num(h.min));
-                o.insert("sum".to_string(), Value::Num(h.sum));
-                (k.clone(), Value::Obj(o))
-            })
-            .collect();
-        root.insert("histograms".to_string(), Value::Obj(hists));
-        Value::Obj(root)
+                ),
+                ("count", Value::Num(h.count)),
+                ("max", Value::Num(h.max)),
+                ("min", Value::Num(h.min)),
+                ("sum", Value::Num(h.sum)),
+            ])
+        };
+        let edges = (0..crate::HIST_BUCKETS).map(|i| Value::Num(crate::bucket_bounds(i).0));
+        Value::obj([
+            ("buckets", Value::Arr(edges.collect())),
+            ("counters", nums(&self.counters)),
+            ("gauges", nums(&self.gauges)),
+            (
+                "histograms",
+                Value::Obj(
+                    self.histograms
+                        .iter()
+                        .map(|(k, h)| (k.clone(), hist(h)))
+                        .collect(),
+                ),
+            ),
+        ])
     }
 
     /// Rebuild a snapshot from a [`Value`] tree in the shape
@@ -193,9 +179,10 @@ impl Snapshot {
 }
 
 /// The JSON subset this crate reads and writes: objects with string
-/// keys, arrays, strings, and unsigned 64-bit integers. No floats, no
-/// booleans, no null — none of those appear in telemetry and excluding
-/// them keeps the canonical encoding trivially stable.
+/// keys, arrays, strings, unsigned 64-bit integers and booleans. No
+/// floats, no null — an artifact states fixed-point integers instead of
+/// floats and omits an absent field, which keeps the canonical encoding
+/// trivially stable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Value {
     /// A JSON object; `BTreeMap` keeps key order canonical.
@@ -206,9 +193,18 @@ pub enum Value {
     Str(String),
     /// An unsigned 64-bit integer.
     Num(u64),
+    /// `true` or `false`.
+    Bool(bool),
 }
 
 impl Value {
+    /// An object from `(key, value)` pairs, in any order (the rendering
+    /// sorts keys); a repeated key keeps its last value.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+        let fields = fields.into_iter().map(|(k, v)| (k.to_string(), v));
+        Value::Obj(fields.collect())
+    }
+
     /// Render to canonical JSON text with a trailing newline.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
@@ -256,6 +252,7 @@ impl Value {
             Value::Arr(_) => "array",
             Value::Str(_) => "string",
             Value::Num(_) => "number",
+            Value::Bool(_) => "boolean",
         }
     }
 }
@@ -269,9 +266,10 @@ fn write_value(out: &mut String, v: &Value, indent: usize) {
         Value::Num(n) => {
             let _ = write!(out, "{n}");
         }
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         Value::Str(s) => write_string(out, s),
-        // Arrays render inline: telemetry arrays are short bucket pairs,
-        // and one layout rule fewer means one divergence risk fewer.
+        // Arrays render inline (an object inside one still breaks its
+        // lines): one layout rule fewer means one divergence risk fewer.
         Value::Arr(items) => {
             out.push('[');
             for (i, item) in items.iter().enumerate() {
@@ -342,9 +340,20 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         Some(b'[') => parse_arr(bytes, pos),
         Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
         Some(b) if b.is_ascii_digit() => parse_num(bytes, pos),
+        Some(b't' | b'f') => parse_bool(bytes, pos),
         Some(&b) => Err(format!("unexpected byte {:?} at {}", b as char, *pos)),
         None => Err("unexpected end of input".to_string()),
     }
+}
+
+fn parse_bool(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+    for (word, b) in [("true", true), ("false", false)] {
+        if bytes[*pos..].starts_with(word.as_bytes()) {
+            *pos += word.len();
+            return Ok(Value::Bool(b));
+        }
+    }
+    Err(format!("invalid literal at byte {}", *pos))
 }
 
 fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
@@ -436,6 +445,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 _ => return Err(format!("unsupported escape at byte {}", *pos)),
             },
+            b if b < 0x20 => return Err(format!("unescaped control character at byte {}", *pos)),
             _ => {
                 // Advance over one UTF-8 scalar, not one byte.
                 let rest = std::str::from_utf8(&bytes[*pos..])
@@ -582,5 +592,14 @@ mod tests {
         assert!(Value::parse("-5").is_err());
         // "1.5" parses the integer then trips over the trailing ".5".
         assert!(Value::parse("1.5").is_err());
+        assert!(Value::parse("tru").is_err());
+        assert!(Value::parse("True").is_err());
+        // "falsey" parses `false` then trips over the trailing "y".
+        assert!(Value::parse("falsey").is_err());
+        assert!(Value::parse("\"raw\ttab\"").is_err());
+        assert_eq!(
+            Value::parse("[true, false]"),
+            Ok(Value::Arr(vec![Value::Bool(true), Value::Bool(false)]))
+        );
     }
 }

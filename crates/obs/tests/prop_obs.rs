@@ -5,7 +5,56 @@
 //! casts, and the canonical JSON encoding round-trips bit-for-bit.
 
 use proptest::prelude::*;
-use tango_obs::{bucket_bounds, bucket_index, HistSnapshot, Registry, Snapshot, HIST_BUCKETS};
+use proptest::test_runner::TestRng;
+use tango_obs::{
+    bucket_bounds, bucket_index, HistSnapshot, Registry, Snapshot, Value, HIST_BUCKETS,
+};
+
+/// Non-control characters a generated string draws from besides
+/// U+0000–U+001F: the two escaped by name, ASCII, and non-ASCII up to
+/// the astral plane.
+const PRINTABLE: [char; 9] = ['"', '\\', 'a', 'Z', ' ', '\u{7f}', 'é', '→', '😀'];
+
+fn arb_string() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0..0x20 + PRINTABLE.len(), 0..8).prop_map(|picks| {
+        picks
+            .into_iter()
+            .map(|i| match i.checked_sub(0x20) {
+                Some(j) => PRINTABLE[j],
+                None => char::from_u32(i as u32).expect("a control character"),
+            })
+            .collect()
+    })
+}
+
+/// A random [`Value`] tree: any leaf, or — while `depth` lasts — an
+/// array or object of up to three children one level shallower.
+struct ArbValue {
+    depth: u32,
+}
+
+impl Strategy for ArbValue {
+    type Value = Value;
+
+    fn generate(&self, rng: &mut TestRng) -> Value {
+        let child = || ArbValue {
+            depth: self.depth - 1,
+        };
+        let kinds = if self.depth == 0 { 3 } else { 5 };
+        match (0..kinds).generate(rng) {
+            0 => Value::Bool(any::<bool>().generate(rng)),
+            1 => Value::Num(prop_oneof![Just(0), Just(u64::MAX), any::<u64>()].generate(rng)),
+            2 => Value::Str(arb_string().generate(rng)),
+            3 => Value::Arr(proptest::collection::vec(child(), 0..4).generate(rng)),
+            _ => Value::Obj(
+                proptest::collection::vec((arb_string(), child()), 0..4)
+                    .generate(rng)
+                    .into_iter()
+                    .collect(),
+            ),
+        }
+    }
+}
 
 fn arb_hist() -> impl Strategy<Value = HistSnapshot> {
     proptest::collection::vec(0u64..1_000_000_000_000, 0..50).prop_map(|values| {
@@ -120,6 +169,14 @@ proptest! {
         let back = Snapshot::parse(&text).expect("parse own output");
         prop_assert_eq!(&back, &snap);
         // Canonical: serialising the parse result reproduces the bytes.
+        prop_assert_eq!(back.to_json(), text);
+    }
+
+    #[test]
+    fn value_json_round_trips(v in ArbValue { depth: 4 }) {
+        let text = v.to_json();
+        let back = Value::parse(&text).expect("parse own output");
+        prop_assert_eq!(&back, &v);
         prop_assert_eq!(back.to_json(), text);
     }
 

@@ -28,27 +28,25 @@ fn key_value(k: &SpanKey) -> Value {
 }
 
 fn kind_value(kind: &SpanKind) -> Value {
-    let mut obj = BTreeMap::new();
-    obj.insert("name".to_string(), Value::Str(kind.name().to_string()));
-    for (field, value) in kind.fields() {
-        let value = match value {
-            FieldValue::Num(v) => Value::Num(v),
-            FieldValue::Name(name) => Value::Str(name.to_string()),
-        };
-        obj.insert(field.to_string(), value);
-    }
-    Value::Obj(obj)
+    let fields = kind.fields().map(|(field, value)| match value {
+        FieldValue::Num(v) => (field, Value::Num(v)),
+        FieldValue::Name(name) => (field, Value::Str(name.into())),
+    });
+    let name = ("name", Value::Str(kind.name().into()));
+    Value::obj(std::iter::once(name).chain(fields))
 }
 
 fn span_value(s: &Span) -> Value {
-    let mut obj = BTreeMap::new();
-    obj.insert("key".to_string(), key_value(&s.key));
-    if !s.parent.is_none() {
-        obj.insert("parent".to_string(), key_value(&s.parent));
-    }
-    obj.insert("node".to_string(), Value::Num(u64::from(s.node)));
-    obj.insert("kind".to_string(), kind_value(&s.kind));
-    Value::Obj(obj)
+    let parent = (!s.parent.is_none()).then(|| ("parent", key_value(&s.parent)));
+    Value::obj(
+        [
+            ("key", key_value(&s.key)),
+            ("node", Value::Num(u64::from(s.node))),
+            ("kind", kind_value(&s.kind)),
+        ]
+        .into_iter()
+        .chain(parent),
+    )
 }
 
 /// The canonical span dump as a [`Value`] tree.
@@ -57,15 +55,12 @@ fn span_value(s: &Span) -> Value {
 /// (so a dump self-reports whether it wrapped: `total_recorded >
 /// spans.len()` means older spans were evicted).
 pub fn spans_to_value(spans: &[Span], total_recorded: u64, capacity: u64) -> Value {
-    let mut root = BTreeMap::new();
-    root.insert("schema".to_string(), Value::Str(SPANS_SCHEMA.to_string()));
-    root.insert("capacity".to_string(), Value::Num(capacity));
-    root.insert("total_recorded".to_string(), Value::Num(total_recorded));
-    root.insert(
-        "spans".to_string(),
-        Value::Arr(spans.iter().map(span_value).collect()),
-    );
-    Value::Obj(root)
+    Value::obj([
+        ("schema", Value::Str(SPANS_SCHEMA.into())),
+        ("capacity", Value::Num(capacity)),
+        ("total_recorded", Value::Num(total_recorded)),
+        ("spans", Value::Arr(spans.iter().map(span_value).collect())),
+    ])
 }
 
 /// The canonical span dump as byte-stable JSON (sorted keys, 2-space
