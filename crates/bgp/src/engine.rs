@@ -18,6 +18,9 @@
 //! The worklists are plain vectors the engine keeps between calls; the
 //! one that says where updates landed is drained as delivered, unsorted
 //! and with duplicates, because re-deciding a pair twice is a no-op.
+//! Announcements and withdrawals converge over the routes in place; a
+//! community edit blanks its prefix everywhere and converges as a fresh
+//! announcement of the prefix's originations.
 
 use crate::community::Community;
 use crate::rib::{Route, RouteSource};
@@ -173,9 +176,10 @@ pub struct BgpEngine {
     round_cap: usize,
     obs: Option<BgpObs>,
     rib_obs: Option<RibObs>,
-    /// (origin, prefix) originations edited since the last convergence —
-    /// the incremental worklist's phase-0 seed, and the only prefixes
-    /// that can have left every speaker by the end of it.
+    /// (origin, prefix) originations edited since the last convergence,
+    /// and every origination of a prefix a community edit blanked — the
+    /// incremental worklist's phase-0 seed, and the only prefixes that
+    /// can have left every speaker by the end of it.
     dirty_origins: Worklist,
     /// Speakers whose configuration (prefs, export knobs, arbitrary
     /// `speaker_mut` edits) changed since the last convergence; these
@@ -304,25 +308,15 @@ impl BgpEngine {
         Ok(&mut self.speakers[i])
     }
 
-    /// Apply `edit` to an existing origination of `prefix` at `origin`
-    /// and, if it reports a change, seed the next convergence with the
-    /// pair — the finer-grained counterpart of
-    /// [`BgpEngine::speaker_mut`]'s whole-speaker dirty mark.
-    fn edit_origin(
-        &mut self,
+    /// `origin`'s position and `prefix`'s id, or `None` for a prefix
+    /// no speaker holds — the target of an origination edit.
+    fn origination(
+        &self,
         origin: AsId,
         prefix: IpCidr,
-        edit: impl FnOnce(&mut BgpSpeaker, PrefixId) -> bool,
-    ) -> Result<bool, EngineError> {
+    ) -> Result<Option<(usize, PrefixId)>, EngineError> {
         let i = self.index_of(origin)?;
-        let Some(p) = self.prefixes.get(&prefix) else {
-            return Ok(false); // never announced anywhere
-        };
-        let changed = edit(&mut self.speakers[i], p);
-        if changed {
-            self.dirty_origins.push((i as u32, p));
-        }
-        Ok(changed)
+        Ok(self.prefixes.get(&prefix).map(|p| (i, p)))
     }
 
     /// Set a node's per-neighbor preference map (e.g. the Vultr borders'
@@ -381,21 +375,49 @@ impl BgpEngine {
         Ok(())
     }
 
-    /// Update the communities on an existing origination (discovery loop).
+    /// Update the communities on an existing origination (the §4.1
+    /// discovery loop). Returns false, and changes nothing, if `origin`
+    /// does not originate `prefix` or already attaches exactly
+    /// `communities`.
+    ///
+    /// An edit is a fresh announcement of the prefix: every speaker
+    /// blanks what it learned, chose and sent for it, and the next
+    /// [`BgpEngine::converge`] propagates the prefix's originations from
+    /// that blank column instead of re-converging over the old routes.
+    /// Gao-Rexford policies have one stable state, so the fixpoint is the
+    /// same; what is skipped is the path exploration. Until that
+    /// convergence, queries see no route for the prefix anywhere.
     pub fn set_announcement_communities(
         &mut self,
         origin: AsId,
         prefix: IpCidr,
         communities: BTreeSet<Community>,
     ) -> Result<bool, EngineError> {
-        self.edit_origin(origin, prefix, |s, p| {
-            s.set_origin_communities(p, communities)
-        })
+        let Some((i, p)) = self.origination(origin, prefix)? else {
+            return Ok(false);
+        };
+        if !self.speakers[i].set_origin_communities(p, communities) {
+            return Ok(false);
+        }
+        for (k, s) in self.speakers.iter_mut().enumerate() {
+            if s.clear_routes(p) {
+                self.dirty_origins.push((k as u32, p));
+            }
+        }
+        Ok(true)
     }
 
-    /// Withdraw an origination.
+    /// Withdraw an origination. Unlike a community edit, this converges
+    /// incrementally over the routes in place.
     pub fn withdraw(&mut self, origin: AsId, prefix: IpCidr) -> Result<bool, EngineError> {
-        self.edit_origin(origin, prefix, BgpSpeaker::withdraw_origin)
+        let Some((i, p)) = self.origination(origin, prefix)? else {
+            return Ok(false);
+        };
+        let withdrawn = self.speakers[i].withdraw_origin(p);
+        if withdrawn {
+            self.dirty_origins.push((i as u32, p));
+        }
+        Ok(withdrawn)
     }
 
     /// Run synchronous rounds to the fixpoint. Returns the number of
@@ -413,6 +435,14 @@ impl BgpEngine {
     /// counts, and the round totals are identical to the original
     /// everyone-recomputes synchronous sweep (the no-op work it skips
     /// changed no state and delivered no updates).
+    ///
+    /// What the seeds start from depends on the edit. An
+    /// [`BgpEngine::announce`] or [`BgpEngine::withdraw`] re-converges
+    /// over the routes in place, path exploration included. A
+    /// [`BgpEngine::set_announcement_communities`] edit has already
+    /// blanked its prefix everywhere, so its rounds and
+    /// `bgp.updates_processed` are those of announcing the prefix's
+    /// originations afresh.
     pub fn converge(&mut self) -> Result<usize, EngineError> {
         let mut updates_applied = 0u64;
         // Phase 0: re-decide exactly what changed since the last call.
@@ -810,6 +840,34 @@ mod tests {
         };
         assert_eq!(run(true), run(false));
         assert_eq!(run(true).2.unwrap(), [AsId(20), AsId(10), AsId(1)]);
+    }
+
+    /// Re-sending the community set an origination already carries is no
+    /// edit: the prefix is not blanked, so there is nothing to converge.
+    #[test]
+    fn an_unchanged_community_set_is_not_an_edit() {
+        let mut t = topo();
+        t.add_provider(AsId(1), AsId(20), lp()).unwrap();
+        let registry = Registry::new();
+        let mut e = BgpEngine::new(t);
+        e.set_obs(&registry);
+        e.set_honor_actions(AsId(1), true).unwrap();
+        let p = pfx("2001:db8:1::/48");
+        let suppress: BTreeSet<_> = [Community::NoExportTo(AsId(20))].into();
+        e.announce(AsId(1), p, suppress.clone()).unwrap();
+        e.converge().unwrap();
+        let updates = || registry.snapshot().counters["bgp.updates_processed"];
+        let (before, heap) = (updates(), e.rib_heap_bytes());
+        assert!(!e
+            .set_announcement_communities(AsId(1), p, suppress)
+            .unwrap());
+        assert_eq!(e.converge().unwrap(), 0, "no rounds");
+        assert_eq!(updates(), before, "no updates");
+        assert_eq!(e.rib_heap_bytes(), heap);
+        assert_eq!(
+            e.as_path(AsId(3), p).unwrap(),
+            &[AsId(20), AsId(10), AsId(1)]
+        );
     }
 
     /// A 100-AS internet with one host prefix converged at each of its 8

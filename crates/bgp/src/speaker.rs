@@ -304,7 +304,9 @@ impl BgpSpeaker {
     }
 
     /// Replace the communities on an existing origination (the §4.1
-    /// discovery loop repeatedly edits the community set).
+    /// discovery loop repeatedly edits the community set). Returns false
+    /// if there is no such origination or it already carries exactly
+    /// `communities`.
     pub fn set_origin_communities(
         &mut self,
         prefix: PrefixId,
@@ -317,12 +319,32 @@ impl BgpSpeaker {
         else {
             return false;
         };
+        if *origin.communities == communities {
+            return false;
+        }
         *origin = Rc::new(PathAttrs {
             as_path: origin.as_path.clone(),
             communities: Rc::new(communities),
             med: origin.med,
         });
         true
+    }
+
+    /// Blank what this speaker learned, chose and sent for `prefix` —
+    /// Adj-RIB-In, Loc-RIB entry, Adj-RIB-Out — keeping its origination
+    /// and the vectors' capacity. Called on every speaker, it turns the
+    /// prefix back into a fresh announcement. Returns whether this
+    /// speaker still originates it.
+    pub(crate) fn clear_routes(&mut self, prefix: PrefixId) -> bool {
+        let Some(rib) = self.table.get_mut(prefix.slot()) else {
+            return false;
+        };
+        self.counts.adj_in -= rib.adj_in.len();
+        self.counts.loc -= usize::from(rib.loc.take().is_some());
+        self.counts.adj_out -= rib.adj_out.len();
+        rib.adj_in.clear();
+        rib.adj_out.clear();
+        rib.originated.is_some()
     }
 
     /// Process an incoming update (`Some(attrs)`) or withdrawal (`None`)
@@ -797,6 +819,7 @@ mod tests {
         let mut c = BTreeSet::new();
         c.insert(Community::NoExportTo(AsId(9)));
         assert!(s.set_origin_communities(prefix(), c.clone()));
+        assert!(!s.set_origin_communities(prefix(), c.clone()), "same set");
         s.recompute();
         assert_eq!(*s.best(prefix()).unwrap().attrs.communities, c);
         for other in [PrefixId(0), PrefixId(9)] {

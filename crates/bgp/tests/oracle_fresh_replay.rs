@@ -182,7 +182,11 @@ fn apply(
                 .expect("node exists");
             match inputs.originated.get_mut(&target) {
                 Some(entry) => {
-                    assert!(changed, "edit of a live origination must land");
+                    assert_eq!(
+                        changed,
+                        entry.0 != communities,
+                        "an edit of a live origination lands iff it changes the set"
+                    );
                     entry.0 = communities;
                 }
                 None => assert!(!changed, "edit of a missing origination is a no-op"),

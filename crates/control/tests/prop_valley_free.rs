@@ -3,13 +3,16 @@
 //! scalability tentpole): every path the suppress-and-observe loop
 //! surfaces must be valley-free under the Gao-Rexford labels, must be a
 //! real adjacency chain with positive propagation delay, and discovery
-//! must leave no probe state behind.
+//! must leave no probe state behind. A differential property checks the
+//! engine's community edit — a fresh announcement of the probe — against
+//! re-originating it over the live routes.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use tango_bgp::engine::RibStats;
 use tango_bgp::policy::path_is_valley_free;
-use tango_bgp::BgpEngine;
-use tango_control::discover_paths;
+use tango_bgp::{BgpEngine, Community, Route};
+use tango_control::{discover_paths, DiscoveredPath};
 use tango_net::IpCidr;
 use tango_topology::gen::{try_generate, GenParams, Generated};
 use tango_topology::AsId;
@@ -73,7 +76,120 @@ fn for_all_pairs(
     Ok(())
 }
 
+/// How a discovery step attaches its grown suppression set.
+#[derive(Debug, Clone, Copy)]
+enum Suppress {
+    /// `set_announcement_communities`, as `discover_paths` does: the
+    /// engine blanks the probe's column and announces it afresh.
+    Edit,
+    /// `announce` over the live origination: a re-origination the engine
+    /// converges incrementally, over the previous step's routes.
+    Reannounce,
+}
+
+/// Every node's best route to the probe, and the RIB totals.
+type StepState = (Vec<Option<Route>>, RibStats);
+
+/// A test-side copy of the §4.1 loop of `discover_paths` (at most 8
+/// paths) over PoPs that are never adjacent, attaching each suppression
+/// set by `how` and recording the engine's state after every convergence.
+fn discover_stepwise(
+    e: &mut BgpEngine,
+    nodes: &[AsId],
+    (announcer, observer, probe): (AsId, AsId, IpCidr),
+    how: Suppress,
+) -> (Vec<DiscoveredPath>, Vec<StepState>) {
+    let mut states = Vec::new();
+    let mut converge = |e: &mut BgpEngine| {
+        e.converge().expect("Gao-Rexford policies converge");
+        let routes = nodes.iter().map(|&n| e.best_route(n, probe).cloned());
+        states.push((routes.collect(), e.rib_stats()));
+    };
+    let mut discovered = Vec::new();
+    let mut communities = BTreeSet::new();
+    e.announce(announcer, probe, BTreeSet::new())
+        .expect("a graph node");
+    converge(e);
+    while discovered.len() < 8 {
+        let Some(as_path) = e.as_path(observer, probe).map(<[AsId]>::to_vec) else {
+            break;
+        };
+        let transit_path: Vec<AsId> = as_path
+            .iter()
+            .copied()
+            .filter(|a| !a.is_private() && ![announcer, observer].contains(a))
+            .collect();
+        let exit = *transit_path
+            .last()
+            .expect("edge sites only attach to transits");
+        discovered.push(DiscoveredPath {
+            transit_path,
+            as_path,
+            pin_communities: communities.clone(),
+        });
+        communities.insert(Community::NoExportTo(exit));
+        match how {
+            Suppress::Edit => {
+                let edited = e.set_announcement_communities(announcer, probe, communities.clone());
+                assert!(edited.expect("a graph node"), "the set grew");
+            }
+            Suppress::Reannounce => e
+                .announce(announcer, probe, communities.clone())
+                .expect("a graph node"),
+        }
+        converge(e);
+    }
+    e.withdraw(announcer, probe).expect("a graph node");
+    converge(e);
+    (discovered, states)
+}
+
 proptest! {
+    /// The community lever two ways, every ordered PoP pair in turn on
+    /// three engines: discovery whose edits the engine turns into fresh
+    /// announcements, the same loop re-originating each suppression over
+    /// the live routes, and `discover_paths` itself. Gao-Rexford's one
+    /// stable state makes them agree on every path and pin set, and after
+    /// every step on every node's best route and on the RIB totals.
+    #[test]
+    fn discovery_from_a_blank_column_equals_discovery_over_live_routes(
+        ases in 30usize..70,
+        pops in 3usize..7,
+        seed in any::<u64>(),
+    ) {
+        let g = try_generate(&GenParams::internet(ases, pops, seed)).expect("preset is valid");
+        let nodes: Vec<AsId> = g.topology.nodes().map(|n| n.id).collect();
+        let (mut fresh, mut reference, mut library) = (engine(&g), engine(&g), engine(&g));
+        for (j, &announcer) in g.edge_sites.iter().enumerate() {
+            for &observer in g.edge_sites.iter().filter(|&&o| o != announcer) {
+                let pair = (announcer, observer, probe(j));
+                let (paths, steps) = discover_stepwise(&mut fresh, &nodes, pair, Suppress::Edit);
+                let (ref_paths, ref_steps) =
+                    discover_stepwise(&mut reference, &nodes, pair, Suppress::Reannounce);
+                prop_assert_eq!(&paths, &ref_paths, "pair {observer:?}->{announcer:?}");
+                prop_assert_eq!(steps.len(), ref_steps.len());
+                for (k, (step, ref_step)) in steps.iter().zip(&ref_steps).enumerate() {
+                    for (n, (route, ref_route)) in nodes.iter().zip(step.0.iter().zip(&ref_step.0)) {
+                        prop_assert_eq!(
+                            route,
+                            ref_route,
+                            "pair {observer:?}->{announcer:?}, step {k}: best route at {n:?}"
+                        );
+                    }
+                    prop_assert_eq!(
+                        step.1,
+                        ref_step.1,
+                        "pair {observer:?}->{announcer:?}, step {k}: RIB occupancy"
+                    );
+                }
+                let library_paths =
+                    discover_paths(&mut library, announcer, observer, probe(j), &[announcer, observer], 8)
+                        .expect("every pair discovers");
+                prop_assert_eq!(paths, library_paths, "the test-side loop is discover_paths");
+            }
+        }
+    }
+
     /// Satellite (a): every path installed by discovery is valley-free
     /// under the generated Gao-Rexford customer/provider/peer labels —
     /// the suppression loop can only surface routes the export policy

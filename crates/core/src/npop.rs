@@ -373,9 +373,10 @@ impl NPopMesh {
         })
     }
 
-    /// Phase 2: all-pairs discovery, in `(i, j)` iteration order. The
-    /// engine's convergence is incremental, so each step's cost tracks
-    /// the announced delta (one probe prefix), not the graph size.
+    /// Phase 2: all-pairs discovery, in `(i, j)` iteration order. Every
+    /// step converges one probe prefix and no other: the probe's
+    /// announcement and withdrawal incrementally, each suppression as a
+    /// fresh announcement of the probe alone.
     pub fn discover(&mut self, max_paths: usize) -> Result<Vec<PairOutcome>, NPopError> {
         let mut pairs = Vec::new();
         for i in 0..self.pops.len() {

@@ -90,9 +90,9 @@ const MAX_CALLS_PER_PACKET: f64 = 0.02;
 /// Packets per scenario; the second half is measured.
 const PACKETS: u32 = 8_000;
 /// Allocator calls per BGP update tolerated across discovery probes
-/// ([`probe_calls`]): midway between the exact 11 748 calls for 22 485
-/// updates (0.522) of speakers whose blank probe record keeps its
-/// vectors, and the 21 270 (0.946) of speakers that free them when a
+/// ([`probe_calls`]): midway between the exact 11 112 calls for 21 138
+/// updates (0.526) of speakers whose blank probe record keeps its
+/// vectors, and the 19 770 (0.935) of speakers that free them when a
 /// probe leaves and regrow them slot by slot when the next arrives. What
 /// is left is the advertisement a changed best route builds.
 const MAX_CALLS_PER_BGP_UPDATE: f64 = 0.73;
