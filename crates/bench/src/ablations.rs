@@ -738,7 +738,6 @@ pub fn ecmp_census(flows: usize, seed: u64) -> EcmpCensusResult {
                 auth_key: None,
                 class_map: Default::default(),
                 rx_labels: Vec::new(),
-                obs: None,
             },
             Box::new(StaticPolicy::single(0, "static")),
             Arc::clone(mine),

@@ -163,15 +163,6 @@ fn forged_report(pairing: &TangoPairing, path: u16) -> Vec<u8> {
 /// options produce the same outcome, independent of anything outside
 /// the simulation.
 pub fn run_chaos(options: ChaosRunOptions) -> Result<ChaosOutcome, PairingError> {
-    run_chaos_with_obs(options, None)
-}
-
-/// [`run_chaos`] with an optional telemetry registry attached to every
-/// layer of the pairing.
-pub fn run_chaos_with_obs(
-    options: ChaosRunOptions,
-    obs: Option<tango_obs::Registry>,
-) -> Result<ChaosOutcome, PairingError> {
     let config = ChaosConfig {
         seed: options.seed,
         start_ns: STORM_START.as_ns(),
@@ -233,7 +224,6 @@ pub fn run_chaos_with_obs(
         },
         auth_key: options.auth.then(|| SipKey::from_bytes(&CHAOS_KEY)),
         wide_area_events,
-        obs,
         shards: options.shards,
         ..PairingOptions::default()
     })?;

@@ -57,8 +57,7 @@ pub mod pairing;
 pub mod vultr;
 
 pub use chaos::{
-    run_byzantine_ablation, run_chaos, run_chaos_with_obs, AblationOutcome, ChaosOutcome,
-    ChaosRunOptions,
+    run_byzantine_ablation, run_chaos, AblationOutcome, ChaosOutcome, ChaosRunOptions,
 };
 pub use invariant::{
     check, check_pairing, check_pairing_flight, InvariantReport, SideEvidence, Violation,
@@ -72,8 +71,7 @@ pub use vultr::{vultr_pairing, vultr_pairing_with_events};
 /// The convenient imports for examples and experiments.
 pub mod prelude {
     pub use crate::chaos::{
-        run_byzantine_ablation, run_chaos, run_chaos_with_obs, AblationOutcome, ChaosOutcome,
-        ChaosRunOptions,
+        run_byzantine_ablation, run_chaos, AblationOutcome, ChaosOutcome, ChaosRunOptions,
     };
     pub use crate::invariant::{
         check_pairing, check_pairing_flight, InvariantReport, SideEvidence,

@@ -157,10 +157,12 @@ pub struct PairingOptions {
     /// self-test can demonstrate a caught violation; never enable in
     /// experiments measuring Tango itself.
     pub monitor_only_health: bool,
-    /// Telemetry registry: when set, the simulator, both switches, the
-    /// BGP engine, and any health gates export metrics into it
-    /// (`sim.…`, `dataplane.<as>.…`, `bgp.…`, `health.<as>.…`). The same
-    /// handle is exposed after the build via [`TangoPairing::obs`].
+    /// Telemetry registry: when set, the simulator, the BGP engine and
+    /// any health gates export metrics into it (`sim.…`, `bgp.…`,
+    /// `health.<as>.…`), and [`TangoPairing::run_until`] publishes both
+    /// switches' stats sinks into it as `dataplane.<as>.…` at the end of
+    /// every call. The same handle is exposed after the build via
+    /// [`TangoPairing::obs`].
     pub obs: Option<Registry>,
     /// Number of simulator shards (see `tango_sim::shard`). Any value
     /// yields bit-identical results. Under [`FeedbackMode::Shared`] a
@@ -455,7 +457,6 @@ impl TangoPairing {
                     .iter()
                     .map(|t| (t.id, t.label.clone()))
                     .collect(),
-                obs: options.obs.clone(),
             };
             TangoSwitch::install(
                 &mut sim,
@@ -617,7 +618,9 @@ impl TangoPairing {
     /// falls inside the window: the simulator runs up to the boundary,
     /// the announcements change, BGP re-converges, and the routers'
     /// forwarding tables are reinstalled (the RIB→FIB push) before
-    /// simulated time continues.
+    /// simulated time continues. With a registry attached, both stats
+    /// sinks are then published into it, as the simulator publishes its
+    /// own counters at the end of its `run_until`.
     pub fn run_until(&mut self, t: SimTime) {
         while let Some(next) = self.pending_controls.first().copied() {
             if next.at > t {
@@ -628,6 +631,11 @@ impl TangoPairing {
             self.apply_control(next);
         }
         self.sim.run_until(t);
+        if let Some(registry) = &self.obs {
+            for side in &self.sides {
+                side.stats.lock().publish(registry, side.config.tenant);
+            }
+        }
     }
 
     /// Install a Byzantine agent at `node`: the node keeps forwarding by

@@ -19,7 +19,8 @@
 //!   reordering), written by the receiver and shared with the peer's
 //!   controller: this sharing *is* the cooperation of "cooperative
 //!   edge-to-edge routing" (modeled as a zero-delay out-of-band channel;
-//!   see DESIGN.md).
+//!   see DESIGN.md). The sink is the switch's only tally; its
+//!   `dataplane.<as>.…` telemetry is published from it.
 //! * [`policy`] — the interface the control plane implements
 //!   ([`PathPolicy`]) and the selection state it installs
 //!   ([`Selection`]), evaluated per packet in the switch.
@@ -31,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod codec;
-mod obs;
 pub mod policy;
 pub mod report;
 pub mod stats;

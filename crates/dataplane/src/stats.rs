@@ -12,11 +12,18 @@
 //! (timestamp + value) plus one bit saying whether an application packet
 //! carried it. The application-only series is a view over those bits
 //! ([`PathStats::app_owd`]), not a second copy.
+//!
+//! The sink is also the data plane's only tally. Its `dataplane.<as>.…`
+//! telemetry is derived from it by [`StatsSink::publish`], never counted
+//! a second time: a new dataplane metric is a sink field plus one line
+//! there.
 
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use tango_measure::{Ewma, PlausibilityGate, ReplayWindow, RollingWindow, SeqTracker, TimeSeries};
+use tango_obs::Registry;
+use tango_topology::AsId;
 
 /// Live statistics for one path (tunnel).
 #[derive(Debug)]
@@ -40,9 +47,10 @@ pub struct PathStats {
     /// Bit `i` is set when `owd` sample `i` came from an app packet
     /// (word `i / 64`, bit `i % 64`): the backing of [`Self::app_owd`].
     app: Vec<u64>,
-    /// Receiver-local time of the most recent accepted packet (probe or
-    /// app), ns. `None` until the first arrival. The raw ingredient of
-    /// the per-tunnel "silence" signal the health machinery consumes.
+    /// Receiver-local time of the most recent arrival (probe or app,
+    /// quarantined or not), ns. `None` until the first arrival. The
+    /// health machinery's silence signal does not read it: that signal
+    /// counts admitted `owd` samples.
     pub last_rx_local_ns: Option<u64>,
     /// Anti-replay window over tunnel sequence numbers (consulted only
     /// when the pairing authenticates, since without a key an attacker
@@ -108,10 +116,13 @@ impl PathStats {
     /// whether the OWD value was admitted into the delay views.
     ///
     /// A quarantined sample still proves the packet *arrived*: sequence
-    /// tracking, the silence signal, and app delivery counts advance
-    /// regardless, so a poisoned timestamp cannot masquerade as path
-    /// death. Only the delay views (`owd` and with it `app_owd()`, EWMA,
-    /// rolling window) are withheld.
+    /// tracking, `last_rx_local_ns` and app delivery counts advance
+    /// regardless. The delay views (`owd` and with it `app_owd()`, EWMA,
+    /// rolling window) are withheld, and so is the silence signal, which
+    /// counts `owd` samples. A poisoned timestamp cannot masquerade as
+    /// path death all the same: the gate promotes a new level after
+    /// `promote_after` (8) consecutive outliers, so at most 7 consecutive
+    /// arrivals are withheld.
     pub fn record_owd_gated(
         &mut self,
         rx_local_ns: u64,
@@ -131,13 +142,6 @@ impl PathStats {
         }
         false
     }
-
-    /// Time since the last accepted packet, given the receiver's current
-    /// local clock reading. `None` = nothing ever arrived.
-    pub fn silence_ns(&self, now_local_ns: u64) -> Option<u64> {
-        self.last_rx_local_ns
-            .map(|l| now_local_ns.saturating_sub(l))
-    }
 }
 
 /// All paths' statistics at one switch — receive-side measurements plus
@@ -145,6 +149,9 @@ impl PathStats {
 #[derive(Debug, Default)]
 pub struct StatsSink {
     paths: BTreeMap<u16, PathStats>,
+    /// Tunnel packets sent, per outgoing tunnel id and of every kind. A
+    /// tunnel's next sequence number is its count mod 2³².
+    tunnel_tx: BTreeMap<u16, u64>,
     /// Tango-looking packets that failed validation and could not be
     /// attributed to any path.
     pub unattributed_rejects: u64,
@@ -218,6 +225,79 @@ impl StatsSink {
             None => self.unattributed_rejects += 1,
         }
     }
+
+    /// Pre-register an outgoing tunnel, so its send count is published
+    /// (at 0) before it carries anything.
+    pub(crate) fn register_tunnel(&mut self, id: u16) {
+        self.tunnel_tx.entry(id).or_insert(0);
+    }
+
+    /// Count one packet sent on tunnel `id` and return its sequence
+    /// number: the tunnel's send count before it, mod 2³².
+    pub(crate) fn next_tx_seq(&mut self, id: u16) -> u32 {
+        let sent = self.tunnel_tx.entry(id).or_insert(0);
+        let seq = *sent as u32;
+        *sent += 1;
+        seq
+    }
+
+    /// Publish this sink as `node`'s `dataplane.<as>.…` telemetry:
+    /// per-kind tx, rx and reject totals, and for every tunnel and every
+    /// receive path its tx and rx counts and its loss, reorder and
+    /// duplicate gauges, zeros included. Each counter is raised to the
+    /// sink's total, so publishing again without new traffic changes
+    /// nothing.
+    pub fn publish(&self, registry: &Registry, node: AsId) {
+        let prefix = format!("dataplane.{}", node.0);
+        let raise = |name: &str, total: u64| {
+            let counter = registry.counter(&format!("{prefix}.{name}"));
+            counter.add(total.saturating_sub(counter.get()));
+        };
+        let ids: BTreeSet<u16> = self
+            .tunnel_tx
+            .keys()
+            .chain(self.paths.keys())
+            .copied()
+            .collect();
+        let mut decap = 0;
+        for id in ids {
+            let [received, lost, reordered, duplicates] = self.paths.get(&id).map_or([0; 4], |p| {
+                let s = &p.seq;
+                [s.received(), s.lost(), s.reordered(), s.duplicates()]
+            });
+            // A duplicate is a measured arrival too.
+            let rx = received + duplicates;
+            decap += rx;
+            raise(
+                &format!("path.{id}.tx"),
+                self.tunnel_tx.get(&id).copied().unwrap_or(0),
+            );
+            raise(&format!("path.{id}.rx"), rx);
+            for (name, value) in [
+                ("lost", lost),
+                ("reordered", reordered),
+                ("duplicates", duplicates),
+            ] {
+                registry
+                    .gauge(&format!("{prefix}.path.{id}.{name}"))
+                    .set(value);
+            }
+        }
+        let rejected = self.paths.values().map(|p| p.rejected).sum::<u64>();
+        for (name, total) in [
+            ("tx.app", self.tx_encapsulated),
+            ("tx.probe", self.probes_sent),
+            ("tx.report", self.reports_sent),
+            ("rx.decap", decap),
+            ("rx.rejected", self.unattributed_rejects + rejected),
+            ("rx.auth_rejects", self.auth_rejects),
+            ("rx.replay_rejects", self.replay_rejects),
+            ("rx.implausible_owd", self.implausible_owd),
+            ("rx.plain", self.plain_rx),
+        ] {
+            raise(name, total);
+        }
+    }
 }
 
 /// A shareable handle to a sink: the receiver writes, the peer's
@@ -249,14 +329,6 @@ mod tests {
         assert!((p.owd_ewma.get().unwrap() - 36_500_000.0).abs() < 1.0);
         assert_eq!(p.app_delivered, 0);
         assert_eq!(p.last_rx_local_ns, Some(9_000_000));
-        assert_eq!(p.silence_ns(14_000_000), Some(5_000_000));
-    }
-
-    #[test]
-    fn silence_none_before_first_arrival() {
-        let mut s = StatsSink::new();
-        s.register_path(0, "NTT");
-        assert_eq!(s.path(0).unwrap().silence_ns(1_000), None);
     }
 
     #[test]
@@ -344,6 +416,76 @@ mod tests {
         assert_eq!(p.seq.received(), 11);
         assert_eq!(p.last_rx_local_ns, Some(10_000_000));
         assert_eq!(p.app_delivered, 1);
+    }
+
+    #[test]
+    fn publish_is_the_sink() {
+        let mut s = StatsSink::new();
+        // Tunnel 0 only sends, tunnel 2 never does.
+        s.register_tunnel(0);
+        s.register_tunnel(2);
+        assert_eq!([0, 1, 2].map(|_| s.next_tx_seq(0)), [0, 1, 2]);
+        s.tx_encapsulated = 1;
+        s.probes_sent = 1;
+        s.reports_sent = 1;
+        // Path 1 only receives: 0, 3 (1 and 2 missing), 1 (late), 4
+        // (quarantined), 4 again (duplicate).
+        for (t, owd, seq) in [
+            (0, 30e6, 0),
+            (1, 30e6, 3),
+            (2, 30e6, 1),
+            (3, 10e9, 4),
+            (4, 30e6, 4),
+        ] {
+            if !s.path_mut(1).record_owd_gated(t, owd, seq, true) {
+                s.implausible_owd += 1;
+            }
+        }
+        s.record_reject(None);
+        s.record_reject(Some(1));
+        s.auth_rejects = 2;
+        s.replay_rejects = 3;
+        s.plain_rx = 4;
+
+        let registry = Registry::new();
+        s.publish(&registry, AsId(7));
+        let snap = registry.snapshot();
+        let named = |pairs: &[(&str, u64)]| -> BTreeMap<String, u64> {
+            let named = pairs.iter().map(|&(k, v)| (format!("dataplane.7.{k}"), v));
+            named.collect()
+        };
+        let counters = named(&[
+            ("path.0.rx", 0),
+            ("path.0.tx", 3),
+            ("path.1.rx", 5),
+            ("path.1.tx", 0),
+            ("path.2.rx", 0),
+            ("path.2.tx", 0),
+            ("rx.auth_rejects", 2),
+            ("rx.decap", 5),
+            ("rx.implausible_owd", 1),
+            ("rx.plain", 4),
+            ("rx.rejected", 2),
+            ("rx.replay_rejects", 3),
+            ("tx.app", 1),
+            ("tx.probe", 1),
+            ("tx.report", 1),
+        ]);
+        let mut gauges = named(&[
+            ("path.1.lost", 1),
+            ("path.1.reordered", 1),
+            ("path.1.duplicates", 1),
+        ]);
+        for id in [0, 2] {
+            for g in ["lost", "reordered", "duplicates"] {
+                gauges.insert(format!("dataplane.7.path.{id}.{g}"), 0);
+            }
+        }
+        assert_eq!(snap.counters, counters);
+        assert_eq!(snap.gauges, gauges);
+        assert!(snap.histograms.is_empty());
+        s.publish(&registry, AsId(7));
+        assert_eq!(registry.snapshot(), snap, "a second publish adds nothing");
     }
 
     #[test]

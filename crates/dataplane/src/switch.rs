@@ -17,9 +17,13 @@
 //! * **Control loop** — at each control tick the configured
 //!   [`PathPolicy`] reads the *peer's* receive-side stats (the
 //!   cooperation feedback) and installs a fresh selection.
+//!
+//! Everything the switch counts goes into its [`crate::StatsSink`],
+//! once: its telemetry is published from there
+//! ([`crate::StatsSink::publish`]), and each tunnel's sequence numbers
+//! are the sink's per-tunnel send count.
 
 use crate::codec::{self, CodecError};
-use crate::obs::SwitchObs;
 use crate::policy::{PathPolicy, PathSnapshot, SelectionState};
 use crate::report::{report_from_sink, MeasurementReport};
 use crate::stats::SharedStats;
@@ -27,7 +31,6 @@ use crate::tunnel::Tunnel;
 use std::collections::BTreeMap;
 use tango_measure::saturating_owd_ns;
 use tango_net::{IpCidr, PrefixTrie, SipKey};
-use tango_obs::Registry;
 use tango_sim::{Agent, Ctx, Packet, SimTime, SpanKind};
 use tango_topology::AsId;
 
@@ -101,10 +104,6 @@ pub struct SwitchConfig {
     /// convention but may differ in name (LA's tunnel 3 is "Cogent",
     /// NY's is "Level3"). Used to pre-register the stats sink.
     pub rx_labels: Vec<(u16, String)>,
-    /// Optional metric registry: per-tunnel tx/rx/loss/reorder, encap
-    /// byte histogram, reject counters, published under
-    /// `dataplane.<id>.…` (see `tango-obs`). `None` disables.
-    pub obs: Option<Registry>,
 }
 
 /// The Tango switch agent.
@@ -113,7 +112,6 @@ pub struct TangoSwitch {
     border: AsId,
     tunnels: BTreeMap<u16, Tunnel>,
     remote_hosts: PrefixTrie<()>,
-    seq: BTreeMap<u16, u32>,
     selection: SelectionState,
     policy: Box<dyn PathPolicy>,
     probe_period: Option<SimTime>,
@@ -135,8 +133,6 @@ pub struct TangoSwitch {
     /// tick). Kept in *this* switch's clock so the derived `silence_ns`
     /// never crosses clock domains.
     progress: BTreeMap<u16, (u64, u64)>,
-    /// Metric handles (`None` when the config carried no registry).
-    obs: Option<SwitchObs>,
 }
 
 impl TangoSwitch {
@@ -154,22 +150,17 @@ impl TangoSwitch {
         }
         let tunnels: BTreeMap<u16, Tunnel> =
             config.tunnels.into_iter().map(|t| (t.id, t)).collect();
-        let obs = config.obs.as_ref().map(|registry| {
-            // Pre-register both directions: our outgoing tunnels and the
-            // paths we receive on, so the export schema is complete even
-            // before any traffic flows.
-            let mut path_ids: Vec<u16> = tunnels.keys().copied().collect();
-            path_ids.extend(config.rx_labels.iter().map(|&(id, _)| id));
-            path_ids.sort_unstable();
-            path_ids.dedup();
-            SwitchObs::new(registry, config.id, &path_ids)
-        });
         {
             // The sink records *incoming* measurements, so its labels are
             // the peer's path names (rx_labels), not our outgoing ones.
+            // Both directions are pre-registered, so the published
+            // schema is complete even before any traffic flows.
             let mut sink = my_stats.lock();
             for (id, label) in &config.rx_labels {
                 sink.register_path(*id, label.clone());
+            }
+            for &id in tunnels.keys() {
+                sink.register_tunnel(id);
             }
         }
         TangoSwitch {
@@ -181,10 +172,8 @@ impl TangoSwitch {
             class_map: config.class_map,
             peer_view: BTreeMap::new(),
             progress: BTreeMap::new(),
-            obs,
             tunnels,
             remote_hosts,
-            seq: BTreeMap::new(),
             selection: SelectionState::new(crate::policy::Selection::Single(config.initial_path)),
             policy,
             probe_period: config.probe_period,
@@ -231,32 +220,27 @@ impl TangoSwitch {
         }
     }
 
-    fn next_seq(&mut self, path: u16) -> u32 {
-        let s = self.seq.entry(path).or_insert(0);
-        let v = *s;
-        *s = s.wrapping_add(1);
-        v
-    }
-
     /// Encapsulate `pkt` (whose bytes are the inner payload: an app
     /// packet, an encoded report, or nothing for a probe) onto a tunnel
     /// in place and send it toward the wide area. Zero-copy when the
     /// packet carries `ENCAP_OVERHEAD` bytes of headroom.
     fn send_on_tunnel(&mut self, ctx: &mut Ctx<'_>, path: u16, mut pkt: Packet, kind: TxKind) {
-        if !self.tunnels.contains_key(&path) {
+        let Some(tunnel) = self.tunnels.get(&path) else {
             self.my_stats.lock().tx_no_tunnel += 1;
             ctx.recycle(pkt);
             return;
-        }
-        let seq = self.next_seq(path);
+        };
+        let seq = {
+            let mut sink = self.my_stats.lock();
+            match kind {
+                TxKind::Probe => sink.probes_sent += 1,
+                TxKind::App => sink.tx_encapsulated += 1,
+                TxKind::Report => sink.reports_sent += 1,
+            }
+            sink.next_tx_seq(path)
+        };
         let ts = ctx.local_ns();
         let key = self.auth_key.as_ref();
-        let Some(tunnel) = self.tunnels.get(&path) else {
-            // Unreachable: guarded by the contains_key check above (kept
-            // separate because next_seq also borrows self mutably).
-            ctx.recycle(pkt);
-            return;
-        };
         match kind {
             TxKind::Probe => codec::probe_packet_in_place(tunnel, &mut pkt, seq, ts, key),
             TxKind::App => codec::encapsulate_in_place(tunnel, &mut pkt, seq, ts, key),
@@ -270,22 +254,6 @@ impl TangoSwitch {
                 TxKind::Report => 2,
             },
         });
-        {
-            let mut sink = self.my_stats.lock();
-            match kind {
-                TxKind::Probe => sink.probes_sent += 1,
-                TxKind::App => sink.tx_encapsulated += 1,
-                TxKind::Report => sink.reports_sent += 1,
-            }
-        }
-        if let Some(obs) = &mut self.obs {
-            obs.on_tx(
-                path,
-                matches!(kind, TxKind::Probe),
-                matches!(kind, TxKind::Report),
-                pkt.len(),
-            );
-        }
         self.transmit_wan(ctx, pkt);
     }
 
@@ -415,9 +383,6 @@ impl Agent for TangoSwitch {
                         if !fresh {
                             sink.replay_rejects += 1;
                             drop(sink);
-                            if let Some(obs) = &self.obs {
-                                obs.on_replay_reject();
-                            }
                             ctx.span(SpanKind::RxReject { reason: 1 });
                             ctx.recycle(pkt);
                             return;
@@ -435,16 +400,8 @@ impl Agent for TangoSwitch {
                     {
                         let mut sink = self.my_stats.lock();
                         let path = sink.path_mut(d.tango.path_id);
-                        let admitted =
-                            path.record_owd_gated(rx_local, owd as f64, d.tango.sequence, infra);
-                        if let Some(obs) = &mut self.obs {
-                            obs.on_rx(d.tango.path_id, path);
-                        }
-                        if !admitted {
+                        if !path.record_owd_gated(rx_local, owd as f64, d.tango.sequence, infra) {
                             sink.implausible_owd += 1;
-                            if let Some(obs) = &self.obs {
-                                obs.on_implausible();
-                            }
                         }
                     }
                     if d.tango.flags.is_report() {
@@ -464,24 +421,13 @@ impl Agent for TangoSwitch {
                 }
                 Err(CodecError::Auth) => {
                     self.my_stats.lock().auth_rejects += 1;
-                    if let Some(obs) = &self.obs {
-                        obs.on_auth_reject();
-                    }
                     ctx.span(SpanKind::RxReject { reason: 0 });
                 }
-                Err(_) => {
-                    self.my_stats.lock().record_reject(None);
-                    if let Some(obs) = &self.obs {
-                        obs.on_reject();
-                    }
-                }
+                Err(_) => self.my_stats.lock().record_reject(None),
             }
         } else {
             // Plain (un-tunneled) packet for our hosts.
             self.my_stats.lock().plain_rx += 1;
-            if let Some(obs) = &self.obs {
-                obs.on_plain_rx();
-            }
         }
         // Every network-side arrival ends its life here: recycle the
         // buffer for the next allocation.

@@ -127,7 +127,6 @@ fn build(seed: u64, ny_clock_offset_ns: i64) -> Setup {
             auth_key: None,
             class_map: Default::default(),
             rx_labels: Vec::new(),
-            obs: None,
         },
         static_path(),
         Arc::clone(&la_stats),
@@ -149,7 +148,6 @@ fn build(seed: u64, ny_clock_offset_ns: i64) -> Setup {
             auth_key: None,
             class_map: Default::default(),
             rx_labels: Vec::new(),
-            obs: None,
         },
         static_path(),
         Arc::clone(&ny_stats),
@@ -332,7 +330,6 @@ fn corrupted_tunnel_packets_are_rejected_not_measured() {
             auth_key: Some(tango_net::SipKey::from_words(0x7461, 0x6e67)),
             class_map: Default::default(),
             rx_labels: Vec::new(),
-            obs: None,
         },
         static_path(),
         Arc::clone(&la_stats),
@@ -354,7 +351,6 @@ fn corrupted_tunnel_packets_are_rejected_not_measured() {
             auth_key: Some(tango_net::SipKey::from_words(0x7461, 0x6e67)),
             class_map: Default::default(),
             rx_labels: Vec::new(),
-            obs: None,
         },
         static_path(),
         Arc::clone(&ny_stats),

@@ -1,8 +1,9 @@
-//! Integration: the `tango-obs` telemetry layer against the PR 1
+//! Integration: the `tango-obs` telemetry layer against the
 //! fault-injection scenarios.
 //!
-//! Three properties, each checked against an *authoritative* source that
-//! is counted independently of the obs layer:
+//! The `dataplane.<as>.…` series are not counted on their own: they are
+//! the switches' `StatsSink`s, published at the end of every
+//! [`TangoPairing::run_until`]. What is checked here:
 //!
 //! 1. A scripted blackhole is visible in the export — the sender's
 //!    per-path tx counter runs ahead of the receiver's rx counter, and
@@ -11,10 +12,13 @@
 //! 2. With probes and control off, every missing tunnel packet is
 //!    accounted for: dataplane tx − rx equals the simulator's own loss
 //!    counters exactly (no packet unexplained, none double-counted).
-//! 3. The receive-side obs counters agree with `dataplane::stats` —
-//!    per-path rx equals the OWD series length and the sequence
+//!    Two layers, not two tallies of one layer.
+//! 3. The published receive-side series agree with the sink's own views
+//!    — per-path rx equals the OWD series length and the sequence
 //!    tracker's receive count, and the rolling 1-second jitter window
 //!    holds exactly the OWD samples from the trailing second.
+//! 4. Publishing is idempotent: one `run_until` and forty slices of it
+//!    export the same snapshot.
 
 use tango::prelude::*;
 use tango_obs::{Registry, Snapshot};
@@ -38,8 +42,9 @@ fn gauge(snap: &Snapshot, name: &str) -> u64 {
 }
 
 /// The adaptive blackhole scenario: health-gated lowest-OWD both sides,
-/// 10 ms probes, 100 ms control ticks, app traffic each way every 5 ms.
-fn blackhole_pairing(registry: &Registry) -> TangoPairing {
+/// 10 ms probes, 100 ms control ticks, app traffic each way every 5 ms,
+/// run to 15 s in `slices` equal `run_until` calls.
+fn blackhole_pairing(registry: &Registry, slices: u64) -> TangoPairing {
     let mut pairing = tango::vultr_pairing(PairingOptions {
         seed: 1,
         probe_period: Some(SimTime::from_ms(10)),
@@ -63,14 +68,17 @@ fn blackhole_pairing(registry: &Registry) -> TangoPairing {
         pairing.send_app_packet(t, Side::B, 64);
         t += SimTime(5_000_000);
     }
-    pairing.run_until(SimTime::from_secs(15));
+    let horizon = SimTime::from_secs(15).as_ns();
+    for k in 1..=slices {
+        pairing.run_until(SimTime(horizon * k / slices));
+    }
     pairing
 }
 
 #[test]
 fn blackhole_window_shows_tx_without_rx_and_counted_transitions() {
     let registry = Registry::default();
-    let pairing = blackhole_pairing(&registry);
+    let pairing = blackhole_pairing(&registry, 1);
     let snap = registry.snapshot();
 
     // Path 2 died in both directions: each sender kept probing it
@@ -233,8 +241,7 @@ fn obs_counters_agree_with_dataplane_stats() {
 
     for (side, scope) in [(Side::A, AS_A), (Side::B, AS_B)] {
         let sink = pairing.stats(side).lock();
-        // Send side: the obs layer counted the same encapsulations and
-        // probes the sink did, through a different code path.
+        // Send side: the published series are the sink's own counts.
         assert_eq!(
             counter(&snap, &format!("dataplane.{scope}.tx.app")),
             sink.tx_encapsulated,
@@ -245,9 +252,9 @@ fn obs_counters_agree_with_dataplane_stats() {
             sink.probes_sent,
             "side {scope} probe-tx drifted from the stats sink"
         );
-        // Receive side, per path: obs rx == OWD series length == the
-        // sequence tracker's receive count (three independent tallies of
-        // "a tunnel packet was measured").
+        // Receive side, per path: published rx == OWD series length ==
+        // the sequence tracker's receive count (no duplicates and no
+        // quarantined samples in a fault-free run).
         let mut rx_sum = 0u64;
         for (id, p) in sink.paths() {
             let rx = counter(&snap, &format!("dataplane.{scope}.path.{id}.rx"));
@@ -288,8 +295,22 @@ fn obs_counters_agree_with_dataplane_stats() {
 fn same_seed_produces_identical_snapshots() {
     let run = || {
         let registry = Registry::default();
-        let _ = blackhole_pairing(&registry);
+        let _ = blackhole_pairing(&registry, 1);
         registry.snapshot().to_json()
     };
     assert_eq!(run(), run(), "telemetry must be bit-identical per seed");
+}
+
+#[test]
+fn slicing_the_run_publishes_the_same_snapshot() {
+    let run = |slices| {
+        let registry = Registry::default();
+        let _ = blackhole_pairing(&registry, slices);
+        let mut snap = registry.snapshot();
+        // The one series that counts `run_until` calls, not traffic.
+        let calls = snap.histograms.remove("sim.span.run_until_ns");
+        assert!(calls.is_some_and(|h| h.count == slices));
+        snap
+    };
+    assert_eq!(run(1), run(40), "publishing twice must not count twice");
 }

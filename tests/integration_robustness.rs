@@ -442,6 +442,55 @@ fn same_seed_reproduces_the_health_timeline() {
 }
 
 #[test]
+fn owd_poison_never_fakes_a_path_death() {
+    // The silence signal counts *admitted* OWD samples, and the
+    // plausibility gate withholds a skewed path's samples until it
+    // promotes the new level (after 8 consecutive outliers). So at each
+    // onset and offset of a poisoned window, at most 7 arrivals per path
+    // and direction read as silence: far short of the 500 ms Down
+    // threshold at 10 ms probes.
+    for skew_ns in [400_000_000, -400_000_000, 2_000_000_000] {
+        let mut p = tango::vultr_pairing(PairingOptions {
+            seed: 5,
+            control_period: Some(SimTime::from_ms(100)),
+            policy_a: Box::new(LowestOwdPolicy::new(500_000.0)),
+            policy_b: Box::new(LowestOwdPolicy::new(500_000.0)),
+            health_a: Some(HealthConfig::default()),
+            health_b: Some(HealthConfig::default()),
+            ..PairingOptions::default()
+        })
+        .unwrap();
+        let carrier = p.provisioned.from(Side::A).paths[0]
+            .distinguishing_carrier()
+            .expect("path 0 has a transit carrier");
+        let window = tango_sim::ActiveWindow {
+            from: SimTime::from_secs(2),
+            until: SimTime::from_secs(8),
+        };
+        let poison = tango_sim::AdversaryBehavior::OwdPoison {
+            window,
+            skew_ns,
+            seq_offset: 0,
+        };
+        p.install_adversary(carrier, vec![poison]).unwrap();
+        p.run_until(SimTime::from_secs(10));
+
+        for side in Side::BOTH {
+            let timeline = p.health_timeline(side).expect("health enabled");
+            assert!(timeline.is_empty(), "skew {skew_ns}: {side:?} {timeline:?}");
+        }
+        let quarantined: u64 = Side::BOTH
+            .map(|side| p.stats(side).lock().implausible_owd)
+            .iter()
+            .sum();
+        assert_eq!(
+            quarantined, 56,
+            "skew {skew_ns}: 7 per onset/offset, path, direction"
+        );
+    }
+}
+
+#[test]
 fn session_reset_withdraws_and_reannounces_mid_run() {
     // A scheduled SessionReset withdraws both /48 tunnel prefixes of
     // path 2 at 5 s and re-announces them (original pin communities) at
