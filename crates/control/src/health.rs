@@ -22,32 +22,45 @@
 //!   is *never* selected, and degrades to the BGP-default tunnel when
 //!   every path is down (never panics).
 //!
-//! Every transition is appended to a shared timeline
-//! ([`HealthTransition`]) so experiments can report time-to-detect and
-//! time-to-failover. All randomness (backoff jitter) derives from a
-//! seeded SplitMix64 hash: same seed ⇒ same timeline.
+//! Every transition is appended to a shared log ([`HealthLog`]), next to
+//! the time each path was first observed, so experiments can report
+//! time-to-detect and time-to-failover. The log is also the only health
+//! tally: `health.<as>.…` telemetry is derived from it by
+//! [`HealthLog::publish`], never counted a second time. All randomness
+//! (backoff jitter) derives from a seeded SplitMix64 hash: same seed ⇒
+//! same timeline.
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use tango_dataplane::{PathPolicy, PathSnapshot, Selection};
-use tango_obs::{Counter, Histogram, Registry};
+use tango_obs::Registry;
+use tango_topology::AsId;
 
 /// Liveness verdict for one tunnel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealthState {
     /// Delivering normally; fully selectable.
-    Up,
+    Up = 0,
     /// Quiet longer than `suspect_after_ns` (or loss above threshold);
     /// still selectable, but on notice.
-    Suspect,
+    Suspect = 1,
     /// Declared dead: excluded from selection, probes withheld until the
     /// current backoff expires.
-    Down,
+    Down = 2,
     /// Backoff expired: probes flow again, but the path stays excluded
     /// from selection until `recovery_successes` consecutive control
     /// ticks observe fresh deliveries.
-    Probing,
+    Probing = 3,
+}
+
+impl HealthState {
+    /// The state's stable integer code, as carried by health-transition
+    /// and invariant-violation span payloads (spans carry integers,
+    /// never strings).
+    pub fn code(self) -> u8 {
+        self as u8
+    }
 }
 
 impl core::fmt::Display for HealthState {
@@ -116,9 +129,57 @@ pub struct HealthTransition {
     pub to: HealthState,
 }
 
-/// Shared, append-only record of every health transition — the raw
-/// material for time-to-detect / time-to-failover reporting.
-pub type HealthTimeline = Arc<Mutex<Vec<HealthTransition>>>;
+/// A health gate's own record: every transition, and when each path was
+/// first observed — the raw material for time-to-detect /
+/// time-to-failover reporting and for `health.<as>.…` telemetry.
+#[derive(Debug, Clone, Default)]
+pub struct HealthLog {
+    /// Every state change, oldest first.
+    pub transitions: Vec<HealthTransition>,
+    /// Controller-local time each path was first observed, ns: where its
+    /// first time-in-state interval starts (a path enters at `Up`).
+    pub first_seen: BTreeMap<u16, u64>,
+}
+
+impl HealthLog {
+    /// Publish this log as `node`'s `health.<as>.…` telemetry: a
+    /// `transition.<from>_<to>` counter for every pair that occurred, and
+    /// a `time_in.<state>_ns` histogram with one sample per transition
+    /// out of that state, measured from the path's previous transition
+    /// or, for its first, from its first observation. Counters are raised
+    /// to the log's totals and a histogram only receives the samples past
+    /// its count, so publishing again without new transitions changes
+    /// nothing.
+    pub fn publish(&self, registry: &Registry, node: AsId) {
+        let prefix = format!("health.{}", node.0);
+        let mut totals: BTreeMap<String, u64> = BTreeMap::new();
+        let mut time_in: BTreeMap<String, Vec<u64>> = BTreeMap::new();
+        let mut since = self.first_seen.clone();
+        for t in &self.transitions {
+            let name = format!("{prefix}.transition.{}_{}", t.from, t.to);
+            *totals.entry(name).or_default() += 1;
+            if let Some(entered) = since.insert(t.path, t.at_ns) {
+                let name = format!("{prefix}.time_in.{}_ns", t.from);
+                let samples = time_in.entry(name).or_default();
+                samples.push(t.at_ns.saturating_sub(entered));
+            }
+        }
+        for (name, total) in totals {
+            let counter = registry.counter(&name);
+            counter.add(total.saturating_sub(counter.get()));
+        }
+        for (name, samples) in time_in {
+            let histogram = registry.histogram(&name);
+            let published = histogram.count() as usize;
+            for &sample in samples.iter().skip(published) {
+                histogram.record(sample);
+            }
+        }
+    }
+}
+
+/// A gate's [`HealthLog`], shared with whoever reports on it.
+pub type HealthTimeline = Arc<Mutex<HealthLog>>;
 
 /// SplitMix64: cheap, deterministic hash for backoff jitter.
 fn splitmix64(mut z: u64) -> u64 {
@@ -293,70 +354,6 @@ impl PathHealth {
     }
 }
 
-/// Telemetry handles for one gate's health machines. Transitions become
-/// `health.<scope>.transition.<from>_<to>` counters; on every transition
-/// the time spent in the state being left is recorded into a
-/// `health.<scope>.time_in.<state>_ns` histogram (controller-local ns,
-/// so the figures are deterministic across runs).
-struct HealthObs {
-    registry: Registry,
-    prefix: String,
-    transitions: BTreeMap<(u8, u8), Counter>,
-    time_in: BTreeMap<u8, Histogram>,
-    /// Last known (state, since_ns) per path — the baseline for the
-    /// time-in-state figure. A path enters at `Up` on first observation.
-    last: BTreeMap<u16, (HealthState, u64)>,
-}
-
-/// Stable small index for metric-map keys (`HealthState` is not `Ord`).
-fn state_idx(s: HealthState) -> u8 {
-    match s {
-        HealthState::Up => 0,
-        HealthState::Suspect => 1,
-        HealthState::Down => 2,
-        HealthState::Probing => 3,
-    }
-}
-
-impl HealthObs {
-    fn new(registry: &Registry, scope: &str) -> Self {
-        HealthObs {
-            registry: registry.clone(),
-            prefix: format!("health.{scope}"),
-            transitions: BTreeMap::new(),
-            time_in: BTreeMap::new(),
-            last: BTreeMap::new(),
-        }
-    }
-
-    /// Start the time-in-state clock for a path first seen at `now_ns`.
-    fn ensure(&mut self, path: u16, now_ns: u64) {
-        self.last.entry(path).or_insert((HealthState::Up, now_ns));
-    }
-
-    fn on_transitions(&mut self, events: &[HealthTransition]) {
-        for t in events {
-            let key = (state_idx(t.from), state_idx(t.to));
-            let (registry, prefix) = (&self.registry, &self.prefix);
-            self.transitions
-                .entry(key)
-                .or_insert_with(|| {
-                    registry.counter(&format!("{prefix}.transition.{}_{}", t.from, t.to))
-                })
-                .inc();
-            if let Some((_, since)) = self.last.get(&t.path).copied() {
-                self.time_in
-                    .entry(state_idx(t.from))
-                    .or_insert_with(|| {
-                        registry.histogram(&format!("{prefix}.time_in.{}_ns", t.from))
-                    })
-                    .record(t.at_ns.saturating_sub(since));
-            }
-            self.last.insert(t.path, (t.to, t.at_ns));
-        }
-    }
-}
-
 /// Wrap any [`PathPolicy`] with liveness gating: non-`Up`/`Suspect`
 /// paths are hidden from the inner policy *and* scrubbed from whatever
 /// it returns, so a blackholed path is never selected. When every path
@@ -374,7 +371,6 @@ pub struct HealthGated {
     /// Monitor-only: health machines advance and the timeline records
     /// transitions, but the inner decision passes through unfiltered.
     monitor_only: bool,
-    obs: Option<HealthObs>,
 }
 
 impl HealthGated {
@@ -385,25 +381,16 @@ impl HealthGated {
             inner,
             cfg,
             paths: BTreeMap::new(),
-            timeline: Arc::new(Mutex::new(Vec::new())),
+            timeline: HealthTimeline::default(),
             name,
             fallback: 0,
             monitor_only: false,
-            obs: None,
         }
     }
 
     /// Use a different all-down fallback than path 0.
     pub fn with_fallback(mut self, path: u16) -> Self {
         self.fallback = path;
-        self
-    }
-
-    /// Export health telemetry into `registry` under `health.<scope>.…`
-    /// (scope is typically the local AS number). Transition counters and
-    /// time-in-state histograms.
-    pub fn with_obs(mut self, registry: &Registry, scope: &str) -> Self {
-        self.obs = Some(HealthObs::new(registry, scope));
         self
     }
 
@@ -421,7 +408,7 @@ impl HealthGated {
         self
     }
 
-    /// A shareable handle to the transition timeline (clone it before
+    /// A shareable handle to the gate's [`HealthLog`] (clone it before
     /// handing the policy to a switch).
     pub fn timeline(&self) -> HealthTimeline {
         Arc::clone(&self.timeline)
@@ -445,13 +432,10 @@ impl PathPolicy for HealthGated {
         // 1. Advance every path's health machine.
         let mut events = Vec::new();
         for (id, snap) in paths {
-            if let Some(obs) = &mut self.obs {
-                obs.ensure(*id, now_local_ns);
-            }
-            let h = self
-                .paths
-                .entry(*id)
-                .or_insert_with(|| PathHealth::new(*id));
+            let h = self.paths.entry(*id).or_insert_with(|| {
+                self.timeline.lock().first_seen.insert(*id, now_local_ns);
+                PathHealth::new(*id)
+            });
             h.observe(now_local_ns, snap, &self.cfg, &mut events);
         }
         // 2. The inner policy only ever sees selectable paths (all of
@@ -494,10 +478,7 @@ impl PathPolicy for HealthGated {
             }
         };
         if !events.is_empty() {
-            if let Some(obs) = &mut self.obs {
-                obs.on_transitions(&events);
-            }
-            self.timeline.lock().extend(events);
+            self.timeline.lock().transitions.extend(events);
         }
         decision
     }
@@ -513,10 +494,7 @@ impl PathPolicy for HealthGated {
         let mut events = Vec::new();
         let allowed = h.allow_probe(now_local_ns, &mut events);
         if !events.is_empty() {
-            if let Some(obs) = &mut self.obs {
-                obs.on_transitions(&events);
-            }
-            self.timeline.lock().extend(events);
+            self.timeline.lock().transitions.extend(events);
         }
         allowed
     }
@@ -769,7 +747,7 @@ mod tests {
         );
         assert_eq!(g.state(1), HealthState::Down);
         let tl = g.timeline();
-        let recorded = tl.lock().clone();
+        let recorded = tl.lock().transitions.clone();
         assert!(recorded
             .iter()
             .any(|t| t.path == 1 && t.to == HealthState::Down && t.at_ns == 800));
@@ -809,6 +787,7 @@ mod tests {
         assert_eq!(g.state(1), HealthState::Down);
         assert!(timeline
             .lock()
+            .transitions
             .iter()
             .any(|t| t.path == 1 && t.to == HealthState::Down));
     }
@@ -882,14 +861,15 @@ mod tests {
     fn obs_counts_transitions_and_time_in_state() {
         use crate::policy::LowestOwdPolicy;
         let registry = Registry::default();
-        let mut g = HealthGated::new(Box::new(LowestOwdPolicy::new(0.0)), cfg())
-            .with_obs(&registry, "65001");
+        let mut g = HealthGated::new(Box::new(LowestOwdPolicy::new(0.0)), cfg());
         let m = paths(&[(0, 100, 0), (1, 100, 0)]);
         g.decide(100, &m);
         let mut dark = m.clone();
         dark.get_mut(&1).unwrap().silence_ns = Some(700);
         dark.get_mut(&0).unwrap().samples = 200;
         g.decide(800, &dark); // coarse tick: path 1 goes Up → Suspect → Down
+        let log = g.timeline();
+        log.lock().publish(&registry, AsId(65001));
         let snap = registry.snapshot();
         assert_eq!(
             snap.counters
@@ -912,6 +892,10 @@ mod tests {
             .unwrap();
         assert_eq!(suspect.count, 1);
         assert_eq!(suspect.sum, 0, "both hops of the coarse tick land at 800");
+        assert_eq!(snap.counters.len(), 2, "only pairs that occurred");
+        assert_eq!(snap.histograms.len(), 2);
+        log.lock().publish(&registry, AsId(65001));
+        assert_eq!(registry.snapshot(), snap, "a second publish adds nothing");
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //!   and an inverse-latency weighted split.
 //! * [`health`] — per-tunnel liveness: the
 //!   `Up → Suspect → Down → Probing → Up` state machine, exponential
-//!   backoff re-probing, and the [`health::HealthGated`] wrapper that
-//!   keeps any policy from ever selecting a blackholed path.
+//!   backoff re-probing, the [`health::HealthGated`] wrapper that
+//!   keeps any policy from ever selecting a blackholed path, and the
+//!   gate's [`health::HealthLog`], from which `health.<as>.…`
+//!   telemetry is published.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,6 +33,6 @@ pub mod policy;
 pub use config::{provision, Direction, ProvisionError, ProvisionedPairing, Side, SideConfig};
 pub use discovery::{discover_paths, DiscoveredPath, DiscoveryError};
 pub use health::{
-    HealthConfig, HealthGated, HealthState, HealthTimeline, HealthTransition, PathHealth,
+    HealthConfig, HealthGated, HealthLog, HealthState, HealthTimeline, HealthTransition, PathHealth,
 };
 pub use policy::{JitterAwarePolicy, LossAwarePolicy, LowestOwdPolicy, WeightedSplitPolicy};

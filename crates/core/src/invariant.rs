@@ -26,13 +26,13 @@
 
 use tango_control::{HealthState, HealthTransition};
 
-use crate::pairing::{health_code, FlightDump, Side, TangoPairing};
+use crate::pairing::{FlightDump, Side, TangoPairing};
 
 /// Everything the checker needs about one side of the pairing.
 #[derive(Debug, Clone)]
 pub struct SideEvidence {
-    /// Human-readable side name (for violation reports).
-    pub label: String,
+    /// Which side this is (violations and unrecovered paths name it).
+    pub side: Side,
     /// Every provisioned path id — the universe the "was any
     /// alternative alive?" exemption quantifies over.
     pub paths: Vec<u16>,
@@ -51,7 +51,7 @@ impl SideEvidence {
         let selection_history = pairing.stats(side).lock().selection_history.clone();
         let paths = (0..pairing.labels_into(side.peer()).len() as u16).collect();
         Some(SideEvidence {
-            label: format!("{side:?}"),
+            side,
             paths,
             timeline,
             selection_history,
@@ -63,7 +63,7 @@ impl SideEvidence {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// Which side's controller made the decision.
-    pub side: String,
+    pub side: Side,
     /// Controller-local time of the decision, ns.
     pub at_ns: u64,
     /// The selected path.
@@ -84,7 +84,7 @@ pub struct InvariantReport {
     pub ttl_expired: u64,
     /// Invariant 3 failures: `(side, path)` still not `Up` at the end
     /// of the run.
-    pub unrecovered: Vec<(String, u16)>,
+    pub unrecovered: Vec<(Side, u16)>,
 }
 
 impl InvariantReport {
@@ -146,7 +146,7 @@ pub fn check(sides: &[SideEvidence], ttl_expired: u64) -> InvariantReport {
                 let state = state_at(&side.timeline, path, *t);
                 if known_dead(state) {
                     report.violations.push(Violation {
-                        side: side.label.clone(),
+                        side: side.side,
                         at_ns: *t,
                         path,
                         state,
@@ -162,7 +162,7 @@ pub fn check(sides: &[SideEvidence], ttl_expired: u64) -> InvariantReport {
         for path in paths {
             if let Some(last) = side.timeline.iter().rfind(|tr| tr.path == path) {
                 if last.to != HealthState::Up {
-                    report.unrecovered.push((side.label.clone(), path));
+                    report.unrecovered.push((side.side, path));
                 }
             }
         }
@@ -189,8 +189,7 @@ pub fn check_pairing(pairing: &TangoPairing) -> InvariantReport {
 pub fn check_pairing_flight(pairing: &mut TangoPairing) -> (InvariantReport, FlightDump) {
     let report = check_pairing(pairing);
     for v in &report.violations {
-        let side = if v.side == "B" { Side::B } else { Side::A };
-        pairing.record_violation(side, v.at_ns, v.path, health_code(v.state));
+        pairing.record_violation(v.side, v.at_ns, v.path, v.state.code());
     }
     let dump = pairing.flight_dump();
     (report, dump)
@@ -218,7 +217,7 @@ mod tests {
     #[test]
     fn fabricated_dead_path_selection_is_caught() {
         let ev = SideEvidence {
-            label: "A".into(),
+            side: Side::A,
             paths: vec![0, 1],
             timeline: vec![
                 tr(100, 1, HealthState::Up, HealthState::Suspect),
@@ -244,7 +243,7 @@ mod tests {
     #[test]
     fn probing_counts_as_dead_and_boundary_is_inclusive() {
         let ev = SideEvidence {
-            label: "B".into(),
+            side: Side::B,
             paths: vec![0, 1],
             timeline: vec![
                 tr(200, 0, HealthState::Up, HealthState::Down),
@@ -257,13 +256,13 @@ mod tests {
         // effect (decide() observes before it chooses).
         assert_eq!(report.violations.len(), 2);
         assert_eq!(report.violations[1].state, HealthState::Probing);
-        assert_eq!(report.unrecovered, vec![("B".to_string(), 0)]);
+        assert_eq!(report.unrecovered, vec![(Side::B, 0)]);
     }
 
     #[test]
     fn loops_and_clean_runs() {
         let clean = SideEvidence {
-            label: "A".into(),
+            side: Side::A,
             paths: vec![0, 1, 2],
             timeline: Vec::new(),
             selection_history: vec![(100, vec![0, 2]), (200, vec![2])],
@@ -279,7 +278,7 @@ mod tests {
         // Both paths dead: selecting the fallback (path 0) is the
         // gate's documented last resort, not a violation.
         let ev = SideEvidence {
-            label: "A".into(),
+            side: Side::A,
             paths: vec![0, 1],
             timeline: vec![
                 tr(100, 0, HealthState::Up, HealthState::Down),

@@ -65,7 +65,7 @@ pub use invariant::{
 pub use npop::{
     run_npop, NPopError, NPopMesh, NPopOptions, NPopOutcome, PairOutcome, TrafficOutcome,
 };
-pub use pairing::{health_code, FlightDump, PairingError, PairingOptions, Side, TangoPairing};
+pub use pairing::{FlightDump, PairingError, PairingOptions, Side, TangoPairing};
 pub use vultr::{vultr_pairing, vultr_pairing_with_events};
 
 /// The convenient imports for examples and experiments.

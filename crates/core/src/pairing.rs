@@ -27,18 +27,6 @@ use tango_topology::{AsId, TimeWindow, Topology, WideAreaEvent};
 /// dump exact and shard-invariant.
 const CONTROL_SPAN_CAPACITY: usize = 1 << 14;
 
-/// The stable integer code of a health state, as carried by
-/// [`SpanKind::HealthTransition`] and [`SpanKind::InvariantViolation`]
-/// span payloads (spans carry integers, never strings).
-pub fn health_code(state: HealthState) -> u8 {
-    match state {
-        HealthState::Up => 0,
-        HealthState::Suspect => 1,
-        HealthState::Down => 2,
-        HealthState::Probing => 3,
-    }
-}
-
 /// One flight-recorder dump: the control-plane recorder's retained
 /// spans rendered in the canonical `tango-trace/spans/v1` form, plus
 /// the digest experiments embed in their artifacts. A pure function of
@@ -157,12 +145,11 @@ pub struct PairingOptions {
     /// self-test can demonstrate a caught violation; never enable in
     /// experiments measuring Tango itself.
     pub monitor_only_health: bool,
-    /// Telemetry registry: when set, the simulator, the BGP engine and
-    /// any health gates export metrics into it (`sim.…`, `bgp.…`,
-    /// `health.<as>.…`), and [`TangoPairing::run_until`] publishes both
-    /// switches' stats sinks into it as `dataplane.<as>.…` at the end of
-    /// every call. The same handle is exposed after the build via
-    /// [`TangoPairing::obs`].
+    /// Telemetry registry: when set, the simulator and the BGP engine
+    /// export metrics into it (`sim.…`, `bgp.…`), and
+    /// [`TangoPairing::run_until`] publishes both switches' stats sinks
+    /// (`dataplane.<as>.…`) and health logs (`health.<as>.…`) into it at
+    /// the end of every call. Keep a clone to snapshot it.
     pub obs: Option<Registry>,
     /// Number of simulator shards (see `tango_sim::shard`). Any value
     /// yields bit-identical results. Under [`FeedbackMode::Shared`] a
@@ -426,9 +413,6 @@ impl TangoPairing {
                 if options.monitor_only_health {
                     gated = gated.monitor_only();
                 }
-                if let Some(registry) = &options.obs {
-                    gated = gated.with_obs(registry, &me.tenant.0.to_string());
-                }
                 sides[side.idx()].timeline = Some(gated.timeline());
                 policy = Box::new(gated);
             }
@@ -544,8 +528,8 @@ impl TangoPairing {
                 let parent = self.control_cause_at(tr.at_ns);
                 let kind = SpanKind::HealthTransition {
                     path: tr.path,
-                    from: health_code(tr.from),
-                    to: health_code(tr.to),
+                    from: tr.from.code(),
+                    to: tr.to.code(),
                 };
                 let key = self.control_span(tr.at_ns, node, parent, kind);
                 self.health_spans.push((tr.at_ns, tr.path, key));
@@ -605,22 +589,16 @@ impl TangoPairing {
         }
     }
 
-    /// The telemetry registry supplied via [`PairingOptions::obs`]
-    /// (`None` when the run was built without one). Snapshot it after
-    /// `run_until` to export the full `sim.…` / `dataplane.…` / `bgp.…` /
-    /// `health.…` metric tree.
-    pub fn obs(&self) -> Option<&Registry> {
-        self.obs.as_ref()
-    }
-
     /// Advance simulated time, executing any scheduled control-plane
     /// steps ([`WideAreaEvent::SessionReset`] and hijacks) whose time
     /// falls inside the window: the simulator runs up to the boundary,
     /// the announcements change, BGP re-converges, and the routers'
     /// forwarding tables are reinstalled (the RIB→FIB push) before
     /// simulated time continues. With a registry attached, both stats
-    /// sinks are then published into it, as the simulator publishes its
-    /// own counters at the end of its `run_until`.
+    /// sinks and both health logs are then published into it, as the
+    /// simulator publishes its own counters at the end of its
+    /// `run_until`; publishing is idempotent, so slicing a run changes
+    /// no figure.
     pub fn run_until(&mut self, t: SimTime) {
         while let Some(next) = self.pending_controls.first().copied() {
             if next.at > t {
@@ -634,6 +612,9 @@ impl TangoPairing {
         if let Some(registry) = &self.obs {
             for side in &self.sides {
                 side.stats.lock().publish(registry, side.config.tenant);
+                if let Some(timeline) = &side.timeline {
+                    timeline.lock().publish(registry, side.config.tenant);
+                }
             }
         }
     }
@@ -806,7 +787,8 @@ impl TangoPairing {
     /// [`HealthGated`] policy, oldest first. `None` unless the side was
     /// built with `health_a`/`health_b`.
     pub fn health_timeline(&self, side: Side) -> Option<Vec<HealthTransition>> {
-        Some(self.side(side).timeline.as_ref()?.lock().clone())
+        let timeline = self.side(side).timeline.as_ref()?;
+        Some(timeline.lock().transitions.clone())
     }
 
     /// The stats sink of a side (what that side *receives*).

@@ -146,7 +146,7 @@ pub enum SpanKind {
     HealthTransition {
         /// Tunnel path id.
         path: u16,
-        /// Previous state code (see `tango::pairing::health_code`).
+        /// Previous state code (see `tango_control::HealthState::code`).
         from: u8,
         /// New state code.
         to: u8,

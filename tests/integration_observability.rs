@@ -1,14 +1,16 @@
 //! Integration: the `tango-obs` telemetry layer against the
 //! fault-injection scenarios.
 //!
-//! The `dataplane.<as>.…` series are not counted on their own: they are
-//! the switches' `StatsSink`s, published at the end of every
-//! [`TangoPairing::run_until`]. What is checked here:
+//! The `dataplane.<as>.…` and `health.<as>.…` series are not counted on
+//! their own: they are the switches' `StatsSink`s and the health gates'
+//! logs, published at the end of every [`TangoPairing::run_until`]. What
+//! is checked here:
 //!
 //! 1. A scripted blackhole is visible in the export — the sender's
 //!    per-path tx counter runs ahead of the receiver's rx counter, and
 //!    both health gates count the resulting transitions (matching the
-//!    [`TangoPairing::health_timeline`] record event for event).
+//!    [`TangoPairing::health_timeline`] record event for event, with
+//!    time-in-state measured from each path's first observation).
 //! 2. With probes and control off, every missing tunnel packet is
 //!    accounted for: dataplane tx − rx equals the simulator's own loss
 //!    counters exactly (no packet unexplained, none double-counted).
@@ -138,13 +140,24 @@ fn blackhole_window_shows_tx_without_rx_and_counted_transitions() {
         );
         // Time-in-state histograms cover the states that were left: one
         // sample per recorded transition.
-        let time_in_samples: u64 = snap
+        let prefix = format!("health.{scope}.time_in.");
+        let time_in: Vec<_> = snap
             .histograms
             .iter()
-            .filter(|(k, _)| k.starts_with(&format!("health.{scope}.time_in.")))
-            .map(|(_, h)| h.count)
-            .sum();
+            .filter(|(k, _)| k.starts_with(&prefix))
+            .map(|(_, h)| h)
+            .collect();
+        let time_in_samples: u64 = time_in.iter().map(|h| h.count).sum();
         assert_eq!(time_in_samples, timeline.len() as u64);
+        // Each path's samples tile the span from its first observation
+        // (the gate's first control tick, which sees every path) to its
+        // last transition.
+        let first_tick = pairing.stats(side).lock().selection_history[0].0;
+        let last: std::collections::BTreeMap<u16, u64> =
+            timeline.iter().map(|tr| (tr.path, tr.at_ns)).collect();
+        let spans: u64 = last.values().map(|at| at - first_tick).sum();
+        let time_in_sum: u64 = time_in.iter().map(|h| h.sum).sum();
+        assert_eq!(time_in_sum, spans, "side {scope}: time-in-state baseline");
     }
 }
 
