@@ -1,14 +1,15 @@
 //! Ablations and extensions (DESIGN.md experiments A1–A4): the design
 //! arguments of §2/§3/§6, quantified.
 
+use crate::scalability::{Tier, SMALL_TIERS};
 use crate::util::{fmt, print_table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use tango::npop::pop_side;
 use tango::prelude::*;
-use tango_control::SideConfig;
 use tango_measure::Summary;
 use tango_sim::edge_noise::{HypervisorNoise, WirelessNoise};
-use tango_topology::gen::{generate, GenParams};
+use tango_topology::gen::{generate, GenParams, Generated};
 use tango_topology::vultr::{
     gtt_instability_event, gtt_route_change_event, vultr_scenario, GTT, VULTR_NY,
 };
@@ -341,13 +342,16 @@ pub fn report_multihoming() {
 
 // ---------------------------------------------------------------- A4 --
 
-/// Aggregates for one N.
+/// Aggregates for one tier.
 #[derive(Debug, Clone)]
 pub struct TangoOfNRow {
-    /// Number of edge sites.
-    pub n: usize,
-    /// Pairings attempted / succeeded.
+    /// The generated graph and its PoP count (N).
+    pub tier: Tier,
+    /// Pairings attempted: every unordered PoP pair, C(N, 2).
     pub pairs: usize,
+    /// Pairings that failed to provision or never measured their
+    /// BGP-default path (left out of the averages).
+    pub failed: usize,
     /// Mean discovered paths per direction.
     pub avg_paths: f64,
     /// Mean best-vs-default delay gain, percent.
@@ -356,61 +360,54 @@ pub struct TangoOfNRow {
     pub pairs_with_big_gain: f64,
 }
 
-/// **A4** — §6 "From Tango of 2 to Tango of N": all-pairs pairings over
-/// generated hierarchies, one independent simulator per pair.
-pub fn tango_of_n(ns: &[usize], seed: u64) -> Vec<TangoOfNRow> {
-    ns.iter()
-        .map(|&n| {
-            let g = generate(&GenParams {
-                tier1: 3,
-                transits: 8,
-                edges: n,
-                providers_per_edge: (2, 4),
-                transit_peering_prob: 0.3,
-                seed,
-                ..GenParams::default()
-            });
-            let blocks: tango_net::Ipv6Cidr = "2001:db8::/32".parse().expect("static");
-            let hosts: tango_net::Ipv6Cidr = "2001:db9::/32".parse().expect("static");
-            let side = |idx: usize, role: usize| SideConfig {
-                tenant: g.edge_sites[idx],
-                border: g.edge_sites[idx],
-                block: blocks.subnet(44, (idx * 2 + role) as u128).expect("fits"),
-                host_prefix: tango_net::IpCidr::V6(hosts.subnet(48, idx as u128).expect("fits")),
-            };
-            let ok: Vec<(usize, f64)> = (0..n)
-                .flat_map(|i| ((i + 1)..n).map(move |j| (i, j)))
-                .filter_map(|(i, j)| {
-                    let mut p = TangoPairing::build(
-                        g.topology.clone(),
-                        std::iter::empty(),
-                        side(i, 0),
-                        side(j, 1),
-                        PairingOptions {
-                            seed: seed ^ ((i as u64) << 16 | j as u64),
-                            ..PairingOptions::default()
-                        },
-                    )
-                    .ok()?;
-                    p.run_until(SimTime::from_secs(5));
-                    let paths = p.provisioned.from(Side::A).paths.len()
-                        + p.provisioned.from(Side::B).paths.len();
-                    let default = p.mean_owd_ms(Side::A, 0)?;
-                    let best = (0..p.provisioned.from(Side::B).paths.len() as u16)
-                        .filter_map(|k| p.mean_owd_ms(Side::A, k))
-                        .fold(f64::INFINITY, f64::min);
-                    Some((paths, (default / best - 1.0) * 100.0))
-                })
+/// One pairing between PoPs `i` and `j`, run for 5 s: its discovered
+/// paths (both directions) and best-vs-default gain, or `None` when it
+/// failed to provision or to measure the default path.
+fn pair_gain(g: &Generated, i: usize, j: usize, seed: u64) -> Option<(usize, f64)> {
+    let mut p = TangoPairing::build(
+        g.topology.clone(),
+        std::iter::empty(),
+        pop_side(g.edge_sites[i], i),
+        pop_side(g.edge_sites[j], j),
+        PairingOptions {
+            seed: seed ^ ((i as u64) << 16 | j as u64),
+            ..PairingOptions::default()
+        },
+    )
+    .ok()?;
+    p.run_until(SimTime::from_secs(5));
+    let paths = p.provisioned.from(Side::A).paths.len() + p.provisioned.from(Side::B).paths.len();
+    let default = p.mean_owd_ms(Side::A, 0)?;
+    let best = (0..p.provisioned.from(Side::B).paths.len() as u16)
+        .filter_map(|k| p.mean_owd_ms(Side::A, k))
+        .fold(f64::INFINITY, f64::min);
+    Some((paths, (default / best - 1.0) * 100.0))
+}
+
+/// **A4** — §6 "From Tango of 2 to Tango of N": one independent
+/// pairing per PoP pair, on the scale-free graphs of the B5 sweep
+/// (`experiments scalability`) and through its address plan
+/// ([`pop_side`]).
+pub fn tango_of_n(tiers: &[Tier], seed: u64) -> Vec<TangoOfNRow> {
+    tiers
+        .iter()
+        .map(|&tier| {
+            let g = generate(&GenParams::internet(tier.ases, tier.pops, seed));
+            let pairs: Vec<(usize, usize)> = (0..tier.pops)
+                .flat_map(|i| ((i + 1)..tier.pops).map(move |j| (i, j)))
                 .collect();
-            let pair_count = ok.len();
+            let ok: Vec<(usize, f64)> = pairs
+                .iter()
+                .filter_map(|&(i, j)| pair_gain(&g, i, j, seed))
+                .collect();
+            let n = ok.len().max(1) as f64;
             TangoOfNRow {
-                n,
-                pairs: pair_count,
-                avg_paths: ok.iter().map(|(p, _)| *p as f64).sum::<f64>()
-                    / (2 * pair_count.max(1)) as f64,
-                avg_gain_pct: ok.iter().map(|(_, g)| g).sum::<f64>() / pair_count.max(1) as f64,
-                pairs_with_big_gain: ok.iter().filter(|(_, g)| *g > 10.0).count() as f64
-                    / pair_count.max(1) as f64,
+                tier,
+                pairs: pairs.len(),
+                failed: pairs.len() - ok.len(),
+                avg_paths: ok.iter().map(|(p, _)| *p as f64).sum::<f64>() / (2.0 * n),
+                avg_gain_pct: ok.iter().map(|(_, g)| g).sum::<f64>() / n,
+                pairs_with_big_gain: ok.iter().filter(|(_, g)| *g > 10.0).count() as f64 / n,
             }
         })
         .collect()
@@ -418,14 +415,16 @@ pub fn tango_of_n(ns: &[usize], seed: u64) -> Vec<TangoOfNRow> {
 
 /// Print A4.
 pub fn report_tango_of_n(seed: u64) {
-    println!("A4 — Tango of N (§6): all-pairs pairings over generated topologies\n");
-    let rows = tango_of_n(&[3, 4, 5, 6], seed);
+    println!("A4 — Tango of N (§6): all-pairs pairings over the B5 scale-free tiers\n");
+    let rows = tango_of_n(&SMALL_TIERS, seed);
     let table: Vec<Vec<String>> = rows
         .iter()
         .map(|r| {
             vec![
-                r.n.to_string(),
+                r.tier.ases.to_string(),
+                r.tier.pops.to_string(),
                 r.pairs.to_string(),
+                r.failed.to_string(),
                 fmt(r.avg_paths, 1),
                 format!("{}%", fmt(r.avg_gain_pct, 1)),
                 format!("{}%", fmt(r.pairs_with_big_gain * 100.0, 0)),
@@ -434,8 +433,10 @@ pub fn report_tango_of_n(seed: u64) {
         .collect();
     print_table(
         &[
-            "N sites",
+            "ASes",
+            "N PoPs",
             "pairs",
+            "failed",
             "avg paths/dir",
             "avg best-vs-default",
             "pairs >10% gain",
@@ -901,8 +902,10 @@ mod tests {
 
     #[test]
     fn a4_small_sweep_runs() {
-        let rows = tango_of_n(&[3], 5);
-        assert_eq!(rows[0].pairs, 3);
+        // The 100-AS / 8-PoP tier: every pair provisions and measures.
+        let rows = tango_of_n(&SMALL_TIERS[..1], 1);
+        assert_eq!(rows[0].pairs, 8 * 7 / 2, "C(8, 2) pairings");
+        assert_eq!(rows[0].failed, 0);
         assert!(rows[0].avg_paths >= 2.0, "avg paths {}", rows[0].avg_paths);
         assert!(rows[0].avg_gain_pct >= 0.0);
     }

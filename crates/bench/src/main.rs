@@ -33,7 +33,7 @@ COMMANDS
   ablation-owd          A1: one-way vs end-to-end measurement accuracy
   ablation-policy       A2: selection policies through the Fig. 4 events
   ablation-multihoming  A3: Tango vs one-sided multihoming route control
-  tango-of-n            A4: §6 all-pairs pairings over generated topologies
+  tango-of-n            A4: §6 all-pairs pairings over the B5 scale-free tiers
   ecmp-census           A5: §6 ECMP lane counting via source-port sweeps
   load-balance          A6: §6 weighted-split load balancing under saturation
   loss-table            A7: loss/reordering measured from sequence numbers

@@ -354,6 +354,10 @@ impl PathHealth {
     }
 }
 
+/// The tunnel a [`HealthGated`] falls back to when everything is down:
+/// the BGP-default path.
+const FALLBACK_PATH: u16 = 0;
+
 /// Wrap any [`PathPolicy`] with liveness gating: non-`Up`/`Suspect`
 /// paths are hidden from the inner policy *and* scrubbed from whatever
 /// it returns, so a blackholed path is never selected. When every path
@@ -366,8 +370,6 @@ pub struct HealthGated {
     paths: BTreeMap<u16, PathHealth>,
     timeline: HealthTimeline,
     name: String,
-    /// The tunnel to fall back to when everything is down.
-    fallback: u16,
     /// Monitor-only: health machines advance and the timeline records
     /// transitions, but the inner decision passes through unfiltered.
     monitor_only: bool,
@@ -383,15 +385,8 @@ impl HealthGated {
             paths: BTreeMap::new(),
             timeline: HealthTimeline::default(),
             name,
-            fallback: 0,
             monitor_only: false,
         }
-    }
-
-    /// Use a different all-down fallback than path 0.
-    pub fn with_fallback(mut self, path: u16) -> Self {
-        self.fallback = path;
-        self
     }
 
     /// Disable enforcement: health machines still run and the timeline
@@ -450,7 +445,7 @@ impl PathPolicy for HealthGated {
         } else if visible.is_empty() {
             // Everything is down: degrade to the BGP default rather than
             // steering into a known blackhole — and never panic.
-            Selection::Single(self.fallback)
+            Selection::Single(FALLBACK_PATH)
         } else {
             // 3. Belt and braces: scrub anything non-selectable from the
             // decision too (an inner policy may hold hysteresis state
@@ -458,7 +453,7 @@ impl PathPolicy for HealthGated {
             // entirely, like a pinned StaticPolicy).
             match self.inner.decide(now_local_ns, &visible) {
                 Selection::Single(p) if !Self::selectable(self.state(p)) => {
-                    let best = visible.keys().next().copied().unwrap_or(self.fallback);
+                    let best = visible.keys().next().copied().unwrap_or(FALLBACK_PATH);
                     Selection::Single(best)
                 }
                 Selection::Weighted(w) => {
@@ -468,7 +463,7 @@ impl PathPolicy for HealthGated {
                         .collect();
                     match kept.len() {
                         0 => Selection::Single(
-                            visible.keys().next().copied().unwrap_or(self.fallback),
+                            visible.keys().next().copied().unwrap_or(FALLBACK_PATH),
                         ),
                         1 => Selection::Single(kept[0].0),
                         _ => Selection::Weighted(kept),
@@ -831,10 +826,6 @@ mod tests {
         assert_eq!(g.decide(800, &dark), Selection::Single(0), "BGP default");
         assert_eq!(g.state(0), HealthState::Down);
         assert_eq!(g.state(1), HealthState::Down);
-        // And with a custom fallback.
-        let mut g2 = HealthGated::new(Box::new(LowestOwdPolicy::new(0.0)), cfg()).with_fallback(3);
-        g2.decide(100, &m);
-        assert_eq!(g2.decide(800, &dark), Selection::Single(3));
     }
 
     #[test]

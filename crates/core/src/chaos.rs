@@ -24,8 +24,7 @@ use tango_control::{HealthConfig, HealthState, LowestOwdPolicy};
 use tango_dataplane::{codec, FeedbackMode, MeasurementReport, PathRecord};
 use tango_net::SipKey;
 use tango_sim::{
-    ActiveWindow, AdversaryBehavior, AdversaryStats, ChaosConfig, ChaosKind, ChaosSchedule,
-    OutageSchedule, SimTime,
+    ActiveWindow, AdversaryBehavior, AdversaryStats, ChaosConfig, ChaosKind, ChaosSchedule, SimTime,
 };
 use tango_topology::{AsId, WideAreaEvent};
 
@@ -176,7 +175,6 @@ pub fn run_chaos(options: ChaosRunOptions) -> Result<ChaosOutcome, PairingError>
     // Lower the schedule: honest faults pre-build, packet attacks and
     // hijacks post-build.
     let mut wide_area_events = Vec::new();
-    let mut outages = OutageSchedule::new();
     let mut hijacks: Vec<(u16, u64, u64)> = Vec::new();
     // path-attack behaviors keyed by path (resolved to a node later).
     let mut path_behaviors: BTreeMap<u16, Vec<(u64, ChaosKind)>> = BTreeMap::new();
@@ -189,7 +187,6 @@ pub fn run_chaos(options: ChaosRunOptions) -> Result<ChaosOutcome, PairingError>
                     at_ns: at,
                     duration_ns,
                 });
-                outages.add(path, at, at + duration_ns);
             }
             ChaosKind::SessionReset { path, hold_ns } => {
                 wide_area_events.push(WideAreaEvent::SessionReset {
@@ -197,11 +194,9 @@ pub fn run_chaos(options: ChaosRunOptions) -> Result<ChaosOutcome, PairingError>
                     at_ns: at,
                     hold_ns,
                 });
-                outages.add(path, at, at + hold_ns);
             }
             ChaosKind::Hijack { path, duration_ns } => {
                 hijacks.push((path, at, duration_ns));
-                outages.add(path, at, at + duration_ns);
             }
             ChaosKind::OwdPoison { path, .. }
             | ChaosKind::Replay { path, .. }

@@ -35,8 +35,8 @@ use std::net::Ipv6Addr;
 use tango_bgp::engine::RibStats;
 use tango_bgp::policy::path_is_valley_free;
 use tango_bgp::{BgpEngine, EngineError};
-use tango_control::{discover_paths, DiscoveryError};
-use tango_net::IpCidr;
+use tango_control::{discover_paths, DiscoveryError, SideConfig};
+use tango_net::{IpCidr, Ipv6Cidr};
 use tango_obs::Registry;
 use tango_sim::{NetworkSim, Packet, RouterAgent, ShardMode, SimConfig, SimTime};
 use tango_topology::gen::{try_generate, GenError, GenParams};
@@ -54,9 +54,11 @@ const INJECT_GAP: SimTime = SimTime::from_us(250);
 const DRAIN: SimTime = SimTime::from_secs(3);
 
 /// Host prefixes live at `2001:db8:1000+i::/48`, probe prefixes at
-/// `2001:db8:2000+i::/48` — disjoint spaces, one slot per PoP index.
+/// `2001:db8:2000+i::/48`, tunnel blocks in `2001:db8:4000::/36` —
+/// disjoint spaces, one slot per PoP index.
 const HOST_HEXTET_BASE: usize = 0x1000;
 const PROBE_HEXTET_BASE: usize = 0x2000;
+const TUNNEL_SPACE: &str = "2001:db8:4000::/36";
 
 /// Options for [`run_npop`].
 #[derive(Debug, Clone)]
@@ -217,6 +219,24 @@ pub fn probe_prefix(i: usize) -> IpCidr {
     format!("2001:db8:{:x}::/48", PROBE_HEXTET_BASE + i)
         .parse()
         .expect("static prefix template")
+}
+
+/// PoP `i`'s side of a pairing — the one address plan every Tango-of-N
+/// pairing uses. The PoP is its own tenant and border (the multihomed
+/// enterprise of §2, running its own BGP), its tunnel block is the
+/// `i`-th /44 of `2001:db8:4000::/36` (256 slots, the PoP cap), and its
+/// hosts live in [`host_prefix`]`(i)`. The two sides of a pairing are
+/// different PoPs, so their blocks never overlap.
+pub fn pop_side(pop: AsId, i: usize) -> SideConfig {
+    let space: Ipv6Cidr = TUNNEL_SPACE.parse().expect("static prefix");
+    SideConfig {
+        tenant: pop,
+        border: pop,
+        block: space
+            .subnet(44, i as u128)
+            .expect("a /36 holds one /44 per PoP index below 256"),
+        host_prefix: host_prefix(i),
+    }
 }
 
 /// Nearest-rank percentile of an ascending-sorted slice (0 for empty).
@@ -587,6 +607,24 @@ mod tests {
         for pops in [0, 1, 257] {
             let r = run_npop(&NPopOptions { pops, ..small() });
             assert!(matches!(r, Err(NPopError::BadPopCount(_))), "pops={pops}");
+        }
+    }
+
+    #[test]
+    fn pop_side_is_self_bordered_with_one_block_per_pop() {
+        let first = pop_side(AsId(7), 0);
+        assert_eq!((first.tenant, first.border), (AsId(7), AsId(7)));
+        assert_eq!(first.host_prefix, host_prefix(0));
+        assert_eq!(first.block.to_string(), "2001:db8:4000::/44");
+        let last = pop_side(AsId(8), 255);
+        assert_eq!(last.block.to_string(), "2001:db8:4ff0::/44");
+        // Tunnel blocks stay clear of the host and probe spaces.
+        let tunnels: Ipv6Cidr = TUNNEL_SPACE.parse().expect("static prefix");
+        for i in [0, 255] {
+            for p in [host_prefix(i), probe_prefix(i)] {
+                let IpCidr::V6(p) = p else { unreachable!() };
+                assert!(!tunnels.overlaps(&p), "{p}");
+            }
         }
     }
 

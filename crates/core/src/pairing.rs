@@ -27,6 +27,9 @@ use tango_topology::{AsId, TimeWindow, Topology, WideAreaEvent};
 /// dump exact and shard-invariant.
 const CONTROL_SPAN_CAPACITY: usize = 1 << 14;
 
+/// Paths discovered at most per direction.
+const MAX_PATHS: usize = 8;
+
 /// One flight-recorder dump: the control-plane recorder's retained
 /// spans rendered in the canonical `tango-trace/spans/v1` form, plus
 /// the digest experiments embed in their artifacts. A pure function of
@@ -103,8 +106,6 @@ pub struct PairingOptions {
     pub policy_a: Box<dyn PathPolicy>,
     /// Policy at side B for B→A traffic.
     pub policy_b: Box<dyn PathPolicy>,
-    /// Maximum number of paths to discover per direction.
-    pub max_paths: usize,
     /// Clock offset of side B's switch (side A is the reference). The
     /// paper's clocks are unsynchronized; experiments vary this to show
     /// the invariance.
@@ -169,7 +170,6 @@ impl Default for PairingOptions {
             control_period: None,
             policy_a: Box::new(StaticPolicy::single(0, "bgp-default")),
             policy_b: Box::new(StaticPolicy::single(0, "bgp-default")),
-            max_paths: 8,
             clock_offset_b_ns: 0,
             fault: None,
             initial_path: 0,
@@ -320,7 +320,7 @@ impl TangoPairing {
         for (node, prefs) in neighbor_pref {
             bgp.set_neighbor_pref(node, prefs)?;
         }
-        let provisioned = provision(&mut bgp, &side_a, &side_b, options.max_paths)?;
+        let provisioned = provision(&mut bgp, &side_a, &side_b, MAX_PATHS)?;
         let mut sides = [side_a, side_b].map(|config| SideState {
             config,
             stats: shared_sink(),

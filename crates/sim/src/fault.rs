@@ -54,125 +54,11 @@ impl FaultInjector {
     }
 }
 
-/// Per-path outage windows with interval normalization.
-///
-/// The invariant checker needs to answer "was path *p* known-dead at
-/// time *t*?" against a chaos schedule whose outages freely overlap and
-/// abut. Windows are half-open `[from, until)`; overlapping and
-/// *adjacent* windows merge, so `[10,20)+[20,30)` is one dead interval
-/// `[10,30)` with no phantom one-instant recovery at 20.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OutageSchedule {
-    /// Sorted, disjoint, non-adjacent windows per path id.
-    windows: std::collections::BTreeMap<u16, Vec<(u64, u64)>>,
-}
-
-impl OutageSchedule {
-    /// An empty schedule.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add one outage window `[from_ns, until_ns)` for `path`.
-    /// Empty/inverted windows are ignored.
-    pub fn add(&mut self, path: u16, from_ns: u64, until_ns: u64) {
-        if until_ns <= from_ns {
-            return;
-        }
-        let v = self.windows.entry(path).or_default();
-        v.push((from_ns, until_ns));
-        v.sort_unstable();
-        // Merge overlapping and adjacent neighbors.
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(v.len());
-        for &(a, b) in v.iter() {
-            match merged.last_mut() {
-                Some(last) if a <= last.1 => last.1 = last.1.max(b),
-                _ => merged.push((a, b)),
-            }
-        }
-        *v = merged;
-    }
-
-    /// Is `path` inside an outage at `t_ns`?
-    pub fn active(&self, path: u16, t_ns: u64) -> bool {
-        self.windows
-            .get(&path)
-            .map(|v| {
-                v.iter()
-                    .take_while(|&&(a, _)| a <= t_ns)
-                    .any(|&(_, b)| t_ns < b)
-            })
-            .unwrap_or(false)
-    }
-
-    /// The normalized windows for `path` (sorted, disjoint,
-    /// non-adjacent).
-    pub fn windows(&self, path: u16) -> &[(u64, u64)] {
-        self.windows.get(&path).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// When every outage on every path is over (0 if none).
-    pub fn all_clear_ns(&self) -> u64 {
-        self.windows
-            .values()
-            .filter_map(|v| v.last().map(|&(_, b)| b))
-            .max()
-            .unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn outage_overlapping_windows_merge() {
-        let mut o = OutageSchedule::new();
-        o.add(0, 10, 30);
-        o.add(0, 20, 40);
-        assert_eq!(o.windows(0), &[(10, 40)]);
-        assert!(o.active(0, 35));
-        assert!(!o.active(0, 40), "half-open end");
-    }
-
-    #[test]
-    fn outage_adjacent_windows_merge() {
-        let mut o = OutageSchedule::new();
-        o.add(0, 10, 20);
-        o.add(0, 20, 30);
-        assert_eq!(o.windows(0), &[(10, 30)]);
-        assert!(o.active(0, 20), "no phantom recovery at the seam");
-    }
-
-    #[test]
-    fn outage_disjoint_windows_stay_separate() {
-        let mut o = OutageSchedule::new();
-        o.add(1, 50, 60);
-        o.add(1, 10, 20);
-        assert_eq!(o.windows(1), &[(10, 20), (50, 60)]);
-        assert!(!o.active(1, 30));
-        assert_eq!(o.all_clear_ns(), 60);
-    }
-
-    #[test]
-    fn outage_paths_independent() {
-        let mut o = OutageSchedule::new();
-        o.add(0, 0, 100);
-        assert!(o.active(0, 50));
-        assert!(!o.active(1, 50));
-        assert!(o.windows(2).is_empty());
-    }
-
-    #[test]
-    fn outage_empty_window_ignored() {
-        let mut o = OutageSchedule::new();
-        o.add(0, 10, 10);
-        o.add(0, 20, 15);
-        assert!(o.windows(0).is_empty());
-        assert_eq!(o.all_clear_ns(), 0);
-    }
 
     #[test]
     fn zero_rates_always_pass() {

@@ -49,7 +49,7 @@ pub use clock::NodeClock;
 pub use engine::{
     Agent, BufferPool, Ctx, NetworkSim, Packet, RouterAgent, ShardLoad, SimConfig, SimStats,
 };
-pub use fault::{FaultDecision, FaultInjector, OutageSchedule};
+pub use fault::{FaultDecision, FaultInjector};
 pub use shard::ShardMode;
 pub use tango_trace::{DropReason, Span, SpanKey, SpanKind, SpanRing};
 pub use time::SimTime;

@@ -1,62 +1,10 @@
-//! Property-based tests for the chaos machinery: outage-window
-//! normalization in `sim::fault` and `ChaosSchedule` determinism.
+//! Property-based tests for the chaos machinery: `ChaosSchedule`
+//! determinism and bounds.
 
 use proptest::prelude::*;
-use tango_sim::{ChaosConfig, ChaosSchedule, OutageSchedule};
+use tango_sim::{ChaosConfig, ChaosSchedule};
 
 proptest! {
-    /// However windows overlap or abut, the normalized form is sorted,
-    /// disjoint, and non-adjacent, and membership matches the naive
-    /// union of the raw windows.
-    #[test]
-    fn outage_normalization_preserves_membership(
-        raw in proptest::collection::vec((0u64..500, 1u64..100), 0..24),
-        probes in proptest::collection::vec(0u64..700, 32),
-    ) {
-        let mut o = OutageSchedule::new();
-        for &(from, len) in &raw {
-            o.add(0, from, from + len);
-        }
-        // Normal form: sorted, disjoint, with a real gap between
-        // neighbors (adjacent windows must have merged).
-        let w = o.windows(0);
-        for pair in w.windows(2) {
-            prop_assert!(pair[0].1 < pair[1].0,
-                "windows {:?} not disjoint/non-adjacent", pair);
-        }
-        for &(a, b) in w {
-            prop_assert!(a < b);
-        }
-        // Membership agrees with the naive union of raw windows.
-        for &t in &probes {
-            let naive = raw.iter().any(|&(from, len)| t >= from && t < from + len);
-            prop_assert_eq!(o.active(0, t), naive, "t = {}", t);
-        }
-        // all_clear is the max end (or 0 when empty).
-        let naive_clear = raw.iter().map(|&(f, l)| f + l).max().unwrap_or(0);
-        if raw.is_empty() {
-            prop_assert_eq!(o.all_clear_ns(), 0);
-        } else {
-            prop_assert_eq!(o.all_clear_ns(), naive_clear);
-        }
-    }
-
-    /// Insertion order never matters.
-    #[test]
-    fn outage_insertion_order_irrelevant(
-        raw in proptest::collection::vec((0u64..500, 1u64..100), 1..16),
-    ) {
-        let mut fwd = OutageSchedule::new();
-        let mut rev = OutageSchedule::new();
-        for &(f, l) in &raw {
-            fwd.add(3, f, f + l);
-        }
-        for &(f, l) in raw.iter().rev() {
-            rev.add(3, f, f + l);
-        }
-        prop_assert_eq!(fwd, rev);
-    }
-
     /// Same seed ⇒ identical schedule, different seed ⇒ (almost
     /// always) different — and the schedule always respects its bounds.
     #[test]

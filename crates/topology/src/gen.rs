@@ -1,35 +1,28 @@
-//! Seeded random topology generation, from Vultr-sized hierarchies to
-//! internet-scale scale-free graphs.
+//! Seeded random topology generation: internet-scale scale-free AS
+//! graphs.
 //!
 //! §6 of the paper ("From Tango of 2 to Tango of N") envisions Tango
-//! pairings as building blocks of a wider overlay. The generators here
-//! produce Internet-like graphs for the Tango-of-N experiments and for
-//! scale-testing BGP propagation. Two models share one parameter struct
-//! ([`GenParams`], dispatched on [`GenModel`]):
+//! pairings as building blocks of a wider overlay. The generator here
+//! produces the Internet-like graphs the Tango-of-N experiments and the
+//! BGP scale tests run on, by Barabási–Albert preferential attachment:
+//! the tier-1 clique seeds the process, each new transit attaches its
+//! provider uplinks to existing transits with probability proportional
+//! to degree, and peering links are drawn degree-preferentially on both
+//! ends. The resulting transit degree distribution is heavy-tailed, like
+//! the measured AS graph ("The Internet's Unexploited Path Diversity"
+//! quantifies the multipath structure such graphs expose).
+//! [`GenParams::internet`] is the one preset; callers override single
+//! fields with `..GenParams::internet(..)`.
 //!
-//! * [`GenModel::Hierarchy`] — the original small generator: a fully
-//!   meshed **tier-1 core** (settlement-free peering), **tier-2
-//!   transits** each a customer of one or two tier-1s with occasional
-//!   tier-2 peering, and multi-homed **edge sites** buying transit from
-//!   random transits.
-//! * [`GenModel::ScaleFree`] — internet-scale Barabási–Albert
-//!   preferential attachment: the tier-1 clique seeds the process, each
-//!   new transit attaches its provider uplinks to existing transits with
-//!   probability proportional to degree, and peering links are drawn
-//!   degree-preferentially on both ends. The resulting transit degree
-//!   distribution is heavy-tailed, like the measured AS graph ("The
-//!   Internet's Unexploited Path Diversity" quantifies the multipath
-//!   structure such graphs expose).
-//!
-//! Both models label every edge with a Gao-Rexford business
+//! Every edge carries a Gao-Rexford business
 //! [`Relationship`](crate::graph::Relationship); `tango-bgp::policy`
 //! lowers those labels into valley-free export filters. The hierarchy
 //! matters: under valley-free export, a flat peer-only core would leave
 //! non-adjacent transits unable to exchange customer routes. With a
 //! tier-1 peer mesh on top and every transit's provider chain climbing
-//! into it (true by construction in both models), any edge reaches any
-//! edge: customer routes climb to the tier-1s, cross at most one peering
-//! hop, and descend — so generated pairings are always provisionable.
+//! into it (true by construction), any edge reaches any edge: customer
+//! routes climb to the tier-1s, cross at most one peering hop, and
+//! descend — so generated pairings are always provisionable.
 //!
 //! Generation is a pure function of (parameters, seed): identical inputs
 //! produce identical topologies, byte for byte, independent of shard
@@ -41,31 +34,7 @@ use crate::graph::Topology;
 use crate::link::{DirectionProfile, JitterModel, LinkProfile};
 use crate::{MS, US};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-
-/// Which wiring model [`generate`] uses for the transit core.
-#[derive(Debug, Clone, PartialEq)]
-pub enum GenModel {
-    /// The original small hierarchical generator: every tier-2 transit
-    /// is a customer of one or two tier-1s, tier-2s peer pairwise with
-    /// [`GenParams::transit_peering_prob`].
-    Hierarchy,
-    /// Barabási–Albert preferential attachment over the transit core,
-    /// seeded by the tier-1 clique. Scales to thousands of ASes with a
-    /// heavy-tailed degree distribution.
-    ScaleFree {
-        /// Provider uplinks per new transit (min, max inclusive). The
-        /// count is drawn uniformly; each uplink's provider is drawn
-        /// with probability proportional to its current degree.
-        uplinks: (usize, usize),
-        /// Expected peering links per transit. The generator places
-        /// `transits * peering_per_transit / 2` peer edges, both
-        /// endpoints drawn degree-preferentially (large transits peer
-        /// more, as in the measured Internet).
-        peering_per_transit: f64,
-    },
-}
 
 /// Parameters for the random generator.
 #[derive(Debug, Clone)]
@@ -74,9 +43,15 @@ pub struct GenParams {
     pub tier1: usize,
     /// Number of tier-2 transit ASes. Must be ≥ 1.
     pub transits: usize,
-    /// Probability that any two tier-2 transits peer directly
-    /// ([`GenModel::Hierarchy`] only).
-    pub transit_peering_prob: f64,
+    /// Provider uplinks per new transit (min, max inclusive). The count
+    /// is drawn uniformly; each uplink's provider is drawn with
+    /// probability proportional to its current degree.
+    pub uplinks: (usize, usize),
+    /// Expected peering links per transit. The generator places
+    /// `transits * peering_per_transit / 2` peer edges, both endpoints
+    /// drawn degree-preferentially (large transits peer more, as in the
+    /// measured Internet).
+    pub peering_per_transit: f64,
     /// Number of edge sites (cloud/enterprise borders that could run Tango).
     pub edges: usize,
     /// Providers per edge site (min, max inclusive), drawn from all
@@ -90,24 +65,6 @@ pub struct GenParams {
     pub crossing_sigma_ns: (u64, u64),
     /// RNG seed: identical parameters + seed ⇒ identical topology.
     pub seed: u64,
-    /// Transit-core wiring model.
-    pub model: GenModel,
-}
-
-impl Default for GenParams {
-    fn default() -> Self {
-        GenParams {
-            tier1: 3,
-            transits: 8,
-            transit_peering_prob: 0.3,
-            edges: 4,
-            providers_per_edge: (2, 4),
-            crossing_delay_ns: (15 * MS, 60 * MS),
-            crossing_sigma_ns: (10 * US, 400 * US),
-            seed: 1,
-            model: GenModel::Hierarchy,
-        }
-    }
 }
 
 /// Parameter-validation failures, reported **before** any generation
@@ -115,9 +72,9 @@ impl Default for GenParams {
 /// generator).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GenError {
-    /// `tier1 == 0`: the tier-1 clique seeds both models.
+    /// `tier1 == 0`: the tier-1 clique seeds the growth.
     NoTier1,
-    /// `transits == 0`: both models need at least one tier-2 transit.
+    /// `transits == 0`: the core needs at least one tier-2 transit.
     NoTransits,
     /// `edges == 0`: nothing to pair.
     NoEdges,
@@ -131,12 +88,12 @@ pub enum GenError {
         /// The offending (min, max) pair, ns.
         range_ns: (u64, u64),
     },
-    /// [`GenModel::ScaleFree`] `uplinks` violates `1 <= min <= max`.
+    /// `uplinks` violates `1 <= min <= max`.
     BadUplinkRange {
         /// The offending (min, max) pair.
         range: (usize, usize),
     },
-    /// [`GenModel::ScaleFree`] `peering_per_transit` is negative or NaN.
+    /// `peering_per_transit` is negative or NaN.
     BadPeeringRate,
     /// The id plan cannot fit this many transits (tier-2 ids live in
     /// `[TRANSIT_BASE, EDGE_BASE)`).
@@ -224,42 +181,36 @@ impl GenParams {
                 max: max_transits,
             });
         }
-        if let GenModel::ScaleFree {
-            uplinks,
-            peering_per_transit,
-        } = &self.model
-        {
-            if uplinks.0 == 0 || uplinks.0 > uplinks.1 {
-                return Err(GenError::BadUplinkRange { range: *uplinks });
-            }
-            if !peering_per_transit.is_finite() || *peering_per_transit < 0.0 {
-                return Err(GenError::BadPeeringRate);
-            }
+        if self.uplinks.0 == 0 || self.uplinks.0 > self.uplinks.1 {
+            return Err(GenError::BadUplinkRange {
+                range: self.uplinks,
+            });
+        }
+        if !self.peering_per_transit.is_finite() || self.peering_per_transit < 0.0 {
+            return Err(GenError::BadPeeringRate);
         }
         Ok(())
     }
 
-    /// An internet-scale parameter preset: a scale-free graph of
-    /// `ases` total ASes with `edges` Tango-capable edge sites. The
-    /// tier-1 clique grows slowly with size (real tier-1 counts are
-    /// O(10) regardless of Internet growth); everything else is tier-2
-    /// transit mass wired by preferential attachment.
+    /// The generator's one preset: a scale-free graph of `ases` total
+    /// ASes with `edges` Tango-capable edge sites. The tier-1 clique
+    /// grows slowly with size (real tier-1 counts are O(10) regardless
+    /// of Internet growth); everything else is tier-2 transit mass wired
+    /// by preferential attachment. Override single fields with
+    /// `..GenParams::internet(..)`.
     pub fn internet(ases: usize, edges: usize, seed: u64) -> GenParams {
         let tier1 = (ases / 100).clamp(4, 12);
         let transits = ases.saturating_sub(tier1 + edges).max(1);
         GenParams {
             tier1,
             transits,
-            transit_peering_prob: 0.0, // unused by ScaleFree
+            uplinks: (1, 2),
+            peering_per_transit: 0.6,
             edges,
             providers_per_edge: (2, 3),
             crossing_delay_ns: (15 * MS, 60 * MS),
             crossing_sigma_ns: (10 * US, 400 * US),
             seed,
-            model: GenModel::ScaleFree {
-                uplinks: (1, 2),
-                peering_per_transit: 0.6,
-            },
         }
     }
 }
@@ -363,97 +314,14 @@ pub fn generate(params: &GenParams) -> Generated {
 
 /// Generate a random Internet-like topology.
 ///
-/// Guarantees (by construction, tested below) for **both** models: the
-/// tier-1 core is a full peer mesh; every tier-2 transit has a provider
-/// chain that climbs to a tier-1; every edge site has at least one
-/// provider. Under valley-free (Gao-Rexford) export this implies full
-/// edge-to-edge reachability.
+/// Guarantees (by construction, tested below): the tier-1 core is a
+/// full peer mesh; every tier-2 transit has a provider chain that climbs
+/// to a tier-1; every edge site has at least one provider. Under
+/// valley-free (Gao-Rexford) export this implies full edge-to-edge
+/// reachability.
 pub fn try_generate(params: &GenParams) -> Result<Generated, GenError> {
     params.validate()?;
-    match &params.model {
-        GenModel::Hierarchy => Ok(generate_hierarchy(params)),
-        GenModel::ScaleFree {
-            uplinks,
-            peering_per_transit,
-        } => Ok(generate_scale_free(params, *uplinks, *peering_per_transit)),
-    }
-}
-
-/// The original small hierarchical generator (RNG draw order unchanged
-/// from the pre-scale-free revisions, so seeds reproduce old graphs).
-fn generate_hierarchy(params: &GenParams) -> Generated {
-    let mut rng = StdRng::seed_from_u64(params.seed);
-    let mut t = Topology::new();
-
-    let tier1: Vec<AsId> = (0..params.tier1)
-        .map(|i| AsId(TIER1_BASE + i as u32))
-        .collect();
-    for (i, &id) in tier1.iter().enumerate() {
-        t.add_node(AsNode::new(id, AsKind::Transit, format!("T1-{i}")))
-            .expect("unique");
-    }
-    // Full tier-1 peer mesh.
-    for i in 0..tier1.len() {
-        for j in (i + 1)..tier1.len() {
-            let p = core_link(&mut rng);
-            t.add_peering(tier1[i], tier1[j], p)
-                .expect("mesh edge is new");
-        }
-    }
-
-    let tier2: Vec<AsId> = (0..params.transits)
-        .map(|i| AsId(TRANSIT_BASE + i as u32))
-        .collect();
-    for (i, &id) in tier2.iter().enumerate() {
-        t.add_node(AsNode::new(id, AsKind::Transit, format!("T2-{i}")))
-            .expect("unique");
-        // Customer of one or two tier-1s.
-        let n = rng.gen_range(1..=2usize.min(tier1.len()));
-        let mut pool = tier1.clone();
-        pool.shuffle(&mut rng);
-        for &up in pool.iter().take(n) {
-            let p = core_link(&mut rng);
-            t.add_provider(id, up, p).expect("new uplink");
-        }
-    }
-    // Occasional tier-2 peering (regional shortcuts).
-    for i in 0..tier2.len() {
-        for j in (i + 1)..tier2.len() {
-            if rng.gen_bool(params.transit_peering_prob.clamp(0.0, 1.0)) {
-                let p = core_link(&mut rng);
-                t.add_peering(tier2[i], tier2[j], p)
-                    .expect("checked absent");
-            }
-        }
-    }
-
-    let all_transits: Vec<AsId> = tier1.iter().chain(tier2.iter()).copied().collect();
-
-    // Edge sites: multi-homed customers of random transits.
-    let edge_sites: Vec<AsId> = (0..params.edges)
-        .map(|i| AsId(EDGE_BASE + i as u32))
-        .collect();
-    for (i, &id) in edge_sites.iter().enumerate() {
-        t.add_node(AsNode::new(id, AsKind::CloudEdge, format!("E{i}")))
-            .expect("unique");
-        let n = rng
-            .gen_range(params.providers_per_edge.0..=params.providers_per_edge.1)
-            .min(all_transits.len());
-        let mut pool = all_transits.clone();
-        pool.shuffle(&mut rng);
-        for &provider in pool.iter().take(n) {
-            let profile = crossing_link(&mut rng, params);
-            t.add_provider(id, provider, profile)
-                .expect("new edge link");
-        }
-    }
-
-    Generated {
-        topology: t,
-        edge_sites,
-        transits: all_transits,
-        tier1,
-    }
+    Ok(generate_scale_free(params))
 }
 
 /// Degree-proportional endpoint sampler for Barabási–Albert growth: the
@@ -497,14 +365,10 @@ impl AttachmentPool {
 /// Barabási–Albert growth over the transit core: tier-1 clique seeds
 /// the pool; each new tier-2 transit attaches 1..=m provider uplinks
 /// degree-preferentially; peer edges are drawn degree-preferentially on
-/// both ends. Edge sites multihome into the core exactly like the
-/// hierarchical model (also degree-preferentially, so large providers
-/// accumulate edge customers, as on the real Internet).
-fn generate_scale_free(
-    params: &GenParams,
-    uplinks: (usize, usize),
-    peering_per_transit: f64,
-) -> Generated {
+/// both ends. Edge sites multihome into the core, also
+/// degree-preferentially, so large providers accumulate edge customers,
+/// as on the real Internet.
+fn generate_scale_free(params: &GenParams) -> Generated {
     let mut rng = StdRng::seed_from_u64(params.seed);
     let mut t = Topology::new();
     let mut pool = AttachmentPool::new();
@@ -538,7 +402,7 @@ fn generate_scale_free(
     for (i, &id) in tier2.iter().enumerate() {
         t.add_node(AsNode::new(id, AsKind::Transit, format!("T2-{i}")))
             .expect("unique");
-        let want = rng.gen_range(uplinks.0..=uplinks.1);
+        let want = rng.gen_range(params.uplinks.0..=params.uplinks.1);
         let mut chosen: Vec<AsId> = vec![id]; // never attach to self
         for _ in 0..want {
             let Some(up) = pool.draw(&mut rng, &chosen) else {
@@ -553,7 +417,7 @@ fn generate_scale_free(
 
     // Peering phase: expected `peering_per_transit` peer links per
     // tier-2 transit, endpoints degree-preferential on both sides.
-    let peer_links = ((params.transits as f64) * peering_per_transit / 2.0) as usize;
+    let peer_links = ((params.transits as f64) * params.peering_per_transit / 2.0) as usize;
     for _ in 0..peer_links {
         // Draw two distinct endpoints; skip (deterministically) if the
         // pair is already linked — BA pools make repeats likely around
@@ -612,9 +476,14 @@ mod tests {
     use super::*;
     use crate::graph::Relationship;
 
+    /// A small preset graph: 60 ASes, 4 edge sites.
+    fn small(seed: u64) -> GenParams {
+        GenParams::internet(60, 4, seed)
+    }
+
     #[test]
     fn deterministic_for_seed() {
-        let p = GenParams::default();
+        let p = small(1);
         let a = generate(&p);
         let b = generate(&p);
         assert_eq!(a.topology.node_count(), b.topology.node_count());
@@ -628,11 +497,8 @@ mod tests {
 
     #[test]
     fn different_seed_differs() {
-        let a = generate(&GenParams::default());
-        let b = generate(&GenParams {
-            seed: 2,
-            ..GenParams::default()
-        });
+        let a = generate(&small(1));
+        let b = generate(&small(2));
         let adj_diff = a
             .topology
             .nodes()
@@ -644,9 +510,10 @@ mod tests {
     #[test]
     fn tier1_is_full_peer_mesh() {
         let g = generate(&GenParams {
-            tier1: 4,
-            ..GenParams::default()
+            tier1: 6,
+            ..small(1)
         });
+        assert_eq!(g.tier1.len(), 6);
         for i in 0..g.tier1.len() {
             for j in (i + 1)..g.tier1.len() {
                 assert_eq!(
@@ -658,23 +525,10 @@ mod tests {
     }
 
     #[test]
-    fn every_tier2_has_a_tier1_provider() {
-        let g = generate(&GenParams {
-            transits: 10,
-            ..GenParams::default()
-        });
-        for &t2 in g.transits.iter().filter(|t| !g.tier1.contains(t)) {
-            let ups = g.topology.providers(t2);
-            assert!(!ups.is_empty(), "{t2} has no provider");
-            assert!(ups.iter().all(|u| g.tier1.contains(u)));
-        }
-    }
-
-    #[test]
     fn every_edge_site_has_a_provider() {
         let g = generate(&GenParams {
             edges: 10,
-            ..GenParams::default()
+            ..small(1)
         });
         for &e in &g.edge_sites {
             assert!(!g.topology.providers(e).is_empty(), "{e} has no provider");
@@ -683,36 +537,31 @@ mod tests {
 
     #[test]
     fn valley_free_reachability_between_all_edges() {
-        // The property the hierarchy buys: every edge can reach every
+        // The property the tier-1 clique buys: every edge can reach every
         // other edge through customer→tier1→peer→customer chains. Verify
-        // with an actual BGP-style walk: climb from the announcer to a
-        // tier-1, it peers with (or is) every other tier-1, descend.
+        // the climb: from the announcer, following providers reaches a
+        // tier-1, which peers with (or is) every other tier-1.
         for seed in [1, 11, 42, 99] {
             let g = generate(&GenParams {
                 tier1: 3,
                 transits: 6,
                 edges: 3,
                 providers_per_edge: (1, 1),
-                transit_peering_prob: 0.0,
-                seed,
-                ..GenParams::default()
+                ..small(seed)
             });
-            // climb: from any node, following providers reaches a tier-1.
             for &e in &g.edge_sites {
+                let mut seen = std::collections::BTreeSet::from([e]);
                 let mut frontier = vec![e];
-                let mut reached_tier1 = false;
-                for _ in 0..4 {
-                    let mut next = Vec::new();
-                    for n in frontier {
-                        if g.tier1.contains(&n) {
-                            reached_tier1 = true;
-                        }
-                        next.extend(g.topology.providers(n));
-                    }
-                    frontier = next;
+                while let Some(n) = frontier.pop() {
+                    frontier.extend(
+                        g.topology
+                            .providers(n)
+                            .into_iter()
+                            .filter(|p| seen.insert(*p)),
+                    );
                 }
                 assert!(
-                    reached_tier1,
+                    g.tier1.iter().any(|t| seen.contains(t)),
                     "edge {e} cannot climb to tier-1 (seed {seed})"
                 );
             }
@@ -723,12 +572,12 @@ mod tests {
     fn respects_provider_bounds() {
         let g = generate(&GenParams {
             edges: 8,
-            providers_per_edge: (2, 3),
-            ..GenParams::default()
+            providers_per_edge: (1, 2),
+            ..small(1)
         });
         for &e in &g.edge_sites {
             let n = g.topology.providers(e).len();
-            assert!((2..=3).contains(&n), "{e} has {n} providers");
+            assert!((1..=2).contains(&n), "{e} has {n} providers");
         }
     }
 
@@ -739,12 +588,20 @@ mod tests {
             transits: 2,
             edges: 2,
             providers_per_edge: (1, 1),
-            ..GenParams::default()
+            ..small(1)
         });
         assert_eq!(g.tier1.len(), 1);
-        // Everything still hangs off the single tier-1.
-        for &t2 in g.transits.iter().filter(|t| !g.tier1.contains(t)) {
-            assert_eq!(g.topology.providers(t2), vec![g.tier1[0]]);
+        // Everything still hangs off the single tier-1: the first transit
+        // can only attach to it, every later one to it or an earlier
+        // transit.
+        let tier2: Vec<AsId> = g.transits[1..].to_vec();
+        assert_eq!(g.topology.providers(tier2[0]), vec![g.tier1[0]]);
+        for (i, &t2) in tier2.iter().enumerate() {
+            let ups = g.topology.providers(t2);
+            assert!(!ups.is_empty(), "{t2} has no provider");
+            assert!(ups
+                .iter()
+                .all(|u| *u == g.tier1[0] || tier2[..i].contains(u)));
         }
     }
 
@@ -754,7 +611,7 @@ mod tests {
     fn validation_rejects_inverted_provider_range() {
         let p = GenParams {
             providers_per_edge: (3, 2),
-            ..GenParams::default()
+            ..small(1)
         };
         assert_eq!(
             p.validate(),
@@ -767,7 +624,7 @@ mod tests {
     fn validation_rejects_zero_min_providers() {
         let p = GenParams {
             providers_per_edge: (0, 2),
-            ..GenParams::default()
+            ..small(1)
         };
         assert_eq!(
             p.validate(),
@@ -781,21 +638,21 @@ mod tests {
             (
                 GenParams {
                     tier1: 0,
-                    ..GenParams::default()
+                    ..small(1)
                 },
                 GenError::NoTier1,
             ),
             (
                 GenParams {
                     transits: 0,
-                    ..GenParams::default()
+                    ..small(1)
                 },
                 GenError::NoTransits,
             ),
             (
                 GenParams {
                     edges: 0,
-                    ..GenParams::default()
+                    ..small(1)
                 },
                 GenError::NoEdges,
             ),
@@ -809,7 +666,7 @@ mod tests {
     fn validation_rejects_inverted_delay_ranges() {
         let p = GenParams {
             crossing_delay_ns: (10, 5),
-            ..GenParams::default()
+            ..small(1)
         };
         assert!(matches!(
             p.validate(),
@@ -817,7 +674,7 @@ mod tests {
         ));
         let p = GenParams {
             crossing_sigma_ns: (10, 5),
-            ..GenParams::default()
+            ..small(1)
         };
         assert!(p.validate().is_err());
     }
@@ -825,30 +682,21 @@ mod tests {
     #[test]
     fn validation_rejects_bad_scale_free_knobs() {
         let p = GenParams {
-            model: GenModel::ScaleFree {
-                uplinks: (0, 2),
-                peering_per_transit: 0.5,
-            },
-            ..GenParams::default()
+            uplinks: (0, 2),
+            ..small(1)
         };
         assert_eq!(
             p.validate(),
             Err(GenError::BadUplinkRange { range: (0, 2) })
         );
         let p = GenParams {
-            model: GenModel::ScaleFree {
-                uplinks: (2, 1),
-                peering_per_transit: 0.5,
-            },
-            ..GenParams::default()
+            uplinks: (2, 1),
+            ..small(1)
         };
         assert!(p.validate().is_err());
         let p = GenParams {
-            model: GenModel::ScaleFree {
-                uplinks: (1, 2),
-                peering_per_transit: -1.0,
-            },
-            ..GenParams::default()
+            peering_per_transit: -1.0,
+            ..small(1)
         };
         assert_eq!(p.validate(), Err(GenError::BadPeeringRate));
     }
@@ -858,7 +706,7 @@ mod tests {
     fn generate_panics_with_clear_message_on_bad_params() {
         generate(&GenParams {
             providers_per_edge: (5, 1),
-            ..GenParams::default()
+            ..small(1)
         });
     }
 

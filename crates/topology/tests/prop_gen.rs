@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use std::collections::{BTreeSet, VecDeque};
-use tango_topology::gen::{try_generate, GenError, GenModel, GenParams, Generated};
+use tango_topology::gen::{try_generate, GenError, GenParams, Generated};
 use tango_topology::{AsId, Topology};
 
 /// An internet-preset parameter draw small enough for 32+ cases.
@@ -59,10 +59,7 @@ proptest! {
         );
         // The hubs are the tier-1 clique plus the oldest transits; the
         // biggest hub must dwarf the per-node wiring parameters.
-        let GenModel::ScaleFree { uplinks, .. } = params.model else {
-            panic!("internet preset is scale-free");
-        };
-        prop_assert!(max > 2 * uplinks.1, "no preferential hub formed");
+        prop_assert!(max > 2 * params.uplinks.1, "no preferential hub formed");
     }
 
     /// Satellite (c): generator output is byte-identical for the same
@@ -143,10 +140,8 @@ proptest! {
         let params = GenParams {
             tier1,
             transits,
-            edges: 2,
             providers_per_edge: (lo, hi),
-            seed,
-            ..GenParams::default()
+            ..GenParams::internet(60, 2, seed)
         };
         let result = try_generate(&params);
         let invalid = tier1 == 0 || transits == 0 || lo == 0 || lo > hi;

@@ -1,31 +1,22 @@
 //! Cross-crate integration: "Tango of N" (§6) — pairings over generated
-//! topologies, multihomed-enterprise (self-bordered) switches included.
+//! scale-free topologies, multihomed-enterprise (self-bordered) switches
+//! included, every side from the one PoP address plan
+//! ([`tango::npop::pop_side`]).
 
+use tango::npop::{pop_side, NPopMesh};
 use tango::prelude::*;
-use tango_control::SideConfig;
-use tango_net::Ipv6Cidr;
 use tango_topology::gen::{generate, GenParams};
 
-fn side(site: AsId, idx: usize, role: usize) -> SideConfig {
-    let blocks: Ipv6Cidr = "2001:db8::/32".parse().unwrap();
-    let hosts: Ipv6Cidr = "2001:db9::/32".parse().unwrap();
-    SideConfig {
-        tenant: site,
-        border: site, // multihomed enterprise: the site runs its own BGP
-        block: blocks.subnet(44, (idx * 2 + role) as u128).unwrap(),
-        host_prefix: tango_net::IpCidr::V6(hosts.subnet(48, idx as u128).unwrap()),
-    }
+/// PoP `idx` of a generated graph, through the N-PoP address plan.
+fn side(g: &tango_topology::gen::Generated, idx: usize) -> tango_control::SideConfig {
+    pop_side(g.edge_sites[idx], idx)
 }
 
 #[test]
 fn every_pair_in_a_generated_topology_is_pairable() {
     let g = generate(&GenParams {
-        transits: 8,
-        edges: 4,
-        transit_peering_prob: 0.45,
         providers_per_edge: (2, 4),
-        seed: 3,
-        ..GenParams::default()
+        ..GenParams::internet(60, 4, 3)
     });
     let mut pair_count = 0;
     for i in 0..g.edge_sites.len() {
@@ -33,8 +24,8 @@ fn every_pair_in_a_generated_topology_is_pairable() {
             let mut p = TangoPairing::build(
                 g.topology.clone(),
                 std::iter::empty(),
-                side(g.edge_sites[i], i, 0),
-                side(g.edge_sites[j], j, 1),
+                side(&g, i),
+                side(&g, j),
                 PairingOptions {
                     seed: 100 + (i * 10 + j) as u64,
                     ..Default::default()
@@ -67,23 +58,19 @@ fn diversity_grows_with_multihoming_degree() {
     // candidate first hops (some may collapse if the core offers no
     // alternative, so assert ≥ 3).
     let single = generate(&GenParams {
-        transits: 6,
-        edges: 2,
         providers_per_edge: (1, 1),
-        transit_peering_prob: 0.6,
-        seed: 11,
-        ..GenParams::default()
+        ..GenParams::internet(60, 2, 11)
     });
     let mut p = TangoPairing::build(
         single.topology.clone(),
         std::iter::empty(),
-        side(single.edge_sites[0], 0, 0),
-        side(single.edge_sites[1], 1, 1),
+        side(&single, 0),
+        side(&single, 1),
         PairingOptions::default(),
     )
     .unwrap();
-    // With one provider each and a meshed core there can still be only
-    // one exit — the suppression loop ends after 1 path.
+    // With one provider each there can still be only one exit, however
+    // rich the core — the suppression loop ends after 1 path.
     assert_eq!(
         p.provisioned.from(Side::A).paths.len(),
         1,
@@ -93,18 +80,14 @@ fn diversity_grows_with_multihoming_degree() {
     assert!(p.mean_owd_ms(Side::A, 0).is_some());
 
     let multi = generate(&GenParams {
-        transits: 6,
-        edges: 2,
         providers_per_edge: (4, 4),
-        transit_peering_prob: 0.6,
-        seed: 12,
-        ..GenParams::default()
+        ..GenParams::internet(60, 2, 12)
     });
     let p = TangoPairing::build(
         multi.topology.clone(),
         std::iter::empty(),
-        side(multi.edge_sites[0], 0, 0),
-        side(multi.edge_sites[1], 1, 1),
+        side(&multi, 0),
+        side(&multi, 1),
         PairingOptions::default(),
     )
     .unwrap();
@@ -161,18 +144,14 @@ fn n16_internet_mesh_converges_with_diversity_and_no_violations() {
 #[test]
 fn adaptive_policy_works_on_generated_topologies_too() {
     let g = generate(&GenParams {
-        transits: 7,
-        edges: 2,
         providers_per_edge: (3, 3),
-        transit_peering_prob: 0.5,
-        seed: 21,
-        ..GenParams::default()
+        ..GenParams::internet(60, 2, 21)
     });
     let mut p = TangoPairing::build(
         g.topology.clone(),
         std::iter::empty(),
-        side(g.edge_sites[0], 0, 0),
-        side(g.edge_sites[1], 1, 1),
+        side(&g, 0),
+        side(&g, 1),
         PairingOptions {
             seed: 22,
             control_period: Some(SimTime::from_ms(100)),
@@ -197,4 +176,36 @@ fn adaptive_policy_works_on_generated_topologies_too() {
         final_choice, best,
         "policy settled on {final_choice}, best is {best}"
     );
+}
+
+#[test]
+fn a4_pairings_discover_the_paths_b5_discovers() {
+    // A4 (one `TangoPairing` per pair) and B5 (`NPopMesh` all-pairs
+    // discovery) run the same §4.1 loop on the same 100-AS / 8-PoP graph:
+    // pair by pair, they must expose the same number of paths.
+    let (ases, pops, seed) = (100, 8, 1);
+    let g = generate(&GenParams::internet(ases, pops, seed));
+    let mut mesh = NPopMesh::converge(ases, pops, seed).expect("mesh converges");
+    assert_eq!(mesh.pops(), g.edge_sites.as_slice(), "one graph");
+    let discovered = mesh.discover(8).expect("discovery runs");
+    let mut k = 0;
+    for i in 0..pops {
+        for j in (i + 1)..pops {
+            let p = TangoPairing::build(
+                g.topology.clone(),
+                std::iter::empty(),
+                side(&g, i),
+                side(&g, j),
+                PairingOptions::default(),
+            )
+            .unwrap_or_else(|e| panic!("pair {i}-{j}: {e}"));
+            assert_eq!(
+                p.provisioned.from(Side::A).paths.len(),
+                discovered[k].paths,
+                "pair {i}-{j}"
+            );
+            k += 1;
+        }
+    }
+    assert_eq!(k, discovered.len());
 }
