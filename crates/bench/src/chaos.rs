@@ -21,7 +21,6 @@
 use crate::util::{out_dir, print_table, SweepOptions};
 use tango::prelude::*;
 use tango_obs::Value;
-use tango_sim::ChaosKind;
 
 /// Faults generated per storm.
 const STORM_EVENTS: usize = 8;
@@ -41,24 +40,25 @@ pub fn storm_seed(seed: u64, shards: usize) -> ChaosOutcome {
     .expect("vultr scenario provisions")
 }
 
-fn kind_name(kind: &ChaosKind) -> &'static str {
-    match kind {
-        ChaosKind::Blackhole { .. } => "blackhole",
-        ChaosKind::SessionReset { .. } => "session-reset",
-        ChaosKind::OwdPoison { .. } => "owd-poison",
-        ChaosKind::Replay { .. } => "replay",
-        ChaosKind::SpoofReports { .. } => "spoof-reports",
-        ChaosKind::Hijack { .. } => "hijack",
+fn kind_name(event: &WideAreaEvent) -> &'static str {
+    match event {
+        WideAreaEvent::Blackhole { .. } => "blackhole",
+        WideAreaEvent::SessionReset { .. } => "session-reset",
+        WideAreaEvent::OwdPoison { .. } => "owd-poison",
+        WideAreaEvent::Replay { .. } => "replay",
+        WideAreaEvent::SpoofReports { .. } => "spoof-reports",
+        WideAreaEvent::Hijack { .. } => "hijack",
     }
 }
 
 fn outcome_value(outcome: &ChaosOutcome) -> Value {
     let events = outcome.schedule.events.iter().map(|ev| {
+        let window = ev.window();
         Value::obj([
-            ("at_ns", Value::Num(ev.at.as_ns())),
-            ("kind", Value::Str(kind_name(&ev.kind).into())),
-            ("path", Value::Num(u64::from(ev.kind.path()))),
-            ("duration_ns", Value::Num(ev.kind.duration_ns())),
+            ("at_ns", Value::Num(window.start_ns)),
+            ("kind", Value::Str(kind_name(ev).into())),
+            ("path", Value::Num(u64::from(ev.path()))),
+            ("duration_ns", Value::Num(window.duration_ns())),
         ])
     });
     let inv = &outcome.invariants;

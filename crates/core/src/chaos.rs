@@ -1,35 +1,26 @@
 //! Seeded chaos storms against the Vultr pairing.
 //!
-//! [`ChaosSchedule`] turns a seed into a storm
-//! of honest faults (blackholes, BGP session resets) and Byzantine ones
-//! (timestamp poisoning, replay, spoofed reports, sub-prefix hijacks).
-//! This module lowers one schedule onto the paper's NY↔LA deployment:
-//!
-//! * honest outages become [`WideAreaEvent`]s (resolved pre-build),
-//! * packet-level attacks become [`AdversaryAgent`](tango_sim::AdversaryAgent)s
-//!   installed at the on-path transit carrier of the attacked path,
-//! * hijacks become scheduled control-plane steps
-//!   ([`TangoPairing::schedule_hijack`]),
-//!
-//! then runs the storm plus a recovery window with defenses on
+//! [`ChaosSchedule`] turns a seed into a storm of honest faults
+//! (blackholes, BGP session resets) and Byzantine ones (timestamp
+//! poisoning, replay, spoofed reports, sub-prefix hijacks), all
+//! [`WideAreaEvent`]s. This module hands
+//! one schedule to the paper's NY↔LA deployment as its
+//! [`PairingOptions::wide_area_events`] — [`crate::TangoPairing::build`] lowers
+//! every kind — then runs the storm plus a recovery window with defenses on
 //! (authenticated telemetry, anti-replay, plausibility gating, health
 //! gates) and verdicts the run with the invariant checker
 //! ([`crate::invariant`]). Everything is a pure function of
 //! [`ChaosRunOptions`], so the same options reproduce the same outcome
 //! byte for byte — CI diffs the artifacts across shard counts.
 
-use std::collections::BTreeMap;
-
 use tango_control::{HealthConfig, HealthState, LowestOwdPolicy};
-use tango_dataplane::{codec, FeedbackMode, MeasurementReport, PathRecord};
+use tango_dataplane::FeedbackMode;
 use tango_net::SipKey;
-use tango_sim::{
-    ActiveWindow, AdversaryBehavior, AdversaryStats, ChaosConfig, ChaosKind, ChaosSchedule, SimTime,
-};
-use tango_topology::{AsId, WideAreaEvent};
+use tango_sim::{AdversaryStats, ChaosConfig, ChaosSchedule, SimTime};
+use tango_topology::WideAreaEvent;
 
 use crate::invariant::{check_pairing_flight, InvariantReport};
-use crate::pairing::{FlightDump, PairingError, PairingOptions, Side, TangoPairing};
+use crate::pairing::{FlightDump, PairingError, PairingOptions, Side};
 use crate::vultr::vultr_pairing;
 
 /// When the storm opens (probing/selection are warm by then).
@@ -111,54 +102,9 @@ impl ChaosOutcome {
     }
 }
 
-/// The transit carrier hosting packet-level attacks against `path`
-/// (the paper labels paths by this AS).
-fn carrier_of(pairing: &TangoPairing, path: u16) -> Option<AsId> {
-    let disc = pairing
-        .provisioned
-        .from(Side::A)
-        .paths
-        .get(usize::from(path))?;
-    disc.distinguishing_carrier()
-        .or_else(|| disc.transit_path.first().copied())
-}
-
-/// Forge the report a spoofing attacker injects toward side A: every
-/// path looks terrible except `path`, which looks perfect — enough to
-/// flip any latency/loss-driven ranking if the switch believes it.
-fn forged_report(pairing: &TangoPairing, path: u16) -> Vec<u8> {
-    let n = pairing.provisioned.from(Side::B).tunnels.len() as u16;
-    let records = (0..n)
-        .map(|id| {
-            if id == path {
-                PathRecord {
-                    path_id: id,
-                    samples: 100_000,
-                    owd_ewma_ns: 1_000_000, // 1 ms: impossibly good
-                    jitter_ns: 1_000,
-                    loss_ppm: 0,
-                    staleness_ns: 0,
-                }
-            } else {
-                PathRecord {
-                    path_id: id,
-                    samples: 100_000,
-                    owd_ewma_ns: 500_000_000, // 500 ms: unusable
-                    jitter_ns: 50_000_000,
-                    loss_ppm: 500_000,
-                    staleness_ns: 0,
-                }
-            }
-        })
-        .collect();
-    let report = MeasurementReport { records }.encode();
-    // Ride B's tunnel for `path` toward A — a byte-faithful REPORT
-    // packet, except the attacker has no key so there is no auth tag.
-    let tunnel = &pairing.provisioned.from(Side::B).tunnels[usize::from(path)];
-    codec::report_packet(tunnel, 0x5bf0_0000 + u32::from(path), 0, &report, None)
-}
-
-/// Run one seeded storm and return the outcome. Deterministic: the same
+/// Run one seeded storm and return the outcome. The schedule's events
+/// are the pairing's [`PairingOptions::wide_area_events`], so this
+/// function never resolves a path itself. Deterministic: the same
 /// options produce the same outcome, independent of anything outside
 /// the simulation.
 pub fn run_chaos(options: ChaosRunOptions) -> Result<ChaosOutcome, PairingError> {
@@ -172,40 +118,6 @@ pub fn run_chaos(options: ChaosRunOptions) -> Result<ChaosOutcome, PairingError>
     };
     let schedule = ChaosSchedule::generate(config);
 
-    // Lower the schedule: honest faults pre-build, packet attacks and
-    // hijacks post-build.
-    let mut wide_area_events = Vec::new();
-    let mut hijacks: Vec<(u16, u64, u64)> = Vec::new();
-    // path-attack behaviors keyed by path (resolved to a node later).
-    let mut path_behaviors: BTreeMap<u16, Vec<(u64, ChaosKind)>> = BTreeMap::new();
-    for ev in &schedule.events {
-        let at = ev.at.as_ns();
-        match ev.kind {
-            ChaosKind::Blackhole { path, duration_ns } => {
-                wide_area_events.push(WideAreaEvent::Blackhole {
-                    path,
-                    at_ns: at,
-                    duration_ns,
-                });
-            }
-            ChaosKind::SessionReset { path, hold_ns } => {
-                wide_area_events.push(WideAreaEvent::SessionReset {
-                    path,
-                    at_ns: at,
-                    hold_ns,
-                });
-            }
-            ChaosKind::Hijack { path, duration_ns } => {
-                hijacks.push((path, at, duration_ns));
-            }
-            ChaosKind::OwdPoison { path, .. }
-            | ChaosKind::Replay { path, .. }
-            | ChaosKind::SpoofReports { path, .. } => {
-                path_behaviors.entry(path).or_default().push((at, ev.kind));
-            }
-        }
-    }
-
     let mut pairing = vultr_pairing(PairingOptions {
         seed: options.seed,
         probe_period: Some(SimTime::from_ms(10)),
@@ -218,71 +130,10 @@ pub fn run_chaos(options: ChaosRunOptions) -> Result<ChaosOutcome, PairingError>
             period: SimTime::from_ms(100),
         },
         auth_key: options.auth.then(|| SipKey::from_bytes(&CHAOS_KEY)),
-        wide_area_events,
+        wide_area_events: schedule.events.clone(),
         shards: options.shards,
         ..PairingOptions::default()
     })?;
-
-    for (path, at, duration) in hijacks {
-        // The hijacker is a transit carrier *not* on the victim path:
-        // its more-specific pulls the tunnel traffic off course.
-        let attacker = carrier_of(&pairing, (path + 1) % 4)
-            .or_else(|| carrier_of(&pairing, path))
-            .expect("vultr paths have transit carriers");
-        pairing.schedule_hijack(attacker, path, at, duration)?;
-    }
-
-    // Group packet-level attacks by their on-path node, one adversary
-    // install per node.
-    let mut by_node: BTreeMap<AsId, Vec<AdversaryBehavior>> = BTreeMap::new();
-    for (path, kinds) in &path_behaviors {
-        let Some(node) = carrier_of(&pairing, *path) else {
-            continue;
-        };
-        for &(at, kind) in kinds {
-            let window = |d: u64, at: u64| ActiveWindow {
-                from: SimTime(at),
-                until: SimTime(at + d),
-            };
-            let behavior = match kind {
-                ChaosKind::OwdPoison {
-                    duration_ns,
-                    skew_ns,
-                    ..
-                } => AdversaryBehavior::OwdPoison {
-                    window: window(duration_ns, at),
-                    skew_ns,
-                    seq_offset: 0,
-                },
-                ChaosKind::Replay {
-                    duration_ns,
-                    delay_ns,
-                    every,
-                    ..
-                } => AdversaryBehavior::Replay {
-                    window: window(duration_ns, at),
-                    delay: SimTime(delay_ns),
-                    every,
-                },
-                ChaosKind::SpoofReports {
-                    path,
-                    duration_ns,
-                    period_ns,
-                } => AdversaryBehavior::SpoofPackets {
-                    window: window(duration_ns, at),
-                    period: SimTime(period_ns),
-                    packet: forged_report(&pairing, path),
-                },
-                _ => unreachable!("only packet-level kinds reach here"),
-            };
-            by_node.entry(node).or_default().push(behavior);
-        }
-    }
-    let mut adversary_nodes = Vec::new();
-    for (node, behaviors) in by_node {
-        pairing.install_adversary(node, behaviors)?;
-        adversary_nodes.push(node);
-    }
 
     // Horizon: storm end or last fault clearing, whichever is later,
     // plus the recovery window.
@@ -319,15 +170,7 @@ pub fn run_chaos(options: ChaosRunOptions) -> Result<ChaosOutcome, PairingError>
                 .count() as u64;
         }
     }
-    let mut adversary = AdversaryStats::default();
-    for node in adversary_nodes {
-        if let Some(s) = pairing.adversary_stats(node) {
-            adversary.poisoned += s.poisoned;
-            adversary.captured += s.captured;
-            adversary.replayed += s.replayed;
-            adversary.spoofed += s.spoofed;
-        }
-    }
+    let adversary = pairing.adversary_stats();
 
     Ok(ChaosOutcome {
         schedule,
@@ -378,7 +221,16 @@ pub fn run_byzantine_ablation(
     attack: bool,
     auth: bool,
 ) -> Result<AblationOutcome, PairingError> {
-    const SPOOF_TARGET: u16 = 0; // the path the attacker promotes
+    // Open past the horizon: the final installed selection is measured
+    // while the attack is live. Inject faster than B's honest 100 ms
+    // reports so the forged view wins the last-writer race at nearly
+    // every control tick.
+    let spoof = WideAreaEvent::SpoofReports {
+        path: 0, // the path the attacker promotes
+        at_ns: SimTime::from_secs(3).as_ns(),
+        duration_ns: SimTime::from_secs(22).as_ns(),
+        period_ns: SimTime::from_ms(10).as_ns(),
+    };
     let mut pairing = vultr_pairing(PairingOptions {
         seed,
         probe_period: Some(SimTime::from_ms(10)),
@@ -389,28 +241,9 @@ pub fn run_byzantine_ablation(
             period: SimTime::from_ms(100),
         },
         auth_key: auth.then(|| SipKey::from_bytes(&CHAOS_KEY)),
+        wide_area_events: attack.then_some(spoof).into_iter().collect(),
         ..PairingOptions::default()
     })?;
-    let mut spoof_node = None;
-    if attack {
-        let node = carrier_of(&pairing, SPOOF_TARGET).expect("vultr paths have carriers");
-        // Inject faster than B's honest 100 ms reports so the forged
-        // view wins the last-writer race at nearly every control tick.
-        pairing.install_adversary(
-            node,
-            vec![AdversaryBehavior::SpoofPackets {
-                // Open past the horizon: the final installed selection
-                // is measured while the attack is live.
-                window: ActiveWindow {
-                    from: SimTime::from_secs(3),
-                    until: SimTime::from_secs(25),
-                },
-                period: SimTime::from_ms(10),
-                packet: forged_report(&pairing, SPOOF_TARGET),
-            }],
-        )?;
-        spoof_node = Some(node);
-    }
     let horizon = SimTime::from_secs(20);
     let mut t = SimTime::from_secs(2);
     while t < horizon {
@@ -440,10 +273,7 @@ pub fn run_byzantine_ablation(
         final_selection,
         auth_rejects: sink.auth_rejects,
         replay_rejects: sink.replay_rejects,
-        spoofed: spoof_node
-            .and_then(|n| pairing.adversary_stats(n))
-            .map(|s| s.spoofed)
-            .unwrap_or(0),
+        spoofed: pairing.adversary_stats().spoofed,
     };
     Ok(outcome)
 }

@@ -1,5 +1,6 @@
 //! The pairing harness: one call from topology to running measurement.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use tango_bgp::{BgpEngine, EngineError};
 pub use tango_control::Side;
@@ -8,16 +9,16 @@ use tango_control::{
     ProvisionError, ProvisionedPairing, SideConfig,
 };
 use tango_dataplane::{
-    stats::shared_sink, FeedbackMode, PathPolicy, SharedStats, StaticPolicy, SwitchConfig,
-    TangoSwitch,
+    codec, stats::shared_sink, FeedbackMode, MeasurementReport, PathPolicy, PathRecord,
+    SharedStats, StaticPolicy, SwitchConfig, TangoSwitch,
 };
 use tango_measure::TimeSeries;
 use tango_net::SipKey;
 use tango_obs::Registry;
 use tango_sim::{
-    shared_adversary_stats, AdversaryAgent, AdversaryBehavior, Agent, FaultInjector, NetworkSim,
-    NodeClock, Packet, RouterAgent, ShardMode, SharedAdversaryStats, SimConfig, SimTime, SpanKey,
-    SpanKind, SpanRing, TAG_ADV_SPOOF,
+    shared_adversary_stats, AdversaryAgent, AdversaryBehavior, AdversaryStats, Agent,
+    FaultInjector, NetworkSim, NodeClock, Packet, RouterAgent, ShardMode, SharedAdversaryStats,
+    SimConfig, SimTime, SpanKey, SpanKind, SpanRing, TAG_ADV_SPOOF,
 };
 use tango_topology::{AsId, TimeWindow, Topology, WideAreaEvent};
 
@@ -52,17 +53,16 @@ pub enum PairingError {
     Provision(ProvisionError),
     /// The BGP engine failed.
     Engine(EngineError),
-    /// A wide-area event or hijack names a path neither direction
-    /// provisioned.
+    /// A wide-area event names a path the pairing did not provision.
     NoSuchPath {
         /// The path id asked for.
         path: u16,
-        /// How many paths the longer direction has.
+        /// How many paths the event's kind can target: the longer
+        /// direction's count for outages, resets and hijacks, the shorter
+        /// one's for the packet-level attacks (the carrier is read from
+        /// side A's paths, a forged report rides side B's tunnel).
         paths: usize,
     },
-    /// An adversary was asked for at a tenant: adversaries are on-path
-    /// transit nodes, not the tenants themselves.
-    TenantAdversary(AsId),
 }
 
 impl From<ProvisionError> for PairingError {
@@ -84,9 +84,6 @@ impl core::fmt::Display for PairingError {
             PairingError::Engine(e) => write!(f, "BGP: {e}"),
             PairingError::NoSuchPath { path, paths } => {
                 write!(f, "no path {path}: {paths} paths were provisioned")
-            }
-            PairingError::TenantAdversary(node) => {
-                write!(f, "{node} is a tenant, not an on-path transit node")
             }
         }
     }
@@ -128,11 +125,13 @@ pub struct PairingOptions {
     pub auth_key: Option<SipKey>,
     /// Application-specific routing overrides (§3), applied at both
     /// switches: inner DSCP/traffic-class byte → pinned path id.
-    pub class_map: std::collections::BTreeMap<u8, u16>,
-    /// Scheduled *structured* faults (path blackholes, BGP session
-    /// resets). `Blackhole`s are lowered onto the topology before the
-    /// simulator starts; `SessionReset`s are executed against
-    /// the BGP engine mid-run by [`TangoPairing::run_until`].
+    pub class_map: BTreeMap<u8, u16>,
+    /// Scheduled *structured* faults, honest and Byzantine, lowered by
+    /// [`TangoPairing::build`]: `Blackhole`s onto the topology before the
+    /// simulator starts; `SessionReset`s and `Hijack`s into control-plane
+    /// steps [`TangoPairing::run_until`] executes against the BGP engine
+    /// mid-run; `OwdPoison`, `Replay` and `SpoofReports` into one
+    /// [`AdversaryAgent`] per attacking carrier.
     pub wide_area_events: Vec<WideAreaEvent>,
     /// Wrap side A's policy in a [`HealthGated`] liveness gate with these
     /// thresholds; the transition timeline is exposed via
@@ -176,7 +175,7 @@ impl Default for PairingOptions {
             span_capacity: 0,
             feedback: FeedbackMode::Shared,
             auth_key: None,
-            class_map: std::collections::BTreeMap::new(),
+            class_map: BTreeMap::new(),
             wide_area_events: Vec::new(),
             health_a: None,
             health_b: None,
@@ -226,7 +225,7 @@ struct SideState {
     synced_health: usize,
     /// The app packet this side sends, per `(payload_len, traffic_class)`:
     /// built once, then scheduled as clones that share its bytes.
-    templates: std::collections::BTreeMap<(usize, u8), Packet>,
+    templates: BTreeMap<(usize, u8), Packet>,
 }
 
 /// A fully wired Tango deployment between two edges, ready to run.
@@ -243,10 +242,14 @@ pub struct TangoPairing {
     /// Scheduled control-plane steps (session resets, hijacks), soonest
     /// first.
     pending_controls: Vec<PendingControl>,
-    /// Byzantine nodes, so control-plane re-convergence reinstalls the
-    /// adversary wrapper instead of silently reverting the node to an
-    /// honest router.
-    adversaries: std::collections::BTreeMap<AsId, Adversary>,
+    /// Byzantine nodes and their behaviors, so control-plane
+    /// re-convergence reinstalls the adversary wrapper instead of
+    /// silently reverting the node to an honest router. The re-wrap
+    /// resets an in-flight replay stash: a replay window spanning a
+    /// reset or hijack loses the captures made before it.
+    adversaries: BTreeMap<AsId, Vec<AdversaryBehavior>>,
+    /// The one counter handle every adversary shares.
+    adversary_stats: SharedAdversaryStats,
     /// The telemetry registry every layer exports into (if enabled).
     obs: Option<Registry>,
     /// The pairing-level causal recorder: control-plane steps, BGP
@@ -267,36 +270,49 @@ pub struct TangoPairing {
     health_spans: Vec<(u64, u16, SpanKey)>,
 }
 
-/// An installed adversary: its behaviors and its counter handle.
-type Adversary = (Vec<AdversaryBehavior>, SharedAdversaryStats);
-
-/// A router over `id`'s converged BGP table, wrapped in `adversary` when
-/// one is given.
-fn router_agent(
-    bgp: &BgpEngine,
-    id: AsId,
-    adversary: Option<&Adversary>,
-) -> Result<Box<dyn Agent>, PairingError> {
-    let base: Box<dyn Agent> = Box::new(RouterAgent::new(id, bgp.forwarding_table(id)?));
-    Ok(match adversary {
-        Some((behaviors, stats)) => Box::new(AdversaryAgent::new(
-            base,
-            behaviors.clone(),
-            Arc::clone(stats),
-        )),
-        None => base,
-    })
-}
-
-/// `Err(NoSuchPath)` unless at least one direction provisioned `path`.
-fn check_path(provisioned: &ProvisionedPairing, path: u16) -> Result<(), PairingError> {
-    let paths = Side::BOTH.map(|s| provisioned.from(s).tunnels.len());
-    let paths = paths.into_iter().max().unwrap_or(0);
+/// `Err(NoSuchPath)` unless `path` is among the `paths` an event can
+/// target.
+fn check_path(path: u16, paths: usize) -> Result<(), PairingError> {
     if usize::from(path) < paths {
         Ok(())
     } else {
         Err(PairingError::NoSuchPath { path, paths })
     }
+}
+
+/// Forge the report a spoofing carrier injects toward side A: every path
+/// looks terrible except `path`, which looks perfect — enough to flip
+/// any latency/loss-driven ranking if the switch believes it.
+fn forged_report(provisioned: &ProvisionedPairing, path: u16) -> Vec<u8> {
+    let tunnels = &provisioned.from(Side::B).tunnels;
+    let records = (0..tunnels.len() as u16)
+        .map(|id| {
+            if id == path {
+                PathRecord {
+                    path_id: id,
+                    samples: 100_000,
+                    owd_ewma_ns: 1_000_000, // 1 ms: impossibly good
+                    jitter_ns: 1_000,
+                    loss_ppm: 0,
+                    staleness_ns: 0,
+                }
+            } else {
+                PathRecord {
+                    path_id: id,
+                    samples: 100_000,
+                    owd_ewma_ns: 500_000_000, // 500 ms: unusable
+                    jitter_ns: 50_000_000,
+                    loss_ppm: 500_000,
+                    staleness_ns: 0,
+                }
+            }
+        })
+        .collect();
+    let report = MeasurementReport { records }.encode();
+    // Ride B's tunnel for `path` toward A — a byte-faithful REPORT
+    // packet, except the attacker has no key so there is no auth tag.
+    let tunnel = &tunnels[usize::from(path)];
+    codec::report_packet(tunnel, 0x5bf0_0000 + u32::from(path), 0, &report, None)
 }
 
 impl TangoPairing {
@@ -306,7 +322,7 @@ impl TangoPairing {
     /// scenario's map, or an empty iterator for pure shortest-path).
     pub fn build(
         topology: Topology,
-        neighbor_pref: impl IntoIterator<Item = (AsId, std::collections::BTreeMap<AsId, u32>)>,
+        neighbor_pref: impl IntoIterator<Item = (AsId, BTreeMap<AsId, u32>)>,
         side_a: SideConfig,
         side_b: SideConfig,
         options: PairingOptions,
@@ -326,15 +342,17 @@ impl TangoPairing {
             stats: shared_sink(),
             timeline: None,
             synced_health: 0,
-            templates: std::collections::BTreeMap::new(),
+            templates: BTreeMap::new(),
         });
 
         // Lower the structured wide-area events now that provisioning
-        // fixed the path order. A `Blackhole { path }` resolves to the
-        // path's *distinguishing* hop in each direction — the transit
-        // adjacent to the receiving border, unique per path by discovery
-        // construction — so exactly that path dies, in both directions
-        // (delivery into A first).
+        // fixed the path order: the one place a path id becomes links, a
+        // control-plane step or an attacker. A `Blackhole { path }`
+        // resolves to the path's *distinguishing* hop in each direction —
+        // the transit adjacent to the receiving border, unique per path by
+        // discovery construction — so exactly that path dies, in both
+        // directions (delivery into A first). The Byzantine kinds run at
+        // a distinguishing carrier of side A's paths.
         let mut topology = topology;
         let path_links = |p: u16| -> Vec<(AsId, AsId)> {
             let into = |rx: Side| {
@@ -343,34 +361,89 @@ impl TangoPairing {
             };
             Side::BOTH.into_iter().filter_map(into).collect()
         };
+        let a_paths = &provisioned.from(Side::A).paths;
+        let carrier = |p: u16| {
+            a_paths[usize::from(p)]
+                .distinguishing_carrier()
+                .expect("discovery keeps only paths with a transit hop")
+        };
+        let [a_len, b_len] = Side::BOTH.map(|s| provisioned.from(s).tunnels.len());
+        let (longest, both) = (a_len.max(b_len), a_len.min(b_len));
         let mut pending_controls = Vec::new();
+        let mut hijacks = Vec::new();
         let mut blackholes: Vec<(u16, TimeWindow)> = Vec::new();
+        let mut attacks: Vec<(AsId, u16, AdversaryBehavior)> = Vec::new();
         for ev in &options.wide_area_events {
-            let (WideAreaEvent::Blackhole { path, .. } | WideAreaEvent::SessionReset { path, .. }) =
-                *ev;
-            check_path(&provisioned, path)?;
-            let window = ev.window();
-            match ev {
-                WideAreaEvent::Blackhole { .. } => blackholes.push((path, window)),
-                WideAreaEvent::SessionReset { .. } => {
-                    // Withdrawn at the window's start, re-announced at its end.
-                    for (at_ns, announce) in [(window.start_ns, false), (window.end_ns, true)] {
-                        pending_controls.push(PendingControl {
-                            at: SimTime(at_ns),
-                            path,
-                            step: ControlStep::Reset,
-                            announce,
-                        });
+            let (path, window) = (ev.path(), ev.window());
+            let controls = |step, announce_at_start: bool| {
+                [
+                    (window.start_ns, announce_at_start),
+                    (window.end_ns, !announce_at_start),
+                ]
+                .map(|(at_ns, announce)| PendingControl {
+                    at: SimTime(at_ns),
+                    path,
+                    step,
+                    announce,
+                })
+            };
+            match *ev {
+                WideAreaEvent::Blackhole { .. } => {
+                    check_path(path, longest)?;
+                    blackholes.push((path, window));
+                    for link_ev in ev.lower(path_links) {
+                        topology
+                            .add_event(link_ev)
+                            .expect("wide-area event targets existing links");
                     }
                 }
-            }
-            for link_ev in ev.lower(path_links) {
-                topology
-                    .add_event(link_ev)
-                    .expect("wide-area event targets existing links");
+                WideAreaEvent::SessionReset { .. } => {
+                    // Withdrawn at the window's start, re-announced at its end.
+                    check_path(path, longest)?;
+                    pending_controls.extend(controls(ControlStep::Reset, false));
+                }
+                WideAreaEvent::Hijack { .. } => {
+                    check_path(path, longest)?;
+                    let attacker = carrier((path + 1) % a_paths.len() as u16);
+                    hijacks.extend(controls(ControlStep::Hijack { attacker }, true));
+                }
+                WideAreaEvent::OwdPoison { skew_ns, .. } => {
+                    check_path(path, both)?;
+                    let behavior = AdversaryBehavior::OwdPoison { window, skew_ns };
+                    attacks.push((carrier(path), path, behavior));
+                }
+                WideAreaEvent::Replay {
+                    delay_ns, every, ..
+                } => {
+                    check_path(path, both)?;
+                    let behavior = AdversaryBehavior::Replay {
+                        window,
+                        delay: SimTime(delay_ns),
+                        every,
+                    };
+                    attacks.push((carrier(path), path, behavior));
+                }
+                WideAreaEvent::SpoofReports { period_ns, .. } => {
+                    check_path(path, both)?;
+                    let behavior = AdversaryBehavior::SpoofPackets {
+                        window,
+                        period: SimTime(period_ns),
+                        packet: forged_report(&provisioned, path),
+                    };
+                    attacks.push((carrier(path), path, behavior));
+                }
             }
         }
+        // Hijacks queue behind the resets, so a tie runs the reset first.
+        pending_controls.append(&mut hijacks);
         pending_controls.sort_by_key(|r| r.at);
+        // One adversary per carrier: its behaviors path by path, each
+        // path's in event order.
+        attacks.sort_by_key(|&(node, path, _)| (node, path));
+        let mut adversaries: BTreeMap<AsId, Vec<AdversaryBehavior>> = BTreeMap::new();
+        for (node, _, behavior) in attacks {
+            adversaries.entry(node).or_default().push(behavior);
+        }
 
         let mut sim_config = SimConfig {
             seed: options.seed,
@@ -458,7 +531,8 @@ impl TangoPairing {
             provisioned,
             sides,
             pending_controls,
-            adversaries: std::collections::BTreeMap::new(),
+            adversaries,
+            adversary_stats: shared_adversary_stats(),
             obs: options.obs,
             control_spans: SpanRing::new(CONTROL_SPAN_CAPACITY),
             control_seq: 0,
@@ -466,6 +540,20 @@ impl TangoPairing {
             health_spans: Vec::new(),
         };
         pairing.install_routers()?;
+        // Arm each adversary's spoof timer at its earliest spoof window
+        // (it keeps ticking until the window opens, then injects on its
+        // period), carriers in ascending order.
+        for (&node, behaviors) in &pairing.adversaries {
+            let spoof_start = behaviors.iter().filter_map(|b| match b {
+                AdversaryBehavior::SpoofPackets { window, .. } => Some(window.start_ns),
+                _ => None,
+            });
+            if let Some(at_ns) = spoof_start.min() {
+                pairing
+                    .sim
+                    .schedule_timer_at(SimTime(at_ns), node, TAG_ADV_SPOOF);
+            }
+        }
         // Blackholes were lowered onto the topology above and never pass
         // `apply_control`, so their flight-recorder spans (step 4 start,
         // step 5 end) are emitted here, at build time.
@@ -590,8 +678,8 @@ impl TangoPairing {
     }
 
     /// Advance simulated time, executing any scheduled control-plane
-    /// steps ([`WideAreaEvent::SessionReset`] and hijacks) whose time
-    /// falls inside the window: the simulator runs up to the boundary,
+    /// steps ([`WideAreaEvent::SessionReset`], [`WideAreaEvent::Hijack`])
+    /// whose time falls inside the window: the simulator runs up to the boundary,
     /// the announcements change, BGP re-converges, and the routers'
     /// forwarding tables are reinstalled (the RIB→FIB push) before
     /// simulated time continues. With a registry attached, both stats
@@ -619,76 +707,10 @@ impl TangoPairing {
         }
     }
 
-    /// Install a Byzantine agent at `node`: the node keeps forwarding by
-    /// its converged BGP table, but misbehaves per `behaviors` (see
-    /// [`AdversaryBehavior`]). Returns the attacker's counter handle.
-    ///
-    /// Call before running past any behavior window. Control-plane
-    /// re-convergence (session resets, hijacks) re-wraps the node, which
-    /// resets any in-flight replay stash — windows spanning a reset lose
-    /// the captures made before it.
-    ///
-    /// `Err(TenantAdversary)` at a tenant, `Err(Engine(UnknownSpeaker))`
-    /// at a node outside the topology; either leaves nothing installed.
-    pub fn install_adversary(
-        &mut self,
-        node: AsId,
-        behaviors: Vec<AdversaryBehavior>,
-    ) -> Result<SharedAdversaryStats, PairingError> {
-        if self.sides.iter().any(|s| s.config.tenant == node) {
-            return Err(PairingError::TenantAdversary(node));
-        }
-        let stats = shared_adversary_stats();
-        // Arm the spoof timer at the earliest spoof window (it keeps
-        // ticking until the window opens, then injects on its period).
-        let spoof_start = behaviors
-            .iter()
-            .filter_map(|b| match b {
-                AdversaryBehavior::SpoofPackets { window, .. } => Some(window.from),
-                _ => None,
-            })
-            .min();
-        let adversary = (behaviors, Arc::clone(&stats));
-        let agent = router_agent(&self.bgp, node, Some(&adversary))?;
-        self.sim.set_agent(node, agent);
-        self.adversaries.insert(node, adversary);
-        if let Some(at) = spoof_start {
-            self.sim.schedule_timer_at(at, node, TAG_ADV_SPOOF);
-        }
-        Ok(stats)
-    }
-
-    /// The counter handle of an installed adversary (a snapshot copy).
-    pub fn adversary_stats(&self, node: AsId) -> Option<tango_sim::AdversaryStats> {
-        self.adversaries.get(&node).map(|(_, s)| *s.lock())
-    }
-
-    /// Schedule a sub-prefix hijack: at `at_ns`, `attacker` announces a
-    /// /56 more-specific of each tunnel endpoint on `path` (both
-    /// directions), stealing its traffic by longest-prefix match; the
-    /// announcements are withdrawn `duration_ns` later. Call before
-    /// `run_until` passes `at_ns`. `Err(NoSuchPath)` when neither
-    /// direction provisioned `path`, `Err(Engine(UnknownSpeaker))` when
-    /// `attacker` is not in the topology.
-    pub fn schedule_hijack(
-        &mut self,
-        attacker: AsId,
-        path: u16,
-        at_ns: u64,
-        duration_ns: u64,
-    ) -> Result<(), PairingError> {
-        check_path(&self.provisioned, path)?;
-        self.bgp.speaker(attacker)?;
-        for (at_ns, announce) in [(at_ns, true), (at_ns.saturating_add(duration_ns), false)] {
-            self.pending_controls.push(PendingControl {
-                at: SimTime(at_ns),
-                path,
-                step: ControlStep::Hijack { attacker },
-                announce,
-            });
-        }
-        self.pending_controls.sort_by_key(|r| r.at);
-        Ok(())
+    /// What the adversaries the pairing's Byzantine wide-area events
+    /// installed did, summed over every carrier (a snapshot copy).
+    pub fn adversary_stats(&self) -> AdversaryStats {
+        *self.adversary_stats.lock()
     }
 
     /// Execute one control-plane step (session-reset withdraw or
@@ -778,7 +800,12 @@ impl TangoPairing {
     /// (Re)install one non-tenant node from its converged BGP table,
     /// preserving any adversary wrapper registered for it.
     fn reinstall_router(&mut self, id: AsId) -> Result<(), PairingError> {
-        let agent = router_agent(&self.bgp, id, self.adversaries.get(&id))?;
+        let mut agent: Box<dyn Agent> =
+            Box::new(RouterAgent::new(id, self.bgp.forwarding_table(id)?));
+        if let Some(behaviors) = self.adversaries.get(&id) {
+            let stats = Arc::clone(&self.adversary_stats);
+            agent = Box::new(AdversaryAgent::new(agent, behaviors.clone(), stats));
+        }
         self.sim.set_agent(id, agent);
         Ok(())
     }

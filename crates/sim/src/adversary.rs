@@ -5,9 +5,9 @@
 //! agent (typically a `RouterAgent`) at any node on a provisioned path
 //! and misbehaves on the traffic passing through it:
 //!
-//! * **OWD poisoning** — rewrites the piggybacked timestamp (and
-//!   optionally the sequence number) of Tango tunnel packets, then
-//!   re-fills the UDP checksum like a competent on-path attacker would.
+//! * **OWD poisoning** — rewrites the piggybacked timestamp of Tango
+//!   tunnel packets, then re-fills the UDP checksum like a competent
+//!   on-path attacker would.
 //!   Without authenticated telemetry the receiver dutifully computes a
 //!   skewed one-way delay; with the SipHash tag the tamper invalidates
 //!   the trailer and the packet is rejected at decap.
@@ -19,7 +19,9 @@
 //!   fastest) on a period.
 //!
 //! Behaviors are windowed in simulator time, so a chaos schedule can
-//! turn them on and off mid-run deterministically.
+//! turn them on and off mid-run deterministically. They are the
+//! node-level form the pairing harness lowers the path-level
+//! `WideAreaEvent`s `OwdPoison`, `Replay` and `SpoofReports` to.
 
 use crate::engine::{Agent, Ctx, Packet};
 use crate::time::SimTime;
@@ -27,6 +29,7 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use tango_net::{ipv6, udp, Ipv6Packet, TangoPacket, UdpPacket, TANGO_HEADER_LEN, TANGO_UDP_PORT};
+use tango_topology::TimeWindow;
 
 /// Timer tag the spoof-report behavior fires on. Arm it externally with
 /// `NetworkSim::schedule_timer_at(start, attacker_node, TAG_ADV_SPOOF)`;
@@ -36,40 +39,22 @@ pub const TAG_ADV_SPOOF: u64 = 0xAD5E_0000;
 /// Timer tag for releasing a stashed replay.
 pub const TAG_ADV_REPLAY: u64 = 0xAD5E_0001;
 
-/// A half-open activity window `[from, until)` in simulator time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ActiveWindow {
-    /// First instant the behavior is live.
-    pub from: SimTime,
-    /// First instant it is no longer live.
-    pub until: SimTime,
-}
-
-impl ActiveWindow {
-    /// Is `t` inside the window?
-    pub fn contains(&self, t: SimTime) -> bool {
-        t >= self.from && t < self.until
-    }
-}
-
 /// One attacker behavior. Several can be attached to the same node.
 #[derive(Debug, Clone)]
 pub enum AdversaryBehavior {
     /// Skew the piggybacked timestamp of every transiting Tango packet
-    /// by `skew_ns` (saturating) and bump its sequence by `seq_offset`.
+    /// by `skew_ns` (saturating).
     OwdPoison {
         /// When the poisoning is live.
-        window: ActiveWindow,
+        window: TimeWindow,
         /// Added to each timestamp; negative claims the path got faster.
         skew_ns: i64,
-        /// Added (wrapping) to each sequence number; 0 leaves them alone.
-        seq_offset: u32,
     },
     /// Record every `every`-th transiting Tango packet and retransmit the
     /// copy `delay` later — valid tag, stale content.
     Replay {
         /// When capture is live (releases may land after it closes).
-        window: ActiveWindow,
+        window: TimeWindow,
         /// How long after capture the copy is re-injected.
         delay: SimTime,
         /// Capture cadence: 1 = every Tango packet.
@@ -81,7 +66,7 @@ pub enum AdversaryBehavior {
     /// the pairing's secret).
     SpoofPackets {
         /// When injection is live.
-        window: ActiveWindow,
+        window: TimeWindow,
         /// Injection period.
         period: SimTime,
         /// Complete wire bytes (outer IPv6 onward) of the forgery.
@@ -153,11 +138,11 @@ fn is_tango_wire(bytes: &[u8]) -> bool {
     }
 }
 
-/// Rewrite timestamp/sequence in place and re-fill the UDP checksum.
+/// Rewrite the timestamp in place and re-fill the UDP checksum.
 /// Returns false (leaving the packet untouched beyond parse) if the
 /// bytes are not a Tango tunnel packet.
 // tango-lint: allow(hot-path-panic) is_tango_wire verified length >= v6+udp+tango headers before any slicing
-fn poison_in_place(bytes: &mut [u8], skew_ns: i64, seq_offset: u32) -> bool {
+fn poison_in_place(bytes: &mut [u8], skew_ns: i64) -> bool {
     if !is_tango_wire(bytes) {
         return false;
     }
@@ -176,10 +161,6 @@ fn poison_in_place(bytes: &mut [u8], skew_ns: i64, seq_offset: u32) -> bool {
             ts.saturating_sub(skew_ns.unsigned_abs())
         };
         tp.set_timestamp_ns(skewed);
-        if seq_offset != 0 {
-            let s = tp.sequence();
-            tp.set_sequence(s.wrapping_add(seq_offset));
-        }
     }
     let mut udp_pkt = UdpPacket::new_unchecked(&mut bytes[ipv6::HEADER_LEN..]);
     udp_pkt.fill_checksum_v6(src, dst);
@@ -188,13 +169,13 @@ fn poison_in_place(bytes: &mut [u8], skew_ns: i64, seq_offset: u32) -> bool {
 
 impl Agent for AdversaryAgent {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, mut pkt: Packet) {
-        let now = ctx.now();
+        let now = ctx.now().as_ns();
         if is_tango_wire(pkt.bytes()) {
             self.transited += 1;
             // Capture first (the pristine packet, tag intact), then
             // poison: a replayed copy must carry valid authentication.
             let mut capture: Option<SimTime> = None;
-            let mut poison: Option<(i64, u32)> = None;
+            let mut poison: Option<i64> = None;
             for b in &self.behaviors {
                 match *b {
                     AdversaryBehavior::Replay {
@@ -207,12 +188,8 @@ impl Agent for AdversaryAgent {
                     {
                         capture = Some(delay);
                     }
-                    AdversaryBehavior::OwdPoison {
-                        window,
-                        skew_ns,
-                        seq_offset,
-                    } if window.contains(now) => {
-                        poison = Some((skew_ns, seq_offset));
+                    AdversaryBehavior::OwdPoison { window, skew_ns } if window.contains(now) => {
+                        poison = Some(skew_ns);
                     }
                     _ => {}
                 }
@@ -222,8 +199,8 @@ impl Agent for AdversaryAgent {
                 self.stats.lock().captured += 1;
                 ctx.schedule_timer(delay, TAG_ADV_REPLAY);
             }
-            if let Some((skew_ns, seq_offset)) = poison {
-                if poison_in_place(pkt.bytes_mut(), skew_ns, seq_offset) {
+            if let Some(skew_ns) = poison {
+                if poison_in_place(pkt.bytes_mut(), skew_ns) {
                     self.stats.lock().poisoned += 1;
                 }
             }
@@ -247,7 +224,7 @@ impl Agent for AdversaryAgent {
                 }
             }
             TAG_ADV_SPOOF => {
-                let now = ctx.now();
+                let now = ctx.now().as_ns();
                 let mut next_due = false;
                 for b in &self.behaviors {
                     if let AdversaryBehavior::SpoofPackets {
@@ -260,10 +237,10 @@ impl Agent for AdversaryAgent {
                             let forged = Packet::new(packet.clone());
                             self.stats.lock().spoofed += 1;
                             self.inner.on_packet(ctx, forged);
-                            if now + *period < window.until {
+                            if now + period.as_ns() < window.end_ns {
                                 next_due = true;
                             }
-                        } else if now < window.from {
+                        } else if now < window.start_ns {
                             // Armed early: keep ticking until the window
                             // opens.
                             next_due = true;
@@ -297,19 +274,17 @@ mod tests {
 
     #[test]
     fn window_contains_is_half_open() {
-        let w = ActiveWindow {
-            from: SimTime(10),
-            until: SimTime(20),
-        };
-        assert!(!w.contains(SimTime(9)));
-        assert!(w.contains(SimTime(10)));
-        assert!(w.contains(SimTime(19)));
-        assert!(!w.contains(SimTime(20)));
+        // The agent gates every behavior on `window.contains(now.as_ns())`.
+        let w = TimeWindow::new(SimTime(10).as_ns(), SimTime(20).as_ns());
+        assert!(!w.contains(SimTime(9).as_ns()));
+        assert!(w.contains(SimTime(10).as_ns()));
+        assert!(w.contains(SimTime(19).as_ns()));
+        assert!(!w.contains(SimTime(20).as_ns()));
     }
 
     #[test]
     fn poison_rejects_non_tango_bytes() {
         let mut junk = vec![0u8; 60];
-        assert!(!poison_in_place(&mut junk, 1_000, 0));
+        assert!(!poison_in_place(&mut junk, 1_000));
     }
 }

@@ -41,10 +41,10 @@ pub mod shard;
 pub mod time;
 
 pub use adversary::{
-    shared_adversary_stats, ActiveWindow, AdversaryAgent, AdversaryBehavior, AdversaryStats,
+    shared_adversary_stats, AdversaryAgent, AdversaryBehavior, AdversaryStats,
     SharedAdversaryStats, TAG_ADV_REPLAY, TAG_ADV_SPOOF,
 };
-pub use chaos::{ChaosConfig, ChaosEvent, ChaosKind, ChaosSchedule};
+pub use chaos::{ChaosConfig, ChaosSchedule};
 pub use clock::NodeClock;
 pub use engine::{
     Agent, BufferPool, Ctx, NetworkSim, Packet, RouterAgent, ShardLoad, SimConfig, SimStats,

@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 use tango_sim::{ChaosConfig, ChaosSchedule};
+use tango_topology::WideAreaEvent;
 
 proptest! {
     /// Same seed ⇒ identical schedule, different seed ⇒ (almost
@@ -28,16 +29,20 @@ proptest! {
         prop_assert_eq!(a.events.len(), events);
         let mut last = 0u64;
         for e in &a.events {
-            prop_assert!(e.at.0 >= last, "events must be time-sorted");
-            last = e.at.0;
-            prop_assert!(e.kind.path() < n_paths);
-            prop_assert!(e.at.0 >= cfg.start_ns);
+            let window = e.window();
+            prop_assert!(window.start_ns >= last, "events must be time-sorted");
+            last = window.start_ns;
+            prop_assert!(e.path() < n_paths);
+            prop_assert!(window.start_ns >= cfg.start_ns);
             prop_assert!(
-                e.at.0 + e.kind.duration_ns() <= cfg.start_ns + cfg.storm_ns,
+                window.end_ns <= cfg.start_ns + cfg.storm_ns,
                 "event must end inside the storm"
             );
             if !byzantine {
-                prop_assert!(!e.kind.is_byzantine());
+                prop_assert!(matches!(
+                    e,
+                    WideAreaEvent::Blackhole { .. } | WideAreaEvent::SessionReset { .. }
+                ));
             }
         }
     }

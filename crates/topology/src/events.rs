@@ -149,13 +149,20 @@ impl LinkEvent {
 /// A *structured* scheduled fault, one abstraction level above
 /// [`LinkEvent`]: where a `LinkEvent` speaks in directed links, a
 /// `WideAreaEvent` speaks in the operator's vocabulary — a blackholed
-/// tunnel path, a reset BGP session. Deterministic scenarios, not i.i.d.
-/// coin flips: the same schedule replays exactly.
+/// tunnel path, a reset BGP session, a lying transit on a path.
+/// Deterministic scenarios, not i.i.d. coin flips: the same schedule
+/// replays exactly. It is the one path-level fault vocabulary: scripted
+/// scenarios and seeded chaos storms both write it, and the pairing
+/// harness (`TangoPairing::build` in `tango-core`) is the one place that
+/// resolves a path id to links, control-plane steps and attackers.
 ///
-/// `Blackhole` lowers to [`LinkEvent`]s via [`WideAreaEvent::lower`];
-/// `SessionReset` is a *control-plane* event (withdraw + delayed
-/// re-announce of a tunnel prefix) and is executed by the pairing harness
-/// instead — `lower` returns nothing for it.
+/// `Blackhole` lowers to [`LinkEvent`]s via [`WideAreaEvent::lower`].
+/// The other kinds are executed by the pairing harness instead — `lower`
+/// returns nothing for them: `SessionReset` and `Hijack` are
+/// *control-plane* events (announcements and withdrawals), and
+/// `OwdPoison`, `Replay` and `SpoofReports` are *Byzantine* behaviours of
+/// the path's distinguishing carrier (the transit adjacent to the
+/// receiving edge, by which the paper labels paths).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WideAreaEvent {
     /// One provisioned tunnel path silently drops everything in both
@@ -181,40 +188,119 @@ pub enum WideAreaEvent {
         /// How long the prefixes stay withdrawn, ns.
         hold_ns: u64,
     },
+    /// Byzantine: the path's distinguishing carrier skews the piggybacked
+    /// timestamp of every Tango packet it forwards (and re-fills the UDP
+    /// checksum).
+    OwdPoison {
+        /// Provisioned path id (discovery order).
+        path: u16,
+        /// When the poisoning starts, ns.
+        at_ns: u64,
+        /// How long it lasts, ns.
+        duration_ns: u64,
+        /// Timestamp skew, ns (negative = the path claims to be faster).
+        skew_ns: i64,
+    },
+    /// Byzantine: the path's distinguishing carrier records Tango packets
+    /// and re-injects the copies later — valid tag, stale content.
+    Replay {
+        /// Provisioned path id (discovery order).
+        path: u16,
+        /// When capture starts, ns.
+        at_ns: u64,
+        /// How long capture lasts, ns (releases may land after it).
+        duration_ns: u64,
+        /// Re-injection delay, ns.
+        delay_ns: u64,
+        /// Capture cadence: every `every`-th Tango packet.
+        every: u32,
+    },
+    /// Byzantine: the path's distinguishing carrier injects forged
+    /// measurement reports toward side A on a period, claiming `path` is
+    /// perfect and every other path unusable. The attacker holds no key,
+    /// so the forgeries carry no auth tag.
+    SpoofReports {
+        /// Provisioned path id (discovery order): the path promoted.
+        path: u16,
+        /// When injection starts, ns.
+        at_ns: u64,
+        /// How long it lasts, ns.
+        duration_ns: u64,
+        /// Injection period, ns.
+        period_ns: u64,
+    },
+    /// Byzantine control plane: a transit announces a /56 more-specific
+    /// of each tunnel endpoint on `path`, attracting its traffic by
+    /// longest-prefix match until the announcements are withdrawn. The
+    /// attacker is the distinguishing carrier of the *next* provisioned
+    /// path, `(path + 1) % n` over side A's `n` paths — a transit not on
+    /// the victim path whenever there are two or more paths.
+    Hijack {
+        /// Provisioned path id (discovery order) whose prefixes are
+        /// hijacked.
+        path: u16,
+        /// When the hijack is announced, ns.
+        at_ns: u64,
+        /// How long the announcements stay up, ns.
+        duration_ns: u64,
+    },
 }
 
 impl WideAreaEvent {
+    /// The provisioned path the event targets.
+    pub fn path(&self) -> u16 {
+        match *self {
+            WideAreaEvent::Blackhole { path, .. }
+            | WideAreaEvent::SessionReset { path, .. }
+            | WideAreaEvent::OwdPoison { path, .. }
+            | WideAreaEvent::Replay { path, .. }
+            | WideAreaEvent::SpoofReports { path, .. }
+            | WideAreaEvent::Hijack { path, .. } => path,
+        }
+    }
+
     /// The window during which the fault is active.
     pub fn window(&self) -> TimeWindow {
-        match *self {
+        let (at_ns, duration_ns) = match *self {
+            WideAreaEvent::SessionReset { at_ns, hold_ns, .. } => (at_ns, hold_ns),
             WideAreaEvent::Blackhole {
                 at_ns, duration_ns, ..
-            } => TimeWindow::new(at_ns, at_ns.saturating_add(duration_ns)),
-            WideAreaEvent::SessionReset { at_ns, hold_ns, .. } => {
-                TimeWindow::new(at_ns, at_ns.saturating_add(hold_ns))
             }
-        }
+            | WideAreaEvent::OwdPoison {
+                at_ns, duration_ns, ..
+            }
+            | WideAreaEvent::Replay {
+                at_ns, duration_ns, ..
+            }
+            | WideAreaEvent::SpoofReports {
+                at_ns, duration_ns, ..
+            }
+            | WideAreaEvent::Hijack {
+                at_ns, duration_ns, ..
+            } => (at_ns, duration_ns),
+        };
+        TimeWindow::new(at_ns, at_ns.saturating_add(duration_ns))
     }
 
     /// Lower to raw [`LinkEvent`]s. `path_links` resolves a provisioned
     /// path id to the directed wide-area hops that carry it (both
     /// directions — the caller knows the discovery order; see the pairing
-    /// harness). Control-plane events (`SessionReset`) lower to nothing:
-    /// they are executed against the BGP engine, not the links.
+    /// harness). Every kind but `Blackhole` lowers to nothing: those are
+    /// executed against the BGP engine or by an attacker, not the links.
     pub fn lower(&self, path_links: impl Fn(u16) -> Vec<(AsId, AsId)>) -> Vec<LinkEvent> {
+        let WideAreaEvent::Blackhole { path, .. } = *self else {
+            return Vec::new();
+        };
         let window = self.window();
-        match *self {
-            WideAreaEvent::Blackhole { path, .. } => path_links(path)
-                .into_iter()
-                .map(|(from, to)| LinkEvent {
-                    from,
-                    to,
-                    window,
-                    kind: EventKind::Outage,
-                })
-                .collect(),
-            WideAreaEvent::SessionReset { .. } => Vec::new(),
-        }
+        path_links(path)
+            .into_iter()
+            .map(|(from, to)| LinkEvent {
+                from,
+                to,
+                window,
+                kind: EventKind::Outage,
+            })
+            .collect()
     }
 }
 
@@ -343,6 +429,41 @@ mod tests {
         };
         assert!(reset.lower(|_| vec![(AsId(1), AsId(2))]).is_empty());
         assert_eq!(reset.window(), TimeWindow::new(5, 15));
+    }
+
+    #[test]
+    fn only_blackholes_touch_links_and_every_kind_has_a_path_and_window() {
+        let events = [
+            WideAreaEvent::OwdPoison {
+                path: 3,
+                at_ns: 5,
+                duration_ns: 10,
+                skew_ns: -7,
+            },
+            WideAreaEvent::Replay {
+                path: 3,
+                at_ns: 5,
+                duration_ns: 10,
+                delay_ns: 2,
+                every: 1,
+            },
+            WideAreaEvent::SpoofReports {
+                path: 3,
+                at_ns: 5,
+                duration_ns: 10,
+                period_ns: 1,
+            },
+            WideAreaEvent::Hijack {
+                path: 3,
+                at_ns: 5,
+                duration_ns: 10,
+            },
+        ];
+        for ev in events {
+            assert!(ev.lower(|_| vec![(AsId(1), AsId(2))]).is_empty(), "{ev:?}");
+            assert_eq!(ev.path(), 3);
+            assert_eq!(ev.window(), TimeWindow::new(5, 15));
+        }
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //!
 //! * a byte-level diff of seed 1's canonical dump against a checked-in
 //!   snapshot (`tests/golden/TRACE_vultr-blackhole_seed1.json`);
-//! * a seeded property sweep: random blackhole/session-reset schedules,
-//!   each run at shard counts {1, 4, 8} under both [`ShardMode`]s, with
-//!   every dump compared byte-for-byte against the serial single-shard
-//!   reference;
+//! * a seeded property sweep: random [`ChaosSchedule`] storms, honest
+//!   and Byzantine faults alike, each run at shard counts {1, 4, 8} under
+//!   both [`ShardMode`]s, with every dump compared byte-for-byte against
+//!   the serial single-shard reference;
 //! * the flight-recorder acceptance path: an induced invariant
 //!   violation must dump a ring whose ancestry chain resolves from the
 //!   violation back through the health transition to the chaos event.
@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex};
 use tango::prelude::*;
 use tango_bench::trace;
 use tango_dataplane::PathSnapshot;
-use tango_sim::ShardMode;
+use tango_sim::{ChaosConfig, ChaosSchedule, ShardMode};
 use tango_trace::{export, query};
 
 fn golden_path() -> std::path::PathBuf {
@@ -96,9 +96,9 @@ fn golden_trace_is_canonical_json() {
     );
 }
 
-/// One randomized chaos schedule: which fault, where, and when. Every
-/// field is drawn from a seeded [`StdRng`], so the "random" sweep is
-/// itself replayable.
+/// One randomized chaos schedule: which faults, where, and when, drawn
+/// by [`ChaosSchedule::generate`] like any chaos storm. Every field comes
+/// from a seeded [`StdRng`], so the "random" sweep is itself replayable.
 struct RandomCase {
     seed: u64,
     events: Vec<WideAreaEvent>,
@@ -106,28 +106,17 @@ struct RandomCase {
 }
 
 fn random_case(rng: &mut StdRng) -> RandomCase {
-    let mut events = Vec::new();
-    for _ in 0..rng.gen_range(1..=2usize) {
-        let path = rng.gen_range(1..=2u16);
-        let at_ns = rng.gen_range(800_000_000..1_600_000_000u64);
-        let duration_ns = rng.gen_range(400_000_000..1_400_000_000u64);
-        events.push(if rng.gen_bool(0.5) {
-            WideAreaEvent::Blackhole {
-                path,
-                at_ns,
-                duration_ns,
-            }
-        } else {
-            WideAreaEvent::SessionReset {
-                path,
-                at_ns,
-                hold_ns: duration_ns,
-            }
-        });
-    }
+    let schedule = ChaosSchedule::generate(ChaosConfig {
+        seed: rng.gen(),
+        start_ns: 800_000_000,
+        storm_ns: 2_200_000_000,
+        n_paths: 4,
+        events: rng.gen_range(1..=2),
+        byzantine: true,
+    });
     RandomCase {
         seed: rng.gen_range(1..1_000u64),
-        events,
+        events: schedule.events,
         app_offset: SimTime(rng.gen_range(300_000_000..700_000_000u64)),
     }
 }
@@ -168,10 +157,16 @@ fn run_case(case: &RandomCase, shards: usize, shard_mode: ShardMode) -> String {
     }
     pairing.run_until(SimTime::from_ms(4_000));
     let ring = pairing.spans();
-    export::spans_to_json(&ring.spans(), ring.total_recorded(), ring.capacity() as u64)
+    let spans = ring.spans();
+    assert_eq!(
+        ring.total_recorded(),
+        spans.len() as u64,
+        "the span ring wrapped: a dump is only shard-invariant whole"
+    );
+    export::spans_to_json(&spans, ring.total_recorded(), ring.capacity() as u64)
 }
 
-/// Property: for random chaos schedules, the span stream is
+/// Property: for random chaos storms, the span stream is
 /// byte-identical across shard counts {1, 4, 8} and both shard modes.
 /// This is the trace analogue of the engine's shard-equivalence proof —
 /// span keys derive from the canonical event schedule, which
@@ -179,9 +174,19 @@ fn run_case(case: &RandomCase, shards: usize, shard_mode: ShardMode) -> String {
 #[test]
 fn span_streams_are_shard_and_mode_invariant_on_random_chaos() {
     let mut rng = StdRng::seed_from_u64(0x7a6e_600d);
-    for case_no in 0..4 {
-        let case = random_case(&mut rng);
-        let reference = run_case(&case, 1, ShardMode::Serial);
+    let cases: Vec<RandomCase> = (0..4).map(|_| random_case(&mut rng)).collect();
+    let honest = |e: &WideAreaEvent| {
+        matches!(
+            e,
+            WideAreaEvent::Blackhole { .. } | WideAreaEvent::SessionReset { .. }
+        )
+    };
+    assert!(
+        cases.iter().flat_map(|c| &c.events).any(|e| !honest(e)),
+        "the sweep must cover a Byzantine fault"
+    );
+    for (case_no, case) in cases.iter().enumerate() {
+        let reference = run_case(case, 1, ShardMode::Serial);
         assert!(
             reference.len() > 100,
             "case {case_no} (seed {}) recorded no spans",
@@ -194,7 +199,7 @@ fn span_streams_are_shard_and_mode_invariant_on_random_chaos() {
             (8, ShardMode::Threaded),
         ] {
             assert_eq!(
-                run_case(&case, shards, mode),
+                run_case(case, shards, mode),
                 reference,
                 "case {case_no} (seed {}, events {:?}) diverged at \
                  {shards} shards, {mode:?} mode",
