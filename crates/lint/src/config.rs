@@ -45,10 +45,11 @@ pub const SPAN_EMISSION_MODULES: &[&str] =
     &["crates/trace/src/span.rs", "crates/trace/src/ring.rs"];
 
 /// Hot-path modules where a panic aborts a whole simulation run:
-/// the per-event engine loop, the per-hop flow hash and
-/// longest-prefix match, and the per-packet dataplane transforms.
+/// the per-event engine loop and event queue, the per-hop flow hash
+/// and longest-prefix match, and the per-packet dataplane transforms.
 pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/sim/src/engine.rs",
+    "crates/sim/src/queue.rs",
     "crates/sim/src/hash.rs",
     "crates/net/src/trie.rs",
     "crates/dataplane/src/codec.rs",

@@ -237,7 +237,7 @@ impl Agent for AdversaryAgent {
                             let forged = Packet::new(packet.clone());
                             self.stats.lock().spoofed += 1;
                             self.inner.on_packet(ctx, forged);
-                            if now + period.as_ns() < window.end_ns {
+                            if now.saturating_add(period.as_ns()) < window.end_ns {
                                 next_due = true;
                             }
                         } else if now < window.start_ns {

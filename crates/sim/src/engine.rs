@@ -22,14 +22,16 @@
 //!   dispatch hands it one from that freelist. It caches its parsed
 //!   destination and its ECMP flow hash, so a hop re-parses and
 //!   re-hashes nothing.
-//! * The pending-event heap orders 32-byte `(key, slot)` entries over a
-//!   slab of events, so a sift never moves a packet.
+//! * The pending-event queue (`crate::queue`) is a ladder queue over a
+//!   slab of events: buckets are lists threaded through the slab, their
+//!   width taken from the pending events, so ordering never moves a
+//!   packet.
 //!
 //! ## Sharding
 //!
 //! The node table is partitioned into contiguous shards (see
 //! `crate::shard`), each owning its nodes, their outgoing links, a private
-//! heap+staged event queue, per-node RNG streams, and per-shard stats and
+//! ladder+staged event queue, per-node RNG streams, and per-shard stats and
 //! span rings. Shards advance in lockstep conservative windows whose
 //! width is the minimum cross-shard link latency; cross-shard deliveries
 //! travel through per-shard outboxes exchanged at window barriers. Every
@@ -41,13 +43,13 @@
 use crate::clock::NodeClock;
 use crate::fault::{FaultDecision, FaultInjector};
 use crate::hash::{flow_hash, mix64};
+use crate::queue::EventQueue;
 use crate::shard::{self, Partition, ShardMode};
 use crate::time::SimTime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::{Cell, OnceCell};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::net::{IpAddr, Ipv6Addr};
 use std::num::NonZeroU64;
 use std::sync::Arc;
@@ -572,42 +574,6 @@ pub(crate) struct QueuedEvent {
     pub(crate) kind: EventKind,
 }
 
-/// A shard's pending-event heap. Ordering sifts 32-byte `(key, slot)`
-/// entries; the events themselves — each carrying a packet — sit still
-/// in a slab until popped, and popped slots are reused.
-#[derive(Default)]
-struct EventHeap {
-    order: BinaryHeap<Reverse<(EventKey, u32)>>,
-    slab: Vec<Option<QueuedEvent>>,
-    free: Vec<u32>,
-}
-
-impl EventHeap {
-    fn push(&mut self, ev: QueuedEvent) {
-        let key = ev.key;
-        let slot = self.free.pop().unwrap_or(self.slab.len() as u32);
-        match self.slab.get_mut(slot as usize) {
-            Some(cell) => *cell = Some(ev),
-            None => self.slab.push(Some(ev)),
-        }
-        self.order.push(Reverse((key, slot)));
-    }
-
-    fn peek_key(&self) -> Option<EventKey> {
-        self.order.peek().map(|Reverse((key, _))| *key)
-    }
-
-    fn pop(&mut self) -> Option<QueuedEvent> {
-        let Reverse((_, slot)) = self.order.pop()?;
-        self.free.push(slot);
-        self.slab.get_mut(slot as usize)?.take()
-    }
-
-    fn len(&self) -> usize {
-        self.order.len()
-    }
-}
-
 /// Configuration of a simulation run.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -997,7 +963,9 @@ impl<'a> Ctx<'a> {
             }
         }
         let delay = profile.sample_delay(self.rng, pkt.flow_hash(), shift) + queue_delay;
-        let time = self.now + SimTime(delay);
+        // Saturating: an arrival past `u64::MAX` ns never fires, and must
+        // not wrap to before `now`.
+        let time = self.now.saturating_add(SimTime(delay));
         // A link that goes dark mid-flight also kills the packets already
         // committed to it: if the *arrival* instant falls inside an
         // outage window on this hop, the packet never makes it off the
@@ -1017,9 +985,10 @@ impl<'a> Ctx<'a> {
         });
     }
 
-    /// Schedule a timer on this node after `delay`.
+    /// Schedule a timer on this node after `delay` (saturating: a timer
+    /// past `u64::MAX` ns never fires).
     pub fn schedule_timer(&mut self, delay: SimTime, tag: u64) {
-        let key = self.next_key(self.now + delay);
+        let key = self.next_key(self.now.saturating_add(delay));
         self.out.push(QueuedEvent {
             key,
             parent: self.dispatch_span,
@@ -1098,11 +1067,12 @@ pub(crate) struct ShardState {
     rngs: Vec<StdRng>,
     /// Per-node emission sequence counters (the `seq` of [`EventKey`]).
     node_seq: Vec<u64>,
-    queue: EventHeap,
+    queue: EventQueue,
     /// Externally scheduled events whose keys arrived in non-decreasing
     /// order — the common case for pre-scheduled traffic. Kept out of
-    /// the heap and merged lazily at pop time, so pre-loading 100k
-    /// packets does not inflate every heap operation to log(100k).
+    /// the ladder and merged lazily at pop time: a FIFO costs less
+    /// memory per pre-loaded packet than the slab's link words and
+    /// bucket heads.
     staged: VecDeque<QueuedEvent>,
     /// Scratch for same-timestamp batch drains (allocation reused).
     batch: Vec<QueuedEvent>,
@@ -1142,7 +1112,7 @@ impl ShardState {
             clocks: vec![NodeClock::default(); n],
             rngs,
             node_seq: vec![0; n],
-            queue: EventHeap::default(),
+            queue: EventQueue::default(),
             staged: VecDeque::new(),
             batch: Vec::new(),
             now: SimTime::ZERO,
@@ -1167,10 +1137,10 @@ impl ShardState {
         idx >= self.node_base && idx < self.node_end
     }
 
-    /// Stage or heap-push an externally scheduled event: events arriving
-    /// in key order append to the staged queue in O(1); out-of-order
-    /// stragglers go to the heap. The pop-side merge preserves the exact
-    /// global key order either way.
+    /// Stage or queue an externally scheduled event: events arriving in
+    /// key order append to the staged FIFO in O(1); out-of-order
+    /// stragglers go to the ladder. The pop-side merge preserves the
+    /// exact global key order either way.
     fn enqueue_external(&mut self, ev: QueuedEvent) {
         let in_order = self.staged.back().map_or(true, |b| b.key <= ev.key);
         if in_order {
@@ -1182,9 +1152,9 @@ impl ShardState {
 
     /// The key of the earliest pending event, if any.
     fn peek_key(&self) -> Option<EventKey> {
-        let heap = self.queue.peek_key();
+        let queued = self.queue.peek_key();
         let staged = self.staged.front().map(|e| e.key);
-        match (heap, staged) {
+        match (queued, staged) {
             (None, s) => s,
             (h, None) => h,
             (Some(h), Some(s)) => Some(h.min(s)),
@@ -1203,14 +1173,14 @@ impl ShardState {
     }
 
     /// Pop every pending event whose time equals `t` — from the merged
-    /// heap+staged queues, in canonical key order — into `out` in one
+    /// ladder+staged queues, in canonical key order — into `out` in one
     /// pass (the same-timestamp batch drain; new events emitted *by*
     /// the batch land at later keys or form the next batch).
     fn drain_batch_at(&mut self, t: SimTime, out: &mut Vec<QueuedEvent>) {
         loop {
-            let heap_key = self.queue.peek_key().filter(|k| k.time == t);
+            let queued_key = self.queue.peek_key().filter(|k| k.time == t);
             let staged_key = self.staged.front().map(|e| e.key).filter(|k| k.time == t);
-            let take_staged = match (heap_key, staged_key) {
+            let take_staged = match (queued_key, staged_key) {
                 (None, None) => break,
                 (Some(_), None) => false,
                 (None, Some(_)) => true,
@@ -1266,7 +1236,7 @@ impl ShardState {
     }
 
     /// Accept cross-shard deliveries, leaving `events` empty with its
-    /// capacity (heap-pushed: they arrive beyond the closed window, in no
+    /// capacity (queued: they arrive beyond the closed window, in no
     /// particular order, but keys restore the total order at pop time).
     pub(crate) fn receive_drain(&mut self, events: &mut Vec<QueuedEvent>) {
         for ev in events.drain(..) {
@@ -2455,7 +2425,7 @@ mod tests {
     fn same_timestamp_batch_preserves_key_order() {
         // Externally scheduled timers on one node, deliberately arriving
         // out of time order so some land in the staged queue and some in
-        // the heap. The same-timestamp batch drain must still fire them
+        // the ladder. The same-timestamp batch drain must still fire them
         // in canonical key order — and identically for any shard count.
         use std::sync::Mutex;
         struct OrderAgent {
@@ -2485,7 +2455,7 @@ mod tests {
             );
             // Scheduling order: (2ms, 100), (1ms, 1), (1ms, 2), (2ms, 101).
             // The 1 ms timers arrive after a later-timed one and go to the
-            // heap; the 2 ms timers stage in order. The merged drain must
+            // ladder; the 2 ms timers stage in order. The merged drain must
             // fire [1, 2, 100, 101].
             sim.schedule_timer_at(SimTime::from_ms(2), AsId(1), 100);
             sim.schedule_timer_at(SimTime::from_ms(1), AsId(1), 1);
@@ -2569,64 +2539,6 @@ mod tests {
         }
         sim.run_until(SimTime::from_secs(1));
         sim.digest();
-    }
-
-    // The slow reference for `EventHeap`: the heap of whole events it
-    // replaced, ordered by key alone.
-    impl PartialEq for QueuedEvent {
-        fn eq(&self, other: &Self) -> bool {
-            self.key == other.key
-        }
-    }
-    impl Eq for QueuedEvent {}
-    impl PartialOrd for QueuedEvent {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for QueuedEvent {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.key.cmp(&other.key)
-        }
-    }
-
-    proptest::proptest! {
-        #[test]
-        fn event_heap_pops_in_binary_heap_order_and_reuses_slots(
-            ops in proptest::collection::vec((0u8..3, 0u64..4, 0u32..3), 1..200),
-        ) {
-            // Times and origins collide constantly; `seq` (the payload
-            // tag too) keeps keys unique, as emission counters do.
-            let event = |time, origin, seq| QueuedEvent {
-                key: EventKey { time: SimTime(time), origin, seq },
-                parent: SpanKey::NONE,
-                kind: EventKind::Timer { node: origin, tag: seq },
-            };
-            let tag = |ev: QueuedEvent| match ev.kind {
-                EventKind::Timer { tag, .. } => (ev.key, tag),
-                _ => unreachable!("only timers are pushed"),
-            };
-            let mut heap = EventHeap::default();
-            let mut reference = BinaryHeap::new();
-            let mut peak = 0;
-            for (seq, &(op, time, origin)) in ops.iter().enumerate() {
-                if op == 0 {
-                    let want = reference.pop().map(|Reverse(ev)| tag(ev));
-                    proptest::prop_assert_eq!(heap.pop().map(tag), want);
-                } else {
-                    heap.push(event(time, origin, seq as u64));
-                    reference.push(Reverse(event(time, origin, seq as u64)));
-                }
-                peak = peak.max(reference.len());
-                proptest::prop_assert_eq!(heap.len(), reference.len());
-                proptest::prop_assert_eq!(heap.peek_key(), reference.peek().map(|Reverse(ev)| ev.key));
-                proptest::prop_assert!(heap.slab.len() <= peak, "popped slots are reused");
-            }
-            while let Some(Reverse(ev)) = reference.pop() {
-                proptest::prop_assert_eq!(heap.pop().map(tag), Some(tag(ev)));
-            }
-            proptest::prop_assert!(heap.pop().is_none());
-        }
     }
 
     #[test]

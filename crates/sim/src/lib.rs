@@ -37,6 +37,7 @@ pub mod edge_noise;
 pub mod engine;
 pub mod fault;
 pub mod hash;
+mod queue;
 pub mod shard;
 pub mod time;
 

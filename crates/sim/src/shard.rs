@@ -206,7 +206,7 @@ const _: () = {
 /// resets the *next* slot to `u64::MAX`; workers run their windows and
 /// publish outboxes into per-(src, dst) mailbox cells; a second barrier
 /// closes the window, after which each worker drains its incoming cells
-/// (heap-pushed, so canonical keys restore the total order) and
+/// (queued, so canonical keys restore the total order) and
 /// `fetch_min`s its next pending time into the next slot. The barriers
 /// provide all cross-thread ordering, so relaxed atomics suffice.
 ///

@@ -590,3 +590,26 @@ fn events_on_an_unprovisioned_path_are_a_typed_error() {
         p.run_until(SimTime::from_secs(3));
     }
 }
+
+#[test]
+fn replay_delayed_past_the_end_of_time_never_fires() {
+    // A replay delay of `u64::MAX` ns lands past every horizon: each
+    // copy is captured, and its timer — saturated at the end of
+    // simulated time, not wrapped to before `now` — never fires.
+    let second = SimTime::from_secs(1).as_ns();
+    let mut p = tango::vultr_pairing(PairingOptions {
+        wide_area_events: vec![WideAreaEvent::Replay {
+            path: 0,
+            at_ns: second,
+            duration_ns: second,
+            delay_ns: u64::MAX,
+            every: 1,
+        }],
+        ..PairingOptions::default()
+    })
+    .unwrap();
+    p.run_until(SimTime::from_secs(5));
+    let adversary = p.adversary_stats();
+    assert!(adversary.captured > 0, "{adversary:?}");
+    assert_eq!(adversary.replayed, 0, "{adversary:?}");
+}
