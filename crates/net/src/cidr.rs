@@ -181,8 +181,14 @@ impl Ipv6Cidr {
         if extra == 0 && i != 0 {
             return Err(Error::PrefixLen);
         }
-        let bits = u128::from(self.addr) | (i << (128 - sub_len));
-        Ipv6Cidr::new(Ipv6Addr::from(bits), sub_len)
+        // At /0 the checks above leave only `i == 0`, and a shift by 128
+        // overflows.
+        let offset = if sub_len == 0 {
+            0
+        } else {
+            i << (128 - sub_len)
+        };
+        Ipv6Cidr::new(Ipv6Addr::from(u128::from(self.addr) | offset), sub_len)
     }
 }
 
@@ -300,7 +306,9 @@ fn mask_v4(prefix_len: u8) -> u32 {
     }
 }
 
-fn mask_v6(prefix_len: u8) -> u128 {
+/// The top `prefix_len` (at most 128) bits set. The longest-prefix
+/// match masks with it once per length per lookup.
+pub(crate) fn mask_v6(prefix_len: u8) -> u128 {
     if prefix_len == 0 {
         0
     } else {
@@ -410,6 +418,26 @@ mod tests {
         assert!(block.subnet(49, 2).is_err()); // only 2 children at /49
         assert!(block.subnet(48, 1).is_err()); // same length: only index 0
         assert!(block.subnet(48, 0).is_ok());
+    }
+
+    #[test]
+    fn subnet_at_the_length_edges() {
+        let all: Ipv6Cidr = "::/0".parse().unwrap();
+        assert_eq!(all.subnet(0, 0), Ok(all));
+        assert_eq!(all.subnet(0, 1), Err(Error::PrefixLen));
+        assert_eq!(all.subnet(1, 1).unwrap().to_string(), "8000::/1");
+        assert_eq!(all.subnet(128, 0).unwrap().to_string(), "::/128");
+        assert_eq!(
+            all.subnet(128, u128::MAX).unwrap().network(),
+            Ipv6Addr::from(u128::MAX)
+        );
+        let block: Ipv6Cidr = "2001:db8::/48".parse().unwrap();
+        let last = block.subnet(128, (1 << 80) - 1).unwrap();
+        assert_eq!(last.to_string(), "2001:db8:0:ffff:ffff:ffff:ffff:ffff/128");
+        assert_eq!(block.subnet(128, 1 << 80), Err(Error::PrefixLen));
+        let host: Ipv6Cidr = "2001:db8::1/128".parse().unwrap();
+        assert_eq!(host.subnet(128, 0), Ok(host));
+        assert_eq!(host.subnet(128, 1), Err(Error::PrefixLen));
     }
 
     #[test]

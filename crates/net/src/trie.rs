@@ -6,30 +6,134 @@
 //! performance-driven routing decision", §3). This module provides the LPM
 //! structure backing that table (and the simulator's core routing tables).
 //!
-//! Implementation: per address family, one sorted `Vec<(masked network,
-//! value)>` per prefix length present, longest length first. A lookup is
-//! one mask and one binary search per length. Every table the committed
-//! scenarios build holds one or two lengths (/48, plus /56 under a
-//! sub-prefix hijack) and at most a few hundred entries, and the lookup
-//! runs once per hop of every packet — a bit-at-a-time boxed trie spent
-//! 48 dependent pointer loads matching one /48 there.
+//! Implementation: per address family, one exact-match hash table per
+//! prefix length present, tried longest length first — the per-length
+//! tables of Waldvogel, Varghese, Turner and Plattner ("Scalable High
+//! Speed IP Routing Lookups", SIGCOMM 1997), without their binary search
+//! over lengths. A lookup is one mask and one hash probe per length; a
+//! hit costs two dependent loads, the slot and then the entry.
+//! Every table the committed scenarios build holds one or two lengths
+//! (/48, plus /56 under a sub-prefix hijack) and at most a few hundred
+//! entries, and the lookup runs once per hop of every packet.
 //! The cost grows with the number of distinct lengths, not of prefixes:
 //! a full-table FIB with dozens of lengths would want a multibit trie.
+//!
+//! A length's table keeps its entries in insertion order as `(Key, V)`,
+//! the network split into two `u64` words so an entry with a 4-byte
+//! value is 24 B (a `u128` key pads it to 32), and indexes them with an
+//! open-addressing `Vec<u32>` of entry index + 1 (0 = empty): linear
+//! probing, a power-of-two length, at most half full. The hash is a
+//! fixed Fibonacci hash of the masked network, so the layout — and
+//! with it every simulation — is deterministic.
 
-use crate::cidr::{IpCidr, Ipv4Cidr, Ipv6Cidr};
+use crate::cidr::{mask_v6, IpCidr, Ipv4Cidr, Ipv6Cidr};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
-/// The prefixes of one length, ascending by network.
+/// A masked network as two words: 8-byte aligned, unlike a `u128`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Key {
+    hi: u64,
+    lo: u64,
+}
+
+impl Key {
+    #[inline]
+    fn of(bits: u128) -> Key {
+        Key {
+            hi: (bits >> 64) as u64,
+            lo: bits as u64,
+        }
+    }
+
+    fn bits(self) -> u128 {
+        (u128::from(self.hi) << 64) | u128::from(self.lo)
+    }
+
+    /// The first slot probed for this key in a table of `slots` slots
+    /// (a power of two, at least 2): the top bits of a Fibonacci hash.
+    #[inline]
+    fn home(self, slots: usize) -> usize {
+        let h = (self.hi ^ self.lo.rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (h >> (64 - slots.trailing_zeros())) as usize
+    }
+}
+
+/// The prefixes of one length: an exact-match hash table.
 #[derive(Debug, Clone)]
 struct Level<V> {
     len: u8,
-    entries: Vec<(u128, V)>,
+    /// In insertion order; never empty once the level is in a table.
+    entries: Vec<(Key, V)>,
+    /// Entry index + 1 per slot, 0 = empty. A power of two, at least 2,
+    /// and at least twice `entries.len()`, so every probe chain ends.
+    slots: Vec<u32>,
 }
 
 impl<V> Level<V> {
-    /// Where `network` is (`Ok`) or would be inserted (`Err`).
-    fn find(&self, network: u128) -> Result<usize, usize> {
-        self.entries.binary_search_by_key(&network, |e| e.0)
+    /// `key`'s entry index (`Ok`), or the empty slot that ends its probe
+    /// chain (`Err`).
+    fn probe(&self, key: Key) -> Result<usize, usize> {
+        let wrap = self.slots.len().wrapping_sub(1);
+        let mut at = key.home(self.slots.len());
+        loop {
+            let i = match self.slots.get(at) {
+                Some(&s) if s != 0 => s as usize - 1,
+                _ => return Err(at),
+            };
+            if self.entries.get(i).is_some_and(|e| e.0 == key) {
+                return Ok(i);
+            }
+            at = (at + 1) & wrap;
+        }
+    }
+
+    fn get(&self, key: Key) -> Option<&V> {
+        let i = self.probe(key).ok()?;
+        self.entries.get(i).map(|e| &e.1)
+    }
+
+    fn insert(&mut self, key: Key, value: V) -> Option<V> {
+        match self.probe(key) {
+            Ok(i) => self
+                .entries
+                .get_mut(i)
+                .map(|e| std::mem::replace(&mut e.1, value)),
+            Err(at) => {
+                self.entries.push((key, value));
+                if self.entries.len() * 2 > self.slots.len() {
+                    self.reindex();
+                } else if let Some(s) = self.slots.get_mut(at) {
+                    *s = self.entries.len() as u32;
+                }
+                None
+            }
+        }
+    }
+
+    /// Removal is rare, so it moves the last entry into the hole and
+    /// rebuilds the index rather than repairing probe chains in place.
+    fn remove(&mut self, key: Key) -> Option<V> {
+        let i = self.probe(key).ok()?;
+        let (_, old) = self.entries.swap_remove(i);
+        self.reindex();
+        Some(old)
+    }
+
+    /// Size the index for the entries (at most half full) and rebuild it.
+    fn reindex(&mut self) {
+        self.slots = vec![0; (self.entries.len() * 2).next_power_of_two().max(2)];
+        for i in 0..self.entries.len() {
+            let Some(key) = self.entries.get(i).map(|e| e.0) else {
+                break;
+            };
+            // Only entries before `i` are indexed yet, and keys are
+            // distinct, so the probe ends at a free slot.
+            if let Err(at) = self.probe(key) {
+                if let Some(s) = self.slots.get_mut(at) {
+                    *s = i as u32 + 1;
+                }
+            }
+        }
     }
 }
 
@@ -41,13 +145,6 @@ struct Table<V> {
     levels: Vec<Level<V>>,
 }
 
-/// The top `len` bits set.
-fn mask(len: u8) -> u128 {
-    u128::MAX
-        .checked_shl(128 - u32::from(len.min(128)))
-        .unwrap_or(0)
-}
-
 impl<V> Table<V> {
     fn level(&self, len: u8) -> Result<usize, usize> {
         self.levels.binary_search_by(|l| len.cmp(&l.len))
@@ -55,27 +152,25 @@ impl<V> Table<V> {
 
     fn insert(&mut self, bits: u128, len: u8, value: V) -> Option<V> {
         let at = self.level(len).unwrap_or_else(|at| {
-            let entries = Vec::new();
-            self.levels.insert(at, Level { len, entries });
+            let (entries, slots) = (Vec::new(), Vec::new());
+            self.levels.reserve_exact(1);
+            self.levels.insert(
+                at,
+                Level {
+                    len,
+                    entries,
+                    slots,
+                },
+            );
             at
         });
-        let level = self.levels.get_mut(at)?;
-        match level.find(bits) {
-            Ok(i) => level
-                .entries
-                .get_mut(i)
-                .map(|e| std::mem::replace(&mut e.1, value)),
-            Err(i) => {
-                level.entries.insert(i, (bits, value));
-                None
-            }
-        }
+        self.levels.get_mut(at)?.insert(Key::of(bits), value)
     }
 
     fn remove(&mut self, bits: u128, len: u8) -> Option<V> {
         let at = self.level(len).ok()?;
         let level = self.levels.get_mut(at)?;
-        let (_, old) = level.entries.remove(level.find(bits).ok()?);
+        let old = level.remove(Key::of(bits))?;
         if level.entries.is_empty() {
             self.levels.remove(at);
         }
@@ -83,14 +178,13 @@ impl<V> Table<V> {
     }
 
     fn exact(&self, bits: u128, len: u8) -> Option<&V> {
-        let level = self.levels.get(self.level(len).ok()?)?;
-        level.entries.get(level.find(bits).ok()?).map(|e| &e.1)
+        self.levels.get(self.level(len).ok()?)?.get(Key::of(bits))
     }
 
     fn longest(&self, bits: u128) -> Option<(u8, &V)> {
         self.levels.iter().find_map(|l| {
-            let i = l.find(bits & mask(l.len)).ok()?;
-            l.entries.get(i).map(|e| (l.len, &e.1))
+            let v = l.get(Key::of(bits & mask_v6(l.len)))?;
+            Some((l.len, v))
         })
     }
 
@@ -100,7 +194,7 @@ impl<V> Table<V> {
         let mut out: Vec<_> = self
             .levels
             .iter()
-            .flat_map(|l| l.entries.iter().map(|e| (e.0, l.len, &e.1)))
+            .flat_map(|l| l.entries.iter().map(|e| (e.0.bits(), l.len, &e.1)))
             .collect();
         out.sort_unstable_by_key(|&(bits, len, _)| (bits, len));
         out
@@ -325,6 +419,41 @@ mod tests {
         for (i, p) in prefixes.iter().enumerate() {
             assert!(got.iter().any(|(c, v)| *c == cidr(p) && **v == i));
         }
+    }
+
+    #[test]
+    fn removing_a_chain_head_keeps_the_rest_of_the_chain() {
+        // Eight /48s index into 16 slots. Three of them share the last
+        // home slot, so their chain wraps round to slots 0 and 1.
+        let net = |i: u16| cidr(&format!("2001:db8:{i:x}::/48"));
+        let homes_last = |i: &u16| {
+            let bits = (0x2001_0db8 << 96) | (u128::from(*i) << 80);
+            Key::of(bits).home(16) == 15
+        };
+        let chain: Vec<u16> = (0..).filter(homes_last).take(5).collect();
+        let others = (0..).filter(|i| !homes_last(i));
+        let (present, absent) = chain.split_at(3);
+        let keys: Vec<u16> = present.iter().copied().chain(others.take(5)).collect();
+        let mut t = PrefixTrie::new();
+        for &i in &keys {
+            t.insert(net(i), i);
+        }
+        // Entries 0, 1 and 2 (index + 1 in a slot) fill slots 15, 0, 1.
+        let slots = &t.v6.levels[0].slots;
+        assert_eq!(slots.len(), 16);
+        assert_eq!([slots[15], slots[0], slots[1]], [1, 2, 3]);
+
+        assert_eq!(t.remove(&net(present[0])), Some(present[0]));
+        for &i in &keys[1..] {
+            assert_eq!(t.get(&net(i)), Some(&i));
+            let host = format!("2001:db8:{i:x}:1::1");
+            assert_eq!(t.lookup(addr(&host)), Some(&i));
+        }
+        for &i in absent.iter().chain(&present[..1]) {
+            assert_eq!(t.get(&net(i)), None);
+            assert_eq!(t.lookup(addr(&format!("2001:db8:{i:x}::1"))), None);
+        }
+        assert_eq!(t.len(), keys.len() - 1);
     }
 
     #[test]

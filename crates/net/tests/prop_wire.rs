@@ -38,23 +38,25 @@ fn addr_of(v6: bool, bits: u128) -> IpAddr {
     }
 }
 
-/// The slow reference for [`PrefixTrie`]: a list, scanned.
+/// The slow reference for [`PrefixTrie`]: a list, scanned. It is kept
+/// in `IpCidr` order — IPv4 then IPv6, each by (network, length) — the
+/// order `iter()` promises.
 #[derive(Default)]
 struct LinearLpm(Vec<(IpCidr, usize)>);
 
 impl LinearLpm {
     fn insert(&mut self, c: IpCidr, v: usize) -> Option<usize> {
-        match self.0.iter_mut().find(|(p, _)| *p == c) {
-            Some(slot) => Some(std::mem::replace(&mut slot.1, v)),
-            None => {
-                self.0.push((c, v));
+        match self.0.binary_search_by_key(&c, |e| e.0) {
+            Ok(at) => Some(std::mem::replace(&mut self.0[at].1, v)),
+            Err(at) => {
+                self.0.insert(at, (c, v));
                 None
             }
         }
     }
 
     fn remove(&mut self, c: &IpCidr) -> Option<usize> {
-        let at = self.0.iter().position(|(p, _)| p == c)?;
+        let at = self.0.binary_search_by_key(c, |e| e.0).ok()?;
         Some(self.0.remove(at).1)
     }
 
@@ -63,18 +65,16 @@ impl LinearLpm {
         covering.max_by_key(|(p, _)| p.prefix_len()).copied()
     }
 
-    /// `len`, `is_empty`, `get` of every entry, and `iter()` — IPv4 then
-    /// IPv6, each by (network, length) — match this model.
+    /// `len`, `is_empty`, `get` of every entry, and `iter()` match this
+    /// model.
     fn agrees_with(&self, trie: &PrefixTrie<usize>) -> Result<(), String> {
         prop_assert_eq!(trie.len(), self.0.len());
         prop_assert_eq!(trie.is_empty(), self.0.is_empty());
         for (c, v) in &self.0 {
             prop_assert_eq!(trie.get(c), Some(v));
         }
-        let mut sorted = self.0.clone();
-        sorted.sort_by_key(|(c, _)| (c.network(), c.prefix_len()));
         let got: Vec<_> = trie.iter().into_iter().map(|(c, v)| (c, *v)).collect();
-        prop_assert_eq!(got, sorted);
+        prop_assert_eq!(got, self.0);
         Ok(())
     }
 }
@@ -314,6 +314,54 @@ proptest! {
         prop_assert!(trie.is_empty());
         prop_assert_eq!(trie.longest_match(addr_of(true, noise)), None);
         prop_assert_eq!(trie.longest_match(addr_of(false, noise)), None);
+    }
+
+    #[test]
+    fn trie_hashed_levels_track_linear_model_at_scale(
+        base in any::<u128>(),
+        two_lengths in any::<bool>(),
+        ops in proptest::collection::vec((0u8..4, 0usize..2048, any::<u128>()), 0..2000),
+    ) {
+        // Up to 2 000 operations on 1 024 /48s under one /32, as the
+        // committed scenarios number their hosts, and on /56s inside
+        // them: enough per length to form probe chains, grow the index
+        // several times and, through removes and re-inserts, rebuild it.
+        let net48 = |i: usize| (base & top_bits(32)) | ((i as u128 & 0x3ff) << 80);
+        let mut trie = PrefixTrie::new();
+        let mut model = LinearLpm::default();
+        for (step, &(op, i, noise)) in ops.iter().enumerate() {
+            let c = if op == 3 && !model.0.is_empty() {
+                // Remove a present prefix.
+                let c = model.0[i % model.0.len()].0;
+                prop_assert_eq!(trie.remove(&c), model.remove(&c));
+                c
+            } else {
+                // Insert, replacing when the prefix is present.
+                let long = two_lengths && i >= 1024;
+                let c = if long {
+                    cidr_of(true, net48(i) | ((noise >> 120) << 72), 56)
+                } else {
+                    cidr_of(true, net48(i), 48)
+                };
+                prop_assert_eq!(trie.insert(c, step), model.insert(c, step));
+                c
+            };
+            model.agrees_with(&trie)?;
+            let IpAddr::V6(net) = c.network() else { unreachable!() };
+            let len = c.prefix_len();
+            let inside = u128::from(net) | (noise & !top_bits(len));
+            // Inside `c`; one bit outside it; inside its /48 but in a
+            // random /56, which only the /48 may cover.
+            let probes = [
+                inside,
+                inside ^ (1 << (128 - u32::from(len))),
+                (inside & top_bits(48)) | (noise.rotate_left(64) & !top_bits(48)),
+            ];
+            for a in probes.map(|bits| addr_of(true, bits)) {
+                prop_assert_eq!(trie.longest_match(a).map(|(p, v)| (p, *v)), model.longest(a));
+                prop_assert_eq!(trie.lookup(a), trie.longest_match(a).map(|(_, v)| v));
+            }
+        }
     }
 
     #[test]
