@@ -1,7 +1,7 @@
 //! `experiments chaos` — the adversarial & chaos scenario suite.
 //!
-//! Two artifacts, both byte-identical across runs and `--shards`
-//! settings (every run is a pure function of its seed):
+//! Two artifacts, both byte-identical across runs and shard counts
+//! (every run is a pure function of its seed):
 //!
 //! * `results/CHAOS_storms.json` (A10) — one seeded storm per seed:
 //!   honest outages *and* Byzantine faults (timestamp poisoning,
@@ -16,7 +16,7 @@
 //!
 //! The entry point enforces the acceptance conditions and exits nonzero
 //! if any storm violates an invariant, fails to recover, or the A9 gap
-//! fails to materialize — so CI can gate on it.
+//! fails to materialize — `tests/gate.rs` asserts exit code 0.
 
 use crate::util::{out_dir, print_table, SweepOptions};
 use tango::prelude::*;
@@ -25,20 +25,8 @@ use tango_obs::Value;
 /// Faults generated per storm.
 const STORM_EVENTS: usize = 8;
 
-/// Seeds of a default run: the six storms CI gates on.
+/// Seeds of a default run: the six storms of the committed golden.
 pub const DEFAULT_SEEDS: [u64; 6] = [1, 2, 3, 4, 5, 6];
-
-/// Run one seeded storm (defenses on, Byzantine faults included).
-pub fn storm_seed(seed: u64, shards: usize) -> ChaosOutcome {
-    tango::run_chaos(ChaosRunOptions {
-        seed,
-        events: STORM_EVENTS,
-        byzantine: true,
-        auth: true,
-        shards,
-    })
-    .expect("vultr scenario provisions")
-}
 
 fn kind_name(event: &WideAreaEvent) -> &'static str {
     match event {
@@ -85,7 +73,7 @@ fn outcome_value(outcome: &ChaosOutcome) -> Value {
         // The flight recorder: digest + span count of the control-plane
         // ring dumped by the invariant check (the full dump is
         // reproducible from the seed; the digest pins it byte-for-byte in
-        // CI diffs).
+        // the committed golden).
         (
             "flight",
             Value::obj([
@@ -110,10 +98,22 @@ pub fn storms_to_json(sections: &[(u64, ChaosOutcome)]) -> String {
     .to_json()
 }
 
-/// Run the storm sweep: per-seed outcomes in seed order.
-pub fn sweep(options: &SweepOptions) -> Vec<(u64, ChaosOutcome)> {
-    let run = |&seed| (seed, storm_seed(seed, options.shards));
-    options.seeds.iter().map(run).collect()
+/// Run one seeded storm per seed (defenses on, Byzantine faults
+/// included) at `shards` simulator shards: per-seed outcomes in seed
+/// order, bit-identical for every `shards` value.
+pub fn sweep(seeds: &[u64], shards: usize) -> Vec<(u64, ChaosOutcome)> {
+    let storm = |seed| ChaosRunOptions {
+        seed,
+        events: STORM_EVENTS,
+        byzantine: true,
+        auth: true,
+        shards,
+    };
+    let run = |&seed| {
+        let outcome = tango::run_chaos(storm(seed));
+        (seed, outcome.expect("vultr scenario provisions"))
+    };
+    seeds.iter().map(run).collect()
 }
 
 fn ablation_value(outcome: &AblationOutcome) -> Value {
@@ -132,7 +132,7 @@ fn ablation_value(outcome: &AblationOutcome) -> Value {
 
 /// The three A9 arms for one seed: honest baseline, attacked with auth
 /// off, attacked with auth on.
-pub fn ablation_arms(seed: u64) -> [(String, AblationOutcome); 3] {
+fn ablation_arms(seed: u64) -> [(String, AblationOutcome); 3] {
     let run = |attack, auth| {
         tango::run_byzantine_ablation(seed, attack, auth).expect("vultr scenario provisions")
     };
@@ -144,7 +144,7 @@ pub fn ablation_arms(seed: u64) -> [(String, AblationOutcome); 3] {
 }
 
 /// Assemble the A9 artifact.
-pub fn ablation_to_json(seed: u64, arms: &[(String, AblationOutcome)]) -> String {
+fn ablation_to_json(seed: u64, arms: &[(String, AblationOutcome)]) -> String {
     let arms = arms
         .iter()
         .map(|(name, outcome)| (name.clone(), ablation_value(outcome)));
@@ -168,7 +168,7 @@ pub fn report(options: &SweepOptions) -> i32 {
     );
 
     // A10: the storm sweep.
-    let sections = sweep(options);
+    let sections = sweep(&options.seeds, 1);
     let mut rows = Vec::new();
     let mut failures = 0u32;
     for (seed, o) in &sections {
@@ -280,11 +280,8 @@ mod tests {
 
     #[test]
     fn artifact_is_bit_identical_across_shard_counts() {
-        let one = sweep(&SweepOptions::new(&[2, 5]));
-        let three = sweep(&SweepOptions {
-            shards: 3,
-            ..SweepOptions::new(&[2, 5])
-        });
+        let one = sweep(&[2, 5], 1);
+        let three = sweep(&[2, 5], 3);
         assert_eq!(
             storms_to_json(&one),
             storms_to_json(&three),
@@ -294,7 +291,7 @@ mod tests {
 
     #[test]
     fn storms_survive_and_detect() {
-        let sections = sweep(&SweepOptions::new(&[1, 4]));
+        let sections = sweep(&[1, 4], 1);
         for (seed, o) in &sections {
             assert!(
                 o.invariants.ok(),

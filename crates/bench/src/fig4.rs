@@ -7,7 +7,7 @@
 //! statistics converge within minutes of simulated time) and every run
 //! accepts a duration override. Sampling stays at the paper's 10 ms.
 
-use crate::util::{fmt, print_table, results_dir};
+use crate::util::{fmt, out_dir, print_table};
 use tango::prelude::*;
 use tango_measure::export::{ascii_chart, write_csv};
 use tango_measure::interval::bin_average;
@@ -74,7 +74,7 @@ fn chart_and_csv(run: &Fig4Run, bin_ns: u64, csv_name: &str, width: usize) {
         .collect();
     let columns: Vec<(&str, &TimeSeries)> = binned.iter().map(|(l, s)| (l.as_str(), s)).collect();
     println!("{}", ascii_chart(&columns, width, 16, "one-way delay (ms)"));
-    let path = results_dir().join(csv_name);
+    let path = out_dir(&None).join(csv_name);
     write_csv(&path, "t_ns", &columns).expect("write csv");
     println!("series written to {}\n", path.display());
 }

@@ -40,14 +40,14 @@ COMMANDS
   ablation-failover     A8: blackhole detection, failover, and re-admission
   telemetry             deterministic observability export: full tango-obs
                         metric tree through a scripted blackhole →
-                        results/TELEMETRY_vultr-blackhole.json (byte-identical
-                        across runs and --shards settings)
+                        results/TELEMETRY_vultr-blackhole_seed<S>.json
+                        (byte-identical across runs)
   chaos                 A9/A10: seeded chaos storms (Byzantine + honest
                         faults, defenses on, invariant-checked) and the
                         spoofed-telemetry auth ablation →
                         results/CHAOS_storms.json + CHAOS_byzantine.json
-                        (byte-identical across runs and --shards); exits
-                        nonzero on any invariant violation or missing A9 gap
+                        (byte-identical across runs); exits nonzero on any
+                        invariant violation or missing A9 gap
   sharded               B3: shard-scaling sweep — the traffic phase of the
                         connected 300-AS / 16-PoP mesh (B5's second tier)
                         run under several --shards values; digests and event
@@ -70,8 +70,8 @@ COMMANDS
                         scenario with span recording armed →
                         results/TRACE_vultr-blackhole_seed<S>.json
                         (canonical span dump) + .chrome.json (open in
-                        Perfetto); byte-identical across runs and --shards;
-                        --query answers causal questions instead of writing
+                        Perfetto); byte-identical across runs; --query
+                        answers causal questions instead of writing
                         artifacts
   all                   run everything (with default durations)
 
@@ -83,12 +83,10 @@ OPTIONS
 
 SWEEP OPTIONS (telemetry, chaos, trace)
   --seeds <list>  comma-separated seeds, one independent simulation each
-                  (default: telemetry 1,7 and trace 1 — the golden seeds;
-                  chaos 1,2,3,4,5,6 — the six storms CI gates on)
-  --shards <N>    simulator shards per seed (default 1; the artifacts'
-                  bytes are identical for every value)
-  --query <Q>     trace only: answer a causal query instead of writing
-                  artifacts:
+                  (default: the golden seeds — telemetry 1,7, trace 1,
+                  chaos 1,2,3,4,5,6)
+  --query <Q>     trace only: answer a causal query about the one seed
+                  instead of writing artifacts:
                     ancestry:<time_ns>:<origin>:<seq>[:<intra>]
                     node:<as>:<t0_ns>:<t1_ns>
                     kinds
@@ -221,11 +219,13 @@ fn parse_sweep_args(
     while let Some(flag) = flags.next_flag() {
         match flag {
             "--seeds" => options.seeds = flags.list()?,
-            "--shards" => options.shards = flags.positive()?,
             "--query" if takes_query => options.query = Some(flags.value()?.to_string()),
             "--out" => options.out = Some(flags.path()?),
             other => return Err(unknown_option(other)),
         }
+    }
+    if options.query.is_some() && options.seeds.len() != 1 {
+        return Err("--query takes exactly one seed".into());
     }
     Ok(options)
 }
@@ -396,12 +396,12 @@ mod tests {
         telemetry   | --seeds           | --seeds needs a value
         telemetry   | --out             | --out needs a value
         telemetry   | --workers 2       | unknown option --workers
-        telemetry   | --shards -1       | --shards: invalid digit found in string
+        telemetry   | --shards 8        | unknown option --shards
         telemetry   | --query kinds     | unknown option --query
         chaos       | --out             | --out needs a value
         chaos       | --workers 2       | unknown option --workers
         chaos       | --seeds 1,x       | --seeds: invalid digit found in string
-        chaos       | --shards 0        | --shards must be positive
+        chaos       | --shards 8        | unknown option --shards
         chaos       | --seed 1          | unknown option --seed
         sharded     | --mode            | --mode needs a value
         sharded     | --replicas 2      | unknown option --replicas
@@ -419,7 +419,8 @@ mod tests {
         trace       | --query           | --query needs a value
         trace       | --workers 2       | unknown option --workers
         trace       | --seeds 1,        | --seeds: cannot parse integer from empty string
-        trace       | --packets 9       | unknown option --packets";
+        trace       | --packets 9       | unknown option --packets
+        trace       | --seeds 1,2 --query kinds | --query takes exactly one seed";
 
     fn rejection<O>(parsed: Result<O, String>) -> String {
         parsed.err().expect("the arguments must be rejected")

@@ -9,12 +9,12 @@
 //! the shard count is only ever seen by the traffic phase, which must be
 //! bit-identical regardless of parallelism. (That the control plane —
 //! generator, incremental BGP convergence, all-pairs discovery — repeats
-//! bit for bit is the golden test's and CI's run-vs-run `cmp`'s to
-//! check.) The committed artifact
+//! bit for bit is `tests/gate.rs`'s to check, against the committed
+//! bytes.) The committed artifact
 //! `results/BENCH_scalability.json` holds **only deterministic
 //! content** (per-tier digests, RIB/FIB occupancy, convergence and
-//! discovery totals, path counts, stretch percentiles), so CI can
-//! byte-diff it across runs, machines, and `--shards` settings. What
+//! discovery totals, path counts, stretch percentiles), so it is
+//! byte-identical across runs, machines, and `--shards` settings. What
 //! depends on the machine — per-tier wall-clock and updates per second,
 //! with the RIB bytes per route beside them — goes to the sidecar
 //! `BENCH_scalability.timing.json` next to it, which is never
@@ -48,7 +48,7 @@ pub struct Tier {
     pub pops: usize,
 }
 
-/// The CI-sized rungs (also the golden-pinned ones).
+/// The small rungs (also the golden-pinned ones).
 pub const SMALL_TIERS: [Tier; 2] = [
     Tier { ases: 100, pops: 8 },
     Tier {
@@ -76,7 +76,7 @@ pub const FULL_TIERS: [Tier; 3] = [
 /// Options for the scalability sweep.
 pub struct ScalabilityOptions {
     /// Include the full ladder (1000/2000/5000 ASes) after the small
-    /// tiers; `false` = small tiers only (the CI configuration).
+    /// tiers; `false` = small tiers only (the golden's configuration).
     pub full: bool,
     /// Generator + simulator seed.
     pub seed: u64,
@@ -221,15 +221,6 @@ pub fn timing_json(runs: &[TierRun]) -> String {
         ("tiers", Value::Arr(runs.iter().map(tier).collect())),
     ])
     .to_json()
-}
-
-/// Run the tiers an options struct selects (the testable core of
-/// [`report`]).
-pub fn build(options: &ScalabilityOptions) -> Vec<TierRun> {
-    tiers(options)
-        .into_iter()
-        .map(|t| run_tier(options, t))
-        .collect()
 }
 
 /// The `experiments scalability` entry point. Returns the process exit

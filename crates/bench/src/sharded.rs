@@ -11,11 +11,11 @@
 //! synchronizes: windows as wide as the shortest cross-shard link, events
 //! handed over through the outboxes. The committed artifact
 //! `results/BENCH_sharded.json` contains **only deterministic content**
-//! (digests, event counts, per-shard load, the identical verdict), so CI
-//! can byte-diff it across machines and `--shards` settings; wall-clock
-//! times go to stdout and to the sidecar `BENCH_sharded.timing.json`
-//! next to it, which is never byte-compared, because they are a property
-//! of the machine, not of the simulation.
+//! (digests, event counts, per-shard load, the identical verdict), so it
+//! is byte-identical across machines, `--shards` settings and modes;
+//! wall-clock times go to stdout and to the sidecar
+//! `BENCH_sharded.timing.json` next to it, which is never byte-compared,
+//! because they are a property of the machine, not of the simulation.
 //!
 //! Exits nonzero if any shard count disagrees with the single-shard
 //! reference — that is the determinism gate the suite exists for.

@@ -2,19 +2,19 @@
 //!
 //! Runs the Vultr NY↔LA pairing through a scripted path-2 blackhole with
 //! the full `tango-obs` stack attached (simulator, both switches, BGP,
-//! health gates) and exports every metric as one canonical JSON document:
-//! `results/TELEMETRY_vultr-blackhole.json`.
+//! health gates) and exports every metric as one canonical JSON document
+//! per seed: `results/TELEMETRY_vultr-blackhole_seed<S>.json`.
 //!
 //! Determinism is the point: each seed is an independent simulation
 //! driven entirely by virtual time, and the exporter sorts keys and
-//! formats integers only — so the artifact is **byte-identical** across
-//! runs and `--shards` settings. CI diffs the bytes across shard counts;
-//! the golden-trace suite pins two seeds' documents under
-//! `tests/golden/`.
+//! formats integers only — so a seed's document is **byte-identical**
+//! across runs and shard counts. The default seeds' documents are
+//! committed under `tests/golden/`, and `tests/gate.rs` checks them
+//! at several shard counts.
 
 use crate::util::{out_dir, print_table, SweepOptions};
 use tango::prelude::*;
-use tango_obs::{Registry, Snapshot, Value};
+use tango_obs::{Registry, Snapshot};
 
 /// When the path-2 blackhole opens (both directions, no BGP withdrawal).
 const OUTAGE_START: SimTime = SimTime(5_000_000_000);
@@ -30,7 +30,7 @@ const HORIZON: SimTime = SimTime(20_000_000_000);
 /// Scenario id: names the artifact and the golden files.
 pub const SCENARIO: &str = "vultr-blackhole";
 
-/// Seeds of a default run: the two the golden-trace suite pins.
+/// Seeds of a default run: the two with committed goldens.
 pub const DEFAULT_SEEDS: [u64; 2] = [1, 7];
 
 /// Run the scenario for one seed and return the full metric snapshot.
@@ -39,14 +39,8 @@ pub const DEFAULT_SEEDS: [u64; 2] = [1, 7];
 /// ticks, bidirectional app traffic from 2 s; path 2 blackholes at 5 s
 /// for 8 s, so the export contains tx-without-rx on path 2, health
 /// transitions on both gates, and the failover in the selection layer.
-pub fn collect_seed(seed: u64) -> Snapshot {
-    collect_seed_sharded(seed, 1)
-}
-
-/// [`collect_seed`] with an explicit shard count. The snapshot is
-/// bit-identical for every value — the golden-trace suite exploits this
-/// by checking the pinned seeds under several shard counts.
-pub fn collect_seed_sharded(seed: u64, shards: usize) -> Snapshot {
+/// The snapshot is bit-identical for every `shards` value.
+pub fn collect_seed(seed: u64, shards: usize) -> Snapshot {
     let registry = Registry::default();
     let mut pairing = tango::vultr_pairing(PairingOptions {
         seed,
@@ -76,28 +70,6 @@ pub fn collect_seed_sharded(seed: u64, shards: usize) -> Snapshot {
     registry.snapshot()
 }
 
-/// Assemble the artifact: a canonical JSON document with one section per
-/// seed. Canonical formatting (sorted keys, integers only, fixed
-/// indentation) comes from [`tango_obs::Value`], so equal metric trees
-/// produce equal bytes.
-pub fn to_json(sections: &[(u64, Snapshot)]) -> String {
-    let seeds = sections
-        .iter()
-        .map(|(seed, snap)| (seed.to_string(), snap.to_value()));
-    Value::obj([
-        ("schema", Value::Str("tango-bench/telemetry/v1".into())),
-        ("scenario", Value::Str(SCENARIO.into())),
-        ("seeds", Value::Obj(seeds.collect())),
-    ])
-    .to_json()
-}
-
-/// Run the sweep (no printing): per-seed snapshots in seed order.
-pub fn sweep(options: &SweepOptions) -> Vec<(u64, Snapshot)> {
-    let run = |&seed| (seed, collect_seed_sharded(seed, options.shards));
-    options.seeds.iter().map(run).collect()
-}
-
 fn counter(snap: &Snapshot, name: &str) -> u64 {
     snap.counters.get(name).copied().unwrap_or(0)
 }
@@ -113,9 +85,12 @@ pub fn report(options: &SweepOptions) -> i32 {
         APP_PERIOD.as_ns() / 1_000_000,
         options.seeds
     );
-    let sections = sweep(options);
+    let dir = out_dir(&options.out);
     let mut rows = Vec::new();
-    for (seed, snap) in &sections {
+    for &seed in &options.seeds {
+        let snap = collect_seed(seed, 1);
+        let path = dir.join(format!("TELEMETRY_{SCENARIO}_seed{seed}.json"));
+        std::fs::write(&path, snap.to_json()).expect("write TELEMETRY json");
         let series = snap.counters.len() + snap.gauges.len() + snap.histograms.len();
         let downs: u64 = snap
             .counters
@@ -126,16 +101,16 @@ pub fn report(options: &SweepOptions) -> i32 {
         rows.push(vec![
             seed.to_string(),
             series.to_string(),
-            counter(snap, "sim.events.deliver").to_string(),
-            counter(snap, "dataplane.64702.tx.app").to_string(),
-            counter(snap, "dataplane.64701.rx.decap").to_string(),
+            counter(&snap, "sim.events.deliver").to_string(),
+            counter(&snap, "dataplane.64702.tx.app").to_string(),
+            counter(&snap, "dataplane.64701.rx.decap").to_string(),
             snap.gauges
                 .get("dataplane.64701.path.2.lost")
                 .copied()
                 .unwrap_or(0)
                 .to_string(),
             downs.to_string(),
-            counter(snap, "bgp.updates_processed").to_string(),
+            counter(&snap, "bgp.updates_processed").to_string(),
         ]);
     }
     print_table(
@@ -151,9 +126,10 @@ pub fn report(options: &SweepOptions) -> i32 {
         ],
         &rows,
     );
-    let path = out_dir(&options.out).join(format!("TELEMETRY_{SCENARIO}.json"));
-    std::fs::write(&path, to_json(&sections)).expect("write TELEMETRY json");
-    println!("\nwritten to {}", path.display());
+    println!(
+        "\nwritten to {} (TELEMETRY_{SCENARIO}_seed*.json)",
+        dir.display()
+    );
     0
 }
 
@@ -163,21 +139,21 @@ mod tests {
 
     #[test]
     fn same_seed_is_bit_identical() {
-        let a = collect_seed(3);
-        let b = collect_seed(3);
+        let a = collect_seed(3, 1);
+        let b = collect_seed(3, 1);
         assert_eq!(a.to_json(), b.to_json(), "same seed ⇒ same bytes");
     }
 
     #[test]
     fn shard_count_does_not_leak_into_the_artifact() {
-        let one = collect_seed_sharded(3, 1);
-        let four = collect_seed_sharded(3, 4);
+        let one = collect_seed(3, 1);
+        let four = collect_seed(3, 4);
         assert_eq!(one.to_json(), four.to_json(), "shards must be invisible");
     }
 
     #[test]
     fn blackhole_shows_up_in_the_export() {
-        let snap = collect_seed(1);
+        let snap = collect_seed(1, 1);
         // The NY side kept transmitting on path 2 while LA's receive
         // counter stalled: tx > rx across the outage.
         let tx = snap

@@ -13,8 +13,9 @@
 //!
 //! Every span key is a pure function of the event schedule — never of
 //! shard layout, shard-runner threads, or wall clocks — so both
-//! artifacts are **byte-identical** across runs and `--shards` settings;
-//! CI diffs them and the golden suite pins seed 1's canonical dump.
+//! artifacts are **byte-identical** across runs and shard counts; seed
+//! 1's canonical dump is committed under `tests/golden/`, and
+//! `tests/gate.rs` checks both files at several shard counts.
 //!
 //! `--query` answers causal questions over the same stream instead of
 //! writing artifacts: `ancestry:<t>:<o>:<s>[:<i>]` walks a span's cause
@@ -56,7 +57,7 @@ const SPAN_CAPACITY: usize = 1 << 16;
 /// Scenario id: names the artifacts and the golden file.
 pub const SCENARIO: &str = "vultr-blackhole";
 
-/// Seeds of a default run: the one the golden suite pins.
+/// Seeds of a default run: the one with a committed golden.
 pub const DEFAULT_SEEDS: [u64; 1] = [1];
 
 /// Health thresholds matched to the slowed-down probe cadence.
@@ -70,15 +71,10 @@ fn health_config() -> HealthConfig {
 
 /// Run the scenario for one seed and return the merged span stream
 /// (engine rings across all shards + the pairing's control-plane ring,
-/// in canonical key order).
-pub fn collect_seed(seed: u64) -> SpanRing {
-    collect_seed_sharded(seed, 1)
-}
-
-/// [`collect_seed`] with an explicit shard count. The stream is
-/// bit-identical for every value — span keys derive from the engine's
-/// canonical `EventKey`, which partitioning cannot change.
-pub fn collect_seed_sharded(seed: u64, shards: usize) -> SpanRing {
+/// in canonical key order). The stream is bit-identical for every
+/// `shards` value — span keys derive from the engine's canonical
+/// `EventKey`, which partitioning cannot change.
+pub fn collect_seed(seed: u64, shards: usize) -> SpanRing {
     let mut pairing = tango::vultr_pairing(PairingOptions {
         seed,
         shards,
@@ -233,8 +229,8 @@ pub fn report(options: &SweepOptions) -> i32 {
         options.seeds
     );
     if let Some(q) = &options.query {
-        let ring =
-            collect_seed_sharded(options.seeds.first().copied().unwrap_or(1), options.shards);
+        // The parser admits `--query` with exactly one seed.
+        let ring = collect_seed(options.seeds[0], 1);
         return match run_query(&ring.spans(), q) {
             Ok(()) => 0,
             Err(e) => {
@@ -247,7 +243,7 @@ pub fn report(options: &SweepOptions) -> i32 {
     let mut rows = Vec::new();
     let mut wrapped = false;
     for &seed in &options.seeds {
-        let ring = collect_seed_sharded(seed, options.shards);
+        let ring = collect_seed(seed, 1);
         let spans = ring.spans();
         if ring.total_recorded() > spans.len() as u64 {
             wrapped = true;
@@ -302,8 +298,8 @@ mod tests {
 
     #[test]
     fn stream_is_bit_identical_across_runs_and_shards() {
-        let a = collect_seed(3);
-        let b = collect_seed_sharded(3, 4);
+        let a = collect_seed(3, 1);
+        let b = collect_seed(3, 4);
         assert!(!a.spans().is_empty(), "armed scenario must record spans");
         assert_eq!(dump_json(&a), dump_json(&b), "shards must be invisible");
         assert_eq!(
@@ -314,7 +310,7 @@ mod tests {
 
     #[test]
     fn the_blackhole_story_is_recorded_and_rings_do_not_wrap() {
-        let ring = collect_seed(1);
+        let ring = collect_seed(1, 1);
         let spans = ring.spans();
         assert_eq!(
             ring.total_recorded(),
@@ -346,7 +342,7 @@ mod tests {
 
     #[test]
     fn queries_answer_on_the_scenario_stream() {
-        let ring = collect_seed(1);
+        let ring = collect_seed(1, 1);
         let spans = ring.spans();
         let any = spans.first().expect("stream is non-empty");
         run_query(

@@ -6,51 +6,35 @@ use std::path::PathBuf;
 /// Options of a seeded sweep — `experiments telemetry`, `chaos` and
 /// `trace`, which differ only in scenario, artifact and default seeds.
 pub struct SweepOptions {
-    /// Seeds to sweep, in order: each an independent simulation and one
-    /// section (or artifact pair) of the output.
+    /// Seeds to sweep, in order: each an independent simulation with its
+    /// own rows and files in the output.
     pub seeds: Vec<u64>,
-    /// Simulator shards per seed. The artifacts are bit-identical for
-    /// every value — CI runs `--shards 1`, `8` and `9` and diffs.
-    pub shards: usize,
-    /// `trace` only: a causal query to answer instead of writing
-    /// artifacts.
+    /// `trace` only: a causal query to answer for the one seed instead
+    /// of writing artifacts.
     pub query: Option<String>,
     /// Artifact directory override (`--out`); `None` = `results/`.
     pub out: Option<PathBuf>,
 }
 
 impl SweepOptions {
-    /// A subcommand's defaults: its own seed list, one shard, `results/`.
+    /// A subcommand's defaults: its own seed list, `results/`.
     pub fn new(seeds: &[u64]) -> Self {
         SweepOptions {
             seeds: seeds.to_vec(),
-            shards: 1,
             query: None,
             out: None,
         }
     }
 }
 
-/// Where artifacts land without `--out`: `results/` under the working
-/// directory (created on demand).
-pub fn results_dir() -> PathBuf {
-    let dir = PathBuf::from("results");
-    std::fs::create_dir_all(&dir).expect("create results dir");
-    dir
-}
-
-/// The artifact directory for a subcommand run: the `--out` override when
-/// given (created on demand), else [`results_dir`]. Subcommands that
-/// write more than one artifact (chaos) keep their fixed file names
-/// inside whichever directory this returns.
+/// The artifact directory for a subcommand run, created on demand: the
+/// `--out` override when given, else `results/` under the working
+/// directory. Subcommands that write more than one artifact (chaos) keep
+/// their fixed file names inside it.
 pub fn out_dir(out: &Option<PathBuf>) -> PathBuf {
-    match out {
-        Some(dir) => {
-            std::fs::create_dir_all(dir).expect("create --out dir");
-            dir.clone()
-        }
-        None => results_dir(),
-    }
+    let dir = out.clone().unwrap_or_else(|| PathBuf::from("results"));
+    std::fs::create_dir_all(&dir).expect("create the artifact dir");
+    dir
 }
 
 /// Print a fixed-width table: header row then data rows.
@@ -125,8 +109,12 @@ pub(crate) mod tests {
 
     #[test]
     fn results_dir_exists_after_call() {
-        let d = results_dir();
-        assert_eq!(d, PathBuf::from("results"));
+        // An `--out` directory: the default `results/` would land in the
+        // source tree, under the crate the test runs in.
+        let dir = std::env::temp_dir().join(format!("tango-bench-util-{}", std::process::id()));
+        let d = out_dir(&Some(dir.clone()));
+        assert_eq!(d, dir);
         assert!(d.exists());
+        std::fs::remove_dir_all(&d).expect("remove the test's --out dir");
     }
 }

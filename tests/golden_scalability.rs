@@ -1,91 +1,20 @@
-//! Golden-artifact regression for the scalability sweep: the small-tier
-//! `BENCH_scalability.json` is pinned byte-for-byte.
-//!
-//! `experiments scalability` promises a deterministic artifact — every
-//! field a pure function of (tiers, seed), no wall-clock content — so
-//! the regression test is the strongest one: a byte-level diff of the
-//! 100-AS and 300-AS rows against a checked-in snapshot. Any behaviour
-//! change in the generator, the incremental BGP engine, discovery, or
-//! the traffic phase fails loudly here with the lines that moved.
-//!
-//! When a change is *intentional*, refresh and review the diff like
-//! code:
-//!
-//! ```sh
-//! UPDATE_GOLDEN=1 cargo test --test golden_scalability
-//! git diff tests/golden/
-//! ```
+//! The small-tier scalability golden, `tests/golden/BENCH_scalability_small.json`,
+//! as an entry of the artifact gate (`gate.rs`): `experiments scalability
+//! --tiers small` must write its bytes, and so must a second build in
+//! the same process.
 
-use tango_bench::scalability::{build, to_json, ScalabilityOptions};
+mod gate;
 
-/// The pinned configuration: small tiers, the default seed, and the
-/// shard count CI verifies against (each tier also reruns at shards 1
-/// internally — the digests must agree before any bytes are compared).
-fn golden_options() -> ScalabilityOptions {
-    ScalabilityOptions {
-        full: false,
-        seed: 1,
-        shards: 8,
-        out: None,
-    }
-}
+use gate::{check, Part};
 
-fn golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/golden")
-        .join("BENCH_scalability_small.json")
-}
+const GOLDEN: &str = "tests/golden/BENCH_scalability_small.json";
 
 #[test]
 fn small_tiers_match_byte_for_byte() {
-    let options = golden_options();
-    let runs = build(&options);
-    assert!(
-        runs.iter().all(|r| r.identical),
-        "shards 1 vs 8 disagreed before the byte comparison"
-    );
-    let actual = to_json(&options, &runs);
-    let path = golden_path();
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().expect("golden dir has a parent"))
-            .expect("create tests/golden");
-        std::fs::write(&path, &actual).expect("write golden snapshot");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e}); generate it with \
-             UPDATE_GOLDEN=1 cargo test --test golden_scalability",
-            path.display()
-        )
-    });
-    if actual != expected {
-        let mismatches: Vec<String> = expected
-            .lines()
-            .zip(actual.lines())
-            .enumerate()
-            .filter(|(_, (e, a))| e != a)
-            .take(10)
-            .map(|(i, (e, a))| format!("  line {}: golden `{e}` vs actual `{a}`", i + 1))
-            .collect();
-        panic!(
-            "scalability artifact drifted from {} ({} vs {} lines):\n{}\n\
-             (refresh intentionally with UPDATE_GOLDEN=1 cargo test --test golden_scalability)",
-            path.display(),
-            expected.lines().count(),
-            actual.lines().count(),
-            mismatches.join("\n")
-        );
-    }
+    check(GOLDEN, &[Part::Report]);
 }
 
-/// The sweep is a pure function of its options: a second build renders
-/// the identical bytes within one process too (the cross-run guarantee
-/// CI checks by invoking the binary twice and byte-diffing).
 #[test]
 fn rebuild_is_byte_identical() {
-    let options = golden_options();
-    let a = to_json(&options, &build(&options));
-    let b = to_json(&options, &build(&options));
-    assert_eq!(a, b, "two in-process builds must render identical bytes");
+    check(GOLDEN, &[Part::Renders]);
 }

@@ -1,14 +1,12 @@
-//! Golden-span regression suite: the causal trace artifact is pinned
-//! byte-for-byte, and span-stream determinism is property-tested over
-//! randomized chaos schedules.
+//! Span-stream determinism, property-tested over randomized chaos
+//! schedules, and the flight recorder's acceptance path.
 //!
 //! `experiments trace` promises that its span dump is a pure function
 //! of (scenario, seed) — never of shard layout, `ShardMode`, worker
-//! threads, or wall clocks. The strongest regression tests for that
-//! contract are:
+//! threads, or wall clocks. Seed 1's dump is a committed golden that
+//! the artifact gate (`gate.rs`) checks byte for byte; this suite checks
+//! that it is canonical, and the contract beyond that one scenario:
 //!
-//! * a byte-level diff of seed 1's canonical dump against a checked-in
-//!   snapshot (`tests/golden/TRACE_vultr-blackhole_seed1.json`);
 //! * a seeded property sweep: random [`ChaosSchedule`] storms, honest
 //!   and Byzantine faults alike, each run at shard counts {1, 4, 8} under
 //!   both [`ShardMode`]s, with every dump compared byte-for-byte against
@@ -16,84 +14,22 @@
 //! * the flight-recorder acceptance path: an induced invariant
 //!   violation must dump a ring whose ancestry chain resolves from the
 //!   violation back through the health transition to the chaos event.
-//!
-//! When a change is *intentional*, refresh the snapshot and review the
-//! diff like code:
-//!
-//! ```sh
-//! UPDATE_GOLDEN=1 cargo test --test golden_spans
-//! git diff tests/golden/
-//! ```
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use tango::prelude::*;
-use tango_bench::trace;
 use tango_dataplane::PathSnapshot;
 use tango_sim::{ChaosConfig, ChaosSchedule, ShardMode};
 use tango_trace::{export, query};
 
-fn golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/golden")
-        .join(format!("TRACE_{}_seed1.json", trace::SCENARIO))
-}
+mod gate;
 
-#[test]
-fn golden_seed_1_trace_matches_byte_for_byte() {
-    let ring = trace::collect_seed(1);
-    let actual = trace::dump_json(&ring);
-    let path = golden_path();
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().expect("golden dir has a parent"))
-            .expect("create tests/golden");
-        std::fs::write(&path, &actual).expect("write golden span dump");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden span dump {} ({e}); generate it with \
-             UPDATE_GOLDEN=1 cargo test --test golden_spans",
-            path.display()
-        )
-    });
-    if actual != expected {
-        let mismatches: Vec<String> = expected
-            .lines()
-            .zip(actual.lines())
-            .enumerate()
-            .filter(|(_, (e, a))| e != a)
-            .take(10)
-            .map(|(i, (e, a))| format!("  line {}: golden `{e}` vs actual `{a}`", i + 1))
-            .collect();
-        panic!(
-            "span stream for seed 1 drifted from {} ({} vs {} lines):\n{}\n\
-             (refresh intentionally with UPDATE_GOLDEN=1 cargo test --test golden_spans)",
-            path.display(),
-            expected.lines().count(),
-            actual.lines().count(),
-            mismatches.join("\n")
-        );
-    }
-}
-
-/// The golden dump must be canonical JSON: parsing and re-serializing
-/// through the shared `tango-obs` value model is the identity on bytes.
+/// The golden dump is canonical JSON.
 #[test]
 fn golden_trace_is_canonical_json() {
-    let Ok(text) = std::fs::read_to_string(golden_path()) else {
-        return; // first run before UPDATE_GOLDEN seeds the file
-    };
-    let parsed = tango_obs::Value::parse(&text)
-        .unwrap_or_else(|e| panic!("golden {} unparsable: {e}", golden_path().display()));
-    assert_eq!(
-        parsed.to_json(),
-        text,
-        "golden {} is not in canonical form",
-        golden_path().display()
-    );
+    gate::canonical("tests/golden/TRACE_vultr-blackhole_seed1.json");
 }
 
 /// One randomized chaos schedule: which faults, where, and when, drawn

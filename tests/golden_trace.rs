@@ -1,124 +1,40 @@
-//! Golden-trace regression suite: the telemetry artifact is pinned
-//! byte-for-byte.
-//!
-//! `experiments telemetry` promises a canonical export — sorted keys,
-//! integers only, virtual time only — so the right regression test is
-//! the strongest one: a byte-level diff against a checked-in snapshot
-//! per golden seed. Any behaviour change that moves a counter (an event
-//! reordered, a probe skipped, a health transition shifted by one
-//! control tick) fails loudly here with the exact metric lines that
-//! moved.
-//!
-//! When a change is *intentional*, refresh the snapshots and review the
-//! diff like code:
-//!
-//! ```sh
-//! UPDATE_GOLDEN=1 cargo test --test golden_trace
-//! git diff tests/golden/
-//! ```
+//! The telemetry goldens, `tests/golden/TELEMETRY_vultr-blackhole_seed{1,7}.json`,
+//! as entries of the artifact gate (`gate.rs`): `experiments telemetry`
+//! must write their bytes, and so must the in-process collection at
+//! shards 2, 8 and 9.
 
-use tango_bench::telemetry;
+mod gate;
 
-/// The seeds with checked-in snapshots (keep in sync with the files
-/// under `tests/golden/`).
-const GOLDEN_SEEDS: [u64; 2] = [1, 7];
+use gate::{canonical, check, Part};
 
-fn golden_path(seed: u64) -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/golden")
-        .join(format!("TELEMETRY_{}_seed{seed}.json", telemetry::SCENARIO))
-}
-
-fn check_seed(seed: u64) {
-    let actual = telemetry::collect_seed(seed).to_json();
-    let path = golden_path(seed);
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().expect("golden dir has a parent"))
-            .expect("create tests/golden");
-        std::fs::write(&path, &actual).expect("write golden snapshot");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e}); generate it with \
-             UPDATE_GOLDEN=1 cargo test --test golden_trace",
-            path.display()
-        )
-    });
-    if actual != expected {
-        // Byte-equality is the contract; on failure, report the first
-        // diverging lines so the moved metrics are readable in CI logs.
-        let mismatches: Vec<String> = expected
-            .lines()
-            .zip(actual.lines())
-            .enumerate()
-            .filter(|(_, (e, a))| e != a)
-            .take(10)
-            .map(|(i, (e, a))| format!("  line {}: golden `{e}` vs actual `{a}`", i + 1))
-            .collect();
-        panic!(
-            "telemetry for seed {seed} drifted from {} \
-             ({} vs {} lines):\n{}\n(refresh intentionally with \
-             UPDATE_GOLDEN=1 cargo test --test golden_trace)",
-            path.display(),
-            expected.lines().count(),
-            actual.lines().count(),
-            mismatches.join("\n")
-        );
-    }
-}
+const GOLDENS: [&str; 2] = [
+    "tests/golden/TELEMETRY_vultr-blackhole_seed1.json",
+    "tests/golden/TELEMETRY_vultr-blackhole_seed7.json",
+];
 
 #[test]
 fn golden_seed_1_matches_byte_for_byte() {
-    check_seed(GOLDEN_SEEDS[0]);
+    check(GOLDENS[0], &[Part::Report]);
 }
 
 #[test]
 fn golden_seed_7_matches_byte_for_byte() {
-    check_seed(GOLDEN_SEEDS[1]);
+    check(GOLDENS[1], &[Part::Report]);
 }
 
-/// Sharding the simulator must be invisible to the pinned artifacts:
-/// the same golden bytes come out whether the engine runs one shard or
-/// eight. This is the end-to-end check of the shard determinism
-/// contract (DESIGN.md §11) — every counter, gauge, and histogram in
-/// the export survives partitioning, conservative windowing, and the
-/// barrier merge byte-for-byte.
+/// Sharding the simulator is invisible to the pinned artifacts: every
+/// counter, gauge and histogram survives partitioning, conservative
+/// windowing and the barrier merge byte for byte (DESIGN.md §11).
 #[test]
 fn golden_seeds_are_shard_invariant() {
-    for seed in GOLDEN_SEEDS {
-        let path = golden_path(seed);
-        let Ok(expected) = std::fs::read_to_string(&path) else {
-            continue; // first run before UPDATE_GOLDEN seeds the files
-        };
-        for shards in [2, 8] {
-            let actual = telemetry::collect_seed_sharded(seed, shards).to_json();
-            assert_eq!(
-                actual,
-                expected,
-                "seed {seed} with {shards} shards drifted from {}",
-                path.display()
-            );
-        }
+    for golden in GOLDENS {
+        check(golden, &[Part::Renders]);
     }
 }
 
-/// The golden files themselves must be canonical: parsing and
-/// re-serializing a snapshot is the identity on bytes.
 #[test]
 fn golden_files_are_canonical_json() {
-    for seed in GOLDEN_SEEDS {
-        let path = golden_path(seed);
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            continue; // first run before UPDATE_GOLDEN seeds the files
-        };
-        let parsed = tango_obs::Snapshot::parse(&text)
-            .unwrap_or_else(|e| panic!("golden {} unparsable: {e}", path.display()));
-        assert_eq!(
-            parsed.to_json(),
-            text,
-            "golden {} is not in canonical form",
-            path.display()
-        );
+    for golden in GOLDENS {
+        canonical(golden);
     }
 }
