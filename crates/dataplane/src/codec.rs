@@ -12,7 +12,7 @@
 //! verifies before trusting anything).
 
 use crate::tunnel::Tunnel;
-use tango_net::siphash::{siphash24, tags_equal, SipKey};
+use tango_net::siphash::{siphash24, siphash24_summing, tags_equal, SipKey};
 use tango_net::{
     Ipv6Packet, Ipv6Repr, TangoFlags, TangoPacket, TangoRepr, UdpPacket, UdpRepr, TANGO_HEADER_LEN,
     TANGO_UDP_PORT,
@@ -327,23 +327,6 @@ fn build_in_place(
         timestamp_ns,
     };
     let tag_len = if key.is_some() { TANGO_AUTH_TAG_LEN } else { 0 };
-    // Prepend the outer headers, emit the Tango header, and compute the
-    // tag over header + inner while the bytes are contiguous.
-    let tag = {
-        let bytes = pkt.prepend(ENCAP_OVERHEAD);
-        let mut tango_pkt =
-            TangoPacket::new_unchecked(&mut bytes[TANGO_OFF..TANGO_OFF + TANGO_HEADER_LEN]);
-        tango.emit(&mut tango_pkt).expect("sized buffer");
-        key.map(|k| {
-            siphash24(
-                k,
-                &bytes[TANGO_OFF..TANGO_OFF + TANGO_HEADER_LEN + inner_len],
-            )
-        })
-    };
-    if let Some(tag) = tag {
-        pkt.append(&tag.to_be_bytes());
-    }
     let udp = UdpRepr {
         src_port: tunnel.src_port,
         dst_port: TANGO_UDP_PORT,
@@ -358,12 +341,32 @@ fn build_in_place(
         traffic_class: 0,
         flow_label: u32::from(tunnel.id) + 1,
     };
-    let bytes = pkt.bytes_mut();
+    if key.is_some() {
+        // Room for the tag, written in the checksum pass below.
+        pkt.append(&[0; TANGO_AUTH_TAG_LEN]);
+    }
+    let bytes = pkt.prepend(ENCAP_OVERHEAD);
     let mut ip_pkt = Ipv6Packet::new_unchecked(bytes);
     ip.emit(&mut ip_pkt).expect("sized buffer");
     let mut udp_pkt = UdpPacket::new_unchecked(ip_pkt.payload_mut());
     udp.emit(&mut udp_pkt).expect("sized buffer");
-    udp_pkt.fill_checksum_v6(tunnel.local_endpoint, tunnel.remote_endpoint);
+    tango
+        .emit(&mut TangoPacket::new_unchecked(udp_pkt.payload_mut()))
+        .expect("sized buffer");
+    // One pass over the datagram: the tag is computed over header +
+    // inner by the kernel that sums the same bytes for the checksum.
+    udp_pkt.fill_checksum_v6_with(
+        tunnel.local_endpoint,
+        tunnel.remote_endpoint,
+        |payload, sum| match key {
+            Some(key) => {
+                let (covered, trailer) = payload.split_at_mut(TANGO_HEADER_LEN + inner_len);
+                trailer.copy_from_slice(&siphash24_summing(key, covered, sum).to_be_bytes());
+                sum.add(trailer);
+            }
+            None => sum.add(payload),
+        },
+    );
 }
 
 /// What [`decapsulate`] returns.
@@ -400,7 +403,12 @@ pub fn decapsulate(bytes: &[u8]) -> Result<Decapsulated, CodecError> {
 ///   [`CodecError::Auth`].
 /// * `require_auth = true`: packets *without* the AUTH flag are also
 ///   rejected — an on-path attacker cannot bypass verification by
-///   clearing the flag.
+///   clearing the flag. Without a key, AUTH-flagged packets are rejected
+///   too: a tag that cannot be checked is not trusted.
+///
+/// The UDP checksum and the tag are computed in one pass over the
+/// covered bytes; the verdict order (checksum, Tango header, auth) is
+/// that of two separate passes.
 pub fn decapsulate_with(
     bytes: &[u8],
     key: Option<&SipKey>,
@@ -477,31 +485,51 @@ fn parse_outer(
     if udp.dst_port() != TANGO_UDP_PORT {
         return Err(CodecError::NotTangoUdp);
     }
-    if !udp.verify_checksum_v6(src, dst) {
+    let payload = udp.payload();
+    // An AUTH-flagged packet long enough to carry a tag, with a key to
+    // check it, has its tag computed in the checksum pass: one read of
+    // the covered bytes feeds both. The verdicts below keep their order
+    // either way, since the datagram sum is complete in both branches.
+    let fused_key = key.filter(|_| {
+        payload.len() >= TANGO_HEADER_LEN + TANGO_AUTH_TAG_LEN
+            && TangoPacket::new_unchecked(payload).flags().has_auth()
+    });
+    let mut computed_tag = None;
+    let checksum_ok = match fused_key {
+        Some(key) => udp.verify_checksum_v6_with(src, dst, |payload, sum| {
+            let (covered, trailer) = payload.split_at(payload.len() - TANGO_AUTH_TAG_LEN);
+            computed_tag = Some(siphash24_summing(key, covered, sum));
+            sum.add(trailer);
+        }),
+        None => udp.verify_checksum_v6(src, dst),
+    };
+    if !checksum_ok {
         return Err(CodecError::Checksum);
     }
-    let tango_pkt = TangoPacket::new_checked(udp.payload()).map_err(|_| CodecError::TangoHeader)?;
+    let tango_pkt = TangoPacket::new_checked(payload).map_err(|_| CodecError::TangoHeader)?;
     let tango = TangoRepr::parse(&tango_pkt).map_err(|_| CodecError::TangoHeader)?;
     if require_auth && !tango.flags.has_auth() {
         return Err(CodecError::Auth);
     }
-    let payload = udp.payload();
     let inner_end = if tango.flags.has_auth() {
         if payload.len() < TANGO_HEADER_LEN + TANGO_AUTH_TAG_LEN {
             return Err(CodecError::Auth);
         }
-        // Both slice bounds are safe: the length check above guarantees
-        // payload.len() >= TANGO_HEADER_LEN + TANGO_AUTH_TAG_LEN.
-        // tango-lint: allow(hot-path-panic) guarded by the payload.len() check above
-        let covered = &payload[..payload.len() - TANGO_AUTH_TAG_LEN];
-        if let Some(key) = key {
-            // tango-lint: allow(hot-path-panic) guarded by the payload.len() check above
-            let tag_bytes: [u8; TANGO_AUTH_TAG_LEN] = payload[payload.len() - TANGO_AUTH_TAG_LEN..]
-                .try_into()
-                .map_err(|_| CodecError::Auth)?;
-            if !tags_equal(siphash24(key, covered), u64::from_be_bytes(tag_bytes)) {
-                return Err(CodecError::Auth);
+        let (covered, trailer) = payload.split_at(payload.len() - TANGO_AUTH_TAG_LEN);
+        // Flagged and long enough: the tag was computed above exactly
+        // when a key is set.
+        match computed_tag {
+            Some(tag) => {
+                let sent: [u8; TANGO_AUTH_TAG_LEN] =
+                    trailer.try_into().map_err(|_| CodecError::Auth)?;
+                if !tags_equal(tag, u64::from_be_bytes(sent)) {
+                    return Err(CodecError::Auth);
+                }
             }
+            // Authentication is mandatory but there is no key to check
+            // the tag with: fail closed.
+            None if require_auth => return Err(CodecError::Auth),
+            None => {}
         }
         covered.len()
     } else {
@@ -810,6 +838,35 @@ mod tests {
             Err(CodecError::Auth)
         );
         let _ = wire;
+    }
+
+    #[test]
+    fn require_auth_without_a_key_fails_closed() {
+        let t = tunnel();
+        let key = SipKey::from_words(0x1111, 0x2222);
+        let genuine = encapsulate_auth(&t, &inner_v6(), 9, 777, &key);
+        // Forge the tag and fix the checksum, so only the tag is wrong.
+        let mut forged = genuine.clone();
+        let last = forged.len() - 1;
+        forged[last] ^= 0xff;
+        let (src, dst) = (t.local_endpoint, t.remote_endpoint);
+        let mut ip = Ipv6Packet::new_unchecked(&mut forged[..]);
+        UdpPacket::new_unchecked(ip.payload_mut()).fill_checksum_v6(src, dst);
+        for wire in [&genuine, &forged] {
+            assert_eq!(decapsulate_with(wire, None, true), Err(CodecError::Auth));
+            let mut pkt = Packet::new(wire.clone());
+            assert_eq!(
+                decapsulate_in_place(&mut pkt, None, true),
+                Err(CodecError::Auth)
+            );
+            assert_eq!(pkt.bytes(), &wire[..]);
+            // Auth optional and no key: the tag is stripped unverified.
+            assert!(decapsulate_with(wire, None, false).is_ok());
+        }
+        assert_eq!(
+            decapsulate_with(&forged, Some(&key), true),
+            Err(CodecError::Auth)
+        );
     }
 
     #[test]

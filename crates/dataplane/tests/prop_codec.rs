@@ -1,11 +1,18 @@
 //! Property-based tests for the zero-copy codec paths: the in-place
 //! encap/decap must be byte-for-byte interchangeable with the
-//! `Vec`-returning builders on every input.
+//! `Vec`-returning builders on every input, and the one-pass
+//! authenticated decap must reach the verdict of separate checksum and
+//! SipHash passes on every mutation of an authenticated packet.
 
 use proptest::prelude::*;
-use tango_dataplane::{codec, Tunnel};
-use tango_net::siphash::SipKey;
+use tango_dataplane::codec::{self, CodecError};
+use tango_dataplane::Tunnel;
+use tango_net::siphash::{siphash24, SipKey};
+use tango_net::{Ipv6Packet, TangoFlags, TangoPacket, TangoRepr, UdpPacket, TANGO_HEADER_LEN};
 use tango_sim::Packet;
+
+/// Wire offset of the Tango header: outer IPv6 (40 B) + UDP (8 B).
+const TANGO_OFF: usize = 48;
 
 fn arb_tunnel() -> impl Strategy<Value = Tunnel> {
     (any::<u16>(), any::<u128>(), any::<u128>()).prop_map(|(id, local, remote)| Tunnel {
@@ -28,9 +35,9 @@ fn arb_key() -> impl Strategy<Value = Option<SipKey>> {
 /// Inner payloads the receiver accepts: empty (probe), or leading with
 /// an IPv4/IPv6 version nibble. (Anything else is rejected at decap as
 /// inconsistent with the advertised inner protocol.)
-fn arb_valid_inner() -> impl Strategy<Value = Vec<u8>> {
+fn arb_valid_inner(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     (
-        proptest::collection::vec(any::<u8>(), 0..1400),
+        proptest::collection::vec(any::<u8>(), 0..max_len),
         prop_oneof![Just(4u8), Just(6u8)],
     )
         .prop_map(|(mut bytes, version)| {
@@ -111,7 +118,7 @@ proptest! {
     #[test]
     fn in_place_roundtrip_recovers_inner(
         tunnel in arb_tunnel(),
-        inner in arb_valid_inner(),
+        inner in arb_valid_inner(1400),
         seq in any::<u32>(),
         ts in any::<u64>(),
         key in arb_key(),
@@ -149,5 +156,150 @@ proptest! {
         let wire = pkt.bytes().to_vec();
         prop_assert!(codec::decapsulate_in_place(&mut pkt, Some(&wrong), true).is_err());
         prop_assert_eq!(pkt.bytes(), &wire[..]);
+    }
+}
+
+/// The in-place builder sums the datagram in one pass with the tag; the
+/// copying builder tags first and checksums the datagram after. Every
+/// inner length up to 64 and around 1 200 B, so both parities of the
+/// covered range and the tag at an odd offset are exercised.
+#[test]
+fn in_place_auth_encap_matches_two_pass_builder_at_every_length() {
+    let tunnel = Tunnel {
+        id: 7,
+        label: "path-7".to_string(),
+        local_endpoint: "2001:db8:107::1".parse().unwrap(),
+        remote_endpoint: "2001:db8:207::1".parse().unwrap(),
+        src_port: 49_159,
+    };
+    let key = SipKey::from_words(0x0123_4567_89ab_cdef, 0xfedc_ba98_7654_3210);
+    for len in (0..=64).chain(1199..=1201) {
+        let inner: Vec<u8> = (0..len).map(|i| (i * 131 % 251) as u8).collect();
+        let expected = codec::encapsulate_auth(&tunnel, &inner, 3, 5, &key);
+        let mut pkt = Packet::with_headroom(codec::ENCAP_OVERHEAD, &inner);
+        codec::encapsulate_in_place(&tunnel, &mut pkt, 3, 5, Some(&key));
+        assert_eq!(pkt.bytes(), &expected[..], "inner length {len}");
+    }
+}
+
+/// What a decap accepted: the header and the inner bytes.
+type Verdict = Result<(TangoRepr, Vec<u8>), CodecError>;
+
+/// The two-pass reference: the plain UDP checksum, then the Tango
+/// header, then a separate SipHash pass over the covered bytes, then the
+/// inner-protocol check — the receiver spelled out step by step.
+fn two_pass_decap(bytes: &[u8], key: Option<&SipKey>, require_auth: bool) -> Verdict {
+    let ip = Ipv6Packet::new_checked(bytes).map_err(|_| CodecError::OuterIp)?;
+    if ip.next_header() != 17 {
+        return Err(CodecError::NotTangoUdp);
+    }
+    let udp = UdpPacket::new_checked(ip.payload()).map_err(|_| CodecError::NotTangoUdp)?;
+    if udp.dst_port() != tango_net::TANGO_UDP_PORT {
+        return Err(CodecError::NotTangoUdp);
+    }
+    if !udp.verify_checksum_v6(ip.src_addr(), ip.dst_addr()) {
+        return Err(CodecError::Checksum);
+    }
+    let payload = udp.payload();
+    let tango_pkt = TangoPacket::new_checked(payload).map_err(|_| CodecError::TangoHeader)?;
+    let tango = TangoRepr::parse(&tango_pkt).map_err(|_| CodecError::TangoHeader)?;
+    let auth = tango.flags.has_auth();
+    if require_auth && !auth {
+        return Err(CodecError::Auth);
+    }
+    let mut inner = &payload[TANGO_HEADER_LEN..];
+    if auth {
+        if payload.len() < TANGO_HEADER_LEN + codec::TANGO_AUTH_TAG_LEN {
+            return Err(CodecError::Auth);
+        }
+        let (covered, tag) = payload.split_at(payload.len() - codec::TANGO_AUTH_TAG_LEN);
+        let forged = |key| siphash24(key, covered) != u64::from_be_bytes(tag.try_into().unwrap());
+        match key {
+            Some(key) if forged(key) => return Err(CodecError::Auth),
+            None if require_auth => return Err(CodecError::Auth),
+            _ => {}
+        }
+        inner = &covered[TANGO_HEADER_LEN..];
+    }
+    let consistent = match tango.inner_proto {
+        0 => inner.is_empty(),
+        4 => inner.first().map(|b| b >> 4) == Some(4),
+        41 => inner.first().map(|b| b >> 4) == Some(6),
+        codec::INNER_PROTO_REPORT => !inner.is_empty(),
+        _ => false,
+    };
+    if !consistent {
+        return Err(CodecError::Inner);
+    }
+    Ok((tango, inner.to_vec()))
+}
+
+/// Recompute the outer UDP checksum of a full wire image after an edit.
+fn refix_checksum(wire: &mut [u8]) {
+    let mut ip = Ipv6Packet::new_unchecked(wire);
+    let (src, dst) = (ip.src_addr(), ip.dst_addr());
+    UdpPacket::new_unchecked(ip.payload_mut()).fill_checksum_v6(src, dst);
+}
+
+/// Every receiver configuration must agree with the reference on `wire`.
+fn agrees_with_two_pass(wire: &[u8], key: &SipKey, what: &str) -> Result<(), String> {
+    let wrong = SipKey::from_words(0x5eed, 0xfeed);
+    for (key, require_auth) in [
+        (Some(key), true),
+        (Some(key), false),
+        (Some(&wrong), true),
+        (None, true),
+        (None, false),
+    ] {
+        let fused: Verdict =
+            codec::decapsulate_with(wire, key, require_auth).map(|d| (d.tango, d.inner));
+        prop_assert_eq!(
+            fused,
+            two_pass_decap(wire, key, require_auth),
+            "{} (key {}, require_auth {})",
+            what,
+            key.is_some(),
+            require_auth
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    /// The one-pass authenticated decap returns the two-pass verdict on
+    /// every single-byte flip, every truncation, the AUTH flag cleared
+    /// (checksum left stale or fixed up) and every tag byte flipped
+    /// behind a fixed-up checksum.
+    #[test]
+    fn fused_auth_decap_matches_two_pass_reference(
+        tunnel in arb_tunnel(),
+        inner in arb_valid_inner(160),
+        seq in any::<u32>(),
+        ts in any::<u64>(),
+        (k0, k1) in (any::<u64>(), any::<u64>()),
+        mask in 1u8..=255,
+    ) {
+        let key = SipKey::from_words(k0, k1);
+        let wire = codec::encapsulate_auth(&tunnel, &inner, seq, ts, &key);
+        agrees_with_two_pass(&wire, &key, "intact")?;
+        for i in 0..wire.len() {
+            let mut flipped = wire.clone();
+            flipped[i] ^= mask;
+            agrees_with_two_pass(&flipped, &key, &format!("byte {i} ^ {mask:#04x}"))?;
+        }
+        for cut in 0..wire.len() {
+            agrees_with_two_pass(&wire[..cut], &key, &format!("cut at {cut}"))?;
+        }
+        let mut cleared = wire.clone();
+        cleared[TANGO_OFF + 3] &= !TangoFlags::AUTH;
+        agrees_with_two_pass(&cleared, &key, "AUTH cleared")?;
+        refix_checksum(&mut cleared);
+        agrees_with_two_pass(&cleared, &key, "AUTH cleared, checksum fixed")?;
+        for i in wire.len() - codec::TANGO_AUTH_TAG_LEN..wire.len() {
+            let mut forged = wire.clone();
+            forged[i] ^= mask;
+            refix_checksum(&mut forged);
+            agrees_with_two_pass(&forged, &key, &format!("tag byte {i} forged"))?;
+        }
     }
 }

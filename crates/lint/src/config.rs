@@ -46,12 +46,15 @@ pub const SPAN_EMISSION_MODULES: &[&str] =
 
 /// Hot-path modules where a panic aborts a whole simulation run:
 /// the per-event engine loop and event queue, the per-hop flow hash
-/// and longest-prefix match, and the per-packet dataplane transforms.
+/// and longest-prefix match, the per-byte checksum and SipHash kernel,
+/// and the per-packet dataplane transforms.
 pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/sim/src/engine.rs",
     "crates/sim/src/queue.rs",
     "crates/sim/src/hash.rs",
     "crates/net/src/trie.rs",
+    "crates/net/src/siphash.rs",
+    "crates/net/src/checksum.rs",
     "crates/dataplane/src/codec.rs",
     "crates/dataplane/src/switch.rs",
 ];

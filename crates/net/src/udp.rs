@@ -100,12 +100,28 @@ impl<T: AsRef<[u8]>> UdpPacket<T> {
     /// Verify the checksum with an IPv6 pseudo-header. Unlike IPv4, a
     /// zero checksum is illegal over IPv6 (RFC 8200 §8.1).
     pub fn verify_checksum_v6(&self, src: Ipv6Addr, dst: Ipv6Addr) -> bool {
+        self.verify_checksum_v6_with(src, dst, |payload, sum| sum.add(payload))
+    }
+
+    /// [`verify_checksum_v6`](Self::verify_checksum_v6) with the payload
+    /// summed by `sum_payload`, which must add exactly the payload bytes
+    /// it is given to the sum — for a caller that reads them for
+    /// something else in the same pass
+    /// ([`siphash24_summing`](crate::siphash::siphash24_summing)).
+    pub fn verify_checksum_v6_with(
+        &self,
+        src: Ipv6Addr,
+        dst: Ipv6Addr,
+        sum_payload: impl FnOnce(&[u8], &mut Checksum),
+    ) -> bool {
         if self.checksum_field() == 0 {
             return false;
         }
         let len = self.len_field();
         let mut c = checksum::pseudo_header_v6(src, dst, 17, u32::from(len));
-        c.add(&self.buffer.as_ref()[..len as usize]);
+        let (header, payload) = self.buffer.as_ref()[..usize::from(len)].split_at(HEADER_LEN);
+        c.add(header);
+        sum_payload(payload, &mut c);
         c.finish() == 0
     }
 
@@ -137,10 +153,16 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> UdpPacket<T> {
         &mut self.buffer.as_mut()[HEADER_LEN..len]
     }
 
-    fn fill_checksum_with(&mut self, mut c: Checksum) {
+    fn fill_checksum_with(
+        &mut self,
+        mut c: Checksum,
+        sum_payload: impl FnOnce(&mut [u8], &mut Checksum),
+    ) {
         self.buffer.as_mut()[field::CHECKSUM].copy_from_slice(&[0, 0]);
         let len = self.len_field() as usize;
-        c.add(&self.buffer.as_ref()[..len]);
+        let (header, payload) = self.buffer.as_mut()[..len].split_at_mut(HEADER_LEN);
+        c.add(header);
+        sum_payload(payload, &mut c);
         let mut ck = c.finish();
         // An all-zero computed checksum is transmitted as 0xffff (RFC 768).
         if ck == 0 {
@@ -152,13 +174,32 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> UdpPacket<T> {
     /// Compute and store the checksum with an IPv4 pseudo-header.
     pub fn fill_checksum_v4(&mut self, src: Ipv4Addr, dst: Ipv4Addr) {
         let len = self.len_field();
-        self.fill_checksum_with(checksum::pseudo_header_v4(src, dst, 17, len));
+        self.fill_checksum_with(
+            checksum::pseudo_header_v4(src, dst, 17, len),
+            |payload, sum| sum.add(payload),
+        );
     }
 
     /// Compute and store the checksum with an IPv6 pseudo-header.
     pub fn fill_checksum_v6(&mut self, src: Ipv6Addr, dst: Ipv6Addr) {
+        self.fill_checksum_v6_with(src, dst, |payload, sum| sum.add(payload));
+    }
+
+    /// [`fill_checksum_v6`](Self::fill_checksum_v6) with the payload
+    /// summed by `sum_payload`, which may still write it (an
+    /// authentication trailer) but must add exactly its final bytes to
+    /// the sum.
+    pub fn fill_checksum_v6_with(
+        &mut self,
+        src: Ipv6Addr,
+        dst: Ipv6Addr,
+        sum_payload: impl FnOnce(&mut [u8], &mut Checksum),
+    ) {
         let len = self.len_field();
-        self.fill_checksum_with(checksum::pseudo_header_v6(src, dst, 17, u32::from(len)));
+        self.fill_checksum_with(
+            checksum::pseudo_header_v6(src, dst, 17, u32::from(len)),
+            sum_payload,
+        );
     }
 }
 
