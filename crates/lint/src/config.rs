@@ -45,12 +45,19 @@ pub const SPAN_EMISSION_MODULES: &[&str] =
     &["crates/trace/src/span.rs", "crates/trace/src/ring.rs"];
 
 /// Hot-path modules where a panic aborts a whole simulation run:
-/// the per-event engine loop and event queue, the per-hop flow hash
-/// and longest-prefix match, the per-byte checksum and SipHash kernel,
-/// and the per-packet dataplane transforms.
+/// the per-event engine loop and event queue, the packet, the agent
+/// context and its link model, the node and link tables, the counters,
+/// the plain router, the per-hop flow hash and longest-prefix match,
+/// the per-byte checksum and SipHash kernel, and the per-packet
+/// dataplane transforms.
 pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/sim/src/engine.rs",
     "crates/sim/src/queue.rs",
+    "crates/sim/src/packet.rs",
+    "crates/sim/src/ctx.rs",
+    "crates/sim/src/tables.rs",
+    "crates/sim/src/stats.rs",
+    "crates/sim/src/router.rs",
     "crates/sim/src/hash.rs",
     "crates/net/src/trie.rs",
     "crates/net/src/siphash.rs",

@@ -1,7 +1,8 @@
 //! `hot-path-panic`: no `.unwrap()`, `.expect(..)`, or slice indexing in
 //! the designated hot-path modules (`sim::engine`, `sim::queue`,
-//! `sim::hash`, `net::trie`, `net::siphash`, `net::checksum`,
-//! `dataplane::codec`, `dataplane::switch`).
+//! `sim::packet`, `sim::ctx`, `sim::tables`, `sim::stats`,
+//! `sim::router`, `sim::hash`, `net::trie`, `net::siphash`,
+//! `net::checksum`, `dataplane::codec`, `dataplane::switch`).
 //! A panic there doesn't fail one packet — it aborts the whole
 //! simulation run mid-experiment. Hot-path code must either handle the
 //! `None`/`Err` case or carry a reasoned allow naming the invariant that

@@ -52,3 +52,36 @@ fn json_output_is_byte_identical_across_runs_and_matches_baseline() {
          fix the violations or regenerate the baseline deliberately"
     );
 }
+
+#[test]
+fn every_scoped_module_is_a_workspace_file() {
+    // A rule scoped to a path that no longer exists lints nothing: a
+    // move or rename must update the list in the same change.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let lists = [
+        ("HOT_PATH_MODULES", tango_lint::config::HOT_PATH_MODULES),
+        (
+            "WIRE_FORMAT_MODULES",
+            tango_lint::config::WIRE_FORMAT_MODULES,
+        ),
+        (
+            "SPAN_EMISSION_MODULES",
+            tango_lint::config::SPAN_EMISSION_MODULES,
+        ),
+        (
+            "SHARD_RUNNER_MODULES",
+            tango_lint::config::SHARD_RUNNER_MODULES,
+        ),
+    ];
+    let missing: Vec<String> = lists
+        .iter()
+        .flat_map(|(name, paths)| paths.iter().map(move |p| (name, p)))
+        .filter(|(_, p)| !root.join(p).is_file())
+        .map(|(name, p)| format!("{name}: {p}"))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "scoped module paths missing from the workspace:\n{}",
+        missing.join("\n")
+    );
+}

@@ -28,6 +28,7 @@ pub mod owd;
 pub mod percentile;
 pub mod replay;
 pub mod rolling;
+mod seq_window;
 pub mod series;
 
 pub use ewma::Ewma;

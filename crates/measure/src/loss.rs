@@ -5,6 +5,8 @@
 //! a sliding bitmap window of recently seen sequence numbers, so memory
 //! stays bounded no matter how long the tunnel runs.
 
+use crate::seq_window::{Arrival, SeqWindow};
+
 /// How one arriving sequence number was classified.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeqEvent {
@@ -30,8 +32,7 @@ pub enum SeqEvent {
 /// counted as a duplicate, not a recovery.
 #[derive(Debug, Clone)]
 pub struct SeqTracker {
-    highest: Option<u32>,
-    window: [u64; Self::WORDS],
+    window: SeqWindow,
     received: u64,
     duplicates: u64,
     reordered: u64,
@@ -45,14 +46,10 @@ impl Default for SeqTracker {
 }
 
 impl SeqTracker {
-    const WINDOW: u32 = 1024;
-    const WORDS: usize = (Self::WINDOW as usize) / 64;
-
     /// A fresh tracker.
     pub fn new() -> Self {
         SeqTracker {
-            highest: None,
-            window: [0; Self::WORDS],
+            window: SeqWindow::new(),
             received: 0,
             duplicates: 0,
             reordered: 0,
@@ -60,42 +57,14 @@ impl SeqTracker {
         }
     }
 
-    // tango-lint: allow(hot-path-panic) idx < WINDOW = WORDS*64 by the mod, so idx/64 < WORDS
-    fn bit(&self, seq: u32) -> bool {
-        let idx = (seq % Self::WINDOW) as usize;
-        self.window[idx / 64] & (1 << (idx % 64)) != 0
-    }
-
-    // tango-lint: allow(hot-path-panic) idx < WINDOW = WORDS*64 by the mod, so idx/64 < WORDS
-    fn set_bit(&mut self, seq: u32, value: bool) {
-        let idx = (seq % Self::WINDOW) as usize;
-        if value {
-            self.window[idx / 64] |= 1 << (idx % 64);
-        } else {
-            self.window[idx / 64] &= !(1 << (idx % 64));
-        }
-    }
-
     /// Record an arriving sequence number.
     pub fn record(&mut self, seq: u32) -> SeqEvent {
-        match self.highest {
-            None => {
-                self.highest = Some(seq);
-                self.set_bit(seq, true);
+        match self.window.mark(seq) {
+            Arrival::First => {
                 self.received += 1;
                 SeqEvent::InOrder
             }
-            Some(h) if seq > h => {
-                // Clear the bitmap slots we are skipping over so stale
-                // bits from WINDOW sequences ago don't read as "seen".
-                let gap = seq - h - 1;
-                let clear_from = h.saturating_add(1);
-                let clear_n = gap.min(Self::WINDOW);
-                for s in clear_from..clear_from + clear_n {
-                    self.set_bit(s, false);
-                }
-                self.set_bit(seq, true);
-                self.highest = Some(seq);
+            Arrival::Ahead { gap } => {
                 self.received += 1;
                 self.outstanding_gap += u64::from(gap);
                 if gap == 0 {
@@ -104,22 +73,15 @@ impl SeqTracker {
                     SeqEvent::Advanced { gap }
                 }
             }
-            Some(h) => {
-                if h - seq >= Self::WINDOW {
-                    // Too old to classify against the bitmap.
-                    self.duplicates += 1;
-                    return SeqEvent::Duplicate;
-                }
-                if self.bit(seq) {
-                    self.duplicates += 1;
-                    SeqEvent::Duplicate
-                } else {
-                    self.set_bit(seq, true);
-                    self.received += 1;
-                    self.reordered += 1;
-                    self.outstanding_gap = self.outstanding_gap.saturating_sub(1);
-                    SeqEvent::Reordered
-                }
+            Arrival::Late => {
+                self.received += 1;
+                self.reordered += 1;
+                self.outstanding_gap = self.outstanding_gap.saturating_sub(1);
+                SeqEvent::Reordered
+            }
+            Arrival::Stale => {
+                self.duplicates += 1;
+                SeqEvent::Duplicate
             }
         }
     }

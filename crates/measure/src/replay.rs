@@ -10,11 +10,12 @@
 //! its sibling [`crate::SeqTracker`], but answering "fresh or replayed?"
 //! instead of "how much was lost?".
 
+use crate::seq_window::{Arrival, SeqWindow};
+
 /// A sliding anti-replay window over `u32` tunnel sequence numbers.
 #[derive(Debug, Clone)]
 pub struct ReplayWindow {
-    highest: Option<u32>,
-    window: [u64; Self::WORDS],
+    window: SeqWindow,
     accepted: u64,
     rejected: u64,
 }
@@ -30,75 +31,27 @@ impl ReplayWindow {
     /// the highest seen are unconditionally rejected. Matches the
     /// `SeqTracker` reorder window, so honest reordering the loss
     /// tracker can classify is never mistaken for replay.
-    pub const WINDOW: u32 = 1024;
-    const WORDS: usize = (Self::WINDOW as usize) / 64;
+    pub const WINDOW: u32 = SeqWindow::WINDOW;
 
     /// A fresh window (accepts any first sequence number).
     pub fn new() -> Self {
         ReplayWindow {
-            highest: None,
-            window: [0; Self::WORDS],
+            window: SeqWindow::new(),
             accepted: 0,
             rejected: 0,
-        }
-    }
-
-    // tango-lint: allow(hot-path-panic) idx < WINDOW = WORDS*64 by the mod, so idx/64 < WORDS
-    fn bit(&self, seq: u32) -> bool {
-        let idx = (seq % Self::WINDOW) as usize;
-        self.window[idx / 64] & (1 << (idx % 64)) != 0
-    }
-
-    // tango-lint: allow(hot-path-panic) idx < WINDOW = WORDS*64 by the mod, so idx/64 < WORDS
-    fn set_bit(&mut self, seq: u32, value: bool) {
-        let idx = (seq % Self::WINDOW) as usize;
-        if value {
-            self.window[idx / 64] |= 1 << (idx % 64);
-        } else {
-            self.window[idx / 64] &= !(1 << (idx % 64));
         }
     }
 
     /// Observe an arriving sequence number: `true` = first sighting
     /// (accept), `false` = replayed or too stale to tell (reject).
     pub fn observe(&mut self, seq: u32) -> bool {
-        match self.highest {
-            None => {
-                self.highest = Some(seq);
-                self.set_bit(seq, true);
-                self.accepted += 1;
-                true
-            }
-            Some(h) if seq > h => {
-                // Advancing: clear the slots being skipped so bits from a
-                // window ago don't read as "seen".
-                let gap = seq - h - 1;
-                let clear_from = h.saturating_add(1);
-                let clear_n = gap.min(Self::WINDOW);
-                for s in clear_from..clear_from + clear_n {
-                    self.set_bit(s, false);
-                }
-                self.set_bit(seq, true);
-                self.highest = Some(seq);
-                self.accepted += 1;
-                true
-            }
-            Some(h) => {
-                if h - seq >= Self::WINDOW {
-                    // Older than the window: cannot prove freshness.
-                    self.rejected += 1;
-                    return false;
-                }
-                if self.bit(seq) {
-                    self.rejected += 1;
-                    false
-                } else {
-                    self.set_bit(seq, true);
-                    self.accepted += 1;
-                    true
-                }
-            }
+        let fresh = self.window.mark(seq) != Arrival::Stale;
+        if fresh {
+            self.accepted += 1;
+        } else {
+            self.rejected += 1;
         }
+        fresh
     }
 
     /// Sequence numbers accepted as fresh.

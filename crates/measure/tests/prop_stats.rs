@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 use tango_measure::{
-    interval::bin_average, percentile, Ewma, RollingWindow, SeqTracker, Summary, TimeSeries,
+    interval::bin_average, percentile, Ewma, ReplayWindow, RollingWindow, SeqEvent, SeqTracker,
+    Summary, TimeSeries,
 };
 
 fn arb_stream() -> impl Strategy<Value = Vec<(u64, f64)>> {
@@ -19,7 +20,42 @@ fn arb_stream() -> impl Strategy<Value = Vec<(u64, f64)>> {
     })
 }
 
+/// A `u32` stream that mostly stays within a few windows of a random
+/// base (duplicates, reorders, advances and too-old arrivals), with a
+/// jump anywhere in the `u32` range one time in eight.
+fn arb_seq_stream() -> impl Strategy<Value = Vec<u32>> {
+    (
+        any::<u32>(),
+        proptest::collection::vec((0u32..3_000, any::<u32>(), 0u8..8), 1..400),
+    )
+        .prop_map(|(base, raw)| {
+            raw.into_iter()
+                .map(|(near, far, pick)| {
+                    if pick == 0 {
+                        far
+                    } else {
+                        base.wrapping_add(near)
+                    }
+                })
+                .collect()
+        })
+}
+
 proptest! {
+    #[test]
+    fn replay_window_accepts_exactly_what_the_tracker_does_not_call_duplicate(
+        stream in arb_seq_stream(),
+    ) {
+        let mut tracker = SeqTracker::new();
+        let mut window = ReplayWindow::new();
+        for (i, &s) in stream.iter().enumerate() {
+            let fresh = tracker.record(s) != SeqEvent::Duplicate;
+            prop_assert_eq!(window.observe(s), fresh, "seq {} at arrival {}", s, i);
+        }
+        prop_assert_eq!(window.accepted(), tracker.received());
+        prop_assert_eq!(window.rejected(), tracker.duplicates());
+    }
+
     #[test]
     fn rolling_window_matches_naive(stream in arb_stream(), window_ns in 1u64..100_000_000) {
         let mut w = RollingWindow::new(window_ns);

@@ -23,7 +23,8 @@
 //! node-level form the pairing harness lowers the path-level
 //! `WideAreaEvent`s `OwdPoison`, `Replay` and `SpoofReports` to.
 
-use crate::engine::{Agent, Ctx, Packet};
+use crate::ctx::{Agent, Ctx};
+use crate::packet::Packet;
 use crate::time::SimTime;
 use parking_lot::Mutex;
 use std::collections::VecDeque;

@@ -33,12 +33,17 @@
 pub mod adversary;
 pub mod chaos;
 pub mod clock;
+mod ctx;
 pub mod edge_noise;
 pub mod engine;
 pub mod fault;
 pub mod hash;
+mod packet;
 mod queue;
+mod router;
 pub mod shard;
+mod stats;
+mod tables;
 pub mod time;
 
 pub use adversary::{
@@ -47,10 +52,12 @@ pub use adversary::{
 };
 pub use chaos::{ChaosConfig, ChaosSchedule};
 pub use clock::NodeClock;
-pub use engine::{
-    Agent, BufferPool, Ctx, NetworkSim, Packet, RouterAgent, ShardLoad, SimConfig, SimStats,
-};
+pub use ctx::{Agent, Ctx};
+pub use engine::{NetworkSim, SimConfig};
 pub use fault::{FaultDecision, FaultInjector};
+pub use packet::{BufferPool, Packet};
+pub use router::RouterAgent;
 pub use shard::ShardMode;
+pub use stats::{ShardLoad, SimStats};
 pub use tango_trace::{DropReason, Span, SpanKey, SpanKind, SpanRing};
 pub use time::SimTime;

@@ -20,7 +20,8 @@
 //! canonical event keys on arrival, so their results are bit-identical.
 //! DESIGN.md §11 gives the full argument.
 
-use crate::engine::{LinkTable, NodeTable, QueuedEvent, ShardState, SimShared};
+use crate::engine::{QueuedEvent, ShardState, SimShared};
+use crate::tables::{LinkTable, NodeTable};
 use crate::time::SimTime;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
