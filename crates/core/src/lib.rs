@@ -28,7 +28,7 @@
 //!
 //! | crate | role |
 //! |---|---|
-//! | [`tango_net`] | wire formats (IPv4/IPv6/UDP/Tango header), CIDRs, LPM trie |
+//! | [`tango_net`] | wire formats (IPv6/UDP/Tango header), CIDRs, LPM trie |
 //! | [`tango_topology`] | AS graph, link delay/jitter/loss models, wide-area events, the calibrated Vultr scenario |
 //! | [`tango_bgp`] | BGP speakers/RIBs/policy, propagation engine, communities, poisoning (typed routes in memory, no wire format) |
 //! | [`tango_sim`] | deterministic discrete-event simulator, unsynchronized clocks, ECMP, fault injection |

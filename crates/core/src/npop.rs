@@ -239,7 +239,10 @@ pub fn pop_side(pop: AsId, i: usize) -> SideConfig {
     }
 }
 
-/// Nearest-rank percentile of an ascending-sorted slice (0 for empty).
+/// The `p`-th percentile of an ascending-sorted slice, rounded down to
+/// a sample: the element at index ⌊(n − 1)·p / 100⌋ (0 for empty). This
+/// is not nearest-rank (the ⌈n·p / 100⌉-th element): for n = 5 and
+/// p = 99 it is the 4th value where nearest-rank gives the 5th.
 fn percentile(sorted: &[u64], p: usize) -> u64 {
     if sorted.is_empty() {
         return 0;
@@ -600,6 +603,16 @@ mod tests {
             traffic_packets: 32,
             ..NPopOptions::default()
         }
+    }
+
+    #[test]
+    fn percentile_rounds_the_index_down() {
+        let v = [10, 20, 30, 40, 50];
+        // ⌊4 · 99 / 100⌋ = 3: the 4th value, not nearest-rank's 5th.
+        assert_eq!(percentile(&v, 99), 40);
+        assert_eq!(percentile(&v, 50), 30);
+        assert_eq!(percentile(&v, 100), 50);
+        assert_eq!(percentile(&[], 99), 0);
     }
 
     #[test]

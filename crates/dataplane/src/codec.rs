@@ -71,7 +71,6 @@ impl std::error::Error for CodecError {}
 /// Inner-protocol codes in the Tango header.
 fn inner_proto_of(inner: &[u8]) -> u16 {
     match inner.first().map(|b| b >> 4) {
-        Some(4) => 4,  // IPv4-in-Tango
         Some(6) => 41, // IPv6-in-Tango
         _ => 0,
     }
@@ -543,11 +542,6 @@ fn parse_outer(
                 return Err(CodecError::Inner);
             }
         }
-        4 => {
-            if inner.first().map(|b| b >> 4) != Some(4) {
-                return Err(CodecError::Inner);
-            }
-        }
         41 => {
             if inner.first().map(|b| b >> 4) != Some(6) {
                 return Err(CodecError::Inner);
@@ -700,18 +694,24 @@ mod tests {
     #[test]
     fn rejects_inner_proto_mismatch() {
         let t = tunnel();
-        // Claim IPv4 inner but carry IPv6 bytes: build manually.
-        let inner = inner_v6();
-        let mut wire = encapsulate(&t, &inner, 1, 1);
-        // Tango header starts at 40 (IPv6) + 8 (UDP); inner_proto at +6.
-        wire[40 + 8 + 6] = 0;
-        wire[40 + 8 + 7] = 4;
-        // Fix the UDP checksum for the modified byte.
-        let (src, dst) = (t.local_endpoint, t.remote_endpoint);
-        let mut ip = Ipv6Packet::new_unchecked(&mut wire[..]);
-        let mut udp = UdpPacket::new_unchecked(ip.payload_mut());
-        udp.fill_checksum_v6(src, dst);
-        assert_eq!(decapsulate(&wire), Err(CodecError::Inner));
+        // Claim the retired IPv4 code 4, over IPv6 bytes and over an IPv4
+        // version nibble alike: build manually.
+        for first in [None, Some(0x45)] {
+            let inner = inner_v6();
+            let mut wire = encapsulate(&t, &inner, 1, 1);
+            // Tango header starts at 40 (IPv6) + 8 (UDP); inner_proto at +6.
+            wire[40 + 8 + 6] = 0;
+            wire[40 + 8 + 7] = 4;
+            if let Some(b) = first {
+                wire[40 + 8 + TANGO_HEADER_LEN] = b;
+            }
+            // Fix the UDP checksum for the modified bytes.
+            let (src, dst) = (t.local_endpoint, t.remote_endpoint);
+            let mut ip = Ipv6Packet::new_unchecked(&mut wire[..]);
+            let mut udp = UdpPacket::new_unchecked(ip.payload_mut());
+            udp.fill_checksum_v6(src, dst);
+            assert_eq!(decapsulate(&wire), Err(CodecError::Inner));
+        }
     }
 
     #[test]
@@ -722,30 +722,6 @@ mod tests {
         assert!(!looks_like_tango(&inner_v6())); // plain UDP, wrong port? no UDP at all
         assert!(!looks_like_tango(&[0x45, 0, 0, 0]));
         assert!(!looks_like_tango(&[]));
-    }
-
-    #[test]
-    fn ipv4_inner_proto_code() {
-        let t = tunnel();
-        // Minimal valid IPv4 inner packet.
-        let v4 = {
-            let repr = tango_net::Ipv4Repr {
-                src_addr: "10.0.0.1".parse().unwrap(),
-                dst_addr: "10.0.0.2".parse().unwrap(),
-                protocol: 17,
-                payload_len: 0,
-                ttl: 64,
-                dscp_ecn: 0,
-            };
-            let mut buf = vec![0u8; repr.total_len()];
-            let mut p = tango_net::Ipv4Packet::new_unchecked(&mut buf[..]);
-            repr.emit(&mut p).unwrap();
-            buf
-        };
-        let wire = encapsulate(&t, &v4, 9, 9);
-        let d = decapsulate(&wire).unwrap();
-        assert_eq!(d.tango.inner_proto, 4);
-        assert_eq!(d.inner, v4);
     }
 
     #[test]

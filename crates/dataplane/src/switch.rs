@@ -266,7 +266,7 @@ impl TangoSwitch {
         }
         let next = pkt
             .dst_addr()
-            .and_then(|d| self.wan_table.as_ref()?.lookup(d).copied());
+            .and_then(|d| self.wan_table.as_ref()?.lookup(d.into()).copied());
         match next {
             Some(n) if n != self.id => ctx.transmit(n, pkt),
             _ => ctx.count_no_route(pkt),
@@ -323,25 +323,11 @@ impl TangoSwitch {
     }
 }
 
-/// The DSCP/traffic-class byte of an IP packet (IPv4 DSCP/ECN byte or
-/// IPv6 traffic class), if parseable.
-fn traffic_class_of(bytes: &[u8]) -> Option<u8> {
-    match bytes.first().map(|b| b >> 4)? {
-        4 => tango_net::Ipv4Packet::new_checked(bytes)
-            .ok()
-            .map(|p| p.dscp_ecn()),
-        6 => tango_net::Ipv6Packet::new_checked(bytes)
-            .ok()
-            .map(|p| p.traffic_class()),
-        _ => None,
-    }
-}
-
 impl Agent for TangoSwitch {
     fn on_host_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
         let tango_destined = pkt
             .dst_addr()
-            .map(|d| self.remote_hosts.lookup(d).is_some())
+            .map(|d| self.remote_hosts.lookup(d.into()).is_some())
             .unwrap_or(false);
         if tango_destined {
             // §3 application-specific override first, then the installed
@@ -349,8 +335,9 @@ impl Agent for TangoSwitch {
             let class_path = if self.class_map.is_empty() {
                 None
             } else {
-                traffic_class_of(pkt.bytes())
-                    .and_then(|tc| self.class_map.get(&tc).copied())
+                tango_net::Ipv6Packet::new_checked(pkt.bytes())
+                    .ok()
+                    .and_then(|ip| self.class_map.get(&ip.traffic_class()).copied())
                     .filter(|p| self.tunnels.contains_key(p))
             };
             if let Some(path) = class_path.or_else(|| self.selection.choose()) {

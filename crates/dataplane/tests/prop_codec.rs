@@ -33,19 +33,15 @@ fn arb_key() -> impl Strategy<Value = Option<SipKey>> {
 }
 
 /// Inner payloads the receiver accepts: empty (probe), or leading with
-/// an IPv4/IPv6 version nibble. (Anything else is rejected at decap as
+/// the IPv6 version nibble. (Anything else is rejected at decap as
 /// inconsistent with the advertised inner protocol.)
 fn arb_valid_inner(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
-    (
-        proptest::collection::vec(any::<u8>(), 0..max_len),
-        prop_oneof![Just(4u8), Just(6u8)],
-    )
-        .prop_map(|(mut bytes, version)| {
-            if let Some(first) = bytes.first_mut() {
-                *first = (version << 4) | (*first & 0x0f);
-            }
-            bytes
-        })
+    proptest::collection::vec(any::<u8>(), 0..max_len).prop_map(|mut bytes| {
+        if let Some(first) = bytes.first_mut() {
+            *first = 0x60 | (*first & 0x0f);
+        }
+        bytes
+    })
 }
 
 proptest! {
@@ -223,7 +219,6 @@ fn two_pass_decap(bytes: &[u8], key: Option<&SipKey>, require_auth: bool) -> Ver
     }
     let consistent = match tango.inner_proto {
         0 => inner.is_empty(),
-        4 => inner.first().map(|b| b >> 4) == Some(4),
         41 => inner.first().map(|b| b >> 4) == Some(6),
         codec::INNER_PROTO_REPORT => !inner.is_empty(),
         _ => false,

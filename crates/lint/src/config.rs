@@ -26,8 +26,14 @@ pub const DETERMINISTIC_CRATES: &[&str] = &[
 pub const WALL_CLOCK_EXEMPT_CRATES: &[&str] = &["bench"];
 
 /// Wire-format modules where a silent `as` truncation corrupts bytes on
-/// the wire instead of producing a type error.
-pub const WIRE_FORMAT_MODULES: &[&str] = &["crates/dataplane/src/codec.rs"];
+/// the wire instead of producing a type error: the header views and
+/// representations, and the encapsulation that assembles them.
+pub const WIRE_FORMAT_MODULES: &[&str] = &[
+    "crates/net/src/ipv6.rs",
+    "crates/net/src/udp.rs",
+    "crates/net/src/tango_hdr.rs",
+    "crates/dataplane/src/codec.rs",
+];
 
 /// The approved home of thread creation inside the deterministic
 /// crates: the conservative shard runner, whose cross-thread protocol

@@ -11,7 +11,7 @@
 //! | `unordered-collections` | `HashMap`/`HashSet` iteration order in deterministic crates |
 //! | `wall-clock` | `Instant::now`/`SystemTime` outside `tango-bench` |
 //! | `unseeded-rng` | `thread_rng`/OS-entropy constructors anywhere |
-//! | `lossy-cast` | silent `as` truncation in wire-format modules |
+//! | `lossy-cast` | silent `as` truncation in wire-format modules (IPv6, UDP and Tango headers, codec) |
 //! | `hot-path-panic` | `unwrap`/`expect`/indexing in per-packet code |
 //! | `thread-spawn` | ad-hoc threading outside the approved shard runner |
 //! | `span-alloc` | `String`/`format!` allocation in span-emission paths |

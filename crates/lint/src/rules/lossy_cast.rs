@@ -1,7 +1,8 @@
 //! `lossy-cast`: no bare `as` integer casts in the wire-format modules.
 //! An `as` cast silently truncates when the source value outgrows the
-//! target — in `dataplane::codec` that corrupts bytes on the wire
-//! instead of surfacing a type error. Wire emitters must use
+//! target — in the header emitters of `tango-net` or in
+//! `dataplane::codec` that corrupts bytes on the wire instead of
+//! surfacing a type error. Wire emitters must use
 //! `try_from` (or carry a reasoned allow naming the invariant that makes
 //! the cast safe).
 //!

@@ -1,6 +1,6 @@
 //! The Internet checksum (RFC 1071) and the UDP pseudo-header variants.
 //!
-//! All Tango headers that carry checksums (IPv4, UDP) go through these
+//! The one Tango header that carries a checksum (UDP) goes through these
 //! routines, so a single well-tested implementation covers the data plane.
 //!
 //! The sum runs eight bytes at a time. Each little-endian `u64` word
@@ -14,7 +14,7 @@
 //! SipHash and to the sum, so an authenticated packet is read once for
 //! both.
 
-use std::net::{Ipv4Addr, Ipv6Addr};
+use std::net::Ipv6Addr;
 
 /// Incrementally computable RFC 1071 checksum state.
 ///
@@ -96,11 +96,6 @@ impl Checksum {
         self.add_partial(word_step(partial, tail_word(tail)), data.len());
     }
 
-    /// Add a single 16-bit word: the next two bytes, big-endian.
-    pub fn add_u16(&mut self, word: u16) {
-        self.add_partial(u64::from(word.swap_bytes()), 2);
-    }
-
     /// Add a 32-bit value: the next four bytes, big-endian.
     pub fn add_u32(&mut self, value: u32) {
         self.add_partial(u64::from(value.swap_bytes()), 4);
@@ -129,16 +124,6 @@ pub fn checksum(data: &[u8]) -> u16 {
 /// before complement, i.e. `checksum() == 0`.)
 pub fn verify(data: &[u8]) -> bool {
     checksum(data) == 0
-}
-
-/// UDP/TCP pseudo-header sum for IPv4 (RFC 768).
-pub fn pseudo_header_v4(src: Ipv4Addr, dst: Ipv4Addr, protocol: u8, length: u16) -> Checksum {
-    let mut c = Checksum::new();
-    c.add(&src.octets());
-    c.add(&dst.octets());
-    c.add_u16(u16::from(protocol));
-    c.add_u16(length);
-    c
 }
 
 /// UDP/TCP pseudo-header sum for IPv6 (RFC 8200 §8.1).
@@ -228,12 +213,12 @@ mod tests {
         let data = [0x12u8, 0x34, 0x56, 0x78, 0x9a];
         let mut c = Checksum::new();
         c.add(&data[..1]);
-        c.add_u16(0x3456);
+        c.add(&[0x34, 0x56]);
         c.add(&data[3..]);
         assert_eq!(c.finish(), reference(&data));
         let mut c = Checksum::new();
         c.add(&data[..3]);
-        c.add_u16(0x789a);
+        c.add(&[0x78, 0x9a]);
         assert_eq!(c.finish(), reference(&data));
     }
 
@@ -257,34 +242,6 @@ mod tests {
             prop_assert_eq!(checksum(&data), want);
             prop_assert_eq!(c.finish(), want);
         }
-    }
-
-    #[test]
-    fn pseudo_header_v4_known_packet() {
-        // Hand-built UDP packet: 1.2.3.4 -> 5.6.7.8, ports 1000 -> 2000,
-        // payload "hi". Verify the full UDP checksum sums to zero.
-        let src = Ipv4Addr::new(1, 2, 3, 4);
-        let dst = Ipv4Addr::new(5, 6, 7, 8);
-        let payload = b"hi";
-        let udp_len = 8 + payload.len() as u16;
-        let mut udp = vec![
-            0x03,
-            0xe8, // src port 1000
-            0x07,
-            0xd0, // dst port 2000
-            0x00,
-            udp_len as u8, // length
-            0x00,
-            0x00, // checksum placeholder
-        ];
-        udp.extend_from_slice(payload);
-        let mut c = pseudo_header_v4(src, dst, 17, udp_len);
-        c.add(&udp);
-        let ck = c.finish();
-        udp[6..8].copy_from_slice(&ck.to_be_bytes());
-        let mut v = pseudo_header_v4(src, dst, 17, udp_len);
-        v.add(&udp);
-        assert_eq!(v.finish(), 0);
     }
 
     #[test]

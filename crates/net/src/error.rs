@@ -7,13 +7,12 @@ pub enum Error {
     /// The buffer is too short to hold the header (or the length field
     /// claims more data than the buffer provides).
     Truncated,
-    /// A checksum did not verify.
-    Checksum,
     /// A field holds a value that is structurally invalid (e.g. IP version
-    /// mismatch, UDP length shorter than its own header).
+    /// mismatch, UDP length shorter than its own header, a length that does
+    /// not fit its field).
     Malformed,
     /// The packet is valid but uses a feature the Tango data plane does not
-    /// implement (IPv4 options, fragments, extension headers).
+    /// implement (unknown Tango header flags).
     Unsupported,
     /// A Tango header had the wrong magic or an unknown version.
     NotTango,
@@ -25,9 +24,8 @@ impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Error::Truncated => write!(f, "buffer too short for header"),
-            Error::Checksum => write!(f, "checksum mismatch"),
             Error::Malformed => write!(f, "structurally invalid field"),
-            Error::Unsupported => write!(f, "unsupported feature (options/fragments/ext headers)"),
+            Error::Unsupported => write!(f, "unsupported feature (unknown Tango flags)"),
             Error::NotTango => write!(f, "not a Tango tunnel header"),
             Error::PrefixLen => write!(f, "prefix length out of range"),
         }

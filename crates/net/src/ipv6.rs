@@ -46,7 +46,7 @@ impl<T: AsRef<[u8]>> Ipv6Packet<T> {
         if self.version() != 6 {
             return Err(Error::Malformed);
         }
-        if HEADER_LEN + self.payload_len() as usize > data.len() {
+        if HEADER_LEN + usize::from(self.payload_len()) > data.len() {
             return Err(Error::Truncated);
         }
         Ok(())
@@ -104,7 +104,7 @@ impl<T: AsRef<[u8]>> Ipv6Packet<T> {
 
     /// The payload bytes.
     pub fn payload(&self) -> &[u8] {
-        let len = self.payload_len() as usize;
+        let len = usize::from(self.payload_len());
         &self.buffer.as_ref()[HEADER_LEN..HEADER_LEN + len]
     }
 
@@ -150,7 +150,7 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv6Packet<T> {
 
     /// Mutable payload slice.
     pub fn payload_mut(&mut self) -> &mut [u8] {
-        let len = self.payload_len() as usize;
+        let len = usize::from(self.payload_len());
         &mut self.buffer.as_mut()[HEADER_LEN..HEADER_LEN + len]
     }
 }
@@ -183,7 +183,7 @@ impl Ipv6Repr {
             src_addr: packet.src_addr(),
             dst_addr: packet.dst_addr(),
             next_header: packet.next_header(),
-            payload_len: packet.payload_len() as usize,
+            payload_len: usize::from(packet.payload_len()),
             hop_limit: packet.hop_limit(),
             traffic_class: packet.traffic_class(),
             flow_label: packet.flow_label(),
@@ -205,11 +205,12 @@ impl Ipv6Repr {
         if packet.buffer.as_ref().len() < self.total_len() {
             return Err(Error::Truncated);
         }
-        if self.payload_len > usize::from(u16::MAX) || self.flow_label > 0x000f_ffff {
+        let payload_len = u16::try_from(self.payload_len).map_err(|_| Error::Malformed)?;
+        if self.flow_label > 0x000f_ffff {
             return Err(Error::Malformed);
         }
         packet.set_ver_tc_fl(self.traffic_class, self.flow_label);
-        packet.set_payload_len(self.payload_len as u16);
+        packet.set_payload_len(payload_len);
         packet.set_next_header(self.next_header);
         packet.set_hop_limit(self.hop_limit);
         packet.set_src_addr(self.src_addr);
@@ -298,6 +299,17 @@ mod tests {
         let mut buf = vec![0u8; repr.total_len()];
         let mut p = Ipv6Packet::new_unchecked(&mut buf);
         assert_eq!(repr.emit(&mut p).unwrap_err(), Error::Malformed);
+    }
+
+    #[test]
+    fn emit_rejects_payload_beyond_u16() {
+        let mut repr = sample_repr();
+        repr.payload_len = 65_536;
+        let mut buf = vec![0xa5u8; repr.total_len()];
+        let mut p = Ipv6Packet::new_unchecked(&mut buf);
+        assert_eq!(repr.emit(&mut p).unwrap_err(), Error::Malformed);
+        // Nothing was written.
+        assert!(buf.iter().all(|&b| b == 0xa5));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! # tango-net — wire formats for the Tango data plane
 //!
 //! Byte-exact representations of every header the Tango data plane touches:
-//! IPv4, IPv6, UDP, and the Tango tunnel header that carries the one-way
+//! IPv6, UDP, and the Tango tunnel header that carries the one-way
 //! delay timestamp and per-tunnel sequence number described in §3/§4.2 of
 //! *"It Takes Two to Tango: Cooperative Edge-to-Edge Routing"* (HotNets '22).
 //!
@@ -18,11 +18,15 @@
 //!
 //! ## Omitted features
 //!
-//! * IPv4 options and IPv6 extension headers are not parsed: a packet whose
-//!   IHL exceeds 5 is rejected as [`Error::Unsupported`], matching the data
-//!   plane a Tango switch would deploy (fixed-offset parsing).
+//! * IPv4: IPv6 is the one packet format parsed, built or forwarded (the
+//!   paper's deployment announced an IPv6 block). A header whose version
+//!   nibble is not 6 fails [`Ipv6Packet::new_checked`] as
+//!   [`Error::Malformed`]. [`Ipv4Cidr`] remains only as a prefix type.
+//! * IPv6 extension headers are not parsed: the next header is read at
+//!   its fixed offset, matching the data plane a Tango switch would
+//!   deploy (fixed-offset parsing).
 //! * Fragmentation/reassembly: Tango tunnels are provisioned under the path
-//!   MTU, so fragments are rejected rather than reassembled.
+//!   MTU, so nothing is fragmented or reassembled.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +34,6 @@
 pub mod checksum;
 pub mod cidr;
 mod error;
-pub mod ipv4;
 pub mod ipv6;
 pub mod siphash;
 pub mod tango_hdr;
@@ -39,7 +42,6 @@ pub mod udp;
 
 pub use cidr::{IpCidr, Ipv4Cidr, Ipv6Cidr};
 pub use error::{Error, Result};
-pub use ipv4::{Ipv4Packet, Ipv4Repr};
 pub use ipv6::{Ipv6Packet, Ipv6Repr};
 pub use siphash::{siphash24, SipKey};
 pub use tango_hdr::{
@@ -47,68 +49,3 @@ pub use tango_hdr::{
 };
 pub use trie::PrefixTrie;
 pub use udp::{UdpPacket, UdpRepr};
-
-/// IP protocol numbers used by the Tango data plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum IpProtocol {
-    /// ICMP (protocol 1). Probe traffic in the paper's prototype.
-    Icmp = 1,
-    /// TCP (protocol 6).
-    Tcp = 6,
-    /// UDP (protocol 17). Tango tunnels are IP+UDP encapsulated.
-    Udp = 17,
-    /// IPv6 encapsulated in IPv4/IPv6 (protocol 41).
-    Ipv6 = 41,
-    /// ICMPv6 (protocol 58).
-    Icmpv6 = 58,
-    /// IPv4 encapsulation (IP-in-IP, protocol 4).
-    Ipv4 = 4,
-}
-
-impl IpProtocol {
-    /// Decode a protocol number, returning `None` for protocols the Tango
-    /// data plane does not understand.
-    pub fn from_u8(value: u8) -> Option<Self> {
-        match value {
-            1 => Some(IpProtocol::Icmp),
-            4 => Some(IpProtocol::Ipv4),
-            6 => Some(IpProtocol::Tcp),
-            17 => Some(IpProtocol::Udp),
-            41 => Some(IpProtocol::Ipv6),
-            58 => Some(IpProtocol::Icmpv6),
-            _ => None,
-        }
-    }
-
-    /// The wire value of this protocol.
-    pub fn as_u8(self) -> u8 {
-        self as u8
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn protocol_roundtrip() {
-        for p in [
-            IpProtocol::Icmp,
-            IpProtocol::Tcp,
-            IpProtocol::Udp,
-            IpProtocol::Ipv6,
-            IpProtocol::Icmpv6,
-            IpProtocol::Ipv4,
-        ] {
-            assert_eq!(IpProtocol::from_u8(p.as_u8()), Some(p));
-        }
-    }
-
-    #[test]
-    fn protocol_unknown_rejected() {
-        assert_eq!(IpProtocol::from_u8(0), None);
-        assert_eq!(IpProtocol::from_u8(255), None);
-        assert_eq!(IpProtocol::from_u8(89), None); // OSPF: not data-plane relevant
-    }
-}

@@ -32,7 +32,7 @@
 //!   so the receiver attributes the delay sample to the right path even if
 //!   tunnels share an address (e.g. during re-provisioning).
 //! * `inner proto` says how to interpret the decapsulated payload
-//!   (4 = IPv4 packet, 41 = IPv6 packet), mirroring IP protocol numbers.
+//!   (41 = IPv6 packet), mirroring IP protocol numbers.
 //! * `sequence` is per-tunnel and lets the receiver compute loss and
 //!   reordering.
 //! * `timestamp` is the *sender's node-local clock* in nanoseconds. Clocks
@@ -183,7 +183,7 @@ impl<T: AsRef<[u8]>> TangoPacket<T> {
         u16::from_be_bytes([d[4], d[5]])
     }
 
-    /// Protocol of the inner (encapsulated) packet: 4 = IPv4, 41 = IPv6.
+    /// Protocol of the inner (encapsulated) packet: 41 = IPv6.
     pub fn inner_proto(&self) -> u16 {
         let d = self.buffer.as_ref();
         u16::from_be_bytes([d[6], d[7]])
@@ -259,7 +259,7 @@ pub struct TangoRepr {
     pub flags: TangoFlags,
     /// Tunnel/path identifier.
     pub path_id: u16,
-    /// Inner packet protocol (4 = IPv4, 41 = IPv6, 0 = none/probe).
+    /// Inner packet protocol (41 = IPv6, 0 = none/probe).
     pub inner_proto: u16,
     /// Per-tunnel sequence number.
     pub sequence: u32,

@@ -9,7 +9,7 @@
 
 use crate::checksum::{self, Checksum};
 use crate::error::{Error, Result};
-use std::net::{Ipv4Addr, Ipv6Addr};
+use std::net::Ipv6Addr;
 
 /// Length of a UDP header.
 pub const HEADER_LEN: usize = 8;
@@ -45,7 +45,7 @@ impl<T: AsRef<[u8]>> UdpPacket<T> {
         if data.len() < HEADER_LEN {
             return Err(Error::Truncated);
         }
-        let len = self.len_field() as usize;
+        let len = usize::from(self.len_field());
         if len < HEADER_LEN {
             return Err(Error::Malformed);
         }
@@ -81,24 +81,12 @@ impl<T: AsRef<[u8]>> UdpPacket<T> {
 
     /// The payload bytes.
     pub fn payload(&self) -> &[u8] {
-        let len = self.len_field() as usize;
+        let len = usize::from(self.len_field());
         &self.buffer.as_ref()[HEADER_LEN..len]
     }
 
-    /// Verify the checksum with an IPv4 pseudo-header. A zero checksum
-    /// means "not computed" and is accepted per RFC 768.
-    pub fn verify_checksum_v4(&self, src: Ipv4Addr, dst: Ipv4Addr) -> bool {
-        if self.checksum_field() == 0 {
-            return true;
-        }
-        let len = self.len_field();
-        let mut c = checksum::pseudo_header_v4(src, dst, 17, len);
-        c.add(&self.buffer.as_ref()[..len as usize]);
-        c.finish() == 0
-    }
-
-    /// Verify the checksum with an IPv6 pseudo-header. Unlike IPv4, a
-    /// zero checksum is illegal over IPv6 (RFC 8200 §8.1).
+    /// Verify the checksum with an IPv6 pseudo-header. A zero checksum
+    /// is illegal over IPv6 (RFC 8200 §8.1).
     pub fn verify_checksum_v6(&self, src: Ipv6Addr, dst: Ipv6Addr) -> bool {
         self.verify_checksum_v6_with(src, dst, |payload, sum| sum.add(payload))
     }
@@ -149,35 +137,8 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> UdpPacket<T> {
 
     /// Mutable payload slice.
     pub fn payload_mut(&mut self) -> &mut [u8] {
-        let len = self.len_field() as usize;
+        let len = usize::from(self.len_field());
         &mut self.buffer.as_mut()[HEADER_LEN..len]
-    }
-
-    fn fill_checksum_with(
-        &mut self,
-        mut c: Checksum,
-        sum_payload: impl FnOnce(&mut [u8], &mut Checksum),
-    ) {
-        self.buffer.as_mut()[field::CHECKSUM].copy_from_slice(&[0, 0]);
-        let len = self.len_field() as usize;
-        let (header, payload) = self.buffer.as_mut()[..len].split_at_mut(HEADER_LEN);
-        c.add(header);
-        sum_payload(payload, &mut c);
-        let mut ck = c.finish();
-        // An all-zero computed checksum is transmitted as 0xffff (RFC 768).
-        if ck == 0 {
-            ck = 0xffff;
-        }
-        self.buffer.as_mut()[field::CHECKSUM].copy_from_slice(&ck.to_be_bytes());
-    }
-
-    /// Compute and store the checksum with an IPv4 pseudo-header.
-    pub fn fill_checksum_v4(&mut self, src: Ipv4Addr, dst: Ipv4Addr) {
-        let len = self.len_field();
-        self.fill_checksum_with(
-            checksum::pseudo_header_v4(src, dst, 17, len),
-            |payload, sum| sum.add(payload),
-        );
     }
 
     /// Compute and store the checksum with an IPv6 pseudo-header.
@@ -196,10 +157,17 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> UdpPacket<T> {
         sum_payload: impl FnOnce(&mut [u8], &mut Checksum),
     ) {
         let len = self.len_field();
-        self.fill_checksum_with(
-            checksum::pseudo_header_v6(src, dst, 17, u32::from(len)),
-            sum_payload,
-        );
+        let mut c = checksum::pseudo_header_v6(src, dst, 17, u32::from(len));
+        self.buffer.as_mut()[field::CHECKSUM].copy_from_slice(&[0, 0]);
+        let (header, payload) = self.buffer.as_mut()[..usize::from(len)].split_at_mut(HEADER_LEN);
+        c.add(header);
+        sum_payload(payload, &mut c);
+        let mut ck = c.finish();
+        // An all-zero computed checksum is transmitted as 0xffff (RFC 768).
+        if ck == 0 {
+            ck = 0xffff;
+        }
+        self.buffer.as_mut()[field::CHECKSUM].copy_from_slice(&ck.to_be_bytes());
     }
 }
 
@@ -222,7 +190,7 @@ impl UdpRepr {
         Ok(Self {
             src_port: packet.src_port(),
             dst_port: packet.dst_port(),
-            payload_len: packet.len_field() as usize - HEADER_LEN,
+            payload_len: usize::from(packet.len_field()) - HEADER_LEN,
         })
     }
 
@@ -237,17 +205,15 @@ impl UdpRepr {
     }
 
     /// Emit the header (ports + length; checksum must be filled after the
-    /// payload is written, via `fill_checksum_v4`/`_v6`).
+    /// payload is written, via `fill_checksum_v6`).
     pub fn emit<T: AsRef<[u8]> + AsMut<[u8]>>(&self, packet: &mut UdpPacket<T>) -> Result<()> {
         if packet.buffer.as_ref().len() < self.total_len() {
             return Err(Error::Truncated);
         }
-        if self.total_len() > usize::from(u16::MAX) {
-            return Err(Error::Malformed);
-        }
+        let len = u16::try_from(self.total_len()).map_err(|_| Error::Malformed)?;
         packet.set_src_port(self.src_port);
         packet.set_dst_port(self.dst_port);
-        packet.set_len_field(self.total_len() as u16);
+        packet.set_len_field(len);
         packet.buffer.as_mut()[field::CHECKSUM].copy_from_slice(&[0, 0]);
         Ok(())
     }
@@ -257,34 +223,11 @@ impl UdpRepr {
 mod tests {
     use super::*;
 
-    fn v4_pair() -> (Ipv4Addr, Ipv4Addr) {
-        (Ipv4Addr::new(192, 0, 2, 1), Ipv4Addr::new(198, 51, 100, 2))
-    }
-
     fn v6_pair() -> (Ipv6Addr, Ipv6Addr) {
         (
             "2001:db8:100::1".parse().unwrap(),
             "2001:db8:200::2".parse().unwrap(),
         )
-    }
-
-    #[test]
-    fn roundtrip_v4_checksum() {
-        let (src, dst) = v4_pair();
-        let repr = UdpRepr {
-            src_port: 4000,
-            dst_port: 31328,
-            payload_len: 11,
-        };
-        let mut buf = vec![0u8; repr.total_len()];
-        let mut p = UdpPacket::new_unchecked(&mut buf);
-        repr.emit(&mut p).unwrap();
-        p.payload_mut().copy_from_slice(b"tango tests");
-        p.fill_checksum_v4(src, dst);
-        let packet = UdpPacket::new_checked(&buf[..]).unwrap();
-        assert!(packet.verify_checksum_v4(src, dst));
-        assert_eq!(UdpRepr::parse(&packet).unwrap(), repr);
-        assert_eq!(packet.payload(), b"tango tests");
     }
 
     #[test]
@@ -323,9 +266,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_checksum_v4_accepted_v6_rejected() {
-        let (s4, d4) = v4_pair();
-        let (s6, d6) = v6_pair();
+    fn zero_checksum_v6_rejected() {
+        let (src, dst) = v6_pair();
         let repr = UdpRepr {
             src_port: 9,
             dst_port: 9,
@@ -335,8 +277,7 @@ mod tests {
         let mut p = UdpPacket::new_unchecked(&mut buf);
         repr.emit(&mut p).unwrap(); // checksum left at zero
         let packet = UdpPacket::new_checked(&buf[..]).unwrap();
-        assert!(packet.verify_checksum_v4(s4, d4));
-        assert!(!packet.verify_checksum_v6(s6, d6));
+        assert!(!packet.verify_checksum_v6(src, dst));
     }
 
     #[test]
@@ -362,8 +303,8 @@ mod tests {
     fn computed_zero_checksum_becomes_ffff() {
         // Craft src/dst/ports/payload such that the sum is 0xffff
         // (complement = 0) and confirm we transmit 0xffff instead of 0.
-        let src = Ipv4Addr::new(0, 0, 0, 0);
-        let dst = Ipv4Addr::new(0, 0, 0, 0);
+        let src = Ipv6Addr::UNSPECIFIED;
+        let dst = Ipv6Addr::UNSPECIFIED;
         let repr = UdpRepr {
             src_port: 0,
             dst_port: 0,
@@ -372,14 +313,28 @@ mod tests {
         let mut buf = vec![0u8; repr.total_len()];
         let mut p = UdpPacket::new_unchecked(&mut buf);
         repr.emit(&mut p).unwrap();
-        // pseudo-header contributes proto 17 + len 10 twice (len appears in
-        // pseudo-header and header). Want total sum = 0xffff.
+        // The pseudo-header contributes next header 17 + len 10, and len
+        // appears again in the header. Want total sum = 0xffff.
         // sum so far: 17 + 10 (pseudo) + 10 (len field) = 37 = 0x25.
         // payload word must be 0xffff - 0x25 = 0xffda.
         p.payload_mut().copy_from_slice(&0xffdau16.to_be_bytes());
-        p.fill_checksum_v4(src, dst);
+        p.fill_checksum_v6(src, dst);
         let packet = UdpPacket::new_checked(&buf[..]).unwrap();
         assert_eq!(packet.checksum_field(), 0xffff);
-        assert!(packet.verify_checksum_v4(src, dst));
+        assert!(packet.verify_checksum_v6(src, dst));
+    }
+
+    #[test]
+    fn emit_rejects_length_beyond_u16() {
+        let repr = UdpRepr {
+            src_port: 1,
+            dst_port: 2,
+            payload_len: 65_536 - HEADER_LEN,
+        };
+        let mut buf = vec![0xa5u8; repr.total_len()];
+        let mut p = UdpPacket::new_unchecked(&mut buf);
+        assert_eq!(repr.emit(&mut p).unwrap_err(), Error::Malformed);
+        // Nothing was written.
+        assert!(buf.iter().all(|&b| b == 0xa5));
     }
 }

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use tango_net::{
-    IpCidr, Ipv4Cidr, Ipv4Packet, Ipv4Repr, Ipv6Cidr, Ipv6Packet, Ipv6Repr, PrefixTrie, TangoFlags,
-    TangoPacket, TangoRepr, UdpPacket, UdpRepr, TANGO_HEADER_LEN,
+    IpCidr, Ipv4Cidr, Ipv6Cidr, Ipv6Packet, Ipv6Repr, PrefixTrie, TangoFlags, TangoPacket,
+    TangoRepr, UdpPacket, UdpRepr, TANGO_HEADER_LEN, TANGO_MAGIC,
 };
 
 fn arb_ipv4() -> impl Strategy<Value = Ipv4Addr> {
@@ -101,51 +101,44 @@ fn check_longest_match(prefixes: Vec<IpCidr>, probes: Vec<IpAddr>) -> Result<(),
 
 proptest! {
     #[test]
-    fn ipv4_emit_parse_roundtrip(
-        src in arb_ipv4(),
-        dst in arb_ipv4(),
-        protocol in 0u8..=255,
-        payload_len in 0usize..1400,
-        ttl in 1u8..=255,
-        dscp_ecn in any::<u8>(),
-    ) {
-        let repr = Ipv4Repr { src_addr: src, dst_addr: dst, protocol, payload_len, ttl, dscp_ecn };
-        let mut buf = vec![0u8; repr.total_len()];
-        let mut p = Ipv4Packet::new_unchecked(&mut buf);
-        repr.emit(&mut p).unwrap();
-        let packet = Ipv4Packet::new_checked(&buf[..]).unwrap();
-        prop_assert!(packet.verify_checksum());
-        prop_assert_eq!(Ipv4Repr::parse(&packet).unwrap(), repr);
-    }
-
-    #[test]
-    fn ipv4_corruption_never_panics(
+    fn hostile_bytes_parse_or_fail_typed(
         data in proptest::collection::vec(any::<u8>(), 0..128),
+        forge in any::<bool>(),
     ) {
-        // Whatever bytes arrive, parsing must fail cleanly or succeed; no panic.
-        if let Ok(packet) = Ipv4Packet::new_checked(&data[..]) {
-            let _ = Ipv4Repr::parse(&packet);
+        // Whatever bytes arrive, each header's view and representation
+        // parse them or return a typed error: no panic, no read past the
+        // buffer. Random bytes almost never pass a view's first checks,
+        // so `forge` makes the identifying fields plausible (version
+        // nibble and a payload length that fits, a UDP length within the
+        // buffer, Tango magic and version) and leaves every other byte
+        // hostile.
+        let len = data.len();
+        let mut ip = data.clone();
+        let mut udp = data.clone();
+        let mut tango = data.clone();
+        if forge && len >= 40 {
+            ip[0] = 0x60 | (ip[0] & 0x0f);
+            let payload = u16::from_be_bytes([ip[4], ip[5]]) % (len as u16 - 39);
+            ip[4..6].copy_from_slice(&payload.to_be_bytes());
         }
-    }
-
-    #[test]
-    fn ipv4_single_byte_corruption_detected(
-        src in arb_ipv4(),
-        dst in arb_ipv4(),
-        payload_len in 0usize..64,
-        corrupt_at in 0usize..20,
-        xor in 1u8..=255,
-    ) {
-        let repr = Ipv4Repr { src_addr: src, dst_addr: dst, protocol: 17, payload_len, ttl: 64, dscp_ecn: 0 };
-        let mut buf = vec![0u8; repr.total_len()];
-        let mut p = Ipv4Packet::new_unchecked(&mut buf);
-        repr.emit(&mut p).unwrap();
-        buf[corrupt_at] ^= xor;
-        // A corrupted *header* byte must be caught: either structural
-        // validation or the checksum fails (checksum catches all single-byte
-        // flips by construction of the one's-complement sum).
-        let outcome = Ipv4Packet::new_checked(&buf[..]).and_then(|p| Ipv4Repr::parse(&p));
-        prop_assert!(outcome.is_err() || outcome.unwrap() != repr);
+        if forge && len >= 8 {
+            let field = u16::from_be_bytes([udp[4], udp[5]]) % (len as u16 + 1);
+            udp[4..6].copy_from_slice(&field.to_be_bytes());
+        }
+        if forge && len >= TANGO_HEADER_LEN {
+            tango[..2].copy_from_slice(&TANGO_MAGIC.to_be_bytes());
+            tango[2] = tango_net::tango_hdr::TANGO_VERSION;
+        }
+        // A view that checks out must also yield a representation.
+        if let Ok(packet) = Ipv6Packet::new_checked(&ip[..]) {
+            prop_assert!(Ipv6Repr::parse(&packet).is_ok());
+        }
+        if let Ok(packet) = UdpPacket::new_checked(&udp[..]) {
+            prop_assert!(UdpRepr::parse(&packet).is_ok());
+        }
+        if let Ok(packet) = TangoPacket::new_checked(&tango[..]) {
+            let _ = TangoRepr::parse(&packet);
+        }
     }
 
     #[test]

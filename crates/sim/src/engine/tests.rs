@@ -124,6 +124,31 @@ fn no_route_counted() {
 }
 
 #[test]
+fn ipv4_host_packet_is_no_route() {
+    // Default routes in both families: only the version nibble keeps the
+    // packet from being forwarded.
+    let mut sim = NetworkSim::new(line(), SimConfig::default());
+    let table = router_table(&[("::/0", 2), ("0.0.0.0/0", 2)]);
+    sim.set_agent(AsId(1), Box::new(RouterAgent::new(AsId(1), table)));
+    sim.set_agent(
+        AsId(2),
+        Box::new(RouterAgent::new(AsId(2), PrefixTrie::new())),
+    );
+    // 10.0.0.1 -> 10.0.0.2, TTL 64, UDP, 20 B header + 20 B payload, with
+    // a correct header checksum.
+    let mut v4 = vec![
+        0x45, 0, 0, 40, 0, 0, 0, 0, 64, 17, 0, 0, 10, 0, 0, 1, 10, 0, 0, 2,
+    ];
+    let ck = tango_net::checksum::checksum(&v4);
+    v4[10..12].copy_from_slice(&ck.to_be_bytes());
+    v4.resize(40, 0);
+    sim.schedule_host_packet(SimTime::ZERO, AsId(1), Packet::new(v4));
+    sim.run_until(SimTime::from_secs(1));
+    assert_eq!(sim.stats().no_route, 1);
+    assert_eq!(sim.stats().transmissions, 0);
+}
+
+#[test]
 fn ttl_expiry_stops_packet() {
     let (mut sim, received, _) = build_line_sim();
     // hop_limit 1: node 1 decrements -> expires before transmit.

@@ -6,7 +6,7 @@
 //! hashes exactly the fields a real router would, so un-tunneled flows
 //! smear across ECMP lanes while Tango's fixed outer header pins one lane.
 
-use tango_net::{Ipv4Packet, Ipv6Packet};
+use tango_net::Ipv6Packet;
 
 /// FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -35,36 +35,23 @@ pub fn mix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Compute the ECMP flow hash of a raw IP packet.
+/// Compute the ECMP flow hash of a raw IPv6 packet.
 ///
-/// Hashes (src addr, dst addr, protocol) plus (src port, dst port) when
-/// the payload is UDP or TCP and long enough to carry ports. Unparseable
-/// packets hash their first bytes — a router would do something equally
-/// arbitrary. Allocation-free: it runs on every transmission whose
+/// Hashes (src addr, dst addr, next header) plus (src port, dst port)
+/// when the payload is UDP or TCP and long enough to carry ports.
+/// Unparseable packets (any version but 6 among them) hash their first
+/// bytes — a router would do something equally arbitrary.
+/// Allocation-free: it runs on every transmission whose
 /// [`crate::Packet`] has no cached hash.
 pub fn flow_hash(packet: &[u8]) -> u64 {
-    match packet.first().map(|b| b >> 4) {
-        Some(4) => {
-            if let Ok(ip) = Ipv4Packet::new_checked(packet) {
-                let (src, dst) = (ip.src_addr().octets(), ip.dst_addr().octets());
-                return tuple_hash(&src, &dst, ip.protocol(), ip.payload());
-            }
-        }
-        Some(6) => {
-            if let Ok(ip) = Ipv6Packet::new_checked(packet) {
-                let (src, dst) = (ip.src_addr().octets(), ip.dst_addr().octets());
-                return tuple_hash(&src, &dst, ip.next_header(), ip.payload());
-            }
-        }
-        _ => {}
-    }
-    fnv1a(FNV_OFFSET, packet.get(..40).unwrap_or(packet))
-}
-
-fn tuple_hash(src: &[u8], dst: &[u8], protocol: u8, l4: &[u8]) -> u64 {
-    let h = fnv1a(fnv1a(fnv1a(FNV_OFFSET, src), dst), &[protocol]);
+    let Ok(ip) = Ipv6Packet::new_checked(packet) else {
+        return fnv1a(FNV_OFFSET, packet.get(..40).unwrap_or(packet));
+    };
+    let protocol = ip.next_header();
+    let h = fnv1a(FNV_OFFSET, &ip.src_addr().octets());
+    let h = fnv1a(fnv1a(h, &ip.dst_addr().octets()), &[protocol]);
     // UDP and TCP alike open with the source and destination ports.
-    match l4.get(..4) {
+    match ip.payload().get(..4) {
         Some(ports) if matches!(protocol, 6 | 17) => fnv1a(h, ports),
         _ => h,
     }

@@ -17,23 +17,21 @@
 
 use crate::hash::flow_hash;
 use std::cell::{Cell, OnceCell};
-use std::net::{IpAddr, Ipv6Addr};
+use std::net::Ipv6Addr;
 use std::num::NonZeroU64;
 use std::sync::Arc;
-use tango_net::{Ipv4Packet, Ipv6Packet, Ipv6Repr};
+use tango_net::{Ipv6Packet, Ipv6Repr};
 
-/// Cached destination-address parse state of a [`Packet`]: the family of
-/// a header that parsed, not its address, which a hop reads back out of
-/// the already-validated header (one byte of cache instead of a 17-byte
-/// `IpAddr` enum).
+/// Cached destination-address parse state of a [`Packet`]: whether the
+/// header parsed, not its address, which a hop reads back out of the
+/// already-validated header (one byte of cache instead of a 16-byte
+/// address).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DstCache {
     /// Not parsed yet (or invalidated by a mutation).
     Unparsed,
-    /// Parsed and the header was invalid.
+    /// Parsed and the header was not valid IPv6.
     Invalid,
-    /// A valid IPv4 header.
-    V4,
     /// A valid IPv6 header.
     V6,
 }
@@ -298,28 +296,19 @@ impl Packet {
         self.buf
     }
 
-    /// The destination IP address, if the version nibble and header
-    /// parse. Cached: repeated calls between mutations parse once.
-    pub fn dst_addr(&self) -> Option<IpAddr> {
+    /// The destination address, if the bytes parse as an IPv6 header (a
+    /// header of any other version does not). Cached: repeated calls
+    /// between mutations parse once.
+    pub fn dst_addr(&self) -> Option<Ipv6Addr> {
         let bytes = self.bytes();
         match self.dst.get() {
-            DstCache::V4 => return Some(IpAddr::V4(Ipv4Packet::new_unchecked(bytes).dst_addr())),
-            DstCache::V6 => return Some(IpAddr::V6(Ipv6Packet::new_unchecked(bytes).dst_addr())),
+            DstCache::V6 => return Some(Ipv6Packet::new_unchecked(bytes).dst_addr()),
             DstCache::Invalid => return None,
             DstCache::Unparsed => {}
         }
-        let parsed = match bytes.first().map(|b| b >> 4) {
-            Some(4) => Ipv4Packet::new_checked(bytes)
-                .ok()
-                .map(|p| IpAddr::V4(p.dst_addr())),
-            Some(6) => Ipv6Packet::new_checked(bytes)
-                .ok()
-                .map(|p| IpAddr::V6(p.dst_addr())),
-            _ => None,
-        };
+        let parsed = Ipv6Packet::new_checked(bytes).ok().map(|p| p.dst_addr());
         self.dst.set(match parsed {
-            Some(IpAddr::V4(_)) => DstCache::V4,
-            Some(IpAddr::V6(_)) => DstCache::V6,
+            Some(_) => DstCache::V6,
             None => DstCache::Invalid,
         });
         parsed
@@ -336,38 +325,21 @@ impl Packet {
         h
     }
 
-    /// Decrement the TTL/hop-limit in place (IPv4: also fixes the header
-    /// checksum). Returns false if the hop limit is exhausted or the
-    /// packet is not IP. Leaves the cached destination intact — this
-    /// mutation cannot change the addresses — and the cached flow hash
-    /// too when the header is known to parse: the 5-tuple excludes the
-    /// hop limit, but the first-bytes hash of an unparseable packet
-    /// covers it.
-    // tango-lint: allow(hot-path-panic) every header offset is guarded by the explicit bytes.len() check on its match arm
+    /// Decrement the hop limit in place. Returns false if the hop limit
+    /// is exhausted or the packet is not IPv6. Leaves the cached
+    /// destination intact — this mutation cannot change the addresses —
+    /// and the cached flow hash too when the header is known to parse:
+    /// the 5-tuple excludes the hop limit, but the first-bytes hash of an
+    /// unparseable packet covers it.
+    // tango-lint: allow(hot-path-panic) both offsets lie inside the 40-byte header slice the match arm holds
     pub fn decrement_hop_limit(&mut self) -> bool {
-        if !matches!(self.dst.get(), DstCache::V4 | DstCache::V6) {
+        if self.dst.get() != DstCache::V6 {
             self.hash.set(None);
         }
         let start = self.headroom();
-        let bytes = &mut self.own(Vec::new)[start..];
-        match bytes.first().map(|b| b >> 4) {
-            Some(4) if bytes.len() >= 20 => {
-                if bytes[8] <= 1 {
-                    return false;
-                }
-                bytes[8] -= 1;
-                // Recompute the IPv4 header checksum.
-                bytes[10] = 0;
-                bytes[11] = 0;
-                let ck = tango_net::checksum::checksum(&bytes[..20]);
-                bytes[10..12].copy_from_slice(&ck.to_be_bytes());
-                true
-            }
-            Some(6) if bytes.len() >= 40 => {
-                if bytes[7] <= 1 {
-                    return false;
-                }
-                bytes[7] -= 1;
+        match self.own(Vec::new)[start..].get_mut(..40) {
+            Some(hdr) if hdr[0] >> 4 == 6 && hdr[7] > 1 => {
+                hdr[7] -= 1;
                 true
             }
             _ => false,
@@ -462,7 +434,7 @@ pub(crate) mod tests {
     fn dst_addr_cache_tracks_mutation() {
         let mut pkt = ipv6_packet("2001:db8:3::1", 64);
         let first = pkt.dst_addr().unwrap();
-        assert_eq!(first, "2001:db8:3::1".parse::<IpAddr>().unwrap());
+        assert_eq!(first, "2001:db8:3::1".parse::<Ipv6Addr>().unwrap());
         // Cached: a second call without mutation returns the same.
         assert_eq!(pkt.dst_addr(), Some(first));
         // Rewrite the destination through bytes_mut: cache must refresh.
@@ -473,7 +445,7 @@ pub(crate) mod tests {
         }
         assert_eq!(
             pkt.dst_addr(),
-            Some("2001:db8:3::2".parse::<IpAddr>().unwrap())
+            Some("2001:db8:3::2".parse::<Ipv6Addr>().unwrap())
         );
     }
 
@@ -487,17 +459,20 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn decrement_hop_limit_fixes_ipv4_checksum() {
-        // A syntactically valid IPv4 header with a correct checksum.
+    fn ipv4_header_is_not_routed() {
+        // A well-formed 20-byte IPv4 header (10.0.0.1 -> 10.0.0.2, TTL 64,
+        // correct header checksum) gets the drop a malformed header gets:
+        // no destination, no hop-limit decrement, bytes untouched.
         let mut hdr = vec![
             0x45, 0, 0, 20, 0, 0, 0, 0, 64, 17, 0, 0, 10, 0, 0, 1, 10, 0, 0, 2,
         ];
         let ck = tango_net::checksum::checksum(&hdr);
         hdr[10..12].copy_from_slice(&ck.to_be_bytes());
-        let mut pkt = Packet::new(hdr);
-        assert!(pkt.decrement_hop_limit());
-        assert_eq!(pkt.bytes()[8], 63);
-        assert_eq!(tango_net::checksum::checksum(pkt.bytes()), 0);
+        let mut pkt = Packet::new(hdr.clone());
+        assert_eq!(pkt.dst_addr(), None);
+        assert!(!pkt.decrement_hop_limit());
+        assert_eq!(pkt.bytes(), &hdr[..]);
+        assert_eq!(pkt.dst_addr(), None);
     }
 
     #[test]

@@ -27,7 +27,7 @@ impl Agent for RouterAgent {
         let Some(dst) = pkt.dst_addr() else {
             return ctx.count_no_route(pkt);
         };
-        let Some(&next) = self.table.lookup(dst) else {
+        let Some(&next) = self.table.lookup(dst.into()) else {
             return ctx.count_no_route(pkt);
         };
         if next == self.id {
