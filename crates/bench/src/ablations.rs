@@ -153,7 +153,7 @@ pub fn policy_comparison(seed: u64) -> Vec<PolicyRow> {
         let sink = pairing.stats(Side::A).lock();
         let mut owds: Vec<f64> = Vec::new();
         for (_, p) in sink.paths() {
-            owds.extend(p.app_owd().map(|(_, v)| v / 1e6));
+            owds.extend(p.owd.app_values().map(|v| v / 1e6));
         }
         drop(sink);
         let history = pairing.stats(Side::B).lock().selection_history.clone();
@@ -505,7 +505,7 @@ pub fn load_balance(seed: u64) -> Vec<LoadBalanceRow> {
         let mut delivered = 0u64;
         for (_, p) in sink.paths() {
             delivered += p.app_delivered;
-            owds.extend(p.app_owd().map(|(_, v)| v / 1e6));
+            owds.extend(p.owd.app_values().map(|v| v / 1e6));
         }
         drop(sink);
         LoadBalanceRow {

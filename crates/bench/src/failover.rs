@@ -74,15 +74,12 @@ fn run(
     }
     pairing.run_until(SimTime::from_secs(40));
 
-    // Delivered-during-outage, from the receiver's per-path app series.
+    // Delivered-during-outage, from the receiver's per-path app counts.
     let sink = pairing.stats(Side::A).lock();
     let delivered_in_outage: u64 = sink
         .paths()
-        .map(|(_, p)| {
-            p.app_owd()
-                .filter(|&(t, _)| (OUTAGE_START.as_ns()..outage_end.as_ns()).contains(&t))
-                .count() as u64
-        })
+        .filter_map(|(_, p)| p.bins.window(OUTAGE_START.as_ns(), outage_end.as_ns()))
+        .map(|window| window.app)
         .sum();
     drop(sink);
 

@@ -10,15 +10,16 @@
 use crate::util::{fmt, out_dir, print_table};
 use tango::prelude::*;
 use tango_measure::export::{ascii_chart, write_csv};
-use tango_measure::interval::bin_average;
-use tango_measure::TimeSeries;
+use tango_measure::interval::means;
+use tango_measure::{IntervalAverager, TimeSeries};
 use tango_topology::vultr::{gtt_instability_event, gtt_route_change_event};
 use tango_topology::LinkEvent;
 
-/// A completed Fig. 4-style run: per-path raw series (ns) NY→LA.
+/// A completed Fig. 4-style run: per-path one-way delay (ns) NY→LA over
+/// time.
 pub struct Fig4Run {
-    /// (label, raw one-way-delay series in ns).
-    pub paths: Vec<(String, TimeSeries)>,
+    /// (label, the path's 500 ms one-way-delay bins).
+    pub paths: Vec<(String, IntervalAverager)>,
 }
 
 /// The Vultr pairing with `events` scheduled, run to `duration`. With no
@@ -37,30 +38,25 @@ pub fn vultr_run(events: Vec<LinkEvent>, duration: SimTime, seed: u64) -> TangoP
     pairing
 }
 
-/// The NY→LA series of a finished run.
-fn series_into_la(pairing: &TangoPairing) -> Fig4Run {
+/// The NY→LA bins of a finished run.
+fn bins_into_la(pairing: &TangoPairing) -> Fig4Run {
     let labels = pairing.labels_into(Side::A);
     let paths = labels
         .into_iter()
         .enumerate()
-        .map(|(i, label)| {
-            (
-                label,
-                pairing.owd_series(Side::A, i as u16).expect("probed"),
-            )
-        })
+        .map(|(i, label)| (label, pairing.owd_bins(Side::A, i as u16).expect("probed")))
         .collect();
     Fig4Run { paths }
 }
 
-/// Run the Vultr pairing with events, return the NY→LA series.
+/// Run the Vultr pairing with events, return the NY→LA bins.
 pub fn run(events: Vec<LinkEvent>, duration: SimTime, seed: u64) -> Fig4Run {
-    series_into_la(&vultr_run(events, duration, seed))
+    bins_into_la(&vultr_run(events, duration, seed))
 }
 
-fn to_ms_binned(series: &TimeSeries, bin_ns: u64) -> TimeSeries {
+fn to_ms_binned(bins: &IntervalAverager, bin_ns: u64) -> TimeSeries {
     let mut out = TimeSeries::new();
-    for (t, v) in bin_average(series, bin_ns).iter() {
+    for (t, v) in means(&bins.merged(bin_ns)).iter() {
         out.push(t, v / 1e6);
     }
     out
@@ -88,7 +84,7 @@ pub fn left(trace: &TangoPairing) {
         "Fig. 4 (left) — {} of NY→LA one-way delay, 10 ms probes, no incidents\n",
         trace.sim.now()
     );
-    let run = series_into_la(trace);
+    let run = bins_into_la(trace);
     chart_and_csv(&run, 10_000_000_000, "fig4_left.csv", 100);
 
     let mut rows = Vec::new();
@@ -96,16 +92,17 @@ pub fn left(trace: &TangoPairing) {
         .paths
         .iter()
         .find(|(l, _)| l == "GTT")
-        .map(|(_, s)| s.mean().expect("samples"))
-        .expect("GTT path");
-    for (label, s) in &run.paths {
-        let mean = s.mean().expect("samples");
+        .and_then(|(_, b)| b.total())
+        .expect("GTT samples")
+        .mean();
+    for (label, bins) in &run.paths {
+        let all = bins.total().expect("samples");
         rows.push(vec![
             label.clone(),
-            fmt(s.min().expect("samples") / 1e6, 2),
-            fmt(mean / 1e6, 2),
-            fmt(s.max().expect("samples") / 1e6, 2),
-            format!("{:+.1}%", (mean / gtt_mean - 1.0) * 100.0),
+            fmt(all.min / 1e6, 2),
+            fmt(all.mean() / 1e6, 2),
+            fmt(all.max / 1e6, 2),
+            format!("{:+.1}%", (all.mean() / gtt_mean - 1.0) * 100.0),
         ]);
     }
     print_table(&["path", "min ms", "mean ms", "max ms", "vs best"], &rows);
@@ -134,31 +131,21 @@ pub fn middle(seed: u64) {
         .find(|(l, _)| l == "GTT")
         .expect("GTT path")
         .1;
-    let before = gtt.slice(0, event_at.as_ns());
-    let shifted = gtt.slice(
-        (event_at + SimTime::from_mins(2)).as_ns(),
-        (event_at + SimTime::from_mins(9)).as_ns(),
+    let floor =
+        |start: SimTime, end: SimTime| gtt.window(start.as_ns(), end.as_ns()).expect("samples").min;
+    let before = floor(SimTime::ZERO, event_at);
+    let shifted = floor(
+        event_at + SimTime::from_mins(2),
+        event_at + SimTime::from_mins(9),
     );
-    let after = gtt.slice(
-        (event_at + SimTime::from_mins(12)).as_ns(),
-        duration.as_ns(),
-    );
+    let after = floor(event_at + SimTime::from_mins(12), duration);
     let rows = vec![
-        vec![
-            "before".into(),
-            fmt(before.min().expect("samples") / 1e6, 2),
-        ],
-        vec![
-            "during (2–9 min in)".into(),
-            fmt(shifted.min().expect("samples") / 1e6, 2),
-        ],
-        vec![
-            "after reversion".into(),
-            fmt(after.min().expect("samples") / 1e6, 2),
-        ],
+        vec!["before".into(), fmt(before / 1e6, 2)],
+        vec!["during (2–9 min in)".into(), fmt(shifted / 1e6, 2)],
+        vec!["after reversion".into(), fmt(after / 1e6, 2)],
     ];
     print_table(&["window", "GTT delay floor (ms)"], &rows);
-    let delta = (shifted.min().expect("s") - before.min().expect("s")) / 1e6;
+    let delta = (shifted - before) / 1e6;
     println!(
         "\nmeasured floor shift: +{delta:.2} ms for ~10 min (paper: \"a new minimum that \
          has a 5ms longer one-way delay... persists for around 10 minutes\")"
@@ -179,13 +166,16 @@ pub fn right(seed: u64) {
     // Fine bins so spikes survive the averaging (paper plots 10 ms data).
     chart_and_csv(&run, 500_000_000, "fig4_right.csv", 100);
 
+    let storm_end = event_at + SimTime::from_mins(5);
     let mut rows = Vec::new();
-    for (label, s) in &run.paths {
-        let storm = s.slice(event_at.as_ns(), (event_at + SimTime::from_mins(5)).as_ns());
+    for (label, bins) in &run.paths {
+        let storm = bins
+            .window(event_at.as_ns(), storm_end.as_ns())
+            .expect("samples");
         rows.push(vec![
             label.clone(),
-            fmt(storm.min().expect("samples") / 1e6, 2),
-            fmt(storm.max().expect("samples") / 1e6, 2),
+            fmt(storm.min / 1e6, 2),
+            fmt(storm.max / 1e6, 2),
         ]);
     }
     print_table(
@@ -196,11 +186,9 @@ pub fn right(seed: u64) {
         .paths
         .iter()
         .find(|(l, _)| l == "GTT")
-        .and_then(|(_, s)| {
-            s.slice(event_at.as_ns(), (event_at + SimTime::from_mins(5)).as_ns())
-                .max()
-        })
+        .and_then(|(_, b)| b.window(event_at.as_ns(), storm_end.as_ns()))
         .expect("GTT storm window")
+        .max
         / 1e6;
     println!(
         "\nmeasured GTT peak: {gtt_peak:.1} ms (paper: \"major spikes resulting in a peak \
@@ -218,14 +206,8 @@ mod tests {
         let r = run(Vec::new(), SimTime::from_secs(20), 5);
         assert_eq!(r.paths.len(), 4);
         let mean = |label: &str| {
-            r.paths
-                .iter()
-                .find(|(l, _)| l == label)
-                .unwrap()
-                .1
-                .mean()
-                .unwrap()
-                / 1e6
+            let bins = &r.paths.iter().find(|(l, _)| l == label).unwrap().1;
+            bins.total().unwrap().mean() / 1e6
         };
         assert!(mean("NTT") / mean("GTT") > 1.25);
         assert!(mean("Telia") > mean("GTT"));
@@ -241,14 +223,14 @@ mod tests {
             6,
         );
         let gtt = &r.paths.iter().find(|(l, _)| l == "GTT").unwrap().1;
-        let before = gtt.slice(0, event_at.as_ns()).min().unwrap();
+        let before = gtt.window(0, event_at.as_ns()).unwrap().min;
         let during = gtt
-            .slice(
+            .window(
                 (event_at + SimTime::from_secs(40)).as_ns(),
                 (event_at + SimTime::from_secs(120)).as_ns(),
             )
-            .min()
-            .unwrap();
+            .unwrap()
+            .min;
         let delta_ms = (during - before) / 1e6;
         assert!((4.8..5.3).contains(&delta_ms), "shift {delta_ms}");
     }
@@ -267,16 +249,17 @@ mod tests {
                 .find(|(l, _)| l == label)
                 .unwrap()
                 .1
-                .slice(event_at.as_ns(), (event_at + SimTime::from_mins(5)).as_ns())
+                .window(event_at.as_ns(), (event_at + SimTime::from_mins(5)).as_ns())
+                .unwrap()
         };
-        let gtt_peak = storm("GTT").max().unwrap() / 1e6;
+        let gtt_peak = storm("GTT").max / 1e6;
         // Spike cap lands the deterministic part at 78 ms; the additive
         // Gaussian storm noise can push a couple ms past it.
         assert!((72.0..82.0).contains(&gtt_peak), "peak {gtt_peak}");
         // Others unaffected (their max stays near their floor).
         for other in ["NTT", "Telia", "Level3"] {
             let s = storm(other);
-            let spread = (s.max().unwrap() - s.min().unwrap()) / 1e6;
+            let spread = (s.max - s.min) / 1e6;
             assert!(spread < 3.0, "{other} disturbed by {spread} ms");
         }
     }

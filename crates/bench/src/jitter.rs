@@ -25,13 +25,14 @@ pub struct JitterRow {
 pub fn run(pairing: &TangoPairing) -> Vec<JitterRow> {
     let mut rows = Vec::new();
     for (direction, side) in [("LA→NY", Side::B), ("NY→LA", Side::A)] {
+        let sink = pairing.stats(side).lock();
         for (i, label) in pairing.labels_into(side).into_iter().enumerate() {
-            let series = pairing.owd_series(side, i as u16).expect("probed");
+            let path = sink.path(i as u16).expect("probed");
             rows.push(JitterRow {
                 direction,
                 path: label,
-                jitter_ms: mean_rolling_std(&series, 1_000_000_000).expect("samples") / 1e6,
-                mean_ms: series.mean().expect("samples") / 1e6,
+                jitter_ms: path.jitter_ns().expect("samples") / 1e6,
+                mean_ms: path.owd.mean().expect("samples") / 1e6,
             });
         }
     }

@@ -16,9 +16,9 @@ struct Outcome {
     events: u64,
     digest: String,
     stats: SimStats,
-    /// Per side and path: sample count, sum of OWD values, sum of
-    /// sample times.
-    owd: Vec<(Side, u16, usize, f64, u64)>,
+    /// Per side and path: sample count and sum of OWD values. Every
+    /// receive time is already in `digest`'s span stream.
+    owd: Vec<(Side, u16, usize, f64)>,
 }
 
 /// 64 B app packets A→B and B→A alternately, 100 µs apart, through the
@@ -44,8 +44,7 @@ fn run_one(seed: u64, shards: usize) -> Outcome {
         let sink = pairing.stats(side).lock();
         for (id, p) in sink.paths() {
             let sum: f64 = p.owd.values().iter().sum();
-            let tsum: u64 = p.owd.times_ns().iter().sum();
-            owd.push((side, id, p.owd.len(), sum, tsum));
+            owd.push((side, id, p.owd.len(), sum));
         }
     }
     Outcome {

@@ -83,7 +83,7 @@ pub mod prelude {
         LossAwarePolicy, LowestOwdPolicy, SideConfig, WeightedSplitPolicy,
     };
     pub use tango_dataplane::{FeedbackMode, PathPolicy, Selection, StaticPolicy};
-    pub use tango_measure::{mean_rolling_std, Summary, TimeSeries};
+    pub use tango_measure::Summary;
     pub use tango_net::SipKey;
     pub use tango_sim::{FaultInjector, NodeClock, SimTime};
     pub use tango_topology::{AsId, Topology, WideAreaEvent};

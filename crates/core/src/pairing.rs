@@ -12,7 +12,7 @@ use tango_dataplane::{
     codec, stats::shared_sink, FeedbackMode, MeasurementReport, PathPolicy, PathRecord,
     SharedStats, StaticPolicy, SwitchConfig, TangoSwitch,
 };
-use tango_measure::TimeSeries;
+use tango_measure::IntervalAverager;
 use tango_net::SipKey;
 use tango_obs::Registry;
 use tango_sim::{
@@ -829,10 +829,11 @@ impl TangoPairing {
         inbound.tunnels.iter().map(|t| t.label.clone()).collect()
     }
 
-    /// Clone a path's one-way-delay series as measured at `side`
-    /// (i.e. the `peer → side` direction).
-    pub fn owd_series(&self, side: Side, path: u16) -> Option<TimeSeries> {
-        self.stats(side).lock().path(path).map(|p| p.owd.clone())
+    /// Clone a path's one-way delay over time as measured at `side`
+    /// (i.e. the `peer → side` direction): its
+    /// [`tango_dataplane::BIN_NS`] bins keyed by receiver-local time.
+    pub fn owd_bins(&self, side: Side, path: u16) -> Option<IntervalAverager> {
+        self.stats(side).lock().path(path).map(|p| p.bins.clone())
     }
 
     /// Mean one-way delay in milliseconds for a path into `side`.

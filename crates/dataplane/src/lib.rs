@@ -44,6 +44,6 @@ pub use codec::{
 };
 pub use policy::{PathPolicy, PathSnapshot, Selection, StaticPolicy};
 pub use report::{MeasurementReport, PathRecord, ReportError};
-pub use stats::{PathStats, SharedStats, StatsSink};
+pub use stats::{OwdSamples, PathStats, SharedStats, StatsSink, BIN_NS};
 pub use switch::{FeedbackMode, SwitchConfig, TangoSwitch};
 pub use tunnel::Tunnel;

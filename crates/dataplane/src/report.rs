@@ -167,14 +167,11 @@ impl MeasurementReport {
 
 /// Build a report from a stats sink (receiver side).
 pub fn report_from_sink(sink: &crate::stats::StatsSink) -> MeasurementReport {
-    let freshest: Option<u64> = sink
-        .paths()
-        .filter_map(|(_, p)| p.owd.times_ns().last().copied())
-        .max();
+    let freshest: Option<u64> = sink.paths().filter_map(|(_, p)| p.last_sample_ns).max();
     let records = sink
         .paths()
         .map(|(id, p)| {
-            let last_rx = p.owd.times_ns().last().copied();
+            let last_rx = p.last_sample_ns;
             let staleness_ns = match (freshest, last_rx) {
                 (Some(f), Some(l)) => f.saturating_sub(l),
                 _ => STALENESS_NONE,

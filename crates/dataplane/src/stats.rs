@@ -8,10 +8,15 @@
 //! feedback delay (see DESIGN.md §5); the control loop only samples it at
 //! its own cadence, so the idealization is mild.
 //!
-//! Every admitted sample is stored once, in [`PathStats::owd`]: 16 B
-//! (timestamp + value) plus one bit saying whether an application packet
-//! carried it. The application-only series is a view over those bits
-//! ([`PathStats::app_owd`]), not a second copy.
+//! Every admitted sample is stored once, in [`PathStats::owd`]: its 8 B
+//! value plus one bit saying whether an application packet carried it.
+//! The application-only samples are a view over those bits
+//! ([`OwdSamples::app_values`]), not a second copy. Nothing keeps a
+//! sample's timestamp: every time-keyed view is state `record_owd`
+//! updates as the sample arrives — the last sample time
+//! ([`PathStats::last_sample_ns`]), fixed [`BIN_NS`] bins
+//! ([`PathStats::bins`]) and the rolling window with its jitter metric
+//! ([`PathStats::rolling`]).
 //!
 //! The sink is also the data plane's only tally. Its `dataplane.<as>.…`
 //! telemetry is derived from it by [`StatsSink::publish`], never counted
@@ -21,22 +26,87 @@
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use tango_measure::{Ewma, PlausibilityGate, ReplayWindow, RollingWindow, SeqTracker, TimeSeries};
+use tango_measure::{
+    series, Ewma, IntervalAverager, PlausibilityGate, ReplayWindow, RollingWindow, SeqTracker,
+};
 use tango_obs::Registry;
 use tango_topology::AsId;
+
+/// Width of [`PathStats::bins`], ns: the finest any reader of the delay
+/// over time uses (Fig. 4 right); coarser views merge whole bins.
+pub const BIN_NS: u64 = 500_000_000;
+
+/// Admitted one-way delays (ns) in arrival order, each with one bit
+/// saying whether an application packet carried it.
+#[derive(Debug, Clone, Default)]
+pub struct OwdSamples {
+    values: Vec<f64>,
+    /// Bit `i` is set when sample `i` came from an app packet (word
+    /// `i / 64`, bit `i % 64`).
+    app: Vec<u64>,
+}
+
+impl OwdSamples {
+    fn push(&mut self, value: f64, app: bool) {
+        let bit = self.values.len() % 64;
+        if bit == 0 {
+            self.app.push(0);
+        }
+        if let Some(word) = self.app.last_mut() {
+            *word |= u64::from(app) << bit;
+        }
+        self.values.push(value);
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.values.len()
+    }
+
+    /// No sample yet?
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// Every sample's value, in arrival order.
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// The values of *application* packets only (what end users actually
+    /// experienced on this path), in arrival order.
+    pub fn app_values(&self) -> impl Iterator<Item = f64> + '_ {
+        self.values
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| self.app.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1))
+            .map(|(_, &v)| v)
+    }
+
+    /// Mean value, or None when empty.
+    pub fn mean(&self) -> Option<f64> {
+        series::mean(&self.values)
+    }
+}
 
 /// Live statistics for one path (tunnel).
 #[derive(Debug)]
 pub struct PathStats {
     /// Display label ("NTT", "GTT", ...).
     pub label: String,
-    /// Raw one-way-delay samples, keyed by *receiver local* time (ns).
-    /// Values may be offset by the constant clock skew — relative
-    /// comparisons across paths remain exact (§4.2).
-    pub owd: TimeSeries,
+    /// Raw one-way-delay samples. Values may be offset by the constant
+    /// clock skew — relative comparisons across paths remain exact
+    /// (§4.2).
+    pub owd: OwdSamples,
+    /// The same samples in [`BIN_NS`] bins keyed by *receiver local*
+    /// time: the delay over time.
+    pub bins: IntervalAverager,
+    /// Receiver-local time of the most recent sample in `owd`, ns.
+    pub last_sample_ns: Option<u64>,
     /// Smoothed one-way delay.
     pub owd_ewma: Ewma,
-    /// Rolling 1-second window (the paper's jitter metric).
+    /// Rolling 1-second window, which also accumulates the paper's
+    /// jitter metric ([`Self::jitter_ns`]).
     pub rolling: RollingWindow,
     /// Loss / reorder / duplicate tracking from tunnel sequence numbers.
     pub seq: SeqTracker,
@@ -44,9 +114,6 @@ pub struct PathStats {
     pub rejected: u64,
     /// App (non-probe) packets delivered on this path.
     pub app_delivered: u64,
-    /// Bit `i` is set when `owd` sample `i` came from an app packet
-    /// (word `i / 64`, bit `i % 64`): the backing of [`Self::app_owd`].
-    app: Vec<u64>,
     /// Receiver-local time of the most recent arrival (probe or app,
     /// quarantined or not), ns. `None` until the first arrival. The
     /// health machinery's silence signal does not read it: that signal
@@ -68,13 +135,14 @@ impl PathStats {
     fn new(label: String) -> Self {
         PathStats {
             label,
-            owd: TimeSeries::new(),
+            owd: OwdSamples::default(),
+            bins: IntervalAverager::new(BIN_NS),
+            last_sample_ns: None,
             owd_ewma: Ewma::new(0.05),
             rolling: RollingWindow::new(1_000_000_000),
             seq: SeqTracker::new(),
             rejected: 0,
             app_delivered: 0,
-            app: Vec::new(),
             last_rx_local_ns: None,
             replay: ReplayWindow::new(),
             gate: PlausibilityGate::default(),
@@ -84,32 +152,26 @@ impl PathStats {
 
     /// Record a valid measurement.
     pub fn record_owd(&mut self, rx_local_ns: u64, owd_ns: f64, sequence: u32, probe: bool) {
-        let bit = self.owd.len() % 64;
-        self.owd.push(rx_local_ns, owd_ns);
-        if bit == 0 {
-            self.app.push(0);
-        }
+        self.owd.push(owd_ns, !probe);
+        self.bins.push(rx_local_ns, owd_ns, !probe);
+        self.last_sample_ns = Some(rx_local_ns);
         self.owd_ewma.update(owd_ns);
         self.rolling.push(rx_local_ns, owd_ns);
         self.seq.record(sequence);
         self.last_rx_local_ns = Some(rx_local_ns);
         if !probe {
             self.app_delivered += 1;
-            if let Some(word) = self.app.last_mut() {
-                *word |= 1 << bit;
-            }
         }
     }
 
-    /// One-way delays of *application* packets only (what end users
-    /// actually experienced on this path), keyed by receiver local time:
-    /// the `owd` samples whose app bit is set, in order.
-    pub fn app_owd(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
-        self.owd
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.app.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1))
-            .map(|(_, sample)| sample)
+    /// The paper's jitter metric over every admitted sample: the mean std
+    /// of the rolling 1-second window, or the whole series' std while
+    /// less than one window has passed (as
+    /// [`tango_measure::mean_rolling_std`]). `None` before any sample.
+    pub fn jitter_ns(&self) -> Option<f64> {
+        self.rolling
+            .mean_std()
+            .or_else(|| series::std(self.owd.values()))
     }
 
     /// Record a measurement through the plausibility gate. Returns
@@ -117,10 +179,10 @@ impl PathStats {
     ///
     /// A quarantined sample still proves the packet *arrived*: sequence
     /// tracking, `last_rx_local_ns` and app delivery counts advance
-    /// regardless. The delay views (`owd` and with it `app_owd()`, EWMA,
-    /// rolling window) are withheld, and so is the silence signal, which
-    /// counts `owd` samples. A poisoned timestamp cannot masquerade as
-    /// path death all the same: the gate promotes a new level after
+    /// regardless. The delay views (`owd`, `bins`, `last_sample_ns`,
+    /// EWMA, rolling window) are withheld, and so is the silence signal,
+    /// which counts `owd` samples. A poisoned timestamp cannot masquerade
+    /// as path death all the same: the gate promotes a new level after
     /// `promote_after` (8) consecutive outliers, so at most 7 consecutive
     /// arrivals are withheld.
     pub fn record_owd_gated(
@@ -329,6 +391,12 @@ mod tests {
         assert!((p.owd_ewma.get().unwrap() - 36_500_000.0).abs() < 1.0);
         assert_eq!(p.app_delivered, 0);
         assert_eq!(p.last_rx_local_ns, Some(9_000_000));
+        assert_eq!(p.last_sample_ns, Some(9_000_000));
+        let bin = p.bins.total().unwrap();
+        assert_eq!((bin.count, bin.app, bin.min), (10, 0, 36_500_000.0));
+        assert_eq!(p.bins.bins().len(), 1, "10 ms of samples, one 500 ms bin");
+        assert_eq!(p.rolling.len(), 10);
+        assert_eq!(p.jitter_ns(), Some(0.0));
     }
 
     #[test]
@@ -344,10 +412,10 @@ mod tests {
         let mut p = PathStats::new("NTT".into());
         // What the old `record_owd` pushed into its own `app_owd` series:
         // every admitted non-probe sample.
-        let mut reference = TimeSeries::new();
+        let mut reference = Vec::new();
         let mut quarantined_apps = 0;
         for i in 0..240u32 {
-            let t = u64::from(i) * 1_000_000;
+            let t = u64::from(i) * 10_000_000;
             let probe = i % 3 == 0;
             // Every 7th sample is an isolated poison the gate quarantines.
             let owd = if i % 7 == 6 {
@@ -357,7 +425,7 @@ mod tests {
             };
             if p.record_owd_gated(t, owd, i, probe) {
                 if !probe {
-                    reference.push(t, owd);
+                    reference.push((t, owd));
                 }
             } else if !probe {
                 quarantined_apps += 1;
@@ -365,11 +433,16 @@ mod tests {
         }
         assert!(p.owd.len() > 128, "samples span three bitmap words");
         assert!(quarantined_apps > 0 && p.implausible_owd > quarantined_apps);
-        let view: Vec<_> = p.app_owd().collect();
-        assert_eq!(view, reference.iter().collect::<Vec<_>>());
+        let view: Vec<f64> = p.owd.app_values().collect();
+        assert_eq!(view, reference.iter().map(|&(_, v)| v).collect::<Vec<_>>());
         assert_eq!(view.len() as u64, p.app_delivered - quarantined_apps);
-        let mean = p.app_owd().collect::<TimeSeries>().mean();
-        assert_eq!(mean.map(f64::to_bits), reference.mean().map(f64::to_bits));
+        // Each bin's app count is the reference's samples in its window.
+        for bin in p.bins.bins() {
+            let window = bin.start_ns..bin.start_ns + BIN_NS;
+            let apps = reference.iter().filter(|(t, _)| window.contains(t));
+            assert_eq!(bin.app, apps.count() as u64, "bin at {}", bin.start_ns);
+        }
+        assert_eq!(p.bins.total().unwrap().count, p.owd.len() as u64);
     }
 
     #[test]
@@ -415,6 +488,8 @@ mod tests {
         // ...but liveness signals advanced: the packet DID arrive.
         assert_eq!(p.seq.received(), 11);
         assert_eq!(p.last_rx_local_ns, Some(10_000_000));
+        // The staleness clock sees admitted samples only.
+        assert_eq!(p.last_sample_ns, Some(9_000_000));
         assert_eq!(p.app_delivered, 1);
     }
 

@@ -278,13 +278,10 @@ impl TangoSwitch {
             self.peer_view.clone()
         } else {
             let sink = self.peer_stats.lock();
-            let freshest: Option<u64> = sink
-                .paths()
-                .filter_map(|(_, p)| p.owd.times_ns().last().copied())
-                .max();
+            let freshest: Option<u64> = sink.paths().filter_map(|(_, p)| p.last_sample_ns).max();
             let mut out = BTreeMap::new();
             for (id, p) in sink.paths() {
-                let last_rx = p.owd.times_ns().last().copied();
+                let last_rx = p.last_sample_ns;
                 let staleness_ns = match (freshest, last_rx) {
                     (Some(f), Some(l)) => Some(f.saturating_sub(l)),
                     _ => None,

@@ -2,11 +2,14 @@
 //! encap/decap must be byte-for-byte interchangeable with the
 //! `Vec`-returning builders on every input, and the one-pass
 //! authenticated decap must reach the verdict of separate checksum and
-//! SipHash passes on every mutation of an authenticated packet.
+//! SipHash passes on every mutation of an authenticated packet. The
+//! in-band measurement report parser takes arbitrary bytes without
+//! panicking and round-trips every report it can encode.
 
 use proptest::prelude::*;
 use tango_dataplane::codec::{self, CodecError};
-use tango_dataplane::Tunnel;
+use tango_dataplane::report::REPORT_VERSION;
+use tango_dataplane::{MeasurementReport, PathRecord, ReportError, Tunnel};
 use tango_net::siphash::{siphash24, SipKey};
 use tango_net::{Ipv6Packet, TangoFlags, TangoPacket, TangoRepr, UdpPacket, TANGO_HEADER_LEN};
 use tango_sim::Packet;
@@ -296,5 +299,82 @@ proptest! {
             refix_checksum(&mut forged);
             agrees_with_two_pass(&forged, &key, &format!("tag byte {i} forged"))?;
         }
+    }
+}
+
+/// Wire bytes of one report record (see `tango_dataplane::report`).
+const REPORT_RECORD_LEN: usize = 2 + 8 + 8 + 8 + 4 + 8;
+
+/// Arbitrary bytes, half of them shaped to get past the version check
+/// (version byte fixed) and a quarter also declaring exactly the records
+/// they hold, so every decode outcome is drawn.
+fn arb_report_bytes() -> impl Strategy<Value = Vec<u8>> {
+    (proptest::collection::vec(any::<u8>(), 0..256), 0u8..4).prop_map(|(mut bytes, shape)| {
+        if shape >= 2 && !bytes.is_empty() {
+            bytes[0] = REPORT_VERSION;
+        }
+        if shape == 3 && bytes.len() >= 2 {
+            bytes[1] = ((bytes.len() - 2) / REPORT_RECORD_LEN) as u8;
+        }
+        bytes
+    })
+}
+
+fn arb_record() -> impl Strategy<Value = PathRecord> {
+    (
+        any::<u16>(),
+        any::<u64>(),
+        any::<i64>(),
+        any::<u64>(),
+        any::<u32>(),
+        any::<u64>(),
+    )
+        .prop_map(
+            |(path_id, samples, owd_ewma_ns, jitter_ns, loss_ppm, staleness_ns)| PathRecord {
+                path_id,
+                samples,
+                owd_ewma_ns,
+                jitter_ns,
+                loss_ppm,
+                staleness_ns,
+            },
+        )
+}
+
+proptest! {
+    /// `report_from_sink` output crosses the wide area and is parsed by
+    /// the peer: 0..256 hostile bytes decode to a report whose encoding
+    /// is exactly the bytes its header declares, or fail with the typed
+    /// error the bytes call for — never a panic.
+    #[test]
+    fn hostile_report_bytes_decode_or_fail_typed(bytes in arb_report_bytes()) {
+        let declared = bytes.get(1).map(|&n| 2 + usize::from(n) * REPORT_RECORD_LEN);
+        let version_ok = bytes.first() == Some(&REPORT_VERSION);
+        match MeasurementReport::decode(&bytes) {
+            Ok(report) => {
+                let len = declared.expect("a decoded report has a header");
+                prop_assert!(version_ok && bytes.len() >= len);
+                prop_assert_eq!(report.encode(), &bytes[..len]);
+            }
+            Err(ReportError::Version) => prop_assert!(declared.is_some() && !version_ok),
+            Err(ReportError::Truncated) => prop_assert!(
+                declared.map_or(true, |len| version_ok && bytes.len() < len)
+            ),
+        }
+    }
+
+    /// Every report survives encode → decode, truncated to the 255
+    /// records a count byte can declare.
+    #[test]
+    fn report_encode_decode_roundtrip(
+        records in proptest::collection::vec(arb_record(), 0..300),
+    ) {
+        let report = MeasurementReport { records };
+        let decoded = MeasurementReport::decode(&report.encode());
+        let kept = report.records.len().min(255);
+        prop_assert_eq!(
+            decoded,
+            Ok(MeasurementReport { records: report.records[..kept].to_vec() })
+        );
     }
 }

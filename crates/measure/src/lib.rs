@@ -3,10 +3,13 @@
 //! The measurement pipeline of §4.2/§5, as a library:
 //!
 //! * [`IntervalAverager`] — "recorded the average one-way delay for every
-//!   path at 10 ms intervals";
-//! * [`rolling::mean_rolling_std`] — "to measure sub-second network
+//!   path at 10 ms intervals": online fixed-width [`Bin`]s (count, app
+//!   count, sum, min, max) that merge to any multiple of their width and
+//!   summarize any aligned window, so a reader needs no sample timestamps;
+//! * [`RollingWindow::mean_std`] — "to measure sub-second network
 //!   jitter, we calculated the mean standard deviation of a 1-second
-//!   rolling window";
+//!   rolling window", accumulated as samples arrive
+//!   ([`rolling::mean_rolling_std`] is its offline reference);
 //! * [`SeqTracker`] — "adding tunnel-specific sequence numbers on packets
 //!   can allow Tango to additionally compute loss and reordering" (§3);
 //! * [`Ewma`], [`Summary`] and percentiles for the routing policies in
@@ -32,7 +35,7 @@ mod seq_window;
 pub mod series;
 
 pub use ewma::Ewma;
-pub use interval::IntervalAverager;
+pub use interval::{Bin, IntervalAverager};
 pub use loss::{SeqEvent, SeqTracker};
 pub use owd::{saturating_owd_ns, PlausibilityConfig, PlausibilityGate};
 pub use percentile::{percentile, Summary};

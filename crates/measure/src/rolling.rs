@@ -10,11 +10,20 @@ use crate::series::TimeSeries;
 use std::collections::VecDeque;
 
 /// An online rolling window over the trailing `window_ns` of samples,
-/// maintaining running sums for O(1) mean/std.
+/// maintaining running sums for O(1) mean/std, and the paper's jitter
+/// metric over every position it has slid through
+/// ([`RollingWindow::mean_std`]).
 #[derive(Debug, Clone)]
 pub struct RollingWindow {
     window_ns: u64,
     samples: VecDeque<(u64, f64)>,
+    /// Time of the first sample ever pushed: the jitter metric counts
+    /// positions from one full window after it.
+    first_ns: Option<u64>,
+    /// Sum of the per-position standard deviations counted so far, and
+    /// how many positions that is.
+    std_sum: f64,
+    std_positions: u64,
     /// Numerical anchor: sums are of `value - offset` so that the
     /// catastrophic cancellation of Σv² − (Σv)²/n at OWD magnitudes
     /// (~3e7 ns) never appears. The anchor is the first sample seen.
@@ -30,6 +39,9 @@ impl RollingWindow {
         RollingWindow {
             window_ns,
             samples: VecDeque::new(),
+            first_ns: None,
+            std_sum: 0.0,
+            std_positions: 0,
             offset: 0.0,
             sum: 0.0,
             sum_sq: 0.0,
@@ -41,10 +53,27 @@ impl RollingWindow {
     ///
     /// Non-finite values are ignored: a single NaN in the running sums
     /// would poison mean/std for the rest of the window.
+    ///
+    /// Once a full window of history exists (`t_ns` at least `window_ns`
+    /// past the first sample), the window's std after the push is added
+    /// to the [`Self::mean_std`] accumulator, exactly as
+    /// [`mean_rolling_std`] counts it.
     pub fn push(&mut self, t_ns: u64, value: f64) {
-        if !value.is_finite() {
-            return;
+        let first_ns = *self.first_ns.get_or_insert(t_ns);
+        if value.is_finite() {
+            self.insert(t_ns, value);
         }
+        // Only count positions where a full window of history exists,
+        // otherwise the warm-up deflates the metric.
+        if t_ns >= first_ns + self.window_ns {
+            if let Some(std) = self.std() {
+                self.std_sum += std;
+                self.std_positions += 1;
+            }
+        }
+    }
+
+    fn insert(&mut self, t_ns: u64, value: f64) {
         if self.samples.is_empty() {
             self.offset = value;
             self.sum = 0.0;
@@ -77,6 +106,20 @@ impl RollingWindow {
                 self.sum_sq = 0.0;
             }
         }
+    }
+
+    /// The paper's jitter metric so far: the mean of the window's std at
+    /// every push since the warm-up, equal bit for bit to
+    /// [`mean_rolling_std`] over the same samples. `None` until one full
+    /// window has passed, where [`mean_rolling_std`] falls back to the
+    /// whole series' std.
+    pub fn mean_std(&self) -> Option<f64> {
+        (self.std_positions > 0).then(|| self.std_sum / self.std_positions as f64)
+    }
+
+    /// The `(t_ns, value)` samples inside the window, oldest first.
+    pub fn samples(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
+        self.samples.iter().copied()
     }
 
     /// Samples currently inside the window.
@@ -115,7 +158,8 @@ impl RollingWindow {
 
 /// The paper's jitter metric: slide a window across the series (each
 /// sample as right edge, once the window has warmed up) and average the
-/// per-position standard deviations.
+/// per-position standard deviations. The offline reference for
+/// [`RollingWindow::mean_std`], which computes it while samples arrive.
 pub fn mean_rolling_std(series: &TimeSeries, window_ns: u64) -> Option<f64> {
     if series.is_empty() {
         return None;
@@ -218,6 +262,7 @@ mod tests {
         let w = RollingWindow::new(10);
         assert_eq!(w.mean(), None);
         assert_eq!(w.std(), None);
+        assert_eq!(w.mean_std(), None);
         assert!(w.is_empty());
     }
 

@@ -54,23 +54,9 @@ impl TimeSeries {
         &self.values
     }
 
-    /// Sub-series with `start_ns <= t < end_ns` (binary-searched).
-    pub fn slice(&self, start_ns: u64, end_ns: u64) -> TimeSeries {
-        let lo = self.times_ns.partition_point(|&t| t < start_ns);
-        let hi = self.times_ns.partition_point(|&t| t < end_ns);
-        TimeSeries {
-            times_ns: self.times_ns[lo..hi].to_vec(),
-            values: self.values[lo..hi].to_vec(),
-        }
-    }
-
     /// Mean value, or None when empty.
     pub fn mean(&self) -> Option<f64> {
-        if self.values.is_empty() {
-            None
-        } else {
-            Some(self.values.iter().sum::<f64>() / self.values.len() as f64)
-        }
+        mean(&self.values)
     }
 
     /// Minimum value.
@@ -85,11 +71,24 @@ impl TimeSeries {
 
     /// Population standard deviation.
     pub fn std(&self) -> Option<f64> {
-        let mean = self.mean()?;
-        let var =
-            self.values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / self.values.len() as f64;
-        Some(var.sqrt())
+        std(&self.values)
     }
+}
+
+/// Mean of `values`, or None when empty.
+pub fn mean(values: &[f64]) -> Option<f64> {
+    if values.is_empty() {
+        None
+    } else {
+        Some(values.iter().sum::<f64>() / values.len() as f64)
+    }
+}
+
+/// Population standard deviation of `values`, or None when empty.
+pub fn std(values: &[f64]) -> Option<f64> {
+    let mean = mean(values)?;
+    let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / values.len() as f64;
+    Some(var.sqrt())
 }
 
 /// Collect `(t_ns, value)` pairs, e.g. a filtered view of another series,
@@ -145,16 +144,6 @@ mod tests {
     fn equal_timestamps_allowed() {
         let s = series(&[(10, 1.0), (10, 2.0)]);
         assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn slice_respects_half_open_bounds() {
-        let s = series(&[(0, 0.0), (10, 1.0), (20, 2.0), (30, 3.0)]);
-        let sub = s.slice(10, 30);
-        assert_eq!(sub.times_ns(), &[10, 20]);
-        assert_eq!(sub.values(), &[1.0, 2.0]);
-        assert!(s.slice(40, 50).is_empty());
-        assert_eq!(s.slice(0, 100).len(), 4);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use tango_measure::{
-    interval::bin_average, percentile, Ewma, ReplayWindow, RollingWindow, SeqEvent, SeqTracker,
-    Summary, TimeSeries,
+    interval::bin_average, mean_rolling_std, percentile, Ewma, IntervalAverager, ReplayWindow,
+    RollingWindow, SeqEvent, SeqTracker, Summary, TimeSeries,
 };
 
 fn arb_stream() -> impl Strategy<Value = Vec<(u64, f64)>> {
@@ -18,6 +18,44 @@ fn arb_stream() -> impl Strategy<Value = Vec<(u64, f64)>> {
             })
             .collect()
     })
+}
+
+/// The width a path's online bins use (`tango_dataplane::BIN_NS`).
+const BIN_NS: u64 = 500_000_000;
+
+/// A monotonic probe stream spanning up to ~2 min: gaps of 0..300 ms (so
+/// several samples share a 500 ms bin and some bins stay empty),
+/// OWD-scale values, and an app flag per sample.
+fn arb_binned_stream() -> impl Strategy<Value = Vec<(u64, f64, bool)>> {
+    proptest::collection::vec((0u64..300_000_000, 0u32..60_000_000, any::<bool>()), 1..400)
+        .prop_map(|raw| {
+            let mut t = 0u64;
+            raw.into_iter()
+                .map(|(gap, v, app)| {
+                    t += gap;
+                    (t, 20_000_000.0 + f64::from(v) / 7.0, app)
+                })
+                .collect()
+        })
+}
+
+/// A monotonic stream on a 10 ms grid (gaps of 0..=4 steps) from a random
+/// start, so samples land exactly one 1 s window after the first one
+/// about half the time; 1..300 samples, so some never warm up.
+fn arb_grid_stream() -> impl Strategy<Value = Vec<(u64, f64)>> {
+    (
+        0u64..5_000_000_000,
+        proptest::collection::vec((0u64..5, -1e6f64..1e6), 1..300),
+    )
+        .prop_map(|(start, raw)| {
+            let mut t = start;
+            raw.into_iter()
+                .map(|(steps, noise)| {
+                    t += steps * 10_000_000;
+                    (t, 28_000_000.0 + noise)
+                })
+                .collect()
+        })
 }
 
 /// A `u32` stream that mostly stays within a few windows of a random
@@ -110,6 +148,69 @@ proptest! {
         prop_assert!(binned.max().unwrap() <= series.max().unwrap() + 1e-9);
     }
 
+    /// A path's online 500 ms bins, merged to any multiple of 500 ms,
+    /// are the offline binning of the raw series: count, app count, min
+    /// and max exactly (against a naive grouping), means within 1e-12
+    /// relative of `bin_average` (merging adds whole-bin sums, so the
+    /// order of the additions differs).
+    #[test]
+    fn online_bins_merge_to_bin_average(stream in arb_binned_stream(), k in 1u64..=20) {
+        let mut online = IntervalAverager::new(BIN_NS);
+        let mut series = TimeSeries::new();
+        for &(t, v, app) in &stream {
+            online.push(t, v, app);
+            series.push(t, v);
+        }
+        let width = k * BIN_NS;
+        let merged = online.merged(width);
+        let offline = bin_average(&series, width);
+        // Naive: group by t / width.
+        let mut naive: Vec<(u64, u64, u64, f64, f64)> = Vec::new(); // (start, n, app, min, max)
+        for &(t, v, app) in &stream {
+            let start = t / width * width;
+            match naive.last_mut() {
+                Some((s, n, a, lo, hi)) if *s == start => {
+                    *n += 1;
+                    *a += u64::from(app);
+                    *lo = lo.min(v);
+                    *hi = hi.max(v);
+                }
+                _ => naive.push((start, 1, u64::from(app), v, v)),
+            }
+        }
+        prop_assert_eq!(merged.len(), naive.len());
+        prop_assert_eq!(merged.len(), offline.len());
+        for ((bin, &(start, n, app, lo, hi)), (t, mean)) in merged.iter().zip(&naive).zip(offline.iter()) {
+            prop_assert_eq!((bin.start_ns, bin.count, bin.app), (start, n, app));
+            prop_assert_eq!((bin.min.to_bits(), bin.max.to_bits()), (lo.to_bits(), hi.to_bits()));
+            prop_assert_eq!(t, start);
+            prop_assert!((bin.mean() - mean).abs() <= 1e-12 * mean.abs(), "{} vs {}", bin.mean(), mean);
+        }
+        // An aligned window is the merge of the bins inside it.
+        let (lo, hi) = (k * BIN_NS, 2 * k * BIN_NS);
+        let window = online.window(lo, hi);
+        let inside: Vec<_> = stream.iter().filter(|(t, _, _)| (lo..hi).contains(t)).collect();
+        prop_assert_eq!(window.map_or(0, |w| w.count), inside.len() as u64);
+        prop_assert_eq!(online.total().map(|w| w.count), Some(stream.len() as u64));
+    }
+
+    /// The jitter metric a path accumulates online — the window's mean
+    /// std since warm-up, or the whole series' std before it — is
+    /// `mean_rolling_std` bit for bit.
+    #[test]
+    fn online_jitter_is_mean_rolling_std(stream in arb_grid_stream()) {
+        let window_ns = 1_000_000_000;
+        let mut w = RollingWindow::new(window_ns);
+        let mut series = TimeSeries::new();
+        for &(t, v) in &stream {
+            w.push(t, v);
+            series.push(t, v);
+        }
+        let online = w.mean_std().or_else(|| series.std());
+        let offline = mean_rolling_std(&series, window_ns);
+        prop_assert_eq!(online.map(f64::to_bits), offline.map(f64::to_bits), "{:?} vs {:?}", online, offline);
+    }
+
     #[test]
     fn ewma_stays_within_input_envelope(values in proptest::collection::vec(0.0f64..1e9, 1..100), alpha in 0.01f64..1.0) {
         let mut e = Ewma::new(alpha);
@@ -188,21 +289,5 @@ proptest! {
         prop_assert_eq!(tracker.received(), 64);
         prop_assert_eq!(tracker.lost(), 0);
         prop_assert_eq!(tracker.duplicates(), 0);
-    }
-
-    #[test]
-    fn timeseries_slice_partitions(stream in arb_stream(), cut in 0u64..60_000_000) {
-        let mut s = TimeSeries::new();
-        for &(t, v) in &stream {
-            s.push(t, v);
-        }
-        let end = s.times_ns().last().copied().unwrap() + 1;
-        let left = s.slice(0, cut);
-        let right = s.slice(cut, end);
-        prop_assert_eq!(left.len() + right.len(), s.len());
-        if let (Some(lmax), Some(rmin)) = (left.times_ns().last(), right.times_ns().first()) {
-            prop_assert!(lmax < &cut);
-            prop_assert!(rmin >= &cut);
-        }
     }
 }

@@ -8,7 +8,7 @@
 
 use tango::prelude::*;
 use tango_measure::export::ascii_chart;
-use tango_measure::interval::bin_average;
+use tango_measure::interval::means;
 use tango_topology::vultr::{gtt_instability_event, gtt_route_change_event};
 
 fn main() {
@@ -38,11 +38,11 @@ fn main() {
         .iter()
         .enumerate()
         .map(|(i, label)| {
-            let raw = pairing.owd_series(Side::A, i as u16).expect("probed");
+            let bins = pairing.owd_bins(Side::A, i as u16).expect("probed");
             let ms = {
                 // Convert ns → ms for readable axes.
                 let mut out = tango_measure::TimeSeries::new();
-                for (t, v) in bin_average(&raw, 1_000_000_000).iter() {
+                for (t, v) in means(&bins.merged(1_000_000_000)).iter() {
                     out.push(t, v / 1e6);
                 }
                 out
@@ -64,23 +64,21 @@ fn main() {
     }
 
     // Zoom on the route change, like Fig. 4 (middle).
-    let gtt_raw = pairing.owd_series(Side::A, 2).expect("gtt probed");
-    let before = gtt_raw.slice(0, route_change_at.as_ns());
-    let during = gtt_raw.slice(
-        (route_change_at + SimTime::from_mins(1)).as_ns(),
-        (route_change_at + SimTime::from_mins(9)).as_ns(),
+    let gtt = pairing.owd_bins(Side::A, 2).expect("gtt probed");
+    let window = |start: SimTime, end: SimTime| gtt.window(start.as_ns(), end.as_ns()).unwrap();
+    let before = window(SimTime::ZERO, route_change_at);
+    let during = window(
+        route_change_at + SimTime::from_mins(1),
+        route_change_at + SimTime::from_mins(9),
     );
     println!(
         "\nGTT route change: floor {:.2} ms -> {:.2} ms (paper: +5 ms), reverts after 10 min.",
-        before.min().unwrap() / 1e6,
-        during.min().unwrap() / 1e6
+        before.min / 1e6,
+        during.min / 1e6
     );
-    let storm = gtt_raw.slice(
-        instability_at.as_ns(),
-        (instability_at + SimTime::from_mins(5)).as_ns(),
-    );
+    let storm = window(instability_at, instability_at + SimTime::from_mins(5));
     println!(
         "GTT instability: peak {:.1} ms (paper: 78 ms) while other paths stay at their floors.",
-        storm.max().unwrap() / 1e6
+        storm.max / 1e6
     );
 }

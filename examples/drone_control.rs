@@ -51,7 +51,7 @@ fn fly(policy: Box<dyn PathPolicy>, label: &str) -> Summary {
     let sink = pairing.stats(Side::A).lock();
     let mut app_owds: Vec<f64> = Vec::new();
     for (_, p) in sink.paths() {
-        app_owds.extend(p.app_owd().map(|(_, v)| v / 1e6));
+        app_owds.extend(p.owd.app_values().map(|v| v / 1e6));
     }
     drop(sink);
     let summary = Summary::of(&app_owds).expect("app traffic measured");

@@ -47,9 +47,10 @@ fn main() {
     let labels = pairing.labels_into(Side::A);
     let mut best: Option<(usize, f64)> = None;
     for (i, label) in labels.iter().enumerate() {
-        let series = pairing.owd_series(Side::A, i as u16).expect("probed");
-        let mean = series.mean().unwrap() / 1e6;
-        let jitter = mean_rolling_std(&series, 1_000_000_000).unwrap() / 1e6;
+        let sink = pairing.stats(Side::A).lock();
+        let path = sink.path(i as u16).expect("probed");
+        let mean = path.owd.mean().unwrap() / 1e6;
+        let jitter = path.jitter_ns().unwrap() / 1e6;
         println!("  {label:<8} mean {mean:6.2} ms   rolling-1s jitter {jitter:.3} ms");
         if best.map(|(_, b)| mean < b).unwrap_or(true) {
             best = Some((i, mean));

@@ -9,10 +9,10 @@
 //! on a parallel thread and count into the same totals.
 //!
 //! The pairing and mesh scenarios pre-schedule all their packets, run the
-//! first half as a warm-up (queues, buffer pool, slab and `TimeSeries`
+//! first half as a warm-up (queues, buffer pool, slab and OWD store
 //! reach their working size) and count allocator calls inside
-//! `run_until` over the second half. What remains is amortised growth (a
-//! `TimeSeries` or span `Vec` doubling): well under
+//! `run_until` over the second half. What remains is amortised growth (an
+//! OWD value or span `Vec` doubling): well under
 //! [`MAX_CALLS_PER_PACKET`]. A per-packet allocation anywhere on the path
 //! — the flow-hash key `Vec` this guard was written against cost 4.3 per
 //! packet — fails it by two orders of magnitude. The templated scenario
@@ -97,15 +97,16 @@ const PACKETS: u32 = 8_000;
 /// is left is the advertisement a changed best route builds.
 const MAX_CALLS_PER_BGP_UPDATE: f64 = 0.73;
 /// Live heap bytes per delivered app packet that [`pairing_run`] may
-/// leave behind (the event queue's grown capacity, the `owd` series, the
-/// rolling windows, the pooled buffers). Exact, on 8 000 delivered:
-/// 203.98 with app packets scheduled as clones of one template, which
-/// draw their buffers from the pool at dispatch, so the pool keeps about
-/// as many as were ever in flight (194.39 when each packet brought its
-/// own); 220.36 with the second `app_owd` series restored. A pool without
-/// its demand bound reads 203.98 too: it only ever receives buffers it
-/// handed out. Midway between this tree and the regression.
-const MAX_HEAP_BYTES_PER_APP_PACKET: f64 = 212.2;
+/// leave behind (the event queue's grown capacity, the `owd` values with
+/// their app bits, the 500 ms bins, the rolling windows, the pooled
+/// buffers). Exact, on 8 000 delivered: 186.15 with app packets scheduled
+/// as clones of one template, which draw their buffers from the pool at
+/// dispatch, so the pool keeps about as many as were ever in flight;
+/// 203.98 with an 8 B receive timestamp stored beside every `owd` value,
+/// 220.36 with a second app-only series on top. A pool without its
+/// demand bound reads the same: it only ever receives buffers it handed
+/// out. Midway between this tree and the timestamp column.
+const MAX_HEAP_BYTES_PER_APP_PACKET: f64 = 195.07;
 
 /// Packets [`templated_run`] schedules: a power of two, so the staged
 /// event queue it fills from empty ends at exactly their capacity.

@@ -64,15 +64,17 @@ fn route_change_triggers_evacuation_and_return() {
     // Long after the event + reversion: back on GTT.
     assert_eq!(at(SimTime::from_mins(11).as_ns()), 2);
     // The +5 ms floor was observed in the measurements.
-    let gtt = p.owd_series(Side::A, 2).unwrap();
-    let shifted = gtt.slice(
-        SimTime::from_secs(90).as_ns(),
-        SimTime::from_secs(120).as_ns(),
-    );
+    let gtt = p.owd_bins(Side::A, 2).unwrap();
+    let shifted = gtt
+        .window(
+            SimTime::from_secs(90).as_ns(),
+            SimTime::from_secs(120).as_ns(),
+        )
+        .unwrap();
     assert!(
-        shifted.min().unwrap() / 1e6 > 32.9,
+        shifted.min / 1e6 > 32.9,
         "shifted floor {:.2} ms",
-        shifted.min().unwrap() / 1e6
+        shifted.min / 1e6
     );
 }
 
@@ -92,7 +94,7 @@ fn jitter_aware_evacuates_instability_and_cuts_tail() {
         let sink = p.stats(Side::A).lock();
         let mut owds: Vec<f64> = Vec::new();
         for (_, path) in sink.paths() {
-            owds.extend(path.app_owd().map(|(_, v)| v / 1e6));
+            owds.extend(path.owd.app_values().map(|v| v / 1e6));
         }
         Summary::of(&owds).expect("app traffic measured")
     };

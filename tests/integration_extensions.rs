@@ -146,7 +146,7 @@ fn authenticated_pairing_discards_corrupted_packets_via_auth() {
     );
     // Zero pollution this time — every accepted sample is sane.
     for (id, path) in sink.paths() {
-        for (_, owd) in path.owd.iter() {
+        for &owd in path.owd.values() {
             assert!(
                 (20_000_000.0..60_000_000.0).contains(&owd),
                 "path {id}: polluted OWD {owd} survived authentication"
@@ -187,8 +187,8 @@ fn application_class_overrides_steer_per_class() {
     assert_eq!(delivered(1), 0);
     // The EF class actually got the lower latency it was promised.
     let app_mean = |path: u16| {
-        let app: TimeSeries = sink.path(path).unwrap().app_owd().collect();
-        app.mean().unwrap()
+        let app: Vec<f64> = sink.path(path).unwrap().owd.app_values().collect();
+        Summary::of(&app).unwrap().mean
     };
     let ef = app_mean(2);
     let bulk = app_mean(3);

@@ -274,21 +274,23 @@ fn obs_counters_agree_with_dataplane_stats() {
             assert_eq!(rx, p.owd.len() as u64, "path {id} rx vs OWD samples");
             assert_eq!(rx, p.seq.received(), "path {id} rx vs seq tracker");
             rx_sum += rx;
-            // The rolling 1-second jitter window holds exactly the OWD
-            // samples from the trailing second (half-open interval
-            // (last − 1 s, last], matching RollingWindow::push).
-            let last = p.last_rx_local_ns.expect("path carried traffic");
-            let window_ns = 1_000_000_000u64;
-            let expected = if last >= window_ns {
-                let cutoff = last - window_ns;
-                p.owd.times_ns().iter().filter(|&&t| t > cutoff).count()
-            } else {
-                p.owd.len()
-            };
+            // The rolling 1-second jitter window holds the newest OWD
+            // samples, all from the trailing second (half-open interval
+            // (last − 1 s, last], matching RollingWindow::push); eviction
+            // itself is prop_stats::rolling_window_matches_naive's.
+            let last = p.last_sample_ns.expect("path carried traffic");
+            let values = p.owd.values();
+            let (times, window): (Vec<u64>, Vec<f64>) = p.rolling.samples().unzip();
             assert_eq!(
-                p.rolling.len(),
-                expected,
+                window,
+                values[values.len() - window.len()..],
                 "path {id} rolling window vs OWD tail"
+            );
+            let cutoff = last.saturating_sub(1_000_000_000);
+            assert_eq!(times.last(), Some(&last), "path {id}");
+            assert!(
+                times.iter().all(|&t| t > cutoff || last < 1_000_000_000),
+                "path {id}: rolling window holds a sample older than one second"
             );
             // Mirrored loss-state gauges show the authoritative figures.
             assert_eq!(

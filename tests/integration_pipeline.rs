@@ -66,8 +66,8 @@ fn jitter_ordering_gtt_vs_telia() {
     let mut pairing = default_pairing(3);
     pairing.run_until(SimTime::from_secs(60));
     let jitter_ms = |path: u16| {
-        let s = pairing.owd_series(Side::B, path).unwrap();
-        mean_rolling_std(&s, 1_000_000_000).unwrap() / 1e6
+        let sink = pairing.stats(Side::B).lock();
+        sink.path(path).unwrap().jitter_ns().unwrap() / 1e6
     };
     let gtt = jitter_ms(2);
     let telia = jitter_ms(1);
@@ -85,7 +85,9 @@ fn determinism_same_seed_identical_series() {
     let series = |seed| {
         let mut p = default_pairing(seed);
         p.run_until(SimTime::from_secs(5));
-        p.owd_series(Side::A, 2).unwrap()
+        let sink = p.stats(Side::A).lock();
+        let gtt = sink.path(2).unwrap();
+        (gtt.owd.values().to_vec(), gtt.bins.clone())
     };
     let a = series(7);
     let b = series(7);
@@ -206,7 +208,8 @@ fn app_traffic_and_probes_coexist() {
     );
     // App OWDs match the default path's floor.
     let app = a.path(0).unwrap();
-    let mean = app.app_owd().collect::<TimeSeries>().mean().unwrap() / 1e6;
+    let owds: Vec<f64> = app.owd.app_values().collect();
+    let mean = Summary::of(&owds).unwrap().mean / 1e6;
     assert!((36.0..37.5).contains(&mean), "app mean on NTT: {mean}");
 }
 

@@ -32,7 +32,7 @@ fn corruption_storm_rejects_nearly_everything_bad() {
     let mut accepted = 0u64;
     let mut insane = 0u64;
     for (_, path) in sink.paths() {
-        for (_, owd) in path.owd.iter() {
+        for &owd in path.owd.values() {
             accepted += 1;
             if !(20_000_000.0..60_000_000.0).contains(&owd) {
                 insane += 1;
@@ -132,26 +132,23 @@ fn total_outage_on_every_path_starves_but_recovers() {
     .unwrap();
     p.run_until(SimTime::from_secs(30));
     let sink = p.stats(Side::A).lock();
+    // The windows are whole 500 ms bins, so their counts are exact.
+    let samples = |path: &tango_dataplane::PathStats, from: u64, to: u64| {
+        let window = path.bins.window(
+            SimTime::from_secs(from).as_ns(),
+            SimTime::from_secs(to).as_ns(),
+        );
+        window.map_or(0, |w| w.count)
+    };
     // Nothing arrived during the blackout...
     for (id, path) in sink.paths() {
-        let during = path.owd.slice(
-            SimTime::from_secs(11).as_ns(),
-            SimTime::from_secs(20).as_ns(),
-        );
-        assert!(
-            during.is_empty(),
-            "path {id}: {} samples during blackout",
-            during.len()
-        );
+        let during = samples(path, 11, 20);
+        assert_eq!(during, 0, "path {id}: {during} samples during blackout");
         // ...and probing resumed afterwards.
-        let after = path.owd.slice(
-            SimTime::from_secs(21).as_ns(),
-            SimTime::from_secs(30).as_ns(),
-        );
+        let after = samples(path, 21, 30);
         assert!(
-            after.len() > 800,
-            "path {id}: only {} samples after recovery",
-            after.len()
+            after > 800,
+            "path {id}: only {after} samples after recovery"
         );
         assert!(
             path.seq.lost() > 900,
