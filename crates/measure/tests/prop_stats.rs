@@ -239,6 +239,27 @@ proptest! {
         prop_assert!(values.contains(&v), "percentile must be an observed value");
     }
 
+    /// The nearest-rank definition checked by counting, not sorting: the
+    /// p-th percentile `v` of n values has at least `rank` values at or
+    /// below it and fewer than `rank` strictly below, where
+    /// `rank = max(1, ceil(p/100 · n))`. Small integer values make ties
+    /// common, and p takes both ends of its range.
+    #[test]
+    fn percentile_is_the_nearest_rank_by_counting(
+        values in prop_oneof![
+            proptest::collection::vec(0.0f64..100.0, 1..100),
+            proptest::collection::vec((0u8..6).prop_map(f64::from), 1..100),
+        ],
+        p in prop_oneof![Just(0.0f64), Just(100.0), 0.0f64..100.0],
+    ) {
+        let v = percentile(&values, p).unwrap();
+        let rank = (((p / 100.0) * values.len() as f64).ceil() as usize).max(1);
+        let at_or_below = values.iter().filter(|&&x| x <= v).count();
+        let below = values.iter().filter(|&&x| x < v).count();
+        prop_assert!(at_or_below >= rank, "{} values <= {}, rank {}", at_or_below, v, rank);
+        prop_assert!(below < rank, "{} values < {}, rank {}", below, v, rank);
+    }
+
     #[test]
     fn seq_tracker_matches_set_model_without_reorder(
         // In-order delivery with random gaps: loss = skipped count.

@@ -50,7 +50,10 @@ pub struct Ctx<'a> {
     /// This node's emission origin (`node_idx + 1`): every event it
     /// schedules is keyed by it, giving location-based determinism.
     origin: u32,
-    now: SimTime,
+    /// The key of the event being dispatched: its time is now, and its
+    /// [`EventKey::span`] is the span children are parented to. It is
+    /// the parent carried by every event this dispatch schedules.
+    key: EventKey,
     clock: NodeClock,
     topology: &'a Topology,
     links: &'a LinkTable,
@@ -58,10 +61,6 @@ pub struct Ctx<'a> {
     fault: Option<FaultInjector>,
     pub(crate) stats: &'a mut SimStats,
     pub(crate) spans: &'a mut SpanRing,
-    /// The span key of the dispatch currently executing: the parent
-    /// carried by every event this dispatch schedules, and of every
-    /// child span it records.
-    dispatch_span: SpanKey,
     out: &'a mut Vec<QueuedEvent>,
     seq: &'a mut u64,
     /// Per-directed-link "busy until" instants (ns) for capacity-limited
@@ -99,20 +98,11 @@ impl<'a> Ctx<'a> {
         link_base: usize,
         pool: &'a mut BufferPool,
     ) -> Self {
-        // The dispatch's own span key: derived from the canonical event
-        // key alone, so it exists (and is identical) whether or not span
-        // recording is armed — scheduled events always carry it.
-        let dispatch_span = SpanKey {
-            time_ns: key.time.as_ns(),
-            origin: key.origin,
-            seq: key.seq,
-            intra: 0,
-        };
         Ctx {
             node: shared.nodes.id(node_idx),
             node_idx,
             origin: node_idx + 1,
-            now: key.time,
+            key,
             clock,
             topology: &shared.topology,
             links: &shared.links,
@@ -120,7 +110,6 @@ impl<'a> Ctx<'a> {
             fault: shared.fault,
             stats,
             spans,
-            dispatch_span,
             out,
             seq,
             link_busy,
@@ -134,12 +123,12 @@ impl<'a> Ctx<'a> {
     /// Tango data plane must use [`Ctx::local_ns`] instead, as a real
     /// switch has no access to true time).
     pub fn now(&self) -> SimTime {
-        self.now
+        self.key.time
     }
 
     /// This node's local clock reading, nanoseconds.
     pub fn local_ns(&self) -> u64 {
-        self.clock.local_ns(self.now)
+        self.clock.local_ns(self.key.time)
     }
 
     /// Deterministic randomness for agent-level decisions. Every node
@@ -178,9 +167,11 @@ impl<'a> Ctx<'a> {
     }
 
     /// The span key of the dispatch currently executing (what [`Ctx::span`]
-    /// children and scheduled events are parented to).
+    /// children and scheduled events are parented to). Derived from the
+    /// canonical event key alone, so it exists (and is identical) whether
+    /// or not span recording is armed.
     pub fn dispatch_span(&self) -> SpanKey {
-        self.dispatch_span
+        self.key.span()
     }
 
     /// Where a packet dies in flight: the one owner of the
@@ -204,11 +195,7 @@ impl<'a> Ctx<'a> {
     /// The canonical key of this node's next emission.
     fn next_key(&mut self, time: SimTime) -> EventKey {
         *self.seq += 1;
-        EventKey {
-            time,
-            origin: self.origin,
-            seq: *self.seq,
-        }
+        EventKey::new(time, self.origin, *self.seq)
     }
 
     /// Transmit a packet to an adjacent node. Samples loss, event
@@ -225,7 +212,7 @@ impl<'a> Ctx<'a> {
             return self.drop_packet(DropReason::LossLink, pkt);
         }
         // Active wide-area events on this directed hop.
-        let now_ns = self.now.as_ns();
+        let now_ns = self.key.time.as_ns();
         let link_events = &links.events[link_id as usize]; // tango-lint: allow(hot-path-panic) link_id is a dense id minted by LinkTable::build
         let mut shift: i64 = 0;
         for ev in link_events.iter().filter(|e| e.window.contains(now_ns)) {
@@ -265,7 +252,7 @@ impl<'a> Ctx<'a> {
         let delay = profile.sample_delay(self.rng, pkt.flow_hash(), shift) + queue_delay;
         // Saturating: an arrival past `u64::MAX` ns never fires, and must
         // not wrap to before `now`.
-        let time = self.now.saturating_add(SimTime(delay));
+        let time = self.key.time.saturating_add(SimTime(delay));
         // A link that goes dark mid-flight also kills the packets already
         // committed to it: if the *arrival* instant falls inside an
         // outage window on this hop, the packet never makes it off the
@@ -280,7 +267,7 @@ impl<'a> Ctx<'a> {
         let key = self.next_key(time);
         self.out.push(QueuedEvent {
             key,
-            parent: self.dispatch_span,
+            parent: self.key,
             kind: EventKind::Deliver { to: to_idx, pkt },
         });
     }
@@ -288,10 +275,10 @@ impl<'a> Ctx<'a> {
     /// Schedule a timer on this node after `delay` (saturating: a timer
     /// past `u64::MAX` ns never fires).
     pub fn schedule_timer(&mut self, delay: SimTime, tag: u64) {
-        let key = self.next_key(self.now.saturating_add(delay));
+        let key = self.next_key(self.key.time.saturating_add(delay));
         self.out.push(QueuedEvent {
             key,
-            parent: self.dispatch_span,
+            parent: self.key,
             kind: EventKind::Timer {
                 node: self.node_idx,
                 tag,

@@ -18,6 +18,12 @@
 //! lists threaded through the slab, their width taken from the pending
 //! events, so ordering never moves a packet.
 //!
+//! A pending event is 96 bytes (`QueuedEvent`: a 16-byte `EventKey`,
+//! its parent's 16-byte key and a 64-byte `EventKind`); a staged
+//! external event is 80, its key and kind, since an external event never
+//! has a parent. The key packs origin and seq into one word, which
+//! bounds both: see `EventKey`.
+//!
 //! ## Sharding
 //!
 //! The node table is partitioned into contiguous shards (see
@@ -76,27 +82,117 @@ impl EventKind {
     }
 }
 
+/// Bits of [`EventKey`]'s packed word that hold the emission seq (the
+/// low ones); the origin takes the high [`ORIGIN_BITS`].
+const SEQ_BITS: u32 = 40;
+const ORIGIN_BITS: u32 = u64::BITS - SEQ_BITS;
+/// Largest emission seq a key holds: 2^40 − 1 ≈ 1.1 × 10^12 emissions
+/// per origin. The paper's 8-day trace at 10 000 packets/s is
+/// 6.9 × 10^9 events.
+const SEQ_MAX: u64 = (1 << SEQ_BITS) - 1;
+/// The all-ones origin, reserved for [`EventKey::NONE`].
+const ORIGIN_NONE: u32 = (1 << ORIGIN_BITS) - 1;
+/// Most nodes a topology may have: node `idx` emits with origin
+/// `idx + 1`, which must stay below [`ORIGIN_NONE`]. [`NetworkSim::new`]
+/// refuses a larger topology.
+const MAX_NODES: usize = ORIGIN_NONE as usize - 1;
+
 /// The canonical, globally unique ordering key of an event: virtual time,
 /// emitting origin (0 = external scheduler, node idx + 1 otherwise), and
 /// the origin's private emission sequence number. A pure function of
 /// stable identities — independent of shard layout and of the realized
 /// execution interleaving — which is the whole determinism argument:
 /// sorting any distribution of events by key reproduces one total order.
+///
+/// 16 bytes: `origin` and `seq` share one word under `time`, origin in
+/// the high 24 bits and seq in the low 40, so the derived order is
+/// exactly lexicographic `(time, origin, seq)`. Origins stop below the
+/// reserved all-ones one (at most [`MAX_NODES`] nodes, checked when the
+/// simulator is built) and seqs at [`SEQ_MAX`] (checked per key).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct EventKey {
     pub(crate) time: SimTime,
-    pub(crate) origin: u32,
-    pub(crate) seq: u64,
+    origin_seq: u64,
+}
+
+impl EventKey {
+    /// "No parent": what an externally scheduled event carries. Its
+    /// origin is the reserved all-ones one, so no real key equals it.
+    pub(crate) const NONE: EventKey = EventKey {
+        time: SimTime(u64::MAX),
+        origin_seq: u64::MAX,
+    };
+
+    /// The key of `origin`'s emission number `seq` at `time`.
+    ///
+    /// # Panics
+    ///
+    /// If `seq` exceeds [`SEQ_MAX`]: it would spill into the origin bits
+    /// and reorder the run.
+    #[inline]
+    pub(crate) fn new(time: SimTime, origin: u32, seq: u64) -> Self {
+        assert!(
+            seq <= SEQ_MAX,
+            "emission seq {seq} exceeds the key's 40 bits"
+        );
+        debug_assert!(
+            origin < ORIGIN_NONE,
+            "origin {origin} exceeds the key's 24 bits"
+        );
+        EventKey {
+            time,
+            origin_seq: (u64::from(origin) << SEQ_BITS) | seq,
+        }
+    }
+
+    pub(crate) fn origin(self) -> u32 {
+        (self.origin_seq >> SEQ_BITS) as u32
+    }
+
+    pub(crate) fn seq(self) -> u64 {
+        self.origin_seq & SEQ_MAX
+    }
+
+    /// The span key of this event's dispatch (intra 0): what its
+    /// dispatch records and parents children to. [`EventKey::NONE`]
+    /// maps to [`SpanKey::NONE`].
+    #[inline]
+    pub(crate) fn span(self) -> SpanKey {
+        if self == EventKey::NONE {
+            return SpanKey::NONE;
+        }
+        SpanKey {
+            time_ns: self.time.as_ns(),
+            origin: self.origin(),
+            seq: self.seq(),
+            intra: 0,
+        }
+    }
 }
 
 pub(crate) struct QueuedEvent {
     pub(crate) key: EventKey,
-    /// The span key of the dispatch that scheduled this event
-    /// ([`SpanKey::NONE`] for externally scheduled roots). Plain data —
-    /// it rides along even with the span ring disarmed, so the causal
-    /// link survives shard outbox handoffs unconditionally.
-    pub(crate) parent: SpanKey,
+    /// The key of the dispatch that scheduled this event
+    /// ([`EventKey::NONE`] for externally scheduled roots); its
+    /// [`EventKey::span`] is the parent span. Plain data — it rides
+    /// along even with the span ring disarmed, so the causal link
+    /// survives shard outbox handoffs unconditionally.
+    pub(crate) parent: EventKey,
     pub(crate) kind: EventKind,
+}
+
+// Every pending event occupies one of these (slab slot, batch, outbox):
+// a larger one grows every queue. A staged external event is smaller.
+const _: () = assert!(std::mem::size_of::<QueuedEvent>() <= 96);
+const _: () = assert!(std::mem::size_of::<(EventKey, EventKind)>() <= 80);
+
+/// Refuse a node table whose origins would not fit [`EventKey`] (the
+/// setup-time contract of [`NetworkSim::new`]).
+fn assert_origins_fit(nodes: usize) {
+    assert!(
+        nodes <= MAX_NODES,
+        "{nodes} nodes: an event key's origin field holds at most {MAX_NODES}"
+    );
 }
 
 /// Configuration of a simulation run.
@@ -170,8 +266,9 @@ pub(crate) struct ShardState {
     /// order — the common case for pre-scheduled traffic. Kept out of
     /// the ladder and merged lazily at pop time: a FIFO costs less
     /// memory per pre-loaded packet than the slab's link words and
-    /// bucket heads.
-    staged: VecDeque<QueuedEvent>,
+    /// bucket heads. An entry is a key and a kind: every staged event
+    /// has the external origin and no parent.
+    staged: VecDeque<(EventKey, EventKind)>,
     /// Scratch for same-timestamp batch drains (allocation reused).
     batch: Vec<QueuedEvent>,
     pub(crate) now: SimTime,
@@ -239,19 +336,23 @@ impl ShardState {
     /// key order append to the staged FIFO in O(1); out-of-order
     /// stragglers go to the ladder. The pop-side merge preserves the
     /// exact global key order either way.
-    fn enqueue_external(&mut self, ev: QueuedEvent) {
-        let in_order = self.staged.back().map_or(true, |b| b.key <= ev.key);
+    fn enqueue_external(&mut self, key: EventKey, kind: EventKind) {
+        let in_order = self.staged.back().map_or(true, |&(b, _)| b <= key);
         if in_order {
-            self.staged.push_back(ev);
+            self.staged.push_back((key, kind));
         } else {
-            self.queue.push(ev);
+            self.queue.push(QueuedEvent {
+                key,
+                parent: EventKey::NONE,
+                kind,
+            });
         }
     }
 
     /// The key of the earliest pending event, if any.
     fn peek_key(&self) -> Option<EventKey> {
         let queued = self.queue.peek_key();
-        let staged = self.staged.front().map(|e| e.key);
+        let staged = self.staged.front().map(|&(k, _)| k);
         match (queued, staged) {
             (None, s) => s,
             (h, None) => h,
@@ -277,7 +378,7 @@ impl ShardState {
     fn drain_batch_at(&mut self, t: SimTime, out: &mut Vec<QueuedEvent>) {
         loop {
             let queued_key = self.queue.peek_key().filter(|k| k.time == t);
-            let staged_key = self.staged.front().map(|e| e.key).filter(|k| k.time == t);
+            let staged_key = self.staged.front().map(|&(k, _)| k).filter(|k| k.time == t);
             let take_staged = match (queued_key, staged_key) {
                 (None, None) => break,
                 (Some(_), None) => false,
@@ -287,7 +388,11 @@ impl ShardState {
             // The peeks above guarantee the chosen queue is non-empty;
             // break (never panic) if that ever stops holding.
             let ev = if take_staged {
-                self.staged.pop_front()
+                self.staged.pop_front().map(|(key, kind)| QueuedEvent {
+                    key,
+                    parent: EventKey::NONE,
+                    kind,
+                })
             } else {
                 self.queue.pop()
             };
@@ -321,7 +426,7 @@ impl ShardState {
                     EventKind::HostInject { .. } => self.ev_counts.host_inject += 1,
                     EventKind::Timer { .. } => self.ev_counts.timer += 1,
                 }
-                self.dispatch(shared, ev.key, ev.parent, ev.kind);
+                self.dispatch(shared, ev.key, ev.parent.span(), ev.kind);
                 processed += 1;
             }
         }
@@ -354,7 +459,7 @@ impl ShardState {
             None
         };
         self.spans
-            .begin_dispatch(key.time.as_ns(), key.origin, key.seq);
+            .begin_dispatch(key.time.as_ns(), key.origin(), key.seq());
         let Some(mut agent) = slot.and_then(|slot| slot.take()) else {
             // No agent: the packet/timer evaporates (counted as no_route —
             // a node without behaviour cannot forward). An owned dead
@@ -481,8 +586,15 @@ pub struct NetworkSim {
 
 impl NetworkSim {
     /// Build a simulator over a topology.
+    ///
+    /// # Panics
+    ///
+    /// If the topology has more than 16 777 214 nodes: node `idx`
+    /// emits with origin `idx + 1`, and an event key holds 24 bits of
+    /// origin, the all-ones one reserved.
     pub fn new(topology: Topology, config: SimConfig) -> Self {
         let nodes = NodeTable::build(&topology);
+        assert_origins_fit(nodes.len());
         let links = LinkTable::build(&topology, &nodes);
         let part = Partition::build(&nodes, &links, config.shards.max(1));
         let obs = config.obs.as_ref().map(|r| SimObs::new(r, &nodes, &links));
@@ -574,17 +686,9 @@ impl NetworkSim {
         let time = time.max(self.now);
         self.ext_seq += 1;
         let to = self.idx_or_sentinel(node);
-        let ev = QueuedEvent {
-            key: EventKey {
-                time,
-                origin: EXT_ORIGIN,
-                seq: self.ext_seq,
-            },
-            parent: SpanKey::NONE,
-            kind: EventKind::HostInject { to, pkt },
-        };
+        let key = EventKey::new(time, EXT_ORIGIN, self.ext_seq);
         let shard = self.shared.part.shard_of(to);
-        self.shards[shard].enqueue_external(ev);
+        self.shards[shard].enqueue_external(key, EventKind::HostInject { to, pkt });
     }
 
     /// Schedule a timer for `node` at absolute `time` (e.g. the initial
@@ -595,17 +699,9 @@ impl NetworkSim {
         let time = time.max(self.now);
         self.ext_seq += 1;
         let node = self.idx_or_sentinel(node);
-        let ev = QueuedEvent {
-            key: EventKey {
-                time,
-                origin: EXT_ORIGIN,
-                seq: self.ext_seq,
-            },
-            parent: SpanKey::NONE,
-            kind: EventKind::Timer { node, tag },
-        };
+        let key = EventKey::new(time, EXT_ORIGIN, self.ext_seq);
         let shard = self.shared.part.shard_of(node);
-        self.shards[shard].enqueue_external(ev);
+        self.shards[shard].enqueue_external(key, EventKind::Timer { node, tag });
     }
 
     /// Current simulated time.

@@ -1,5 +1,6 @@
 //! The engine's tests: each drives a whole [`NetworkSim`] — the link
-//! model, routers, pool, telemetry and shards through one run.
+//! model, routers, pool, telemetry and shards through one run — except
+//! the last few, which check the packed [`EventKey`] and its bounds.
 
 use super::*;
 use crate::packet::tests::ipv6_packet;
@@ -840,4 +841,96 @@ fn partition_forced_serial_when_requested_shards_exceed_nodes() {
     );
     assert!(sim.shard_count() <= 3);
     assert!(sim.shard_lookahead_ns() >= 500_000);
+}
+
+/// A key field drawn from its whole range, both ends included often.
+fn field(max: u64) -> proptest::strategy::BoxedStrategy<u64> {
+    use proptest::prelude::*;
+    prop_oneof![Just(0), Just(1), Just(max - 1), Just(max), 0..=max].boxed()
+}
+
+/// Real origins run from the external scheduler's 0 to the last node's.
+const ORIGIN_MAX: u64 = MAX_NODES as u64;
+
+proptest::proptest! {
+    /// The packed key orders exactly as the `(time, origin, seq)` triple
+    /// it packs, gives each field back, and maps to its dispatch span.
+    /// `same` copies fields of `a` into `b`, so ties reach every field.
+    #[test]
+    fn packed_key_orders_like_its_triple(
+        a in (field(u64::MAX), field(ORIGIN_MAX), field(SEQ_MAX)),
+        b in (field(u64::MAX), field(ORIGIN_MAX), field(SEQ_MAX)),
+        same in 0u8..8,
+    ) {
+        let b = (
+            if same & 1 == 0 { b.0 } else { a.0 },
+            if same & 2 == 0 { b.1 } else { a.1 },
+            if same & 4 == 0 { b.2 } else { a.2 },
+        );
+        let key = |(t, o, s): (u64, u64, u64)| EventKey::new(SimTime(t), o as u32, s);
+        let (ka, kb) = (key(a), key(b));
+        proptest::prop_assert_eq!(ka.cmp(&kb), a.cmp(&b));
+        for (k, (t, o, s)) in [(ka, a), (kb, b)] {
+            proptest::prop_assert_eq!((k.time, u64::from(k.origin()), k.seq()), (SimTime(t), o, s));
+            proptest::prop_assert_ne!(k, EventKey::NONE);
+            proptest::prop_assert_eq!(
+                k.span(),
+                SpanKey { time_ns: t, origin: o as u32, seq: s, intra: 0 }
+            );
+        }
+    }
+}
+
+#[test]
+fn no_parent_is_no_span() {
+    assert_eq!(EventKey::NONE.span(), SpanKey::NONE);
+    let last = EventKey::new(SimTime(u64::MAX), MAX_NODES as u32, SEQ_MAX);
+    assert!(
+        last < EventKey::NONE,
+        "the reserved origin sorts above every real one"
+    );
+}
+
+/// The origin field fixes the node bound (16 777 214, as
+/// `NetworkSim::new` documents); checked on the count alone, since a
+/// topology that large is gigabytes.
+#[test]
+fn the_origin_field_bounds_the_node_count() {
+    assert_eq!(MAX_NODES, 16_777_214);
+    assert_origins_fit(MAX_NODES);
+}
+
+#[test]
+#[should_panic(expected = "origin field holds at most 16777214")]
+fn one_node_past_the_origin_field_is_refused() {
+    assert_origins_fit(MAX_NODES + 1);
+}
+
+#[test]
+#[should_panic(expected = "exceeds the key's 40 bits")]
+fn a_seq_past_its_field_is_refused() {
+    EventKey::new(SimTime::ZERO, 1, SEQ_MAX + 1);
+}
+
+/// Parents travel as event keys and are spans again at dispatch: the
+/// externally injected packet's span is a root, and every later span
+/// hangs off a dispatch span (intra 0) that the stream holds.
+#[test]
+fn parents_are_dispatch_spans_or_none() {
+    let (mut sim, received, _) = build_line_sim();
+    sim.schedule_host_packet(SimTime::ZERO, AsId(1), ipv6_packet("2001:db8:3::1", 64));
+    sim.run_until(SimTime::from_secs(1));
+    assert_eq!(received.load(Ordering::SeqCst), 1);
+    let spans = sim.spans().spans();
+    let roots: Vec<_> = spans.iter().filter(|s| s.parent.is_none()).collect();
+    assert_eq!(roots.len(), 1);
+    assert_eq!(roots[0].kind, SpanKind::HostInject);
+    assert_eq!((roots[0].key.origin, roots[0].key.intra), (EXT_ORIGIN, 0));
+    for s in spans.iter().filter(|s| !s.parent.is_none()) {
+        assert_eq!(s.parent.intra, 0, "{s:?} hangs off a dispatch span");
+        assert!(
+            spans.iter().any(|p| p.key == s.parent),
+            "{s:?}'s parent is recorded"
+        );
+    }
 }

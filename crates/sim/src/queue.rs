@@ -78,6 +78,9 @@ pub(crate) struct EventQueue {
     len: usize,
 }
 
+// Bottom's entries are sorted and shifted on every refill and insert.
+const _: () = assert!(std::mem::size_of::<(EventKey, u32)>() <= 24);
+
 impl Default for EventQueue {
     fn default() -> Self {
         EventQueue {
@@ -319,16 +322,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::BTreeMap;
-    use tango_trace::SpanKey;
 
     fn event(time: u64, origin: u32, seq: u64) -> QueuedEvent {
         QueuedEvent {
-            key: EventKey {
-                time: SimTime(time),
-                origin,
-                seq,
-            },
-            parent: SpanKey::NONE,
+            key: EventKey::new(SimTime(time), origin, seq),
+            parent: EventKey::NONE,
             kind: EventKind::Timer {
                 node: origin,
                 tag: seq,
@@ -375,7 +373,7 @@ mod tests {
                 };
                 if let Some(time) = time {
                     queue.push(event(time, origin, seq));
-                    reference.insert(EventKey { time: SimTime(time), origin, seq }, seq);
+                    reference.insert(EventKey::new(SimTime(time), origin, seq), seq);
                 }
                 peak = peak.max(reference.len());
                 proptest::prop_assert_eq!(queue.len(), reference.len());

@@ -1,10 +1,13 @@
 //! Property-based tests for simulator primitives: clocks, flow hashing
-//! and the packet's parse caches.
+//! and the packet's parse caches; and one metamorphic property of the
+//! whole engine, that a run shifted in time is the same run.
+
+mod world;
 
 use proptest::prelude::*;
 use tango_net::{Ipv6Packet, Ipv6Repr, UdpPacket, UdpRepr};
 use tango_sim::hash::flow_hash;
-use tango_sim::{NodeClock, Packet, SimTime};
+use tango_sim::{NodeClock, Packet, ShardMode, SimTime, Span};
 
 fn udp6(src: u128, dst: u128, sport: u16, dport: u16, payload: &[u8]) -> Vec<u8> {
     let udp = UdpRepr {
@@ -352,6 +355,40 @@ proptest! {
         match f.apply(&mut rng, &mut b) {
             FaultDecision::Corrupted => prop_assert_eq!(flipped_bits(&orig, &b), 1),
             FaultDecision::Pass | FaultDecision::Drop => prop_assert_eq!(&orig, &b),
+        }
+    }
+}
+
+/// `s` as recorded `delta_ns` later: its own time and its parent's move,
+/// and a root stays a root.
+fn shifted(mut s: Span, delta_ns: u64) -> Span {
+    s.key.time_ns += delta_ns;
+    if !s.parent.is_none() {
+        s.parent.time_ns += delta_ns;
+    }
+    s
+}
+
+proptest! {
+    /// Nothing in the engine reads absolute time: scheduling every
+    /// external event, the outage and the horizon `delta_ns` later gives
+    /// the same counters and the same span stream, every span and every
+    /// parent `delta_ns` later. Parents travel as event keys and become
+    /// spans again at dispatch, so a slip in that plumbing breaks this.
+    #[test]
+    fn a_time_shifted_run_is_the_same_run(
+        w in world::world_strategy(),
+        seed in any::<u64>(),
+        shards in 1usize..=3,
+        delta_ns in prop_oneof![Just(1u64), 1u64..1_000_000_000, 1u64..1 << 62],
+    ) {
+        let (stats, spans, _) = world::run(&w, seed, shards, ShardMode::Serial, 0);
+        let (stats_d, spans_d, _) = world::run(&w, seed, shards, ShardMode::Serial, delta_ns);
+        prop_assert_eq!(stats, stats_d);
+        prop_assert!(!spans.is_empty(), "every world injects a packet");
+        prop_assert_eq!(spans.len(), spans_d.len());
+        for (i, (&s, d)) in spans.iter().zip(&spans_d).enumerate() {
+            prop_assert_eq!(&shifted(s, delta_ns), d, "span {} of {}", i, spans.len());
         }
     }
 }

@@ -21,7 +21,7 @@
 //! template per packet, where a `clone` that copies the bytes reads 1.006
 //! calls per packet (0.012 when clones share them). It also bounds the
 //! live heap a scheduled packet costs before dispatch
-//! ([`MAX_HEAP_BYTES_PER_SCHEDULED_PACKET`]: 112.01 B shared, 224
+//! ([`MAX_HEAP_BYTES_PER_SCHEDULED_PACKET`]: 80.01 B shared, 192
 //! copied). The control-plane scenario ([`probe_calls`]) counts against
 //! `bgp.updates_processed` instead. The pairing scenario also reports the
 //! live heap its whole run leaves behind per delivered app packet
@@ -99,23 +99,25 @@ const MAX_CALLS_PER_BGP_UPDATE: f64 = 0.73;
 /// Live heap bytes per delivered app packet that [`pairing_run`] may
 /// leave behind (the event queue's grown capacity, the `owd` values with
 /// their app bits, the 500 ms bins, the rolling windows, the pooled
-/// buffers). Exact, on 8 000 delivered: 186.15 with app packets scheduled
-/// as clones of one template, which draw their buffers from the pool at
-/// dispatch, so the pool keeps about as many as were ever in flight;
-/// 203.98 with an 8 B receive timestamp stored beside every `owd` value,
-/// 220.36 with a second app-only series on top. A pool without its
-/// demand bound reads the same: it only ever receives buffers it handed
-/// out. Midway between this tree and the timestamp column.
-const MAX_HEAP_BYTES_PER_APP_PACKET: f64 = 195.07;
+/// buffers). Exact, on 8 000 delivered: 152.30 with 96-byte pending
+/// events and 80-byte staged ones, app packets scheduled as clones of one
+/// template, which draw their buffers from the pool at dispatch, so the
+/// pool keeps about as many as were ever in flight; 186.15 with 112-byte
+/// events in both queues, 203.98 with an 8 B receive timestamp stored
+/// beside every `owd` value on top, 220.36 with a second app-only series
+/// on top of that. A pool without its demand bound reads the same: it
+/// only ever receives buffers it handed out. Midway between this tree and
+/// the 112-byte events.
+const MAX_HEAP_BYTES_PER_APP_PACKET: f64 = 169.22;
 
 /// Packets [`templated_run`] schedules: a power of two, so the staged
 /// event queue it fills from empty ends at exactly their capacity.
 const TEMPLATED_PACKETS: u32 = 8_192;
-/// Live heap a scheduled, not yet dispatched packet may cost: its queued
-/// event (112 B, the packet inline) plus 16 B. A clone that shares its
-/// template's bytes costs the event alone; one that copies them costs
-/// the event plus its own 112-byte buffer.
-const MAX_HEAP_BYTES_PER_SCHEDULED_PACKET: f64 = 112.0 + 16.0;
+/// Live heap a scheduled, not yet dispatched packet may cost: its staged
+/// entry (80 B: key and kind, the packet inline) plus 16 B. A clone that
+/// shares its template's bytes costs the entry alone; one that copies
+/// them costs the entry plus its own 112-byte buffer.
+const MAX_HEAP_BYTES_PER_SCHEDULED_PACKET: f64 = 80.0 + 16.0;
 
 /// Allocator calls made while `run` executes.
 fn calls_during(run: impl FnOnce()) -> u64 {
