@@ -43,7 +43,7 @@ fn run_one(seed: u64, shards: usize) -> Outcome {
     for side in [Side::A, Side::B] {
         let sink = pairing.stats(side).lock();
         for (id, p) in sink.paths() {
-            let sum: f64 = p.owd.values().iter().sum();
+            let sum: f64 = p.owd.iter().sum();
             owd.push((side, id, p.owd.len(), sum));
         }
     }

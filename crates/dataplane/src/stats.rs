@@ -8,8 +8,11 @@
 //! feedback delay (see DESIGN.md §5); the control loop only samples it at
 //! its own cadence, so the idealization is mild.
 //!
-//! Every admitted sample is stored once, in [`PathStats::owd`]: its 8 B
-//! value plus one bit saying whether an application packet carried it.
+//! Every admitted sample is stored once, in [`PathStats::owd`]: its
+//! value, as a varint of its delta from the previous sample (≈ 2.9 B on
+//! the Vultr pairing's jittered paths, losslessly; a value that is not a
+//! whole number of nanoseconds takes 9 B), plus one bit saying whether an
+//! application packet carried it.
 //! The application-only samples are a view over those bits
 //! ([`OwdSamples::app_values`]), not a second copy. Nothing keeps a
 //! sample's timestamp: every time-keyed view is state `record_owd`
@@ -36,58 +39,220 @@ use tango_topology::AsId;
 /// over time uses (Fig. 4 right); coarser views merge whole bins.
 pub const BIN_NS: u64 = 500_000_000;
 
+/// Capacity of an [`OwdSamples`] column's first chunk, bytes: small, so
+/// a path that carries few samples pays little.
+const FIRST_CHUNK_BYTES: usize = 1 << 10;
+/// Capacity of every later chunk, bytes.
+const CHUNK_BYTES: usize = 16 << 10;
+/// Tag of an escaped record, whose raw 8 `f64` bytes follow. A delta
+/// record's tag is its zigzag delta plus one, so it is never 0.
+const ESCAPE: u8 = 0;
+
 /// Admitted one-way delays (ns) in arrival order, each with one bit
 /// saying whether an application packet carried it.
+///
+/// The values form an append-only byte column. A sample that is an
+/// exactly integral `i64` (every measured OWD is a count of
+/// nanoseconds) is the LEB128 varint of its zigzag delta from the last
+/// integral sample, plus one: about 3 B for a jittered path. Any other
+/// bit pattern (`-0.0`, NaN, ±inf, a fraction), or a delta that does not
+/// fit, is an escape byte (0) and the raw 8 bytes. The bytes live in
+/// chunks that are filled to their capacity and never reallocated; a
+/// record never straddles two. Decoding ([`Self::iter`]) restores every
+/// bit pattern.
 #[derive(Debug, Clone, Default)]
 pub struct OwdSamples {
-    values: Vec<f64>,
+    /// The encoded records: the first chunk [`FIRST_CHUNK_BYTES`], later
+    /// ones [`CHUNK_BYTES`], allocated on the push that needs them.
+    chunks: Vec<Vec<u8>>,
+    len: usize,
+    /// The last integral sample, the base of the next delta (0 before
+    /// any).
+    base: i64,
+    /// The last sample.
+    last: f64,
     /// Bit `i` is set when sample `i` came from an app packet (word
     /// `i / 64`, bit `i % 64`).
     app: Vec<u64>,
 }
 
+/// `value` as the `i64` it is exactly (same bits back through `as f64`),
+/// if it is one.
+fn integral(value: f64) -> Option<i64> {
+    let i = value as i64;
+    ((i as f64).to_bits() == value.to_bits()).then_some(i)
+}
+
+/// One sample as the column stores it.
+enum Record {
+    /// Zigzag delta from the base, plus one.
+    Delta(u64),
+    /// Raw `f64` bits.
+    Escape(u64),
+}
+
+impl Record {
+    /// Encode `value` against `*base`, advancing it past an integral
+    /// value.
+    fn encode(value: f64, base: &mut i64) -> Record {
+        let Some(i) = integral(value) else {
+            return Record::Escape(value.to_bits());
+        };
+        let prev = std::mem::replace(base, i);
+        let tag = i
+            .checked_sub(prev)
+            .and_then(|d| (((d << 1) ^ (d >> 63)) as u64).checked_add(1));
+        tag.map_or(Record::Escape(value.to_bits()), Record::Delta)
+    }
+
+    /// Bytes the record takes: 1 per 7 bits of a tag, 9 for an escape.
+    fn len(&self) -> usize {
+        match *self {
+            Record::Delta(tag) => (64 - tag.leading_zeros() as usize).div_ceil(7),
+            Record::Escape(_) => 9,
+        }
+    }
+
+    fn write(&self, out: &mut Vec<u8>) {
+        match *self {
+            Record::Delta(mut tag) => {
+                while tag >= 0x80 {
+                    out.push(tag as u8 | 0x80);
+                    tag >>= 7;
+                }
+                out.push(tag as u8);
+            }
+            Record::Escape(bits) => {
+                out.push(ESCAPE);
+                out.extend_from_slice(&bits.to_le_bytes());
+            }
+        }
+    }
+}
+
 impl OwdSamples {
     fn push(&mut self, value: f64, app: bool) {
-        let bit = self.values.len() % 64;
+        let bit = self.len % 64;
         if bit == 0 {
             self.app.push(0);
         }
         if let Some(word) = self.app.last_mut() {
             *word |= u64::from(app) << bit;
         }
-        self.values.push(value);
+        let record = Record::encode(value, &mut self.base);
+        let room = self.chunks.last().map_or(0, |c| c.capacity() - c.len());
+        if room < record.len() {
+            let capacity = if self.chunks.is_empty() {
+                FIRST_CHUNK_BYTES
+            } else {
+                CHUNK_BYTES
+            };
+            self.chunks.push(Vec::with_capacity(capacity));
+        }
+        if let Some(chunk) = self.chunks.last_mut() {
+            record.write(chunk);
+        }
+        self.len += 1;
+        self.last = value;
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.len
     }
 
     /// No sample yet?
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.len == 0
     }
 
-    /// Every sample's value, in arrival order.
-    pub fn values(&self) -> &[f64] {
-        &self.values
+    /// Every sample's value, in arrival order, decoded without
+    /// allocating.
+    pub fn iter(&self) -> OwdIter<'_> {
+        OwdIter {
+            chunks: self.chunks.iter(),
+            bytes: [].iter(),
+            base: 0,
+            left: self.len,
+        }
+    }
+
+    /// Every sample's value, in arrival order, decoded into a `Vec`.
+    pub fn values(&self) -> Vec<f64> {
+        self.iter().collect()
+    }
+
+    /// The most recent sample, or None when empty.
+    pub fn last(&self) -> Option<f64> {
+        (self.len > 0).then_some(self.last)
     }
 
     /// The values of *application* packets only (what end users actually
     /// experienced on this path), in arrival order.
     pub fn app_values(&self) -> impl Iterator<Item = f64> + '_ {
-        self.values
-            .iter()
+        self.iter()
             .enumerate()
             .filter(|(i, _)| self.app.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1))
-            .map(|(_, &v)| v)
+            .map(|(_, v)| v)
     }
 
     /// Mean value, or None when empty.
     pub fn mean(&self) -> Option<f64> {
-        series::mean(&self.values)
+        series::mean(self.iter())
     }
 }
+
+/// The decoder behind [`OwdSamples::iter`].
+#[derive(Debug, Clone)]
+pub struct OwdIter<'a> {
+    chunks: std::slice::Iter<'a, Vec<u8>>,
+    /// What is left of the current chunk.
+    bytes: std::slice::Iter<'a, u8>,
+    base: i64,
+    left: usize,
+}
+
+impl Iterator for OwdIter<'_> {
+    type Item = f64;
+
+    fn next(&mut self) -> Option<f64> {
+        let mut byte = loop {
+            match self.bytes.next() {
+                Some(&b) => break b,
+                None => self.bytes = self.chunks.next()?.iter(),
+            }
+        };
+        self.left = self.left.saturating_sub(1);
+        if byte == ESCAPE {
+            let mut raw = [0; 8];
+            raw.iter_mut()
+                .zip(&mut self.bytes)
+                .for_each(|(r, &b)| *r = b);
+            let value = f64::from_le_bytes(raw);
+            if let Some(i) = integral(value) {
+                self.base = i;
+            }
+            return Some(value);
+        }
+        let mut tag = u64::from(byte & 0x7f);
+        let mut shift = 0;
+        while byte & 0x80 != 0 {
+            byte = *self.bytes.next()?;
+            shift += 7;
+            tag |= u64::from(byte & 0x7f).wrapping_shl(shift);
+        }
+        let zigzag = tag.wrapping_sub(1);
+        let delta = (zigzag >> 1) as i64 ^ -((zigzag & 1) as i64);
+        self.base = self.base.wrapping_add(delta);
+        Some(self.base as f64)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for OwdIter<'_> {}
 
 /// Live statistics for one path (tunnel).
 #[derive(Debug)]
@@ -171,7 +336,7 @@ impl PathStats {
     pub fn jitter_ns(&self) -> Option<f64> {
         self.rolling
             .mean_std()
-            .or_else(|| series::std(self.owd.values()))
+            .or_else(|| series::std(self.owd.iter()))
     }
 
     /// Record a measurement through the plausibility gate. Returns
@@ -397,6 +562,39 @@ mod tests {
         assert_eq!(p.bins.bins().len(), 1, "10 ms of samples, one 500 ms bin");
         assert_eq!(p.rolling.len(), 10);
         assert_eq!(p.jitter_ns(), Some(0.0));
+    }
+
+    #[test]
+    fn the_first_chunk_waits_for_the_first_sample() {
+        let mut p = PathStats::new("NTT".into());
+        assert_eq!(p.owd.chunks.capacity(), 0, "no heap for an idle path");
+        p.record_owd(0, 36e6, 0, true);
+        let capacities: Vec<usize> = p.owd.chunks.iter().map(Vec::capacity).collect();
+        assert_eq!(capacities, [FIRST_CHUNK_BYTES]);
+    }
+
+    #[test]
+    fn a_jittered_path_packs_in_about_three_bytes_a_sample() {
+        // 100 000 samples of a 36 ms path with uniform ±300 µs jitter:
+        // most deltas need 21 bits, three varint bytes.
+        let mut owd = OwdSamples::default();
+        let mut x = 0x9e37_79b9_7f4a_7c15_u64;
+        for i in 0..100_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let jitter = (x % 600_001) as i64 - 300_000;
+            owd.push((36_000_000 + jitter) as f64, i % 3 != 0);
+        }
+        let capacities: Vec<usize> = owd.chunks.iter().map(Vec::capacity).collect();
+        assert_eq!(capacities[0], FIRST_CHUNK_BYTES);
+        assert!(capacities[1..].iter().all(|&c| c == CHUNK_BYTES));
+        let per_sample = capacities.iter().sum::<usize>() as f64 / owd.len() as f64;
+        assert!(
+            per_sample <= 3.25,
+            "{per_sample:.3} B per sample, chunk slack included"
+        );
+        assert_eq!(owd.iter().len(), 100_000);
     }
 
     #[test]

@@ -290,7 +290,7 @@ impl TangoSwitch {
                     id,
                     PathSnapshot {
                         owd_ewma_ns: p.owd_ewma.get(),
-                        last_owd_ns: p.owd.values().last().copied(),
+                        last_owd_ns: p.owd.last(),
                         jitter_ns: p.rolling.std(),
                         loss_rate: p.seq.loss_rate(),
                         samples: p.owd.len() as u64,

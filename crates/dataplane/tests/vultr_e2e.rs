@@ -366,7 +366,7 @@ fn corrupted_tunnel_packets_are_rejected_not_measured() {
     let rejects = sink.unattributed_rejects + sink.paths().map(|(_, p)| p.rejected).sum::<u64>();
     assert!(rejects > 500, "expected many rejects, got {rejects}");
     if let Some(p) = sink.path(0) {
-        for &owd in p.owd.values() {
+        for owd in p.owd.iter() {
             assert!(
                 (30_000_000.0..45_000_000.0).contains(&owd),
                 "corrupt packet produced insane OWD {owd}"

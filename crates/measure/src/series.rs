@@ -56,7 +56,7 @@ impl TimeSeries {
 
     /// Mean value, or None when empty.
     pub fn mean(&self) -> Option<f64> {
-        mean(&self.values)
+        mean(self.values.iter().copied())
     }
 
     /// Minimum value.
@@ -71,23 +71,32 @@ impl TimeSeries {
 
     /// Population standard deviation.
     pub fn std(&self) -> Option<f64> {
-        std(&self.values)
+        std(self.values.iter().copied())
     }
 }
 
-/// Mean of `values`, or None when empty.
-pub fn mean(values: &[f64]) -> Option<f64> {
-    if values.is_empty() {
-        None
-    } else {
-        Some(values.iter().sum::<f64>() / values.len() as f64)
-    }
+/// Mean of `values`, or None when empty: their sum in order, divided
+/// by their count.
+pub fn mean<I>(values: I) -> Option<f64>
+where
+    I: IntoIterator<Item = f64>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let values = values.into_iter();
+    let n = values.len();
+    (n > 0).then(|| values.sum::<f64>() / n as f64)
 }
 
 /// Population standard deviation of `values`, or None when empty.
-pub fn std(values: &[f64]) -> Option<f64> {
-    let mean = mean(values)?;
-    let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / values.len() as f64;
+pub fn std<I>(values: I) -> Option<f64>
+where
+    I: IntoIterator<Item = f64>,
+    I::IntoIter: ExactSizeIterator + Clone,
+{
+    let values = values.into_iter();
+    let n = values.len();
+    let mean = mean(values.clone())?;
+    let var = values.map(|v| (v - mean).powi(2)).sum::<f64>() / n as f64;
     Some(var.sqrt())
 }
 

@@ -11,8 +11,8 @@
 //! The pairing and mesh scenarios pre-schedule all their packets, run the
 //! first half as a warm-up (queues, buffer pool, slab and OWD store
 //! reach their working size) and count allocator calls inside
-//! `run_until` over the second half. What remains is amortised growth (an
-//! OWD value or span `Vec` doubling): well under
+//! `run_until` over the second half. What remains is amortised growth (a
+//! new OWD chunk or a span `Vec` doubling): well under
 //! [`MAX_CALLS_PER_PACKET`]. A per-packet allocation anywhere on the path
 //! — the flow-hash key `Vec` this guard was written against cost 4.3 per
 //! packet — fails it by two orders of magnitude. The templated scenario
@@ -99,16 +99,18 @@ const MAX_CALLS_PER_BGP_UPDATE: f64 = 0.73;
 /// Live heap bytes per delivered app packet that [`pairing_run`] may
 /// leave behind (the event queue's grown capacity, the `owd` values with
 /// their app bits, the 500 ms bins, the rolling windows, the pooled
-/// buffers). Exact, on 8 000 delivered: 152.30 with 96-byte pending
-/// events and 80-byte staged ones, app packets scheduled as clones of one
-/// template, which draw their buffers from the pool at dispatch, so the
-/// pool keeps about as many as were ever in flight; 186.15 with 112-byte
-/// events in both queues, 203.98 with an 8 B receive timestamp stored
-/// beside every `owd` value on top, 220.36 with a second app-only series
-/// on top of that. A pool without its demand bound reads the same: it
-/// only ever receives buffers it handed out. Midway between this tree and
-/// the 112-byte events.
-const MAX_HEAP_BYTES_PER_APP_PACKET: f64 = 169.22;
+/// buffers). Exact, on 8 000 delivered: 140.37 with each `owd` value a
+/// delta varint in fixed chunks, 96-byte pending events and 80-byte
+/// staged ones, app packets scheduled as clones of one template, which
+/// draw their buffers from the pool at dispatch, so the pool keeps about
+/// as many as were ever in flight; 152.30 with every `owd` value an 8 B
+/// `f64` in a doubling `Vec`, 186.15 with 112-byte events in both queues
+/// on top, 203.98 with an 8 B receive timestamp stored beside every
+/// `owd` value on top, 220.36 with a second app-only series on top of
+/// that. A pool without its demand bound reads the same: it only ever
+/// receives buffers it handed out. Midway between this tree and the
+/// `f64` values.
+const MAX_HEAP_BYTES_PER_APP_PACKET: f64 = 146.34;
 
 /// Packets [`templated_run`] schedules: a power of two, so the staged
 /// event queue it fills from empty ends at exactly their capacity.

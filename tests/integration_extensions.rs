@@ -146,7 +146,7 @@ fn authenticated_pairing_discards_corrupted_packets_via_auth() {
     );
     // Zero pollution this time — every accepted sample is sane.
     for (id, path) in sink.paths() {
-        for &owd in path.owd.values() {
+        for owd in path.owd.iter() {
             assert!(
                 (20_000_000.0..60_000_000.0).contains(&owd),
                 "path {id}: polluted OWD {owd} survived authentication"

@@ -87,7 +87,7 @@ fn determinism_same_seed_identical_series() {
         p.run_until(SimTime::from_secs(5));
         let sink = p.stats(Side::A).lock();
         let gtt = sink.path(2).unwrap();
-        (gtt.owd.values().to_vec(), gtt.bins.clone())
+        (gtt.owd.values(), gtt.bins.clone())
     };
     let a = series(7);
     let b = series(7);

@@ -32,7 +32,7 @@ fn corruption_storm_rejects_nearly_everything_bad() {
     let mut accepted = 0u64;
     let mut insane = 0u64;
     for (_, path) in sink.paths() {
-        for &owd in path.owd.values() {
+        for owd in path.owd.iter() {
             accepted += 1;
             if !(20_000_000.0..60_000_000.0).contains(&owd) {
                 insane += 1;
