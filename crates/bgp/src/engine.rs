@@ -11,21 +11,26 @@
 //! via `tango-control`.
 //!
 //! Callers name prefixes; inside, the engine interns each into a dense
-//! [`PrefixId`] that indexes every speaker's table and keys the
-//! worklists, and recycles the id once the prefix is gone from every
-//! speaker — so no prefix is compared on the update path and a stream of
-//! discovery probes costs each speaker one record, not one per probe.
+//! [`PrefixId`] that indexes its RIB column — every speaker's state for
+//! the prefix, one advertisement slot per directed session — and keys
+//! the worklists, and recycles the id (and the blank column with it)
+//! once the prefix is gone from every speaker: no prefix is compared on
+//! the update path, and a stream of discovery probes costs one column,
+//! not one per probe. A sender writes the slot `offsets[to.index] +
+//! to.back`, which is also the receiver's Adj-RIB-In entry for it.
 //! The worklists are plain vectors the engine keeps between calls; the
 //! one that says where updates landed is drained as delivered, unsorted
 //! and with duplicates, because re-deciding a pair twice is a no-op.
 //! Announcements and withdrawals converge over the routes in place; a
-//! community edit blanks its prefix everywhere and converges as a fresh
+//! community edit blanks its prefix's column and converges as a fresh
 //! announcement of the prefix's originations.
 
 use crate::community::Community;
-use crate::rib::{Route, RouteSource};
+use crate::policy::local_pref_base;
+use crate::rib::{PathAttrs, PrefixColumn, Route, Winner};
 use crate::speaker::{BgpSpeaker, Neighbor, PrefixId, SpeakerConfig};
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 use tango_net::{IpCidr, PrefixTrie};
 use tango_obs::{Counter, Gauge, Histogram, Registry};
 use tango_topology::{AsId, Topology};
@@ -172,7 +177,13 @@ pub struct BgpEngine {
     /// 32-bit, fits a `u32`). Each speaker holds its neighbors' positions
     /// and relationships, resolved once in [`BgpEngine::new`].
     speakers: Vec<BgpSpeaker>,
+    /// Where each speaker's sessions start in a column's slots (one more
+    /// entry than speakers: the last is the slot count).
+    offsets: Box<[u32]>,
     prefixes: PrefixTable,
+    /// Every speaker's RIB state, one column per prefix id; a free id's
+    /// column is blank.
+    columns: Vec<PrefixColumn>,
     round_cap: usize,
     obs: Option<BgpObs>,
     rib_obs: Option<RibObs>,
@@ -209,24 +220,36 @@ impl BgpEngine {
             .map(|(&id, neighbors)| {
                 let sessions = neighbors.iter().map(|&n| {
                     let index = ids.binary_search(&n).expect("links join known nodes");
+                    let rel = topology
+                        .relationship(id, n)
+                        .expect("adjacency lists mirror the edge map");
+                    let back = session_ids[index]
+                        .binary_search(&id)
+                        .expect("adjacency is mutual");
                     Neighbor {
                         id: n,
-                        rel: topology
-                            .relationship(id, n)
-                            .expect("adjacency lists mirror the edge map"),
+                        rel,
                         index: index as u32,
-                        back: session_ids[index]
-                            .binary_search(&id)
-                            .expect("adjacency is mutual") as u32,
+                        back: back as u32,
+                        local_pref: local_pref_base(rel),
+                        tie_pref: 0,
                     }
                 });
                 BgpSpeaker::new(SpeakerConfig::new(id), sessions.collect())
             })
             .collect();
+        let offsets = core::iter::once(0)
+            .chain(session_ids.iter().scan(0, |end, list| {
+                *end += list.len() as u32;
+                Some(*end)
+            }))
+            .collect();
         BgpEngine {
             topology,
             speakers,
+            offsets,
             prefixes: PrefixTable::default(),
+            columns: Vec::new(),
             round_cap: 200,
             obs: None,
             rib_obs: None,
@@ -269,24 +292,22 @@ impl BgpEngine {
     /// Current RIB occupancy summed over every speaker.
     pub fn rib_stats(&self) -> RibStats {
         let mut stats = RibStats::default();
-        for s in &self.speakers {
-            stats.adj_rib_in += s.rib_in_len();
-            stats.loc_rib += s.loc_rib_len();
-            stats.adj_rib_out += s.rib_out_len();
+        for c in self.columns.iter().map(|c| c.stats) {
+            stats.adj_rib_in += c.adj_rib_in;
+            stats.loc_rib += c.loc_rib;
+            stats.adj_rib_out += c.adj_rib_out;
         }
         stats
     }
 
-    /// Heap bytes held by every speaker's RIB table right now. An
-    /// advertisement shared between a sender's Adj-RIB-Out and its
-    /// receivers' Adj-RIB-In and Loc-RIB is one allocation and is counted
-    /// once.
+    /// Heap bytes held by the RIB columns right now. An advertisement
+    /// held by a session slot and the Loc-RIB entries that chose it is
+    /// one allocation and is counted once.
     pub fn rib_heap_bytes(&self) -> u64 {
         let mut seen = BTreeSet::new();
-        self.speakers
-            .iter()
-            .map(|s| s.rib_heap_bytes(&mut seen) as u64)
-            .sum()
+        let columns = self.columns.capacity() * core::mem::size_of::<PrefixColumn>();
+        let held: usize = self.columns.iter().map(|c| c.heap_bytes(&mut seen)).sum();
+        (columns + held) as u64
     }
 
     /// The underlying topology.
@@ -314,19 +335,39 @@ impl BgpEngine {
         &self,
         origin: AsId,
         prefix: IpCidr,
-    ) -> Result<Option<(usize, PrefixId)>, EngineError> {
-        let i = self.index_of(origin)?;
+    ) -> Result<Option<(u32, PrefixId)>, EngineError> {
+        let i = self.index_of(origin)? as u32;
         Ok(self.prefixes.get(&prefix).map(|p| (i, p)))
     }
 
+    /// `prefix`'s id, minted with a blank column if it has none.
+    fn intern(&mut self, prefix: IpCidr) -> PrefixId {
+        let p = self.prefixes.intern(prefix);
+        if p.slot() == self.columns.len() {
+            let sessions = self.offsets[self.speakers.len()] as usize;
+            self.columns
+                .push(PrefixColumn::new(sessions, self.speakers.len()));
+        }
+        p
+    }
+
+    /// `at`'s speaker and its Loc-RIB entry for `prefix`.
+    fn winner(&self, at: AsId, prefix: IpCidr) -> Option<(&BgpSpeaker, &Winner)> {
+        let i = self.index_of(at).ok()?;
+        let column = &self.columns[self.prefixes.get(&prefix)?.slot()];
+        Some((&self.speakers[i], column.winner(i as u32)?))
+    }
+
     /// Set a node's per-neighbor preference map (e.g. the Vultr borders'
-    /// NTT > Telia > GTT ordering).
+    /// NTT > Telia > GTT ordering). Routes it already holds are ranked
+    /// with the new preferences from the next [`BgpEngine::converge`] on,
+    /// exactly like routes that arrive later.
     pub fn set_neighbor_pref(
         &mut self,
         id: AsId,
         prefs: BTreeMap<AsId, u32>,
     ) -> Result<(), EngineError> {
-        self.speaker_mut(id)?.config_mut().neighbor_pref = prefs;
+        self.speaker_mut(id)?.set_neighbor_pref(&prefs);
         Ok(())
     }
 
@@ -341,13 +382,6 @@ impl BgpEngine {
     pub fn set_honor_actions(&mut self, id: AsId, honor: bool) -> Result<(), EngineError> {
         self.speaker_mut(id)?.config_mut().honor_action_communities = honor;
         Ok(())
-    }
-
-    /// Soft-reconfiguration inbound: re-run import policy at a node so a
-    /// `neighbor_pref` change takes effect without a withdraw/re-announce
-    /// cycle. Follow with [`BgpEngine::converge`].
-    pub fn refresh_import(&mut self, id: AsId) -> Result<bool, EngineError> {
-        Ok(self.speaker_mut(id)?.refresh_import())
     }
 
     /// Originate a prefix at a node.
@@ -368,10 +402,19 @@ impl BgpEngine {
         communities: BTreeSet<Community>,
         poison: &[AsId],
     ) -> Result<(), EngineError> {
-        let i = self.index_of(origin)?; // before an id is minted
-        let p = self.prefixes.intern(prefix);
-        self.speakers[i].originate_poisoned(p, communities, poison);
-        self.dirty_origins.push((i as u32, p));
+        let i = self.index_of(origin)? as u32; // before an id is minted
+        let p = self.intern(prefix);
+        let origins = &mut self.columns[p.slot()].origins;
+        origins.retain(|&(o, _)| o != i);
+        origins.push((
+            i,
+            Rc::new(PathAttrs {
+                as_path: poison.into(),
+                communities: Rc::new(communities),
+                med: 0,
+            }),
+        ));
+        self.dirty_origins.push((i, p));
         Ok(())
     }
 
@@ -380,8 +423,8 @@ impl BgpEngine {
     /// does not originate `prefix` or already attaches exactly
     /// `communities`.
     ///
-    /// An edit is a fresh announcement of the prefix: every speaker
-    /// blanks what it learned, chose and sent for it, and the next
+    /// An edit is a fresh announcement of the prefix: its column — what
+    /// every speaker learned, chose and sent for it — is blanked, and the next
     /// [`BgpEngine::converge`] propagates the prefix's originations from
     /// that blank column instead of re-converging over the old routes.
     /// Gao-Rexford policies have one stable state, so the fixpoint is the
@@ -396,14 +439,21 @@ impl BgpEngine {
         let Some((i, p)) = self.origination(origin, prefix)? else {
             return Ok(false);
         };
-        if !self.speakers[i].set_origin_communities(p, communities) {
+        let column = &mut self.columns[p.slot()];
+        let Some((_, attrs)) = column.origins.iter_mut().find(|&&mut (o, _)| o == i) else {
+            return Ok(false);
+        };
+        if *attrs.communities == communities {
             return Ok(false);
         }
-        for (k, s) in self.speakers.iter_mut().enumerate() {
-            if s.clear_routes(p) {
-                self.dirty_origins.push((k as u32, p));
-            }
-        }
+        *attrs = Rc::new(PathAttrs {
+            as_path: attrs.as_path.clone(),
+            communities: Rc::new(communities),
+            med: attrs.med,
+        });
+        column.clear_routes();
+        let origins = column.origins.iter().map(|&(o, _)| (o, p));
+        self.dirty_origins.extend(origins);
         Ok(true)
     }
 
@@ -413,9 +463,12 @@ impl BgpEngine {
         let Some((i, p)) = self.origination(origin, prefix)? else {
             return Ok(false);
         };
-        let withdrawn = self.speakers[i].withdraw_origin(p);
+        let origins = &mut self.columns[p.slot()].origins;
+        let before = origins.len();
+        origins.retain(|&(o, _)| o != i);
+        let withdrawn = origins.len() != before;
         if withdrawn {
-            self.dirty_origins.push((i as u32, p));
+            self.dirty_origins.push((i, p));
         }
         Ok(withdrawn)
     }
@@ -453,35 +506,28 @@ impl BgpEngine {
         // which it cannot at a speaker the first loop already recomputed.
         self.export_set.clear();
         for id in core::mem::take(&mut self.dirty_config) {
-            let i = self.index_of(id).expect("marked while present");
-            let s = &mut self.speakers[i];
-            self.export_set
-                .extend(s.known_prefixes().map(|p| (i as u32, p)));
-            s.recompute();
+            let i = self.index_of(id).expect("marked while present") as u32;
+            for (k, column) in self.columns.iter_mut().enumerate() {
+                self.export_set.push((i, PrefixId(k as u32)));
+                self.speakers[i as usize].decide(i, &self.offsets, column);
+            }
         }
         let dirty_origins = core::mem::take(&mut self.dirty_origins);
         for &(i, p) in &dirty_origins {
-            if self.speakers[i as usize].recompute_prefix(p) {
+            let column = &mut self.columns[p.slot()];
+            if self.speakers[i as usize].decide(i, &self.offsets, column) {
                 self.export_set.push((i, p));
             }
         }
         for round in 1..=self.round_cap {
-            // Phase 1: deliver export diffs from the worklist. The sender
-            // and its table entry are borrowed once per worklist item;
-            // every receiver is a different speaker, reached through the
-            // position cached in the sender's session list.
+            // Phase 1: deliver export diffs from the worklist. Each
+            // writes its sender's slots in the prefix's column; a slot
+            // is its receiver's Adj-RIB-In entry as well.
             for &(i, p) in &self.export_set {
-                let i = i as usize;
-                let (before, rest) = self.speakers.split_at_mut(i);
-                let (sender, after) = rest.split_first_mut().expect("worklist names speakers");
-                sender.export_prefix(p, |to, update| {
-                    let j = to.index as usize;
-                    let receiver = if j < i {
-                        &mut before[j]
-                    } else {
-                        &mut after[j - i - 1]
-                    };
-                    if receiver.receive(to.back, p, update) {
+                let column = &mut self.columns[p.slot()];
+                let sender = &self.speakers[i as usize];
+                sender.export(i, &self.offsets, column, |to, _, changed| {
+                    if changed {
                         updates_applied += 1;
                         self.received.push((to.index, p));
                     }
@@ -491,7 +537,7 @@ impl BgpEngine {
                 // A withdrawn prefix has now left every speaker it is
                 // ever going to leave: recycle the ids nobody holds.
                 for &(_, p) in &dirty_origins {
-                    if !self.speakers.iter().any(|s| s.holds(p)) {
+                    if self.columns[p.slot()].is_empty() {
                         self.prefixes.release(p);
                     }
                 }
@@ -519,7 +565,8 @@ impl BgpEngine {
             // return false, so the pair is exported once.
             self.export_set.clear();
             for (i, p) in self.received.drain(..) {
-                if self.speakers[i as usize].recompute_prefix(p) {
+                let column = &mut self.columns[p.slot()];
+                if self.speakers[i as usize].decide(i, &self.offsets, column) {
                     self.export_set.push((i, p));
                 }
             }
@@ -530,27 +577,40 @@ impl BgpEngine {
     }
 
     /// The best route for `prefix` at node `at`, after convergence.
-    pub fn best_route(&self, at: AsId, prefix: IpCidr) -> Option<&Route> {
-        self.speaker(at).ok()?.best(self.prefixes.get(&prefix)?)
+    pub fn best_route(&self, at: AsId, prefix: IpCidr) -> Option<Route> {
+        let (s, winner) = self.winner(at, prefix)?;
+        Some(s.route(winner))
     }
 
     /// The AS path for `prefix` as seen at `at` (§4.1: "observing the
     /// AS-path heard at the other server").
     pub fn as_path(&self, at: AsId, prefix: IpCidr) -> Option<&[AsId]> {
-        self.best_route(at, prefix).map(Route::as_path)
+        self.winner(at, prefix).map(|(_, w)| &*w.attrs.as_path)
+    }
+
+    /// The advertisement `from` last sent `to` for `prefix` — its
+    /// Adj-RIB-Out entry, and `to`'s Adj-RIB-In entry unless `to`'s loop
+    /// check dropped it — or `None` if it sent none or there is no such
+    /// session.
+    pub fn advertisement(&self, from: AsId, to: AsId, prefix: IpCidr) -> Option<&PathAttrs> {
+        let s = self.speaker(from).ok()?;
+        let n = s.neighbors().iter().find(|n| n.id == to)?;
+        let slot = self.offsets[n.index as usize] + n.back;
+        let column = &self.columns[self.prefixes.get(&prefix)?.slot()];
+        column.sent(slot as usize).map(|attrs| &**attrs)
     }
 
     /// Build a longest-prefix-match forwarding table for a node: prefix →
     /// next-hop AS (the node itself for locally originated prefixes).
     pub fn forwarding_table(&self, at: AsId) -> Result<PrefixTrie<AsId>, EngineError> {
-        let s = self.speaker(at)?;
+        let i = self.index_of(at)?;
+        let s = &self.speakers[i];
         let mut trie = PrefixTrie::new();
-        for (prefix, route) in s.loc_rib() {
-            let next = match route.source {
-                RouteSource::Local => at,
-                RouteSource::Neighbor(n) => n,
-            };
-            trie.insert(self.prefixes.prefix(prefix), next);
+        for (k, column) in self.columns.iter().enumerate() {
+            if let Some(winner) = column.winner(i as u32) {
+                let prefix = self.prefixes.prefix(PrefixId(k as u32));
+                trie.insert(prefix, s.next_hop(winner));
+            }
         }
         Ok(trie)
     }
@@ -564,22 +624,57 @@ impl BgpEngine {
         let mut at = from;
         let mut hops = 0;
         loop {
-            let route = self.best_route(at, prefix)?;
-            match route.source {
-                RouteSource::Local => return Some(path),
-                RouteSource::Neighbor(n) => {
-                    if path.contains(&n) {
-                        return None; // forwarding loop
-                    }
-                    path.push(n);
-                    at = n;
-                }
+            let (s, winner) = self.winner(at, prefix)?;
+            let n = s.next_hop(winner);
+            if n == at {
+                return Some(path); // the origin
             }
+            if path.contains(&n) {
+                return None; // forwarding loop
+            }
+            path.push(n);
+            at = n;
             hops += 1;
             if hops > self.speakers.len() {
                 return None;
             }
         }
+    }
+}
+
+#[cfg(test)]
+impl BgpEngine {
+    /// `at`'s speaker and position, the session offsets, and `prefix`'s
+    /// column (minted if new): what the speaker tests drive by hand.
+    pub(crate) fn parts(
+        &mut self,
+        at: AsId,
+        prefix: IpCidr,
+    ) -> (&BgpSpeaker, u32, &[u32], &mut PrefixColumn) {
+        let i = self.index_of(at).expect("a test speaker");
+        let p = self.intern(prefix);
+        let column = &mut self.columns[p.slot()];
+        (&self.speakers[i], i as u32, &self.offsets, column)
+    }
+
+    /// `at`'s own entry counts: the imported slots of its sessions, its
+    /// winners, and the slots it sent into.
+    pub(crate) fn rib_lens(&self, at: AsId) -> RibStats {
+        let i = self.index_of(at).expect("a test speaker");
+        let sessions = self.speakers[i].neighbors();
+        let mut stats = RibStats::default();
+        for column in &self.columns {
+            let ins = self.offsets[i]..self.offsets[i + 1];
+            stats.adj_rib_in += ins
+                .filter(|&k| column.imported(k as usize).is_some())
+                .count();
+            stats.loc_rib += usize::from(column.winner(i as u32).is_some());
+            let outs = sessions
+                .iter()
+                .map(|n| self.offsets[n.index as usize] + n.back);
+            stats.adj_rib_out += outs.filter(|&k| column.sent(k as usize).is_some()).count();
+        }
+        stats
     }
 }
 
@@ -787,8 +882,7 @@ mod tests {
         let mut prefs = BTreeMap::new();
         prefs.insert(AsId(20), 40u32);
         e.set_neighbor_pref(AsId(1), prefs).unwrap();
-        // Soft-reconfiguration inbound picks up the new preference.
-        assert!(e.refresh_import(AsId(1)).unwrap());
+        // The held routes are ranked with it at the next convergence.
         e.converge().unwrap();
         assert_eq!(e.as_path(AsId(1), p).unwrap(), &[AsId(20), AsId(5)]);
     }
@@ -905,10 +999,10 @@ mod tests {
     /// The workspace-side twin of the benchmark's "discovery left probe
     /// routes in the RIB" violation, and the guard on its heap bound: a
     /// thousand probes under a thousand prefixes leave nothing behind,
-    /// because each reuses the id — and so the table record — the one
-    /// before it gave back. The blank record keeps its vectors, so what
-    /// is retained must be the largest probe's, never their sum: the heap
-    /// stands still from the second rotation over the 8 announcers on.
+    /// because each reuses the id — and so the column — the one before it
+    /// gave back. A column is as large as the graph's sessions whatever it
+    /// holds, so the heap stands still from the second rotation over the
+    /// 8 announcers on.
     #[test]
     fn probe_churn_leaves_no_prefix_state_behind() {
         let (mut e, pops) = churn_mesh();
@@ -932,13 +1026,11 @@ mod tests {
             (pops.len() + 1, 1),
             "one id served every probe"
         );
-        for s in &e.speakers {
-            assert!(s.table_len() <= pops.len() + 1, "{:?}", s.asid());
-        }
+        assert!(e.columns.len() <= pops.len() + 1, "one column per id");
     }
 
     /// The same bound with one announcer: its thousandth probe finds the
-    /// record its second one left, at the size it left it.
+    /// column its second one left, at the size it left it.
     #[test]
     fn probe_churn_from_one_announcer_stops_growing_the_heap() {
         let (mut e, pops) = churn_mesh();
@@ -976,9 +1068,9 @@ mod tests {
         e.announce(AsId(1), p, BTreeSet::new()).unwrap();
         assert_eq!(e.converge().unwrap(), 3);
         assert_eq!(registry.snapshot().counters["bgp.updates_processed"], 9);
-        let hub = e.speaker(AsId(100)).unwrap();
-        assert_eq!(hub.rib_in_len(), 3, "one route from each customer");
-        assert_eq!(hub.rib_out_len(), 4, "one advertisement per neighbor");
+        let hub = e.rib_lens(AsId(100));
+        assert_eq!(hub.adj_rib_in, 3, "one route from each customer");
+        assert_eq!(hub.adj_rib_out, 4, "one advertisement per neighbor");
         assert_eq!(
             e.as_path(AsId(5), p).unwrap(),
             &[AsId(100), AsId(10), AsId(1)]

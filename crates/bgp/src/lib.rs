@@ -8,10 +8,13 @@
 //! * typed [`Community`] values including Vultr-style *action communities*
 //!   ("do not announce to AS X", "prepend N× to AS X") that the paper's
 //!   prototype uses to shape outbound announcements (§4.1, step 2);
-//! * per-domain [`BgpSpeaker`]s with Adj-RIB-In / Loc-RIB / Adj-RIB-Out
-//!   kept in one per-prefix table — indexed by a dense prefix id the
-//!   engine interns, so callers name prefixes and speakers never compare
-//!   one — over shared, immutable [`PathAttrs`],
+//! * per-domain [`BgpSpeaker`]s — configuration, sessions, import and
+//!   export policy — whose Adj-RIB-In / Loc-RIB / Adj-RIB-Out live
+//!   prefix-major in the engine: one column per prefix, indexed by a
+//!   dense prefix id the engine interns (callers name prefixes; nothing
+//!   on the update path compares one), with one slot per directed
+//!   session that is both the sender's Adj-RIB-Out entry and the
+//!   receiver's Adj-RIB-In entry, over shared, immutable [`PathAttrs`];
 //!   the standard decision process (local-pref by Gao-Rexford relationship
 //!   plus a per-neighbor preference modeling Vultr's router config, then
 //!   AS-path length, then a deterministic tie-break);

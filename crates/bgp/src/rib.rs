@@ -1,14 +1,23 @@
-//! Routes and the BGP decision process.
+//! Routes, the BGP decision process, and the per-prefix RIB column.
 //!
 //! What travels in an UPDATE — AS path, communities, MED — is immutable
 //! once built and lives in one shared [`PathAttrs`] allocation: the
-//! sender's Adj-RIB-Out, every receiver's Adj-RIB-In and their Loc-RIBs
-//! all hold the same `Rc` — not `Arc`: an engine and all it shares stay
-//! on one thread, so a clone or drop on the update path is a plain
-//! increment. A [`Route`] is that handle plus the three fields the
-//! *receiver* computes on import.
+//! session slot it was sent over and every Loc-RIB that chose it all hold
+//! the same `Rc` — not `Arc`: an engine and all it shares stay on one
+//! thread, so a clone or drop on the update path is a plain increment.
+//! A [`Route`] is that handle plus the three fields the *receiver*
+//! computes on import.
+//!
+//! Storage is prefix-major: everything every speaker knows about one
+//! prefix sits in one `PrefixColumn` — one advertisement slot per
+//! directed session, laid out receiver-major, which is at once the
+//! sender's Adj-RIB-Out entry and the receiver's Adj-RIB-In entry (an
+//! "imported" bit says whether the receiver's loop check let it in);
+//! each speaker's winner; and the few local originations.
 
 use crate::community::Community;
+use crate::engine::RibStats;
+use core::cmp::Reverse;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 use tango_topology::AsId;
@@ -93,6 +102,27 @@ impl Route {
     pub fn path_len(&self) -> usize {
         self.attrs.as_path.len()
     }
+
+    fn rank(&self) -> Rank {
+        let neighbor = self.source.neighbor().map_or(0, |n| n.0);
+        rank(&self.attrs, neighbor, self.local_pref, self.tie_pref)
+    }
+}
+
+/// The decision process as one key: a candidate is better than another
+/// iff its rank is greater.
+pub(crate) type Rank = (u32, Reverse<usize>, Reverse<u32>, u32, Reverse<u32>);
+
+/// The rank of `attrs` learned from `neighbor` (0 for a local route)
+/// with the receiver's `local_pref` and `tie_pref`.
+pub(crate) fn rank(attrs: &PathAttrs, neighbor: u32, local_pref: u32, tie_pref: u32) -> Rank {
+    (
+        local_pref,
+        Reverse(attrs.as_path.len()),
+        Reverse(attrs.med),
+        tie_pref,
+        Reverse(neighbor),
+    )
 }
 
 /// The decision process: pick the best route among candidates.
@@ -116,21 +146,148 @@ pub fn best_of<'a>(candidates: impl IntoIterator<Item = &'a Route>) -> Option<&'
 
 /// Is `a` strictly better than `b` under the decision process?
 pub fn better(a: &Route, b: &Route) -> bool {
-    if a.local_pref != b.local_pref {
-        return a.local_pref > b.local_pref;
+    a.rank() > b.rank()
+}
+
+/// A [`Winner`]'s session for the local origination.
+pub(crate) const LOCAL: u32 = u32::MAX;
+
+/// One speaker's Loc-RIB entry: the session the route was learned over
+/// (its index in the speaker's session list, or [`LOCAL`]) and the
+/// advertisement, held here so a later write to that session's slot
+/// cannot change what was decided.
+#[derive(Debug, Clone)]
+pub(crate) struct Winner {
+    pub(crate) session: u32,
+    pub(crate) attrs: Rc<PathAttrs>,
+}
+
+/// Every speaker's routing state for one prefix.
+#[derive(Debug, Clone)]
+pub(crate) struct PrefixColumn {
+    /// What was last sent over each directed session, receiver-major: a
+    /// receiver's sessions are contiguous and in its neighbor-id order.
+    slots: Box<[Option<Rc<PathAttrs>>]>,
+    /// One bit per slot: its receiver imported the advertisement (its
+    /// own AS is not on the path), so it is an Adj-RIB-In entry.
+    imported: Box<[u64]>,
+    /// Each speaker's Loc-RIB entry, by speaker position.
+    winners: Box<[Option<Winner>]>,
+    /// `(speaker position, attributes)` of each local origination, at
+    /// most one per speaker.
+    pub(crate) origins: Vec<(u32, Rc<PathAttrs>)>,
+    /// Entry counts over every speaker, kept current on every edit.
+    pub(crate) stats: RibStats,
+}
+
+impl PrefixColumn {
+    /// A blank column for `sessions` directed sessions among `speakers`.
+    pub(crate) fn new(sessions: usize, speakers: usize) -> Self {
+        PrefixColumn {
+            slots: vec![None; sessions].into(),
+            imported: vec![0; sessions.div_ceil(64)].into(),
+            winners: vec![None; speakers].into(),
+            origins: Vec::new(),
+            stats: RibStats::default(),
+        }
     }
-    if a.path_len() != b.path_len() {
-        return a.path_len() < b.path_len();
+
+    /// What was last sent over session slot `k`.
+    pub(crate) fn sent(&self, k: usize) -> Option<&Rc<PathAttrs>> {
+        self.slots[k].as_ref()
     }
-    if a.attrs.med != b.attrs.med {
-        return a.attrs.med < b.attrs.med;
+
+    /// Slot `k`'s advertisement, if its receiver imported it.
+    pub(crate) fn imported(&self, k: usize) -> Option<&Rc<PathAttrs>> {
+        let bit = self.imported[k / 64] >> (k % 64) & 1;
+        self.slots[k].as_ref().filter(|_| bit == 1)
     }
-    if a.tie_pref != b.tie_pref {
-        return a.tie_pref > b.tie_pref;
+
+    /// Send `update` (`None`: a withdrawal) over session slot `k` into
+    /// `receiver`. `None` if the slot already holds it (compared by
+    /// value), else whether the receiver's Adj-RIB-In changed: a looped
+    /// path is stored as sent but not imported, so it withdraws what the
+    /// receiver held.
+    pub(crate) fn send(
+        &mut self,
+        k: usize,
+        receiver: AsId,
+        update: Option<&Rc<PathAttrs>>,
+    ) -> Option<bool> {
+        if self.slots[k].as_ref() == update {
+            return None;
+        }
+        let was = self.imported(k).is_some();
+        let now = update.is_some_and(|attrs| !attrs.as_path.contains(&receiver));
+        let sent = usize::from(update.is_some());
+        self.stats.adj_rib_out =
+            self.stats.adj_rib_out + sent - usize::from(self.slots[k].is_some());
+        self.stats.adj_rib_in = self.stats.adj_rib_in + usize::from(now) - usize::from(was);
+        self.slots[k] = update.cloned();
+        let word = &mut self.imported[k / 64];
+        *word = *word & !(1 << (k % 64)) | u64::from(now) << (k % 64);
+        Some(was || now)
     }
-    let na = a.source.neighbor().map(|n| n.0).unwrap_or(0);
-    let nb = b.source.neighbor().map(|n| n.0).unwrap_or(0);
-    na < nb
+
+    /// The speaker at `at`'s origination.
+    pub(crate) fn origin(&self, at: u32) -> Option<&Rc<PathAttrs>> {
+        let (_, attrs) = self.origins.iter().find(|(o, _)| *o == at)?;
+        Some(attrs)
+    }
+
+    /// The speaker at `at`'s Loc-RIB entry.
+    pub(crate) fn winner(&self, at: u32) -> Option<&Winner> {
+        self.winners[at as usize].as_ref()
+    }
+
+    /// Install `at`'s Loc-RIB entry.
+    pub(crate) fn set_winner(&mut self, at: u32, winner: Option<Winner>) {
+        let held = &mut self.winners[at as usize];
+        self.stats.loc_rib =
+            self.stats.loc_rib + usize::from(winner.is_some()) - usize::from(held.is_some());
+        *held = winner;
+    }
+
+    /// Blank every slot and winner, keeping the originations: the prefix
+    /// becomes a fresh announcement of them.
+    pub(crate) fn clear_routes(&mut self) {
+        self.slots.fill(None);
+        self.imported.fill(0);
+        self.winners.fill(None);
+        self.stats = RibStats::default();
+    }
+
+    /// Does no speaker hold anything for the prefix? Its id can then be
+    /// recycled, and the column with it.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.origins.is_empty() && self.stats.adj_rib_out == 0 && self.stats.loc_rib == 0
+    }
+
+    /// Heap bytes the column holds, with each shared allocation added to
+    /// `seen` and priced on first sight only (so a caller summing over
+    /// columns counts it once engine-wide).
+    pub(crate) fn heap_bytes(&self, seen: &mut BTreeSet<usize>) -> usize {
+        use core::mem::{size_of, size_of_val};
+        // `Rc` keeps two reference counts in front of the value.
+        const RC_HEADER: usize = 2 * size_of::<usize>();
+        let mut total = size_of_val(&*self.slots)
+            + size_of_val(&*self.imported)
+            + size_of_val(&*self.winners)
+            + self.origins.capacity() * size_of::<(u32, Rc<PathAttrs>)>();
+        let origins = self.origins.iter().map(|(_, attrs)| attrs);
+        let winners = self.winners.iter().flatten().map(|w| &w.attrs);
+        for attrs in origins.chain(self.slots.iter().flatten()).chain(winners) {
+            if seen.insert(Rc::as_ptr(attrs) as usize) {
+                total += RC_HEADER + size_of::<PathAttrs>() + size_of_val(&*attrs.as_path);
+            }
+            if seen.insert(Rc::as_ptr(&attrs.communities) as usize) {
+                total += RC_HEADER
+                    + size_of::<BTreeSet<Community>>()
+                    + attrs.communities.len() * size_of::<Community>();
+            }
+        }
+        total
+    }
 }
 
 #[cfg(test)]

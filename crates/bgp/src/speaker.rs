@@ -1,5 +1,5 @@
-//! A per-domain BGP border speaker: one per-prefix RIB table plus
-//! import/export policy.
+//! A per-domain BGP border speaker: its configuration, its sessions and
+//! the import/export policy it applies to a prefix's RIB column.
 //!
 //! This is the in-memory equivalent of the BIRD instance + Vultr border
 //! router pair of the prototype (§4.1): it computes local-pref from
@@ -9,26 +9,23 @@
 //! strips private ASNs on export, and supports AS-path poisoning at
 //! origination.
 //!
-//! Storage: everything the speaker knows about a prefix — origination,
-//! Adj-RIB-In, Loc-RIB entry, Adj-RIB-Out — sits in one `PrefixRib`
-//! record, and the records sit in a vector indexed by the engine's dense
-//! [`PrefixId`], so an update costs one indexed load: no prefix is
-//! compared on the update path. The Adj-RIB slots are small vectors
-//! ordered by neighbor id: the decision process scans them in that
-//! order, which is what makes its first-wins tie-break deterministic.
-//! A record a prefix has left keeps those vectors' capacity: the engine
-//! reissues its id, so the next discovery probe fills a record already
-//! the right size, and what is retained is the largest probe's, once.
+//! Storage: a speaker holds no routes. What it learned, chose and sent
+//! for a prefix lives in that prefix's column in the engine
+//! (`rib::PrefixColumn`): its Adj-RIB-In is the slots of its own sessions
+//! (contiguous, in neighbor-id order, which is what makes the decision's
+//! first-wins tie-break deterministic), its Adj-RIB-Out the slots of its
+//! neighbors' sessions with it, and its Loc-RIB entry one winner. Import
+//! policy is per session: each [`Neighbor`] caches the local-pref and
+//! administrative preference its routes get, read at decision time.
 
-use crate::community::Community;
-use crate::policy::{communities_forbid, local_pref_base, may_export};
-use crate::rib::{best_of, PathAttrs, Route, RouteSource};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::policy::{communities_forbid, may_export};
+use crate::rib::{rank, PathAttrs, PrefixColumn, Route, RouteSource, Winner, LOCAL};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use tango_topology::{AsId, Relationship};
 
-/// A prefix's dense id in the engine's intern table, and its record's
-/// index in every speaker's table. Only [`crate::BgpEngine`] mints one.
+/// A prefix's dense id in the engine's intern table, and its column's
+/// index. Only [`crate::BgpEngine`] mints one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct PrefixId(pub(crate) u32);
 
@@ -43,11 +40,6 @@ impl PrefixId {
 pub struct SpeakerConfig {
     /// The speaker's AS (routing-domain) id.
     pub asid: AsId,
-    /// Per-neighbor administrative preference, applied as a tie-break
-    /// *after* AS-path length (see `rib::better`). Models the Vultr
-    /// borders' NTT > Telia > GTT ordering without overriding
-    /// shortest-path selection.
-    pub neighbor_pref: BTreeMap<AsId, u32>,
     /// Strip private ASNs from the AS path when exporting — what Vultr
     /// does with the tenant's private-ASN session (§4.1 footnote).
     pub strip_private_asns: bool,
@@ -62,14 +54,9 @@ impl SpeakerConfig {
     pub fn new(asid: AsId) -> Self {
         SpeakerConfig {
             asid,
-            neighbor_pref: BTreeMap::new(),
             strip_private_asns: false,
             honor_action_communities: false,
         }
-    }
-
-    fn bonus(&self, neighbor: AsId) -> u32 {
-        self.neighbor_pref.get(&neighbor).copied().unwrap_or(0)
     }
 }
 
@@ -84,64 +71,15 @@ pub struct Neighbor {
     pub rel: Relationship,
     /// The neighbor's slot in the engine's dense speaker table.
     pub index: u32,
-    /// The owning speaker's slot in the *neighbor's* session list — what
-    /// the neighbor's [`BgpSpeaker::receive`] is handed as the sender.
+    /// The owning speaker's slot in the *neighbor's* session list: what
+    /// we send it lands in the neighbor's session slot `back`.
     pub back: u32,
-}
-
-/// The session with `id`, if there is one (`neighbors` is id-ordered).
-fn session(neighbors: &[Neighbor], id: AsId) -> Option<&Neighbor> {
-    let k = neighbors.binary_search_by_key(&id, |n| n.id).ok()?;
-    neighbors.get(k)
-}
-
-/// Insert into one of the RIB's ordered vectors, growing a full one by
-/// an eighth (at least one slot) instead of doubling it. Most hold one to
-/// three entries and millions of them are live at once, so slack is what
-/// the RIB's footprint is made of; an eighth still keeps filling a long
-/// vector (a hub's Adj-RIB-Out) linear.
-fn insert_snug<T>(v: &mut Vec<T>, at: usize, item: T) {
-    if v.len() == v.capacity() {
-        v.reserve_exact(1 + v.len() / 8);
-    }
-    v.insert(at, item);
-}
-
-/// Everything a speaker holds for one prefix.
-#[derive(Debug, Clone, Default)]
-struct PrefixRib {
-    /// Attributes of the local origination, if any.
-    originated: Option<Rc<PathAttrs>>,
-    /// Routes as received, ordered by sending neighbor id.
-    adj_in: Vec<Route>,
-    /// The decision process's current winner.
-    loc: Option<Route>,
-    /// What each neighbor was last sent, ordered by neighbor id; the
-    /// export diff against it yields the implicit withdrawals.
-    adj_out: Vec<(AsId, Rc<PathAttrs>)>,
-}
-
-impl PrefixRib {
-    fn is_empty(&self) -> bool {
-        self.originated.is_none()
-            && self.adj_in.is_empty()
-            && self.loc.is_none()
-            && self.adj_out.is_empty()
-    }
-
-    fn adj_in_slot(&self, neighbor: AsId) -> Result<usize, usize> {
-        self.adj_in
-            .binary_search_by_key(&Some(neighbor), |r| r.source.neighbor())
-    }
-}
-
-/// Entry counts of the three RIBs, kept current on every edit so the
-/// engine's per-convergence occupancy gauges cost O(speakers).
-#[derive(Debug, Clone, Copy, Default)]
-struct RibCounts {
-    adj_in: usize,
-    loc: usize,
-    adj_out: usize,
+    /// Local preference of routes learned over this session
+    /// (relationship-based).
+    pub local_pref: u32,
+    /// Administrative preference of routes learned over this session
+    /// (see [`Route::tie_pref`]).
+    pub tie_pref: u32,
 }
 
 /// How the current best route of one prefix leaves a speaker: the
@@ -149,24 +87,19 @@ struct RibCounts {
 /// per extra-prepend count rather than once per neighbor.
 struct Export<'a> {
     config: &'a SpeakerConfig,
-    best: &'a Route,
-    /// Our relationship to the neighbor `best` was learned from.
+    attrs: &'a PathAttrs,
+    /// Our relationship to the neighbor the route was learned from.
     learned_from: Option<Relationship>,
     /// Advertisements built so far, indexed by extra-prepend count.
     built: [Option<Rc<PathAttrs>>; 4],
 }
 
 impl<'a> Export<'a> {
-    fn new(config: &'a SpeakerConfig, best: &'a Route, neighbors: &[Neighbor]) -> Self {
-        let learned_from = best.source.neighbor().map(|from| {
-            session(neighbors, from)
-                .expect("receive only admits routes from sessions")
-                .rel
-        });
+    fn new(config: &'a SpeakerConfig, best: &'a Winner, neighbors: &[Neighbor]) -> Self {
         Export {
             config,
-            best,
-            learned_from,
+            attrs: &best.attrs,
+            learned_from: neighbors.get(best.session as usize).map(|n| n.rel),
             built: Default::default(),
         }
     }
@@ -174,8 +107,7 @@ impl<'a> Export<'a> {
     /// The advertisement for `to` (path prepended, private ASNs stripped,
     /// prepend communities applied), or `None` if policy withholds it.
     fn to(&mut self, to: &Neighbor) -> Option<&Rc<PathAttrs>> {
-        let (config, best) = (self.config, self.best);
-        let attrs = &best.attrs;
+        let (config, attrs) = (self.config, self.attrs);
         if !may_export(self.learned_from, to.rel)
             || communities_forbid(
                 &attrs.communities,
@@ -216,31 +148,19 @@ impl<'a> Export<'a> {
     }
 }
 
-/// A BGP speaker: its sessions and, per prefix, the origination,
-/// Adj-RIB-In, Loc-RIB entry and Adj-RIB-Out.
+/// A BGP speaker: its configuration and its sessions.
 #[derive(Debug, Clone)]
 pub struct BgpSpeaker {
     config: SpeakerConfig,
     /// eBGP sessions, ordered by neighbor id.
     neighbors: Vec<Neighbor>,
-    /// Per-prefix state, indexed by [`PrefixId`]; ids at or past the end
-    /// and blank records (capacity or not) alike mean "nothing held". The
-    /// engine recycles ids, so the table is as long as the most prefixes
-    /// ever live at once, and it grows by exactly what it needs.
-    table: Vec<PrefixRib>,
-    counts: RibCounts,
 }
 
 impl BgpSpeaker {
     /// A speaker with the given configuration and sessions.
     pub fn new(config: SpeakerConfig, mut neighbors: Vec<Neighbor>) -> Self {
         neighbors.sort_unstable_by_key(|n| n.id);
-        BgpSpeaker {
-            config,
-            neighbors,
-            table: Vec::new(),
-            counts: RibCounts::default(),
-        }
+        BgpSpeaker { config, neighbors }
     }
 
     /// This speaker's id.
@@ -248,362 +168,143 @@ impl BgpSpeaker {
         self.config.asid
     }
 
-    /// Mutable access to the configuration (neighbor prefs etc.).
+    /// Mutable access to the configuration (export knobs).
     pub fn config_mut(&mut self) -> &mut SpeakerConfig {
         &mut self.config
     }
 
-    /// `prefix`'s record, the table extended with blank ones up to it.
-    fn record(&mut self, prefix: PrefixId) -> &mut PrefixRib {
-        let k = prefix.slot();
-        if k >= self.table.len() {
-            self.table.reserve_exact(k + 1 - self.table.len());
-            self.table.resize_with(k + 1, PrefixRib::default);
+    /// The eBGP sessions, ordered by neighbor id.
+    pub(crate) fn neighbors(&self) -> &[Neighbor] {
+        &self.neighbors
+    }
+
+    /// Set each session's administrative preference from `prefs`
+    /// (absent: 0), applied as a tie-break *after* AS-path length (see
+    /// `rib::better`). Models the Vultr borders' NTT > Telia > GTT
+    /// ordering without overriding shortest-path selection. Routes
+    /// already held are ranked with it at their next decision.
+    pub(crate) fn set_neighbor_pref(&mut self, prefs: &BTreeMap<AsId, u32>) {
+        for n in &mut self.neighbors {
+            n.tie_pref = prefs.get(&n.id).copied().unwrap_or(0);
         }
-        &mut self.table[k]
     }
 
-    /// Does this speaker hold any state for `prefix`? The engine recycles
-    /// an id once no speaker does.
-    pub fn holds(&self, prefix: PrefixId) -> bool {
-        self.table.get(prefix.slot()).is_some_and(|r| !r.is_empty())
-    }
-
-    /// Records in the table, blank ones included.
-    #[cfg(test)]
-    pub(crate) fn table_len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Originate a prefix with communities attached.
-    pub fn originate(&mut self, prefix: PrefixId, communities: BTreeSet<Community>) {
-        self.originate_poisoned(prefix, communities, &[]);
-    }
-
-    /// Originate with AS-path poisoning: `poison` ASNs are planted in the
-    /// initial path, so those ASes will reject the route via loop
-    /// detection and the announcement routes around them (§6 mentions
-    /// poisoning as an additional path-exposure knob).
-    pub fn originate_poisoned(
-        &mut self,
-        prefix: PrefixId,
-        communities: BTreeSet<Community>,
-        poison: &[AsId],
-    ) {
-        self.record(prefix).originated = Some(Rc::new(PathAttrs {
-            as_path: poison.into(),
-            communities: Rc::new(communities),
-            med: 0,
-        }));
-    }
-
-    /// Stop originating a prefix.
-    pub fn withdraw_origin(&mut self, prefix: PrefixId) -> bool {
-        let rib = self.table.get_mut(prefix.slot());
-        rib.is_some_and(|rib| rib.originated.take().is_some())
-    }
-
-    /// Replace the communities on an existing origination (the §4.1
-    /// discovery loop repeatedly edits the community set). Returns false
-    /// if there is no such origination or it already carries exactly
-    /// `communities`.
-    pub fn set_origin_communities(
-        &mut self,
-        prefix: PrefixId,
-        communities: BTreeSet<Community>,
-    ) -> bool {
-        let Some(origin) = self
-            .table
-            .get_mut(prefix.slot())
-            .and_then(|rib| rib.originated.as_mut())
-        else {
-            return false;
-        };
-        if *origin.communities == communities {
-            return false;
+    /// The route `winner` stands for here.
+    pub(crate) fn route(&self, winner: &Winner) -> Route {
+        let attrs = Rc::clone(&winner.attrs);
+        match self.neighbors.get(winner.session as usize) {
+            None => Route::local(attrs),
+            Some(n) => Route {
+                attrs,
+                source: RouteSource::Neighbor(n.id),
+                local_pref: n.local_pref,
+                tie_pref: n.tie_pref,
+            },
         }
-        *origin = Rc::new(PathAttrs {
-            as_path: origin.as_path.clone(),
-            communities: Rc::new(communities),
-            med: origin.med,
-        });
-        true
     }
 
-    /// Blank what this speaker learned, chose and sent for `prefix` —
-    /// Adj-RIB-In, Loc-RIB entry, Adj-RIB-Out — keeping its origination
-    /// and the vectors' capacity. Called on every speaker, it turns the
-    /// prefix back into a fresh announcement. Returns whether this
-    /// speaker still originates it.
-    pub(crate) fn clear_routes(&mut self, prefix: PrefixId) -> bool {
-        let Some(rib) = self.table.get_mut(prefix.slot()) else {
-            return false;
-        };
-        self.counts.adj_in -= rib.adj_in.len();
-        self.counts.loc -= usize::from(rib.loc.take().is_some());
-        self.counts.adj_out -= rib.adj_out.len();
-        rib.adj_in.clear();
-        rib.adj_out.clear();
-        rib.originated.is_some()
+    /// Where traffic chosen by `winner` goes next: the neighbor it was
+    /// learned from, or this speaker for its own origination.
+    pub(crate) fn next_hop(&self, winner: &Winner) -> AsId {
+        self.neighbors
+            .get(winner.session as usize)
+            .map_or(self.config.asid, |n| n.id)
     }
 
-    /// Process an incoming update (`Some(attrs)`) or withdrawal (`None`)
-    /// for `prefix` from the neighbor in slot `via` of the session list
-    /// (the sender's [`Neighbor::back`]). Returns true if Adj-RIB-In
-    /// changed.
-    ///
-    /// Import policy: loop detection (reject paths containing our own id)
-    /// and local-pref computation happen here. The shared attributes are
-    /// cloned (a reference-count bump) only when they are stored.
-    pub fn receive(&mut self, via: u32, prefix: PrefixId, update: Option<&Rc<PathAttrs>>) -> bool {
-        // A slot with no session behind it never sent us anything.
-        let Some(&session) = self.neighbors.get(via as usize) else {
-            return false;
-        };
-        let from = session.id;
-        // A looped (or poisoned) path is treated as a withdrawal.
-        let Some(attrs) = update.filter(|attrs| !attrs.as_path.contains(&self.config.asid)) else {
-            let Some(rib) = self.table.get_mut(prefix.slot()) else {
-                return false;
-            };
-            let Ok(slot) = rib.adj_in_slot(from) else {
-                return false;
-            };
-            rib.adj_in.remove(slot);
-            self.counts.adj_in -= 1;
-            return true;
-        };
-        let local_pref = local_pref_base(session.rel);
-        let tie_pref = self.config.bonus(from);
-        let rib = self.record(prefix);
-        let slot = rib.adj_in_slot(from);
-        if let Ok(k) = slot {
-            let held = &rib.adj_in[k];
-            if held.attrs == *attrs && held.local_pref == local_pref && held.tie_pref == tie_pref {
-                return false;
-            }
-        }
-        let route = Route {
-            attrs: Rc::clone(attrs),
-            source: RouteSource::Neighbor(from),
-            local_pref,
-            tie_pref,
-        };
-        match slot {
-            Ok(k) => rib.adj_in[k] = route,
-            Err(k) => {
-                insert_snug(&mut rib.adj_in, k, route);
-                self.counts.adj_in += 1;
-            }
-        }
-        true
-    }
-
-    /// Re-run the decision process over originated + learned routes.
-    /// Returns true if the Loc-RIB changed.
-    pub fn recompute(&mut self) -> bool {
-        let mut changed = false;
-        for k in 0..self.table.len() {
-            changed |= self.recompute_prefix(PrefixId(k as u32));
-        }
-        changed
-    }
-
-    /// Every prefix this speaker currently holds state for: originated,
-    /// learned, still sitting in the Loc-RIB (a just-withdrawn
-    /// origination lives only there until the next decision run), or
-    /// advertised and not yet withdrawn.
-    pub fn known_prefixes(&self) -> impl Iterator<Item = PrefixId> + '_ {
-        (0..self.table.len() as u32)
-            .map(PrefixId)
-            .filter(|&p| self.holds(p))
-    }
-
-    /// Re-run the decision process for one prefix only — the incremental
-    /// engine's unit of work. Returns true if the Loc-RIB entry changed.
+    /// Re-run the decision process for this speaker (position `at`;
+    /// `offsets[j]` is where speaker `j`'s sessions start) over `col`.
+    /// Returns true if the Loc-RIB entry changed.
     ///
     /// Candidates are compared by reference, the origination first and
-    /// then Adj-RIB-In in neighbor-id order; only a winner that differs
-    /// from the installed route is cloned.
-    pub fn recompute_prefix(&mut self, prefix: PrefixId) -> bool {
-        let Some(rib) = self.table.get_mut(prefix.slot()) else {
-            return false;
+    /// then the imported slots in neighbor-id order; the winner is
+    /// compared with the installed one by value, and cloned only if it
+    /// differs.
+    pub(crate) fn decide(&self, at: u32, offsets: &[u32], col: &mut PrefixColumn) -> bool {
+        let base = offsets[at as usize] as usize;
+        let origin = col.origin(at);
+        let mut best = origin.map(|attrs| (LOCAL, attrs, rank(attrs, 0, u32::MAX, 0)));
+        for (k, n) in self.neighbors.iter().enumerate() {
+            let Some(attrs) = col.imported(base + k) else {
+                continue;
+            };
+            let r = rank(attrs, n.id.0, n.local_pref, n.tie_pref);
+            if best.as_ref().map_or(true, |(_, _, b)| r > *b) {
+                best = Some((k as u32, attrs, r));
+            }
+        }
+        let unchanged = match (&best, col.winner(at)) {
+            (None, None) => true,
+            (Some((session, attrs, _)), Some(w)) => w.session == *session && w.attrs == **attrs,
+            _ => false,
         };
-        let local = rib.originated.clone().map(Route::local);
-        let best = best_of(local.iter().chain(&rib.adj_in));
-        if best == rib.loc.as_ref() {
+        if unchanged {
             return false;
         }
-        self.counts.loc -= usize::from(rib.loc.is_some());
-        self.counts.loc += usize::from(best.is_some());
-        rib.loc = best.cloned();
+        let winner = best.map(|(session, attrs, _)| Winner {
+            session,
+            attrs: Rc::clone(attrs),
+        });
+        col.set_winner(at, winner);
         true
     }
 
-    /// The current best route for a prefix.
-    pub fn best(&self, prefix: PrefixId) -> Option<&Route> {
-        self.table.get(prefix.slot())?.loc.as_ref()
-    }
-
-    /// The whole Loc-RIB, in id order.
-    pub fn loc_rib(&self) -> impl Iterator<Item = (PrefixId, &Route)> {
-        (0u32..)
-            .map(PrefixId)
-            .zip(&self.table)
-            .filter_map(|(p, rib)| Some((p, rib.loc.as_ref()?)))
-    }
-
-    /// The advertisement this speaker would send `neighbor` for one
-    /// prefix (path prepended, private ASNs stripped, prepend communities
-    /// applied), or `None` if policy withholds it or there is no such
-    /// session.
-    pub fn export_for(&self, neighbor: AsId, prefix: PrefixId) -> Option<Rc<PathAttrs>> {
-        let best = self.best(prefix)?;
-        let to = session(&self.neighbors, neighbor)?;
-        Export::new(&self.config, best, &self.neighbors)
-            .to(to)
-            .cloned()
-    }
-
-    /// Bring Adj-RIB-Out for `prefix` up to date with the Loc-RIB and
-    /// call `deliver(neighbor, update)` for every session whose
-    /// advertisement changed (`None` = withdrawal) — the incremental
-    /// engine's per-prefix unit of export work. Sessions are visited in
-    /// neighbor-id order, in step with the Adj-RIB-Out slots.
-    pub fn export_prefix(
-        &mut self,
-        prefix: PrefixId,
-        mut deliver: impl FnMut(&Neighbor, Option<&Rc<PathAttrs>>),
+    /// Bring this speaker's outgoing slots in `col` up to date with its
+    /// Loc-RIB entry (speaker `at`; `offsets[j]` is where speaker `j`'s
+    /// sessions start) and call `deliver(neighbor, update, changed)` for
+    /// every session whose advertisement changed (`None` = withdrawal;
+    /// `changed`: the neighbor's Adj-RIB-In moved). Sessions are visited
+    /// in neighbor-id order.
+    pub(crate) fn export(
+        &self,
+        at: u32,
+        offsets: &[u32],
+        col: &mut PrefixColumn,
+        mut deliver: impl FnMut(&Neighbor, Option<&Rc<PathAttrs>>, bool),
     ) {
-        let Some(PrefixRib { loc, adj_out, .. }) = self.table.get_mut(prefix.slot()) else {
-            return; // nothing held, nothing ever sent
-        };
-        let mut export = loc
+        let best = col.winner(at).cloned();
+        let mut export = best
             .as_ref()
             .map(|best| Export::new(&self.config, best, &self.neighbors));
-        let mut at = 0; // Adj-RIB-Out cursor: slots before it are < `to.id`
         for to in &self.neighbors {
             let new = export.as_mut().and_then(|e| e.to(to));
-            let sent = adj_out.get(at).filter(|(id, _)| *id == to.id);
-            match (new, sent) {
-                (None, None) => {}
-                (Some(attrs), Some((_, prev))) if attrs == prev => at += 1,
-                (Some(attrs), Some(_)) => {
-                    deliver(to, Some(attrs));
-                    adj_out[at].1 = Rc::clone(attrs);
-                    at += 1;
-                }
-                (Some(attrs), None) => {
-                    deliver(to, Some(attrs));
-                    insert_snug(adj_out, at, (to.id, Rc::clone(attrs)));
-                    self.counts.adj_out += 1;
-                    at += 1;
-                }
-                (None, Some(_)) => {
-                    deliver(to, None);
-                    adj_out.remove(at);
-                    self.counts.adj_out -= 1;
-                }
+            let slot = (offsets[to.index as usize] + to.back) as usize;
+            if let Some(changed) = col.send(slot, to.id, new) {
+                deliver(to, new, changed);
             }
         }
-    }
-
-    /// Number of Adj-RIB-In entries (diagnostics).
-    pub fn rib_in_len(&self) -> usize {
-        self.counts.adj_in
-    }
-
-    /// Number of Loc-RIB entries (diagnostics).
-    pub fn loc_rib_len(&self) -> usize {
-        self.counts.loc
-    }
-
-    /// Number of Adj-RIB-Out entries (diagnostics).
-    pub fn rib_out_len(&self) -> usize {
-        self.counts.adj_out
-    }
-
-    /// Re-run import policy (local-pref computation) over everything in
-    /// Adj-RIB-In — needed after `neighbor_pref` changes, like a BGP
-    /// soft-reconfiguration inbound refresh. Returns true on any change.
-    pub fn refresh_import(&mut self) -> bool {
-        let mut changed = false;
-        for rib in &mut self.table {
-            for route in &mut rib.adj_in {
-                let from = route.source.neighbor().expect("Adj-RIB-In is learned");
-                let session = session(&self.neighbors, from)
-                    .expect("receive only admits routes from sessions");
-                let base = local_pref_base(session.rel);
-                let bonus = self.config.bonus(from);
-                if route.local_pref != base || route.tie_pref != bonus {
-                    route.local_pref = base;
-                    route.tie_pref = bonus;
-                    changed = true;
-                }
-            }
-        }
-        changed
-    }
-
-    /// Heap bytes this speaker's RIB table holds, with each shared
-    /// allocation added to `seen` and priced on first sight only (so a
-    /// caller summing over speakers counts it once graph-wide).
-    pub(crate) fn rib_heap_bytes(&self, seen: &mut BTreeSet<usize>) -> usize {
-        use core::mem::size_of;
-        // `Rc` keeps two reference counts in front of the value.
-        const RC_HEADER: usize = 2 * size_of::<usize>();
-        let mut total = self.table.capacity() * size_of::<PrefixRib>();
-        for rib in &self.table {
-            total += rib.adj_in.capacity() * size_of::<Route>()
-                + rib.adj_out.capacity() * size_of::<(AsId, Rc<PathAttrs>)>();
-            let routes = rib.adj_in.iter().chain(&rib.loc).map(|r| &r.attrs);
-            let sent = rib.adj_out.iter().map(|(_, attrs)| attrs);
-            for attrs in rib.originated.iter().chain(routes).chain(sent) {
-                if seen.insert(Rc::as_ptr(attrs) as usize) {
-                    total += RC_HEADER
-                        + size_of::<PathAttrs>()
-                        + attrs.as_path.len() * size_of::<AsId>();
-                }
-                if seen.insert(Rc::as_ptr(&attrs.communities) as usize) {
-                    total += RC_HEADER
-                        + size_of::<BTreeSet<Community>>()
-                        + attrs.communities.len() * size_of::<Community>();
-                }
-            }
-        }
-        total
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::community::Community;
+    use crate::engine::RibStats;
+    use crate::BgpEngine;
+    use std::collections::BTreeSet;
+    use tango_net::IpCidr;
+    use tango_topology::{AsKind, AsNode, DirectionProfile, LinkProfile, Topology};
 
-    /// AS 2's sessions in: 1 (customer) -> 2 (provider), 2 peers 3.
-    /// Sorted by id they sit in slots [`FROM_1`] and [`FROM_3`].
-    fn speaker2(config: SpeakerConfig) -> BgpSpeaker {
-        let session = |id: u32, rel| Neighbor {
-            id: AsId(id),
-            rel,
-            index: id,
-            back: 0,
-        };
-        BgpSpeaker::new(
-            config,
-            vec![
-                session(3, Relationship::PeerOf),
-                session(1, Relationship::ProviderOf),
-            ],
-        )
+    /// The speaker under test, AS 2, and its two sessions: 1 (customer)
+    /// -> 2 (provider), 2 peers 3. Each test drives AS 2's steps by hand.
+    fn engine() -> BgpEngine {
+        let mut t = Topology::new();
+        for id in [1u32, 2, 3] {
+            t.add_node(AsNode::new(id, AsKind::Transit, format!("{id}")))
+                .unwrap();
+        }
+        let lp = LinkProfile::symmetric(DirectionProfile::constant(1));
+        t.add_provider(AsId(1), AsId(2), lp.clone()).unwrap();
+        t.add_peering(AsId(2), AsId(3), lp).unwrap();
+        BgpEngine::new(t)
     }
 
-    const FROM_1: u32 = 0;
-    const FROM_3: u32 = 1;
+    const S: AsId = AsId(2);
+    const FROM_1: AsId = AsId(1);
+    const FROM_3: AsId = AsId(3);
 
-    /// The id the engine would have minted for the one prefix under test;
-    /// not 0, so the table has to grow past blank records to reach it.
-    fn prefix() -> PrefixId {
-        PrefixId(2)
+    fn prefix() -> IpCidr {
+        "2001:db8:2::/48".parse().unwrap()
     }
 
     fn learned(path: &[u32]) -> Rc<PathAttrs> {
@@ -614,155 +315,183 @@ mod tests {
         })
     }
 
-    fn exported_path(s: &BgpSpeaker, to: u32) -> Option<Vec<AsId>> {
-        s.export_for(AsId(to), prefix())
+    /// Put `update` on `from`'s session into `at`, as `from`'s export
+    /// would; false if there is no such session.
+    fn receive_at(e: &mut BgpEngine, from: AsId, at: AsId, update: Option<&Rc<PathAttrs>>) -> bool {
+        let (s, i, offsets, column) = e.parts(at, prefix());
+        let Some(k) = s.neighbors().iter().position(|n| n.id == from) else {
+            return false;
+        };
+        let slot = offsets[i as usize] as usize + k;
+        column.send(slot, at, update).unwrap_or(false)
+    }
+
+    fn receive(e: &mut BgpEngine, from: AsId, update: Option<&Rc<PathAttrs>>) -> bool {
+        receive_at(e, from, S, update)
+    }
+
+    fn recompute(e: &mut BgpEngine) -> bool {
+        let (s, i, offsets, column) = e.parts(S, prefix());
+        s.decide(i, offsets, column)
+    }
+
+    /// Run AS 2's export diff, reporting every message sent.
+    fn export_prefix(e: &mut BgpEngine, mut deliver: impl FnMut(AsId, Option<&Rc<PathAttrs>>)) {
+        let (s, i, offsets, column) = e.parts(S, prefix());
+        s.export(i, offsets, column, |to, update, _| deliver(to.id, update));
+    }
+
+    fn best(e: &BgpEngine) -> Option<Route> {
+        e.best_route(S, prefix())
+    }
+
+    /// What AS 2 sends `to` once its export diff has run.
+    fn exported_path(e: &mut BgpEngine, to: u32) -> Option<Vec<AsId>> {
+        export_prefix(e, |_, _| {});
+        e.advertisement(S, AsId(to), prefix())
             .map(|attrs| attrs.as_path.to_vec())
+    }
+
+    /// `at`'s (Adj-RIB-In, Loc-RIB, Adj-RIB-Out) entry counts; all 0:
+    /// it holds nothing (none of these tests originates at it).
+    fn lens(e: &BgpEngine, at: AsId) -> (usize, usize, usize) {
+        let RibStats {
+            adj_rib_in,
+            loc_rib,
+            adj_rib_out,
+        } = e.rib_lens(at);
+        (adj_rib_in, loc_rib, adj_rib_out)
     }
 
     #[test]
     fn receive_computes_local_pref_and_source() {
-        let mut s = speaker2(SpeakerConfig::new(AsId(2)));
-        assert!(s.receive(FROM_1, prefix(), Some(&learned(&[1]))));
-        s.recompute();
-        let best = s.best(prefix()).unwrap();
+        let mut e = engine();
+        assert!(receive(&mut e, FROM_1, Some(&learned(&[1]))));
+        recompute(&mut e);
+        let best = best(&e).unwrap();
         assert_eq!(best.local_pref, crate::policy::LP_CUSTOMER);
         assert_eq!(best.source, RouteSource::Neighbor(AsId(1)));
     }
 
     #[test]
     fn neighbor_pref_never_overrides_relationship_or_length() {
-        let mut cfg = SpeakerConfig::new(AsId(2));
-        cfg.neighbor_pref.insert(AsId(3), 99999); // arbitrarily large
-        let mut s = speaker2(cfg);
-        s.receive(FROM_1, prefix(), Some(&learned(&[1]))); // customer route
-        s.receive(FROM_3, prefix(), Some(&learned(&[3]))); // boosted peer route
-        s.recompute();
+        let mut e = engine();
+        e.set_neighbor_pref(S, [(AsId(3), 99999)].into()).unwrap(); // arbitrarily large
+        receive(&mut e, FROM_1, Some(&learned(&[1]))); // customer route
+        receive(&mut e, FROM_3, Some(&learned(&[3]))); // boosted peer route
+        recompute(&mut e);
         // Customer local-pref still beats any tie_pref on the peer route.
-        assert_eq!(
-            s.best(prefix()).unwrap().source,
-            RouteSource::Neighbor(AsId(1))
-        );
+        assert_eq!(best(&e).unwrap().source, RouteSource::Neighbor(AsId(1)));
     }
 
     #[test]
     fn loop_detection_rejects_own_asn() {
-        let mut s = speaker2(SpeakerConfig::new(AsId(2)));
-        assert!(!s.receive(FROM_1, prefix(), Some(&learned(&[1, 2, 7]))));
-        s.recompute();
-        assert!(s.best(prefix()).is_none());
+        let mut e = engine();
+        assert!(!receive(&mut e, FROM_1, Some(&learned(&[1, 2, 7]))));
+        recompute(&mut e);
+        assert!(best(&e).is_none());
     }
 
     #[test]
     fn update_from_a_stranger_is_dropped() {
-        let mut s = speaker2(SpeakerConfig::new(AsId(2)));
-        assert!(!s.receive(2, prefix(), Some(&learned(&[9]))));
-        assert_eq!(s.rib_in_len(), 0);
-        assert!(!s.holds(prefix()));
+        let mut e = engine();
+        assert!(!receive(&mut e, AsId(9), Some(&learned(&[9]))));
+        assert_eq!(lens(&e, S).0, 0);
+        assert_eq!(lens(&e, S), (0, 0, 0), "holds nothing");
     }
 
     #[test]
     fn receive_same_route_reports_unchanged() {
-        let mut s = speaker2(SpeakerConfig::new(AsId(2)));
-        assert!(s.receive(FROM_1, prefix(), Some(&learned(&[1]))));
+        let mut e = engine();
+        assert!(receive(&mut e, FROM_1, Some(&learned(&[1]))));
         // Equal content in a different allocation is still "unchanged".
-        assert!(!s.receive(FROM_1, prefix(), Some(&learned(&[1]))));
-        assert!(s.receive(FROM_1, prefix(), None));
-        assert!(!s.receive(FROM_1, prefix(), None));
+        assert!(!receive(&mut e, FROM_1, Some(&learned(&[1]))));
+        assert!(receive(&mut e, FROM_1, None));
+        assert!(!receive(&mut e, FROM_1, None));
     }
 
     #[test]
     fn withdraw_falls_back_to_next_best() {
-        let mut s = speaker2(SpeakerConfig::new(AsId(2)));
-        s.receive(FROM_1, prefix(), Some(&learned(&[1]))); // customer
-        s.receive(FROM_3, prefix(), Some(&learned(&[3]))); // peer
-        s.recompute();
-        assert_eq!(
-            s.best(prefix()).unwrap().source,
-            RouteSource::Neighbor(AsId(1))
-        );
-        s.receive(FROM_1, prefix(), None);
-        assert!(s.recompute());
-        assert_eq!(
-            s.best(prefix()).unwrap().source,
-            RouteSource::Neighbor(AsId(3))
-        );
+        let mut e = engine();
+        receive(&mut e, FROM_1, Some(&learned(&[1]))); // customer
+        receive(&mut e, FROM_3, Some(&learned(&[3]))); // peer
+        recompute(&mut e);
+        assert_eq!(best(&e).unwrap().source, RouteSource::Neighbor(AsId(1)));
+        receive(&mut e, FROM_1, None);
+        assert!(recompute(&mut e));
+        assert_eq!(best(&e).unwrap().source, RouteSource::Neighbor(AsId(3)));
     }
 
     #[test]
     fn counts_track_edits_and_empty_prefixes_are_dropped() {
-        let mut s = speaker2(SpeakerConfig::new(AsId(2)));
-        s.receive(FROM_1, prefix(), Some(&learned(&[1])));
-        s.recompute();
+        let mut e = engine();
+        receive(&mut e, FROM_1, Some(&learned(&[1])));
+        recompute(&mut e);
         let mut sent = Vec::new();
-        s.export_prefix(prefix(), |to, update| sent.push((to.id, update.is_some())));
+        export_prefix(&mut e, |to, update| sent.push((to, update.is_some())));
         // No split horizon: the customer's own route goes back to it too
         // (its loop detection drops it).
         assert_eq!(sent, vec![(AsId(1), true), (AsId(3), true)]);
-        assert_eq!(
-            (s.rib_in_len(), s.loc_rib_len(), s.rib_out_len()),
-            (1, 1, 2)
-        );
+        assert_eq!(lens(&e, S), (1, 1, 2));
         // Nothing changed: a second export pass sends nothing.
-        s.export_prefix(prefix(), |_, _| panic!("no diff expected"));
+        export_prefix(&mut e, |_, _| panic!("no diff expected"));
 
-        s.receive(FROM_1, prefix(), None);
-        s.recompute();
+        receive(&mut e, FROM_1, None);
+        recompute(&mut e);
         sent.clear();
-        s.export_prefix(prefix(), |to, update| sent.push((to.id, update.is_some())));
+        export_prefix(&mut e, |to, update| sent.push((to, update.is_some())));
         assert_eq!(
             sent,
             vec![(AsId(1), false), (AsId(3), false)],
             "implicit withdrawals"
         );
-        assert_eq!(
-            (s.rib_in_len(), s.loc_rib_len(), s.rib_out_len()),
-            (0, 0, 0)
-        );
-        assert_eq!(s.known_prefixes().count(), 0);
-        assert!(!s.holds(prefix()));
+        assert_eq!(lens(&e, S), (0, 0, 0));
+        for at in [1, 2, 3] {
+            assert_eq!(lens(&e, AsId(at)), (0, 0, 0), "AS {at} holds nothing");
+        }
     }
 
     #[test]
     fn export_prepends_self() {
-        let mut s = speaker2(SpeakerConfig::new(AsId(2)));
-        s.receive(FROM_1, prefix(), Some(&learned(&[1])));
-        s.recompute();
-        assert_eq!(exported_path(&s, 3), Some(vec![AsId(2), AsId(1)]));
+        let mut e = engine();
+        receive(&mut e, FROM_1, Some(&learned(&[1])));
+        recompute(&mut e);
+        assert_eq!(exported_path(&mut e, 3), Some(vec![AsId(2), AsId(1)]));
     }
 
     #[test]
     fn export_honors_valley_free() {
-        let mut s = speaker2(SpeakerConfig::new(AsId(2)));
+        let mut e = engine();
         // Peer-learned route must not be exported back to a peer.
-        s.receive(FROM_3, prefix(), Some(&learned(&[3])));
-        s.recompute();
-        assert!(exported_path(&s, 3).is_none());
+        receive(&mut e, FROM_3, Some(&learned(&[3])));
+        recompute(&mut e);
+        assert!(exported_path(&mut e, 3).is_none());
         // ...but is exported to the customer.
-        assert!(exported_path(&s, 1).is_some());
+        assert!(exported_path(&mut e, 1).is_some());
     }
 
     #[test]
     fn export_honors_no_export_to_community() {
-        let mut cfg = SpeakerConfig::new(AsId(2));
-        cfg.honor_action_communities = true;
-        let mut s = speaker2(cfg);
+        let mut e = engine();
+        e.set_honor_actions(S, true).unwrap();
         let mut comms = BTreeSet::new();
         comms.insert(Community::NoExportTo(AsId(3)));
-        s.originate(prefix(), comms);
-        s.recompute();
-        assert!(exported_path(&s, 3).is_none());
-        assert!(exported_path(&s, 1).is_some());
+        e.announce(S, prefix(), comms).unwrap();
+        recompute(&mut e);
+        assert!(exported_path(&mut e, 3).is_none());
+        assert!(exported_path(&mut e, 1).is_some());
     }
 
     #[test]
     fn non_honoring_speaker_carries_action_community_through() {
-        let mut s = speaker2(SpeakerConfig::new(AsId(2))); // honor = false
+        let mut e = engine(); // honor = false
         let mut comms = BTreeSet::new();
         comms.insert(Community::NoExportTo(AsId(3)));
-        s.originate(prefix(), comms.clone());
-        s.recompute();
-        let export = s
-            .export_for(AsId(3), prefix())
+        e.announce(S, prefix(), comms.clone()).unwrap();
+        recompute(&mut e);
+        export_prefix(&mut e, |_, _| {});
+        let export = e
+            .advertisement(S, AsId(3), prefix())
             .expect("opaque community must not suppress");
         // The community rides along for a downstream honoring AS.
         assert_eq!(*export.communities, comms);
@@ -770,77 +499,89 @@ mod tests {
 
     #[test]
     fn export_applies_prepend_community() {
-        let mut cfg = SpeakerConfig::new(AsId(2));
-        cfg.honor_action_communities = true;
-        let mut s = speaker2(cfg);
+        let mut e = engine();
+        e.set_honor_actions(S, true).unwrap();
         let mut comms = BTreeSet::new();
         comms.insert(Community::PrependTo(AsId(3), 2));
-        s.originate(prefix(), comms);
-        s.recompute();
-        assert_eq!(exported_path(&s, 3), Some(vec![AsId(2); 3]));
-        assert_eq!(exported_path(&s, 1), Some(vec![AsId(2)]));
+        e.announce(S, prefix(), comms).unwrap();
+        recompute(&mut e);
+        assert_eq!(exported_path(&mut e, 3), Some(vec![AsId(2); 3]));
+        assert_eq!(exported_path(&mut e, 1), Some(vec![AsId(2)]));
     }
 
     #[test]
     fn neighbors_with_one_prepend_count_share_one_advertisement() {
-        let mut cfg = SpeakerConfig::new(AsId(2));
-        cfg.honor_action_communities = true;
-        let mut s = speaker2(cfg);
-        s.originate(prefix(), BTreeSet::new());
-        s.recompute();
+        let mut e = engine();
+        e.set_honor_actions(S, true).unwrap();
+        e.announce(S, prefix(), BTreeSet::new()).unwrap();
+        recompute(&mut e);
         let mut sent = Vec::new();
-        s.export_prefix(prefix(), |_, update| sent.push(Rc::clone(update.unwrap())));
+        export_prefix(&mut e, |_, update| sent.push(Rc::clone(update.unwrap())));
         assert_eq!(sent.len(), 2);
         assert!(Rc::ptr_eq(&sent[0], &sent[1]));
     }
 
     #[test]
     fn export_strips_private_asns_when_configured() {
-        let mut cfg = SpeakerConfig::new(AsId(2));
-        cfg.strip_private_asns = true;
-        let mut s = speaker2(cfg);
-        s.receive(FROM_1, prefix(), Some(&learned(&[64701])));
-        s.recompute();
-        assert_eq!(exported_path(&s, 3), Some(vec![AsId(2)]));
+        let mut e = engine();
+        e.set_strip_private(S, true).unwrap();
+        receive(&mut e, FROM_1, Some(&learned(&[64701])));
+        recompute(&mut e);
+        assert_eq!(exported_path(&mut e, 3), Some(vec![AsId(2)]));
     }
 
     #[test]
     fn poisoned_origination_carries_poison() {
-        let mut s = speaker2(SpeakerConfig::new(AsId(2)));
-        s.originate_poisoned(prefix(), BTreeSet::new(), &[AsId(3)]);
-        s.recompute();
-        assert_eq!(exported_path(&s, 1), Some(vec![AsId(2), AsId(3)]));
+        let mut e = engine();
+        e.announce_poisoned(S, prefix(), BTreeSet::new(), &[AsId(3)])
+            .unwrap();
+        recompute(&mut e);
+        assert_eq!(exported_path(&mut e, 1), Some(vec![AsId(2), AsId(3)]));
     }
 
     #[test]
     fn set_origin_communities_updates() {
-        let mut s = speaker2(SpeakerConfig::new(AsId(2)));
-        s.originate(prefix(), BTreeSet::new());
+        let mut e = engine();
+        e.announce(S, prefix(), BTreeSet::new()).unwrap();
         let mut c = BTreeSet::new();
         c.insert(Community::NoExportTo(AsId(9)));
-        assert!(s.set_origin_communities(prefix(), c.clone()));
-        assert!(!s.set_origin_communities(prefix(), c.clone()), "same set");
-        s.recompute();
-        assert_eq!(*s.best(prefix()).unwrap().attrs.communities, c);
-        for other in [PrefixId(0), PrefixId(9)] {
-            assert!(!s.set_origin_communities(other, BTreeSet::new()));
+        assert!(e
+            .set_announcement_communities(S, prefix(), c.clone())
+            .unwrap());
+        assert!(
+            !e.set_announcement_communities(S, prefix(), c.clone())
+                .unwrap(),
+            "same set"
+        );
+        recompute(&mut e);
+        assert_eq!(*best(&e).unwrap().attrs.communities, c);
+        // Another origin's prefix, and one nobody announced.
+        let elsewhere: IpCidr = "2001:db8:1::/48".parse().unwrap();
+        e.announce(AsId(1), elsewhere, BTreeSet::new()).unwrap();
+        for other in [elsewhere, "2001:db8:9::/48".parse().unwrap()] {
+            assert!(!e
+                .set_announcement_communities(S, other, BTreeSet::new())
+                .unwrap());
         }
     }
 
     #[test]
     fn heap_bytes_count_a_shared_advertisement_once() {
-        let mut a = speaker2(SpeakerConfig::new(AsId(2)));
-        let mut b = speaker2(SpeakerConfig::new(AsId(2)));
+        let mut a = engine();
+        let mut b = engine();
         let shared = learned(&[1, 7, 8]);
-        a.receive(FROM_1, prefix(), Some(&shared));
-        b.receive(FROM_1, prefix(), Some(&shared));
-        let alone = a.rib_heap_bytes(&mut BTreeSet::new());
-        let mut seen = BTreeSet::new();
-        let both = a.rib_heap_bytes(&mut seen) + b.rib_heap_bytes(&mut seen);
-        assert_eq!(alone, b.rib_heap_bytes(&mut BTreeSet::new()));
-        assert!(both < 2 * alone, "second holder pays only for its slots");
+        receive(&mut a, FROM_1, Some(&shared));
+        receive(&mut b, FROM_1, Some(&shared));
+        let alone = a.rib_heap_bytes();
+        assert_eq!(alone, b.rib_heap_bytes());
         // Installing it in the Loc-RIB adds no bytes at all.
-        a.recompute();
-        assert_eq!(a.rib_heap_bytes(&mut BTreeSet::new()), alone);
+        recompute(&mut a);
+        assert_eq!(a.rib_heap_bytes(), alone);
+        // Nor does a second holder: its slot is in the column already,
+        // and the advertisement is priced once.
+        receive_at(&mut a, S, AsId(3), Some(&shared));
+        let both = a.rib_heap_bytes();
+        assert!(both < 2 * alone, "second holder pays only for its slots");
+        assert_eq!(both, alone);
     }
 }

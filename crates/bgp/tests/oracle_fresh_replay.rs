@@ -5,9 +5,11 @@
 //! once is a sound reference for an engine that reached the same inputs
 //! through any history of announces, withdrawals and config edits. After
 //! every step the two must agree on every speaker's best route (full
-//! attributes, including the receiver-local preference fields) and on
-//! the RIB occupancy totals — a stale Adj-RIB entry, a missed implicit
-//! withdrawal or an export leaked across neighbors all show up here.
+//! attributes, including the receiver-local preference fields), on the
+//! advertisement every session holds as sent, and on the RIB occupancy
+//! totals — a stale Adj-RIB entry, a missed implicit withdrawal, an
+//! export leaked across neighbors or a session slot that drifted from
+//! its sender's export all show up here.
 //!
 //! The comparison is always *by prefix*: inside, each engine keys its
 //! state by a dense prefix id it mints and recycles on its own schedule,
@@ -67,7 +69,8 @@ impl Inputs {
 }
 
 /// Assert the incremental engine equals the from-scratch replay on the
-/// first `prefixes` prefixes.
+/// first `prefixes` prefixes: every Loc-RIB entry and every directed
+/// session's advertisement.
 fn check_against_replay(
     live: &BgpEngine,
     inputs: &Inputs,
@@ -84,6 +87,14 @@ fn check_against_replay(
                 "after {step}: Loc-RIB of {:?} for {p}",
                 node.id
             );
+            for &to in topology.neighbors(node.id) {
+                prop_assert_eq!(
+                    live.advertisement(node.id, to, p),
+                    fresh.advertisement(node.id, to, p),
+                    "after {step}: {:?} -> {to:?} for {p}",
+                    node.id
+                );
+            }
         }
     }
     prop_assert_eq!(
@@ -210,9 +221,8 @@ fn apply(
             }
             live.set_neighbor_pref(node, prefs.clone())
                 .expect("node exists");
-            live.refresh_import(node).expect("node exists");
             inputs.prefs.insert(node, prefs.clone());
-            format!("neighbor prefs {prefs:?} + refresh at {node:?}")
+            format!("neighbor prefs {prefs:?} at {node:?}")
         }
         _ => {
             live.set_honor_actions(node, op.flag).expect("node exists");
@@ -417,18 +427,42 @@ fn neighbor_id_tie_break_survives_any_arrival_order() {
     // A preference for 20 flips it; dropping the preference flips back.
     let prefs: BTreeMap<AsId, u32> = [(AsId(20), 7)].into();
     live.set_neighbor_pref(AsId(1), prefs.clone()).unwrap();
-    live.refresh_import(AsId(1)).unwrap();
     inputs.prefs.insert(AsId(1), prefs);
     live.converge().unwrap();
     assert_eq!(live.as_path(AsId(1), p).unwrap(), &[AsId(20), AsId(5)]);
     replay_ok(&live, &inputs, &t, "prefer 20");
 
     live.set_neighbor_pref(AsId(1), BTreeMap::new()).unwrap();
-    live.refresh_import(AsId(1)).unwrap();
     inputs.prefs.insert(AsId(1), BTreeMap::new());
     live.converge().unwrap();
     assert_eq!(live.as_path(AsId(1), p).unwrap(), &[AsId(10), AsId(5)]);
     replay_ok(&live, &inputs, &t, "preference dropped");
+}
+
+/// A preference set on routes already held takes effect at the next
+/// convergence, exactly as if it had been set before they arrived: AS 1
+/// holds equal routes from 10 and 20, picks 10 on the neighbor id, and
+/// must switch to 20 once 20 is preferred — with no step between the
+/// edit and the convergence.
+#[test]
+fn a_preference_edit_reranks_held_routes() {
+    let t = topology(&[1, 5, 10, 20], &[(1, 10), (1, 20), (5, 10), (5, 20)]);
+    let p = prefix(0);
+    let mut live = BgpEngine::new(t.clone());
+    let mut inputs = Inputs::default();
+    live.announce(AsId(5), p, BTreeSet::new()).unwrap();
+    inputs
+        .originated
+        .insert((AsId(5), p), (BTreeSet::new(), Vec::new()));
+    live.converge().unwrap();
+    assert_eq!(live.as_path(AsId(1), p).unwrap(), &[AsId(10), AsId(5)]);
+
+    let prefs: BTreeMap<AsId, u32> = [(AsId(20), 40)].into();
+    live.set_neighbor_pref(AsId(1), prefs.clone()).unwrap();
+    inputs.prefs.insert(AsId(1), prefs);
+    live.converge().unwrap();
+    replay_ok(&live, &inputs, &t, "prefer 20 over held routes");
+    assert_eq!(live.as_path(AsId(1), p).unwrap(), &[AsId(20), AsId(5)]);
 }
 
 /// One honoring speaker, three neighbors, three different prepend

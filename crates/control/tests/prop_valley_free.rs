@@ -102,7 +102,7 @@ fn discover_stepwise(
     let mut states = Vec::new();
     let mut converge = |e: &mut BgpEngine| {
         e.converge().expect("Gao-Rexford policies converge");
-        let routes = nodes.iter().map(|&n| e.best_route(n, probe).cloned());
+        let routes = nodes.iter().map(|&n| e.best_route(n, probe));
         states.push((routes.collect(), e.rib_stats()));
     };
     let mut discovered = Vec::new();

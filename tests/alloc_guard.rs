@@ -23,7 +23,9 @@
 //! live heap a scheduled packet costs before dispatch
 //! ([`MAX_HEAP_BYTES_PER_SCHEDULED_PACKET`]: 80.01 B shared, 192
 //! copied). The control-plane scenario ([`probe_calls`]) counts against
-//! `bgp.updates_processed` instead. The pairing scenario also reports the
+//! `bgp.updates_processed` instead, and bounds the live heap its
+//! converged engine holds per RIB route
+//! ([`MAX_RIB_HEAP_BYTES_PER_ROUTE`]). The pairing scenario also reports the
 //! live heap its whole run leaves behind per delivered app packet
 //! ([`MAX_HEAP_BYTES_PER_APP_PACKET`]).
 
@@ -91,11 +93,21 @@ const MAX_CALLS_PER_PACKET: f64 = 0.02;
 const PACKETS: u32 = 8_000;
 /// Allocator calls per BGP update tolerated across discovery probes
 /// ([`probe_calls`]): midway between the exact 11 112 calls for 21 138
-/// updates (0.526) of speakers whose blank probe record keeps its
-/// vectors, and the 19 770 (0.935) of speakers that free them when a
-/// probe leaves and regrow them slot by slot when the next arrives. What
-/// is left is the advertisement a changed best route builds.
+/// updates (0.526) — with a recycled probe column, and before it with
+/// speakers whose blank probe record kept its vectors — and the 19 770
+/// (0.935) of speakers that freed them when a probe left and regrew them
+/// slot by slot when the next arrived. What is left is the advertisement
+/// a changed best route builds.
 const MAX_CALLS_PER_BGP_UPDATE: f64 = 0.73;
+/// Live heap bytes per RIB route (`rib_stats().total()`) that building
+/// and converging the engine of [`probe_calls`] may hold: its speakers
+/// and sessions, the RIB storage and the shared advertisements, over
+/// 8 host prefixes. Exact: 21.41 with one column per prefix (an
+/// advertisement slot per directed session serving as both Adj-RIB-Out
+/// and Adj-RIB-In entry, a winner per speaker); 45.29 with a record per
+/// speaker and prefix, each holding its own Adj-RIB-In and Adj-RIB-Out
+/// vectors. Midway between the two.
+const MAX_RIB_HEAP_BYTES_PER_ROUTE: f64 = 33.35;
 /// Live heap bytes per delivered app packet that [`pairing_run`] may
 /// leave behind (the event queue's grown capacity, the `owd` values with
 /// their app bits, the 500 ms bins, the rolling windows, the pooled
@@ -219,12 +231,15 @@ fn mesh_calls(mesh: &NPopMesh, shards: usize) -> u64 {
 /// §4.1 probe cycles on a converged 100-AS / 8-PoP internet: every PoP in
 /// turn announces its probe prefix, suppresses the transit the next PoP
 /// hears it through, and withdraws, converging after each step. One
-/// rotation before counting brings every speaker's probe record to its
-/// working size.
-fn probe_calls() -> (u64, u64) {
+/// rotation before counting brings the engine's probe column and
+/// worklists to their working size. Also returns the live heap the
+/// engine holds per RIB route once the mesh has converged, before any
+/// probe.
+fn probe_calls() -> (u64, u64, f64) {
     let g = try_generate(&GenParams::internet(100, 8, 1)).expect("preset is valid");
     let pops = g.edge_sites;
     let registry = Registry::new();
+    let live_before = LIVE.load(Relaxed);
     let mut engine = BgpEngine::new(g.topology);
     engine.set_obs(&registry);
     for (i, &pop) in pops.iter().enumerate() {
@@ -234,6 +249,8 @@ fn probe_calls() -> (u64, u64) {
             .expect("a graph node");
     }
     engine.converge().expect("Gao-Rexford policies converge");
+    let rib_heap = LIVE.load(Relaxed).wrapping_sub(live_before);
+    let heap_per_route = rib_heap as f64 / engine.rib_stats().total() as f64;
     let probes: Vec<_> = (0..pops.len()).map(probe_prefix).collect();
     let mut rotation = || {
         for (k, &announcer) in pops.iter().enumerate() {
@@ -258,16 +275,20 @@ fn probe_calls() -> (u64, u64) {
     let updates = || registry.snapshot().counters["bgp.updates_processed"];
     let before = updates();
     let calls = calls_during(|| (0..3).for_each(|_| rotation()));
-    (calls, updates() - before)
+    (calls, updates() - before, heap_per_route)
 }
 
 #[test]
 fn steady_state_event_loop_does_not_allocate_per_packet() {
-    let (calls, updates) = probe_calls();
+    let (calls, updates, heap_per_route) = probe_calls();
     let per_update = calls as f64 / updates as f64;
     assert!(
         per_update < MAX_CALLS_PER_BGP_UPDATE,
         "discovery probes: {calls} allocator calls for {updates} BGP updates = {per_update:.3} per update (limit {MAX_CALLS_PER_BGP_UPDATE})"
+    );
+    assert!(
+        heap_per_route < MAX_RIB_HEAP_BYTES_PER_ROUTE,
+        "converged 100-AS mesh: {heap_per_route:.2} B of live engine heap per RIB route (limit {MAX_RIB_HEAP_BYTES_PER_ROUTE})"
     );
     let (calls, heap_per_app_packet) = pairing_run();
     assert_steady("vultr pairing", calls);
