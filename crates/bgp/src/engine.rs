@@ -23,7 +23,9 @@
 //! and with duplicates, because re-deciding a pair twice is a no-op.
 //! Announcements and withdrawals converge over the routes in place; a
 //! community edit blanks its prefix's column and converges as a fresh
-//! announcement of the prefix's originations.
+//! announcement of the prefix's originations. A prefix that enters a
+//! convergence blank with the same originations as a converged twin is
+//! filled by copying the twin's column, and billed the flood it skipped.
 
 use crate::community::Community;
 use crate::policy::local_pref_base;
@@ -112,6 +114,39 @@ impl RibStats {
     }
 }
 
+/// Work [`BgpEngine::converge`] executed, counted exactly since the
+/// engine was built (see [`BgpEngine::work`]). Unlike
+/// `bgp.updates_processed`, which bills a twin fill the updates its
+/// flood would have delivered, these count what actually ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Work {
+    /// Route updates delivered by an export (each changed a receiver's
+    /// Adj-RIB-In).
+    pub updates: u64,
+    /// Prefixes that entered a convergence blank and were filled by
+    /// copying a converged twin's column instead of flooding.
+    pub fills: u64,
+    /// Decision-process runs (`BgpSpeaker::decide` calls).
+    pub decides: u64,
+}
+
+/// What a prefix's column cost to flood from blank, by prefix id: the
+/// updates it delivered and the rounds it took.
+#[derive(Debug, Clone, Copy, Default)]
+enum Bill {
+    /// The column is not known to be a from-blank flood of its current
+    /// originations under the current configuration.
+    #[default]
+    Unknown,
+    /// The column entered the running convergence blank and is being
+    /// flooded; the tally so far.
+    Open { updates: u64, rounds: usize },
+    /// The column is exactly the from-blank convergence of its current
+    /// originations under the current speaker configuration, which cost
+    /// this much.
+    Paid { updates: u64, rounds: usize },
+}
+
 /// The prefix intern table: prefix ↔ dense [`PrefixId`].
 #[derive(Debug, Clone, Default)]
 struct PrefixTable {
@@ -184,6 +219,11 @@ pub struct BgpEngine {
     /// Every speaker's RIB state, one column per prefix id; a free id's
     /// column is blank.
     columns: Vec<PrefixColumn>,
+    /// Each column's [`Bill`], by prefix id — beside the columns, not in
+    /// them: [`BgpEngine::rib_heap_bytes`] prices every column at its
+    /// size, so a field there costs bytes per route at every tier.
+    bills: Vec<Bill>,
+    work: Work,
     round_cap: usize,
     obs: Option<BgpObs>,
     rib_obs: Option<RibObs>,
@@ -205,6 +245,21 @@ pub struct BgpEngine {
 /// A worklist of `(speaker position, prefix id)` entries, in no order
 /// and free to repeat one: every step it drives is idempotent.
 type Worklist = Vec<(u32, PrefixId)>;
+
+/// Column `to` mutably and column `from` (another one) shared.
+fn pair_mut(
+    columns: &mut [PrefixColumn],
+    to: usize,
+    from: usize,
+) -> (&mut PrefixColumn, &PrefixColumn) {
+    if to < from {
+        let (head, tail) = columns.split_at_mut(from);
+        (&mut head[to], &tail[0])
+    } else {
+        let (head, tail) = columns.split_at_mut(to);
+        (&mut tail[0], &head[from])
+    }
+}
 
 impl BgpEngine {
     /// Build an engine with a default speaker for every topology node.
@@ -250,6 +305,8 @@ impl BgpEngine {
             offsets,
             prefixes: PrefixTable::default(),
             columns: Vec::new(),
+            bills: Vec::new(),
+            work: Work::default(),
             round_cap: 200,
             obs: None,
             rib_obs: None,
@@ -310,6 +367,12 @@ impl BgpEngine {
         (columns + held) as u64
     }
 
+    /// The work every [`BgpEngine::converge`] so far executed. Read by
+    /// tests and tools; published nowhere.
+    pub fn work(&self) -> Work {
+        self.work
+    }
+
     /// The underlying topology.
     pub fn topology(&self) -> &Topology {
         &self.topology
@@ -347,6 +410,7 @@ impl BgpEngine {
             let sessions = self.offsets[self.speakers.len()] as usize;
             self.columns
                 .push(PrefixColumn::new(sessions, self.speakers.len()));
+            self.bills.push(Bill::Unknown);
         }
         p
     }
@@ -404,6 +468,7 @@ impl BgpEngine {
     ) -> Result<(), EngineError> {
         let i = self.index_of(origin)? as u32; // before an id is minted
         let p = self.intern(prefix);
+        self.bills[p.slot()] = Bill::Unknown;
         let origins = &mut self.columns[p.slot()].origins;
         origins.retain(|&(o, _)| o != i);
         origins.push((
@@ -428,7 +493,10 @@ impl BgpEngine {
     /// [`BgpEngine::converge`] propagates the prefix's originations from
     /// that blank column instead of re-converging over the old routes.
     /// Gao-Rexford policies have one stable state, so the fixpoint is the
-    /// same; what is skipped is the path exploration. Until that
+    /// same; what is skipped is the path exploration. If another prefix's
+    /// column is a converged twin of the edited originations, that
+    /// convergence copies it instead of flooding, and bills what the
+    /// flood would have cost (see [`BgpEngine::converge`]). Until that
     /// convergence, queries see no route for the prefix anywhere.
     pub fn set_announcement_communities(
         &mut self,
@@ -454,6 +522,7 @@ impl BgpEngine {
         column.clear_routes();
         let origins = column.origins.iter().map(|&(o, _)| (o, p));
         self.dirty_origins.extend(origins);
+        self.bills[p.slot()] = Bill::Unknown;
         Ok(true)
     }
 
@@ -469,6 +538,7 @@ impl BgpEngine {
         let withdrawn = origins.len() != before;
         if withdrawn {
             self.dirty_origins.push((i, p));
+            self.bills[p.slot()] = Bill::Unknown;
         }
         Ok(withdrawn)
     }
@@ -496,25 +566,82 @@ impl BgpEngine {
     /// blanked its prefix everywhere, so its rounds and
     /// `bgp.updates_processed` are those of announcing the prefix's
     /// originations afresh.
+    ///
+    /// A prefix that enters blank (newly announced, or blanked by a
+    /// community edit) is not flooded when another prefix's column is
+    /// known to be the from-blank convergence of the same originations
+    /// — the same origin speakers with value-equal attributes — under
+    /// the current configuration: its *twin*. No policy reads the prefix
+    /// itself, so the flood would rebuild that column slot for slot;
+    /// instead the twin's routes are copied in, sharing its
+    /// advertisements. Each such column carries a bill, the updates and
+    /// rounds its flood cost: a fill adds the bill's updates to
+    /// `bgp.updates_processed` and its rounds join the returned and
+    /// recorded maximum, so every count is what flooding would report.
+    /// A bill is set when a prefix that entered blank has converged,
+    /// dropped by any origination edit of its prefix, and every bill is
+    /// dropped by a convergence with a configuration edit to apply.
+    /// [`BgpEngine::work`] counts what ran.
     pub fn converge(&mut self) -> Result<usize, EngineError> {
         let mut updates_applied = 0u64;
+        // The updates and rounds of the floods twin fills skipped.
+        let (mut billed_updates, mut billed_rounds) = (0u64, 0usize);
+        let dirty_origins = core::mem::take(&mut self.dirty_origins);
+        if !self.dirty_config.is_empty() {
+            // A configuration edit can move any column's fixpoint.
+            self.bills.fill(Bill::Unknown);
+        }
+        // Each prefix that enters blank is filled from a paid-for twin or
+        // opens a tally of its flood. A prefix with several origins is
+        // listed once per origin; its first entry settles which.
+        for &(_, p) in &dirty_origins {
+            let column = &self.columns[p.slot()];
+            let fresh = column.is_blank() && !column.origins.is_empty();
+            if !fresh || !matches!(self.bills[p.slot()], Bill::Unknown) {
+                continue;
+            }
+            let twin = (self.bills.iter().zip(&self.columns)).position(|(bill, twin)| {
+                matches!(bill, Bill::Paid { .. }) && twin.same_originations(column)
+            });
+            self.bills[p.slot()] = match twin {
+                None => Bill::Open {
+                    updates: 0,
+                    rounds: 0,
+                },
+                Some(k) => {
+                    let (to, from) = pair_mut(&mut self.columns, p.slot(), k);
+                    to.copy_routes(from);
+                    self.work.fills += 1;
+                    if let Bill::Paid { updates, rounds } = self.bills[k] {
+                        billed_updates += updates;
+                        billed_rounds = billed_rounds.max(rounds);
+                    }
+                    self.bills[k]
+                }
+            };
+        }
         // Phase 0: re-decide exactly what changed since the last call.
         // Config-dirty speakers get a conservative full recompute and
         // full re-export (export policy itself may have changed);
         // origin-dirty entries get a single-prefix recompute and enter
         // the export set only if their Loc-RIB entry actually moved —
-        // which it cannot at a speaker the first loop already recomputed.
+        // which it cannot at a speaker the first loop already recomputed,
+        // nor in a prefix its twin just filled.
         self.export_set.clear();
         for id in core::mem::take(&mut self.dirty_config) {
             let i = self.index_of(id).expect("marked while present") as u32;
             for (k, column) in self.columns.iter_mut().enumerate() {
                 self.export_set.push((i, PrefixId(k as u32)));
+                self.work.decides += 1;
                 self.speakers[i as usize].decide(i, &self.offsets, column);
             }
         }
-        let dirty_origins = core::mem::take(&mut self.dirty_origins);
         for &(i, p) in &dirty_origins {
+            if matches!(self.bills[p.slot()], Bill::Paid { .. }) {
+                continue;
+            }
             let column = &mut self.columns[p.slot()];
+            self.work.decides += 1;
             if self.speakers[i as usize].decide(i, &self.offsets, column) {
                 self.export_set.push((i, p));
             }
@@ -526,25 +653,38 @@ impl BgpEngine {
             for &(i, p) in &self.export_set {
                 let column = &mut self.columns[p.slot()];
                 let sender = &self.speakers[i as usize];
+                let mut delivered = 0;
                 sender.export(i, &self.offsets, column, |to, _, changed| {
                     if changed {
-                        updates_applied += 1;
+                        delivered += 1;
                         self.received.push((to.index, p));
                     }
                 });
+                updates_applied += delivered;
+                if let Bill::Open { updates, rounds } = &mut self.bills[p.slot()] {
+                    *updates += delivered;
+                    if delivered > 0 {
+                        *rounds = round;
+                    }
+                }
             }
             if self.received.is_empty() {
-                // A withdrawn prefix has now left every speaker it is
-                // ever going to leave: recycle the ids nobody holds.
+                let rounds = (round - 1).max(billed_rounds);
                 for &(_, p) in &dirty_origins {
+                    if let Bill::Open { updates, rounds } = self.bills[p.slot()] {
+                        self.bills[p.slot()] = Bill::Paid { updates, rounds };
+                    }
+                    // A withdrawn prefix has now left every speaker it is
+                    // ever going to leave: recycle the ids nobody holds.
                     if self.columns[p.slot()].is_empty() {
                         self.prefixes.release(p);
                     }
                 }
+                self.work.updates += updates_applied;
                 if let Some(obs) = &self.obs {
-                    obs.updates_processed.add(updates_applied);
+                    obs.updates_processed.add(updates_applied + billed_updates);
                     obs.converges.inc();
-                    obs.rounds.record((round - 1) as u64);
+                    obs.rounds.record(rounds as u64);
                 }
                 if let Some(rib) = &self.rib_obs {
                     let stats = self.rib_stats();
@@ -557,7 +697,7 @@ impl BgpEngine {
                 // burst (the mesh convergence) would sit under every later peak.
                 self.export_set.shrink_to(self.speakers.len());
                 self.received.shrink_to(self.speakers.len());
-                return Ok(round - 1);
+                return Ok(rounds);
             }
             // Phase 2: re-decide where an update landed, as delivered. A
             // pair k neighbors delivered to is listed k times: the first
@@ -566,6 +706,7 @@ impl BgpEngine {
             self.export_set.clear();
             for (i, p) in self.received.drain(..) {
                 let column = &mut self.columns[p.slot()];
+                self.work.decides += 1;
                 if self.speakers[i as usize].decide(i, &self.offsets, column) {
                     self.export_set.push((i, p));
                 }

@@ -180,6 +180,11 @@ pub(crate) struct PrefixColumn {
     pub(crate) stats: RibStats,
 }
 
+// `rib_heap_bytes` prices every column at this size, so a field added
+// here costs bytes per route at every tier: engine-wide bookkeeping about
+// a column (such as its twin-fill bill) lives beside the columns instead.
+const _: () = assert!(core::mem::size_of::<PrefixColumn>() == 96);
+
 impl PrefixColumn {
     /// A blank column for `sessions` directed sessions among `speakers`.
     pub(crate) fn new(sessions: usize, speakers: usize) -> Self {
@@ -255,6 +260,30 @@ impl PrefixColumn {
         self.imported.fill(0);
         self.winners.fill(None);
         self.stats = RibStats::default();
+    }
+
+    /// Has no speaker learned, chosen or sent a route for the prefix?
+    /// The originations may be set: a converge then floods them from
+    /// blank.
+    pub(crate) fn is_blank(&self) -> bool {
+        self.stats == RibStats::default()
+    }
+
+    /// Do the two columns originate the same set of announcements: the
+    /// same origin speakers, with value-equal attributes?
+    pub(crate) fn same_originations(&self, other: &PrefixColumn) -> bool {
+        self.origins.len() == other.origins.len()
+            && (self.origins.iter()).all(|(at, attrs)| other.origin(*at) == Some(attrs))
+    }
+
+    /// Take `twin`'s routes — every slot, imported bit and winner, and
+    /// the counts — into this column's own buffers, keeping its
+    /// originations. Nothing is allocated: the advertisements are shared.
+    pub(crate) fn copy_routes(&mut self, twin: &PrefixColumn) {
+        self.slots.clone_from_slice(&twin.slots);
+        self.imported.copy_from_slice(&twin.imported);
+        self.winners.clone_from_slice(&twin.winners);
+        self.stats = twin.stats;
     }
 
     /// Does no speaker hold anything for the prefix? Its id can then be

@@ -17,12 +17,21 @@
 //! churn property draws from more prefixes than are ever originated at
 //! once, so the live engine keeps handing one id to different prefixes
 //! while speakers' tables are indexed, and worklists keyed, by it.
+//!
+//! A prefix that enters a convergence blank may be filled by copying a
+//! converged twin's column instead of being flooded. Every such step is
+//! also held against a *lone* engine that floods only that prefix's
+//! originations: same winners, advertisements, `updates_processed` and
+//! rounds. A model of which columns carry a bill says when a fill must
+//! happen, and the engine's fill count must agree with it step by step.
 
 use proptest::prelude::*;
 use proptest::sample::Index;
 use std::collections::{BTreeMap, BTreeSet};
+use tango_bgp::engine::RibStats;
 use tango_bgp::{BgpEngine, Community};
 use tango_net::IpCidr;
+use tango_obs::Registry;
 use tango_topology::gen::{try_generate, GenParams};
 use tango_topology::{AsId, AsKind, AsNode, DirectionProfile, LinkProfile, Topology};
 
@@ -33,6 +42,9 @@ fn prefix(i: usize) -> IpCidr {
 }
 
 const PREFIXES: usize = 4;
+/// Prefixes after the first [`PREFIXES`] that only the twin step
+/// announces.
+const TWINS: usize = 2;
 
 /// Distinct prefixes the churn draws from, and the most it keeps
 /// originated at once.
@@ -52,7 +64,20 @@ struct Inputs {
 impl Inputs {
     /// A fresh engine given only the final inputs, converged once.
     fn replay(&self, topology: &Topology) -> BgpEngine {
+        self.replay_where(topology, |_| true).0
+    }
+
+    /// A fresh engine given the configuration and only the originations
+    /// of the prefixes `keep` selects, converged once, with the
+    /// `bgp.updates_processed` and rounds that convergence reported.
+    fn replay_where(
+        &self,
+        topology: &Topology,
+        keep: impl Fn(IpCidr) -> bool,
+    ) -> (BgpEngine, u64, usize) {
+        let registry = Registry::new();
         let mut e = BgpEngine::new(topology.clone());
+        e.set_obs(&registry);
         for &id in &self.honor {
             e.set_honor_actions(id, true).expect("node exists");
         }
@@ -60,12 +85,59 @@ impl Inputs {
             e.set_neighbor_pref(id, prefs.clone()).expect("node exists");
         }
         for (&(origin, p), (communities, poison)) in &self.originated {
-            e.announce_poisoned(origin, p, communities.clone(), poison)
-                .expect("node exists");
+            if keep(p) {
+                e.announce_poisoned(origin, p, communities.clone(), poison)
+                    .expect("node exists");
+            }
         }
-        e.converge().expect("Gao-Rexford policies converge");
-        e
+        let rounds = e.converge().expect("Gao-Rexford policies converge");
+        (e, updates(&registry), rounds)
     }
+
+    /// The prefixes originated anywhere.
+    fn held(&self) -> BTreeSet<IpCidr> {
+        self.originated.keys().map(|&(_, p)| p).collect()
+    }
+
+    /// `p`'s originations: origin → (communities, poison).
+    fn originations(&self, p: IpCidr) -> BTreeMap<AsId, &(BTreeSet<Community>, Vec<AsId>)> {
+        let at_p = self.originated.iter().filter(|((_, q), _)| *q == p);
+        at_p.map(|(&(origin, _), attrs)| (origin, attrs)).collect()
+    }
+}
+
+fn updates(registry: &Registry) -> u64 {
+    registry.snapshot().counters["bgp.updates_processed"]
+}
+
+/// Assert `live` and `reference` agree on every Loc-RIB entry and every
+/// directed session's advertisement for `prefixes`.
+fn check_routes(
+    live: &BgpEngine,
+    reference: &BgpEngine,
+    topology: &Topology,
+    prefixes: impl Iterator<Item = IpCidr> + Clone,
+    step: &str,
+) -> Result<(), String> {
+    for node in topology.nodes() {
+        for p in prefixes.clone() {
+            prop_assert_eq!(
+                live.best_route(node.id, p),
+                reference.best_route(node.id, p),
+                "after {step}: Loc-RIB of {:?} for {p}",
+                node.id
+            );
+            for &to in topology.neighbors(node.id) {
+                prop_assert_eq!(
+                    live.advertisement(node.id, to, p),
+                    reference.advertisement(node.id, to, p),
+                    "after {step}: {:?} -> {to:?} for {p}",
+                    node.id
+                );
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Assert the incremental engine equals the from-scratch replay on the
@@ -79,24 +151,7 @@ fn check_against_replay(
     step: &str,
 ) -> Result<(), String> {
     let fresh = inputs.replay(topology);
-    for node in topology.nodes() {
-        for p in (0..prefixes).map(prefix) {
-            prop_assert_eq!(
-                live.best_route(node.id, p),
-                fresh.best_route(node.id, p),
-                "after {step}: Loc-RIB of {:?} for {p}",
-                node.id
-            );
-            for &to in topology.neighbors(node.id) {
-                prop_assert_eq!(
-                    live.advertisement(node.id, to, p),
-                    fresh.advertisement(node.id, to, p),
-                    "after {step}: {:?} -> {to:?} for {p}",
-                    node.id
-                );
-            }
-        }
-    }
+    check_routes(live, &fresh, topology, (0..prefixes).map(prefix), step)?;
     prop_assert_eq!(
         live.rib_stats(),
         fresh.rib_stats(),
@@ -118,7 +173,7 @@ struct Op {
 
 fn arb_op() -> impl Strategy<Value = Op> {
     (
-        0u8..6,
+        0u8..7,
         any::<Index>(),
         any::<Index>(),
         0usize..PREFIXES,
@@ -149,15 +204,53 @@ fn draw_communities(spec: &[(u8, Index, u8)], nodes: &[AsId]) -> BTreeSet<Commun
         .collect()
 }
 
+/// What one [`Op`] did to the originations and the configuration.
+#[derive(Debug, Default)]
+struct Effect {
+    /// The prefix whose originations it edited, if any.
+    edited: Option<IpCidr>,
+    /// That prefix enters the next convergence blank: newly announced,
+    /// or blanked by a community edit.
+    fresh: bool,
+    /// It edited a speaker's configuration.
+    config: bool,
+}
+
+impl Effect {
+    fn edited(p: IpCidr, fresh: bool) -> Self {
+        Effect {
+            edited: Some(p),
+            fresh,
+            config: false,
+        }
+    }
+
+    fn config() -> Self {
+        Effect {
+            config: true,
+            ..Effect::default()
+        }
+    }
+}
+
+/// What the live engine reported for one step's convergence.
+struct Reported {
+    fills: u64,
+    updates: u64,
+    rounds: usize,
+    /// The RIB totals before the step, if its prefix held nothing then.
+    stats_before: Option<RibStats>,
+}
+
 /// Apply `op` to the live engine and mirror it in the model. Returns a
-/// label for failure messages.
+/// label for failure messages and what the step changed.
 fn apply(
     op: &Op,
     live: &mut BgpEngine,
     inputs: &mut Inputs,
     topology: &Topology,
     nodes: &[AsId],
-) -> String {
+) -> (String, Effect) {
     let node = nodes[op.node.index(nodes.len())];
     let p = prefix(op.prefix);
     let communities = draw_communities(&op.communities, nodes);
@@ -168,6 +261,7 @@ fn apply(
         .nth(op.other.index(inputs.originated.len().max(1)))
         .copied()
         .unwrap_or((node, p));
+    let new = !inputs.held().contains(&p);
     match op.kind {
         0 => {
             live.announce(node, p, communities.clone())
@@ -175,7 +269,7 @@ fn apply(
             inputs
                 .originated
                 .insert((node, p), (communities, Vec::new()));
-            format!("announce {p} at {node:?}")
+            (format!("announce {p} at {node:?}"), Effect::edited(p, new))
         }
         1 => {
             let poison = vec![nodes[op.other.index(nodes.len())]];
@@ -184,7 +278,8 @@ fn apply(
             inputs
                 .originated
                 .insert((node, p), (communities, poison.clone()));
-            format!("announce {p} at {node:?} poisoning {poison:?}")
+            let label = format!("announce {p} at {node:?} poisoning {poison:?}");
+            (label, Effect::edited(p, new))
         }
         2 => {
             let target = live_origination;
@@ -202,13 +297,21 @@ fn apply(
                 }
                 None => assert!(!changed, "edit of a missing origination is a no-op"),
             }
-            format!("set communities on {} at {:?}", target.1, target.0)
+            let label = format!("set communities on {} at {:?}", target.1, target.0);
+            match changed {
+                true => (label, Effect::edited(target.1, true)),
+                false => (label, Effect::default()),
+            }
         }
         3 => {
             let target = live_origination;
             let removed = live.withdraw(target.0, target.1).expect("node exists");
             assert_eq!(removed, inputs.originated.remove(&target).is_some());
-            format!("withdraw {} at {:?}", target.1, target.0)
+            let label = format!("withdraw {} at {:?}", target.1, target.0);
+            match removed {
+                true => (label, Effect::edited(target.1, false)),
+                false => (label, Effect::default()),
+            }
         }
         4 => {
             let neighbors = topology.neighbors(node);
@@ -222,18 +325,98 @@ fn apply(
             live.set_neighbor_pref(node, prefs.clone())
                 .expect("node exists");
             inputs.prefs.insert(node, prefs.clone());
-            format!("neighbor prefs {prefs:?} at {node:?}")
+            let label = format!("neighbor prefs {prefs:?} at {node:?}");
+            (label, Effect::config())
         }
-        _ => {
+        5 => {
             live.set_honor_actions(node, op.flag).expect("node exists");
             if op.flag {
                 inputs.honor.insert(node);
             } else {
                 inputs.honor.remove(&node);
             }
-            format!("honor_actions={} at {node:?}", op.flag)
+            let label = format!("honor_actions={} at {node:?}", op.flag);
+            (label, Effect::config())
+        }
+        // A twin: a blank prefix announced at a live prefix's origin
+        // speakers, with its exact attributes when `flag`, else with the
+        // drawn communities and no poison — a twin only by chance, which
+        // a fill matched on origin speakers alone would copy wrongly.
+        _ => {
+            let held = inputs.held();
+            let source = held.iter().nth(op.other.index(held.len().max(1)));
+            let target = (PREFIXES..PREFIXES + TWINS)
+                .map(prefix)
+                .find(|t| !held.contains(t));
+            let (Some(&source), Some(target)) = (source, target) else {
+                return (
+                    "twin: nothing to copy or no blank prefix".into(),
+                    Effect::default(),
+                );
+            };
+            let copied: Vec<_> = (inputs.originations(source).into_iter())
+                .map(|(origin, attrs)| (origin, attrs.clone()))
+                .collect();
+            for (origin, (c, poison)) in copied {
+                let (c, poison) = match op.flag {
+                    true => (c, poison),
+                    false => (communities.clone(), Vec::new()),
+                };
+                live.announce_poisoned(origin, target, c.clone(), &poison)
+                    .expect("node exists");
+                inputs.originated.insert((origin, target), (c, poison));
+            }
+            let label = format!("announce {target} as {source}'s twin (exact: {})", op.flag);
+            (label, Effect::edited(target, true))
         }
     }
+}
+
+/// Hold one convergence against the model of which columns carry a
+/// bill (`billed`, updated here): a prefix that entered blank must be
+/// filled iff another billed prefix has equal originations, and it
+/// must end exactly as, and report exactly the updates and rounds of,
+/// a lone engine flooding its originations alone.
+fn check_fill(
+    live: &BgpEngine,
+    inputs: &Inputs,
+    topology: &Topology,
+    effect: &Effect,
+    billed: &mut BTreeSet<IpCidr>,
+    reported: &Reported,
+    step: &str,
+) -> Result<(), String> {
+    if effect.config {
+        billed.clear();
+    }
+    let Some(p) = effect.edited else {
+        return Ok(());
+    };
+    billed.remove(&p);
+    if !effect.fresh {
+        return Ok(());
+    }
+    let twin = (billed.iter()).any(|&q| inputs.originations(q) == inputs.originations(p));
+    billed.insert(p);
+    prop_assert_eq!(reported.fills, u64::from(twin), "after {step}: twin fills");
+    let (lone, lone_updates, lone_rounds) = inputs.replay_where(topology, |q| q == p);
+    check_routes(live, &lone, topology, [p].into_iter(), step)?;
+    prop_assert_eq!(
+        reported.updates,
+        lone_updates,
+        "after {step}: updates billed for {p}"
+    );
+    prop_assert_eq!(reported.rounds, lone_rounds, "after {step}: rounds of {p}");
+    if let Some(before) = reported.stats_before {
+        let alone = lone.rib_stats();
+        let with = RibStats {
+            adj_rib_in: before.adj_rib_in + alone.adj_rib_in,
+            loc_rib: before.loc_rib + alone.loc_rib,
+            adj_rib_out: before.adj_rib_out + alone.adj_rib_out,
+        };
+        prop_assert_eq!(live.rib_stats(), with, "after {step}: RIB occupancy of {p}");
+    }
+    Ok(())
 }
 
 proptest! {
@@ -248,7 +431,9 @@ proptest! {
     ) {
         let g = try_generate(&GenParams::internet(ases, edges, seed)).expect("preset is valid");
         let nodes: Vec<AsId> = g.topology.nodes().map(|n| n.id).collect();
+        let registry = Registry::new();
         let mut live = BgpEngine::new(g.topology.clone());
+        live.set_obs(&registry);
         let mut inputs = Inputs::default();
         // Start from a populated mesh so edits hit real state: every
         // edge site honors actions and announces one prefix.
@@ -260,11 +445,23 @@ proptest! {
             inputs.originated.insert((site, p), (BTreeSet::new(), Vec::new()));
         }
         live.converge().expect("Gao-Rexford policies converge");
-        check_against_replay(&live, &inputs, &g.topology, PREFIXES, "mesh set-up")?;
+        let checked = PREFIXES + TWINS;
+        check_against_replay(&live, &inputs, &g.topology, checked, "mesh set-up")?;
+        // Every prefix entered the set-up blank: each carries a bill.
+        let mut billed = inputs.held();
         for op in &ops {
-            let step = apply(op, &mut live, &mut inputs, &g.topology, &nodes);
-            live.converge().expect("Gao-Rexford policies converge");
-            check_against_replay(&live, &inputs, &g.topology, PREFIXES, &step)?;
+            let (held, stats) = (inputs.held(), live.rib_stats());
+            let (fills, updates_before) = (live.work().fills, updates(&registry));
+            let (step, effect) = apply(op, &mut live, &mut inputs, &g.topology, &nodes);
+            let rounds = live.converge().expect("Gao-Rexford policies converge");
+            check_against_replay(&live, &inputs, &g.topology, checked, &step)?;
+            let reported = Reported {
+                fills: live.work().fills - fills,
+                updates: updates(&registry) - updates_before,
+                rounds,
+                stats_before: effect.edited.filter(|p| !held.contains(p)).map(|_| stats),
+            };
+            check_fill(&live, &inputs, &g.topology, &effect, &mut billed, &reported, &step)?;
         }
     }
 

@@ -248,6 +248,46 @@ mod tests {
         assert!(e.as_path(TENANT_NY, p).is_none());
     }
 
+    /// Discovery first announces the probe with no communities, exactly
+    /// as the LA tenant announces its host prefix: with that prefix
+    /// converged first, the first step copies its column — a twin fill,
+    /// no update executed — and discovery finds the same paths and pins
+    /// and bills the same updates as without it.
+    #[test]
+    fn a_converged_host_prefix_makes_the_first_step_a_fill() {
+        let updates = |r: &tango_obs::Registry| r.snapshot().counters["bgp.updates_processed"];
+        let run = |host: bool| {
+            let registry = tango_obs::Registry::new();
+            let mut e = engine();
+            e.set_obs(&registry);
+            if host {
+                let la_hosts = pfx("2001:db8:1ff::/48");
+                e.announce(TENANT_LA, la_hosts, BTreeSet::new()).unwrap();
+                e.converge().unwrap();
+            }
+            let (billed, work) = (updates(&registry), e.work());
+            let probe = pfx("2001:db8:fe::/48");
+            let infrastructure = [VULTR_LA, VULTR_NY];
+            let paths =
+                discover_paths(&mut e, TENANT_LA, TENANT_NY, probe, &infrastructure, 8).unwrap();
+            let (fills, executed) = (e.work().fills - work.fills, e.work().updates - work.updates);
+            // Without the host prefix, `billed` is 0; with it, its flood.
+            (paths, updates(&registry) - billed, fills, executed, billed)
+        };
+        let (paths, billed, fills, executed, _) = run(false);
+        let (host_paths, host_billed, host_fills, host_executed, host_flood) = run(true);
+        assert_eq!(paths.len(), 4, "Fig. 3 NY→LA");
+        assert_eq!(host_paths, paths, "same paths, same pins");
+        assert_eq!(host_billed, billed, "same updates_processed");
+        assert_eq!((fills, host_fills), (0, 1));
+        assert!(host_flood > 0);
+        assert_eq!(
+            host_executed,
+            executed - host_flood,
+            "the first step executed none of its flood"
+        );
+    }
+
     #[test]
     fn as_paths_are_private_free() {
         let mut e = engine();

@@ -469,6 +469,11 @@ impl NPopMesh {
         &self.pops
     }
 
+    /// The converged engine phases 1 and 2 drive.
+    pub fn engine(&self) -> &BgpEngine {
+        &self.engine
+    }
+
     /// Phase 3, built: a simulator over the mesh's graph, every node a
     /// [`RouterAgent`] over its converged FIB, plus the total FIB entry
     /// count. The span ring is sized so a run of `packets` injected

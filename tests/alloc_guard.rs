@@ -92,21 +92,24 @@ const MAX_CALLS_PER_PACKET: f64 = 0.02;
 /// Packets per scenario; the second half is measured.
 const PACKETS: u32 = 8_000;
 /// Allocator calls per BGP update tolerated across discovery probes
-/// ([`probe_calls`]): midway between the exact 11 112 calls for 21 138
+/// ([`probe_calls`]): midway between the 11 112 calls for 21 138
 /// updates (0.526) — with a recycled probe column, and before it with
 /// speakers whose blank probe record kept its vectors — and the 19 770
 /// (0.935) of speakers that freed them when a probe left and regrew them
 /// slot by slot when the next arrived. What is left is the advertisement
-/// a changed best route builds.
+/// a changed best route builds: since a probe's unshaped announcement is
+/// a twin fill of its host prefix's column, exact 8 220 calls (0.389;
+/// the updates are billed, not executed).
 const MAX_CALLS_PER_BGP_UPDATE: f64 = 0.73;
 /// Live heap bytes per RIB route (`rib_stats().total()`) that building
 /// and converging the engine of [`probe_calls`] may hold: its speakers
 /// and sessions, the RIB storage and the shared advertisements, over
-/// 8 host prefixes. Exact: 21.41 with one column per prefix (an
+/// 8 host prefixes. Exact: 21.46 with one column per prefix and a
+/// twin-fill bill beside each, 21.41 without the bills (an
 /// advertisement slot per directed session serving as both Adj-RIB-Out
 /// and Adj-RIB-In entry, a winner per speaker); 45.29 with a record per
 /// speaker and prefix, each holding its own Adj-RIB-In and Adj-RIB-Out
-/// vectors. Midway between the two.
+/// vectors. Midway between 21.41 and 45.29.
 const MAX_RIB_HEAP_BYTES_PER_ROUTE: f64 = 33.35;
 /// Live heap bytes per delivered app packet that [`pairing_run`] may
 /// leave behind (the event queue's grown capacity, the `owd` values with
@@ -235,6 +238,12 @@ fn mesh_calls(mesh: &NPopMesh, shards: usize) -> u64 {
 /// worklists to their working size. Also returns the live heap the
 /// engine holds per RIB route once the mesh has converged, before any
 /// probe.
+///
+/// Before the rotations it checks a twin fill: PoP 0's probe announced
+/// exactly as its host prefix is converges by copying the host prefix's
+/// column into the blank one `intern` made, sharing its advertisements,
+/// so that convergence makes no allocator call and leaves no heap
+/// behind. A flood would build the probe's advertisements anew.
 fn probe_calls() -> (u64, u64, f64) {
     let g = try_generate(&GenParams::internet(100, 8, 1)).expect("preset is valid");
     let pops = g.edge_sites;
@@ -252,6 +261,23 @@ fn probe_calls() -> (u64, u64, f64) {
     let rib_heap = LIVE.load(Relaxed).wrapping_sub(live_before);
     let heap_per_route = rib_heap as f64 / engine.rib_stats().total() as f64;
     let probes: Vec<_> = (0..pops.len()).map(probe_prefix).collect();
+    engine
+        .announce(pops[0], probes[0], BTreeSet::new())
+        .expect("a graph node");
+    let (announced, fills) = (LIVE.load(Relaxed), engine.work().fills);
+    let fill_calls = calls_during(|| {
+        engine.converge().expect("converges");
+    });
+    let fill_bytes = LIVE.load(Relaxed).wrapping_sub(announced) as i64;
+    assert_eq!(
+        engine.work().fills,
+        fills + 1,
+        "the probe is its host prefix's twin"
+    );
+    assert_eq!(fill_calls, 0, "a twin fill calls the allocator");
+    assert!(fill_bytes <= 0, "a twin fill left {fill_bytes} B of heap");
+    engine.withdraw(pops[0], probes[0]).expect("a graph node");
+    engine.converge().expect("converges");
     let mut rotation = || {
         for (k, &announcer) in pops.iter().enumerate() {
             let observer = pops[(k + 1) % pops.len()];
