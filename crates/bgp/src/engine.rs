@@ -25,14 +25,16 @@
 //! community edit blanks its prefix's column and converges as a fresh
 //! announcement of the prefix's originations. A prefix that enters a
 //! convergence blank with the same originations as a converged twin is
-//! filled by copying the twin's column, and billed the flood it skipped.
+//! filled by copying the twin's column, and billed the flood it skipped:
+//! the copy shares the twin's arena of advertisements until either
+//! column appends to it. A convergence ends by compacting every arena
+//! whose garbage outgrew what its column holds.
 
 use crate::community::Community;
 use crate::policy::local_pref_base;
-use crate::rib::{PathAttrs, PrefixColumn, Route, Winner};
+use crate::rib::{Ads, PathAttrs, PrefixColumn, Route, Winner};
 use crate::speaker::{BgpSpeaker, Neighbor, PrefixId, SpeakerConfig};
 use std::collections::{BTreeMap, BTreeSet};
-use std::rc::Rc;
 use tango_net::{IpCidr, PrefixTrie};
 use tango_obs::{Counter, Gauge, Histogram, Registry};
 use tango_topology::{AsId, Topology};
@@ -128,6 +130,9 @@ pub struct Work {
     pub fills: u64,
     /// Decision-process runs (`BgpSpeaker::decide` calls).
     pub decides: u64,
+    /// Column arenas compacted at the end of a convergence because their
+    /// garbage outgrew what the column holds.
+    pub compactions: u64,
 }
 
 /// What a prefix's column cost to flood from blank, by prefix id: the
@@ -196,7 +201,7 @@ impl PrefixTable {
 
 /// The BGP propagation engine over an AS-level topology.
 ///
-/// Not `Send`: routes share attributes through `Rc`, and an engine stays
+/// Not `Send`: columns share arenas and community sets through `Rc`, and an engine stays
 /// on the thread that built it (the workspace's one thread site,
 /// `tango_sim::shard`, moves simulator shards, never an engine).
 ///
@@ -240,6 +245,9 @@ pub struct BgpEngine {
     /// exports this round (cleared on entry), and where an update landed.
     export_set: Worklist,
     received: Worklist,
+    /// Working space for renumbering a column's arena, kept for its
+    /// capacity.
+    handle_map: Vec<u32>,
 }
 
 /// A worklist of `(speaker position, prefix id)` entries, in no order
@@ -314,6 +322,7 @@ impl BgpEngine {
             dirty_config: BTreeSet::new(),
             export_set: Worklist::new(),
             received: Worklist::new(),
+            handle_map: Vec::new(),
         }
     }
 
@@ -357,9 +366,9 @@ impl BgpEngine {
         stats
     }
 
-    /// Heap bytes held by the RIB columns right now. An advertisement
-    /// held by a session slot and the Loc-RIB entries that chose it is
-    /// one allocation and is counted once.
+    /// Heap bytes held by the RIB columns right now: their slots,
+    /// winners and originations, and their arenas with the community
+    /// sets in them. An arena shared by twin columns is counted once.
     pub fn rib_heap_bytes(&self) -> u64 {
         let mut seen = BTreeSet::new();
         let columns = self.columns.capacity() * core::mem::size_of::<PrefixColumn>();
@@ -415,11 +424,12 @@ impl BgpEngine {
         p
     }
 
-    /// `at`'s speaker and its Loc-RIB entry for `prefix`.
-    fn winner(&self, at: AsId, prefix: IpCidr) -> Option<(&BgpSpeaker, &Winner)> {
+    /// `at`'s speaker, its Loc-RIB entry for `prefix` and the arena
+    /// that entry's advertisement is in.
+    fn winner(&self, at: AsId, prefix: IpCidr) -> Option<(&BgpSpeaker, Winner, &Ads)> {
         let i = self.index_of(at).ok()?;
         let column = &self.columns[self.prefixes.get(&prefix)?.slot()];
-        Some((&self.speakers[i], column.winner(i as u32)?))
+        Some((&self.speakers[i], column.winner(i as u32)?, column.ads()))
     }
 
     /// Set a node's per-neighbor preference map (e.g. the Vultr borders'
@@ -469,16 +479,7 @@ impl BgpEngine {
         let i = self.index_of(origin)? as u32; // before an id is minted
         let p = self.intern(prefix);
         self.bills[p.slot()] = Bill::Unknown;
-        let origins = &mut self.columns[p.slot()].origins;
-        origins.retain(|&(o, _)| o != i);
-        origins.push((
-            i,
-            Rc::new(PathAttrs {
-                as_path: poison.into(),
-                communities: Rc::new(communities),
-                med: 0,
-            }),
-        ));
+        self.columns[p.slot()].originate(i, poison, communities);
         self.dirty_origins.push((i, p));
         Ok(())
     }
@@ -508,18 +509,9 @@ impl BgpEngine {
             return Ok(false);
         };
         let column = &mut self.columns[p.slot()];
-        let Some((_, attrs)) = column.origins.iter_mut().find(|&&mut (o, _)| o == i) else {
-            return Ok(false);
-        };
-        if *attrs.communities == communities {
+        if !column.set_communities(i, communities, &mut self.handle_map) {
             return Ok(false);
         }
-        *attrs = Rc::new(PathAttrs {
-            as_path: attrs.as_path.clone(),
-            communities: Rc::new(communities),
-            med: attrs.med,
-        });
-        column.clear_routes();
         let origins = column.origins.iter().map(|&(o, _)| (o, p));
         self.dirty_origins.extend(origins);
         self.bills[p.slot()] = Bill::Unknown;
@@ -546,41 +538,29 @@ impl BgpEngine {
     /// Run synchronous rounds to the fixpoint. Returns the number of
     /// rounds taken (0 means the network was already converged).
     ///
-    /// The propagation is *incremental*: work is proportional to the
-    /// set of `(speaker, prefix)` entries actually touched since the
-    /// last convergence — the dirty originations and config edits seed a
-    /// worklist, and each round only re-exports and re-decides the
-    /// entries whose state changed. A speaker whose Loc-RIB entry for a
-    /// prefix did not change exports the same route as before, so the
-    /// diff against its Adj-RIB-Out is empty and it never enters the
-    /// round. This is what makes thousands of small discovery steps over
-    /// a 5000-AS graph tractable; the fixpoint, the per-round update
-    /// counts, and the round totals are identical to the original
-    /// everyone-recomputes synchronous sweep (the no-op work it skips
-    /// changed no state and delivered no updates).
+    /// The propagation is *incremental*: the dirty originations and
+    /// config edits seed a worklist, and each round re-exports and
+    /// re-decides only the `(speaker, prefix)` entries whose state
+    /// changed. The fixpoint, per-round update counts and round totals
+    /// are those of an everyone-recomputes synchronous sweep: the work
+    /// skipped changed no state. An [`BgpEngine::announce`] or
+    /// [`BgpEngine::withdraw`] re-converges over the routes in place; a
+    /// [`BgpEngine::set_announcement_communities`] edit has blanked its
+    /// prefix, which converges as a fresh announcement.
     ///
-    /// What the seeds start from depends on the edit. An
-    /// [`BgpEngine::announce`] or [`BgpEngine::withdraw`] re-converges
-    /// over the routes in place, path exploration included. A
-    /// [`BgpEngine::set_announcement_communities`] edit has already
-    /// blanked its prefix everywhere, so its rounds and
-    /// `bgp.updates_processed` are those of announcing the prefix's
-    /// originations afresh.
-    ///
-    /// A prefix that enters blank (newly announced, or blanked by a
-    /// community edit) is not flooded when another prefix's column is
-    /// known to be the from-blank convergence of the same originations
-    /// — the same origin speakers with value-equal attributes — under
-    /// the current configuration: its *twin*. No policy reads the prefix
-    /// itself, so the flood would rebuild that column slot for slot;
-    /// instead the twin's routes are copied in, sharing its
-    /// advertisements. Each such column carries a bill, the updates and
-    /// rounds its flood cost: a fill adds the bill's updates to
-    /// `bgp.updates_processed` and its rounds join the returned and
-    /// recorded maximum, so every count is what flooding would report.
-    /// A bill is set when a prefix that entered blank has converged,
-    /// dropped by any origination edit of its prefix, and every bill is
-    /// dropped by a convergence with a configuration edit to apply.
+    /// A prefix that enters blank is not flooded when another prefix's
+    /// column is known to be the from-blank convergence of the same
+    /// originations (value-equal, at the same speakers) under the current
+    /// configuration: its *twin*, whose routes and arena it copies. No
+    /// policy reads the prefix itself, so the flood would rebuild that
+    /// column slot for slot. The twin's bill — the updates and rounds its
+    /// flood cost — is added to `bgp.updates_processed` and joins the
+    /// returned and recorded rounds, so every count is what flooding
+    /// reports. A bill is set when a prefix that entered blank has
+    /// converged, dropped by any origination edit of its prefix, and all
+    /// are dropped by a convergence with a configuration edit to apply.
+    /// At the end, every column whose arena holds more than twice as many
+    /// records as winners and originations, plus a slack, is compacted.
     /// [`BgpEngine::work`] counts what ran.
     pub fn converge(&mut self) -> Result<usize, EngineError> {
         let mut updates_applied = 0u64;
@@ -680,6 +660,11 @@ impl BgpEngine {
                         self.prefixes.release(p);
                     }
                 }
+                for column in &mut self.columns {
+                    if column.compact_if_sparse(&mut self.handle_map) {
+                        self.work.compactions += 1;
+                    }
+                }
                 self.work.updates += updates_applied;
                 if let Some(obs) = &self.obs {
                     obs.updates_processed.add(updates_applied + billed_updates);
@@ -719,26 +704,26 @@ impl BgpEngine {
 
     /// The best route for `prefix` at node `at`, after convergence.
     pub fn best_route(&self, at: AsId, prefix: IpCidr) -> Option<Route> {
-        let (s, winner) = self.winner(at, prefix)?;
-        Some(s.route(winner))
+        let (s, winner, ads) = self.winner(at, prefix)?;
+        Some(s.route(winner, ads))
     }
 
     /// The AS path for `prefix` as seen at `at` (§4.1: "observing the
     /// AS-path heard at the other server").
     pub fn as_path(&self, at: AsId, prefix: IpCidr) -> Option<&[AsId]> {
-        self.winner(at, prefix).map(|(_, w)| &*w.attrs.as_path)
+        self.winner(at, prefix).map(|(_, w, ads)| ads.path(w.ad))
     }
 
     /// The advertisement `from` last sent `to` for `prefix` — its
     /// Adj-RIB-Out entry, and `to`'s Adj-RIB-In entry unless `to`'s loop
     /// check dropped it — or `None` if it sent none or there is no such
     /// session.
-    pub fn advertisement(&self, from: AsId, to: AsId, prefix: IpCidr) -> Option<&PathAttrs> {
+    pub fn advertisement(&self, from: AsId, to: AsId, prefix: IpCidr) -> Option<PathAttrs> {
         let s = self.speaker(from).ok()?;
         let n = s.neighbors().iter().find(|n| n.id == to)?;
         let slot = self.offsets[n.index as usize] + n.back;
         let column = &self.columns[self.prefixes.get(&prefix)?.slot()];
-        column.sent(slot as usize).map(|attrs| &**attrs)
+        column.sent(slot as usize).map(|h| column.ads().attrs(h))
     }
 
     /// Build a longest-prefix-match forwarding table for a node: prefix →
@@ -765,7 +750,7 @@ impl BgpEngine {
         let mut at = from;
         let mut hops = 0;
         loop {
-            let (s, winner) = self.winner(at, prefix)?;
+            let (s, winner, _) = self.winner(at, prefix)?;
             let n = s.next_hop(winner);
             if n == at {
                 return Some(path); // the origin
@@ -1183,6 +1168,85 @@ mod tests {
             }
         }
         assert_eq!(e.rib_heap_bytes(), heap_after_second);
+    }
+
+    /// Assert `a` and `b` agree on every speaker's best route and every
+    /// session's advertisement for `p`.
+    fn assert_same_routes(a: &BgpEngine, b: &BgpEngine, p: IpCidr) {
+        for node in a.topology().nodes() {
+            let at = node.id;
+            assert_eq!(a.best_route(at, p), b.best_route(at, p), "{at:?} for {p}");
+            for &to in a.topology().neighbors(at) {
+                let sent = |e: &BgpEngine| e.advertisement(at, to, p);
+                assert_eq!(sent(a), sent(b), "{at:?} -> {to:?} for {p}");
+            }
+        }
+    }
+
+    /// A live prefix that is never blanked: a second origin announces
+    /// and withdraws it a thousand times, each step converging
+    /// incrementally over the routes in place, with one preference edit
+    /// half-way. The garbage every step leaves in the column's arena is
+    /// compacted away, so once the first compaction has sized the arena
+    /// (the warm-up), the heap after the last cycle is no larger than
+    /// after the first, and the routes are a fresh engine's.
+    #[test]
+    fn an_arena_stays_bounded_under_incremental_churn() {
+        let (mut e, pops) = churn_mesh();
+        let host = pfx("2001:db8:1000::/48");
+        let prefs: BTreeMap<AsId, u32> = [(e.topology().neighbors(pops[2])[0], 30)].into();
+        let cycle = |e: &mut BgpEngine| {
+            e.announce(pops[1], host, BTreeSet::new()).unwrap();
+            e.converge().unwrap();
+            e.withdraw(pops[1], host).unwrap();
+            e.converge().unwrap();
+        };
+        while e.work().compactions == 0 {
+            cycle(&mut e);
+        }
+        cycle(&mut e);
+        let heap_after_first = e.rib_heap_bytes();
+        for k in 1..1000 {
+            cycle(&mut e);
+            if k == 500 {
+                e.set_neighbor_pref(pops[2], prefs.clone()).unwrap();
+                e.converge().unwrap();
+            }
+        }
+        assert!(e.work().compactions > 100, "the churn is compacted away");
+        assert!(e.rib_heap_bytes() <= heap_after_first);
+        let (mut fresh, _) = churn_mesh();
+        fresh.set_neighbor_pref(pops[2], prefs).unwrap();
+        fresh.converge().unwrap();
+        for i in 0..pops.len() {
+            assert_same_routes(&e, &fresh, pfx(&format!("2001:db8:{:x}::/48", 0x1000 + i)));
+        }
+    }
+
+    /// A twin-filled column shares its twin's arena; a withdrawal after
+    /// the fill edits it incrementally, and its first append copies the
+    /// arena. Both prefixes must end as a fresh engine has them.
+    #[test]
+    fn a_filled_column_edited_incrementally_equals_a_fresh_one() {
+        let (mut e, pops) = churn_mesh();
+        let (twin, filled) = (pfx("2001:db8:3000::/48"), pfx("2001:db8:3001::/48"));
+        for p in [twin, filled] {
+            for &pop in &pops[..2] {
+                e.announce(pop, p, BTreeSet::new()).unwrap();
+            }
+            e.converge().unwrap();
+        }
+        assert_eq!(e.work().fills, 1, "the second prefix is the first's twin");
+        e.withdraw(pops[1], filled).unwrap();
+        e.converge().unwrap();
+        let (mut fresh, _) = churn_mesh();
+        for &pop in &pops[..2] {
+            fresh.announce(pop, twin, BTreeSet::new()).unwrap();
+        }
+        fresh.announce(pops[0], filled, BTreeSet::new()).unwrap();
+        fresh.converge().unwrap();
+        assert_same_routes(&e, &fresh, twin);
+        assert_same_routes(&e, &fresh, filled);
     }
 
     /// Phase 2 visits a pair once per update that landed on it. Here hub

@@ -14,7 +14,9 @@
 //!   dense prefix id the engine interns (callers name prefixes; nothing
 //!   on the update path compares one), with one slot per directed
 //!   session that is both the sender's Adj-RIB-Out entry and the
-//!   receiver's Adj-RIB-In entry, over shared, immutable [`PathAttrs`];
+//!   receiver's Adj-RIB-In entry, each a `u32` handle into the column's
+//!   copy-on-write arena of advertisements (a caller reads one as an
+//!   owned [`PathAttrs`]);
 //!   the standard decision process (local-pref by Gao-Rexford relationship
 //!   plus a per-neighbor preference modeling Vultr's router config, then
 //!   AS-path length, then a deterministic tie-break);

@@ -1,19 +1,19 @@
 //! Routes, the BGP decision process, and the per-prefix RIB column.
 //!
-//! What travels in an UPDATE — AS path, communities, MED — is immutable
-//! once built and lives in one shared [`PathAttrs`] allocation: the
-//! session slot it was sent over and every Loc-RIB that chose it all hold
-//! the same `Rc` — not `Arc`: an engine and all it shares stay on one
-//! thread, so a clone or drop on the update path is a plain increment.
-//! A [`Route`] is that handle plus the three fields the *receiver*
-//! computes on import.
-//!
 //! Storage is prefix-major: everything every speaker knows about one
 //! prefix sits in one `PrefixColumn` — one advertisement slot per
 //! directed session, laid out receiver-major, which is at once the
 //! sender's Adj-RIB-Out entry and the receiver's Adj-RIB-In entry (an
 //! "imported" bit says whether the receiver's loop check let it in);
-//! each speaker's winner; and the few local originations.
+//! each speaker's winner; the few local originations; and the column's
+//! arena of advertisements (`Ads`). Slots, winners and originations hold
+//! `u32` handles into the arena, compared by value, never by number.
+//! The arena is shared copy-on-write (`Rc`, not `Arc`: an engine stays
+//! on one thread) by a column filled from a twin; a blank keeps only
+//! the originations' records, and a compaction every held one.
+//! [`PathAttrs`] is a record as an owned value, and a [`Route`] that
+//! plus the three fields the *receiver* computes on import: both are
+//! built only when a caller asks.
 
 use crate::community::Community;
 use crate::engine::RibStats;
@@ -41,8 +41,8 @@ impl RouteSource {
     }
 }
 
-/// The attributes one advertisement carries, shared by every RIB entry
-/// that holds it.
+/// The attributes one advertisement carries, as an owned value: a RIB
+/// entry holds a handle to its record instead.
 #[derive(Debug, PartialEq, Eq)]
 pub struct PathAttrs {
     /// AS path; element 0 is the *nearest* AS (the neighbor that sent it),
@@ -105,7 +105,14 @@ impl Route {
 
     fn rank(&self) -> Rank {
         let neighbor = self.source.neighbor().map_or(0, |n| n.0);
-        rank(&self.attrs, neighbor, self.local_pref, self.tie_pref)
+        let attrs = &self.attrs;
+        rank(
+            attrs.as_path.len(),
+            attrs.med,
+            neighbor,
+            self.local_pref,
+            self.tie_pref,
+        )
     }
 }
 
@@ -113,13 +120,20 @@ impl Route {
 /// iff its rank is greater.
 pub(crate) type Rank = (u32, Reverse<usize>, Reverse<u32>, u32, Reverse<u32>);
 
-/// The rank of `attrs` learned from `neighbor` (0 for a local route)
-/// with the receiver's `local_pref` and `tie_pref`.
-pub(crate) fn rank(attrs: &PathAttrs, neighbor: u32, local_pref: u32, tie_pref: u32) -> Rank {
+/// The rank of an advertisement with a path of `path_len` ASes and
+/// `med`, learned from `neighbor` (0 for a local route), with the
+/// receiver's `local_pref` and `tie_pref`.
+pub(crate) fn rank(
+    path_len: usize,
+    med: u32,
+    neighbor: u32,
+    local_pref: u32,
+    tie_pref: u32,
+) -> Rank {
     (
         local_pref,
-        Reverse(attrs.as_path.len()),
-        Reverse(attrs.med),
+        Reverse(path_len),
+        Reverse(med),
         tie_pref,
         Reverse(neighbor),
     )
@@ -149,33 +163,178 @@ pub fn better(a: &Route, b: &Route) -> bool {
     a.rank() > b.rank()
 }
 
+/// A handle naming no advertisement: an empty slot, or no winner.
+pub(crate) const NONE: u32 = u32::MAX;
+
 /// A [`Winner`]'s session for the local origination.
 pub(crate) const LOCAL: u32 = u32::MAX;
 
+/// Garbage records an arena may carry beyond twice its column's winners
+/// and originations before the end of a convergence compacts it.
+const SLACK: usize = 16;
+
+/// `Rc` keeps two reference counts in front of the value.
+const RC_HEADER: usize = 2 * core::mem::size_of::<usize>();
+
+/// A handle or path offset for position `n` of an arena.
+fn handle(n: usize) -> u32 {
+    u32::try_from(n).expect("an arena holds fewer than 2^32 records and path entries")
+}
+
+/// One advertisement: its AS path `paths[start..start + len]`, the index
+/// of its communities and its MED.
+#[derive(Debug, Clone, Copy)]
+struct Ad {
+    start: u32,
+    len: u32,
+    communities: u32,
+    med: u32,
+}
+
+/// A column's advertisements, named by handle (an index into `records`).
+/// Records are only appended, their paths in record order, so dropping
+/// garbage only moves what stays toward the front.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Ads {
+    records: Vec<Ad>,
+    paths: Vec<AsId>,
+    /// The originations' community sets (an export copies an index).
+    communities: Vec<Rc<BTreeSet<Community>>>,
+}
+
+impl Ads {
+    /// `h`'s AS path, nearest AS first.
+    pub(crate) fn path(&self, h: u32) -> &[AsId] {
+        let Ad { start, len, .. } = self.records[h as usize];
+        &self.paths[start as usize..(start + len) as usize]
+    }
+
+    /// `h`'s communities.
+    pub(crate) fn communities(&self, h: u32) -> &Rc<BTreeSet<Community>> {
+        &self.communities[self.records[h as usize].communities as usize]
+    }
+
+    /// `h`'s rank as learned from `neighbor` (see [`rank`]).
+    pub(crate) fn rank(&self, h: u32, neighbor: u32, local_pref: u32, tie_pref: u32) -> Rank {
+        let Ad { len, med, .. } = self.records[h as usize];
+        rank(len as usize, med, neighbor, local_pref, tie_pref)
+    }
+
+    /// `h` as an owned value.
+    pub(crate) fn attrs(&self, h: u32) -> PathAttrs {
+        let communities = Rc::clone(self.communities(h));
+        let (as_path, med) = (self.path(h).into(), self.records[h as usize].med);
+        PathAttrs {
+            as_path,
+            communities,
+            med,
+        }
+    }
+
+    /// Do `a` and `b`, either possibly [`NONE`], name equal advertisements?
+    pub(crate) fn same(&self, a: u32, b: u32) -> bool {
+        a == b || (a != NONE && b != NONE && self.same_as(a, self, b))
+    }
+
+    /// Does `a` here equal `b` in `other`?
+    fn same_as(&self, a: u32, other: &Ads, b: u32) -> bool {
+        self.records[a as usize].med == other.records[b as usize].med
+            && self.path(a) == other.path(b)
+            && self.communities(a) == other.communities(b)
+    }
+
+    /// Append the record whose path is `paths[begin..]`.
+    fn push(&mut self, begin: usize, communities: u32, med: u32) -> u32 {
+        let (h, start) = (handle(self.records.len()), handle(begin));
+        let len = handle(self.paths.len()) - start;
+        self.records.push(Ad {
+            start,
+            len,
+            communities,
+            med,
+        });
+        h
+    }
+
+    /// Append an origination with `path` (the poison, if any) and
+    /// `communities`.
+    fn originate(&mut self, path: &[AsId], communities: BTreeSet<Community>) -> u32 {
+        let (c, begin) = (handle(self.communities.len()), self.paths.len());
+        self.communities.push(Rc::new(communities));
+        self.paths.extend_from_slice(path);
+        self.push(begin, c, 0)
+    }
+
+    /// Append `from` as `asid` exports it: `own` copies of `asid` in
+    /// front of its path, private ASNs dropped from it if `strip`.
+    fn export(&mut self, from: u32, asid: AsId, own: usize, strip: bool) -> u32 {
+        let (ad, begin) = (self.records[from as usize], self.paths.len());
+        self.paths.resize(begin + own, asid);
+        for k in ad.start as usize..(ad.start + ad.len) as usize {
+            let a = self.paths[k];
+            if !(strip && a.is_private()) {
+                self.paths.push(a);
+            }
+        }
+        self.push(begin, ad.communities, ad.med)
+    }
+
+    /// Keep, in place, the records and then the community sets `map`
+    /// numbers in order (the rest map to [`NONE`]).
+    fn retain(&mut self, map: &[u32]) {
+        let (records, mut end) = (self.records.len(), 0);
+        for (h, &to) in map[..records].iter().enumerate() {
+            let ad = self.records[h];
+            if to != NONE {
+                let (start, len) = (ad.start as usize, ad.len as usize);
+                self.paths.copy_within(start..start + len, end);
+                let communities = map[records + ad.communities as usize];
+                self.records[to as usize] = Ad {
+                    start: handle(end),
+                    communities,
+                    ..ad
+                };
+                end += len;
+            }
+        }
+        self.records
+            .truncate(map[..records].iter().filter(|&&to| to != NONE).count());
+        self.paths.truncate(end);
+        let mut kept = map[records..].iter().map(|&to| to != NONE);
+        self.communities.retain(|_| kept.next() == Some(true));
+    }
+}
+
 /// One speaker's Loc-RIB entry: the session the route was learned over
-/// (its index in the speaker's session list, or [`LOCAL`]) and the
-/// advertisement, held here so a later write to that session's slot
-/// cannot change what was decided.
-#[derive(Debug, Clone)]
+/// (its index in the speaker's session list, or [`LOCAL`]) and its
+/// advertisement ([`NONE`]: no entry).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Winner {
     pub(crate) session: u32,
-    pub(crate) attrs: Rc<PathAttrs>,
+    pub(crate) ad: u32,
 }
+
+const NO_WINNER: Winner = Winner {
+    session: LOCAL,
+    ad: NONE,
+};
 
 /// Every speaker's routing state for one prefix.
 #[derive(Debug, Clone)]
 pub(crate) struct PrefixColumn {
-    /// What was last sent over each directed session, receiver-major: a
-    /// receiver's sessions are contiguous and in its neighbor-id order.
-    slots: Box<[Option<Rc<PathAttrs>>]>,
+    /// The handle last sent over each directed session, receiver-major:
+    /// a receiver's sessions are contiguous and in its neighbor-id order.
+    slots: Box<[u32]>,
     /// One bit per slot: its receiver imported the advertisement (its
     /// own AS is not on the path), so it is an Adj-RIB-In entry.
     imported: Box<[u64]>,
     /// Each speaker's Loc-RIB entry, by speaker position.
-    winners: Box<[Option<Winner>]>,
-    /// `(speaker position, attributes)` of each local origination, at
-    /// most one per speaker.
-    pub(crate) origins: Vec<(u32, Rc<PathAttrs>)>,
+    winners: Box<[Winner]>,
+    /// `(speaker position, handle)` of each local origination, at most
+    /// one per speaker.
+    pub(crate) origins: Vec<(u32, u32)>,
+    /// Every advertisement the handles above name.
+    ads: Rc<Ads>,
     /// Entry counts over every speaker, kept current on every edit.
     pub(crate) stats: RibStats,
 }
@@ -183,88 +342,169 @@ pub(crate) struct PrefixColumn {
 // `rib_heap_bytes` prices every column at this size, so a field added
 // here costs bytes per route at every tier: engine-wide bookkeeping about
 // a column (such as its twin-fill bill) lives beside the columns instead.
-const _: () = assert!(core::mem::size_of::<PrefixColumn>() == 96);
+const _: () = assert!(core::mem::size_of::<PrefixColumn>() == 104);
 
 impl PrefixColumn {
     /// A blank column for `sessions` directed sessions among `speakers`.
     pub(crate) fn new(sessions: usize, speakers: usize) -> Self {
         PrefixColumn {
-            slots: vec![None; sessions].into(),
+            slots: vec![NONE; sessions].into(),
             imported: vec![0; sessions.div_ceil(64)].into(),
-            winners: vec![None; speakers].into(),
+            winners: vec![NO_WINNER; speakers].into(),
             origins: Vec::new(),
+            ads: Rc::default(),
             stats: RibStats::default(),
         }
     }
 
+    /// The advertisements this column's handles name.
+    pub(crate) fn ads(&self) -> &Ads {
+        &self.ads
+    }
+
     /// What was last sent over session slot `k`.
-    pub(crate) fn sent(&self, k: usize) -> Option<&Rc<PathAttrs>> {
-        self.slots[k].as_ref()
+    pub(crate) fn sent(&self, k: usize) -> Option<u32> {
+        Some(self.slots[k]).filter(|&h| h != NONE)
     }
 
     /// Slot `k`'s advertisement, if its receiver imported it.
-    pub(crate) fn imported(&self, k: usize) -> Option<&Rc<PathAttrs>> {
+    pub(crate) fn imported(&self, k: usize) -> Option<u32> {
         let bit = self.imported[k / 64] >> (k % 64) & 1;
-        self.slots[k].as_ref().filter(|_| bit == 1)
+        self.sent(k).filter(|_| bit == 1)
     }
 
-    /// Send `update` (`None`: a withdrawal) over session slot `k` into
+    /// Send `update` ([`NONE`]: a withdrawal) over session slot `k` into
     /// `receiver`. `None` if the slot already holds it (compared by
     /// value), else whether the receiver's Adj-RIB-In changed: a looped
     /// path is stored as sent but not imported, so it withdraws what the
     /// receiver held.
-    pub(crate) fn send(
-        &mut self,
-        k: usize,
-        receiver: AsId,
-        update: Option<&Rc<PathAttrs>>,
-    ) -> Option<bool> {
-        if self.slots[k].as_ref() == update {
+    pub(crate) fn send(&mut self, k: usize, receiver: AsId, update: u32) -> Option<bool> {
+        let held = self.slots[k];
+        if self.ads.same(held, update) {
             return None;
         }
         let was = self.imported(k).is_some();
-        let now = update.is_some_and(|attrs| !attrs.as_path.contains(&receiver));
-        let sent = usize::from(update.is_some());
-        self.stats.adj_rib_out =
-            self.stats.adj_rib_out + sent - usize::from(self.slots[k].is_some());
+        let now = update != NONE && !self.ads.path(update).contains(&receiver);
+        let sent = usize::from(update != NONE);
+        self.stats.adj_rib_out = self.stats.adj_rib_out + sent - usize::from(held != NONE);
         self.stats.adj_rib_in = self.stats.adj_rib_in + usize::from(now) - usize::from(was);
-        self.slots[k] = update.cloned();
+        self.slots[k] = update;
         let word = &mut self.imported[k / 64];
         *word = *word & !(1 << (k % 64)) | u64::from(now) << (k % 64);
         Some(was || now)
     }
 
+    /// `Ads::export`, copying a shared arena first.
+    pub(crate) fn export(&mut self, from: u32, asid: AsId, own: usize, strip: bool) -> u32 {
+        Rc::make_mut(&mut self.ads).export(from, asid, own, strip)
+    }
+
     /// The speaker at `at`'s origination.
-    pub(crate) fn origin(&self, at: u32) -> Option<&Rc<PathAttrs>> {
-        let (_, attrs) = self.origins.iter().find(|(o, _)| *o == at)?;
-        Some(attrs)
+    pub(crate) fn origin(&self, at: u32) -> Option<u32> {
+        let &(_, h) = self.origins.iter().find(|(o, _)| *o == at)?;
+        Some(h)
+    }
+
+    /// Originate the prefix at `at` with `path` (the poison, if any) and
+    /// `communities`, replacing `at`'s origination if it has one.
+    pub(crate) fn originate(&mut self, at: u32, path: &[AsId], communities: BTreeSet<Community>) {
+        let h = Rc::make_mut(&mut self.ads).originate(path, communities);
+        self.origins.retain(|&(o, _)| o != at);
+        self.origins.push((at, h));
+    }
+
+    /// Give `at`'s origination `communities` and blank the column; false,
+    /// changing nothing, if it has none or already attaches them.
+    pub(crate) fn set_communities(
+        &mut self,
+        at: u32,
+        communities: BTreeSet<Community>,
+        map: &mut Vec<u32>,
+    ) -> bool {
+        let Some(h) = self.origin(at) else {
+            return false;
+        };
+        if **self.ads.communities(h) == communities {
+            return false;
+        }
+        // Empty, so no allocation, but for a poisoned origination.
+        let poison = self.ads.path(h).to_vec();
+        self.clear_routes(map);
+        self.originate(at, &poison, communities);
+        true
     }
 
     /// The speaker at `at`'s Loc-RIB entry.
-    pub(crate) fn winner(&self, at: u32) -> Option<&Winner> {
-        self.winners[at as usize].as_ref()
+    pub(crate) fn winner(&self, at: u32) -> Option<Winner> {
+        Some(self.winners[at as usize]).filter(|w| w.ad != NONE)
     }
 
     /// Install `at`'s Loc-RIB entry.
     pub(crate) fn set_winner(&mut self, at: u32, winner: Option<Winner>) {
         let held = &mut self.winners[at as usize];
         self.stats.loc_rib =
-            self.stats.loc_rib + usize::from(winner.is_some()) - usize::from(held.is_some());
-        *held = winner;
+            self.stats.loc_rib + usize::from(winner.is_some()) - usize::from(held.ad != NONE);
+        *held = winner.unwrap_or(NO_WINNER);
     }
 
-    /// Blank every slot and winner, keeping the originations: the prefix
-    /// becomes a fresh announcement of them.
-    pub(crate) fn clear_routes(&mut self) {
-        self.slots.fill(None);
+    /// Blank every slot and winner, keeping the originations and only
+    /// their records: the prefix becomes a fresh announcement of them.
+    pub(crate) fn clear_routes(&mut self, map: &mut Vec<u32>) {
+        self.slots.fill(NONE);
         self.imported.fill(0);
-        self.winners.fill(None);
+        self.winners.fill(NO_WINNER);
         self.stats = RibStats::default();
+        self.compact(map);
+    }
+
+    /// Compact the arena if it holds more than twice as many records as
+    /// the column holds winners and originations, plus [`SLACK`] (about
+    /// one record per exporting speaker is held). Returns whether it did.
+    pub(crate) fn compact_if_sparse(&mut self, map: &mut Vec<u32>) -> bool {
+        let held = self.stats.loc_rib + self.origins.len();
+        let sparse = self.ads.records.len() > 2 * held + SLACK;
+        if sparse {
+            self.compact(map);
+        }
+        sparse
+    }
+
+    /// Drop the records no slot, winner or origination holds and the
+    /// community sets no kept record carries, renumbering the rest in
+    /// order, in place (a shared arena is copied first).
+    fn compact(&mut self, map: &mut Vec<u32>) {
+        let records = self.ads.records.len();
+        map.clear();
+        map.resize(records + self.ads.communities.len(), NONE);
+        let winners = self.winners.iter().map(|w| &w.ad);
+        for &h in (self.slots.iter().chain(winners)).chain(self.origins.iter().map(|(_, h)| h)) {
+            if h != NONE {
+                map[h as usize] = 0;
+            }
+        }
+        let mut next = 0;
+        for h in 0..records {
+            if map[h] != NONE {
+                (map[h], next) = (next, next + 1);
+                map[records + self.ads.records[h].communities as usize] = 0;
+            }
+        }
+        next = 0;
+        for to in map[records..].iter_mut().filter(|to| **to != NONE) {
+            (*to, next) = (next, next + 1);
+        }
+        Rc::make_mut(&mut self.ads).retain(map);
+        let winners = self.winners.iter_mut().map(|w| &mut w.ad);
+        let origins = self.origins.iter_mut().map(|(_, h)| h);
+        for h in self.slots.iter_mut().chain(winners).chain(origins) {
+            if *h != NONE {
+                *h = map[*h as usize];
+            }
+        }
     }
 
     /// Has no speaker learned, chosen or sent a route for the prefix?
-    /// The originations may be set: a converge then floods them from
-    /// blank.
+    /// (It may have originations, to flood from blank.)
     pub(crate) fn is_blank(&self) -> bool {
         self.stats == RibStats::default()
     }
@@ -272,18 +512,26 @@ impl PrefixColumn {
     /// Do the two columns originate the same set of announcements: the
     /// same origin speakers, with value-equal attributes?
     pub(crate) fn same_originations(&self, other: &PrefixColumn) -> bool {
-        self.origins.len() == other.origins.len()
-            && (self.origins.iter()).all(|(at, attrs)| other.origin(*at) == Some(attrs))
+        let same = |&(at, h): &(u32, u32)| {
+            (other.origin(at)).is_some_and(|g| self.ads.same_as(h, &other.ads, g))
+        };
+        self.origins.len() == other.origins.len() && self.origins.iter().all(same)
     }
 
     /// Take `twin`'s routes — every slot, imported bit and winner, and
-    /// the counts — into this column's own buffers, keeping its
-    /// originations. Nothing is allocated: the advertisements are shared.
+    /// the counts — keeping its originations, which must equal `twin`'s:
+    /// they take `twin`'s handles, and the column shares its arena.
     pub(crate) fn copy_routes(&mut self, twin: &PrefixColumn) {
-        self.slots.clone_from_slice(&twin.slots);
+        self.slots.copy_from_slice(&twin.slots);
         self.imported.copy_from_slice(&twin.imported);
-        self.winners.clone_from_slice(&twin.winners);
+        self.winners.copy_from_slice(&twin.winners);
         self.stats = twin.stats;
+        for (at, h) in &mut self.origins {
+            *h = twin
+                .origin(*at)
+                .expect("twins originate at the same speakers");
+        }
+        self.ads = Rc::clone(&twin.ads);
     }
 
     /// Does no speaker hold anything for the prefix? Its id can then be
@@ -292,30 +540,33 @@ impl PrefixColumn {
         self.origins.is_empty() && self.stats.adj_rib_out == 0 && self.stats.loc_rib == 0
     }
 
-    /// Heap bytes the column holds, with each shared allocation added to
-    /// `seen` and priced on first sight only (so a caller summing over
-    /// columns counts it once engine-wide).
+    /// Heap bytes the column holds, its arena added to `seen` and priced
+    /// on first sight only (so a caller summing over columns counts a
+    /// shared one once).
     pub(crate) fn heap_bytes(&self, seen: &mut BTreeSet<usize>) -> usize {
         use core::mem::{size_of, size_of_val};
-        // `Rc` keeps two reference counts in front of the value.
-        const RC_HEADER: usize = 2 * size_of::<usize>();
         let mut total = size_of_val(&*self.slots)
             + size_of_val(&*self.imported)
             + size_of_val(&*self.winners)
-            + self.origins.capacity() * size_of::<(u32, Rc<PathAttrs>)>();
-        let origins = self.origins.iter().map(|(_, attrs)| attrs);
-        let winners = self.winners.iter().flatten().map(|w| &w.attrs);
-        for attrs in origins.chain(self.slots.iter().flatten()).chain(winners) {
-            if seen.insert(Rc::as_ptr(attrs) as usize) {
-                total += RC_HEADER + size_of::<PathAttrs>() + size_of_val(&*attrs.as_path);
-            }
-            if seen.insert(Rc::as_ptr(&attrs.communities) as usize) {
-                total += RC_HEADER
-                    + size_of::<BTreeSet<Community>>()
-                    + attrs.communities.len() * size_of::<Community>();
-            }
+            + self.origins.capacity() * size_of::<(u32, u32)>();
+        let (ads, set) = (&*self.ads, RC_HEADER + size_of::<BTreeSet<Community>>());
+        if seen.insert(Rc::as_ptr(&self.ads) as usize) {
+            total += RC_HEADER + size_of::<Ads>() + ads.records.capacity() * size_of::<Ad>();
+            total += ads.paths.capacity() * size_of::<AsId>();
+            total += ads.communities.capacity() * size_of::<Rc<BTreeSet<Community>>>();
+            let sets = ads.communities.iter();
+            total += sets
+                .map(|c| set + c.len() * size_of::<Community>())
+                .sum::<usize>();
         }
         total
+    }
+
+    /// Append an advertisement of `path`, with no communities and MED 0,
+    /// for a test to send.
+    #[cfg(test)]
+    pub(crate) fn push_ad(&mut self, path: &[AsId]) -> u32 {
+        Rc::make_mut(&mut self.ads).originate(path, BTreeSet::new())
     }
 }
 

@@ -19,7 +19,7 @@
 //! administrative preference its routes get, read at decision time.
 
 use crate::policy::{communities_forbid, may_export};
-use crate::rib::{rank, PathAttrs, PrefixColumn, Route, RouteSource, Winner, LOCAL};
+use crate::rib::{Ads, PrefixColumn, Route, RouteSource, Winner, LOCAL, NONE};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use tango_topology::{AsId, Relationship};
@@ -83,34 +83,38 @@ pub struct Neighbor {
 }
 
 /// How the current best route of one prefix leaves a speaker: the
-/// per-neighbor policy verdict, and the advertisement built at most once
-/// per extra-prepend count rather than once per neighbor.
+/// per-neighbor policy verdict, and the advertisement appended to the
+/// column's arena at most once per extra-prepend count rather than once
+/// per neighbor.
 struct Export<'a> {
     config: &'a SpeakerConfig,
-    attrs: &'a PathAttrs,
+    /// The winner's advertisement.
+    best: u32,
     /// Our relationship to the neighbor the route was learned from.
     learned_from: Option<Relationship>,
-    /// Advertisements built so far, indexed by extra-prepend count.
-    built: [Option<Rc<PathAttrs>>; 4],
+    /// Advertisements appended so far, indexed by extra-prepend count
+    /// ([`NONE`]: not yet).
+    built: [u32; 4],
 }
 
 impl<'a> Export<'a> {
-    fn new(config: &'a SpeakerConfig, best: &'a Winner, neighbors: &[Neighbor]) -> Self {
+    fn new(config: &'a SpeakerConfig, best: Winner, neighbors: &[Neighbor]) -> Self {
         Export {
             config,
-            attrs: &best.attrs,
+            best: best.ad,
             learned_from: neighbors.get(best.session as usize).map(|n| n.rel),
-            built: Default::default(),
+            built: [NONE; 4],
         }
     }
 
     /// The advertisement for `to` (path prepended, private ASNs stripped,
     /// prepend communities applied), or `None` if policy withholds it.
-    fn to(&mut self, to: &Neighbor) -> Option<&Rc<PathAttrs>> {
-        let (config, attrs) = (self.config, self.attrs);
+    fn to(&mut self, to: &Neighbor, col: &mut PrefixColumn) -> Option<u32> {
+        let config = self.config;
+        let communities = col.ads().communities(self.best);
         if !may_export(self.learned_from, to.rel)
             || communities_forbid(
-                &attrs.communities,
+                communities,
                 to.id,
                 self.learned_from.is_some(),
                 config.honor_action_communities,
@@ -121,30 +125,19 @@ impl<'a> Export<'a> {
         // Prepend self once, plus any community-driven extra prepends
         // (action communities only fire on the honoring provider).
         let extra = if config.honor_action_communities {
-            attrs
-                .communities
-                .iter()
+            (communities.iter())
                 .map(|c| c.prepend_count_for(to.id))
                 .max()
                 .unwrap_or(0)
         } else {
             0
         };
-        Some(self.built[usize::from(extra)].get_or_insert_with(|| {
+        let built = &mut self.built[usize::from(extra)];
+        if *built == NONE {
             let own = usize::from(extra) + 1;
-            let mut path = Vec::with_capacity(own + attrs.as_path.len());
-            path.resize(own, config.asid);
-            if config.strip_private_asns {
-                path.extend(attrs.as_path.iter().filter(|a| !a.is_private()));
-            } else {
-                path.extend_from_slice(&attrs.as_path);
-            }
-            Rc::new(PathAttrs {
-                as_path: path.into(),
-                communities: Rc::clone(&attrs.communities),
-                med: attrs.med,
-            })
-        }))
+            *built = col.export(self.best, config.asid, own, config.strip_private_asns);
+        }
+        Some(*built)
     }
 }
 
@@ -189,9 +182,9 @@ impl BgpSpeaker {
         }
     }
 
-    /// The route `winner` stands for here.
-    pub(crate) fn route(&self, winner: &Winner) -> Route {
-        let attrs = Rc::clone(&winner.attrs);
+    /// The route `winner`, an advertisement in `ads`, stands for here.
+    pub(crate) fn route(&self, winner: Winner, ads: &Ads) -> Route {
+        let attrs = Rc::new(ads.attrs(winner.ad));
         match self.neighbors.get(winner.session as usize) {
             None => Route::local(attrs),
             Some(n) => Route {
@@ -205,7 +198,7 @@ impl BgpSpeaker {
 
     /// Where traffic chosen by `winner` goes next: the neighbor it was
     /// learned from, or this speaker for its own origination.
-    pub(crate) fn next_hop(&self, winner: &Winner) -> AsId {
+    pub(crate) fn next_hop(&self, winner: Winner) -> AsId {
         self.neighbors
             .get(winner.session as usize)
             .map_or(self.config.asid, |n| n.id)
@@ -215,58 +208,53 @@ impl BgpSpeaker {
     /// `offsets[j]` is where speaker `j`'s sessions start) over `col`.
     /// Returns true if the Loc-RIB entry changed.
     ///
-    /// Candidates are compared by reference, the origination first and
-    /// then the imported slots in neighbor-id order; the winner is
-    /// compared with the installed one by value, and cloned only if it
-    /// differs.
+    /// Candidates are handles, the origination first and then the
+    /// imported slots in neighbor-id order; the winner is compared with
+    /// the installed one by value, and installed only if it differs.
     pub(crate) fn decide(&self, at: u32, offsets: &[u32], col: &mut PrefixColumn) -> bool {
         let base = offsets[at as usize] as usize;
+        let ads = col.ads();
         let origin = col.origin(at);
-        let mut best = origin.map(|attrs| (LOCAL, attrs, rank(attrs, 0, u32::MAX, 0)));
+        let mut best = origin.map(|h| (LOCAL, h, ads.rank(h, 0, u32::MAX, 0)));
         for (k, n) in self.neighbors.iter().enumerate() {
-            let Some(attrs) = col.imported(base + k) else {
+            let Some(h) = col.imported(base + k) else {
                 continue;
             };
-            let r = rank(attrs, n.id.0, n.local_pref, n.tie_pref);
-            if best.as_ref().map_or(true, |(_, _, b)| r > *b) {
-                best = Some((k as u32, attrs, r));
+            let r = ads.rank(h, n.id.0, n.local_pref, n.tie_pref);
+            if best.map_or(true, |(_, _, b)| r > b) {
+                best = Some((k as u32, h, r));
             }
         }
-        let unchanged = match (&best, col.winner(at)) {
+        let unchanged = match (best, col.winner(at)) {
             (None, None) => true,
-            (Some((session, attrs, _)), Some(w)) => w.session == *session && w.attrs == **attrs,
+            (Some((session, h, _)), Some(w)) => w.session == session && ads.same(w.ad, h),
             _ => false,
         };
         if unchanged {
             return false;
         }
-        let winner = best.map(|(session, attrs, _)| Winner {
-            session,
-            attrs: Rc::clone(attrs),
-        });
-        col.set_winner(at, winner);
+        col.set_winner(at, best.map(|(session, ad, _)| Winner { session, ad }));
         true
     }
 
     /// Bring this speaker's outgoing slots in `col` up to date with its
     /// Loc-RIB entry (speaker `at`; `offsets[j]` is where speaker `j`'s
     /// sessions start) and call `deliver(neighbor, update, changed)` for
-    /// every session whose advertisement changed (`None` = withdrawal;
-    /// `changed`: the neighbor's Adj-RIB-In moved). Sessions are visited
-    /// in neighbor-id order.
+    /// every session whose advertisement changed (`update` a handle in
+    /// `col`'s arena, [`NONE`] for a withdrawal; `changed`: the
+    /// neighbor's Adj-RIB-In moved). Sessions are visited in neighbor-id
+    /// order.
     pub(crate) fn export(
         &self,
         at: u32,
         offsets: &[u32],
         col: &mut PrefixColumn,
-        mut deliver: impl FnMut(&Neighbor, Option<&Rc<PathAttrs>>, bool),
+        mut deliver: impl FnMut(&Neighbor, u32, bool),
     ) {
-        let best = col.winner(at).cloned();
-        let mut export = best
-            .as_ref()
-            .map(|best| Export::new(&self.config, best, &self.neighbors));
+        let best = col.winner(at);
+        let mut export = best.map(|best| Export::new(&self.config, best, &self.neighbors));
         for to in &self.neighbors {
-            let new = export.as_mut().and_then(|e| e.to(to));
+            let new = export.as_mut().and_then(|e| e.to(to, col)).unwrap_or(NONE);
             let slot = (offsets[to.index as usize] + to.back) as usize;
             if let Some(changed) = col.send(slot, to.id, new) {
                 deliver(to, new, changed);
@@ -307,27 +295,34 @@ mod tests {
         "2001:db8:2::/48".parse().unwrap()
     }
 
-    fn learned(path: &[u32]) -> Rc<PathAttrs> {
-        Rc::new(PathAttrs {
-            as_path: path.iter().map(|&a| AsId(a)).collect(),
-            communities: Rc::default(),
-            med: 0,
-        })
+    /// An advertisement of `path` (no communities, MED 0) appended to
+    /// the test prefix's column.
+    fn learned(e: &mut BgpEngine, path: &[u32]) -> Option<u32> {
+        let path: Vec<AsId> = path.iter().map(|&a| AsId(a)).collect();
+        Some(e.parts(S, prefix()).3.push_ad(&path))
     }
 
-    /// Put `update` on `from`'s session into `at`, as `from`'s export
-    /// would; false if there is no such session.
-    fn receive_at(e: &mut BgpEngine, from: AsId, at: AsId, update: Option<&Rc<PathAttrs>>) -> bool {
+    /// Put `update` (`None`: a withdrawal) on `from`'s session into
+    /// `at`, as `from`'s export would; false if there is no such session.
+    fn receive_at(e: &mut BgpEngine, from: AsId, at: AsId, update: Option<u32>) -> bool {
         let (s, i, offsets, column) = e.parts(at, prefix());
         let Some(k) = s.neighbors().iter().position(|n| n.id == from) else {
             return false;
         };
         let slot = offsets[i as usize] as usize + k;
-        column.send(slot, at, update).unwrap_or(false)
+        column
+            .send(slot, at, update.unwrap_or(NONE))
+            .unwrap_or(false)
     }
 
-    fn receive(e: &mut BgpEngine, from: AsId, update: Option<&Rc<PathAttrs>>) -> bool {
+    fn receive(e: &mut BgpEngine, from: AsId, update: Option<u32>) -> bool {
         receive_at(e, from, S, update)
+    }
+
+    /// `path`, learned over `from`'s session.
+    fn receive_path(e: &mut BgpEngine, from: AsId, path: &[u32]) -> bool {
+        let update = learned(e, path);
+        receive(e, from, update)
     }
 
     fn recompute(e: &mut BgpEngine) -> bool {
@@ -335,10 +330,13 @@ mod tests {
         s.decide(i, offsets, column)
     }
 
-    /// Run AS 2's export diff, reporting every message sent.
-    fn export_prefix(e: &mut BgpEngine, mut deliver: impl FnMut(AsId, Option<&Rc<PathAttrs>>)) {
+    /// Run AS 2's export diff, reporting every message sent (`None`: a
+    /// withdrawal).
+    fn export_prefix(e: &mut BgpEngine, mut deliver: impl FnMut(AsId, Option<u32>)) {
         let (s, i, offsets, column) = e.parts(S, prefix());
-        s.export(i, offsets, column, |to, update, _| deliver(to.id, update));
+        s.export(i, offsets, column, |to, update, _| {
+            deliver(to.id, Some(update).filter(|&h| h != NONE))
+        });
     }
 
     fn best(e: &BgpEngine) -> Option<Route> {
@@ -366,7 +364,7 @@ mod tests {
     #[test]
     fn receive_computes_local_pref_and_source() {
         let mut e = engine();
-        assert!(receive(&mut e, FROM_1, Some(&learned(&[1]))));
+        assert!(receive_path(&mut e, FROM_1, &[1]));
         recompute(&mut e);
         let best = best(&e).unwrap();
         assert_eq!(best.local_pref, crate::policy::LP_CUSTOMER);
@@ -377,8 +375,8 @@ mod tests {
     fn neighbor_pref_never_overrides_relationship_or_length() {
         let mut e = engine();
         e.set_neighbor_pref(S, [(AsId(3), 99999)].into()).unwrap(); // arbitrarily large
-        receive(&mut e, FROM_1, Some(&learned(&[1]))); // customer route
-        receive(&mut e, FROM_3, Some(&learned(&[3]))); // boosted peer route
+        receive_path(&mut e, FROM_1, &[1]); // customer route
+        receive_path(&mut e, FROM_3, &[3]); // boosted peer route
         recompute(&mut e);
         // Customer local-pref still beats any tie_pref on the peer route.
         assert_eq!(best(&e).unwrap().source, RouteSource::Neighbor(AsId(1)));
@@ -387,7 +385,7 @@ mod tests {
     #[test]
     fn loop_detection_rejects_own_asn() {
         let mut e = engine();
-        assert!(!receive(&mut e, FROM_1, Some(&learned(&[1, 2, 7]))));
+        assert!(!receive_path(&mut e, FROM_1, &[1, 2, 7]));
         recompute(&mut e);
         assert!(best(&e).is_none());
     }
@@ -395,7 +393,7 @@ mod tests {
     #[test]
     fn update_from_a_stranger_is_dropped() {
         let mut e = engine();
-        assert!(!receive(&mut e, AsId(9), Some(&learned(&[9]))));
+        assert!(!receive_path(&mut e, AsId(9), &[9]));
         assert_eq!(lens(&e, S).0, 0);
         assert_eq!(lens(&e, S), (0, 0, 0), "holds nothing");
     }
@@ -403,9 +401,9 @@ mod tests {
     #[test]
     fn receive_same_route_reports_unchanged() {
         let mut e = engine();
-        assert!(receive(&mut e, FROM_1, Some(&learned(&[1]))));
-        // Equal content in a different allocation is still "unchanged".
-        assert!(!receive(&mut e, FROM_1, Some(&learned(&[1]))));
+        assert!(receive_path(&mut e, FROM_1, &[1]));
+        // Equal content in a second record is still "unchanged".
+        assert!(!receive_path(&mut e, FROM_1, &[1]));
         assert!(receive(&mut e, FROM_1, None));
         assert!(!receive(&mut e, FROM_1, None));
     }
@@ -413,8 +411,8 @@ mod tests {
     #[test]
     fn withdraw_falls_back_to_next_best() {
         let mut e = engine();
-        receive(&mut e, FROM_1, Some(&learned(&[1]))); // customer
-        receive(&mut e, FROM_3, Some(&learned(&[3]))); // peer
+        receive_path(&mut e, FROM_1, &[1]); // customer
+        receive_path(&mut e, FROM_3, &[3]); // peer
         recompute(&mut e);
         assert_eq!(best(&e).unwrap().source, RouteSource::Neighbor(AsId(1)));
         receive(&mut e, FROM_1, None);
@@ -425,7 +423,7 @@ mod tests {
     #[test]
     fn counts_track_edits_and_empty_prefixes_are_dropped() {
         let mut e = engine();
-        receive(&mut e, FROM_1, Some(&learned(&[1])));
+        receive_path(&mut e, FROM_1, &[1]);
         recompute(&mut e);
         let mut sent = Vec::new();
         export_prefix(&mut e, |to, update| sent.push((to, update.is_some())));
@@ -454,7 +452,7 @@ mod tests {
     #[test]
     fn export_prepends_self() {
         let mut e = engine();
-        receive(&mut e, FROM_1, Some(&learned(&[1])));
+        receive_path(&mut e, FROM_1, &[1]);
         recompute(&mut e);
         assert_eq!(exported_path(&mut e, 3), Some(vec![AsId(2), AsId(1)]));
     }
@@ -463,7 +461,7 @@ mod tests {
     fn export_honors_valley_free() {
         let mut e = engine();
         // Peer-learned route must not be exported back to a peer.
-        receive(&mut e, FROM_3, Some(&learned(&[3])));
+        receive_path(&mut e, FROM_3, &[3]);
         recompute(&mut e);
         assert!(exported_path(&mut e, 3).is_none());
         // ...but is exported to the customer.
@@ -516,16 +514,16 @@ mod tests {
         e.announce(S, prefix(), BTreeSet::new()).unwrap();
         recompute(&mut e);
         let mut sent = Vec::new();
-        export_prefix(&mut e, |_, update| sent.push(Rc::clone(update.unwrap())));
+        export_prefix(&mut e, |_, update| sent.push(update.unwrap()));
         assert_eq!(sent.len(), 2);
-        assert!(Rc::ptr_eq(&sent[0], &sent[1]));
+        assert_eq!(sent[0], sent[1], "one handle");
     }
 
     #[test]
     fn export_strips_private_asns_when_configured() {
         let mut e = engine();
         e.set_strip_private(S, true).unwrap();
-        receive(&mut e, FROM_1, Some(&learned(&[64701])));
+        receive_path(&mut e, FROM_1, &[64701]);
         recompute(&mut e);
         assert_eq!(exported_path(&mut e, 3), Some(vec![AsId(2)]));
     }
@@ -569,9 +567,9 @@ mod tests {
     fn heap_bytes_count_a_shared_advertisement_once() {
         let mut a = engine();
         let mut b = engine();
-        let shared = learned(&[1, 7, 8]);
-        receive(&mut a, FROM_1, Some(&shared));
-        receive(&mut b, FROM_1, Some(&shared));
+        let shared = learned(&mut a, &[1, 7, 8]);
+        receive(&mut a, FROM_1, shared);
+        receive_path(&mut b, FROM_1, &[1, 7, 8]);
         let alone = a.rib_heap_bytes();
         assert_eq!(alone, b.rib_heap_bytes());
         // Installing it in the Loc-RIB adds no bytes at all.
@@ -579,7 +577,7 @@ mod tests {
         assert_eq!(a.rib_heap_bytes(), alone);
         // Nor does a second holder: its slot is in the column already,
         // and the advertisement is priced once.
-        receive_at(&mut a, S, AsId(3), Some(&shared));
+        receive_at(&mut a, S, AsId(3), shared);
         let both = a.rib_heap_bytes();
         assert!(both < 2 * alone, "second holder pays only for its slots");
         assert_eq!(both, alone);

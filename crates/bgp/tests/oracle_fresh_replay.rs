@@ -419,52 +419,129 @@ fn check_fill(
     Ok(())
 }
 
-proptest! {
-    /// Random histories over generated internet graphs: after every
-    /// step and its convergence, live state == from-scratch replay.
-    #[test]
-    fn incremental_state_equals_fresh_replay(
-        ases in 30usize..70,
-        edges in 3usize..6,
-        seed in any::<u64>(),
-        ops in proptest::collection::vec(arb_op(), 8..16),
-    ) {
-        let g = try_generate(&GenParams::internet(ases, edges, seed)).expect("preset is valid");
-        let nodes: Vec<AsId> = g.topology.nodes().map(|n| n.id).collect();
-        let registry = Registry::new();
-        let mut live = BgpEngine::new(g.topology.clone());
-        live.set_obs(&registry);
-        let mut inputs = Inputs::default();
-        // Start from a populated mesh so edits hit real state: every
-        // edge site honors actions and announces one prefix.
-        for (i, &site) in g.edge_sites.iter().enumerate() {
-            live.set_honor_actions(site, true).expect("edge exists");
-            inputs.honor.insert(site);
-            let p = prefix(i % PREFIXES);
-            live.announce(site, p, BTreeSet::new()).expect("edge exists");
-            inputs.originated.insert((site, p), (BTreeSet::new(), Vec::new()));
+/// What one history exercised beyond the replay checks: arena
+/// compactions, and incremental edits of a column a twin fill shares.
+#[derive(Debug, Default)]
+struct Reach {
+    compactions: u64,
+    filled_edits: u64,
+}
+
+/// Random histories over generated internet graphs: after every step
+/// and its convergence, live state == from-scratch replay. Over the
+/// run, at least one arena compaction and one incremental edit of a
+/// twin-filled column must have happened, so both are held against the
+/// replay.
+#[test]
+fn incremental_state_equals_fresh_replay() {
+    let mut reach = Reach::default();
+    proptest::test_runner::run("incremental_state_equals_fresh_replay", |rng| {
+        let ases = (30usize..70).generate(rng);
+        let edges = (3usize..6).generate(rng);
+        let seed = any::<u64>().generate(rng);
+        let ops = proptest::collection::vec(arb_op(), 8..16).generate(rng);
+        incremental_history(ases, edges, seed, &ops, &mut reach)
+    });
+    assert!(reach.compactions > 0, "no history compacted an arena");
+    assert!(
+        reach.filled_edits > 0,
+        "no history edited a twin-filled column incrementally"
+    );
+}
+
+fn incremental_history(
+    ases: usize,
+    edges: usize,
+    seed: u64,
+    ops: &[Op],
+    reach: &mut Reach,
+) -> Result<(), String> {
+    let g = try_generate(&GenParams::internet(ases, edges, seed)).expect("preset is valid");
+    let nodes: Vec<AsId> = g.topology.nodes().map(|n| n.id).collect();
+    let registry = Registry::new();
+    let mut live = BgpEngine::new(g.topology.clone());
+    live.set_obs(&registry);
+    let mut inputs = Inputs::default();
+    // Start from a populated mesh so edits hit real state: every
+    // edge site honors actions and announces one prefix.
+    for (i, &site) in g.edge_sites.iter().enumerate() {
+        live.set_honor_actions(site, true).expect("edge exists");
+        inputs.honor.insert(site);
+        let p = prefix(i % PREFIXES);
+        live.announce(site, p, BTreeSet::new())
+            .expect("edge exists");
+        inputs
+            .originated
+            .insert((site, p), (BTreeSet::new(), Vec::new()));
+    }
+    live.converge().expect("Gao-Rexford policies converge");
+    let checked = PREFIXES + TWINS;
+    check_against_replay(&live, &inputs, &g.topology, checked, "mesh set-up")?;
+    // Every prefix entered the set-up blank: each carries a bill.
+    let mut billed = inputs.held();
+    // Prefixes whose column a twin fill shares, untouched since.
+    let mut filled = BTreeSet::new();
+    for op in ops {
+        let (held, stats) = (inputs.held(), live.rib_stats());
+        let (fills, updates_before) = (live.work().fills, updates(&registry));
+        let (step, effect) = apply(op, &mut live, &mut inputs, &g.topology, &nodes);
+        let rounds = live.converge().expect("Gao-Rexford policies converge");
+        check_against_replay(&live, &inputs, &g.topology, checked, &step)?;
+        let reported = Reported {
+            fills: live.work().fills - fills,
+            updates: updates(&registry) - updates_before,
+            rounds,
+            stats_before: effect.edited.filter(|p| !held.contains(p)).map(|_| stats),
+        };
+        check_fill(
+            &live,
+            &inputs,
+            &g.topology,
+            &effect,
+            &mut billed,
+            &reported,
+            &step,
+        )?;
+        check_idle_reexport(&live, &inputs, nodes[op.node.index(nodes.len())], &step)?;
+        if effect.config {
+            filled.clear();
         }
-        live.converge().expect("Gao-Rexford policies converge");
-        let checked = PREFIXES + TWINS;
-        check_against_replay(&live, &inputs, &g.topology, checked, "mesh set-up")?;
-        // Every prefix entered the set-up blank: each carries a bill.
-        let mut billed = inputs.held();
-        for op in &ops {
-            let (held, stats) = (inputs.held(), live.rib_stats());
-            let (fills, updates_before) = (live.work().fills, updates(&registry));
-            let (step, effect) = apply(op, &mut live, &mut inputs, &g.topology, &nodes);
-            let rounds = live.converge().expect("Gao-Rexford policies converge");
-            check_against_replay(&live, &inputs, &g.topology, checked, &step)?;
-            let reported = Reported {
-                fills: live.work().fills - fills,
-                updates: updates(&registry) - updates_before,
-                rounds,
-                stats_before: effect.edited.filter(|p| !held.contains(p)).map(|_| stats),
-            };
-            check_fill(&live, &inputs, &g.topology, &effect, &mut billed, &reported, &step)?;
+        if let Some(p) = effect.edited {
+            let was_filled = filled.remove(&p);
+            if effect.fresh && reported.fills > 0 {
+                filled.insert(p);
+            }
+            reach.filled_edits += u64::from(was_filled && !effect.fresh);
         }
     }
+    reach.compactions += live.work().compactions;
+    Ok(())
+}
 
+/// A configuration edit that changes nothing costs nothing: `node`
+/// re-decides and re-exports every prefix, and each advertisement it
+/// rebuilds equals, by value, the one its session slot holds. Run on a
+/// clone, which shares every arena with `live` until it appends.
+fn check_idle_reexport(
+    live: &BgpEngine,
+    inputs: &Inputs,
+    node: AsId,
+    step: &str,
+) -> Result<(), String> {
+    let mut idle = live.clone();
+    let prefs = inputs.prefs.get(&node).cloned().unwrap_or_default();
+    idle.set_neighbor_pref(node, prefs).expect("node exists");
+    let before = idle.work().updates;
+    let rounds = idle.converge().expect("Gao-Rexford policies converge");
+    prop_assert_eq!(
+        (rounds, idle.work().updates - before),
+        (0, 0),
+        "after {step}: re-exporting unchanged routes at {node:?}"
+    );
+    Ok(())
+}
+
+proptest! {
     /// Announce / withdraw churn over [`POOL`] prefixes with at most
     /// [`LIVE`] originated at once: after every step, live state ==
     /// from-scratch replay, prefix by prefix.

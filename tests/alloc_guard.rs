@@ -92,25 +92,28 @@ const MAX_CALLS_PER_PACKET: f64 = 0.02;
 /// Packets per scenario; the second half is measured.
 const PACKETS: u32 = 8_000;
 /// Allocator calls per BGP update tolerated across discovery probes
-/// ([`probe_calls`]): midway between the 11 112 calls for 21 138
-/// updates (0.526) — with a recycled probe column, and before it with
-/// speakers whose blank probe record kept its vectors — and the 19 770
-/// (0.935) of speakers that freed them when a probe left and regrew them
-/// slot by slot when the next arrived. What is left is the advertisement
-/// a changed best route builds: since a probe's unshaped announcement is
-/// a twin fill of its host prefix's column, exact 8 220 calls (0.389;
-/// the updates are billed, not executed).
-const MAX_CALLS_PER_BGP_UPDATE: f64 = 0.73;
+/// ([`probe_calls`]). Exact: 405 calls for 21 138 updates (0.0192) with
+/// every advertisement a record appended to its prefix column's arena —
+/// what is left is an arena's doubling growth, the community set a
+/// probe's edit adds and the copy a blank of a still-shared
+/// (twin-filled) column makes; 8 220 (0.389) while each changed best
+/// route built an `Rc<PathAttrs>` and a boxed path (a probe's unshaped
+/// announcement being a twin fill of its host prefix's column, its
+/// updates billed, not executed); 11 112 (0.526) before twin fills;
+/// 19 770 (0.935) with speakers that freed a probe's record when it
+/// left and regrew it slot by slot. Midway between 0.0192 and 0.389.
+const MAX_CALLS_PER_BGP_UPDATE: f64 = 0.20;
 /// Live heap bytes per RIB route (`rib_stats().total()`) that building
 /// and converging the engine of [`probe_calls`] may hold: its speakers
-/// and sessions, the RIB storage and the shared advertisements, over
-/// 8 host prefixes. Exact: 21.46 with one column per prefix and a
-/// twin-fill bill beside each, 21.41 without the bills (an
-/// advertisement slot per directed session serving as both Adj-RIB-Out
-/// and Adj-RIB-In entry, a winner per speaker); 45.29 with a record per
+/// and sessions, the RIB storage and the advertisements, over 8 host
+/// prefixes. Exact: 15.64 with a 4-byte handle slot per directed
+/// session (both Adj-RIB-Out and Adj-RIB-In entry), an 8-byte winner
+/// per speaker and the advertisements as 16-byte records in one arena
+/// per column; 21.46 with `Rc<PathAttrs>` slots and winners (8 and 16
+/// bytes) and an allocation per advertisement; 45.29 with a record per
 /// speaker and prefix, each holding its own Adj-RIB-In and Adj-RIB-Out
-/// vectors. Midway between 21.41 and 45.29.
-const MAX_RIB_HEAP_BYTES_PER_ROUTE: f64 = 33.35;
+/// vectors. Midway between 15.64 and 21.46.
+const MAX_RIB_HEAP_BYTES_PER_ROUTE: f64 = 18.55;
 /// Live heap bytes per delivered app packet that [`pairing_run`] may
 /// leave behind (the event queue's grown capacity, the `owd` values with
 /// their app bits, the 500 ms bins, the rolling windows, the pooled
@@ -241,9 +244,10 @@ fn mesh_calls(mesh: &NPopMesh, shards: usize) -> u64 {
 ///
 /// Before the rotations it checks a twin fill: PoP 0's probe announced
 /// exactly as its host prefix is converges by copying the host prefix's
-/// column into the blank one `intern` made, sharing its advertisements,
-/// so that convergence makes no allocator call and leaves no heap
-/// behind. A flood would build the probe's advertisements anew.
+/// column into the blank one `intern` made, sharing its arena of
+/// advertisements, so that convergence makes no allocator call and
+/// leaves no heap behind. A flood would build the probe's
+/// advertisements anew.
 fn probe_calls() -> (u64, u64, f64) {
     let g = try_generate(&GenParams::internet(100, 8, 1)).expect("preset is valid");
     let pops = g.edge_sites;
