@@ -1,6 +1,6 @@
 //! Synchronous-round BGP propagation to a converged fixpoint.
 //!
-//! The engine owns one [`BgpSpeaker`] per topology node and repeatedly
+//! The engine owns one `BgpSpeaker` per topology node and repeatedly
 //! exchanges export diffs (updates and implicit withdrawals) between
 //! adjacent speakers until nothing changes. With Gao-Rexford policies this
 //! fixpoint exists and is reached in O(diameter) rounds; the engine still
@@ -11,7 +11,7 @@
 //! via `tango-control`.
 //!
 //! Callers name prefixes; inside, the engine interns each into a dense
-//! [`PrefixId`] that indexes its RIB column — every speaker's state for
+//! `PrefixId` that indexes its RIB column — every speaker's state for
 //! the prefix, one advertisement slot per directed session — and keys
 //! the worklists, and recycles the id (and the blank column with it)
 //! once the prefix is gone from every speaker: no prefix is compared on
@@ -33,7 +33,7 @@
 use crate::community::Community;
 use crate::policy::local_pref_base;
 use crate::rib::{Ads, PathAttrs, PrefixColumn, Route, Winner};
-use crate::speaker::{BgpSpeaker, Neighbor, PrefixId, SpeakerConfig};
+use crate::speaker::{BgpSpeaker, Neighbor, PrefixId};
 use std::collections::{BTreeMap, BTreeSet};
 use tango_net::{IpCidr, PrefixTrie};
 use tango_obs::{Counter, Gauge, Histogram, Registry};
@@ -229,7 +229,6 @@ pub struct BgpEngine {
     /// size, so a field there costs bytes per route at every tier.
     bills: Vec<Bill>,
     work: Work,
-    round_cap: usize,
     obs: Option<BgpObs>,
     rib_obs: Option<RibObs>,
     /// (origin, prefix) originations edited since the last convergence,
@@ -237,9 +236,9 @@ pub struct BgpEngine {
     /// incremental worklist's phase-0 seed, and the only prefixes that
     /// can have left every speaker by the end of it.
     dirty_origins: Worklist,
-    /// Speakers whose configuration (prefs, export knobs, arbitrary
-    /// `speaker_mut` edits) changed since the last convergence; these
-    /// get a conservative full recompute + re-export.
+    /// Speakers whose configuration (prefs, export knobs) changed since
+    /// the last convergence; these get a conservative full recompute +
+    /// re-export.
     dirty_config: BTreeSet<AsId>,
     /// [`BgpEngine::converge`]'s worklists, kept for their capacity: who
     /// exports this round (cleared on entry), and where an update landed.
@@ -249,6 +248,10 @@ pub struct BgpEngine {
     /// capacity.
     handle_map: Vec<u32>,
 }
+
+/// The most rounds [`BgpEngine::converge`] runs before it reports
+/// [`EngineError::NoConvergence`].
+const ROUND_CAP: usize = 200;
 
 /// A worklist of `(speaker position, prefix id)` entries, in no order
 /// and free to repeat one: every step it drives is idempotent.
@@ -298,7 +301,7 @@ impl BgpEngine {
                         tie_pref: 0,
                     }
                 });
-                BgpSpeaker::new(SpeakerConfig::new(id), sessions.collect())
+                BgpSpeaker::new(id, sessions.collect())
             })
             .collect();
         let offsets = core::iter::once(0)
@@ -315,7 +318,6 @@ impl BgpEngine {
             columns: Vec::new(),
             bills: Vec::new(),
             work: Work::default(),
-            round_cap: 200,
             obs: None,
             rib_obs: None,
             dirty_origins: Worklist::new(),
@@ -387,15 +389,9 @@ impl BgpEngine {
         &self.topology
     }
 
-    /// Access a speaker.
-    pub fn speaker(&self, id: AsId) -> Result<&BgpSpeaker, EngineError> {
-        Ok(&self.speakers[self.index_of(id)?])
-    }
-
-    /// Mutable access to a speaker (for configuration). Conservatively
-    /// marks the speaker dirty: the next [`BgpEngine::converge`] fully
-    /// recomputes and re-exports it, whatever the caller changed.
-    pub fn speaker_mut(&mut self, id: AsId) -> Result<&mut BgpSpeaker, EngineError> {
+    /// A speaker to configure, marked dirty: the next
+    /// [`BgpEngine::converge`] fully recomputes and re-exports it.
+    fn configure(&mut self, id: AsId) -> Result<&mut BgpSpeaker, EngineError> {
         let i = self.index_of(id)?;
         self.dirty_config.insert(id);
         Ok(&mut self.speakers[i])
@@ -441,20 +437,20 @@ impl BgpEngine {
         id: AsId,
         prefs: BTreeMap<AsId, u32>,
     ) -> Result<(), EngineError> {
-        self.speaker_mut(id)?.set_neighbor_pref(&prefs);
+        self.configure(id)?.set_neighbor_pref(&prefs);
         Ok(())
     }
 
     /// Enable private-ASN stripping on export at a node (Vultr borders).
     pub fn set_strip_private(&mut self, id: AsId, strip: bool) -> Result<(), EngineError> {
-        self.speaker_mut(id)?.config_mut().strip_private_asns = strip;
+        self.configure(id)?.strip_private_asns = strip;
         Ok(())
     }
 
-    /// Make a node act on action communities (`NoExportTo`/`PrependTo`) —
-    /// set on the provider that defines the namespace (the Vultr borders).
+    /// Make a node act on the `NoExportTo` action communities — set on
+    /// the provider that defines the namespace (the Vultr borders).
     pub fn set_honor_actions(&mut self, id: AsId, honor: bool) -> Result<(), EngineError> {
-        self.speaker_mut(id)?.config_mut().honor_action_communities = honor;
+        self.configure(id)?.honor_actions = honor;
         Ok(())
     }
 
@@ -626,7 +622,7 @@ impl BgpEngine {
                 self.export_set.push((i, p));
             }
         }
-        for round in 1..=self.round_cap {
+        for round in 1..=ROUND_CAP {
             // Phase 1: deliver export diffs from the worklist. Each
             // writes its sender's slots in the prefix's column; a slot
             // is its receiver's Adj-RIB-In entry as well.
@@ -698,7 +694,7 @@ impl BgpEngine {
             }
         }
         Err(EngineError::NoConvergence {
-            round_cap: self.round_cap,
+            round_cap: ROUND_CAP,
         })
     }
 
@@ -719,7 +715,7 @@ impl BgpEngine {
     /// check dropped it — or `None` if it sent none or there is no such
     /// session.
     pub fn advertisement(&self, from: AsId, to: AsId, prefix: IpCidr) -> Option<PathAttrs> {
-        let s = self.speaker(from).ok()?;
+        let s = &self.speakers[self.index_of(from).ok()?];
         let n = s.neighbors().iter().find(|n| n.id == to)?;
         let slot = self.offsets[n.index as usize] + n.back;
         let column = &self.columns[self.prefixes.get(&prefix)?.slot()];
@@ -860,7 +856,7 @@ mod tests {
     #[test]
     fn converge_is_idempotent() {
         let mut e = BgpEngine::new(topo());
-        e.announce(AsId(1), pfx("10.0.0.0/8"), BTreeSet::new())
+        e.announce(AsId(1), pfx("2001:db8::/32"), BTreeSet::new())
             .unwrap();
         let r1 = e.converge().unwrap();
         assert!(r1 >= 1);
@@ -876,10 +872,10 @@ mod tests {
         // T1 exports peer-learned route to its customers ✓ but NOT to
         // other peers (none here). Everyone should still reach E3.
         let mut e = BgpEngine::new(topo());
-        e.announce(AsId(3), pfx("10.3.0.0/16"), BTreeSet::new())
+        e.announce(AsId(3), pfx("2001:db8:3::/48"), BTreeSet::new())
             .unwrap();
         e.converge().unwrap();
-        assert!(e.best_route(AsId(1), pfx("10.3.0.0/16")).is_some());
+        assert!(e.best_route(AsId(1), pfx("2001:db8:3::/48")).is_some());
         // Now the true valley test: a route learned by T1 from peer T2
         // must not be re-exported to another peer. Add peer T3 to check.
         let mut t = topo();
@@ -887,25 +883,25 @@ mod tests {
             .unwrap();
         t.add_peering(AsId(10), AsId(30), lp()).unwrap();
         let mut e = BgpEngine::new(t);
-        e.announce(AsId(3), pfx("10.3.0.0/16"), BTreeSet::new())
+        e.announce(AsId(3), pfx("2001:db8:3::/48"), BTreeSet::new())
             .unwrap();
         e.converge().unwrap();
         // T3 peers only with T1; T1's route to E3 is peer-learned (via T2),
         // so T3 must NOT hear it.
-        assert!(e.best_route(AsId(30), pfx("10.3.0.0/16")).is_none());
+        assert!(e.best_route(AsId(30), pfx("2001:db8:3::/48")).is_none());
     }
 
     #[test]
     fn withdrawal_propagates() {
         let mut e = BgpEngine::new(topo());
-        e.announce(AsId(1), pfx("10.1.0.0/16"), BTreeSet::new())
+        e.announce(AsId(1), pfx("2001:db8:1::/48"), BTreeSet::new())
             .unwrap();
         e.converge().unwrap();
-        assert!(e.best_route(AsId(3), pfx("10.1.0.0/16")).is_some());
-        e.withdraw(AsId(1), pfx("10.1.0.0/16")).unwrap();
+        assert!(e.best_route(AsId(3), pfx("2001:db8:1::/48")).is_some());
+        e.withdraw(AsId(1), pfx("2001:db8:1::/48")).unwrap();
         e.converge().unwrap();
-        assert!(e.best_route(AsId(3), pfx("10.1.0.0/16")).is_none());
-        assert!(e.best_route(AsId(10), pfx("10.1.0.0/16")).is_none());
+        assert!(e.best_route(AsId(3), pfx("2001:db8:1::/48")).is_none());
+        assert!(e.best_route(AsId(10), pfx("2001:db8:1::/48")).is_none());
     }
 
     #[test]
@@ -956,19 +952,20 @@ mod tests {
     #[test]
     fn forwarding_table_lpm() {
         let mut e = BgpEngine::new(topo());
-        e.announce(AsId(1), pfx("10.0.0.0/8"), BTreeSet::new())
+        e.announce(AsId(1), pfx("2001:db8::/32"), BTreeSet::new())
             .unwrap();
-        e.announce(AsId(3), pfx("10.1.0.0/16"), BTreeSet::new())
+        e.announce(AsId(3), pfx("2001:db8:1::/48"), BTreeSet::new())
             .unwrap();
         e.converge().unwrap();
         let ft = e.forwarding_table(AsId(2)).unwrap();
-        // 10.1.x goes toward E3's more-specific; rest of 10/8 toward E1.
-        let (_, next) = ft.longest_match("10.1.2.3".parse().unwrap()).unwrap();
+        // 2001:db8:1::/48 goes toward E3's more-specific; the rest of
+        // 2001:db8::/32 toward E1.
+        let (_, next) = ft.longest_match("2001:db8:1::3".parse().unwrap()).unwrap();
         assert_eq!(*next, AsId(10)); // E2's only neighbor is T1 either way
-        let (p, _) = ft.longest_match("10.1.2.3".parse().unwrap()).unwrap();
-        assert_eq!(p, pfx("10.1.0.0/16"));
-        let (p, _) = ft.longest_match("10.200.0.1".parse().unwrap()).unwrap();
-        assert_eq!(p, pfx("10.0.0.0/8"));
+        let (p, _) = ft.longest_match("2001:db8:1::3".parse().unwrap()).unwrap();
+        assert_eq!(p, pfx("2001:db8:1::/48"));
+        let (p, _) = ft.longest_match("2001:db8:c8::1".parse().unwrap()).unwrap();
+        assert_eq!(p, pfx("2001:db8::/32"));
     }
 
     #[test]
@@ -1287,11 +1284,11 @@ mod tests {
     fn unknown_speaker_errors() {
         let mut e = BgpEngine::new(topo());
         assert_eq!(
-            e.announce(AsId(999), pfx("10.0.0.0/8"), BTreeSet::new())
+            e.announce(AsId(999), pfx("2001:db8::/32"), BTreeSet::new())
                 .unwrap_err(),
             EngineError::UnknownSpeaker(AsId(999))
         );
-        assert!(e.speaker(AsId(999)).is_err());
+        assert!(e.forwarding_table(AsId(999)).is_err());
         assert!(e.prefixes.ids.is_empty(), "a failed announce mints no id");
     }
 }

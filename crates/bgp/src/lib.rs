@@ -5,10 +5,11 @@
 //! techniques such as BGP communities and AS-path poisoning."* This crate
 //! implements the BGP machinery those techniques need:
 //!
-//! * typed [`Community`] values including Vultr-style *action communities*
-//!   ("do not announce to AS X", "prepend N× to AS X") that the paper's
-//!   prototype uses to shape outbound announcements (§4.1, step 2);
-//! * per-domain [`BgpSpeaker`]s — configuration, sessions, import and
+//! * the typed [`Community`] the paper's prototype uses to shape
+//!   outbound announcements (§4.1, step 2): Vultr's *action community*
+//!   "do not announce to AS X", acted on only by speakers configured to
+//!   honor it;
+//! * per-domain BGP speakers — export knobs, sessions, import and
 //!   export policy — whose Adj-RIB-In / Loc-RIB / Adj-RIB-Out live
 //!   prefix-major in the engine: one column per prefix, indexed by a
 //!   dense prefix id the engine interns (callers name prefixes; nothing
@@ -17,9 +18,9 @@
 //!   receiver's Adj-RIB-In entry, each a `u32` handle into the column's
 //!   copy-on-write arena of advertisements (a caller reads one as an
 //!   owned [`PathAttrs`]);
-//!   the standard decision process (local-pref by Gao-Rexford relationship
-//!   plus a per-neighbor preference modeling Vultr's router config, then
-//!   AS-path length, then a deterministic tie-break);
+//!   the standard decision process (local-pref by Gao-Rexford
+//!   relationship, then AS-path length, then a per-neighbor preference
+//!   modeling Vultr's router config, then the lowest neighbor id);
 //! * Gao-Rexford export filters (customer routes go everywhere; peer- and
 //!   provider-learned routes go only to customers);
 //! * a synchronous-round fixpoint [`BgpEngine`] that propagates
@@ -34,22 +35,21 @@
 //!   memory, and every question asked of the engine (which paths exist,
 //!   how many updates convergence costs) is answered by those.
 //! * No TCP session FSM, keepalives, or MRAI timers: convergence is
-//!   synchronous rounds; `tango-sim` layers a configurable convergence
-//!   delay on top when experiments need BGP re-convergence *time*.
+//!   synchronous rounds and takes zero simulated time.
 //! * No route reflectors or iBGP (each domain is one border speaker).
-//! * MED is carried but only used as the documented late tie-break.
+//! * No MED, no well-known communities (NO_EXPORT, NO_ADVERTISE) and no
+//!   prepend actions: Tango shapes announcements with `NoExportTo` and
+//!   AS-path poisoning only.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod community;
+mod community;
 pub mod engine;
 pub mod policy;
-pub mod rib;
-pub mod speaker;
+mod rib;
+mod speaker;
 
 pub use community::Community;
 pub use engine::{BgpEngine, EngineError};
-pub use policy::{local_pref_base, may_export, LP_CUSTOMER, LP_PEER, LP_PROVIDER};
-pub use rib::{PathAttrs, Route, RouteSource};
-pub use speaker::{BgpSpeaker, Neighbor, SpeakerConfig};
+pub use rib::{PathAttrs, Route};

@@ -11,18 +11,15 @@ use std::collections::BTreeSet;
 use tango_topology::{Relationship, Topology};
 
 /// Local-pref base for customer-learned routes (revenue: most preferred).
-pub const LP_CUSTOMER: u32 = 300;
+pub(crate) const LP_CUSTOMER: u32 = 300;
 /// Local-pref base for peer-learned routes (free, but no revenue).
-pub const LP_PEER: u32 = 200;
+pub(crate) const LP_PEER: u32 = 200;
 /// Local-pref base for provider-learned routes (costs money: least).
-pub const LP_PROVIDER: u32 = 100;
-/// Neighbor-preference bonuses must stay below this to never cross a
-/// relationship class boundary.
-pub const LP_CLASS_WIDTH: u32 = 100;
+pub(crate) const LP_PROVIDER: u32 = 100;
 
 /// The local-pref base for a route learned from a neighbor, given the
 /// receiving AS's relationship `to_sender` to it.
-pub fn local_pref_base(to_sender: Relationship) -> u32 {
+pub(crate) fn local_pref_base(to_sender: Relationship) -> u32 {
     match to_sender {
         // We are the neighbor's customer → the route came from our provider.
         Relationship::CustomerOf => LP_PROVIDER,
@@ -38,7 +35,7 @@ pub fn local_pref_base(to_sender: Relationship) -> u32 {
 ///
 /// * Locally originated and customer-learned routes go to everyone.
 /// * Peer- and provider-learned routes go only to customers.
-pub fn may_export(learned_from: Option<Relationship>, to_neighbor: Relationship) -> bool {
+pub(crate) fn may_export(learned_from: Option<Relationship>, to_neighbor: Relationship) -> bool {
     to_neighbor == Relationship::ProviderOf
         || matches!(learned_from, None | Some(Relationship::ProviderOf))
 }
@@ -46,26 +43,19 @@ pub fn may_export(learned_from: Option<Relationship>, to_neighbor: Relationship)
 /// Community post-processing at export: does the route's communities
 /// forbid exporting to this neighbor?
 ///
-/// Well-known communities (NO_EXPORT, NO_ADVERTISE) are honored by every
-/// speaker. *Action* communities (`NoExportTo`) are honored only when
-/// `honor_actions` is set — they are scoped to the provider that defines
-/// them (Vultr's border in the prototype). This scoping matters: the
-/// LA→NY fourth path traverses NTT *mid-path* ([NTT, Cogent], Fig. 3),
-/// which only exists because Cogent treats Vultr's "do not announce to
-/// NTT" community as opaque.
-pub fn communities_forbid(
+/// Only a speaker that honors the action communities (`honor_actions`)
+/// acts on them: they are scoped to the provider that defines them
+/// (Vultr's border in the prototype), and it withholds the route from
+/// `neighbor` iff the set holds `NoExportTo(neighbor)`. This scoping
+/// matters: the LA→NY fourth path traverses NTT *mid-path* ([NTT,
+/// Cogent], Fig. 3), which only exists because Cogent treats Vultr's "do
+/// not announce to NTT" community as opaque.
+pub(crate) fn communities_forbid(
     communities: &BTreeSet<Community>,
     neighbor: tango_topology::AsId,
-    learned_from_ebgp: bool,
     honor_actions: bool,
 ) -> bool {
-    communities.iter().any(|c| match c {
-        Community::NoAdvertise => true,
-        // NO_EXPORT keeps the route inside the receiving AS: a locally
-        // originated route may still be sent to the first eBGP hop.
-        Community::NoExport => learned_from_ebgp,
-        _ => honor_actions && c.forbids_export_to(neighbor),
-    })
+    honor_actions && communities.iter().any(|c| c.forbids_export_to(neighbor))
 }
 
 /// Is an AS-level path valley-free under the topology's Gao-Rexford
@@ -172,8 +162,8 @@ mod tests {
     #[test]
     fn no_export_to_community_blocks_target_only() {
         let c = BTreeSet::from([Community::NoExportTo(AsId(3))]);
-        assert!(communities_forbid(&c, AsId(3), true, true));
-        assert!(!communities_forbid(&c, AsId(2), true, true));
+        assert!(communities_forbid(&c, AsId(3), true));
+        assert!(!communities_forbid(&c, AsId(2), true));
     }
 
     #[test]
@@ -181,14 +171,7 @@ mod tests {
         // A transit that does not act on Vultr's namespace must carry the
         // route through — this is what keeps the [NTT, Cogent] path alive.
         let c = BTreeSet::from([Community::NoExportTo(AsId(3))]);
-        assert!(!communities_forbid(&c, AsId(3), true, false));
-    }
-
-    #[test]
-    fn well_known_no_advertise_blocks_all() {
-        let c = BTreeSet::from([Community::NoAdvertise]);
-        assert!(communities_forbid(&c, AsId(2), false, false));
-        assert!(communities_forbid(&c, AsId(3), true, true));
+        assert!(!communities_forbid(&c, AsId(3), false));
     }
 
     #[test]
@@ -260,14 +243,5 @@ mod tests {
         // And two peer crossings: 3—2 peer then… 2—? only one peer link
         // at 2; use 6—4 peer then 4→2 up: peer then up is a valley too.
         assert!(!path_is_valley_free(&t, &[AsId(6), AsId(4), AsId(2)]));
-    }
-
-    #[test]
-    fn no_export_allows_first_ebgp_hop_only() {
-        let c = BTreeSet::from([Community::NoExport]);
-        // Originator may send even without honoring action communities.
-        assert!(!communities_forbid(&c, AsId(2), false, false));
-        // Receiver may not re-export.
-        assert!(communities_forbid(&c, AsId(2), true, false));
     }
 }

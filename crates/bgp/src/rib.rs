@@ -12,8 +12,8 @@
 //! on one thread) by a column filled from a twin; a blank keeps only
 //! the originations' records, and a compaction every held one.
 //! [`PathAttrs`] is a record as an owned value, and a [`Route`] that
-//! plus the three fields the *receiver* computes on import: both are
-//! built only when a caller asks.
+//! plus the neighbor it was learned from and the two preferences the
+//! *receiver* gives it: both are built only when a caller asks.
 
 use crate::community::Community;
 use crate::engine::RibStats;
@@ -22,28 +22,9 @@ use std::collections::BTreeSet;
 use std::rc::Rc;
 use tango_topology::AsId;
 
-/// Where a route entered the local speaker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RouteSource {
-    /// Originated locally (our own prefix).
-    Local,
-    /// Learned from the given eBGP neighbor.
-    Neighbor(AsId),
-}
-
-impl RouteSource {
-    /// The neighbor id, if learned.
-    pub fn neighbor(&self) -> Option<AsId> {
-        match self {
-            RouteSource::Local => None,
-            RouteSource::Neighbor(n) => Some(*n),
-        }
-    }
-}
-
 /// The attributes one advertisement carries, as an owned value: a RIB
 /// entry holds a handle to its record instead.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PathAttrs {
     /// AS path; element 0 is the *nearest* AS (the neighbor that sent it),
     /// the last element is the origin. Empty for locally originated routes.
@@ -51,18 +32,18 @@ pub struct PathAttrs {
     /// Attached communities. Speakers carry the set through unchanged,
     /// so it is shared along the whole propagation tree.
     pub communities: Rc<BTreeSet<Community>>,
-    /// Multi-exit discriminator (carried; low = preferred).
-    pub med: u32,
 }
 
-/// A candidate route for one prefix, as held in a RIB.
+/// A speaker's best route for one prefix, built when a caller asks.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route {
+    /// The neighbor the route was learned from, or the speaker itself
+    /// for its own origination.
+    pub next_hop: AsId,
     /// The advertisement as received (or originated).
-    pub attrs: Rc<PathAttrs>,
-    /// How the route entered this speaker.
-    pub source: RouteSource,
-    /// Computed local preference (relationship-based).
+    pub attrs: PathAttrs,
+    /// Local preference (relationship-based; `u32::MAX` for the
+    /// speaker's own origination, which always wins).
     pub local_pref: u32,
     /// Per-neighbor administrative preference (higher = preferred),
     /// compared *after* AS-path length — this models Vultr's router
@@ -72,96 +53,9 @@ pub struct Route {
     pub tie_pref: u32,
 }
 
-impl Route {
-    /// A locally originated route.
-    pub fn local(attrs: Rc<PathAttrs>) -> Self {
-        Route {
-            attrs,
-            source: RouteSource::Local,
-            local_pref: u32::MAX, // local routes always win
-            tie_pref: 0,
-        }
-    }
-
-    /// The AS path, nearest AS first.
-    pub fn as_path(&self) -> &[AsId] {
-        &self.attrs.as_path
-    }
-
-    /// Does the AS path contain `asid` (loop detection / poisoning)?
-    pub fn path_contains(&self, asid: AsId) -> bool {
-        self.attrs.as_path.contains(&asid)
-    }
-
-    /// The origin AS of the path (None for local routes).
-    pub fn origin(&self) -> Option<AsId> {
-        self.attrs.as_path.last().copied()
-    }
-
-    /// AS-path length counting *unique* prepends as-is (standard length).
-    pub fn path_len(&self) -> usize {
-        self.attrs.as_path.len()
-    }
-
-    fn rank(&self) -> Rank {
-        let neighbor = self.source.neighbor().map_or(0, |n| n.0);
-        let attrs = &self.attrs;
-        rank(
-            attrs.as_path.len(),
-            attrs.med,
-            neighbor,
-            self.local_pref,
-            self.tie_pref,
-        )
-    }
-}
-
 /// The decision process as one key: a candidate is better than another
 /// iff its rank is greater.
-pub(crate) type Rank = (u32, Reverse<usize>, Reverse<u32>, u32, Reverse<u32>);
-
-/// The rank of an advertisement with a path of `path_len` ASes and
-/// `med`, learned from `neighbor` (0 for a local route), with the
-/// receiver's `local_pref` and `tie_pref`.
-pub(crate) fn rank(
-    path_len: usize,
-    med: u32,
-    neighbor: u32,
-    local_pref: u32,
-    tie_pref: u32,
-) -> Rank {
-    (
-        local_pref,
-        Reverse(path_len),
-        Reverse(med),
-        tie_pref,
-        Reverse(neighbor),
-    )
-}
-
-/// The decision process: pick the best route among candidates.
-///
-/// Order (RFC 4271 §9.1 subset, documented in the crate root):
-/// 1. highest `local_pref`;
-/// 2. shortest AS path;
-/// 3. lowest MED (compared across all candidates — "always-compare-med");
-/// 4. highest per-neighbor `tie_pref` (Vultr-style administrative order);
-/// 5. lowest neighbor AS id (deterministic tie-break, standing in for
-///    lowest-router-id).
-///
-/// Decides over references — nothing is cloned. Among candidates no
-/// other beats, the earliest in iteration order wins; `None` if there
-/// are no candidates.
-pub fn best_of<'a>(candidates: impl IntoIterator<Item = &'a Route>) -> Option<&'a Route> {
-    candidates
-        .into_iter()
-        .reduce(|best, r| if better(r, best) { r } else { best })
-}
-
-/// Is `a` strictly better than `b` under the decision process?
-pub fn better(a: &Route, b: &Route) -> bool {
-    a.rank() > b.rank()
-}
+pub(crate) type Rank = (u32, Reverse<u32>, u32, Reverse<u32>);
 
 /// A handle naming no advertisement: an empty slot, or no winner.
 pub(crate) const NONE: u32 = u32::MAX;
@@ -181,14 +75,13 @@ fn handle(n: usize) -> u32 {
     u32::try_from(n).expect("an arena holds fewer than 2^32 records and path entries")
 }
 
-/// One advertisement: its AS path `paths[start..start + len]`, the index
-/// of its communities and its MED.
+/// One advertisement: its AS path `paths[start..start + len]` and the
+/// index of its communities.
 #[derive(Debug, Clone, Copy)]
 struct Ad {
     start: u32,
     len: u32,
     communities: u32,
-    med: u32,
 }
 
 /// A column's advertisements, named by handle (an index into `records`).
@@ -214,20 +107,25 @@ impl Ads {
         &self.communities[self.records[h as usize].communities as usize]
     }
 
-    /// `h`'s rank as learned from `neighbor` (see [`rank`]).
+    /// `h`'s rank as learned from `neighbor` (0 for a local route), with
+    /// the receiver's `local_pref` and `tie_pref`. The order (an RFC 4271
+    /// §9.1 subset):
+    /// 1. highest `local_pref`;
+    /// 2. shortest AS path;
+    /// 3. highest per-neighbor `tie_pref` (Vultr-style administrative
+    ///    order);
+    /// 4. lowest neighbor AS id (deterministic tie-break, standing in for
+    ///    lowest-router-id).
     pub(crate) fn rank(&self, h: u32, neighbor: u32, local_pref: u32, tie_pref: u32) -> Rank {
-        let Ad { len, med, .. } = self.records[h as usize];
-        rank(len as usize, med, neighbor, local_pref, tie_pref)
+        let path_len = self.records[h as usize].len;
+        (local_pref, Reverse(path_len), tie_pref, Reverse(neighbor))
     }
 
     /// `h` as an owned value.
     pub(crate) fn attrs(&self, h: u32) -> PathAttrs {
-        let communities = Rc::clone(self.communities(h));
-        let (as_path, med) = (self.path(h).into(), self.records[h as usize].med);
         PathAttrs {
-            as_path,
-            communities,
-            med,
+            as_path: self.path(h).into(),
+            communities: Rc::clone(self.communities(h)),
         }
     }
 
@@ -238,20 +136,17 @@ impl Ads {
 
     /// Does `a` here equal `b` in `other`?
     fn same_as(&self, a: u32, other: &Ads, b: u32) -> bool {
-        self.records[a as usize].med == other.records[b as usize].med
-            && self.path(a) == other.path(b)
-            && self.communities(a) == other.communities(b)
+        self.path(a) == other.path(b) && self.communities(a) == other.communities(b)
     }
 
     /// Append the record whose path is `paths[begin..]`.
-    fn push(&mut self, begin: usize, communities: u32, med: u32) -> u32 {
+    fn push(&mut self, begin: usize, communities: u32) -> u32 {
         let (h, start) = (handle(self.records.len()), handle(begin));
         let len = handle(self.paths.len()) - start;
         self.records.push(Ad {
             start,
             len,
             communities,
-            med,
         });
         h
     }
@@ -262,21 +157,21 @@ impl Ads {
         let (c, begin) = (handle(self.communities.len()), self.paths.len());
         self.communities.push(Rc::new(communities));
         self.paths.extend_from_slice(path);
-        self.push(begin, c, 0)
+        self.push(begin, c)
     }
 
-    /// Append `from` as `asid` exports it: `own` copies of `asid` in
-    /// front of its path, private ASNs dropped from it if `strip`.
-    fn export(&mut self, from: u32, asid: AsId, own: usize, strip: bool) -> u32 {
+    /// Append `from` as `asid` exports it: `asid` in front of its path,
+    /// private ASNs dropped from it if `strip`.
+    fn export(&mut self, from: u32, asid: AsId, strip: bool) -> u32 {
         let (ad, begin) = (self.records[from as usize], self.paths.len());
-        self.paths.resize(begin + own, asid);
+        self.paths.push(asid);
         for k in ad.start as usize..(ad.start + ad.len) as usize {
             let a = self.paths[k];
             if !(strip && a.is_private()) {
                 self.paths.push(a);
             }
         }
-        self.push(begin, ad.communities, ad.med)
+        self.push(begin, ad.communities)
     }
 
     /// Keep, in place, the records and then the community sets `map`
@@ -343,6 +238,9 @@ pub(crate) struct PrefixColumn {
 // here costs bytes per route at every tier: engine-wide bookkeeping about
 // a column (such as its twin-fill bill) lives beside the columns instead.
 const _: () = assert!(core::mem::size_of::<PrefixColumn>() == 104);
+// Every advertisement is one record, so its size is bytes per route too.
+const _: () = assert!(core::mem::size_of::<Ad>() == 12);
+const _: () = assert!(core::mem::size_of::<Community>() == 4);
 
 impl PrefixColumn {
     /// A blank column for `sessions` directed sessions among `speakers`.
@@ -395,8 +293,8 @@ impl PrefixColumn {
     }
 
     /// `Ads::export`, copying a shared arena first.
-    pub(crate) fn export(&mut self, from: u32, asid: AsId, own: usize, strip: bool) -> u32 {
-        Rc::make_mut(&mut self.ads).export(from, asid, own, strip)
+    pub(crate) fn export(&mut self, from: u32, asid: AsId, strip: bool) -> u32 {
+        Rc::make_mut(&mut self.ads).export(from, asid, strip)
     }
 
     /// The speaker at `at`'s origination.
@@ -562,8 +460,8 @@ impl PrefixColumn {
         total
     }
 
-    /// Append an advertisement of `path`, with no communities and MED 0,
-    /// for a test to send.
+    /// Append an advertisement of `path`, with no communities, for a test
+    /// to send.
     #[cfg(test)]
     pub(crate) fn push_ad(&mut self, path: &[AsId]) -> u32 {
         Rc::make_mut(&mut self.ads).originate(path, BTreeSet::new())
@@ -574,97 +472,89 @@ impl PrefixColumn {
 mod tests {
     use super::*;
 
-    fn attrs(path: &[u32], med: u32) -> Rc<PathAttrs> {
-        Rc::new(PathAttrs {
-            as_path: path.iter().map(|&a| AsId(a)).collect(),
-            communities: Rc::default(),
-            med,
-        })
+    /// An arena holding one record per path, with no communities.
+    fn ads(paths: &[&[u32]]) -> Ads {
+        let mut ads = Ads::default();
+        for path in paths {
+            let path: Vec<AsId> = path.iter().map(|&a| AsId(a)).collect();
+            ads.originate(&path, BTreeSet::new());
+        }
+        ads
     }
 
-    fn route(lp: u32, path: &[u32], neighbor: u32) -> Route {
-        Route {
-            attrs: attrs(path, 0),
-            source: RouteSource::Neighbor(AsId(neighbor)),
-            local_pref: lp,
-            tie_pref: 0,
-        }
+    /// Record `h`'s rank as learned, at local-pref `lp`, from the first
+    /// AS on its path.
+    fn learned(ads: &Ads, h: u32, lp: u32) -> Rank {
+        ads.rank(h, ads.path(h)[0].0, lp, 0)
     }
 
     #[test]
     fn local_pref_dominates_path_length() {
-        let short_low = route(100, &[1], 1);
-        let long_high = route(300, &[2, 3, 4], 2);
-        assert_eq!(best_of([&short_low, &long_high]), Some(&long_high));
-        assert!(better(&long_high, &short_low));
+        let ads = ads(&[&[1], &[2, 3, 4]]);
+        assert!(learned(&ads, 1, 300) > learned(&ads, 0, 100));
     }
 
     #[test]
     fn path_length_breaks_equal_pref() {
-        let long = route(100, &[1, 2, 3], 1);
-        let short = route(100, &[4, 5], 4);
-        assert_eq!(best_of([&long, &short]), Some(&short));
-    }
-
-    #[test]
-    fn med_breaks_equal_length() {
-        let mut a = route(100, &[1], 1);
-        a.attrs = attrs(&[1], 20);
-        let mut b = route(100, &[2], 2);
-        b.attrs = attrs(&[2], 10);
-        assert_eq!(best_of([&a, &b]), Some(&b));
+        let ads = ads(&[&[1, 2, 3], &[4, 5]]);
+        assert!(learned(&ads, 1, 100) > learned(&ads, 0, 100));
     }
 
     #[test]
     fn neighbor_id_is_final_tiebreak() {
-        let a = route(100, &[9], 9);
-        let b = route(100, &[3], 3);
-        assert_eq!(best_of([&a, &b]), Some(&b));
+        let ads = ads(&[&[9], &[3]]);
+        assert!(learned(&ads, 1, 100) > learned(&ads, 0, 100));
     }
 
     #[test]
     fn local_route_always_wins() {
-        let local = Route::local(attrs(&[], 0));
-        let learned = route(300, &[1], 1);
-        assert_eq!(best_of([&learned, &local]), Some(&local));
-        assert_eq!(local.path_len(), 0);
-        assert_eq!(local.origin(), None);
+        let ads = ads(&[&[], &[1]]);
+        assert!(ads.rank(0, 0, u32::MAX, 0) > learned(&ads, 1, 300));
+        assert!(ads.path(0).is_empty());
     }
 
     #[test]
     fn empty_candidates() {
-        assert_eq!(best_of([]), None);
+        let column = PrefixColumn::new(2, 2);
+        assert_eq!((column.winner(0), column.winner(1)), (None, None));
+        assert_eq!((column.sent(0), column.imported(1)), (None, None));
     }
 
     #[test]
     fn prepending_lengthens_and_demotes() {
-        let plain = route(100, &[7, 8], 7);
-        let prepended = route(100, &[5, 5, 5, 8], 5);
-        assert_eq!(best_of([&prepended, &plain]), Some(&plain));
+        let ads = ads(&[&[7, 8], &[5, 5, 5, 8]]);
+        assert!(learned(&ads, 0, 100) > learned(&ads, 1, 100));
     }
 
     #[test]
     fn path_contains_and_origin() {
-        let r = route(100, &[3, 2, 1], 3);
-        assert!(r.path_contains(AsId(2)));
-        assert!(!r.path_contains(AsId(9)));
-        assert_eq!(r.origin(), Some(AsId(1)));
+        let mut column = PrefixColumn::new(2, 2);
+        let h = column.push_ad(&[AsId(3), AsId(2), AsId(1)]);
+        assert_eq!(column.send(0, AsId(2), h), Some(false), "a loop");
+        assert_eq!((column.sent(0), column.imported(0)), (Some(h), None));
+        assert_eq!(column.send(1, AsId(9), h), Some(true));
+        assert_eq!(column.ads().path(h).last(), Some(&AsId(1)));
     }
 
     #[test]
     fn decision_is_deterministic_under_permutation() {
-        let a = route(100, &[1, 2], 1);
-        let b = route(100, &[3, 4], 3);
-        let c = route(200, &[5, 6, 7], 5);
-        assert_eq!(best_of([&a, &b, &c]), best_of([&c, &a, &b]));
+        let ads = ads(&[&[1, 2], &[3, 4], &[5, 6, 7]]);
+        let ranks = [
+            learned(&ads, 0, 100),
+            learned(&ads, 1, 100),
+            learned(&ads, 2, 200),
+        ];
+        let best = |order: [usize; 3]| order.into_iter().max_by_key(|&k| ranks[k]);
+        assert_eq!(best([0, 1, 2]), best([2, 0, 1]));
+        assert_eq!(best([1, 2, 0]), Some(2));
     }
 
     #[test]
     fn shared_attrs_compare_by_value() {
-        let a = route(100, &[1, 2], 1);
-        let mut b = a.clone();
-        assert_eq!(a, b, "same allocation");
-        b.attrs = attrs(&[1, 2], 0);
-        assert_eq!(a, b, "equal content in a second allocation");
+        let ads = ads(&[&[1, 2], &[1, 2], &[1]]);
+        assert!(ads.same(0, 0), "same record");
+        assert!(ads.same(0, 1), "equal content in a second record");
+        assert_eq!(ads.attrs(0), ads.attrs(1));
+        assert!(!ads.same(0, 2) && !ads.same(0, NONE));
     }
 }

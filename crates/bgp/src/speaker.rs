@@ -19,15 +19,14 @@
 //! administrative preference its routes get, read at decision time.
 
 use crate::policy::{communities_forbid, may_export};
-use crate::rib::{Ads, PrefixColumn, Route, RouteSource, Winner, LOCAL, NONE};
+use crate::rib::{Ads, PrefixColumn, Route, Winner, LOCAL, NONE};
 use std::collections::BTreeMap;
-use std::rc::Rc;
 use tango_topology::{AsId, Relationship};
 
 /// A prefix's dense id in the engine's intern table, and its column's
 /// index. Only [`crate::BgpEngine`] mints one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct PrefixId(pub(crate) u32);
+pub(crate) struct PrefixId(pub(crate) u32);
 
 impl PrefixId {
     pub(crate) fn slot(self) -> usize {
@@ -35,135 +34,60 @@ impl PrefixId {
     }
 }
 
-/// Static configuration of one speaker.
-#[derive(Debug, Clone)]
-pub struct SpeakerConfig {
-    /// The speaker's AS (routing-domain) id.
-    pub asid: AsId,
-    /// Strip private ASNs from the AS path when exporting — what Vultr
-    /// does with the tenant's private-ASN session (§4.1 footnote).
-    pub strip_private_asns: bool,
-    /// Act on action communities (`NoExportTo`, `PrependTo`) when
-    /// exporting. Set on the provider that defines the community
-    /// namespace (the Vultr borders); everyone else carries them opaquely.
-    pub honor_action_communities: bool,
-}
-
-impl SpeakerConfig {
-    /// Default config for an AS.
-    pub fn new(asid: AsId) -> Self {
-        SpeakerConfig {
-            asid,
-            strip_private_asns: false,
-            honor_action_communities: false,
-        }
-    }
-}
-
 /// One eBGP session as the owning speaker sees it, resolved once when the
 /// speaker is built so the update path never consults the topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Neighbor {
+pub(crate) struct Neighbor {
     /// The neighbor's AS id.
-    pub id: AsId,
+    pub(crate) id: AsId,
     /// The owning speaker's relationship to the neighbor
     /// (`ProviderOf`: the neighbor is our customer).
-    pub rel: Relationship,
+    pub(crate) rel: Relationship,
     /// The neighbor's slot in the engine's dense speaker table.
-    pub index: u32,
+    pub(crate) index: u32,
     /// The owning speaker's slot in the *neighbor's* session list: what
     /// we send it lands in the neighbor's session slot `back`.
-    pub back: u32,
+    pub(crate) back: u32,
     /// Local preference of routes learned over this session
     /// (relationship-based).
-    pub local_pref: u32,
+    pub(crate) local_pref: u32,
     /// Administrative preference of routes learned over this session
     /// (see [`Route::tie_pref`]).
-    pub tie_pref: u32,
+    pub(crate) tie_pref: u32,
 }
 
-/// How the current best route of one prefix leaves a speaker: the
-/// per-neighbor policy verdict, and the advertisement appended to the
-/// column's arena at most once per extra-prepend count rather than once
-/// per neighbor.
-struct Export<'a> {
-    config: &'a SpeakerConfig,
-    /// The winner's advertisement.
-    best: u32,
-    /// Our relationship to the neighbor the route was learned from.
-    learned_from: Option<Relationship>,
-    /// Advertisements appended so far, indexed by extra-prepend count
-    /// ([`NONE`]: not yet).
-    built: [u32; 4],
-}
-
-impl<'a> Export<'a> {
-    fn new(config: &'a SpeakerConfig, best: Winner, neighbors: &[Neighbor]) -> Self {
-        Export {
-            config,
-            best: best.ad,
-            learned_from: neighbors.get(best.session as usize).map(|n| n.rel),
-            built: [NONE; 4],
-        }
-    }
-
-    /// The advertisement for `to` (path prepended, private ASNs stripped,
-    /// prepend communities applied), or `None` if policy withholds it.
-    fn to(&mut self, to: &Neighbor, col: &mut PrefixColumn) -> Option<u32> {
-        let config = self.config;
-        let communities = col.ads().communities(self.best);
-        if !may_export(self.learned_from, to.rel)
-            || communities_forbid(
-                communities,
-                to.id,
-                self.learned_from.is_some(),
-                config.honor_action_communities,
-            )
-        {
-            return None;
-        }
-        // Prepend self once, plus any community-driven extra prepends
-        // (action communities only fire on the honoring provider).
-        let extra = if config.honor_action_communities {
-            (communities.iter())
-                .map(|c| c.prepend_count_for(to.id))
-                .max()
-                .unwrap_or(0)
-        } else {
-            0
-        };
-        let built = &mut self.built[usize::from(extra)];
-        if *built == NONE {
-            let own = usize::from(extra) + 1;
-            *built = col.export(self.best, config.asid, own, config.strip_private_asns);
-        }
-        Some(*built)
-    }
-}
-
-/// A BGP speaker: its configuration and its sessions.
+/// A BGP speaker: its export knobs and its sessions.
 #[derive(Debug, Clone)]
-pub struct BgpSpeaker {
-    config: SpeakerConfig,
+pub(crate) struct BgpSpeaker {
+    /// The speaker's AS (routing-domain) id.
+    asid: AsId,
+    /// Strip private ASNs from the AS path when exporting — what Vultr
+    /// does with the tenant's private-ASN session (§4.1 footnote).
+    pub(crate) strip_private_asns: bool,
+    /// Act on the `NoExportTo` action communities when exporting. Set on
+    /// the provider that defines the community namespace (the Vultr
+    /// borders); everyone else carries them opaquely.
+    pub(crate) honor_actions: bool,
     /// eBGP sessions, ordered by neighbor id.
     neighbors: Vec<Neighbor>,
 }
 
 impl BgpSpeaker {
-    /// A speaker with the given configuration and sessions.
-    pub fn new(config: SpeakerConfig, mut neighbors: Vec<Neighbor>) -> Self {
+    /// A speaker for `asid` with the given sessions and both export
+    /// knobs off.
+    pub(crate) fn new(asid: AsId, mut neighbors: Vec<Neighbor>) -> Self {
         neighbors.sort_unstable_by_key(|n| n.id);
-        BgpSpeaker { config, neighbors }
+        BgpSpeaker {
+            asid,
+            strip_private_asns: false,
+            honor_actions: false,
+            neighbors,
+        }
     }
 
     /// This speaker's id.
-    pub fn asid(&self) -> AsId {
-        self.config.asid
-    }
-
-    /// Mutable access to the configuration (export knobs).
-    pub fn config_mut(&mut self) -> &mut SpeakerConfig {
-        &mut self.config
+    pub(crate) fn asid(&self) -> AsId {
+        self.asid
     }
 
     /// The eBGP sessions, ordered by neighbor id.
@@ -173,7 +97,7 @@ impl BgpSpeaker {
 
     /// Set each session's administrative preference from `prefs`
     /// (absent: 0), applied as a tie-break *after* AS-path length (see
-    /// `rib::better`). Models the Vultr borders' NTT > Telia > GTT
+    /// `Ads::rank`). Models the Vultr borders' NTT > Telia > GTT
     /// ordering without overriding shortest-path selection. Routes
     /// already held are ranked with it at their next decision.
     pub(crate) fn set_neighbor_pref(&mut self, prefs: &BTreeMap<AsId, u32>) {
@@ -184,15 +108,12 @@ impl BgpSpeaker {
 
     /// The route `winner`, an advertisement in `ads`, stands for here.
     pub(crate) fn route(&self, winner: Winner, ads: &Ads) -> Route {
-        let attrs = Rc::new(ads.attrs(winner.ad));
-        match self.neighbors.get(winner.session as usize) {
-            None => Route::local(attrs),
-            Some(n) => Route {
-                attrs,
-                source: RouteSource::Neighbor(n.id),
-                local_pref: n.local_pref,
-                tie_pref: n.tie_pref,
-            },
+        let n = self.neighbors.get(winner.session as usize);
+        Route {
+            next_hop: self.next_hop(winner),
+            attrs: ads.attrs(winner.ad),
+            local_pref: n.map_or(u32::MAX, |n| n.local_pref),
+            tie_pref: n.map_or(0, |n| n.tie_pref),
         }
     }
 
@@ -201,7 +122,7 @@ impl BgpSpeaker {
     pub(crate) fn next_hop(&self, winner: Winner) -> AsId {
         self.neighbors
             .get(winner.session as usize)
-            .map_or(self.config.asid, |n| n.id)
+            .map_or(self.asid, |n| n.id)
     }
 
     /// Re-run the decision process for this speaker (position `at`;
@@ -243,7 +164,9 @@ impl BgpSpeaker {
     /// every session whose advertisement changed (`update` a handle in
     /// `col`'s arena, [`NONE`] for a withdrawal; `changed`: the
     /// neighbor's Adj-RIB-In moved). Sessions are visited in neighbor-id
-    /// order.
+    /// order. The advertisement (path prepended, private ASNs stripped)
+    /// is appended to the arena at most once, for the first neighbor
+    /// policy lets it reach, and its handle sent to every such neighbor.
     pub(crate) fn export(
         &self,
         at: u32,
@@ -252,9 +175,22 @@ impl BgpSpeaker {
         mut deliver: impl FnMut(&Neighbor, u32, bool),
     ) {
         let best = col.winner(at);
-        let mut export = best.map(|best| Export::new(&self.config, best, &self.neighbors));
+        let learned_from = best.and_then(|w| self.neighbors.get(w.session as usize));
+        let learned_from = learned_from.map(|n| n.rel);
+        let mut built = NONE;
         for to in &self.neighbors {
-            let new = export.as_mut().and_then(|e| e.to(to, col)).unwrap_or(NONE);
+            let mut new = NONE;
+            if let Some(w) = best {
+                let communities = col.ads().communities(w.ad);
+                if may_export(learned_from, to.rel)
+                    && !communities_forbid(communities, to.id, self.honor_actions)
+                {
+                    if built == NONE {
+                        built = col.export(w.ad, self.asid, self.strip_private_asns);
+                    }
+                    new = built;
+                }
+            }
             let slot = (offsets[to.index as usize] + to.back) as usize;
             if let Some(changed) = col.send(slot, to.id, new) {
                 deliver(to, new, changed);
@@ -295,7 +231,7 @@ mod tests {
         "2001:db8:2::/48".parse().unwrap()
     }
 
-    /// An advertisement of `path` (no communities, MED 0) appended to
+    /// An advertisement of `path` (no communities) appended to
     /// the test prefix's column.
     fn learned(e: &mut BgpEngine, path: &[u32]) -> Option<u32> {
         let path: Vec<AsId> = path.iter().map(|&a| AsId(a)).collect();
@@ -368,7 +304,7 @@ mod tests {
         recompute(&mut e);
         let best = best(&e).unwrap();
         assert_eq!(best.local_pref, crate::policy::LP_CUSTOMER);
-        assert_eq!(best.source, RouteSource::Neighbor(AsId(1)));
+        assert_eq!(best.next_hop, AsId(1));
     }
 
     #[test]
@@ -379,7 +315,7 @@ mod tests {
         receive_path(&mut e, FROM_3, &[3]); // boosted peer route
         recompute(&mut e);
         // Customer local-pref still beats any tie_pref on the peer route.
-        assert_eq!(best(&e).unwrap().source, RouteSource::Neighbor(AsId(1)));
+        assert_eq!(best(&e).unwrap().next_hop, AsId(1));
     }
 
     #[test]
@@ -414,10 +350,10 @@ mod tests {
         receive_path(&mut e, FROM_1, &[1]); // customer
         receive_path(&mut e, FROM_3, &[3]); // peer
         recompute(&mut e);
-        assert_eq!(best(&e).unwrap().source, RouteSource::Neighbor(AsId(1)));
+        assert_eq!(best(&e).unwrap().next_hop, AsId(1));
         receive(&mut e, FROM_1, None);
         assert!(recompute(&mut e));
-        assert_eq!(best(&e).unwrap().source, RouteSource::Neighbor(AsId(3)));
+        assert_eq!(best(&e).unwrap().next_hop, AsId(3));
     }
 
     #[test]
@@ -496,19 +432,7 @@ mod tests {
     }
 
     #[test]
-    fn export_applies_prepend_community() {
-        let mut e = engine();
-        e.set_honor_actions(S, true).unwrap();
-        let mut comms = BTreeSet::new();
-        comms.insert(Community::PrependTo(AsId(3), 2));
-        e.announce(S, prefix(), comms).unwrap();
-        recompute(&mut e);
-        assert_eq!(exported_path(&mut e, 3), Some(vec![AsId(2); 3]));
-        assert_eq!(exported_path(&mut e, 1), Some(vec![AsId(2)]));
-    }
-
-    #[test]
-    fn neighbors_with_one_prepend_count_share_one_advertisement() {
+    fn neighbors_share_one_advertisement() {
         let mut e = engine();
         e.set_honor_actions(S, true).unwrap();
         e.announce(S, prefix(), BTreeSet::new()).unwrap();

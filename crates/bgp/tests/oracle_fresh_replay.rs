@@ -167,7 +167,7 @@ struct Op {
     node: Index,
     other: Index,
     prefix: usize,
-    communities: Vec<(u8, Index, u8)>,
+    communities: Vec<Index>,
     flag: bool,
 }
 
@@ -177,7 +177,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         any::<Index>(),
         any::<Index>(),
         0usize..PREFIXES,
-        proptest::collection::vec((0u8..4, any::<Index>(), 1u8..=3), 0..3),
+        proptest::collection::vec(any::<Index>(), 0..3),
         any::<bool>(),
     )
         .prop_map(|(kind, node, other, prefix, communities, flag)| Op {
@@ -190,17 +190,9 @@ fn arb_op() -> impl Strategy<Value = Op> {
         })
 }
 
-fn draw_communities(spec: &[(u8, Index, u8)], nodes: &[AsId]) -> BTreeSet<Community> {
-    spec.iter()
-        .map(|&(kind, target, n)| {
-            let target = nodes[target.index(nodes.len())];
-            match kind {
-                0 => Community::NoExportTo(target),
-                1 => Community::PrependTo(target, n),
-                2 => Community::NoExport,
-                _ => Community::Plain(64512, u16::from(n)),
-            }
-        })
+fn draw_communities(targets: &[Index], nodes: &[AsId]) -> BTreeSet<Community> {
+    (targets.iter())
+        .map(|target| Community::NoExportTo(nodes[target.index(nodes.len())]))
         .collect()
 }
 
@@ -662,8 +654,8 @@ fn replay_ok(live: &BgpEngine, inputs: &Inputs, t: &Topology, step: &str) {
     check_against_replay(live, inputs, t, PREFIXES, step).unwrap_or_else(|e| panic!("{e}"));
 }
 
-/// Two providers offer AS 1 routes equal in local-pref, path length, MED
-/// and administrative preference: only the neighbor-id tie-break is
+/// Two providers offer AS 1 routes equal in local-pref, path length and
+/// administrative preference: only the neighbor-id tie-break is
 /// left, and it must pick the same winner whatever order the candidates
 /// arrived in.
 #[test]
@@ -737,50 +729,4 @@ fn a_preference_edit_reranks_held_routes() {
     live.converge().unwrap();
     replay_ok(&live, &inputs, &t, "prefer 20 over held routes");
     assert_eq!(live.as_path(AsId(1), p).unwrap(), &[AsId(20), AsId(5)]);
-}
-
-/// One honoring speaker, three neighbors, three different prepend
-/// counts for the same prefix: each neighbor must see exactly its own
-/// count, before and after the counts are edited.
-#[test]
-fn prepend_counts_do_not_leak_across_neighbors() {
-    let t = topology(&[5, 10, 20, 30], &[(5, 10), (5, 20), (5, 30)]);
-    let p = prefix(1);
-    let mut live = BgpEngine::new(t.clone());
-    let mut inputs = Inputs::default();
-    live.set_honor_actions(AsId(5), true).unwrap();
-    inputs.honor.insert(AsId(5));
-
-    let seen = |e: &BgpEngine, at: u32| e.as_path(AsId(at), p).unwrap().len();
-    let set = |live: &mut BgpEngine, inputs: &mut Inputs, counts: &[(u32, u8)], step: &str| {
-        let communities: BTreeSet<Community> = counts
-            .iter()
-            .map(|&(to, n)| Community::PrependTo(AsId(to), n))
-            .collect();
-        live.announce(AsId(5), p, communities.clone()).unwrap();
-        inputs
-            .originated
-            .insert((AsId(5), p), (communities, Vec::new()));
-        live.converge().unwrap();
-        replay_ok(live, inputs, &t, step);
-    };
-
-    set(&mut live, &mut inputs, &[(10, 2), (20, 1)], "prepend 2/1/0");
-    assert_eq!(
-        [seen(&live, 10), seen(&live, 20), seen(&live, 30)],
-        [3, 2, 1]
-    );
-    // 20 and 30 now share a count; 10 drops to none.
-    set(&mut live, &mut inputs, &[(20, 3), (30, 3)], "prepend 0/3/3");
-    assert_eq!(
-        [seen(&live, 10), seen(&live, 20), seen(&live, 30)],
-        [1, 4, 4]
-    );
-    for at in [10, 20, 30] {
-        assert!(live
-            .as_path(AsId(at), p)
-            .unwrap()
-            .iter()
-            .all(|&a| a == AsId(5)));
-    }
 }

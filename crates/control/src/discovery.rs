@@ -133,9 +133,11 @@ pub fn discover_paths(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tango_bgp::engine::RibStats;
     use tango_topology::vultr::{
         vultr_scenario, COGENT, GTT, LEVEL3, NTT, TELIA, TENANT_LA, TENANT_NY, VULTR_LA, VULTR_NY,
     };
+    use tango_topology::{AsKind, AsNode, DirectionProfile, LinkProfile, Topology};
 
     fn engine() -> BgpEngine {
         let s = vultr_scenario();
@@ -227,25 +229,55 @@ mod tests {
         assert_eq!(paths[1].transit_path, vec![TELIA]);
     }
 
+    /// An engine over `links` (customer, provider), each end a transit
+    /// AS, with a host prefix converged at AS 1 so the RIB is not empty.
+    fn small(links: &[(u32, u32)]) -> BgpEngine {
+        let lp = || LinkProfile::symmetric(DirectionProfile::constant(1));
+        let mut t = Topology::new();
+        for &(customer, provider) in links {
+            for id in [customer, provider] {
+                t.add_node(AsNode::new(id, AsKind::Transit, format!("{id}")))
+                    .unwrap();
+            }
+            t.add_provider(AsId(customer), AsId(provider), lp())
+                .unwrap();
+        }
+        let mut e = BgpEngine::new(t);
+        e.announce(AsId(1), pfx("2001:db8:1::/48"), BTreeSet::new())
+            .unwrap();
+        e.converge().unwrap();
+        e
+    }
+
+    /// On an error path, discovery has withdrawn the probe: no speaker
+    /// holds a route for it, and the RIB totals are back to `before`.
+    fn assert_probe_withdrawn(e: &BgpEngine, probe: IpCidr, before: RibStats) {
+        for node in e.topology().nodes() {
+            assert!(e.best_route(node.id, probe).is_none(), "{:?}", node.id);
+        }
+        assert_eq!(e.rib_stats(), before);
+    }
+
     #[test]
     fn observer_without_route_errors() {
-        // Announce from a node the observer can't reach: poison every
-        // transit so nothing propagates.
-        let mut e = engine();
-        let p = pfx("2001:db8:fa::/48");
-        // Pre-poison: originate with all transits in the path, so every
-        // transit drops it. Discovery then sees no path at all.
-        e.announce_poisoned(
-            TENANT_LA,
-            p,
-            Default::default(),
-            &[NTT, TELIA, GTT, LEVEL3, COGENT],
-        )
-        .unwrap();
-        e.converge().unwrap();
-        // discover_paths would re-announce over the poisoned origination;
-        // emulate by checking the observer's view directly.
-        assert!(e.as_path(TENANT_NY, p).is_none());
+        // The announcer 1 and the observer 2 are in different components.
+        let mut e = small(&[(1, 10), (2, 20)]);
+        let (before, probe) = (e.rib_stats(), pfx("2001:db8:fa::/48"));
+        let result = discover_paths(&mut e, AsId(1), AsId(2), probe, &[], 8);
+        assert_eq!(result, Err(DiscoveryError::NoPathAtAll));
+        assert_probe_withdrawn(&e, probe, before);
+    }
+
+    #[test]
+    fn observer_behind_the_announcer_errors_degenerate_path() {
+        // The observer 1's only provider is the announcer 10, passed as
+        // infrastructure: the observed path has no transit to suppress.
+        let mut e = small(&[(1, 10)]);
+        let (before, probe) = (e.rib_stats(), pfx("2001:db8:fa::/48"));
+        let infrastructure = [AsId(10), AsId(1)];
+        let result = discover_paths(&mut e, AsId(10), AsId(1), probe, &infrastructure, 8);
+        assert_eq!(result, Err(DiscoveryError::DegeneratePath));
+        assert_probe_withdrawn(&e, probe, before);
     }
 
     /// Discovery first announces the probe with no communities, exactly

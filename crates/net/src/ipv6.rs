@@ -190,11 +190,6 @@ impl Ipv6Repr {
         })
     }
 
-    /// The length of the emitted header.
-    pub fn header_len(&self) -> usize {
-        HEADER_LEN
-    }
-
     /// Total length of the emitted packet.
     pub fn total_len(&self) -> usize {
         HEADER_LEN + self.payload_len

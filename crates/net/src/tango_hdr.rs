@@ -284,11 +284,6 @@ impl TangoRepr {
         })
     }
 
-    /// Length of the emitted header.
-    pub fn header_len(&self) -> usize {
-        TANGO_HEADER_LEN
-    }
-
     /// Emit the header into the start of `packet`'s buffer.
     pub fn emit<T: AsRef<[u8]> + AsMut<[u8]>>(&self, packet: &mut TangoPacket<T>) -> Result<()> {
         if packet.buffer.as_ref().len() < TANGO_HEADER_LEN {

@@ -194,11 +194,6 @@ impl UdpRepr {
         })
     }
 
-    /// The length of the emitted header.
-    pub fn header_len(&self) -> usize {
-        HEADER_LEN
-    }
-
     /// Total length of the emitted datagram.
     pub fn total_len(&self) -> usize {
         HEADER_LEN + self.payload_len

@@ -166,14 +166,6 @@ impl<'a> Ctx<'a> {
         self.spans.record(self.node.0, kind)
     }
 
-    /// The span key of the dispatch currently executing (what [`Ctx::span`]
-    /// children and scheduled events are parented to). Derived from the
-    /// canonical event key alone, so it exists (and is identical) whether
-    /// or not span recording is armed.
-    pub fn dispatch_span(&self) -> SpanKey {
-        self.key.span()
-    }
-
     /// Where a packet dies in flight: the one owner of the
     /// [`DropReason`] → [`SimStats`] counter mapping, the `Drop` span and
     /// the buffer recycle.

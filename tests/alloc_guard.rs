@@ -106,14 +106,15 @@ const MAX_CALLS_PER_BGP_UPDATE: f64 = 0.20;
 /// Live heap bytes per RIB route (`rib_stats().total()`) that building
 /// and converging the engine of [`probe_calls`] may hold: its speakers
 /// and sessions, the RIB storage and the advertisements, over 8 host
-/// prefixes. Exact: 15.64 with a 4-byte handle slot per directed
+/// prefixes. Exact: 14.95 with a 4-byte handle slot per directed
 /// session (both Adj-RIB-Out and Adj-RIB-In entry), an 8-byte winner
-/// per speaker and the advertisements as 16-byte records in one arena
-/// per column; 21.46 with `Rc<PathAttrs>` slots and winners (8 and 16
-/// bytes) and an allocation per advertisement; 45.29 with a record per
-/// speaker and prefix, each holding its own Adj-RIB-In and Adj-RIB-Out
-/// vectors. Midway between 15.64 and 21.46.
-const MAX_RIB_HEAP_BYTES_PER_ROUTE: f64 = 18.55;
+/// per speaker and the advertisements as 12-byte records (path start,
+/// path length, communities) in one arena per column; 15.64 with a MED
+/// in every record (16 bytes); 21.46 with `Rc<PathAttrs>` slots and
+/// winners (8 and 16 bytes) and an allocation per advertisement; 45.29
+/// with a record per speaker and prefix, each holding its own
+/// Adj-RIB-In and Adj-RIB-Out vectors. Midway between 14.95 and 15.64.
+const MAX_RIB_HEAP_BYTES_PER_ROUTE: f64 = 15.30;
 /// Live heap bytes per delivered app packet that [`pairing_run`] may
 /// leave behind (the event queue's grown capacity, the `owd` values with
 /// their app bits, the 500 ms bins, the rolling windows, the pooled
