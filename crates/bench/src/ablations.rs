@@ -246,7 +246,7 @@ pub struct MultihomingRow {
 pub fn multihoming() -> Vec<MultihomingRow> {
     use tango_topology::vultr::{TENANT_LA, TENANT_NY, VULTR_LA};
     let pairing = tango::vultr_pairing(PairingOptions::default()).expect("provisions");
-    let topo = pairing.bgp.topology().clone();
+    let topo = pairing.sim.topology().clone();
     let floor = |transits: &[tango_topology::AsId],
                  a: tango_topology::AsId,
                  a_border: tango_topology::AsId,

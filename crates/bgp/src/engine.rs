@@ -27,14 +27,20 @@
 //! convergence blank with the same originations as a converged twin is
 //! filled by copying the twin's column, and billed the flood it skipped:
 //! the copy shares the twin's arena of advertisements until either
-//! column appends to it. A convergence ends by compacting every arena
-//! whose garbage outgrew what its column holds.
+//! column appends to it. An edit that blanks or changes a converged
+//! column first shelves its fixpoint — the originations by value and
+//! each speaker's winner session — and a prefix that enters blank with
+//! those originations while no twin is live is rebuilt from it: one
+//! export per speaker, parent first, and the same bill. A convergence
+//! ends by compacting every arena whose garbage outgrew what its column
+//! holds.
 
 use crate::community::Community;
 use crate::policy::local_pref_base;
-use crate::rib::{Ads, PathAttrs, PrefixColumn, Route, Winner};
+use crate::rib::{Ads, PathAttrs, PrefixColumn, Route, Winner, LOCAL};
 use crate::speaker::{BgpSpeaker, Neighbor, PrefixId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::rc::Rc;
 use tango_net::{IpCidr, PrefixTrie};
 use tango_obs::{Counter, Gauge, Histogram, Registry};
 use tango_topology::{AsId, Topology};
@@ -128,6 +134,10 @@ pub struct Work {
     /// Prefixes that entered a convergence blank and were filled by
     /// copying a converged twin's column instead of flooding.
     pub fills: u64,
+    /// Prefixes that entered a convergence blank and were rebuilt from a
+    /// shelved fixpoint instead of flooding (their exports' updates are
+    /// in `updates`).
+    pub rebuilds: u64,
     /// Decision-process runs (`BgpSpeaker::decide` calls).
     pub decides: u64,
     /// Column arenas compacted at the end of a convergence because their
@@ -150,6 +160,42 @@ enum Bill {
     /// originations under the current speaker configuration, which cost
     /// this much.
     Paid { updates: u64, rounds: usize },
+}
+
+/// An origination by value: speaker position, communities, poison path.
+type Origination = (u32, Rc<BTreeSet<Community>>, Box<[AsId]>);
+
+/// A from-blank fixpoint whose column an origination edit changed: its
+/// originations, each speaker's winner session ([`LOCAL`] for its
+/// origination or no route), and the [`Bill::Paid`] of its flood.
+#[derive(Debug, Clone)]
+struct Shelved {
+    origins: Box<[Origination]>,
+    winners: Box<[u32]>,
+    bill: Bill,
+}
+
+impl Shelved {
+    /// Are these the originations `column` holds?
+    fn fits(&self, column: &PrefixColumn) -> bool {
+        let same = |(at, c, poison): &Origination| column.originates(*at, c, poison);
+        self.origins.len() == column.origins.len() && self.origins.iter().all(same)
+    }
+
+    /// Heap bytes the entry holds, but for its shared community sets.
+    fn heap_bytes(&self) -> usize {
+        use core::mem::size_of_val;
+        let poisons: usize = self.origins.iter().map(|o| size_of_val(&*o.2)).sum();
+        size_of_val(&*self.origins) + poisons + size_of_val(&*self.winners)
+    }
+}
+
+/// Where [`BgpEngine::fixpoint`] found a blank prefix's fixpoint.
+enum Fixpoint {
+    /// A live column with a paid bill, by prefix id.
+    Twin(usize),
+    /// A shelf entry, by position.
+    Shelf(usize),
 }
 
 /// The prefix intern table: prefix ↔ dense [`PrefixId`].
@@ -211,7 +257,6 @@ impl PrefixTable {
 /// ```
 #[derive(Debug, Clone)]
 pub struct BgpEngine {
-    topology: Topology,
     /// One speaker per topology node, ordered by AS id, so a position in
     /// this table sorts exactly like the id it stands for (and, ids being
     /// 32-bit, fits a `u32`). Each speaker holds its neighbors' positions
@@ -228,6 +273,10 @@ pub struct BgpEngine {
     /// them: [`BgpEngine::rib_heap_bytes`] prices every column at its
     /// size, so a field there costs bytes per route at every tier.
     bills: Vec<Bill>,
+    /// Fixpoints whose columns were edited away since the last
+    /// configuration edit, oldest first, holding at most twice as many
+    /// bytes as the columns' slots (see [`BgpEngine::converge`]).
+    shelf: VecDeque<Shelved>,
     work: Work,
     obs: Option<BgpObs>,
     rib_obs: Option<RibObs>,
@@ -241,7 +290,8 @@ pub struct BgpEngine {
     /// re-export.
     dirty_config: BTreeSet<AsId>,
     /// [`BgpEngine::converge`]'s worklists, kept for their capacity: who
-    /// exports this round (cleared on entry), and where an update landed.
+    /// exports this round (cleared on entry, and a rebuild's queue before
+    /// that), and where an update landed.
     export_set: Worklist,
     received: Worklist,
     /// Working space for renumbering a column's arena, kept for its
@@ -274,6 +324,7 @@ fn pair_mut(
 
 impl BgpEngine {
     /// Build an engine with a default speaker for every topology node.
+    /// The engine keeps the sessions it resolves, not the graph.
     pub fn new(topology: Topology) -> Self {
         let ids: Vec<AsId> = topology.nodes().map(|n| n.id).collect();
         // Every node's session list in the order its speaker keeps it.
@@ -311,12 +362,12 @@ impl BgpEngine {
             }))
             .collect();
         BgpEngine {
-            topology,
             speakers,
             offsets,
             prefixes: PrefixTable::default(),
             columns: Vec::new(),
             bills: Vec::new(),
+            shelf: VecDeque::new(),
             work: Work::default(),
             obs: None,
             rib_obs: None,
@@ -371,6 +422,7 @@ impl BgpEngine {
     /// Heap bytes held by the RIB columns right now: their slots,
     /// winners and originations, and their arenas with the community
     /// sets in them. An arena shared by twin columns is counted once.
+    /// The shelf is a memo, not RIB: see [`BgpEngine::shelf_heap_bytes`].
     pub fn rib_heap_bytes(&self) -> u64 {
         let mut seen = BTreeSet::new();
         let columns = self.columns.capacity() * core::mem::size_of::<PrefixColumn>();
@@ -384,9 +436,82 @@ impl BgpEngine {
         self.work
     }
 
-    /// The underlying topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
+    /// Heap bytes the shelved fixpoints hold: their winner maps and
+    /// originations (the community sets are the columns' too).
+    pub fn shelf_heap_bytes(&self) -> u64 {
+        let entries = self.shelf.capacity() * core::mem::size_of::<Shelved>();
+        (entries + self.shelf.iter().map(Shelved::heap_bytes).sum::<usize>()) as u64
+    }
+
+    /// Drop `p`'s bill before an edit of its originations. A paid flood
+    /// that cost anything is shelved first, unless a live twin or the
+    /// shelf holds its fixpoint already; then the oldest entries go
+    /// until the shelf holds at most twice the bytes of the columns'
+    /// slots.
+    fn unbill(&mut self, p: PrefixId) {
+        let bill = core::mem::take(&mut self.bills[p.slot()]);
+        if !matches!(bill, Bill::Paid { updates: 1.., .. }) || self.fixpoint(p).is_some() {
+            return;
+        }
+        let column = &self.columns[p.slot()];
+        let ads = column.ads();
+        let origins = column.origins.iter().map(|&(at, h)| {
+            let communities = Rc::clone(ads.communities(h));
+            (at, communities, ads.path(h).into())
+        });
+        self.shelf.push_back(Shelved {
+            origins: origins.collect(),
+            winners: column.winner_sessions().collect(),
+            bill,
+        });
+        let slots = self.columns.len() * self.offsets[self.speakers.len()] as usize;
+        let bound = (2 * slots * core::mem::size_of::<u32>()) as u64;
+        while self.shelf_heap_bytes() > bound && self.shelf.pop_front().is_some() {}
+    }
+
+    /// Where blank prefix `p`'s originations have a known fixpoint: a
+    /// paid twin, else a shelf entry.
+    fn fixpoint(&self, p: PrefixId) -> Option<Fixpoint> {
+        let column = &self.columns[p.slot()];
+        let paid = |(bill, twin): (&Bill, &PrefixColumn)| {
+            matches!(bill, Bill::Paid { .. }) && twin.same_originations(column)
+        };
+        let twin = self.bills.iter().zip(&self.columns).position(paid);
+        let shelved = || self.shelf.iter().position(|s| s.fits(column));
+        twin.map(Fixpoint::Twin)
+            .or_else(|| shelved().map(Fixpoint::Shelf))
+    }
+
+    /// Rebuild blank column `p` from shelf entry `e`. Parent first from
+    /// the origins, each speaker installs its shelved winner — the slot
+    /// its parent's export just wrote — and exports once: every slot
+    /// then holds what the flood left in it. Returns the updates the
+    /// exports delivered.
+    fn rebuild(&mut self, p: PrefixId, e: usize) -> u64 {
+        let (column, winners) = (&mut self.columns[p.slot()], &self.shelf[e].winners);
+        let (queue, mut delivered) = (&mut self.export_set, 0);
+        queue.clear();
+        queue.extend(column.origins.iter().map(|&(at, _)| (at, p)));
+        let mut next = 0;
+        while let Some(&(at, _)) = queue.get(next) {
+            next += 1;
+            let session = winners[at as usize];
+            let ad = match session {
+                LOCAL => column.origin(at),
+                k => column.sent((self.offsets[at as usize] + k) as usize),
+            };
+            column.set_winner(at, ad.map(|ad| Winner { session, ad }));
+            let s = &self.speakers[at as usize];
+            s.export(at, &self.offsets, column, |_, _, changed| {
+                delivered += u64::from(changed)
+            });
+            let children = s
+                .neighbors()
+                .iter()
+                .filter(|n| winners[n.index as usize] == n.back);
+            queue.extend(children.map(|n| (n.index, p)));
+        }
+        delivered
     }
 
     /// A speaker to configure, marked dirty: the next
@@ -474,7 +599,7 @@ impl BgpEngine {
     ) -> Result<(), EngineError> {
         let i = self.index_of(origin)? as u32; // before an id is minted
         let p = self.intern(prefix);
-        self.bills[p.slot()] = Bill::Unknown;
+        self.unbill(p);
         self.columns[p.slot()].originate(i, poison, communities);
         self.dirty_origins.push((i, p));
         Ok(())
@@ -504,13 +629,16 @@ impl BgpEngine {
         let Some((i, p)) = self.origination(origin, prefix)? else {
             return Ok(false);
         };
-        let column = &mut self.columns[p.slot()];
-        if !column.set_communities(i, communities, &mut self.handle_map) {
+        let column = &self.columns[p.slot()];
+        let held = column.origin(i).map(|h| column.ads().communities(h));
+        if held.map_or(true, |c| **c == communities) {
             return Ok(false);
         }
+        self.unbill(p);
+        let column = &mut self.columns[p.slot()];
+        column.set_communities(i, communities, &mut self.handle_map);
         let origins = column.origins.iter().map(|&(o, _)| (o, p));
         self.dirty_origins.extend(origins);
-        self.bills[p.slot()] = Bill::Unknown;
         Ok(true)
     }
 
@@ -520,15 +648,13 @@ impl BgpEngine {
         let Some((i, p)) = self.origination(origin, prefix)? else {
             return Ok(false);
         };
-        let origins = &mut self.columns[p.slot()].origins;
-        let before = origins.len();
-        origins.retain(|&(o, _)| o != i);
-        let withdrawn = origins.len() != before;
-        if withdrawn {
-            self.dirty_origins.push((i, p));
-            self.bills[p.slot()] = Bill::Unknown;
+        if self.columns[p.slot()].origin(i).is_none() {
+            return Ok(false);
         }
-        Ok(withdrawn)
+        self.unbill(p);
+        self.columns[p.slot()].origins.retain(|&(o, _)| o != i);
+        self.dirty_origins.push((i, p));
+        Ok(true)
     }
 
     /// Run synchronous rounds to the fixpoint. Returns the number of
@@ -549,12 +675,16 @@ impl BgpEngine {
     /// originations (value-equal, at the same speakers) under the current
     /// configuration: its *twin*, whose routes and arena it copies. No
     /// policy reads the prefix itself, so the flood would rebuild that
-    /// column slot for slot. The twin's bill — the updates and rounds its
-    /// flood cost — is added to `bgp.updates_processed` and joins the
-    /// returned and recorded rounds, so every count is what flooding
-    /// reports. A bill is set when a prefix that entered blank has
-    /// converged, dropped by any origination edit of its prefix, and all
-    /// are dropped by a convergence with a configuration edit to apply.
+    /// column slot for slot. Failing a twin, a *shelved* fixpoint of the
+    /// same originations is rebuilt: each speaker installs its shelved
+    /// winner and exports once, parent first, with no decision. The
+    /// bill — the updates and rounds the flood cost — is added to
+    /// `bgp.updates_processed` and joins the returned and recorded
+    /// rounds, so every count is what flooding reports. A bill is set
+    /// when a prefix that entered blank has converged, shelved with its
+    /// column's winners by any origination edit of its prefix, and all
+    /// bills and the shelf are dropped by a convergence with a
+    /// configuration edit to apply.
     /// At the end, every column whose arena holds more than twice as many
     /// records as winners and originations, plus a slack, is compacted.
     /// [`BgpEngine::work`] counts what ran.
@@ -566,35 +696,40 @@ impl BgpEngine {
         if !self.dirty_config.is_empty() {
             // A configuration edit can move any column's fixpoint.
             self.bills.fill(Bill::Unknown);
+            self.shelf.clear();
         }
-        // Each prefix that enters blank is filled from a paid-for twin or
-        // opens a tally of its flood. A prefix with several origins is
-        // listed once per origin; its first entry settles which.
+        // Each prefix that enters blank is filled from a paid-for twin,
+        // rebuilt from the shelf or opens a tally of its flood. A prefix
+        // with several origins is listed once per origin; its first entry
+        // settles which.
         for &(_, p) in &dirty_origins {
             let column = &self.columns[p.slot()];
             let fresh = column.is_blank() && !column.origins.is_empty();
             if !fresh || !matches!(self.bills[p.slot()], Bill::Unknown) {
                 continue;
             }
-            let twin = (self.bills.iter().zip(&self.columns)).position(|(bill, twin)| {
-                matches!(bill, Bill::Paid { .. }) && twin.same_originations(column)
-            });
-            self.bills[p.slot()] = match twin {
+            let bill = match self.fixpoint(p) {
                 None => Bill::Open {
                     updates: 0,
                     rounds: 0,
                 },
-                Some(k) => {
+                Some(Fixpoint::Twin(k)) => {
                     let (to, from) = pair_mut(&mut self.columns, p.slot(), k);
                     to.copy_routes(from);
                     self.work.fills += 1;
-                    if let Bill::Paid { updates, rounds } = self.bills[k] {
-                        billed_updates += updates;
-                        billed_rounds = billed_rounds.max(rounds);
-                    }
                     self.bills[k]
                 }
+                Some(Fixpoint::Shelf(e)) => {
+                    self.work.updates += self.rebuild(p, e);
+                    self.work.rebuilds += 1;
+                    self.shelf[e].bill
+                }
             };
+            if let Bill::Paid { updates, rounds } = bill {
+                billed_updates += updates;
+                billed_rounds = billed_rounds.max(rounds);
+            }
+            self.bills[p.slot()] = bill;
         }
         // Phase 0: re-decide exactly what changed since the last call.
         // Config-dirty speakers get a conservative full recompute and
@@ -602,7 +737,7 @@ impl BgpEngine {
         // origin-dirty entries get a single-prefix recompute and enter
         // the export set only if their Loc-RIB entry actually moved —
         // which it cannot at a speaker the first loop already recomputed,
-        // nor in a prefix its twin just filled.
+        // nor in a prefix a twin filled or the shelf rebuilt.
         self.export_set.clear();
         for id in core::mem::take(&mut self.dirty_config) {
             let i = self.index_of(id).expect("marked while present") as u32;
@@ -1167,13 +1302,52 @@ mod tests {
         assert_eq!(e.rib_heap_bytes(), heap_after_second);
     }
 
+    /// A thousand distinct community sets on one probe, each edit
+    /// shelving the fixpoint before it, and every fifth edit revisiting
+    /// the set of four edits before: the shelf stays within twice the
+    /// columns' slot bytes by dropping its oldest entries, the revisits
+    /// are rebuilt, and the probe ends as a fresh engine has it.
+    #[test]
+    fn a_thousand_community_sets_keep_the_shelf_within_its_bound() {
+        let (mut e, pops) = churn_mesh();
+        let probe = pfx("2001:db8:2000::/48");
+        e.announce(pops[0], probe, BTreeSet::new()).unwrap();
+        e.converge().unwrap();
+        let slots = e.columns.len() * e.offsets[e.speakers.len()] as usize;
+        let bound = 2 * slots as u64 * 4;
+        let set = |k: u32| -> BTreeSet<_> {
+            let d = if k % 5 == 4 { k - 4 - k / 5 } else { k - k / 5 };
+            [
+                Community::NoExportTo(AsId(d % 100)),
+                Community::NoExportTo(AsId(1000 + d)),
+            ]
+            .into()
+        };
+        for k in 0..1250 {
+            e.set_announcement_communities(pops[0], probe, set(k))
+                .unwrap();
+            e.converge().unwrap();
+            assert!(
+                e.shelf_heap_bytes() <= bound,
+                "{} B after {k} sets",
+                e.shelf_heap_bytes()
+            );
+        }
+        assert!(e.shelf.len() < 1000, "the oldest entries went");
+        assert_eq!(e.work().rebuilds, 250, "every revisit was rebuilt");
+        let (mut fresh, _) = churn_mesh();
+        fresh.announce(pops[0], probe, set(1249)).unwrap();
+        fresh.converge().unwrap();
+        assert_same_routes(&e, &fresh, probe);
+    }
+
     /// Assert `a` and `b` agree on every speaker's best route and every
     /// session's advertisement for `p`.
     fn assert_same_routes(a: &BgpEngine, b: &BgpEngine, p: IpCidr) {
-        for node in a.topology().nodes() {
-            let at = node.id;
+        for s in &a.speakers {
+            let at = s.asid();
             assert_eq!(a.best_route(at, p), b.best_route(at, p), "{at:?} for {p}");
-            for &to in a.topology().neighbors(at) {
+            for to in s.neighbors().iter().map(|n| n.id) {
                 let sent = |e: &BgpEngine| e.advertisement(at, to, p);
                 assert_eq!(sent(a), sent(b), "{at:?} -> {to:?} for {p}");
             }
@@ -1191,7 +1365,8 @@ mod tests {
     fn an_arena_stays_bounded_under_incremental_churn() {
         let (mut e, pops) = churn_mesh();
         let host = pfx("2001:db8:1000::/48");
-        let prefs: BTreeMap<AsId, u32> = [(e.topology().neighbors(pops[2])[0], 30)].into();
+        let first = e.speakers[e.index_of(pops[2]).unwrap()].neighbors()[0].id;
+        let prefs: BTreeMap<AsId, u32> = [(first, 30)].into();
         let cycle = |e: &mut BgpEngine| {
             e.announce(pops[1], host, BTreeSet::new()).unwrap();
             e.converge().unwrap();

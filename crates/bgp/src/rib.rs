@@ -131,12 +131,8 @@ impl Ads {
 
     /// Do `a` and `b`, either possibly [`NONE`], name equal advertisements?
     pub(crate) fn same(&self, a: u32, b: u32) -> bool {
-        a == b || (a != NONE && b != NONE && self.same_as(a, self, b))
-    }
-
-    /// Does `a` here equal `b` in `other`?
-    fn same_as(&self, a: u32, other: &Ads, b: u32) -> bool {
-        self.path(a) == other.path(b) && self.communities(a) == other.communities(b)
+        let equal = || self.path(a) == self.path(b) && self.communities(a) == self.communities(b);
+        a == b || (a != NONE && b != NONE && equal())
     }
 
     /// Append the record whose path is `paths[begin..]`.
@@ -311,25 +307,19 @@ impl PrefixColumn {
         self.origins.push((at, h));
     }
 
-    /// Give `at`'s origination `communities` and blank the column; false,
-    /// changing nothing, if it has none or already attaches them.
+    /// Give `at`'s origination, which must exist, `communities` and blank
+    /// the column.
     pub(crate) fn set_communities(
         &mut self,
         at: u32,
         communities: BTreeSet<Community>,
         map: &mut Vec<u32>,
-    ) -> bool {
-        let Some(h) = self.origin(at) else {
-            return false;
-        };
-        if **self.ads.communities(h) == communities {
-            return false;
-        }
+    ) {
+        let h = self.origin(at).expect("an origination to edit");
         // Empty, so no allocation, but for a poisoned origination.
         let poison = self.ads.path(h).to_vec();
         self.clear_routes(map);
         self.originate(at, &poison, communities);
-        true
     }
 
     /// The speaker at `at`'s Loc-RIB entry.
@@ -407,13 +397,30 @@ impl PrefixColumn {
         self.stats == RibStats::default()
     }
 
+    /// Does the speaker at `at` originate the prefix with `communities`
+    /// and the path `poison`?
+    pub(crate) fn originates(
+        &self,
+        at: u32,
+        communities: &Rc<BTreeSet<Community>>,
+        poison: &[AsId],
+    ) -> bool {
+        let same = |h| self.ads.path(h) == poison && self.ads.communities(h) == communities;
+        self.origin(at).is_some_and(same)
+    }
+
     /// Do the two columns originate the same set of announcements: the
     /// same origin speakers, with value-equal attributes?
     pub(crate) fn same_originations(&self, other: &PrefixColumn) -> bool {
-        let same = |&(at, h): &(u32, u32)| {
-            (other.origin(at)).is_some_and(|g| self.ads.same_as(h, &other.ads, g))
-        };
-        self.origins.len() == other.origins.len() && self.origins.iter().all(same)
+        let ads = &other.ads;
+        let same = |&(at, h): &(u32, u32)| self.originates(at, ads.communities(h), ads.path(h));
+        self.origins.len() == other.origins.len() && other.origins.iter().all(same)
+    }
+
+    /// Each speaker's winner session, by position ([`LOCAL`] for its own
+    /// origination or no route).
+    pub(crate) fn winner_sessions(&self) -> impl Iterator<Item = u32> + '_ {
+        self.winners.iter().map(|w| w.session)
     }
 
     /// Take `twin`'s routes — every slot, imported bit and winner, and

@@ -24,6 +24,13 @@
 //! originations: same winners, advertisements, `updates_processed` and
 //! rounds. A model of which columns carry a bill says when a fill must
 //! happen, and the engine's fill count must agree with it step by step.
+//!
+//! An edit that changes a converged column shelves its fixpoint, and a
+//! prefix that enters blank with shelved originations is rebuilt from
+//! it. Histories draw community sets from a small pool, so edits revisit
+//! them, and interleave preference and honor edits, which must empty
+//! the shelf: the after-every-step replay then checks every rebuilt
+//! column, and the fill check its bill.
 
 use proptest::prelude::*;
 use proptest::sample::Index;
@@ -164,36 +171,66 @@ fn check_against_replay(
 #[derive(Debug, Clone)]
 struct Op {
     kind: u8,
+    /// Draw `node` from the edge sites, not from every node.
+    site: bool,
     node: Index,
     other: Index,
     prefix: usize,
-    communities: Vec<Index>,
+    /// An index into the history's [`community_pool`].
+    communities: usize,
     flag: bool,
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     (
-        0u8..7,
+        (0u8..10, any::<bool>()),
         any::<Index>(),
         any::<Index>(),
         0usize..PREFIXES,
-        proptest::collection::vec(any::<Index>(), 0..3),
+        0usize..3,
         any::<bool>(),
     )
-        .prop_map(|(kind, node, other, prefix, communities, flag)| Op {
-            kind,
-            node,
-            other,
-            prefix,
-            communities,
-            flag,
-        })
+        .prop_map(
+            |((kind, site), node, other, prefix, communities, flag)| Op {
+                kind,
+                site,
+                node,
+                other,
+                prefix,
+                communities,
+                flag,
+            },
+        )
 }
 
-fn draw_communities(targets: &[Index], nodes: &[AsId]) -> BTreeSet<Community> {
-    (targets.iter())
-        .map(|target| Community::NoExportTo(nodes[target.index(nodes.len())]))
-        .collect()
+/// The three community sets a history attaches: none, and the
+/// suppression of every other AS the edge sites neighbor, in id order,
+/// starting with the first or the second.
+fn community_pool(topology: &Topology, sites: &[AsId]) -> [BTreeSet<Community>; 3] {
+    let mut near: Vec<AsId> = (sites.iter())
+        .flat_map(|&site| topology.neighbors(site).iter().copied())
+        .collect();
+    near.sort_unstable();
+    near.dedup();
+    let every_other = |first| {
+        near.iter()
+            .skip(first)
+            .step_by(2)
+            .map(|&a| Community::NoExportTo(a))
+    };
+    [
+        BTreeSet::new(),
+        every_other(0).collect(),
+        every_other(1).collect(),
+    ]
+}
+
+/// The graph a history runs on, as [`apply`] draws from it.
+struct Graph<'a> {
+    topology: &'a Topology,
+    nodes: &'a [AsId],
+    sites: &'a [AsId],
+    pool: [BTreeSet<Community>; 3],
 }
 
 /// What one [`Op`] did to the originations and the configuration.
@@ -236,16 +273,12 @@ struct Reported {
 
 /// Apply `op` to the live engine and mirror it in the model. Returns a
 /// label for failure messages and what the step changed.
-fn apply(
-    op: &Op,
-    live: &mut BgpEngine,
-    inputs: &mut Inputs,
-    topology: &Topology,
-    nodes: &[AsId],
-) -> (String, Effect) {
-    let node = nodes[op.node.index(nodes.len())];
+fn apply(op: &Op, live: &mut BgpEngine, inputs: &mut Inputs, g: &Graph) -> (String, Effect) {
+    let (topology, nodes) = (g.topology, g.nodes);
+    let from = if op.site { g.sites } else { nodes };
+    let node = from[op.node.index(from.len())];
     let p = prefix(op.prefix);
-    let communities = draw_communities(&op.communities, nodes);
+    let communities = g.pool[op.communities].clone();
     // Edits and withdrawals prefer a live origination so they usually land.
     let live_origination = inputs
         .originated
@@ -273,7 +306,7 @@ fn apply(
             let label = format!("announce {p} at {node:?} poisoning {poison:?}");
             (label, Effect::edited(p, new))
         }
-        2 => {
+        2 | 7 | 9 => {
             let target = live_origination;
             let changed = live
                 .set_announcement_communities(target.0, target.1, communities.clone())
@@ -305,7 +338,7 @@ fn apply(
                 false => (label, Effect::default()),
             }
         }
-        4 => {
+        4 | 8 => {
             let neighbors = topology.neighbors(node);
             let mut prefs = BTreeMap::new();
             if op.flag && !neighbors.is_empty() {
@@ -412,18 +445,20 @@ fn check_fill(
 }
 
 /// What one history exercised beyond the replay checks: arena
-/// compactions, and incremental edits of a column a twin fill shares.
+/// compactions, incremental edits of a column a twin fill shares, and
+/// rebuilds from the shelf.
 #[derive(Debug, Default)]
 struct Reach {
     compactions: u64,
     filled_edits: u64,
+    rebuilds: u64,
 }
 
 /// Random histories over generated internet graphs: after every step
 /// and its convergence, live state == from-scratch replay. Over the
-/// run, at least one arena compaction and one incremental edit of a
-/// twin-filled column must have happened, so both are held against the
-/// replay.
+/// run, at least one arena compaction, one incremental edit of a
+/// twin-filled column and one rebuild from the shelf must have
+/// happened, so each is held against the replay.
 #[test]
 fn incremental_state_equals_fresh_replay() {
     let mut reach = Reach::default();
@@ -439,6 +474,7 @@ fn incremental_state_equals_fresh_replay() {
         reach.filled_edits > 0,
         "no history edited a twin-filled column incrementally"
     );
+    assert!(reach.rebuilds > 0, "no history rebuilt a shelved fixpoint");
 }
 
 fn incremental_history(
@@ -450,6 +486,12 @@ fn incremental_history(
 ) -> Result<(), String> {
     let g = try_generate(&GenParams::internet(ases, edges, seed)).expect("preset is valid");
     let nodes: Vec<AsId> = g.topology.nodes().map(|n| n.id).collect();
+    let graph = Graph {
+        topology: &g.topology,
+        nodes: &nodes,
+        sites: &g.edge_sites,
+        pool: community_pool(&g.topology, &g.edge_sites),
+    };
     let registry = Registry::new();
     let mut live = BgpEngine::new(g.topology.clone());
     live.set_obs(&registry);
@@ -476,7 +518,7 @@ fn incremental_history(
     for op in ops {
         let (held, stats) = (inputs.held(), live.rib_stats());
         let (fills, updates_before) = (live.work().fills, updates(&registry));
-        let (step, effect) = apply(op, &mut live, &mut inputs, &g.topology, &nodes);
+        let (step, effect) = apply(op, &mut live, &mut inputs, &graph);
         let rounds = live.converge().expect("Gao-Rexford policies converge");
         check_against_replay(&live, &inputs, &g.topology, checked, &step)?;
         let reported = Reported {
@@ -494,7 +536,8 @@ fn incremental_history(
             &reported,
             &step,
         )?;
-        check_idle_reexport(&live, &inputs, nodes[op.node.index(nodes.len())], &step)?;
+        let from = if op.site { &g.edge_sites } else { &nodes };
+        check_idle_reexport(&live, &inputs, from[op.node.index(from.len())], &step)?;
         if effect.config {
             filled.clear();
         }
@@ -507,6 +550,7 @@ fn incremental_history(
         }
     }
     reach.compactions += live.work().compactions;
+    reach.rebuilds += live.work().rebuilds;
     Ok(())
 }
 

@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 use tango_bgp::{BgpEngine, EngineError};
 use tango_dataplane::Tunnel;
 use tango_net::{IpCidr, Ipv6Cidr};
-use tango_topology::AsId;
+use tango_topology::{AsId, Topology};
 
 /// One side of a Tango pairing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,13 +133,11 @@ impl ProvisionedPairing {
     }
 }
 
-fn label_for(engine: &BgpEngine, path: &DiscoveredPath) -> String {
+fn label_for(topology: &Topology, path: &DiscoveredPath) -> String {
     match path.distinguishing_carrier() {
-        Some(id) => engine
-            .topology()
+        Some(id) => topology
             .node(id)
-            .map(|n| n.name.clone())
-            .unwrap_or_else(|| id.to_string()),
+            .map_or_else(|| id.to_string(), |n| n.name.clone()),
         None => "direct".to_string(),
     }
 }
@@ -152,13 +150,15 @@ fn path_prefix(block: &Ipv6Cidr, i: usize) -> Result<Ipv6Cidr, ProvisionError> {
 }
 
 /// Discover paths in both directions, announce pinned per-path prefixes
-/// and the host prefixes, converge, and verify every pin.
+/// and the host prefixes, converge, and verify every pin; name tunnels
+/// after `topology`'s nodes.
 ///
 /// Tunnel ids are indexes into the discovery order (0 = the BGP-default
 /// path); the same id on both sides refers to *different* directions'
 /// paths, which is fine — tunnels are unidirectional.
 pub fn provision(
     engine: &mut BgpEngine,
+    topology: &Topology,
     a: &SideConfig,
     b: &SideConfig,
     max_paths: usize,
@@ -233,7 +233,7 @@ pub fn provision(
             }
             direction.tunnels.push(Tunnel::from_prefixes(
                 i as u16,
-                label_for(engine, want),
+                label_for(topology, want),
                 local[i.min(local.len() - 1)],
                 *prefix,
             ));
@@ -280,7 +280,7 @@ mod tests {
     #[test]
     fn provisions_four_verified_tunnels_each_way() {
         let mut e = engine();
-        let p = provision(&mut e, &la(), &ny(), 8).unwrap();
+        let p = provision(&mut e, &vultr_scenario().topology, &la(), &ny(), 8).unwrap();
         assert_eq!(p.from(Side::A).tunnels.len(), 4);
         assert_eq!(p.from(Side::B).tunnels.len(), 4);
         let labels: Vec<&str> = p
@@ -315,7 +315,7 @@ mod tests {
     #[test]
     fn tunnel_endpoints_live_in_carved_prefixes() {
         let mut e = engine();
-        let p = provision(&mut e, &la(), &ny(), 8).unwrap();
+        let p = provision(&mut e, &vultr_scenario().topology, &la(), &ny(), 8).unwrap();
         // LA tunnel 2 (GTT) must target NY's third /48.
         let want: Ipv6Cidr = "2001:db8:202::/48".parse().unwrap();
         assert!(want.contains(p.from(Side::A).tunnels[2].remote_endpoint));
@@ -327,7 +327,7 @@ mod tests {
     #[test]
     fn converged_engine_routes_each_tunnel_prefix_distinctly() {
         let mut e = engine();
-        let p = provision(&mut e, &la(), &ny(), 8).unwrap();
+        let p = provision(&mut e, &vultr_scenario().topology, &la(), &ny(), 8).unwrap();
         // Forwarding traces from NY toward each LA prefix hit the right
         // transit.
         let transits = [NTT, TELIA, GTT, NTT /* Level3 path starts at NTT */];
@@ -341,7 +341,7 @@ mod tests {
     #[test]
     fn host_prefixes_reachable_without_communities() {
         let mut e = engine();
-        provision(&mut e, &la(), &ny(), 8).unwrap();
+        provision(&mut e, &vultr_scenario().topology, &la(), &ny(), 8).unwrap();
         assert!(e
             .as_path(TENANT_NY, "2001:db8:1ff::/48".parse().unwrap())
             .is_some());
@@ -353,7 +353,7 @@ mod tests {
     #[test]
     fn max_paths_limits_tunnels() {
         let mut e = engine();
-        let p = provision(&mut e, &la(), &ny(), 2).unwrap();
+        let p = provision(&mut e, &vultr_scenario().topology, &la(), &ny(), 2).unwrap();
         assert_eq!(p.from(Side::A).tunnels.len(), 2);
         assert_eq!(p.from(Side::B).tunnels.len(), 2);
     }
@@ -363,7 +363,7 @@ mod tests {
         let mut e = engine();
         let mut a = la();
         a.block = "2001:db8:100::/48".parse().unwrap(); // no room for /48 subnets
-        match provision(&mut e, &a, &ny(), 8) {
+        match provision(&mut e, &vultr_scenario().topology, &a, &ny(), 8) {
             Err(ProvisionError::BlockTooSmall) => {}
             other => panic!("expected BlockTooSmall, got {other:?}"),
         }

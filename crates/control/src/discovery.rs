@@ -229,9 +229,9 @@ mod tests {
         assert_eq!(paths[1].transit_path, vec![TELIA]);
     }
 
-    /// An engine over `links` (customer, provider), each end a transit
-    /// AS, with a host prefix converged at AS 1 so the RIB is not empty.
-    fn small(links: &[(u32, u32)]) -> BgpEngine {
+    /// The graph of `links` (customer, provider), each end a transit AS, and
+    /// an engine over it with a host prefix converged at AS 1.
+    fn small(links: &[(u32, u32)]) -> (Topology, BgpEngine) {
         let lp = || LinkProfile::symmetric(DirectionProfile::constant(1));
         let mut t = Topology::new();
         for &(customer, provider) in links {
@@ -242,17 +242,17 @@ mod tests {
             t.add_provider(AsId(customer), AsId(provider), lp())
                 .unwrap();
         }
-        let mut e = BgpEngine::new(t);
+        let mut e = BgpEngine::new(t.clone());
         e.announce(AsId(1), pfx("2001:db8:1::/48"), BTreeSet::new())
             .unwrap();
         e.converge().unwrap();
-        e
+        (t, e)
     }
 
     /// On an error path, discovery has withdrawn the probe: no speaker
     /// holds a route for it, and the RIB totals are back to `before`.
-    fn assert_probe_withdrawn(e: &BgpEngine, probe: IpCidr, before: RibStats) {
-        for node in e.topology().nodes() {
+    fn assert_probe_withdrawn(e: &BgpEngine, t: &Topology, probe: IpCidr, before: RibStats) {
+        for node in t.nodes() {
             assert!(e.best_route(node.id, probe).is_none(), "{:?}", node.id);
         }
         assert_eq!(e.rib_stats(), before);
@@ -261,23 +261,23 @@ mod tests {
     #[test]
     fn observer_without_route_errors() {
         // The announcer 1 and the observer 2 are in different components.
-        let mut e = small(&[(1, 10), (2, 20)]);
+        let (t, mut e) = small(&[(1, 10), (2, 20)]);
         let (before, probe) = (e.rib_stats(), pfx("2001:db8:fa::/48"));
         let result = discover_paths(&mut e, AsId(1), AsId(2), probe, &[], 8);
         assert_eq!(result, Err(DiscoveryError::NoPathAtAll));
-        assert_probe_withdrawn(&e, probe, before);
+        assert_probe_withdrawn(&e, &t, probe, before);
     }
 
     #[test]
     fn observer_behind_the_announcer_errors_degenerate_path() {
         // The observer 1's only provider is the announcer 10, passed as
         // infrastructure: the observed path has no transit to suppress.
-        let mut e = small(&[(1, 10)]);
+        let (t, mut e) = small(&[(1, 10)]);
         let (before, probe) = (e.rib_stats(), pfx("2001:db8:fa::/48"));
         let infrastructure = [AsId(10), AsId(1)];
         let result = discover_paths(&mut e, AsId(10), AsId(1), probe, &infrastructure, 8);
         assert_eq!(result, Err(DiscoveryError::DegeneratePath));
-        assert_probe_withdrawn(&e, probe, before);
+        assert_probe_withdrawn(&e, &t, probe, before);
     }
 
     /// Discovery first announces the probe with no communities, exactly

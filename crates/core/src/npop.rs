@@ -555,10 +555,10 @@ impl NPopMesh {
         let counter = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
         let peak_routes = snap.gauges.get("bgp.rib.peak_routes").copied().unwrap_or(0);
         let rib = self.engine.rib_stats();
-        // Scale the measured bytes per route of the final tables (shared
-        // advertisements counted once) to the peak entry count.
-        let rib_bytes_est =
-            peak_routes.saturating_mul(self.engine.rib_heap_bytes() / (rib.total() as u64).max(1));
+        // Scale the final tables' bytes (shared advertisements counted
+        // once) to the peak entry count, multiplying before dividing.
+        let scaled = u128::from(peak_routes) * u128::from(self.engine.rib_heap_bytes());
+        let rib_bytes_est = (scaled / (rib.total() as u128).max(1)) as u64;
         NPopOutcome {
             pops: self.pops.clone(),
             graph_digest: self.graph_digest,

@@ -336,7 +336,7 @@ impl TangoPairing {
         for (node, prefs) in neighbor_pref {
             bgp.set_neighbor_pref(node, prefs)?;
         }
-        let provisioned = provision(&mut bgp, &side_a, &side_b, MAX_PATHS)?;
+        let provisioned = provision(&mut bgp, &topology, &side_a, &side_b, MAX_PATHS)?;
         let mut sides = [side_a, side_b].map(|config| SideState {
             config,
             stats: shared_sink(),
@@ -786,7 +786,7 @@ impl TangoPairing {
     fn install_routers(&mut self) -> Result<(), PairingError> {
         let tenants = Side::BOTH.map(|s| self.side_config(s).tenant);
         let routers: Vec<AsId> = self
-            .bgp
+            .sim
             .topology()
             .nodes()
             .map(|n| n.id)

@@ -248,13 +248,20 @@ fn mesh_calls(mesh: &NPopMesh, shards: usize) -> u64 {
 /// column into the blank one `intern` made, sharing its arena of
 /// advertisements, so that convergence makes no allocator call and
 /// leaves no heap behind. A flood would build the probe's
-/// advertisements anew.
+/// advertisements anew. After the warm-up rotation it checks a rebuild:
+/// a suppression step revisited in a column whose arena has grown for
+/// it converges from the shelf with no allocator call and leaves no
+/// heap behind.
+///
+/// The engine is built from a clone of the graph, counted from before
+/// the clone: `BgpEngine::new` frees the graph once it has resolved the
+/// sessions.
 fn probe_calls() -> (u64, u64, f64) {
     let g = try_generate(&GenParams::internet(100, 8, 1)).expect("preset is valid");
     let pops = g.edge_sites;
     let registry = Registry::new();
     let live_before = LIVE.load(Relaxed);
-    let mut engine = BgpEngine::new(g.topology);
+    let mut engine = BgpEngine::new(g.topology.clone());
     engine.set_obs(&registry);
     for (i, &pop) in pops.iter().enumerate() {
         engine.set_honor_actions(pop, true).expect("a graph node");
@@ -283,29 +290,64 @@ fn probe_calls() -> (u64, u64, f64) {
     assert!(fill_bytes <= 0, "a twin fill left {fill_bytes} B of heap");
     engine.withdraw(pops[0], probes[0]).expect("a graph node");
     engine.converge().expect("converges");
-    let mut rotation = || {
+    let exit = |engine: &BgpEngine, k: usize| {
+        let observer = pops[(k + 1) % pops.len()];
+        let path = engine
+            .as_path(observer, probes[k])
+            .expect("the graph is connected");
+        Community::NoExportTo(path[path.len() - 2])
+    };
+    let rotation = |engine: &mut BgpEngine| {
         for (k, &announcer) in pops.iter().enumerate() {
-            let observer = pops[(k + 1) % pops.len()];
             engine
                 .announce(announcer, probes[k], BTreeSet::new())
                 .expect("a graph node");
             engine.converge().expect("converges");
-            let path = engine
-                .as_path(observer, probes[k])
-                .expect("the graph is connected");
-            let exit = Community::NoExportTo(path[path.len() - 2]);
+            let suppress = [exit(engine, k)].into();
             engine
-                .set_announcement_communities(announcer, probes[k], [exit].into())
+                .set_announcement_communities(announcer, probes[k], suppress)
                 .expect("a graph node");
             engine.converge().expect("converges");
             engine.withdraw(announcer, probes[k]).expect("a graph node");
             engine.converge().expect("converges");
         }
     };
-    rotation();
+    rotation(&mut engine);
+    // PoP 0's probe suppresses its exit, then the next one too, then only
+    // the first again: that step's fixpoint was shelved by the one
+    // before, and the column's own arena has grown for both.
+    let (edit, rebuilds) = (pops[0], engine.work().rebuilds);
+    let set = |engine: &mut BgpEngine, communities: &BTreeSet<Community>| {
+        (engine.set_announcement_communities(edit, probes[0], communities.clone()))
+            .expect("a graph node");
+    };
+    engine
+        .announce(edit, probes[0], BTreeSet::new())
+        .expect("a graph node");
+    engine.converge().expect("converges");
+    let first: BTreeSet<_> = [exit(&engine, 0)].into();
+    set(&mut engine, &first);
+    engine.converge().expect("converges");
+    let both = first.iter().copied().chain([exit(&engine, 0)]).collect();
+    set(&mut engine, &both);
+    engine.converge().expect("converges");
+    set(&mut engine, &first);
+    let edited = LIVE.load(Relaxed);
+    let rebuild_calls = calls_during(|| {
+        engine.converge().expect("converges");
+    });
+    let rebuild_bytes = LIVE.load(Relaxed).wrapping_sub(edited) as i64;
+    assert_eq!(engine.work().rebuilds, rebuilds + 2, "two shelved steps");
+    assert_eq!(rebuild_calls, 0, "a warm rebuild calls the allocator");
+    assert!(
+        rebuild_bytes <= 0,
+        "a rebuild left {rebuild_bytes} B of heap"
+    );
+    engine.withdraw(edit, probes[0]).expect("a graph node");
+    engine.converge().expect("converges");
     let updates = || registry.snapshot().counters["bgp.updates_processed"];
     let before = updates();
-    let calls = calls_during(|| (0..3).for_each(|_| rotation()));
+    let calls = calls_during(|| (0..3).for_each(|_| rotation(&mut engine)));
     (calls, updates() - before, heap_per_route)
 }
 

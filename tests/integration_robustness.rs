@@ -187,7 +187,7 @@ fn mid_run_reconvergence_rewires_the_data_plane() {
     p.bgp.converge().unwrap();
     // RIB → FIB: reinstall every router's table from the new state.
     let routers: Vec<tango_topology::AsId> = p
-        .bgp
+        .sim
         .topology()
         .nodes()
         .map(|n| n.id)

@@ -8,8 +8,9 @@
 //! `--seed 1`.)
 //!
 //! Each bound sits midway between this tree's exact count and the count
-//! of the engine before twin fills, in `alloc_guard`'s style: a change
-//! that loses the saving fails it, one that loses half of it does too.
+//! of the engine before its last saving (twin fills, then shelved
+//! fixpoints), in `alloc_guard`'s style: a change that loses the saving
+//! fails it, one that loses half of it does too.
 
 use tango::npop::{NPopMesh, TrafficOutcome};
 
@@ -22,13 +23,23 @@ const CONVERGES: u64 = 860;
 /// the announcer's host prefix is announced, and the host prefix's
 /// column is still the from-blank convergence of that announcement.
 const FILLS: u64 = 190;
-/// Route updates executed: exact 280 572 with twin fills, 466 476 when
-/// every step floods (the 190 fills skip 185 904). Midway between the
-/// two.
-const MAX_UPDATES_EXECUTED: u64 = 373_524;
-/// Decision-process runs: exact 281 661 with twin fills, 467 755 when
-/// every step floods. Midway between the two.
-const MAX_DECIDES: u64 = 374_708;
+/// Suppression steps rebuilt from a shelved fixpoint: the first visit of
+/// each (announcer, community set) floods, and a later pair that reaches
+/// it with no configuration edit between rebuilds it.
+const REBUILDS: u64 = 221;
+/// Heap the shelf holds at the end (`BgpEngine::shelf_heap_bytes`): one
+/// 500-speaker winner map per distinct suppression state that cost any
+/// update, none evicted, under a bound of twice the columns' slot bytes
+/// (306 768 B here).
+const SHELF_BYTES: u64 = 145_344;
+/// Route updates executed: exact 258 236 with shelved fixpoints (a
+/// rebuild's exports deliver 176 396 of them), 280 572 with twin fills
+/// alone, 466 476 when every step floods. Midway between the first two.
+const MAX_UPDATES_EXECUTED: u64 = 269_404;
+/// Decision-process runs: exact 82 708 with shelved fixpoints (a rebuild
+/// runs none), 281 661 with twin fills alone, 467 755 when every step
+/// floods. Midway between the first two.
+const MAX_DECIDES: u64 = 182_184;
 
 #[test]
 fn canonical_discovery_executes_less_than_it_bills() {
@@ -39,6 +50,8 @@ fn canonical_discovery_executes_less_than_it_bills() {
     assert_eq!(outcome.converges, CONVERGES);
     let work = mesh.engine().work();
     assert_eq!(work.fills, FILLS);
+    assert_eq!(work.rebuilds, REBUILDS);
+    assert_eq!(mesh.engine().shelf_heap_bytes(), SHELF_BYTES);
     assert!(
         work.updates < MAX_UPDATES_EXECUTED,
         "{} updates executed (limit {MAX_UPDATES_EXECUTED})",
