@@ -181,14 +181,6 @@ impl HealthLog {
 /// A gate's [`HealthLog`], shared with whoever reports on it.
 pub type HealthTimeline = Arc<Mutex<HealthLog>>;
 
-/// SplitMix64: cheap, deterministic hash for backoff jitter.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The per-tunnel health state machine. Feed it one [`PathSnapshot`] per
 /// control tick via [`PathHealth::observe`]; ask it whether probes may
 /// flow via [`PathHealth::allow_probe`].
@@ -239,7 +231,7 @@ impl PathHealth {
             .backoff_initial_ns
             .saturating_mul(1u64 << exp)
             .min(cfg.backoff_max_ns);
-        let h = splitmix64(
+        let h = tango_sim::hash::mix64(
             cfg.jitter_seed ^ (u64::from(self.path) << 32) ^ self.attempt.wrapping_mul(0x9E37),
         );
         // Map the hash to [-1, 1) and scale by the jitter fraction.

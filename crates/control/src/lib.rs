@@ -12,9 +12,13 @@
 //!   with the community set that pins it, verify the pinning against the
 //!   converged BGP state, and emit the tunnel tables for both switches.
 //! * [`policy`] — implementations of the data-plane's
-//!   [`tango_dataplane::PathPolicy`]: the BGP-default baseline, lowest
-//!   one-way-delay with hysteresis, jitter-aware and loss-aware scoring,
-//!   and an inverse-latency weighted split.
+//!   [`tango_dataplane::PathPolicy`]. Lowest one-way delay, jitter-aware
+//!   and loss-aware are three scores over one rule: rank the eligible
+//!   paths (at least [`policy::MIN_SAMPLES`] samples, not stale) by the
+//!   score, and keep the current path unless it may not stay or the best
+//!   path beats it by the hysteresis. An inverse-latency weighted split
+//!   uses the same eligibility rule. The BGP-default baseline is
+//!   [`tango_dataplane::StaticPolicy`].
 //! * [`health`] — per-tunnel liveness: the
 //!   `Up → Suspect → Down → Probing → Up` state machine, exponential
 //!   backoff re-probing, the [`health::HealthGated`] wrapper that

@@ -5,6 +5,14 @@
 //! calls them at each control tick with snapshots of the *peer's*
 //! receive-side measurements and installs the returned [`Selection`].
 //!
+//! The logic is stated once. A path is *eligible* when it has at least
+//! [`MIN_SAMPLES`] samples and is not stale. The single-path policies
+//! ([`LowestOwdPolicy`], [`JitterAwarePolicy`], [`LossAwarePolicy`]) are
+//! three scores over one sticky rule: rank the eligible paths by the
+//! score, and keep the current path unless it may not stay or the best
+//! path beats it by the hysteresis. [`WeightedSplitPolicy`] splits over
+//! the same eligible paths.
+//!
 //! §5 motivates the designs: delay matters (the default path is 30 %
 //! slower than the best), jitter matters ("depending on the application,
 //! delay and jitter could have a significant impact"), and reacting to
@@ -19,23 +27,71 @@ use tango_dataplane::{PathPolicy, PathSnapshot, Selection};
 /// cannot see losses on a path with *no* arrivals, but staleness can.
 pub const DEFAULT_STALENESS_LIMIT_NS: u64 = 1_000_000_000;
 
-fn is_dead(s: &PathSnapshot, limit_ns: u64) -> bool {
+/// Samples a path needs before any policy ranks it.
+pub const MIN_SAMPLES: u64 = 5;
+
+/// Not stale: delivered, and at most [`DEFAULT_STALENESS_LIMIT_NS`]
+/// behind the freshest path.
+fn fresh(s: &PathSnapshot) -> bool {
     match s.staleness_ns {
-        Some(st) => st > limit_ns,
-        None => s.samples == 0,
+        Some(st) => st <= DEFAULT_STALENESS_LIMIT_NS,
+        None => s.samples > 0,
     }
+}
+
+/// The eligibility rule every policy ranks by: at least [`MIN_SAMPLES`]
+/// samples and not stale.
+fn eligible(s: &PathSnapshot) -> bool {
+    s.samples >= MIN_SAMPLES && fresh(s)
+}
+
+/// The one single-path rule, for any score (lower is better). Rank the
+/// eligible paths that have a score; keep `*current` unless it may not
+/// stay (`may_stay` is false, or it is gone or unscored) or the best
+/// path beats it by at least `hysteresis_ns` (prevents flapping between
+/// near-equal paths — flapping reorders TCP streams, the §5 complaint).
+/// With nothing ranked, stay where we are (or path 0).
+///
+/// Only score *differences* are compared, so a constant clock offset
+/// added to every OWD changes no selection (§4.2).
+fn sticky(
+    current: &mut Option<u16>,
+    paths: &BTreeMap<u16, PathSnapshot>,
+    hysteresis_ns: f64,
+    score: impl Fn(&PathSnapshot) -> Option<f64>,
+    may_stay: impl Fn(&PathSnapshot) -> bool,
+) -> Selection {
+    let Some((best, best_score)) = paths
+        .iter()
+        .filter(|(_, s)| eligible(s))
+        .filter_map(|(id, s)| score(s).map(|v| (*id, v)))
+        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("scores are finite"))
+    else {
+        return Selection::Single(current.unwrap_or(0));
+    };
+    let stays = |cur: u16| {
+        paths
+            .get(&cur)
+            .filter(|s| may_stay(s))
+            .and_then(&score)
+            .is_some_and(|c| c - best_score < hysteresis_ns)
+    };
+    let next = match *current {
+        Some(cur) if cur != best && stays(cur) => cur,
+        _ => best,
+    };
+    *current = Some(next);
+    Selection::Single(next)
 }
 
 /// Pick the path with the lowest smoothed one-way delay, with hysteresis:
 /// switch away from the current path only when the challenger is better
-/// by more than `hysteresis_ns` (prevents flapping between near-equal
-/// paths — flapping reorders TCP streams, the §5 complaint).
+/// by at least `hysteresis_ns`, or at once when the current path goes
+/// stale.
 #[derive(Debug, Clone)]
 pub struct LowestOwdPolicy {
     /// Required improvement before switching, ns.
     pub hysteresis_ns: f64,
-    /// Ignore paths with fewer samples than this.
-    pub min_samples: u64,
     current: Option<u16>,
 }
 
@@ -44,48 +100,15 @@ impl LowestOwdPolicy {
     pub fn new(hysteresis_ns: f64) -> Self {
         LowestOwdPolicy {
             hysteresis_ns,
-            min_samples: 5,
             current: None,
         }
     }
 }
 
-fn best_by<F: Fn(&PathSnapshot) -> Option<f64>>(
-    paths: &BTreeMap<u16, PathSnapshot>,
-    min_samples: u64,
-    score: F,
-) -> Option<(u16, f64)> {
-    paths
-        .iter()
-        .filter(|(_, s)| s.samples >= min_samples)
-        .filter(|(_, s)| !is_dead(s, DEFAULT_STALENESS_LIMIT_NS))
-        .filter_map(|(id, s)| score(s).map(|v| (*id, v)))
-        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("scores are finite"))
-}
-
 impl PathPolicy for LowestOwdPolicy {
     fn decide(&mut self, _now: u64, paths: &BTreeMap<u16, PathSnapshot>) -> Selection {
-        let Some((best, best_score)) = best_by(paths, self.min_samples, |s| s.owd_ewma_ns) else {
-            // Nothing measured yet: stay where we are (or path 0).
-            return Selection::Single(self.current.unwrap_or(0));
-        };
-        let next = match self.current {
-            Some(cur) if cur != best => {
-                let cur_dead = paths
-                    .get(&cur)
-                    .map(|s| is_dead(s, DEFAULT_STALENESS_LIMIT_NS))
-                    .unwrap_or(true);
-                let cur_score = paths.get(&cur).and_then(|s| s.owd_ewma_ns);
-                match (cur_dead, cur_score) {
-                    (true, _) => best, // current path went dark: leave now
-                    (false, Some(c)) if c - best_score < self.hysteresis_ns => cur,
-                    _ => best,
-                }
-            }
-            _ => best,
-        };
-        self.current = Some(next);
-        Selection::Single(next)
+        let score = |s: &PathSnapshot| s.owd_ewma_ns;
+        sticky(&mut self.current, paths, self.hysteresis_ns, score, fresh)
     }
 
     fn name(&self) -> &str {
@@ -102,8 +125,6 @@ pub struct JitterAwarePolicy {
     pub jitter_weight: f64,
     /// Required score improvement before switching, ns.
     pub hysteresis_ns: f64,
-    /// Ignore paths with fewer samples.
-    pub min_samples: u64,
     current: Option<u16>,
 }
 
@@ -113,38 +134,16 @@ impl JitterAwarePolicy {
         JitterAwarePolicy {
             jitter_weight,
             hysteresis_ns,
-            min_samples: 5,
             current: None,
         }
-    }
-
-    fn score(&self, s: &PathSnapshot) -> Option<f64> {
-        Some(s.owd_ewma_ns? + self.jitter_weight * s.jitter_ns.unwrap_or(0.0))
     }
 }
 
 impl PathPolicy for JitterAwarePolicy {
     fn decide(&mut self, _now: u64, paths: &BTreeMap<u16, PathSnapshot>) -> Selection {
-        let Some((best, best_score)) = best_by(paths, self.min_samples, |s| self.score(s)) else {
-            return Selection::Single(self.current.unwrap_or(0));
-        };
-        let next = match self.current {
-            Some(cur) if cur != best => {
-                let cur_dead = paths
-                    .get(&cur)
-                    .map(|s| is_dead(s, DEFAULT_STALENESS_LIMIT_NS))
-                    .unwrap_or(true);
-                let cur_score = paths.get(&cur).and_then(|s| self.score(s));
-                match (cur_dead, cur_score) {
-                    (true, _) => best,
-                    (false, Some(c)) if c - best_score < self.hysteresis_ns => cur,
-                    _ => best,
-                }
-            }
-            _ => best,
-        };
-        self.current = Some(next);
-        Selection::Single(next)
+        let weight = self.jitter_weight;
+        let score = |s: &PathSnapshot| Some(s.owd_ewma_ns? + weight * s.jitter_ns.unwrap_or(0.0));
+        sticky(&mut self.current, paths, self.hysteresis_ns, score, fresh)
     }
 
     fn name(&self) -> &str {
@@ -152,16 +151,17 @@ impl PathPolicy for JitterAwarePolicy {
     }
 }
 
-/// Avoid lossy paths first, then minimize delay: paths with loss above
-/// `max_loss` are excluded unless *all* paths exceed it.
+/// Avoid lossy paths first, then minimize delay: the pool is the clean
+/// paths (loss at most `max_loss`, not stale), or every path when none
+/// is clean. Only the pool is ranked, and a current path outside it is
+/// left at once (so when no path is clean, a stale current path may be
+/// held within the hysteresis).
 #[derive(Debug, Clone)]
 pub struct LossAwarePolicy {
     /// Loss-rate ceiling in [0, 1].
     pub max_loss: f64,
     /// Required improvement before switching, ns.
     pub hysteresis_ns: f64,
-    /// Ignore paths with fewer samples.
-    pub min_samples: u64,
     current: Option<u16>,
 }
 
@@ -171,7 +171,6 @@ impl LossAwarePolicy {
         LossAwarePolicy {
             max_loss,
             hysteresis_ns,
-            min_samples: 5,
             current: None,
         }
     }
@@ -179,32 +178,12 @@ impl LossAwarePolicy {
 
 impl PathPolicy for LossAwarePolicy {
     fn decide(&mut self, _now: u64, paths: &BTreeMap<u16, PathSnapshot>) -> Selection {
-        let clean: BTreeMap<u16, PathSnapshot> = paths
-            .iter()
-            .filter(|(_, s)| {
-                s.loss_rate <= self.max_loss && !is_dead(s, DEFAULT_STALENESS_LIMIT_NS)
-            })
-            .map(|(k, v)| (*k, *v))
-            .collect();
-        let pool = if clean.is_empty() { paths } else { &clean };
-        let Some((best, best_score)) = best_by(pool, self.min_samples, |s| s.owd_ewma_ns) else {
-            return Selection::Single(self.current.unwrap_or(0));
-        };
-        let next = match self.current {
-            Some(cur) if cur != best => {
-                let cur_ok = pool.contains_key(&cur);
-                let cur_score = pool.get(&cur).and_then(|s| s.owd_ewma_ns);
-                match (cur_ok, cur_score) {
-                    // Current path turned lossy: leave immediately.
-                    (false, _) => best,
-                    (true, Some(c)) if c - best_score < self.hysteresis_ns => cur,
-                    _ => best,
-                }
-            }
-            _ => best,
-        };
-        self.current = Some(next);
-        Selection::Single(next)
+        let max_loss = self.max_loss;
+        let clean = |s: &PathSnapshot| s.loss_rate <= max_loss && fresh(s);
+        let all_lossy = !paths.values().any(clean);
+        let in_pool = |s: &PathSnapshot| all_lossy || clean(s);
+        let score = |s: &PathSnapshot| if in_pool(s) { s.owd_ewma_ns } else { None };
+        sticky(&mut self.current, paths, self.hysteresis_ns, score, in_pool)
     }
 
     fn name(&self) -> &str {
@@ -212,24 +191,23 @@ impl PathPolicy for LossAwarePolicy {
     }
 }
 
-/// Split traffic across all healthy paths with weights inversely
+/// Split traffic across all eligible paths with weights inversely
 /// proportional to their smoothed delay (§6's load-balancing direction).
+///
+/// The one policy that reads absolute OWDs (the cutoff and the weights
+/// are ratios), so unlike the others it is not offset-invariant: see
+/// DESIGN §5.
 #[derive(Debug, Clone)]
 pub struct WeightedSplitPolicy {
     /// Paths slower than `best × cutoff_factor` get weight 0.
     pub cutoff_factor: f64,
-    /// Ignore paths with fewer samples.
-    pub min_samples: u64,
 }
 
 impl WeightedSplitPolicy {
     /// With the given cutoff factor (e.g. 1.5 = drop paths 50 % slower
     /// than the best).
     pub fn new(cutoff_factor: f64) -> Self {
-        WeightedSplitPolicy {
-            cutoff_factor,
-            min_samples: 5,
-        }
+        WeightedSplitPolicy { cutoff_factor }
     }
 }
 
@@ -237,8 +215,7 @@ impl PathPolicy for WeightedSplitPolicy {
     fn decide(&mut self, _now: u64, paths: &BTreeMap<u16, PathSnapshot>) -> Selection {
         let measured: Vec<(u16, f64)> = paths
             .iter()
-            .filter(|(_, s)| s.samples >= self.min_samples)
-            .filter(|(_, s)| !is_dead(s, DEFAULT_STALENESS_LIMIT_NS))
+            .filter(|(_, s)| eligible(s))
             .filter_map(|(id, s)| s.owd_ewma_ns.map(|v| (*id, v)))
             .collect();
         let Some(best) = measured
@@ -339,7 +316,7 @@ mod tests {
         assert_eq!(p.decide(0, &empty), Selection::Single(0));
         let mut young = BTreeMap::new();
         let mut s = snap(10.0, 0.0, 0.0);
-        s.samples = 1; // below min_samples
+        s.samples = 1; // below MIN_SAMPLES
         young.insert(7, s);
         assert_eq!(p.decide(1, &young), Selection::Single(0));
     }
@@ -407,6 +384,26 @@ mod tests {
             }
             s => panic!("expected weighted, got {s:?}"),
         }
+    }
+
+    #[test]
+    fn weighted_split_reads_absolute_owds() {
+        let shifted = |offset_ms: f64| -> BTreeMap<u16, PathSnapshot> {
+            let mut paths = vultr_like();
+            for s in paths.values_mut() {
+                s.owd_ewma_ns = s.owd_ewma_ns.map(|v| v + offset_ms * 1e6);
+            }
+            paths
+        };
+        let mut p = WeightedSplitPolicy::new(1.5);
+        // A receiver clock 100 ms behind: every OWD negative, so no path
+        // passes `v ≤ best × 1.5` and the split falls back to path 0.
+        assert_eq!(p.decide(0, &shifted(-100.0)), Selection::Single(0));
+        // 3 s ahead: every weight rounds to 100, the split goes flat.
+        assert_eq!(
+            p.decide(0, &shifted(3_000.0)),
+            Selection::Weighted(vec![(0, 100), (1, 100), (2, 100), (3, 100)])
+        );
     }
 
     #[test]

@@ -165,25 +165,18 @@ impl MeasurementReport {
     }
 }
 
-/// Build a report from a stats sink (receiver side).
+/// Build a report from a stats sink (receiver side): its per-path view
+/// ([`crate::StatsSink::snapshots`]), quantized.
 pub fn report_from_sink(sink: &crate::stats::StatsSink) -> MeasurementReport {
-    let freshest: Option<u64> = sink.paths().filter_map(|(_, p)| p.last_sample_ns).max();
     let records = sink
-        .paths()
-        .map(|(id, p)| {
-            let last_rx = p.last_sample_ns;
-            let staleness_ns = match (freshest, last_rx) {
-                (Some(f), Some(l)) => f.saturating_sub(l),
-                _ => STALENESS_NONE,
-            };
-            PathRecord {
-                path_id: id,
-                samples: p.owd.len() as u64,
-                owd_ewma_ns: p.owd_ewma.get().unwrap_or(0.0) as i64,
-                jitter_ns: p.rolling.std().unwrap_or(0.0) as u64,
-                loss_ppm: (p.seq.loss_rate() * 1e6) as u32,
-                staleness_ns,
-            }
+        .snapshots()
+        .map(|(path_id, s)| PathRecord {
+            path_id,
+            samples: s.samples,
+            owd_ewma_ns: s.owd_ewma_ns.unwrap_or(0.0) as i64,
+            jitter_ns: s.jitter_ns.unwrap_or(0.0) as u64,
+            loss_ppm: (s.loss_rate * 1e6) as u32,
+            staleness_ns: s.staleness_ns.unwrap_or(STALENESS_NONE),
         })
         .collect();
     MeasurementReport { records }

@@ -26,6 +26,7 @@
 //! a second time: a new dataplane metric is a sink field plus one line
 //! there.
 
+use crate::policy::PathSnapshot;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -443,6 +444,31 @@ impl StatsSink {
     /// All registered paths.
     pub fn paths(&self) -> impl Iterator<Item = (u16, &PathStats)> {
         self.paths.iter().map(|(k, v)| (*k, v))
+    }
+
+    /// Each path as the peer's controller sees it. The per-path view is
+    /// made here only: shared feedback collects it and an in-band report
+    /// quantizes it. Staleness is measured against the freshest
+    /// path, in this (the receiver's) clock; `silence_ns` is left `None`
+    /// for the reading switch to overlay from its own clock.
+    pub fn snapshots(&self) -> impl Iterator<Item = (u16, PathSnapshot)> + '_ {
+        let freshest = self.paths.values().filter_map(|p| p.last_sample_ns).max();
+        self.paths().map(move |(id, p)| {
+            let staleness_ns = match (freshest, p.last_sample_ns) {
+                (Some(f), Some(l)) => Some(f.saturating_sub(l)),
+                _ => None,
+            };
+            let snapshot = PathSnapshot {
+                owd_ewma_ns: p.owd_ewma.get(),
+                last_owd_ns: p.owd.last(),
+                jitter_ns: p.rolling.std(),
+                loss_rate: p.seq.loss_rate(),
+                samples: p.owd.len() as u64,
+                staleness_ns,
+                silence_ns: None,
+            };
+            (id, snapshot)
+        })
     }
 
     /// Count a rejected packet (attributed to a path if possible).

@@ -277,29 +277,7 @@ impl TangoSwitch {
         let mut out = if matches!(self.feedback, FeedbackMode::InBand { .. }) {
             self.peer_view.clone()
         } else {
-            let sink = self.peer_stats.lock();
-            let freshest: Option<u64> = sink.paths().filter_map(|(_, p)| p.last_sample_ns).max();
-            let mut out = BTreeMap::new();
-            for (id, p) in sink.paths() {
-                let last_rx = p.last_sample_ns;
-                let staleness_ns = match (freshest, last_rx) {
-                    (Some(f), Some(l)) => Some(f.saturating_sub(l)),
-                    _ => None,
-                };
-                out.insert(
-                    id,
-                    PathSnapshot {
-                        owd_ewma_ns: p.owd_ewma.get(),
-                        last_owd_ns: p.owd.last(),
-                        jitter_ns: p.rolling.std(),
-                        loss_rate: p.seq.loss_rate(),
-                        samples: p.owd.len() as u64,
-                        staleness_ns,
-                        silence_ns: None,
-                    },
-                );
-            }
-            out
+            self.peer_stats.lock().snapshots().collect()
         };
         // Overlay the silence signal: a path is "silent" since the last
         // control tick at which its sample count advanced. Both the count

@@ -9,9 +9,10 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
-/// Write series as CSV: `time_<unit>,<name1>,<name2>,...`. All series
-/// must share timestamps are NOT required — rows are the union of
-/// timestamps; missing cells are empty.
+/// Write series as CSV: `time_<unit>,<name1>,<name2>,...`. The series
+/// need not share timestamps: the rows are the union of their
+/// timestamps, and a series with no sample at a row's time leaves that
+/// cell empty.
 pub fn write_csv(
     path: &Path,
     time_header: &str,

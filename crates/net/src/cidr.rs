@@ -259,11 +259,6 @@ impl IpCidr {
             _ => false,
         }
     }
-
-    /// True if this is an IPv6 prefix.
-    pub fn is_ipv6(&self) -> bool {
-        matches!(self, IpCidr::V6(_))
-    }
 }
 
 impl fmt::Display for IpCidr {
@@ -456,6 +451,6 @@ mod tests {
         assert!(!v4.contains("2001:db8::1".parse().unwrap()));
         assert!(!v6.contains("10.0.0.1".parse().unwrap()));
         assert!(!v4.covers(&v6));
-        assert!(v6.is_ipv6() && !v4.is_ipv6());
+        assert!(matches!(v6, IpCidr::V6(_)) && matches!(v4, IpCidr::V4(_)));
     }
 }

@@ -14,11 +14,6 @@ impl SimTime {
     /// t = 0.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// From nanoseconds.
-    pub const fn from_ns(ns: u64) -> Self {
-        SimTime(ns)
-    }
-
     /// From microseconds.
     pub const fn from_us(us: u64) -> Self {
         SimTime(us * 1_000)
@@ -57,11 +52,6 @@ impl SimTime {
     /// As fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// As fractional hours (the x-axis of Fig. 4).
-    pub fn as_hours_f64(self) -> f64 {
-        self.0 as f64 / 3.6e12
     }
 
     /// Saturating subtraction.
@@ -139,7 +129,7 @@ mod tests {
         assert_eq!(SimTime::from_ms(28).as_ns(), 28_000_000);
         assert_eq!(SimTime::from_secs(2).as_ns(), 2_000_000_000);
         assert_eq!(SimTime::from_mins(10).as_ns(), 600_000_000_000);
-        assert_eq!(SimTime::from_hours(24).as_hours_f64(), 24.0);
+        assert_eq!(SimTime::from_hours(24).as_ns(), 86_400_000_000_000);
         assert_eq!(SimTime::from_ms(28).as_ms_f64(), 28.0);
     }
 

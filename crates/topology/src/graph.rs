@@ -213,14 +213,6 @@ impl Topology {
         }
     }
 
-    /// Events active on the directed hop `from → to` at time `t`.
-    pub fn active_events(&self, from: AsId, to: AsId, t_ns: u64) -> Vec<&LinkEvent> {
-        self.events
-            .iter()
-            .filter(|e| e.applies(from, to, t_ns))
-            .collect()
-    }
-
     /// All scheduled events.
     pub fn events(&self) -> &[LinkEvent] {
         &self.events
@@ -393,9 +385,15 @@ mod tests {
             }),
             Err(TopologyError::NoSuchLink(AsId(1), AsId(3)))
         );
-        assert_eq!(t.active_events(AsId(1), AsId(2), 150).len(), 1);
-        assert!(t.active_events(AsId(1), AsId(2), 50).is_empty());
-        assert!(t.active_events(AsId(2), AsId(1), 150).is_empty());
+        let active = |from, to, t_ns| {
+            t.events()
+                .iter()
+                .filter(|e| e.applies(AsId(from), AsId(to), t_ns))
+                .count()
+        };
+        assert_eq!(active(1, 2, 150), 1);
+        assert_eq!(active(1, 2, 50), 0);
+        assert_eq!(active(2, 1, 150), 0);
     }
 
     #[test]

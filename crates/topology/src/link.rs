@@ -153,11 +153,6 @@ impl DirectionProfile {
         }
     }
 
-    /// Number of ECMP lanes (at least 1).
-    pub fn lane_count(&self) -> usize {
-        self.ecmp_lane_offsets_ns.len().max(1)
-    }
-
     /// The delay offset of lane `hash % lanes` (0 when no lanes are
     /// configured).
     pub fn lane_offset(&self, flow_hash: u64) -> i64 {
@@ -314,7 +309,6 @@ mod tests {
     #[test]
     fn ecmp_lane_selection_is_hash_stable() {
         let p = DirectionProfile::constant(10_000_000).with_ecmp_lanes(vec![0, 250_000, 500_000]);
-        assert_eq!(p.lane_count(), 3);
         let mut r = rng();
         // Same hash -> same lane -> identical delay for a constant profile.
         let d1 = p.sample_delay(&mut r, 42, 0);
