@@ -246,7 +246,9 @@ pub struct MultihomingRow {
 pub fn multihoming() -> Vec<MultihomingRow> {
     use tango_topology::vultr::{TENANT_LA, TENANT_NY, VULTR_LA};
     let pairing = tango::vultr_pairing(PairingOptions::default()).expect("provisions");
-    let topo = pairing.sim.topology().clone();
+    // The calibrated graph the pairing was built on (the simulator
+    // consumed its own copy).
+    let topo = vultr_scenario().topology;
     let floor = |transits: &[tango_topology::AsId],
                  a: tango_topology::AsId,
                  a_border: tango_topology::AsId,

@@ -785,11 +785,8 @@ impl TangoPairing {
     /// (Re)install every non-tenant node from its converged BGP table.
     fn install_routers(&mut self) -> Result<(), PairingError> {
         let tenants = Side::BOTH.map(|s| self.side_config(s).tenant);
-        let routers: Vec<AsId> = self
-            .sim
-            .topology()
-            .nodes()
-            .map(|n| n.id)
+        let routers: Vec<AsId> = (self.sim.node_ids().iter())
+            .copied()
             .filter(|id| !tenants.contains(id))
             .collect();
         routers

@@ -18,7 +18,7 @@ use crate::stats::SimStats;
 use crate::tables::LinkTable;
 use crate::time::SimTime;
 use rand::rngs::StdRng;
-use tango_topology::{AsId, EventKind as TopoEventKind, Topology};
+use tango_topology::{AsId, EventKind as TopoEventKind};
 use tango_trace::{DropReason, SpanKey, SpanKind, SpanRing};
 
 /// Node behaviour: packets from the network, packets from the local host
@@ -55,7 +55,6 @@ pub struct Ctx<'a> {
     /// the parent carried by every event this dispatch schedules.
     key: EventKey,
     clock: NodeClock,
-    topology: &'a Topology,
     links: &'a LinkTable,
     rng: &'a mut StdRng,
     fault: Option<FaultInjector>,
@@ -104,7 +103,6 @@ impl<'a> Ctx<'a> {
             origin: node_idx + 1,
             key,
             clock,
-            topology: &shared.topology,
             links: &shared.links,
             rng,
             fault: shared.fault,
@@ -137,11 +135,6 @@ impl<'a> Ctx<'a> {
     /// nodes — possibly on other shards — interleave with it.
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
-    }
-
-    /// The topology (read-only; e.g. for neighbor queries).
-    pub fn topology(&self) -> &Topology {
-        self.topology
     }
 
     /// An empty packet with `headroom` reserved bytes, backed by a pooled
@@ -197,7 +190,7 @@ impl<'a> Ctx<'a> {
         let Some((to_idx, link_id)) = links.lookup(self.node_idx, to) else {
             return self.drop_packet(DropReason::NoLink, pkt);
         };
-        let profile = &links.profiles[link_id as usize]; // tango-lint: allow(hot-path-panic) link_id is a dense id minted by LinkTable::build
+        let profile = &links.profiles[link_id as usize]; // tango-lint: allow(hot-path-panic) link_id is a dense id minted by tables::intern
         self.stats.transmissions += 1;
         self.spans.record(self.node.0, SpanKind::Tx { to: to.0 });
         if profile.sample_loss(self.rng) {
@@ -205,7 +198,7 @@ impl<'a> Ctx<'a> {
         }
         // Active wide-area events on this directed hop.
         let now_ns = self.key.time.as_ns();
-        let link_events = &links.events[link_id as usize]; // tango-lint: allow(hot-path-panic) link_id is a dense id minted by LinkTable::build
+        let link_events = links.events(link_id);
         let mut shift: i64 = 0;
         for ev in link_events.iter().filter(|e| e.window.contains(now_ns)) {
             match ev.sample_effect(now_ns, self.rng) {

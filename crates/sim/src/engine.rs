@@ -12,8 +12,9 @@
 //!
 //! The inner loop (pop event → dispatch → transmit) is allocation- and
 //! pointer-chase-free by construction: the tables are dense
-//! (`crate::tables`), packets carry their parse and hash caches and draw
-//! pooled buffers (`crate::packet`), and the pending-event queue
+//! (`crate::tables`, the simulator's only copy of the graph), packets
+//! carry their parse and hash caches and draw pooled buffers
+//! (`crate::packet`), and the pending-event queue
 //! (`crate::queue`) is a ladder queue over a slab of events: buckets are
 //! lists threaded through the slab, their width taken from the pending
 //! events, so ordering never moves a packet.
@@ -45,7 +46,7 @@ use crate::packet::{BufferPool, Packet};
 use crate::queue::EventQueue;
 use crate::shard::{self, Partition, ShardMode};
 use crate::stats::{EvCounts, ShardLoad, SimObs, SimStats};
-use crate::tables::{LinkTable, NodeTable};
+use crate::tables::{self, LinkTable, NodeTable};
 use crate::time::SimTime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -236,8 +237,8 @@ impl Default for SimConfig {
 
 /// The topology-derived state every shard reads and none mutates: safe to
 /// share by reference across worker threads for the duration of a window.
+/// The node and link tables are the simulator's only copy of the graph.
 pub(crate) struct SimShared {
-    pub(crate) topology: Topology,
     pub(crate) nodes: NodeTable,
     pub(crate) links: LinkTable,
     pub(crate) fault: Option<FaultInjector>,
@@ -585,7 +586,9 @@ pub struct NetworkSim {
 }
 
 impl NetworkSim {
-    /// Build a simulator over a topology.
+    /// Build a simulator over a topology, consuming it into the dense
+    /// node and link tables the simulator keeps instead
+    /// ([`NetworkSim::node_ids`] is its node order).
     ///
     /// # Panics
     ///
@@ -593,9 +596,8 @@ impl NetworkSim {
     /// emits with origin `idx + 1`, and an event key holds 24 bits of
     /// origin, the all-ones one reserved.
     pub fn new(topology: Topology, config: SimConfig) -> Self {
-        let nodes = NodeTable::build(&topology);
+        let (nodes, links) = tables::intern(topology);
         assert_origins_fit(nodes.len());
-        let links = LinkTable::build(&topology, &nodes);
         let part = Partition::build(&nodes, &links, config.shards.max(1));
         let obs = config.obs.as_ref().map(|r| SimObs::new(r, &nodes, &links));
         let shards: Vec<ShardState> = (0..part.len())
@@ -604,7 +606,6 @@ impl NetworkSim {
         let threaded = part.len() > 1 && config.shard_mode == ShardMode::Threaded;
         NetworkSim {
             shared: SimShared {
-                topology,
                 nodes,
                 links,
                 fault: config.fault,
@@ -765,9 +766,10 @@ impl NetworkSim {
         self.shards.iter().map(|s| s.load).collect()
     }
 
-    /// The topology.
-    pub fn topology(&self) -> &Topology {
-        &self.shared.topology
+    /// Every node id of the topology, ascending: the order of the
+    /// simulator's node table.
+    pub fn node_ids(&self) -> &[AsId] {
+        &self.shared.nodes.ids
     }
 
     /// Buffers parked in the packet-buffer freelists (observability).

@@ -63,14 +63,6 @@ impl Partition {
     // tango-lint: allow(hot-path-panic) runs once at sim construction, not per event; node_starts has shards+1 entries and shard_of/link ids are bounded by the tables that minted them
     pub(crate) fn build(nodes: &NodeTable, links: &LinkTable, requested: usize) -> Partition {
         let n = nodes.len();
-        // Prefix sums of out-degrees: link ids are minted in from-node
-        // order, so node range [a, b) owns link ids [off[a], off[b]).
-        let mut link_off = Vec::with_capacity(n + 1);
-        link_off.push(0usize);
-        for list in &links.adj {
-            let prev = *link_off.last().unwrap_or(&0);
-            link_off.push(prev + list.len());
-        }
         let mut shards = requested.clamp(1, n.max(1));
         loop {
             let node_starts: Vec<u32> = (0..=shards).map(|s| (s * n / shards) as u32).collect();
@@ -81,14 +73,9 @@ impl Partition {
                 }
             }
             let mut lookahead_ns = u64::MAX;
-            for (from_idx, list) in links.adj.iter().enumerate() {
-                for &(_, to_idx, link_id) in list {
-                    if shard_of[from_idx] == shard_of[to_idx as usize] {
-                        continue;
-                    }
-                    if let Some(p) = links.profiles.get(link_id as usize) {
-                        lookahead_ns = lookahead_ns.min(p.min_delay_ns());
-                    }
+            for ((from_idx, _, to_idx), p) in links.iter().zip(&links.profiles) {
+                if shard_of[from_idx as usize] != shard_of[to_idx as usize] {
+                    lookahead_ns = lookahead_ns.min(p.min_delay_ns());
                 }
             }
             if lookahead_ns == 0 && shards > 1 {
@@ -98,9 +85,11 @@ impl Partition {
                 shards = 1;
                 continue;
             }
+            // Link ids follow from-node order, so node range [a, b) owns
+            // link ids [adj_off[a], adj_off[b]).
             let link_starts = node_starts
                 .iter()
-                .map(|&i| link_off.get(i as usize).copied().unwrap_or(0))
+                .map(|&i| links.adj_off.get(i as usize).map_or(0, |&off| off as usize))
                 .collect();
             return Partition {
                 node_starts,
@@ -283,13 +272,8 @@ pub(crate) fn run_threaded(shards: &mut [ShardState], shared: &SimShared, until:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tables;
     use tango_topology::{AsId, AsKind, AsNode, DirectionProfile, LinkProfile, Topology};
-
-    fn tables(t: &Topology) -> (NodeTable, LinkTable) {
-        let nodes = NodeTable::build(t);
-        let links = LinkTable::build(t, &nodes);
-        (nodes, links)
-    }
 
     fn line(n: u32, delay_ns: u64) -> Topology {
         let mut t = Topology::new();
@@ -310,8 +294,7 @@ mod tests {
 
     #[test]
     fn partition_ranges_tile_the_tables() {
-        let t = line(7, 1_000_000);
-        let (nodes, links) = tables(&t);
+        let (nodes, links) = tables::intern(line(7, 1_000_000));
         for requested in 1..=9 {
             let p = Partition::build(&nodes, &links, requested);
             assert!(p.len() >= 1 && p.len() <= 7);
@@ -336,8 +319,7 @@ mod tests {
 
     #[test]
     fn requested_shards_clamp_to_node_count() {
-        let t = line(3, 1_000_000);
-        let (nodes, links) = tables(&t);
+        let (nodes, links) = tables::intern(line(3, 1_000_000));
         assert_eq!(Partition::build(&nodes, &links, 0).len(), 1);
         assert_eq!(Partition::build(&nodes, &links, 64).len(), 3);
     }
@@ -345,16 +327,14 @@ mod tests {
     #[test]
     fn lookahead_is_min_cross_shard_latency() {
         // 1 ms hops: min_delay is the base/2 clamp floor = 500 µs.
-        let t = line(4, 1_000_000);
-        let (nodes, links) = tables(&t);
+        let (nodes, links) = tables::intern(line(4, 1_000_000));
         let p = Partition::build(&nodes, &links, 2);
         assert_eq!(p.lookahead_ns(), 500_000);
     }
 
     #[test]
     fn zero_lookahead_forces_single_shard() {
-        let t = line(4, 0);
-        let (nodes, links) = tables(&t);
+        let (nodes, links) = tables::intern(line(4, 0));
         let p = Partition::build(&nodes, &links, 4);
         assert_eq!(p.len(), 1, "a zero-latency cross-shard link cannot sync");
     }
@@ -371,7 +351,7 @@ mod tests {
         let lp = || LinkProfile::symmetric(DirectionProfile::constant(1_000_000));
         t.add_peering(AsId(1), AsId(2), lp()).unwrap();
         t.add_peering(AsId(3), AsId(4), lp()).unwrap();
-        let (nodes, links) = tables(&t);
+        let (nodes, links) = tables::intern(t);
         let p = Partition::build(&nodes, &links, 2);
         assert_eq!(p.len(), 2);
         assert_eq!(p.lookahead_ns(), u64::MAX);
@@ -379,8 +359,7 @@ mod tests {
 
     #[test]
     fn sentinel_indices_map_to_shard_zero() {
-        let t = line(4, 1_000_000);
-        let (nodes, links) = tables(&t);
+        let (nodes, links) = tables::intern(line(4, 1_000_000));
         let p = Partition::build(&nodes, &links, 2);
         assert_eq!(p.shard_of(u32::MAX), 0);
         assert_eq!(p.shard_of(1_000), 0);

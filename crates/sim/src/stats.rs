@@ -69,24 +69,19 @@ pub(crate) struct SimObs {
 
 impl SimObs {
     pub(crate) fn new(registry: &Registry, nodes: &NodeTable, links: &LinkTable) -> Self {
-        // Recover (from, to) per dense link id from the adjacency index
-        // so the gauge names carry the directed hop's AS numbers.
-        let mut named: Vec<(u32, String)> = Vec::with_capacity(links.profiles.len());
-        for (from_idx, list) in links.adj.iter().enumerate() {
-            let from = nodes.id(from_idx as u32);
-            for &(to, _, link_id) in list {
-                named.push((link_id, format!("sim.link.busy_ns.{}-{}", from.0, to.0)));
-            }
-        }
-        named.sort_unstable_by_key(|&(id, _)| id);
         SimObs {
             ev_deliver: registry.counter("sim.events.deliver"),
             ev_host_inject: registry.counter("sim.events.host_inject"),
             ev_timer: registry.counter("sim.events.timer"),
             run_until_ns: registry.histogram("sim.span.run_until_ns"),
-            link_busy: named
-                .into_iter()
-                .map(|(_, name)| registry.gauge(&name))
+            // One gauge per dense link id, named for the directed hop's
+            // AS numbers.
+            link_busy: links
+                .iter()
+                .map(|(from_idx, to, _)| {
+                    let from = nodes.id(from_idx);
+                    registry.gauge(&format!("sim.link.busy_ns.{}-{}", from.0, to.0))
+                })
                 .collect(),
             link_busy_total: registry.gauge("sim.link.busy_ns.total"),
             stats: [

@@ -95,11 +95,6 @@ pub struct LinkEvent {
 }
 
 impl LinkEvent {
-    /// Does this event apply to direction `from → to` at time `t`?
-    pub fn applies(&self, from: AsId, to: AsId, t_ns: u64) -> bool {
-        self.from == from && self.to == to && self.window.contains(t_ns)
-    }
-
     /// Sample this event's contribution to a packet's delay at time `t`.
     /// Returns `None` if the packet is dropped (outage).
     pub fn sample_effect<R: Rng + ?Sized>(&self, t_ns: u64, rng: &mut R) -> Option<i64> {
@@ -328,19 +323,6 @@ mod tests {
     #[should_panic(expected = "ends before it starts")]
     fn window_rejects_inverted() {
         TimeWindow::new(200, 100);
-    }
-
-    #[test]
-    fn event_direction_match() {
-        let e = LinkEvent {
-            from: AsId(3257),
-            to: AsId(64602),
-            window: TimeWindow::new(0, 1000),
-            kind: EventKind::Outage,
-        };
-        assert!(e.applies(AsId(3257), AsId(64602), 500));
-        assert!(!e.applies(AsId(64602), AsId(3257), 500)); // reverse direction
-        assert!(!e.applies(AsId(3257), AsId(64602), 1000)); // past window
     }
 
     #[test]

@@ -66,12 +66,31 @@ impl std::error::Error for TopologyError {}
 struct Edge {
     /// Canonical endpoint order: the edge was added as (a, b).
     a: AsId,
-    /// Read only through serialization, kept for the on-disk format.
-    #[allow(dead_code)]
     b: AsId,
     /// Relationship of `a` with respect to `b`.
     rel: Relationship,
     profile: LinkProfile,
+}
+
+/// A [`Topology`] taken apart into flat directed-hop arrays by
+/// [`Topology::into_directed`]: what a consumer that keeps its own
+/// tables (the simulator's) needs, with each hop's profile moved out of
+/// its link rather than copied.
+#[derive(Debug)]
+pub struct DirectedGraph {
+    /// Node ids, ascending.
+    pub nodes: Vec<AsId>,
+    /// `offsets[i]..offsets[i + 1]` indexes the hops leaving `nodes[i]`
+    /// in [`DirectedGraph::to`] and [`DirectedGraph::profiles`]; one
+    /// entry more than `nodes`.
+    pub offsets: Vec<u32>,
+    /// Each directed hop's receiving node, ascending within its
+    /// from-node's range (hops are ordered by `(from, to)`).
+    pub to: Vec<AsId>,
+    /// Each directed hop's delay/loss profile.
+    pub profiles: Vec<DirectionProfile>,
+    /// The scheduled events, in the order they were added.
+    pub events: Vec<LinkEvent>,
 }
 
 /// The AS-level topology: nodes, relationship-annotated links, and
@@ -216,6 +235,50 @@ impl Topology {
     /// All scheduled events.
     pub fn events(&self) -> &[LinkEvent] {
         &self.events
+    }
+
+    /// Consume the graph into its directed hops ([`DirectedGraph`]),
+    /// ordered by `(from, to)`: each link's two directions are moved out
+    /// of it. Names, relationships and the tree-keyed maps are dropped.
+    pub fn into_directed(self) -> DirectedGraph {
+        let Topology {
+            nodes,
+            edges,
+            adjacency,
+            events,
+        } = self;
+        drop(adjacency);
+        let nodes: Vec<AsId> = nodes.into_keys().collect();
+        // Grown while the edge map is freed, not reserved beside it whole:
+        // the map and a second copy of every profile would be the peak.
+        let mut hops = Vec::new();
+        for edge in edges.into_values() {
+            hops.push(((edge.a, edge.b), edge.profile.forward));
+            hops.push(((edge.b, edge.a), edge.profile.reverse));
+        }
+        hops.sort_unstable_by_key(|&(hop, _)| hop);
+        let mut offsets = Vec::with_capacity(nodes.len() + 1);
+        offsets.push(0);
+        let mut from = hops.iter().map(|&((from, _), _)| from).peekable();
+        let mut end = 0;
+        for &id in &nodes {
+            while from.next_if_eq(&id).is_some() {
+                end += 1;
+            }
+            offsets.push(end);
+        }
+        let to = hops.iter().map(|&((_, to), _)| to).collect();
+        // Collected in the hops' own allocation; its tail is given back.
+        let mut profiles: Vec<DirectionProfile> =
+            hops.into_iter().map(|(_, profile)| profile).collect();
+        profiles.shrink_to_fit();
+        DirectedGraph {
+            nodes,
+            offsets,
+            to,
+            profiles,
+            events,
+        }
     }
 
     /// The base (no-jitter, no-event) one-way delay of an AS-level path
@@ -385,15 +448,32 @@ mod tests {
             }),
             Err(TopologyError::NoSuchLink(AsId(1), AsId(3)))
         );
-        let active = |from, to, t_ns| {
-            t.events()
-                .iter()
-                .filter(|e| e.applies(AsId(from), AsId(to), t_ns))
-                .count()
+        assert_eq!(t.events(), [ev]);
+        let stored = &t.events()[0];
+        assert!(stored.window.contains(150));
+        assert!(!stored.window.contains(50));
+    }
+
+    #[test]
+    fn into_directed_moves_each_direction_to_its_hop() {
+        let mut t = tiny();
+        t.add_node(node(0)).unwrap();
+        // Added after 1 and 3, first among 2's hops.
+        t.add_peering(AsId(2), AsId(0), lp(50, 60)).unwrap();
+        let ev = LinkEvent {
+            from: AsId(3),
+            to: AsId(2),
+            window: TimeWindow::new(0, 10),
+            kind: EventKind::Outage,
         };
-        assert_eq!(active(1, 2, 150), 1);
-        assert_eq!(active(1, 2, 50), 0);
-        assert_eq!(active(2, 1, 150), 0);
+        t.add_event(ev.clone()).unwrap();
+        let g = t.into_directed();
+        assert_eq!(g.nodes, [AsId(0), AsId(1), AsId(2), AsId(3)]);
+        assert_eq!(g.offsets, [0, 1, 2, 5, 6]);
+        assert_eq!(g.to, [2, 2, 0, 1, 3, 2].map(AsId));
+        let delays: Vec<u64> = g.profiles.iter().map(|p| p.base_delay_ns).collect();
+        assert_eq!(delays, [60, 10, 50, 20, 30, 40]);
+        assert_eq!(g.events, [ev]);
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod vultr;
 
 pub use asys::{AsId, AsKind, AsNode};
 pub use events::{EventKind, LinkEvent, TimeWindow, WideAreaEvent};
-pub use graph::{Relationship, Topology, TopologyError};
+pub use graph::{DirectedGraph, Relationship, Topology, TopologyError};
 pub use link::{DirectionProfile, JitterModel, LinkProfile};
 pub use vultr::{
     vultr_scenario, vultr_scenario_custom, vultr_scenario_with_capacity, VultrOverrides,

@@ -27,7 +27,9 @@
 //! converged engine holds per RIB route
 //! ([`MAX_RIB_HEAP_BYTES_PER_ROUTE`]). The pairing scenario also reports the
 //! live heap its whole run leaves behind per delivered app packet
-//! ([`MAX_HEAP_BYTES_PER_APP_PACKET`]).
+//! ([`MAX_HEAP_BYTES_PER_APP_PACKET`]), and [`sim_heap_per_link`] bounds
+//! what a freshly built simulator keeps per directed link
+//! ([`MAX_SIM_HEAP_BYTES_PER_LINK`]).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeSet;
@@ -37,7 +39,7 @@ use tango::prelude::*;
 use tango_bgp::{BgpEngine, Community};
 use tango_net::IpCidr;
 use tango_obs::Registry;
-use tango_sim::{Packet, ShardMode};
+use tango_sim::{NetworkSim, Packet, ShardMode, SimConfig};
 use tango_topology::gen::{try_generate, GenParams};
 
 /// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`) since start.
@@ -139,6 +141,16 @@ const TEMPLATED_PACKETS: u32 = 8_192;
 /// shares its template's bytes costs the entry alone; one that copies
 /// them costs the entry plus its own 112-byte buffer.
 const MAX_HEAP_BYTES_PER_SCHEDULED_PACKET: f64 = 80.0 + 16.0;
+
+/// Live heap bytes per directed link that [`NetworkSim::new`] may keep
+/// over [`sim_heap_per_link`]'s graph, before any agent is installed.
+/// Exact: 157.06 with the graph consumed into flat tables (per link an
+/// 8-byte adjacency entry, its 104-byte profile moved out of the graph,
+/// a 4-byte event offset and 16 bytes of busy horizons, plus the
+/// per-node tables); 480.31 with the whole `Topology` kept beside them,
+/// each link's events in its own `Vec` and `(to, to_idx, link_id)`
+/// adjacency lists per node. Midway between 157.06 and 480.31.
+const MAX_SIM_HEAP_BYTES_PER_LINK: f64 = 318.69;
 
 /// Allocator calls made while `run` executes.
 fn calls_during(run: impl FnOnce()) -> u64 {
@@ -351,6 +363,23 @@ fn probe_calls() -> (u64, u64, f64) {
     (calls, updates() - before, heap_per_route)
 }
 
+/// The live heap [`NetworkSim::new`] keeps per directed link of the
+/// 200-AS / 8-PoP mesh's graph (the one [`NPopMesh::converge`] generates),
+/// agents not yet installed, counted from before the clone of the graph
+/// it is given: the simulator consumes the graph into its node and link
+/// tables. Also checks that [`NetworkSim::node_ids`] is the graph's node
+/// order.
+fn sim_heap_per_link() -> f64 {
+    let g = try_generate(&GenParams::internet(200, 8, 1)).expect("preset is valid");
+    let ids: Vec<AsId> = g.topology.nodes().map(|n| n.id).collect();
+    let directed_links = 2 * g.topology.link_count();
+    let live_before = LIVE.load(Relaxed);
+    let sim = NetworkSim::new(g.topology.clone(), SimConfig::default());
+    let kept = LIVE.load(Relaxed).wrapping_sub(live_before);
+    assert_eq!(sim.node_ids(), ids, "node_ids() is Topology::nodes() order");
+    kept as f64 / directed_links as f64
+}
+
 #[test]
 fn steady_state_event_loop_does_not_allocate_per_packet() {
     let (calls, updates, heap_per_route) = probe_calls();
@@ -362,6 +391,11 @@ fn steady_state_event_loop_does_not_allocate_per_packet() {
     assert!(
         heap_per_route < MAX_RIB_HEAP_BYTES_PER_ROUTE,
         "converged 100-AS mesh: {heap_per_route:.2} B of live engine heap per RIB route (limit {MAX_RIB_HEAP_BYTES_PER_ROUTE})"
+    );
+    let heap_per_link = sim_heap_per_link();
+    assert!(
+        heap_per_link < MAX_SIM_HEAP_BYTES_PER_LINK,
+        "200-AS mesh: NetworkSim::new keeps {heap_per_link:.2} B of live heap per directed link (limit {MAX_SIM_HEAP_BYTES_PER_LINK})"
     );
     let (calls, heap_per_app_packet) = pairing_run();
     assert_steady("vultr pairing", calls);

@@ -186,11 +186,8 @@ fn mid_run_reconvergence_rewires_the_data_plane() {
     p.bgp.withdraw(TENANT_NY, gtt_prefix).unwrap();
     p.bgp.converge().unwrap();
     // RIB → FIB: reinstall every router's table from the new state.
-    let routers: Vec<tango_topology::AsId> = p
-        .sim
-        .topology()
-        .nodes()
-        .map(|n| n.id)
+    let routers: Vec<tango_topology::AsId> = (p.sim.node_ids().iter())
+        .copied()
         .filter(|id| ![TENANT_LA, TENANT_NY].contains(id))
         .collect();
     for id in routers {
