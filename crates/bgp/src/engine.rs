@@ -21,6 +21,8 @@
 //! The worklists are plain vectors the engine keeps between calls; the
 //! one that says where updates landed is drained as delivered, unsorted
 //! and with duplicates, because re-deciding a pair twice is a no-op.
+//! Speaker configuration is set before the first origination and fixed
+//! from then on, so only an origination edit moves a fixpoint.
 //! Announcements and withdrawals converge over the routes in place; a
 //! community edit blanks its prefix's column and converges as a fresh
 //! announcement of the prefix's originations. A prefix that enters a
@@ -56,6 +58,9 @@ pub enum EngineError {
         /// The configured cap that was exceeded.
         round_cap: usize,
     },
+    /// A speaker's configuration was set after a prefix had been
+    /// originated; nothing changed.
+    ConfiguredAfterOrigination(AsId),
 }
 
 impl core::fmt::Display for EngineError {
@@ -64,6 +69,9 @@ impl core::fmt::Display for EngineError {
             EngineError::UnknownSpeaker(id) => write!(f, "no speaker for {id}"),
             EngineError::NoConvergence { round_cap } => {
                 write!(f, "BGP did not converge within {round_cap} rounds")
+            }
+            EngineError::ConfiguredAfterOrigination(id) => {
+                write!(f, "{id} configured after a prefix was originated")
             }
         }
     }
@@ -77,7 +85,7 @@ impl std::error::Error for EngineError {}
 /// the "convergence span" is measured in *rounds* — the quantity that
 /// actually bounds re-convergence disruption — rather than in virtual
 /// nanoseconds (which do not advance inside a convergence call).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct BgpObs {
     /// Route updates (announcements and withdrawals) that changed a
     /// receiver's Adj-RIB-In.
@@ -91,7 +99,7 @@ struct BgpObs {
 /// Opt-in RIB occupancy telemetry — separate from [`BgpObs`] so the
 /// scalability sweep can profile memory without perturbing the metric
 /// sets pinned by the golden telemetry artifacts.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct RibObs {
     /// Adj-RIB-In entries across all speakers, after each convergence.
     adj_rib_in: Gauge,
@@ -150,15 +158,14 @@ pub struct Work {
 #[derive(Debug, Clone, Copy, Default)]
 enum Bill {
     /// The column is not known to be a from-blank flood of its current
-    /// originations under the current configuration.
+    /// originations.
     #[default]
     Unknown,
     /// The column entered the running convergence blank and is being
     /// flooded; the tally so far.
     Open { updates: u64, rounds: usize },
     /// The column is exactly the from-blank convergence of its current
-    /// originations under the current speaker configuration, which cost
-    /// this much.
+    /// originations, which cost this much.
     Paid { updates: u64, rounds: usize },
 }
 
@@ -168,7 +175,7 @@ type Origination = (u32, Rc<BTreeSet<Community>>, Box<[AsId]>);
 /// A from-blank fixpoint whose column an origination edit changed: its
 /// originations, each speaker's winner session ([`LOCAL`] for its
 /// origination or no route), and the [`Bill::Paid`] of its flood.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Shelved {
     origins: Box<[Origination]>,
     winners: Box<[u32]>,
@@ -199,7 +206,7 @@ enum Fixpoint {
 }
 
 /// The prefix intern table: prefix ↔ dense [`PrefixId`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct PrefixTable {
     /// id → prefix; a free id keeps its last prefix until it is reissued.
     prefixes: Vec<IpCidr>,
@@ -255,7 +262,7 @@ impl PrefixTable {
 /// fn is_send<T: Send>() {}
 /// is_send::<tango_bgp::BgpEngine>();
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BgpEngine {
     /// One speaker per topology node, ordered by AS id, so a position in
     /// this table sorts exactly like the id it stands for (and, ids being
@@ -273,9 +280,9 @@ pub struct BgpEngine {
     /// them: [`BgpEngine::rib_heap_bytes`] prices every column at its
     /// size, so a field there costs bytes per route at every tier.
     bills: Vec<Bill>,
-    /// Fixpoints whose columns were edited away since the last
-    /// configuration edit, oldest first, holding at most twice as many
-    /// bytes as the columns' slots (see [`BgpEngine::converge`]).
+    /// Fixpoints whose columns were edited away, oldest first, holding
+    /// at most twice as many bytes as the columns' slots (see
+    /// [`BgpEngine::converge`]).
     shelf: VecDeque<Shelved>,
     work: Work,
     obs: Option<BgpObs>,
@@ -285,10 +292,6 @@ pub struct BgpEngine {
     /// incremental worklist's phase-0 seed, and the only prefixes that
     /// can have left every speaker by the end of it.
     dirty_origins: Worklist,
-    /// Speakers whose configuration (prefs, export knobs) changed since
-    /// the last convergence; these get a conservative full recompute +
-    /// re-export.
-    dirty_config: BTreeSet<AsId>,
     /// [`BgpEngine::converge`]'s worklists, kept for their capacity: who
     /// exports this round (cleared on entry, and a rebuild's queue before
     /// that), and where an update landed.
@@ -372,7 +375,6 @@ impl BgpEngine {
             obs: None,
             rib_obs: None,
             dirty_origins: Worklist::new(),
-            dirty_config: BTreeSet::new(),
             export_set: Worklist::new(),
             received: Worklist::new(),
             handle_map: Vec::new(),
@@ -514,11 +516,13 @@ impl BgpEngine {
         delivered
     }
 
-    /// A speaker to configure, marked dirty: the next
-    /// [`BgpEngine::converge`] fully recomputes and re-exports it.
+    /// A speaker to configure, while no prefix has been originated: no
+    /// route, bill or shelved fixpoint can depend on its settings yet.
     fn configure(&mut self, id: AsId) -> Result<&mut BgpSpeaker, EngineError> {
         let i = self.index_of(id)?;
-        self.dirty_config.insert(id);
+        if !self.columns.is_empty() {
+            return Err(EngineError::ConfiguredAfterOrigination(id));
+        }
         Ok(&mut self.speakers[i])
     }
 
@@ -554,9 +558,9 @@ impl BgpEngine {
     }
 
     /// Set a node's per-neighbor preference map (e.g. the Vultr borders'
-    /// NTT > Telia > GTT ordering). Routes it already holds are ranked
-    /// with the new preferences from the next [`BgpEngine::converge`] on,
-    /// exactly like routes that arrive later.
+    /// NTT > Telia > GTT ordering). Like every configuration setter, it
+    /// fails with [`EngineError::ConfiguredAfterOrigination`], changing
+    /// nothing, once any prefix has been originated.
     pub fn set_neighbor_pref(
         &mut self,
         id: AsId,
@@ -660,31 +664,28 @@ impl BgpEngine {
     /// Run synchronous rounds to the fixpoint. Returns the number of
     /// rounds taken (0 means the network was already converged).
     ///
-    /// The propagation is *incremental*: the dirty originations and
-    /// config edits seed a worklist, and each round re-exports and
-    /// re-decides only the `(speaker, prefix)` entries whose state
-    /// changed. The fixpoint, per-round update counts and round totals
-    /// are those of an everyone-recomputes synchronous sweep: the work
-    /// skipped changed no state. An [`BgpEngine::announce`] or
+    /// The propagation is *incremental*: the dirty originations seed a
+    /// worklist, and each round re-exports and re-decides only the
+    /// `(speaker, prefix)` entries whose state changed. The fixpoint,
+    /// per-round update counts and round totals are those of an
+    /// everyone-recomputes synchronous sweep: the work skipped changed
+    /// no state. An [`BgpEngine::announce`] or
     /// [`BgpEngine::withdraw`] re-converges over the routes in place; a
     /// [`BgpEngine::set_announcement_communities`] edit has blanked its
     /// prefix, which converges as a fresh announcement.
     ///
     /// A prefix that enters blank is not flooded when another prefix's
     /// column is known to be the from-blank convergence of the same
-    /// originations (value-equal, at the same speakers) under the current
-    /// configuration: its *twin*, whose routes and arena it copies. No
-    /// policy reads the prefix itself, so the flood would rebuild that
-    /// column slot for slot. Failing a twin, a *shelved* fixpoint of the
+    /// originations (value-equal, at the same speakers): its *twin*,
+    /// whose routes and arena it copies. No policy reads the prefix
+    /// itself, so the flood would rebuild that column slot for slot. Failing a twin, a *shelved* fixpoint of the
     /// same originations is rebuilt: each speaker installs its shelved
     /// winner and exports once, parent first, with no decision. The
     /// bill — the updates and rounds the flood cost — is added to
     /// `bgp.updates_processed` and joins the returned and recorded
     /// rounds, so every count is what flooding reports. A bill is set
-    /// when a prefix that entered blank has converged, shelved with its
-    /// column's winners by any origination edit of its prefix, and all
-    /// bills and the shelf are dropped by a convergence with a
-    /// configuration edit to apply.
+    /// when a prefix that entered blank has converged, and shelved with
+    /// its column's winners by any origination edit of its prefix.
     /// At the end, every column whose arena holds more than twice as many
     /// records as winners and originations, plus a slack, is compacted.
     /// [`BgpEngine::work`] counts what ran.
@@ -693,11 +694,6 @@ impl BgpEngine {
         // The updates and rounds of the floods twin fills skipped.
         let (mut billed_updates, mut billed_rounds) = (0u64, 0usize);
         let dirty_origins = core::mem::take(&mut self.dirty_origins);
-        if !self.dirty_config.is_empty() {
-            // A configuration edit can move any column's fixpoint.
-            self.bills.fill(Bill::Unknown);
-            self.shelf.clear();
-        }
         // Each prefix that enters blank is filled from a paid-for twin,
         // rebuilt from the shelf or opens a tally of its flood. A prefix
         // with several origins is listed once per origin; its first entry
@@ -731,22 +727,10 @@ impl BgpEngine {
             }
             self.bills[p.slot()] = bill;
         }
-        // Phase 0: re-decide exactly what changed since the last call.
-        // Config-dirty speakers get a conservative full recompute and
-        // full re-export (export policy itself may have changed);
-        // origin-dirty entries get a single-prefix recompute and enter
-        // the export set only if their Loc-RIB entry actually moved —
-        // which it cannot at a speaker the first loop already recomputed,
-        // nor in a prefix a twin filled or the shelf rebuilt.
+        // Phase 0: re-decide each edited origination, which enters the
+        // export set only if its Loc-RIB entry actually moved — which it
+        // cannot in a prefix a twin filled or the shelf rebuilt.
         self.export_set.clear();
-        for id in core::mem::take(&mut self.dirty_config) {
-            let i = self.index_of(id).expect("marked while present") as u32;
-            for (k, column) in self.columns.iter_mut().enumerate() {
-                self.export_set.push((i, PrefixId(k as u32)));
-                self.work.decides += 1;
-                self.speakers[i as usize].decide(i, &self.offsets, column);
-            }
-        }
         for &(i, p) in &dirty_origins {
             if matches!(self.bills[p.slot()], Bill::Paid { .. }) {
                 continue;
@@ -1130,19 +1114,18 @@ mod tests {
         t.add_provider(AsId(1), AsId(20), lp()).unwrap();
         t.add_provider(AsId(5), AsId(10), lp()).unwrap();
         t.add_provider(AsId(5), AsId(20), lp()).unwrap();
-        let mut e = BgpEngine::new(t);
         let p = pfx("2001:db8:5::/48");
-        e.announce(AsId(5), p, BTreeSet::new()).unwrap();
+        let path_at_1 = |prefs: BTreeMap<AsId, u32>| {
+            let mut e = BgpEngine::new(t.clone());
+            e.set_neighbor_pref(AsId(1), prefs).unwrap();
+            e.announce(AsId(5), p, BTreeSet::new()).unwrap();
+            e.converge().unwrap();
+            e.as_path(AsId(1), p).unwrap().to_vec()
+        };
         // Without prefs, the tie-break is lowest neighbor id (10).
-        e.converge().unwrap();
-        assert_eq!(e.as_path(AsId(1), p).unwrap(), &[AsId(10), AsId(5)]);
+        assert_eq!(path_at_1(BTreeMap::new()), [AsId(10), AsId(5)]);
         // With a pref for 20, the route flips.
-        let mut prefs = BTreeMap::new();
-        prefs.insert(AsId(20), 40u32);
-        e.set_neighbor_pref(AsId(1), prefs).unwrap();
-        // The held routes are ranked with it at the next convergence.
-        e.converge().unwrap();
-        assert_eq!(e.as_path(AsId(1), p).unwrap(), &[AsId(20), AsId(5)]);
+        assert_eq!(path_at_1([(AsId(20), 40)].into()), [AsId(20), AsId(5)]);
     }
 
     #[test]
@@ -1165,8 +1148,8 @@ mod tests {
     }
 
     /// Phase 0 takes its seeds as they were pushed: an origination edited
-    /// twice before one convergence, at a speaker whose configuration is
-    /// dirty as well, costs what announcing its final form once costs.
+    /// twice before one convergence costs what announcing its final form
+    /// once costs.
     #[test]
     fn an_origination_edited_twice_before_converging_is_exported_once() {
         let p = pfx("2001:db8:1::/48");
@@ -1225,12 +1208,20 @@ mod tests {
     /// A 100-AS internet with one host prefix converged at each of its 8
     /// PoPs (which honor the action communities discovery attaches).
     fn churn_mesh() -> (BgpEngine, Vec<AsId>) {
+        churn_mesh_with(|_, _| {})
+    }
+
+    /// [`churn_mesh`], with `configure` applied before the announcements.
+    fn churn_mesh_with(configure: impl Fn(&mut BgpEngine, &[AsId])) -> (BgpEngine, Vec<AsId>) {
         use tango_topology::gen::{try_generate, GenParams};
         let g = try_generate(&GenParams::internet(100, 8, 1)).expect("preset is valid");
         let pops = g.edge_sites;
         let mut e = BgpEngine::new(g.topology);
-        for (i, &pop) in pops.iter().enumerate() {
+        for &pop in &pops {
             e.set_honor_actions(pop, true).unwrap();
+        }
+        configure(&mut e, &pops);
+        for (i, &pop) in pops.iter().enumerate() {
             let host = pfx(&format!("2001:db8:{:x}::/48", 0x1000 + i));
             e.announce(pop, host, BTreeSet::new()).unwrap();
         }
@@ -1356,17 +1347,19 @@ mod tests {
 
     /// A live prefix that is never blanked: a second origin announces
     /// and withdraws it a thousand times, each step converging
-    /// incrementally over the routes in place, with one preference edit
-    /// half-way. The garbage every step leaves in the column's arena is
-    /// compacted away, so once the first compaction has sized the arena
-    /// (the warm-up), the heap after the last cycle is no larger than
-    /// after the first, and the routes are a fresh engine's.
+    /// incrementally over the routes in place, on a mesh where one PoP
+    /// prefers a neighbor. The garbage every step leaves in the column's
+    /// arena is compacted away, so once the first compaction has sized
+    /// the arena (the warm-up), the heap after the last cycle is no
+    /// larger than after the first, and the routes are a fresh engine's.
     #[test]
     fn an_arena_stays_bounded_under_incremental_churn() {
-        let (mut e, pops) = churn_mesh();
+        let prefer_first = |e: &mut BgpEngine, pops: &[AsId]| {
+            let first = e.speakers[e.index_of(pops[2]).unwrap()].neighbors()[0].id;
+            e.set_neighbor_pref(pops[2], [(first, 30)].into()).unwrap();
+        };
+        let (mut e, pops) = churn_mesh_with(prefer_first);
         let host = pfx("2001:db8:1000::/48");
-        let first = e.speakers[e.index_of(pops[2]).unwrap()].neighbors()[0].id;
-        let prefs: BTreeMap<AsId, u32> = [(first, 30)].into();
         let cycle = |e: &mut BgpEngine| {
             e.announce(pops[1], host, BTreeSet::new()).unwrap();
             e.converge().unwrap();
@@ -1378,18 +1371,12 @@ mod tests {
         }
         cycle(&mut e);
         let heap_after_first = e.rib_heap_bytes();
-        for k in 1..1000 {
+        for _ in 1..1000 {
             cycle(&mut e);
-            if k == 500 {
-                e.set_neighbor_pref(pops[2], prefs.clone()).unwrap();
-                e.converge().unwrap();
-            }
         }
         assert!(e.work().compactions > 100, "the churn is compacted away");
         assert!(e.rib_heap_bytes() <= heap_after_first);
-        let (mut fresh, _) = churn_mesh();
-        fresh.set_neighbor_pref(pops[2], prefs).unwrap();
-        fresh.converge().unwrap();
+        let (fresh, _) = churn_mesh_with(prefer_first);
         for i in 0..pops.len() {
             assert_same_routes(&e, &fresh, pfx(&format!("2001:db8:{:x}::/48", 0x1000 + i)));
         }

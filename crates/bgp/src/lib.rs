@@ -40,6 +40,9 @@
 //! * No MED, no well-known communities (NO_EXPORT, NO_ADVERTISE) and no
 //!   prepend actions: Tango shapes announcements with `NoExportTo` and
 //!   AS-path poisoning only.
+//! * No reconfiguration of a running network: speaker settings are
+//!   inputs, fixed before the first announcement, as the transits'
+//!   policies are in §4.1.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

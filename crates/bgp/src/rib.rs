@@ -211,7 +211,7 @@ const NO_WINNER: Winner = Winner {
 };
 
 /// Every speaker's routing state for one prefix.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct PrefixColumn {
     /// The handle last sent over each directed session, receiver-major:
     /// a receiver's sessions are contiguous and in its neighbor-id order.

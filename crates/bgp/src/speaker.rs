@@ -57,7 +57,7 @@ pub(crate) struct Neighbor {
 }
 
 /// A BGP speaker: its export knobs and its sessions.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct BgpSpeaker {
     /// The speaker's AS (routing-domain) id.
     asid: AsId,
@@ -98,8 +98,7 @@ impl BgpSpeaker {
     /// Set each session's administrative preference from `prefs`
     /// (absent: 0), applied as a tie-break *after* AS-path length (see
     /// `Ads::rank`). Models the Vultr borders' NTT > Telia > GTT
-    /// ordering without overriding shortest-path selection. Routes
-    /// already held are ranked with it at their next decision.
+    /// ordering without overriding shortest-path selection.
     pub(crate) fn set_neighbor_pref(&mut self, prefs: &BTreeMap<AsId, u32>) {
         for n in &mut self.neighbors {
             n.tie_pref = prefs.get(&n.id).copied().unwrap_or(0);
@@ -383,6 +382,32 @@ mod tests {
         for at in [1, 2, 3] {
             assert_eq!(lens(&e, AsId(at)), (0, 0, 0), "AS {at} holds nothing");
         }
+    }
+
+    /// An export compares advertisements by value, never by handle: a
+    /// compaction renumbers the records under the slots, and exporting
+    /// the same winner again builds a new record but changes no slot.
+    #[test]
+    fn a_re_export_after_a_compaction_changes_no_slot() {
+        let mut e = engine();
+        for garbage in 0..20 {
+            learned(&mut e, &[1, 100 + garbage]);
+        }
+        receive_path(&mut e, FROM_1, &[1]);
+        recompute(&mut e);
+        let mut sent = Vec::new();
+        export_prefix(&mut e, |to, update| sent.push((to, update.is_some())));
+        assert_eq!(sent, [(AsId(1), true), (AsId(3), true)]);
+        let slot = |e: &mut BgpEngine| {
+            let (s, _, offsets, column) = e.parts(S, prefix());
+            let to_3 = s.neighbors().iter().find(|n| n.id == FROM_3).unwrap();
+            column.sent((offsets[to_3.index as usize] + to_3.back) as usize)
+        };
+        let before = slot(&mut e);
+        assert!(e.parts(S, prefix()).3.compact_if_sparse(&mut Vec::new()));
+        assert_ne!(slot(&mut e), before, "the compaction renumbered the slot");
+        export_prefix(&mut e, |to, _| panic!("{to:?}'s slot changed"));
+        assert_eq!(exported_path(&mut e, 3), Some(vec![AsId(2), AsId(1)]));
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Differential oracle for the incremental engine.
 //!
 //! Gao-Rexford policies have a unique stable state, so a *fresh* engine
-//! given only the final originations and configuration and converged
-//! once is a sound reference for an engine that reached the same inputs
-//! through any history of announces, withdrawals and config edits. After
+//! given only the configuration and the final originations and
+//! converged once is a sound reference for an engine that reached the
+//! same originations through any history of announces, withdrawals and
+//! community edits. The configuration — honor flags and neighbor
+//! preferences, drawn per history — is set before the first
+//! announcement, as the engine requires. After
 //! every step the two must agree on every speaker's best route (full
 //! attributes, including the receiver-local preference fields), on the
 //! advertisement every session holds as sent, and on the RIB occupancy
@@ -28,9 +31,8 @@
 //! An edit that changes a converged column shelves its fixpoint, and a
 //! prefix that enters blank with shelved originations is rebuilt from
 //! it. Histories draw community sets from a small pool, so edits revisit
-//! them, and interleave preference and honor edits, which must empty
-//! the shelf: the after-every-step replay then checks every rebuilt
-//! column, and the fill check its bill.
+//! them: the after-every-step replay then checks every rebuilt column,
+//! and the fill check its bill.
 
 use proptest::prelude::*;
 use proptest::sample::Index;
@@ -58,8 +60,8 @@ const TWINS: usize = 2;
 const POOL: usize = 24;
 const LIVE: usize = 3;
 
-/// Everything a from-scratch replay needs: the live originations and the
-/// per-speaker configuration the history left behind.
+/// Everything a from-scratch replay needs: the per-speaker configuration
+/// the history started from and the live originations.
 #[derive(Debug, Default)]
 struct Inputs {
     /// `(origin, prefix)` → communities and poisoned initial path.
@@ -183,7 +185,7 @@ struct Op {
 
 fn arb_op() -> impl Strategy<Value = Op> {
     (
-        (0u8..10, any::<bool>()),
+        (0u8..7, any::<bool>()),
         any::<Index>(),
         any::<Index>(),
         0usize..PREFIXES,
@@ -233,7 +235,7 @@ struct Graph<'a> {
     pool: [BTreeSet<Community>; 3],
 }
 
-/// What one [`Op`] did to the originations and the configuration.
+/// What one [`Op`] did to the originations.
 #[derive(Debug, Default)]
 struct Effect {
     /// The prefix whose originations it edited, if any.
@@ -241,8 +243,6 @@ struct Effect {
     /// That prefix enters the next convergence blank: newly announced,
     /// or blanked by a community edit.
     fresh: bool,
-    /// It edited a speaker's configuration.
-    config: bool,
 }
 
 impl Effect {
@@ -250,16 +250,34 @@ impl Effect {
         Effect {
             edited: Some(p),
             fresh,
-            config: false,
         }
     }
+}
 
-    fn config() -> Self {
-        Effect {
-            config: true,
-            ..Effect::default()
-        }
+/// Apply a setting, drawn as an [`Op`], to the live engine, which has
+/// originated nothing yet, and mirror it in the model: an even kind sets
+/// `node`'s neighbor preferences (one neighbor's when `flag`), an odd one
+/// its honor flag.
+fn configure(op: &Op, live: &mut BgpEngine, inputs: &mut Inputs, g: &Graph) {
+    let from = if op.site { g.sites } else { g.nodes };
+    let node = from[op.node.index(from.len())];
+    if op.kind % 2 == 1 {
+        live.set_honor_actions(node, op.flag).expect("node exists");
+        match op.flag {
+            true => inputs.honor.insert(node),
+            false => inputs.honor.remove(&node),
+        };
+        return;
     }
+    let neighbors = g.topology.neighbors(node);
+    let mut prefs = BTreeMap::new();
+    if op.flag && !neighbors.is_empty() {
+        let preferred = neighbors[op.other.index(neighbors.len())];
+        prefs.insert(preferred, 1 + op.prefix as u32 * 10);
+    }
+    live.set_neighbor_pref(node, prefs.clone())
+        .expect("node exists");
+    inputs.prefs.insert(node, prefs);
 }
 
 /// What the live engine reported for one step's convergence.
@@ -274,7 +292,7 @@ struct Reported {
 /// Apply `op` to the live engine and mirror it in the model. Returns a
 /// label for failure messages and what the step changed.
 fn apply(op: &Op, live: &mut BgpEngine, inputs: &mut Inputs, g: &Graph) -> (String, Effect) {
-    let (topology, nodes) = (g.topology, g.nodes);
+    let nodes = g.nodes;
     let from = if op.site { g.sites } else { nodes };
     let node = from[op.node.index(from.len())];
     let p = prefix(op.prefix);
@@ -306,7 +324,7 @@ fn apply(op: &Op, live: &mut BgpEngine, inputs: &mut Inputs, g: &Graph) -> (Stri
             let label = format!("announce {p} at {node:?} poisoning {poison:?}");
             (label, Effect::edited(p, new))
         }
-        2 | 7 | 9 => {
+        2 | 4 | 5 => {
             let target = live_origination;
             let changed = live
                 .set_announcement_communities(target.0, target.1, communities.clone())
@@ -337,31 +355,6 @@ fn apply(op: &Op, live: &mut BgpEngine, inputs: &mut Inputs, g: &Graph) -> (Stri
                 true => (label, Effect::edited(target.1, false)),
                 false => (label, Effect::default()),
             }
-        }
-        4 | 8 => {
-            let neighbors = topology.neighbors(node);
-            let mut prefs = BTreeMap::new();
-            if op.flag && !neighbors.is_empty() {
-                prefs.insert(
-                    neighbors[op.other.index(neighbors.len())],
-                    1 + op.prefix as u32 * 10,
-                );
-            }
-            live.set_neighbor_pref(node, prefs.clone())
-                .expect("node exists");
-            inputs.prefs.insert(node, prefs.clone());
-            let label = format!("neighbor prefs {prefs:?} at {node:?}");
-            (label, Effect::config())
-        }
-        5 => {
-            live.set_honor_actions(node, op.flag).expect("node exists");
-            if op.flag {
-                inputs.honor.insert(node);
-            } else {
-                inputs.honor.remove(&node);
-            }
-            let label = format!("honor_actions={} at {node:?}", op.flag);
-            (label, Effect::config())
         }
         // A twin: a blank prefix announced at a live prefix's origin
         // speakers, with its exact attributes when `flag`, else with the
@@ -411,9 +404,6 @@ fn check_fill(
     reported: &Reported,
     step: &str,
 ) -> Result<(), String> {
-    if effect.config {
-        billed.clear();
-    }
     let Some(p) = effect.edited else {
         return Ok(());
     };
@@ -466,8 +456,9 @@ fn incremental_state_equals_fresh_replay() {
         let ases = (30usize..70).generate(rng);
         let edges = (3usize..6).generate(rng);
         let seed = any::<u64>().generate(rng);
+        let settings = proptest::collection::vec(arb_op(), 0..6).generate(rng);
         let ops = proptest::collection::vec(arb_op(), 8..16).generate(rng);
-        incremental_history(ases, edges, seed, &ops, &mut reach)
+        incremental_history(ases, edges, seed, &settings, &ops, &mut reach)
     });
     assert!(reach.compactions > 0, "no history compacted an arena");
     assert!(
@@ -481,6 +472,7 @@ fn incremental_history(
     ases: usize,
     edges: usize,
     seed: u64,
+    settings: &[Op],
     ops: &[Op],
     reach: &mut Reach,
 ) -> Result<(), String> {
@@ -496,11 +488,16 @@ fn incremental_history(
     let mut live = BgpEngine::new(g.topology.clone());
     live.set_obs(&registry);
     let mut inputs = Inputs::default();
-    // Start from a populated mesh so edits hit real state: every
-    // edge site honors actions and announces one prefix.
-    for (i, &site) in g.edge_sites.iter().enumerate() {
+    // Every edge site honors actions unless a drawn setting says
+    // otherwise; then, so edits hit real state, each announces one prefix.
+    for &site in &g.edge_sites {
         live.set_honor_actions(site, true).expect("edge exists");
         inputs.honor.insert(site);
+    }
+    for setting in settings {
+        configure(setting, &mut live, &mut inputs, &graph);
+    }
+    for (i, &site) in g.edge_sites.iter().enumerate() {
         let p = prefix(i % PREFIXES);
         live.announce(site, p, BTreeSet::new())
             .expect("edge exists");
@@ -536,11 +533,6 @@ fn incremental_history(
             &reported,
             &step,
         )?;
-        let from = if op.site { &g.edge_sites } else { &nodes };
-        check_idle_reexport(&live, &inputs, from[op.node.index(from.len())], &step)?;
-        if effect.config {
-            filled.clear();
-        }
         if let Some(p) = effect.edited {
             let was_filled = filled.remove(&p);
             if effect.fresh && reported.fills > 0 {
@@ -551,29 +543,6 @@ fn incremental_history(
     }
     reach.compactions += live.work().compactions;
     reach.rebuilds += live.work().rebuilds;
-    Ok(())
-}
-
-/// A configuration edit that changes nothing costs nothing: `node`
-/// re-decides and re-exports every prefix, and each advertisement it
-/// rebuilds equals, by value, the one its session slot holds. Run on a
-/// clone, which shares every arena with `live` until it appends.
-fn check_idle_reexport(
-    live: &BgpEngine,
-    inputs: &Inputs,
-    node: AsId,
-    step: &str,
-) -> Result<(), String> {
-    let mut idle = live.clone();
-    let prefs = inputs.prefs.get(&node).cloned().unwrap_or_default();
-    idle.set_neighbor_pref(node, prefs).expect("node exists");
-    let before = idle.work().updates;
-    let rounds = idle.converge().expect("Gao-Rexford policies converge");
-    prop_assert_eq!(
-        (rounds, idle.work().updates - before),
-        (0, 0),
-        "after {step}: re-exporting unchanged routes at {node:?}"
-    );
     Ok(())
 }
 
@@ -733,44 +702,4 @@ fn neighbor_id_tie_break_survives_any_arrival_order() {
         "lowest neighbor id wins the full tie"
     );
     replay_ok(&live, &inputs, &t, "clean re-announce");
-
-    // A preference for 20 flips it; dropping the preference flips back.
-    let prefs: BTreeMap<AsId, u32> = [(AsId(20), 7)].into();
-    live.set_neighbor_pref(AsId(1), prefs.clone()).unwrap();
-    inputs.prefs.insert(AsId(1), prefs);
-    live.converge().unwrap();
-    assert_eq!(live.as_path(AsId(1), p).unwrap(), &[AsId(20), AsId(5)]);
-    replay_ok(&live, &inputs, &t, "prefer 20");
-
-    live.set_neighbor_pref(AsId(1), BTreeMap::new()).unwrap();
-    inputs.prefs.insert(AsId(1), BTreeMap::new());
-    live.converge().unwrap();
-    assert_eq!(live.as_path(AsId(1), p).unwrap(), &[AsId(10), AsId(5)]);
-    replay_ok(&live, &inputs, &t, "preference dropped");
-}
-
-/// A preference set on routes already held takes effect at the next
-/// convergence, exactly as if it had been set before they arrived: AS 1
-/// holds equal routes from 10 and 20, picks 10 on the neighbor id, and
-/// must switch to 20 once 20 is preferred — with no step between the
-/// edit and the convergence.
-#[test]
-fn a_preference_edit_reranks_held_routes() {
-    let t = topology(&[1, 5, 10, 20], &[(1, 10), (1, 20), (5, 10), (5, 20)]);
-    let p = prefix(0);
-    let mut live = BgpEngine::new(t.clone());
-    let mut inputs = Inputs::default();
-    live.announce(AsId(5), p, BTreeSet::new()).unwrap();
-    inputs
-        .originated
-        .insert((AsId(5), p), (BTreeSet::new(), Vec::new()));
-    live.converge().unwrap();
-    assert_eq!(live.as_path(AsId(1), p).unwrap(), &[AsId(10), AsId(5)]);
-
-    let prefs: BTreeMap<AsId, u32> = [(AsId(20), 40)].into();
-    live.set_neighbor_pref(AsId(1), prefs.clone()).unwrap();
-    inputs.prefs.insert(AsId(1), prefs);
-    live.converge().unwrap();
-    replay_ok(&live, &inputs, &t, "prefer 20 over held routes");
-    assert_eq!(live.as_path(AsId(1), p).unwrap(), &[AsId(20), AsId(5)]);
 }

@@ -4,13 +4,17 @@
 //! administrative preference at S and an arbitrary AS-path poison (which
 //! sometimes holds S, so S's loop check drops it). S's converged best
 //! route must be the argmax of the comparator written out below, before
-//! and after the winner withdraws.
+//! and after the winner withdraws. S's preferences are configuration, so
+//! they are set before the first announcement: set later, the engine
+//! refuses them and converges as if they had never been asked for.
 
 use core::cmp::Ordering;
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
-use tango_bgp::BgpEngine;
+use tango_bgp::engine::Work;
+use tango_bgp::{BgpEngine, EngineError, Route};
 use tango_net::IpCidr;
+use tango_obs::Registry;
 use tango_topology::{AsId, AsKind, AsNode, DirectionProfile, LinkProfile, Topology};
 
 /// The speaker under test.
@@ -82,13 +86,22 @@ fn arb_star() -> impl Strategy<Value = Vec<Spoke>> {
 }
 
 /// The star, its links added and its originations announced in `order`,
-/// converged.
+/// S's preferences set first, converged.
 fn star(spokes: &[Spoke], order: impl Iterator<Item = usize> + Clone) -> BgpEngine {
+    let mut e = BgpEngine::new(graph(spokes, order.clone()));
+    e.set_neighbor_pref(S, prefs(spokes)).expect("S exists");
+    announce(&mut e, spokes, order);
+    e.converge().expect("Gao-Rexford policies converge");
+    e
+}
+
+/// The star's graph, its links added in `order`.
+fn graph(spokes: &[Spoke], order: impl Iterator<Item = usize>) -> Topology {
     let lp = || LinkProfile::symmetric(DirectionProfile::constant(1));
     let mut t = Topology::new();
     t.add_node(AsNode::new(S.0, AsKind::Transit, "S"))
         .expect("fresh id");
-    for s in order.clone().map(|k| &spokes[k]) {
+    for s in order.map(|k| &spokes[k]) {
         t.add_node(AsNode::new(s.id.0, AsKind::Transit, format!("{}", s.id.0)))
             .expect("fresh id");
         match s.class {
@@ -98,15 +111,33 @@ fn star(spokes: &[Spoke], order: impl Iterator<Item = usize> + Clone) -> BgpEngi
         }
         .expect("fresh link");
     }
-    let mut e = BgpEngine::new(t);
-    let prefs: BTreeMap<AsId, u32> = spokes.iter().map(|s| (s.id, s.pref)).collect();
-    e.set_neighbor_pref(S, prefs).expect("S exists");
+    t
+}
+
+/// S's administrative preference for each neighbor.
+fn prefs(spokes: &[Spoke]) -> BTreeMap<AsId, u32> {
+    spokes.iter().map(|s| (s.id, s.pref)).collect()
+}
+
+/// Every spoke's origination, announced in `order`.
+fn announce(e: &mut BgpEngine, spokes: &[Spoke], order: impl Iterator<Item = usize>) {
     for s in order.map(|k| &spokes[k]) {
         e.announce_poisoned(s.id, prefix(), BTreeSet::new(), &s.poison)
             .expect("a star node");
     }
-    e.converge().expect("Gao-Rexford policies converge");
-    e
+}
+
+/// What a converged star shows: every node's best route, the work the
+/// engine ran and the updates it reported.
+fn observed(
+    e: &BgpEngine,
+    spokes: &[Spoke],
+    registry: &Registry,
+) -> (Vec<Option<Route>>, Work, u64) {
+    let nodes = core::iter::once(S).chain(spokes.iter().map(|s| s.id));
+    let routes = nodes.map(|at| e.best_route(at, prefix())).collect();
+    let updates = registry.snapshot().counters["bgp.updates_processed"];
+    (routes, e.work(), updates)
 }
 
 /// Assert S's best route is `expected`'s, or that it has none.
@@ -148,4 +179,73 @@ proptest! {
         let straight = star(&spokes, 0..n);
         prop_assert_eq!(rotated.best_route(S, prefix()), straight.best_route(S, prefix()));
     }
+
+    /// Configuration asked for between the announcements and the first
+    /// convergence is refused, setter by setter, and the engine
+    /// converges exactly as one never configured: the same route at
+    /// every node, the same `work()` and `bgp.updates_processed`.
+    #[test]
+    fn configuration_after_the_announcements_changes_nothing(
+        spokes in arb_star(),
+        honor in any::<bool>(),
+    ) {
+        let run = |ask_late: bool| {
+            let registry = Registry::new();
+            let mut e = BgpEngine::new(graph(&spokes, 0..spokes.len()));
+            e.set_obs(&registry);
+            announce(&mut e, &spokes, 0..spokes.len());
+            if ask_late {
+                let refused = Err(EngineError::ConfiguredAfterOrigination(S));
+                assert_eq!(e.set_neighbor_pref(S, prefs(&spokes)), refused);
+                assert_eq!(e.set_honor_actions(S, honor), refused);
+                assert_eq!(e.set_strip_private(S, honor), refused);
+            }
+            e.converge().expect("Gao-Rexford policies converge");
+            observed(&e, &spokes, &registry)
+        };
+        prop_assert_eq!(run(true), run(false));
+    }
+}
+
+/// A setter after an origination is refused with a typed error and
+/// changes nothing — no route, no work, no `bgp.*` count — before the
+/// first convergence and after it. Unknown speakers are still named as
+/// such.
+#[test]
+fn a_setter_after_an_origination_is_refused_and_changes_nothing() {
+    let spokes: Vec<Spoke> = (1..4)
+        .map(|id| Spoke {
+            id: AsId(id),
+            class: 3 - id as u8,
+            pref: 0,
+            poison: Vec::new(),
+        })
+        .collect();
+    let registry = Registry::new();
+    let mut e = BgpEngine::new(graph(&spokes, 0..3));
+    e.set_obs(&registry);
+    announce(&mut e, &spokes, 0..3);
+    let refuse = |e: &mut BgpEngine| {
+        let refused = |at| Err(EngineError::ConfiguredAfterOrigination(at));
+        assert_eq!(e.set_neighbor_pref(S, [(AsId(3), 9)].into()), refused(S));
+        assert_eq!(e.set_honor_actions(AsId(1), true), refused(AsId(1)));
+        assert_eq!(e.set_strip_private(AsId(2), true), refused(AsId(2)));
+        let unknown = Err(EngineError::UnknownSpeaker(AsId(999)));
+        assert_eq!(e.set_strip_private(AsId(999), true), unknown);
+    };
+    refuse(&mut e);
+    e.converge().expect("Gao-Rexford policies converge");
+    assert_eq!(e.best_route(S, prefix()).map(|r| r.next_hop), Some(AsId(1)));
+    let state = |e: &BgpEngine| {
+        (
+            observed(e, &spokes, &registry),
+            registry.snapshot().counters,
+        )
+    };
+    let before = state(&e);
+    refuse(&mut e);
+    assert_eq!(state(&e), before);
+    let work = e.work();
+    assert_eq!(e.converge(), Ok(0), "nothing to re-decide");
+    assert_eq!(e.work(), work);
 }

@@ -37,7 +37,7 @@ use tango_bgp::policy::path_is_valley_free;
 use tango_bgp::{BgpEngine, EngineError};
 use tango_control::{discover_paths, DiscoveryError, SideConfig};
 use tango_net::{IpCidr, Ipv6Cidr};
-use tango_obs::Registry;
+use tango_obs::{fnv1a, fnv1a_bytes, Registry, FNV1A_OFFSET};
 use tango_sim::{NetworkSim, Packet, RouterAgent, ShardMode, SimConfig, SimTime};
 use tango_topology::gen::{try_generate, GenError, GenParams};
 use tango_topology::{AsId, Topology};
@@ -289,11 +289,8 @@ impl NPopOutcome {
     /// the traffic digest. Bit-identical runs ⇒ identical values,
     /// regardless of shard count or execution mode.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
+        let mut h = FNV1A_OFFSET;
+        let mut mix = |v: u64| h = fnv1a(h, v);
         mix(self.graph_digest);
         for p in &self.pairs {
             mix(u64::from(p.a.0));
@@ -316,10 +313,7 @@ impl NPopOutcome {
         mix(self.fib_entries);
         mix(self.deliveries);
         mix(self.ttl_expired);
-        for b in self.traffic_digest.bytes() {
-            mix(u64::from(b));
-        }
-        h
+        fnv1a_bytes(h, self.traffic_digest.as_bytes())
     }
 }
 

@@ -56,6 +56,25 @@ pub fn bucket_index(value: u64) -> usize {
     (64 - value.leading_zeros()) as usize
 }
 
+/// FNV-1a's offset basis: the hash of nothing.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a step: fold the word `v` into the running hash `h`. A byte
+/// folds as the word `u64::from(b)`, which is byte-wise FNV-1a (see
+/// [`fnv1a_bytes`]). Deterministic and platform-independent; not a
+/// cryptographic hash.
+#[inline]
+pub fn fnv1a(h: u64, v: u64) -> u64 {
+    (h ^ v).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// Fold every byte of `bytes` into `h`. Folding fields one after
+/// another hashes their concatenation, so no key buffer is assembled.
+#[inline]
+pub fn fnv1a_bytes(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| fnv1a(h, u64::from(b)))
+}
+
 /// The inclusive `[lo, hi]` range of values bucket `index` covers.
 /// Panics if `index >= HIST_BUCKETS` (a caller bug, not a data path).
 pub fn bucket_bounds(index: usize) -> (u64, u64) {
@@ -73,6 +92,15 @@ pub fn bucket_bounds(index: usize) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a_bytes(FNV1A_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a_bytes(FNV1A_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_bytes(FNV1A_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        let split = fnv1a_bytes(fnv1a_bytes(FNV1A_OFFSET, b"foo"), b"bar");
+        assert_eq!(split, fnv1a_bytes(FNV1A_OFFSET, b"foobar"));
+    }
 
     #[test]
     fn bucket_index_edges() {

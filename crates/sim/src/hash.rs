@@ -7,20 +7,7 @@
 //! smear across ECMP lanes while Tango's fixed outer header pins one lane.
 
 use tango_net::Ipv6Packet;
-
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// Fold `data` into the FNV-1a state `h` (deterministic,
-/// platform-independent). Folding the key's fields one after another
-/// hashes their concatenation, so no key buffer is ever assembled.
-fn fnv1a(mut h: u64, data: &[u8]) -> u64 {
-    for &b in data {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use tango_obs::{fnv1a_bytes, FNV1A_OFFSET};
 
 /// SplitMix64 finalizer: a bijective avalanche over one `u64`.
 ///
@@ -45,14 +32,14 @@ pub fn mix64(x: u64) -> u64 {
 /// [`crate::Packet`] has no cached hash.
 pub fn flow_hash(packet: &[u8]) -> u64 {
     let Ok(ip) = Ipv6Packet::new_checked(packet) else {
-        return fnv1a(FNV_OFFSET, packet.get(..40).unwrap_or(packet));
+        return fnv1a_bytes(FNV1A_OFFSET, packet.get(..40).unwrap_or(packet));
     };
     let protocol = ip.next_header();
-    let h = fnv1a(FNV_OFFSET, &ip.src_addr().octets());
-    let h = fnv1a(fnv1a(h, &ip.dst_addr().octets()), &[protocol]);
+    let h = fnv1a_bytes(FNV1A_OFFSET, &ip.src_addr().octets());
+    let h = fnv1a_bytes(fnv1a_bytes(h, &ip.dst_addr().octets()), &[protocol]);
     // UDP and TCP alike open with the source and destination ports.
     match ip.payload().get(..4) {
-        Some(ports) if matches!(protocol, 6 | 17) => fnv1a(h, ports),
+        Some(ports) if matches!(protocol, 6 | 17) => fnv1a_bytes(h, ports),
         _ => h,
     }
 }

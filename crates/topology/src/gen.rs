@@ -35,6 +35,7 @@ use crate::link::{DirectionProfile, JitterModel, LinkProfile};
 use crate::{MS, US};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use tango_obs::{fnv1a, fnv1a_bytes, FNV1A_OFFSET};
 
 /// Parameters for the random generator.
 #[derive(Debug, Clone)]
@@ -235,46 +236,28 @@ impl Generated {
     /// in the graph's total iteration order. Identical parameters + seed
     /// ⇒ identical digest on every machine, shard count, and run.
     pub fn digest(&self) -> u64 {
-        let mut h = Fnv::new();
+        let id = |h, id: AsId| fnv1a(h, u64::from(id.0));
+        let text = |h, s: &str| fnv1a_bytes(h, s.as_bytes());
+        let mut h = FNV1A_OFFSET;
         for node in self.topology.nodes() {
-            h.write_u64(u64::from(node.id.0));
-            h.write_str(&format!("{:?}", node.kind));
-            h.write_str(&node.name);
+            h = id(h, node.id);
+            h = text(h, &format!("{:?}", node.kind));
+            h = text(h, &node.name);
             for &peer in self.topology.neighbors(node.id) {
-                h.write_u64(u64::from(peer.0));
-                h.write_str(&format!("{:?}", self.topology.relationship(node.id, peer)));
+                h = id(h, peer);
+                h = text(
+                    h,
+                    &format!("{:?}", self.topology.relationship(node.id, peer)),
+                );
                 if let Some(p) = self.topology.direction_profile(node.id, peer) {
-                    h.write_str(&format!("{p:?}"));
+                    h = text(h, &format!("{p:?}"));
                 }
             }
         }
         for group in [&self.edge_sites, &self.transits, &self.tier1] {
-            for &id in group {
-                h.write_u64(u64::from(id.0));
-            }
+            h = group.iter().fold(h, |h, &a| id(h, a));
         }
-        h.finish()
-    }
-}
-
-/// FNV-1a folding helper for [`Generated::digest`].
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 ^= v;
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    fn write_str(&mut self, s: &str) {
-        for b in s.bytes() {
-            self.write_u64(u64::from(b));
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
+        h
     }
 }
 

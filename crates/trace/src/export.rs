@@ -79,7 +79,10 @@ fn key_arg(k: &SpanKey) -> String {
     format!("{}/{}/{}/{}", k.time_ns, k.origin, k.seq, k.intra)
 }
 
-/// One FNV-1a step: fold `bytes` into the running hash `h`.
+/// Fold `bytes` into the running hash `h`, FNV-1a style but with the
+/// multiplier `0x1_0000_01b3`, not FNV's 64-bit prime `0x100_0000_01b3`
+/// (`tango_obs::fnv1a`). Every committed trace and sharded golden folds
+/// this one, so it stays as it is.
 fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
@@ -88,8 +91,8 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// FNV-1a over bytes — the flow-event id hash and the flight-recorder
-/// dump digest.
+/// `fnv1a` over bytes from FNV's offset basis — the flow-event id
+/// hash and the flight-recorder dump digest.
 pub fn digest64(bytes: &[u8]) -> u64 {
     fnv1a(0xcbf2_9ce4_8422_2325, bytes)
 }

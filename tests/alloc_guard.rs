@@ -275,8 +275,10 @@ fn probe_calls() -> (u64, u64, f64) {
     let live_before = LIVE.load(Relaxed);
     let mut engine = BgpEngine::new(g.topology.clone());
     engine.set_obs(&registry);
-    for (i, &pop) in pops.iter().enumerate() {
+    for &pop in &pops {
         engine.set_honor_actions(pop, true).expect("a graph node");
+    }
+    for (i, &pop) in pops.iter().enumerate() {
         engine
             .announce(pop, host_prefix(i), BTreeSet::new())
             .expect("a graph node");

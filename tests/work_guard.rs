@@ -25,7 +25,7 @@ const CONVERGES: u64 = 860;
 const FILLS: u64 = 190;
 /// Suppression steps rebuilt from a shelved fixpoint: the first visit of
 /// each (announcer, community set) floods, and a later pair that reaches
-/// it with no configuration edit between rebuilds it.
+/// it rebuilds it.
 const REBUILDS: u64 = 221;
 /// Heap the shelf holds at the end (`BgpEngine::shelf_heap_bytes`): one
 /// 500-speaker winner map per distinct suppression state that cost any
@@ -36,9 +36,10 @@ const SHELF_BYTES: u64 = 145_344;
 /// rebuild's exports deliver 176 396 of them), 280 572 with twin fills
 /// alone, 466 476 when every step floods. Midway between the first two.
 const MAX_UPDATES_EXECUTED: u64 = 269_404;
-/// Decision-process runs: exact 82 708 with shelved fixpoints (a rebuild
-/// runs none), 281 661 with twin fills alone, 467 755 when every step
-/// floods. Midway between the first two.
+/// Decision-process runs: exact 82 308 with shelved fixpoints (a rebuild
+/// runs none; 82 708 while the first convergence also re-decided every
+/// column at each configured PoP), 281 661 with twin fills alone,
+/// 467 755 when every step floods. Midway between 82 708 and 281 661.
 const MAX_DECIDES: u64 = 182_184;
 
 #[test]
